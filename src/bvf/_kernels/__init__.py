@@ -1,15 +1,16 @@
 """Kernel backend selection.
 
-The profile log-likelihood reduces to two per-record sums evaluated once per
-optimizer step; Monte Carlo studies run millions of such steps, so the sums
-are the package's one hot loop. Two interchangeable backends exist:
+The profile log-likelihood reduces to two per-record sums. This module
+evaluates them for one lambda with either of two interchangeable backends:
 
 * ``cython``: compiled extension, used when the build produced it;
 * ``python``: NumPy fallback, always available.
 
 The default is the compiled backend when importable. Override with the
 environment variable ``BVF_KERNEL=cython|python`` or at runtime with
-:func:`use_backend`. ``benchmarks/bench_kernels.py`` compares the two.
+:func:`use_backend`. Fitting no longer calls this module: ``bvf.inference``
+takes the same sums, and their derivatives, for many datasets at once in
+NumPy, so fits do not depend on the backend.
 """
 
 import os

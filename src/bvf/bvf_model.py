@@ -241,14 +241,20 @@ def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = _resolve_rng(seed)
-    v = rng.random((3, n))
+    x, y = _pairs_from_uniforms(p, rng.random((3, n)))
+    return np.column_stack((x, y))
+
+
+def _pairs_from_uniforms(p: BvfParams, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse transform behind :func:`sample`: uniforms of shape
+    (..., 3, n), one row per shock, to the coordinates x and y, each of shape
+    (..., n). Elementwise, so a stack of draws gives each draw's pairs bit for
+    bit."""
     alphas = np.array([[p.alpha0], [p.alpha1], [p.alpha2]])
     with np.errstate(divide="ignore"):
         log_p = np.log(v) / alphas
     u = _s0_inv_log_array(p.kind, log_p, p.lam)
-    x = np.minimum(u[0], u[1])
-    y = np.minimum(u[0], u[2])
-    return np.column_stack((x, y))
+    return np.minimum(u[..., 0, :], u[..., 1, :]), np.minimum(u[..., 0, :], u[..., 2, :])
 
 
 def censoring_threshold(p: BvfParams, target_censored_fraction: float) -> float:

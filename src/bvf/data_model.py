@@ -63,7 +63,8 @@ class CompetingRisksData:
         Failure modes, values in {0, 1, 2, 3}.
     censoring_time : float, optional
         The Type-I censoring time C. Required to be consistent with the
-        records: every delta=3 record must have t = C. When omitted and
+        records: every delta=3 record must have t = C, and no failure may be
+        recorded after C (a failure at exactly C counts). When omitted and
         censored records exist, C is inferred from their (necessarily equal)
         times.
     """
@@ -99,6 +100,12 @@ class CompetingRisksData:
             censoring_time = float(censoring_time)
             if not (censoring_time > 0.0) or not np.isfinite(censoring_time):
                 raise DomainError("censoring time must be positive finite")
+            late = t[delta != FailureMode.CENSORED] > censoring_time
+            if np.any(late):
+                raise ValidationError(
+                    f"{int(np.count_nonzero(late))} failure(s) recorded after the "
+                    f"censoring time {censoring_time!r}"
+                )
 
         t.flags.writeable = False
         delta.flags.writeable = False
@@ -181,18 +188,26 @@ def from_bivariate(pairs, censoring_time=None) -> CompetingRisksData:
         raise ValidationError("no records")
     if not np.all(arr > 0.0):
         raise DomainError("all coordinates must be strictly positive")
-    x = arr[:, 0]
-    y = arr[:, 1]
-    t = np.minimum(x, y)
-    delta = np.where(x < y, 1, np.where(y < x, 2, 0)).astype(np.int8)
+    c = None
     if censoring_time is not None:
         c = float(censoring_time)
         if not (c > 0.0) or not np.isfinite(c):
             raise DomainError("censoring time must be positive finite")
-        censored = t > c
-        t = np.where(censored, c, t)
-        delta[censored] = FailureMode.CENSORED
+    t, delta = _first_failure(arr[:, 0], arr[:, 1], c)
     return CompetingRisksData(t, delta, censoring_time=censoring_time)
+
+
+def _first_failure(x, y, censoring_time):
+    """The rule of :func:`from_bivariate` on coordinate arrays of any equal
+    shape: t = min(x, y), delta from the ordering (exact equality is a tie),
+    and with a censoring time C every minimum beyond C becomes (C, 3)."""
+    t = np.minimum(x, y)
+    delta = np.where(x < y, 1, np.where(y < x, 2, 0)).astype(np.int8)
+    if censoring_time is not None:
+        censored = t > censoring_time
+        t = np.where(censored, censoring_time, t)
+        delta[censored] = FailureMode.CENSORED
+    return t, delta
 
 
 _HEADER = "t,delta"
@@ -212,7 +227,7 @@ def load_csv(path) -> CompetingRisksData:
         On malformed content, with the offending line number.
     ValidationError
         On structurally valid but inconsistent content (no records, censored
-        times differing).
+        times differing, a failure recorded after the censoring time).
     """
     times: list[float] = []
     deltas: list[int] = []

@@ -7,29 +7,45 @@ The log-likelihood of competing-risks data (ignoring an additive constant) is
 
 which is maximized in two stages: for fixed lambda the alphas have the closed
 form alpha_k = -m_k / sum_i log S0(t_i), and substituting them back leaves a
-one-dimensional profile p(lambda) handled by bracketing plus Brent's method.
+one-dimensional profile p(lambda). A geometric ladder of lambda values decides
+whether the profile has an interior maximum and brackets it; a safeguarded
+Newton iteration on the profile score p'(lambda), in log lambda and with
+closed-form first and second derivatives, then locates it.
+
+One engine fits R equal-length datasets at once, stacked as (R, n) arrays:
+:func:`fit_mle` is its one-row case, and :func:`bootstrap_ci` refits all its
+resamples in one call. Every sum runs along a row in NumPy, so a row's fit
+does not depend on the other rows, nor on the kernel backend.
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
 that refits resamples drawn at the MLE.
 """
 
+import collections
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import minimize_scalar
 from scipy.stats import norm
 
-from . import _kernels
 from .baselines import BaselineKind, _check_lambda
-from .bvf_model import BvfParams, sample
-from .data_model import CompetingRisksData, FailureMode, from_bivariate
+# sample and from_bivariate are not called here, but stay names of this
+# module: perfbench's tracer rebinds them in every namespace that held them
+from .bvf_model import BvfParams, _pairs_from_uniforms, sample  # noqa: F401
+from .data_model import (  # noqa: F401
+    CompetingRisksData,
+    FailureMode,
+    _first_failure,
+    from_bivariate,
+)
 from .errors import (
+    BvfError,
     DegenerateDataError,
     DomainError,
     EstimationError,
@@ -59,14 +75,6 @@ _log = logging.getLogger("bvf")
 
 PARAM_NAMES = ("alpha0", "alpha1", "alpha2", "lambda")
 
-_KERNEL_CODE = {
-    BaselineKind.WEIBULL: _kernels.WEIBULL,
-    BaselineKind.GOMPERTZ: _kernels.GOMPERTZ,
-    BaselineKind.LOMAX: _kernels.LOMAX,
-}
-
-_EMPTY = np.empty(0, dtype=np.float64)
-
 
 class FitStatus(enum.Enum):
     CONVERGED = "Converged"
@@ -79,126 +87,157 @@ class CiMethod(enum.Enum):
     BOOTSTRAP = "Bootstrap"
 
 
-class _Workspace:
-    """Precomputed per-(data, kind) arrays feeding the kernel.
+_MODES = np.array([[FailureMode.TIE], [FailureMode.RISK1_FIRST], [FailureMode.RISK2_FIRST]])
 
-    The kernel consumes a per-record transform x: log(t) for Weibull (so
-    t**lam = exp(lam*log t)), t itself otherwise. Everything
-    lambda-independent is reduced once here.
+# every row of a stack; for a one-row stack, a view instead of a gather
+_ALL = slice(None)
+
+# records per ladder-scan call below which the call's fixed cost dominates
+_SCAN_RECORDS = 1 << 14
+
+
+class _Stack:
+    """R equal-length datasets of one kind, stacked as (R, n) arrays: the form
+    in which the fitting engine evaluates the profile and its derivatives.
+
+    ``x`` holds the per-record transform: log(t) for Weibull (so t**lam =
+    exp(lam*log t)), t itself otherwise; ``unc`` marks uncensored records.
+    Methods take rows (an index array, or a slice) and one lambda per row,
+    and reduce along the last axis only, so a row's numbers are the same
+    bits whatever else is stacked with it. Callers silence floating-point
+    warnings: overflow saturates to inf and the log of 0 is -inf.
     """
 
-    __slots__ = ("kind", "code", "n", "m0", "m1", "m2", "m", "x_all", "x_unc", "unc_const")
+    __slots__ = ("kind", "x", "unc", "counts", "m", "unc_sum")
 
-    def __init__(self, data: CompetingRisksData, kind: BaselineKind):
+    def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray):
         self.kind = kind
-        self.code = _KERNEL_CODE[kind]
-        self.n = data.n
-        self.m0 = data.m0
-        self.m1 = data.m1
-        self.m2 = data.m2
-        self.m = data.n_failures
-        t = data.t
-        unc = data.delta != FailureMode.CENSORED
-        if kind is BaselineKind.WEIBULL:
-            self.x_all = np.log(t)
-            self.x_unc = _EMPTY
-            self.unc_const = float(np.sum(self.x_all[unc]))
-        elif kind is BaselineKind.GOMPERTZ:
-            self.x_all = t
-            self.x_unc = _EMPTY
-            self.unc_const = float(np.sum(t[unc]))
-        else:
-            self.x_all = t
-            self.x_unc = np.ascontiguousarray(t[unc])
-            self.unc_const = 0.0
+        self.x = np.log(t) if kind is BaselineKind.WEIBULL else t
+        self.unc = delta != FailureMode.CENSORED
+        self.counts = (delta[..., None, :] == _MODES).sum(axis=-1).T
+        self.m = self.counts.sum(axis=0)
+        # sum_unc log h0 is m log(lam) plus lam (Gompertz) or lam - 1
+        # (Weibull) times this sum; for Lomax it needs a pass per lambda
+        if kind is not BaselineKind.LOMAX:
+            self.unc_sum = np.where(self.unc, self.x, 0.0).sum(axis=-1)
 
-    def sums(self, lam: float) -> tuple[float, float]:
-        return _kernels.lehmann_sums(self.code, lam, self.x_all, self.x_unc)
-
-    def _unc_log_h0(self, lam: float, b: float) -> float:
-        if self.m == 0:
-            return 0.0
+    def survival(self, rows, lam):
+        """z = lam*x, the survival sum a = -sum_all log S0(t_i) and the hazard
+        sum c = sum_unc log h0(t_i) at each row, in one transcendental pass."""
+        x = self.x[rows]
+        z = lam[:, None] * x
+        c = self.m[rows] * np.log(lam)
         if self.kind is BaselineKind.WEIBULL:
-            return self.m * math.log(lam) + (lam - 1.0) * self.unc_const
-        if self.kind is BaselineKind.GOMPERTZ:
-            return self.m * math.log(lam) + lam * self.unc_const
-        return self.m * math.log(lam) - b
+            s = np.exp(z)
+            c += (lam - 1.0) * self.unc_sum[rows]
+        elif self.kind is BaselineKind.GOMPERTZ:
+            s = np.expm1(z)
+            c += lam * self.unc_sum[rows]
+        else:
+            s = np.log1p(z)
+            c -= np.where(self.unc[rows], s, 0.0).sum(axis=-1)
+        return z, s.sum(axis=-1), c
 
-    def _log_a_overflow(self, lam: float) -> float:
-        # The survival sum exceeded double range but its log is still finite.
-        # Both exponential-form sums (Weibull: sum exp(lam*log t), Gompertz:
-        # sum expm1(lam*t) where the -1 terms are negligible past overflow)
-        # reduce to a logsumexp over lam * x_all.
-        z = lam * self.x_all
-        hi = float(np.max(z))
-        if not math.isfinite(hi):
-            return math.inf
-        return hi + math.log(float(np.sum(np.exp(z - hi))))
+    def profile(self, rows, lam) -> np.ndarray:
+        """p(lambda) = c - m log a at each row; -inf where a vanishes or is
+        undefined. A survival sum past double range (Weibull and Gompertz
+        only; Lomax sums grow logarithmically) has its log taken as a
+        logsumexp over z, the -1 terms of Gompertz's expm1 being negligible
+        there: keeping the profile finite stops a monotone rise being
+        mistaken for an interior maximum."""
+        z, a, c = self.survival(rows, lam)
+        m = self.m[rows]
+        log_a = np.log(a)
+        p = c - m * log_a
+        if not np.isfinite(log_a).all():
+            if self.kind is not BaselineKind.LOMAX:
+                over = np.flatnonzero(a == np.inf)
+                e, hi = _shifted_exp(z[over])
+                p[over] = c[over] - m[over] * (hi + np.log(e.sum(axis=-1)))
+            p[~((a > 0.0) & (p > -np.inf))] = -np.inf
+        return p
 
-    def profile(self, lam: float) -> float:
-        a, b = self.sums(lam)
-        if a <= 0.0 or math.isnan(a):
-            return -math.inf
-        if math.isinf(a):
-            # Lomax sums grow logarithmically and cannot overflow; for the
-            # other kinds keep the profile finite so a monotone rise is not
-            # mistaken for an interior maximum.
-            if self.kind is BaselineKind.LOMAX:
-                return -math.inf
-            log_a = self._log_a_overflow(lam)
-            if math.isinf(log_a):
-                return -math.inf
-            return -self.m * log_a + self._unc_log_h0(lam, b)
-        return -self.m * math.log(a) + self._unc_log_h0(lam, b)
-
-    def curvature(self, lam: float) -> tuple[float, float, float]:
-        """Closed-form lambda derivatives (a', a'', c'') of the survival sum
-        a = -sum_all log S0(t_i) and the hazard sum c = sum_unc log h0(t_i).
-
-        Weibull and Gompertz share a = sum exp(lam*x) up to a constant, so
-        a' = sum x exp(lam*x) and a'' = sum x**2 exp(lam*x); for Lomax,
-        with q = t / (1 + lam*t), a' = sum q and a'' = -sum q**2. Overflow
-        saturates to a non-finite value instead of raising.
-        """
-        x = self.x_all
-        c2 = -self.m / lam**2
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind is BaselineKind.LOMAX:
-                q = x / (1.0 + lam * x)
-                q_unc = self.x_unc / (1.0 + lam * self.x_unc)
-                c2 += float(np.sum(q_unc * q_unc))
-                return float(np.sum(q)), -float(np.sum(q * q)), c2
-            xe = x * np.exp(lam * x)
-            return float(np.sum(xe)), float(np.sum(x * xe)), c2
-
-    def alphas(self, lam: float) -> tuple[float, float, float]:
-        a, _ = self.sums(lam)
-        if not math.isfinite(a) or a <= 0.0:
-            raise DegenerateDataError(
-                f"sum of log S0 vanished or overflowed at lambda={lam!r}"
+    def _slopes(self, rows, lam):
+        """z, the survival sum a and its lambda derivatives a' and a'' at each
+        row, and for Lomax the uncensored sums of q and q**2 that the hazard
+        terms need. Weibull and Gompertz share a = sum exp(lam*x) up to a
+        constant, so a' = sum x exp(lam*x) and a'' = sum x**2 exp(lam*x); for
+        Lomax, with q = t / (1 + lam*t), a' = sum q and a'' = -sum q**2."""
+        x = self.x[rows]
+        z = lam[:, None] * x
+        if self.kind is BaselineKind.LOMAX:
+            q = x / (1.0 + z)
+            qq = q * q
+            unc = self.unc[rows]
+            return (
+                z,
+                np.log1p(z).sum(axis=-1),
+                q.sum(axis=-1),
+                -qq.sum(axis=-1),
+                np.where(unc, q, 0.0).sum(axis=-1),
+                np.where(unc, qq, 0.0).sum(axis=-1),
             )
-        return (self.m0 / a, self.m1 / a, self.m2 / a)
+        if self.kind is BaselineKind.WEIBULL:
+            s = np.exp(z)
+            xe = x * s
+        else:
+            s = np.expm1(z)
+            xe = x * (s + 1.0)
+        return z, s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1), None, None
 
-    def loglik(self, alpha0: float, alpha1: float, alpha2: float, lam: float) -> float:
-        a, b = self.sums(lam)
-        if not math.isfinite(a):
-            return -math.inf
-        total = 0.0
-        for m_k, alpha_k in ((self.m0, alpha0), (self.m1, alpha1), (self.m2, alpha2)):
-            if m_k:
-                if alpha_k <= 0.0:
-                    return -math.inf
-                total += m_k * math.log(alpha_k)
-        total += -(alpha0 + alpha1 + alpha2) * a
-        total += self._unc_log_h0(lam, b)
-        return total
+    def moments(self, rows, lam):
+        """a', a'' and c'' at each row (see :meth:`_slopes`); c'' is
+        -m / lam**2, plus sum_unc q**2 for Lomax."""
+        _, _, a1, a2, _, uq2 = self._slopes(rows, lam)
+        c2 = -self.m[rows] / lam**2
+        return a1, a2, c2 if uq2 is None else c2 + uq2
+
+    def newton_terms(self, rows, lam):
+        """The survival sum a and the first two derivatives of the profile in
+        log lambda, g = lam p' and h = lam p' + lam**2 p'', at each row, from
+
+            p'  = c' - m a'/a
+            p'' = c'' - m (a''/a - (a'/a)**2)
+
+        where lam c' is m + lam sum_unc x (Weibull, Gompertz) or
+        m - lam sum_unc q (Lomax), and lam**2 c'' is -m, plus
+        lam**2 sum_unc q**2 for Lomax.
+        """
+        z, a, a1, a2, uq, uq2 = self._slopes(rows, lam)
+        m = self.m[rows]
+        r1 = a1 / a
+        r2 = a2 / a
+        if self.kind is not BaselineKind.LOMAX and not np.isfinite(r2).all():
+            # survival sums past double range: the ratios from exp(z - max z)
+            over = np.flatnonzero(a == np.inf)
+            x = self.x[rows][over]
+            e, _ = _shifted_exp(z[over])
+            se = e.sum(axis=-1)
+            xe = x * e
+            r1[over] = xe.sum(axis=-1) / se
+            r2[over] = (x * xe).sum(axis=-1) / se
+        lam2 = lam * lam
+        if uq is None:
+            g = m + lam * self.unc_sum[rows] - m * (lam * r1)
+            h = g - m - m * (lam2 * (r2 - r1 * r1))
+        else:
+            g = m - lam * uq - m * (lam * r1)
+            h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
+        return a, g, h
 
 
-def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Workspace:
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z - max z) along the last axis, and the row maxima."""
+    hi = z.max(axis=-1)
+    return np.exp(z - hi[:, None]), hi
+
+
+def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
+    """The one-row stack of ``data``, built once per (data, kind)."""
     key = ("workspace", kind)
     ws = data._cache.get(key)
     if ws is None:
-        ws = _Workspace(data, kind)
+        ws = _Stack(kind, data.t[None, :], data.delta[None, :])
         data._cache[key] = ws
     return ws
 
@@ -212,7 +251,20 @@ def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
     vanishes (e.g. a zero alpha against a nonzero count).
     """
     ws = _workspace(data, p.kind)
-    return ws.loglik(p.alpha0, p.alpha1, p.alpha2, p.lam)
+    with np.errstate(all="ignore"):
+        _, a, c = ws.survival(_ALL, np.array([p.lam]))
+    a, c = float(a[0]), float(c[0])
+    if not math.isfinite(a):
+        return -math.inf
+    total = 0.0
+    for m_k, alpha_k in zip(ws.counts[:, 0].tolist(), (p.alpha0, p.alpha1, p.alpha2)):
+        if m_k:
+            if alpha_k <= 0.0:
+                return -math.inf
+            total += m_k * math.log(alpha_k)
+    total += -(p.alpha0 + p.alpha1 + p.alpha2) * a
+    total += c
+    return total
 
 
 def alphas_given_lambda(
@@ -224,7 +276,13 @@ def alphas_given_lambda(
     Each component is >= 0, and equals 0 exactly when its count m_k is 0.
     """
     lam = _check_lambda(lam)
-    return _workspace(data, kind).alphas(lam)
+    ws = _workspace(data, kind)
+    with np.errstate(all="ignore"):
+        a = float(ws.survival(_ALL, np.array([lam]))[1][0])
+    if not math.isfinite(a) or a <= 0.0:
+        raise DegenerateDataError(f"sum of log S0 vanished or overflowed at lambda={lam!r}")
+    m0, m1, m2 = ws.counts[:, 0].tolist()
+    return (m0 / a, m1 / a, m2 / a)
 
 
 def profile_loglik(lam: float, data: CompetingRisksData, kind: BaselineKind) -> float:
@@ -239,25 +297,30 @@ def profile_loglik(lam: float, data: CompetingRisksData, kind: BaselineKind) -> 
     """
     lam = _check_lambda(lam)
     ws = _workspace(data, kind)
-    if ws.m == 0:
+    if ws.m[0] == 0:
         raise EstimationError("no failures observed")
-    return ws.profile(lam)
+    with np.errstate(all="ignore"):
+        return float(ws.profile(_ALL, np.array([lam]))[0])
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Tuning knobs for :func:`fit_mle`.
+    """Tuning knobs for :func:`fit_mle` and the refits of :func:`bootstrap_ci`.
 
     bracket : (float, float)
         Hard search range for lambda; expansion clamps here.
     tol : float
-        Relative lambda tolerance handed to the 1-D optimizer.
+        Relative lambda width at which Newton stops: when its step, or the
+        bracket around the root of the score, is at most ``tol`` * lambda.
     max_evals : int
-        Budget of profile evaluations for the optimizer stage.
+        Budget of profile evaluations; the Newton stage takes at most the
+        remainder after the ladder, and never fewer than 10 iterates.
     lambda_init : float
         Starting rung of the geometric bracket expansion.
     keep_trace : bool
-        Record every (lambda, p(lambda)) evaluation in the result.
+        Record every (lambda, p(lambda)) evaluation in the result. A traced
+        fit also evaluates the profile on every rung of the ladder, so the
+        trace covers the whole bracket; its decisions are unchanged.
     """
 
     bracket: tuple[float, float] = (1e-8, 1e8)
@@ -321,8 +384,10 @@ class FitResult:
         }
 
 
-def _ladder(bracket: tuple[float, float], lam_init: float) -> list[float]:
-    """Geometric rung grid: lam_init scaled by powers of 4, clamped ends."""
+@functools.lru_cache(maxsize=16)
+def _ladder(bracket: tuple[float, float], lam_init: float) -> tuple[np.ndarray, int]:
+    """Geometric rung grid: lam_init scaled by powers of 4, clamped ends;
+    returned read-only, with the index of lam_init's rung."""
     lo, hi = bracket
     start = min(max(lam_init, lo), hi)
     rungs = {lo, hi, start}
@@ -334,7 +399,181 @@ def _ladder(bracket: tuple[float, float], lam_init: float) -> list[float]:
     while v < hi:
         rungs.add(v)
         v *= 4.0
-    return sorted(rungs)
+    grid = np.array(sorted(rungs))
+    grid.flags.writeable = False
+    return grid, int(np.searchsorted(grid, start))
+
+
+class _Fits(NamedTuple):
+    """Per-row outcome of :func:`_fit_stack`.
+
+    ``outcome[r]`` is a :class:`FitStatus`, or the error :func:`fit_mle`
+    raises for that row. ``lam`` and ``alphas`` (shape (3, R)) hold the
+    estimates of rows whose outcome is Converged or BoundaryAlphaZero.
+    """
+
+    outcome: list
+    lam: np.ndarray
+    alphas: np.ndarray
+    n_evals: np.ndarray
+
+
+@np.errstate(all="ignore")
+def _fit_stack(stack: _Stack, opts: FitOptions, traces=None) -> _Fits:
+    """Fit every row of ``stack``; ``traces``, if given, holds one list per
+    row that receives every (lambda, p(lambda)) evaluated for it.
+
+    Each row climbs the geometric ladder from ``lambda_init`` to a local
+    maximum of the profile (every rung is evaluated when the start is -inf).
+    A maximum at a clamped end means no MLE. An interior maximum at rung k
+    is refined by Newton steps on the score in log lambda inside
+    [rung k-1, rung k+1]: each iterate narrows the bracket by the sign of its
+    score, and a step that would leave the bracket, or that comes from a
+    non-concave point, bisects it in log lambda instead. Newton stops when
+    its step or the bracket is at most ``tol`` * lambda; lambda-hat is its
+    last iterate. Rungs cost one transcendental pass per record; only Newton
+    iterates take the derivative sums.
+    """
+    R = stack.m.size
+    rungs, start = _ladder(opts.bracket, opts.lambda_init)
+    last = rungs.size - 1
+    # column k+1 holds p(rung k), NaN until evaluated; the two -inf end
+    # columns stand for the missing neighbours of the clamps
+    vals = np.full((R, rungs.size + 2), np.nan)
+    vals[:, 0] = vals[:, -1] = -np.inf
+    n_evals = np.zeros(R, dtype=np.int64)
+    outcome: list = [None] * R
+
+    def record(rows, lam, values=None):
+        np.add.at(n_evals, rows, 1)
+        if traces is not None:
+            if values is None:
+                values = stack.profile(rows, lam)
+            for r, x, v in zip(np.arange(R)[rows].tolist(), lam.tolist(), values.tolist()):
+                traces[r].append((x, v))
+
+    def evaluate(rows, idx):
+        new = np.isnan(vals[rows, idx + 1])
+        rows, idx = rows[new], idx[new]
+        if rows.size:
+            values = stack.profile(rows, rungs[idx])
+            vals[rows, idx + 1] = values
+            record(rows, rungs[idx], values)
+
+    for r in np.flatnonzero(stack.m == 0).tolist():
+        outcome[r] = EstimationError("no failures observed")
+    act = np.flatnonzero(stack.m > 0)
+    cur = np.full(R, start)
+    # the climb always looks at the start and both its neighbours; a traced
+    # fit samples every rung, so that its trace shows the profile's shape
+    # across the bracket and not only the iterates near the maximum
+    if traces is None:
+        around = np.arange(max(start - 1, 0), min(start + 1, last) + 1)
+    else:
+        around = np.arange(rungs.size)
+    evaluate(np.repeat(act, around.size), np.tile(around, act.size))
+    dead = act[vals[act, start + 1] == -np.inf]
+    if dead.size:
+        evaluate(np.repeat(dead, rungs.size), np.tile(np.arange(rungs.size), dead.size))
+        cur[dead] = vals[dead, 1:-1].argmax(axis=1)
+        hopeless = dead[vals[dead, cur[dead] + 1] == -np.inf]
+        for r in hopeless.tolist():
+            outcome[r] = EstimationError(
+                "profile log-likelihood is -inf over the entire bracket"
+            )
+        act = np.setdiff1d(act, hopeless)
+
+    # First step: to the better neighbour (left, unless right beats it too).
+    # Every later step of the climbing rule keeps that direction while the
+    # profile rises, so the rest of the climb is a scan. It evaluates k rungs
+    # ahead per call, k doubling from a size at which the chunk's records
+    # cost about what the call itself does; only rungs of the last chunk
+    # past the stop are evaluated in vain.
+    c = cur[act]
+    p_left, p_cur, p_right = vals[act, c], vals[act, c + 1], vals[act, c + 2]
+    go_left = p_left > p_cur
+    go_right = p_right > np.where(go_left, p_left, p_cur)
+    step = np.where(go_right, 1, np.where(go_left, -1, 0))
+    cur[act] = c + step
+    scan, step = act[step != 0], step[step != 0]
+    k = min(rungs.size, max(1, _SCAN_RECORDS // max(1, scan.size * stack.x.shape[-1])))
+    while scan.size:
+        c = cur[scan]
+        path = c[:, None] + step[:, None] * np.arange(k + 1)
+        ahead = path[:, 1:]
+        inside = (ahead >= 0) & (ahead <= last)
+        evaluate(np.broadcast_to(scan[:, None], ahead.shape)[inside], ahead[inside])
+        p = vals[scan[:, None], np.clip(path + 1, 0, last + 2)]
+        falls = p[:, 1:] <= p[:, :-1]
+        stops = falls.any(axis=1)
+        cur[scan] = c + step * np.where(stops, falls.argmax(axis=1), k)
+        scan, step = scan[~stops], step[~stops]
+        k *= 2
+
+    c = cur[act]
+    edge = (c == 0) | (c == last)
+    for r in act[edge].tolist():
+        outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
+    inner = act[~edge]
+
+    # Newton: each active row has its iterate lambda and its bracket [lo, hi];
+    # the iterates share one budget. Both lambda and the next iterate lie in
+    # the bracket, so a bracket narrower than tol * lambda stops Newton too.
+    lam_hat = np.full(R, np.nan)
+    a_hat = np.full(R, np.nan)
+    act = inner
+    c = cur[act]
+    lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
+    budget = max(10, opts.max_evals - int(n_evals.max(initial=0)))
+    while act.size:
+        budget -= 1
+        rows = act if act.size < R else _ALL
+        a, g, h = stack.newton_terms(rows, lam)
+        record(rows, lam)
+        lo = np.where(g > 0.0, lam, lo)
+        hi = np.where(g < 0.0, lam, hi)
+        # from a non-concave point (h >= 0) the step points away from the
+        # root, past the bracket end lambda has just become, so it bisects
+        nxt = lam * np.exp(g / -h)
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, np.sqrt(lo * hi))
+        go = np.abs(nxt - lam) > opts.tol * lam
+        if budget == 0:
+            go[:] = False
+        if not go.all():
+            stop = ~go
+            done = act[stop]
+            lam_hat[done], a_hat[done] = lam[stop], a[stop]
+            act, nxt, lo, hi = act[go], nxt[go], lo[go], hi[go]
+        lam = nxt
+
+    # flatness guard: a "maximum" close to a clamp that barely beats the
+    # clamp value is a monotone profile seen through float noise
+    c = cur[inner]
+    near_lo = rungs[c] / rungs[0] <= 64.0
+    near = near_lo | (rungs[last] / rungs[c] <= 64.0)
+    if near.any():
+        rows = inner[near]
+        clamp = np.where(near_lo[near], 0, last)
+        evaluate(rows, clamp)
+        p_hat = stack.profile(rows, lam_hat[rows])
+        record(rows, lam_hat[rows], p_hat)
+        gap = p_hat - vals[rows, clamp + 1]
+        for r in rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))].tolist():
+            outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
+
+    alphas = stack.counts / a_hat
+    for r in inner.tolist():
+        if outcome[r] is not None:
+            continue
+        if not (math.isfinite(a_hat[r]) and a_hat[r] > 0.0):
+            outcome[r] = DegenerateDataError(
+                f"sum of log S0 vanished or overflowed at lambda={float(lam_hat[r])!r}"
+            )
+        elif stack.counts[:, r].all():
+            outcome[r] = FitStatus.CONVERGED
+        else:
+            outcome[r] = FitStatus.BOUNDARY_ALPHA_ZERO
+    return _Fits(outcome, lam_hat, alphas, n_evals)
 
 
 def fit_mle(
@@ -345,12 +584,18 @@ def fit_mle(
     """Maximum-likelihood fit of the four parameters for one baseline kind.
 
     Strategy: evaluate the profile on a geometric ladder of lambda values
-    expanding by factors of 4 from ``lambda_init``; climb to a local maximum.
-    An interior maximum gives a three-point bracket refined by Brent's
-    method; a maximum at a clamped end of the search range means the profile
-    is monotone there and no MLE exists (status NoMleMonotoneProfile). The
+    expanding by factors of 4 from ``lambda_init`` and climb to a local
+    maximum. A maximum at a clamped end of the search range means the
+    profile is monotone there and no MLE exists (status
+    NoMleMonotoneProfile). An interior maximum brackets the root of the
+    profile score p'(lambda), which a safeguarded Newton iteration in log
+    lambda, with closed-form derivatives, locates to ``tol`` relative. The
     alphas then follow in closed form. Any failure mode absent from the data
     pins its alpha to 0 (status BoundaryAlphaZero).
+
+    This is the one-row case of the engine that :func:`bootstrap_ci` runs
+    on all its resamples at once, so a resample's bootstrap estimate is
+    bit for bit the fit of that resample.
 
     Raises
     ------
@@ -359,114 +604,31 @@ def fit_mle(
         the entire bracket.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
-    ws = _workspace(data, kind)
-    if ws.m == 0:
-        raise EstimationError("no failures observed")
-
     trace: Optional[list] = [] if opts.keep_trace else None
-    evals = 0
-
-    def prof(lam: float) -> float:
-        nonlocal evals
-        evals += 1
-        value = ws.profile(lam)
-        if trace is not None:
-            trace.append((lam, value))
-        return value
-
-    rungs = _ladder(opts.bracket, opts.lambda_init)
-    last = len(rungs) - 1
-    start = rungs.index(min(max(opts.lambda_init, rungs[0]), rungs[-1]))
-    vals: dict[int, float] = {}
-
-    def ev(i: int) -> float:
-        if i not in vals:
-            vals[i] = prof(rungs[i])
-        return vals[i]
-
-    ev(start)
-    cur = start
-    if vals[cur] == -math.inf:
-        for i in range(len(rungs)):
-            ev(i)
-        cur = max(vals, key=vals.get)
-        if vals[cur] == -math.inf:
-            raise EstimationError(
-                "profile log-likelihood is -inf over the entire bracket"
-            )
-
-    while True:
-        p_left = ev(cur - 1) if cur > 0 else None
-        p_right = ev(cur + 1) if cur < last else None
-        p_cur = vals[cur]
-        nxt = cur
-        best = p_cur
-        if p_left is not None and p_left > best:
-            nxt, best = cur - 1, p_left
-        if p_right is not None and p_right > best:
-            nxt, best = cur + 1, p_right
-        if nxt == cur:
-            break
-        cur = nxt
-
-    def finish_no_mle() -> FitResult:
+    fits = _fit_stack(_workspace(data, kind), opts, None if trace is None else [trace])
+    outcome = fits.outcome[0]
+    if isinstance(outcome, BvfError):
+        raise outcome
+    n_evals = int(fits.n_evals[0])
+    if outcome is FitStatus.NO_MLE_MONOTONE_PROFILE:
         return FitResult(
             kind=kind,
-            status=FitStatus.NO_MLE_MONOTONE_PROFILE,
+            status=outcome,
             params_hat=None,
             loglik_max=None,
-            n_evals=evals,
+            n_evals=n_evals,
             profile_trace=_sorted_trace(trace),
         )
-
-    if cur == 0 or cur == last:
-        return finish_no_mle()
-
-    strict = vals[cur - 1] < vals[cur] > vals[cur + 1]
-    budget = max(10, opts.max_evals - evals)
-    if strict:
-        res = minimize_scalar(
-            lambda lam: -prof(lam),
-            bracket=(rungs[cur - 1], rungs[cur], rungs[cur + 1]),
-            method="brent",
-            options={"xtol": opts.tol, "maxiter": budget},
-        )
-    else:
-        # exact plateau across rungs (degenerate); fall back to golden
-        # section on the enclosing interval, which needs no strict bracket
-        res = minimize_scalar(
-            lambda lam: -prof(lam),
-            bounds=(rungs[cur - 1], rungs[cur + 1]),
-            method="bounded",
-            options={"xatol": opts.tol * max(1.0, rungs[cur]), "maxiter": budget},
-        )
-    lam_hat = float(min(max(res.x, opts.bracket[0]), opts.bracket[1]))
-    p_hat_value = -float(res.fun)
-
-    # flatness guard: a "maximum" close to a clamp that barely beats the
-    # clamp value is a monotone profile seen through float noise
-    near_lo = rungs[cur] / rungs[0] <= 64.0
-    near_hi = rungs[last] / rungs[cur] <= 64.0
-    if near_lo or near_hi:
-        clamp_idx = 0 if near_lo else last
-        gap = p_hat_value - ev(clamp_idx)
-        if gap < _FLATNESS_RTOL * (1.0 + abs(p_hat_value)):
-            return finish_no_mle()
-
-    alpha_hat = ws.alphas(lam_hat)
+    alpha_hat = fits.alphas[:, 0].tolist()
     params_hat = BvfParams(
         kind=kind,
         alpha0=alpha_hat[0],
         alpha1=alpha_hat[1],
         alpha2=alpha_hat[2],
-        lam=lam_hat,
+        lam=float(fits.lam[0]),
     )
-    status = FitStatus.CONVERGED
-    for k, (m_k, name) in enumerate(
-        ((ws.m0, "alpha0"), (ws.m1, "alpha1"), (ws.m2, "alpha2"))
-    ):
+    for k, (m_k, name) in enumerate(zip(data.counts, ("alpha0", "alpha1", "alpha2"))):
         if m_k == 0:
-            status = FitStatus.BOUNDARY_ALPHA_ZERO
             _log.warning(
                 "no failures of mode %d observed; %s estimated at the boundary 0",
                 k,
@@ -474,10 +636,10 @@ def fit_mle(
             )
     return FitResult(
         kind=kind,
-        status=status,
+        status=outcome,
         params_hat=params_hat,
         loglik_max=log_likelihood(params_hat, data),
-        n_evals=evals,
+        n_evals=n_evals,
         profile_trace=_sorted_trace(trace),
     )
 
@@ -520,9 +682,11 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
         raise DomainError("observed_fisher requires an interior estimate (all > 0)")
     ws = _workspace(data, p_hat.kind)
     alphas = theta[:3]
-    d1_a, d2_a, d2_c = ws.curvature(p_hat.lam)
+    with np.errstate(all="ignore"):
+        d1_a, d2_a, d2_c = ws.moments(_ALL, theta[3:])
+    d1_a, d2_a, d2_c = float(d1_a[0]), float(d2_a[0]), float(d2_c[0])
     info = np.zeros((4, 4))
-    info[:3, :3] = np.diag(np.array([ws.m0, ws.m1, ws.m2]) / alphas**2)
+    info[:3, :3] = np.diag(ws.counts[:, 0] / alphas**2)
     info[:3, 3] = d1_a
     info[3, :3] = d1_a
     info[3, 3] = float(np.sum(alphas)) * d2_a - d2_c
@@ -542,7 +706,9 @@ class ConfidenceIntervalSet:
     """Per-parameter confidence intervals with their provenance.
 
     ``intervals`` maps parameter name -> (lower, upper); lower bounds may be
-    negative for asymptotic intervals (deliberately not truncated).
+    negative for asymptotic intervals (deliberately not truncated). For a
+    bootstrap, ``failure_reasons`` counts the failed resamples by reason (a
+    fit status value or an error class name); the counts sum to ``n_failed``.
     """
 
     level: float
@@ -552,6 +718,7 @@ class ConfidenceIntervalSet:
     B: Optional[int] = None
     seed: Optional[int] = None
     n_failed: Optional[int] = None
+    failure_reasons: Optional[dict[str, int]] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -565,6 +732,7 @@ class ConfidenceIntervalSet:
             out["B"] = self.B
             out["seed"] = self.seed
             out["n_failed"] = self.n_failed
+            out["failure_reasons"] = dict(self.failure_reasons or {})
         return out
 
 
@@ -645,10 +813,16 @@ def bootstrap_ci(
 
     Draws B datasets of size n from the fitted model (reusing the original
     censoring time, if any), refits each, and takes component-wise order
-    statistics at the :func:`percentile_ranks` positions. Resamples whose
-    profile has no maximum are dropped and counted; more than 5% of them is
-    an error. Replicate RNG streams are spawned up front from ``seed``, so
-    results are identical however the replicates are scheduled.
+    statistics at the :func:`percentile_ranks` positions. Resample b draws
+    its uniforms from the b-th of B ``SeedSequence`` children of ``seed``,
+    exactly as ``from_bivariate(sample(p_hat, n, default_rng(child_b)), C)``
+    would; all B are transformed and refitted as one (B, n) stack, and each
+    refit is bit for bit what :func:`fit_mle` gives on that resample.
+
+    A resample fails when its data are invalid or its refit ends without an
+    estimate (no failures, no MLE, a degenerate likelihood); failures are
+    dropped, counted in ``n_failed`` and by reason in ``failure_reasons``.
+    More than 5% of them is an error that lists the reasons.
 
     B >= 100 is recommended for real use; smaller values are accepted (the
     rank arithmetic stays well-defined down to B = 1).
@@ -658,31 +832,19 @@ def bootstrap_ci(
         raise DomainError(f"B must be >= 1, got {B}")
     level = _check_level(level)
     p_hat = _require_converged(fit, "bootstrap_ci")
-    n = data.n
-    c = data.censoring_time
+    opts = options if options is not None else _DEFAULT_OPTIONS
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(B)
-    estimates = np.empty((B, 4))
-    ok = np.zeros(B, dtype=bool)
-    for b in range(B):
-        rng = np.random.default_rng(children[b])
-        pairs = sample(p_hat, n, rng)
-        try:
-            resample = from_bivariate(pairs, c)
-            refit = fit_mle(resample, fit.kind, options)
-        except (EstimationError, ValidationError, DomainError):
-            continue
-        if refit.params_hat is None:
-            continue
-        q = refit.params_hat
-        estimates[b] = (q.alpha0, q.alpha1, q.alpha2, q.lam)
-        ok[b] = True
-    n_ok = int(ok.sum())
-    n_failed = B - n_ok
+    estimates, failures = _bootstrap_refits(p_hat, data, ss.spawn(B), opts)
+    reasons = dict(collections.Counter(r for r in failures if r is not None))
+    n_failed = sum(reasons.values())
+    n_ok = B - n_failed
     if n_failed > 0.05 * B:
+        listed = ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items()))
         raise ResampleFailureError(
-            f"{n_failed} of {B} bootstrap resamples failed to produce an estimate"
+            f"{n_failed} of {B} bootstrap resamples failed to produce an "
+            f"estimate ({listed})"
         )
+    ok = np.array([r is None for r in failures])
     usable = np.sort(estimates[ok], axis=0)
     lo_rank, hi_rank = percentile_ranks(n_ok, level)
     intervals = {
@@ -702,4 +864,38 @@ def bootstrap_ci(
         B=B,
         seed=seed_out,
         n_failed=n_failed,
+        failure_reasons=reasons,
     )
+
+
+def _bootstrap_refits(
+    p_hat: BvfParams, data: CompetingRisksData, children, opts: FitOptions
+) -> tuple[np.ndarray, list]:
+    """Draw and refit one resample per ``SeedSequence`` child, as
+    ``fit_mle(from_bivariate(sample(p_hat, n, default_rng(child)), C))``
+    would, in one stacked pass. Returns the (B, 4) estimates in
+    ``PARAM_NAMES`` order and, per resample, None or the reason it failed."""
+    n = data.n
+    v = np.stack([np.random.default_rng(child).random((3, n)) for child in children])
+    x, y = _pairs_from_uniforms(p_hat, v)
+    t, delta = _first_failure(x, y, data.censoring_time)
+    failures: list = [None] * len(children)
+    # the errors from_bivariate and CompetingRisksData raise for such a row
+    coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
+    times_ok = np.isfinite(t).all(axis=-1)
+    for b in np.flatnonzero(~coords_ok).tolist():
+        failures[b] = DomainError.__name__
+    for b in np.flatnonzero(coords_ok & ~times_ok).tolist():
+        failures[b] = ValidationError.__name__
+    estimates = np.full((len(children), 4), np.nan)
+    rows = np.flatnonzero(coords_ok & times_ok)
+    if rows.size:
+        fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]), opts)
+        for j, b in enumerate(rows.tolist()):
+            o = fits.outcome[j]
+            if o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO:
+                estimates[b, :3] = fits.alphas[:, j]
+                estimates[b, 3] = fits.lam[j]
+            else:
+                failures[b] = o.value if isinstance(o, FitStatus) else type(o).__name__
+    return estimates, failures

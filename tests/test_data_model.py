@@ -51,6 +51,13 @@ class TestFromBivariate:
         assert data.delta.tolist() == [1]
         assert data.t.tolist() == [2.5]
 
+    def test_censored_output_passes_validation(self):
+        p = BvfParams(BaselineKind.GOMPERTZ, 1.13, 0.96, 0.79, 1.05)
+        xy = sample(p, 3000, seed=3)
+        for c in (0.05, 0.4, float(np.min(xy)), float(np.max(np.min(xy, axis=1)))):
+            data = from_bivariate(xy, censoring_time=c)
+            assert np.all(data.t[data.delta != FailureMode.CENSORED] <= c)
+
     def test_counts_partition_sample(self):
         p = BvfParams(BaselineKind.WEIBULL, 1.34, 1.17, 0.86, 0.91)
         xy = sample(p, 5000, seed=2)
@@ -99,6 +106,17 @@ class TestContainer:
     def test_censoring_time_without_censored_records(self):
         data = CompetingRisksData([1.0, 2.0], [1, 2], censoring_time=9.0)
         assert data.censoring_time == 9.0
+
+    def test_failure_after_censoring_time_rejected(self):
+        with pytest.raises(ValidationError, match="after the censoring time"):
+            CompetingRisksData([5.0, 1.0], [1, 3])
+        with pytest.raises(ValidationError, match="after the censoring time"):
+            CompetingRisksData([1.0, 9.5], [2, 0], censoring_time=9.0)
+
+    def test_failure_at_censoring_time_accepted(self):
+        data = CompetingRisksData([1.0, 1.0, 0.5], [2, 3, 0])
+        assert data.censoring_time == 1.0
+        assert (data.m0, data.m2, data.m3) == (1, 1, 1)
 
     def test_immutable(self):
         data = CompetingRisksData([1.0], [1])
@@ -193,6 +211,12 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("t,delta\n")
         with pytest.raises(ValidationError, match="no records"):
+            load_csv(path)
+
+    def test_failure_after_censoring_time_rejected_at_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("t,delta\n5.0,1\n1.0,3\n")
+        with pytest.raises(ValidationError, match="after the censoring time"):
             load_csv(path)
 
     def test_inconsistent_censored_times_rejected_at_load(self, tmp_path):

@@ -30,6 +30,7 @@ from bvf import (
 )
 from bvf import _kernels
 from bvf.bvf_model import censoring_threshold
+from bvf.inference import _bootstrap_refits, _fit_stack, _Stack
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 
@@ -63,6 +64,10 @@ Z_975 = 1.959963984540054
 # replicate 275, both at the caption parameters
 G_NEG_P2_REP115 = 0.62133845373714623
 L_NEG_P2_REP275 = 5.1114581282628933
+# mpmath, mp.dps=50: the root of p'(lambda) on the same two datasets, by
+# findroot on the closed-form score
+G_LAM_ROOT_REP115 = 0.0011421892928262804
+L_LAM_ROOT_REP275 = 0.00043203126602589618
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +288,32 @@ class TestFitOptions:
         assert fit.params_hat.lam == pytest.approx(G_LAM_HAT, rel=1e-6)
 
 
+class TestStackedFits:
+    def test_each_row_fits_as_its_own_dataset(self):
+        rows = [
+            (T12, D12),  # interior maximum for Weibull and Gompertz
+            ([1.5] * 12, [3] * 12),  # no failures
+            ([1.0] * 12, [0, 1, 2] * 4),  # monotone profile for every kind
+            ([0.3, 0.7, 1.2, 0.9] * 3, [1, 1, 2, 1] * 3),  # boundary alpha0
+        ]
+        t = np.array([r[0] for r in rows])
+        delta = np.array([r[1] for r in rows], dtype=np.int8)
+        for kind in (W, G, L):
+            fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+            for j, (tj, dj) in enumerate(rows):
+                try:
+                    fit = fit_mle(CompetingRisksData(tj, dj), kind)
+                except EstimationError as exc:
+                    assert type(fits.outcome[j]) is type(exc), (kind, j)
+                    continue
+                assert fits.outcome[j] is fit.status, (kind, j)
+                assert fits.n_evals[j] == fit.n_evals, (kind, j)
+                if fit.params_hat is not None:
+                    q = fit.params_hat
+                    assert fits.lam[j] == q.lam, (kind, j)
+                    assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
+
+
 class TestConsistency:
     def test_large_sample_recovers_truth(self):
         p = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -342,14 +373,14 @@ class TestObservedFisher:
             observed_fisher(p, data)
 
     @pytest.mark.parametrize(
-        "params, seed, replicate, neg_p2",
+        "params, seed, replicate, neg_p2, lam_root",
         [
-            (BvfParams(G, 1.13, 0.96, 0.79, 1.05), 9305, 115, G_NEG_P2_REP115),
-            (BvfParams(L, 0.85, 0.57, 0.74, 0.69), 9308, 275, L_NEG_P2_REP275),
+            (BvfParams(G, 1.13, 0.96, 0.79, 1.05), 9305, 115, G_NEG_P2_REP115, G_LAM_ROOT_REP115),
+            (BvfParams(L, 0.85, 0.57, 0.74, 0.69), 9308, 275, L_NEG_P2_REP275, L_LAM_ROOT_REP275),
         ],
     )
     def test_weakly_identified_fit_is_positive_definite(
-        self, params, seed, replicate, neg_p2
+        self, params, seed, replicate, neg_p2, lam_root
     ):
         # rebuilt exactly as the estimation study builds its replicate
         child = np.random.SeedSequence(seed).spawn(500)[replicate].spawn(2)[0]
@@ -357,6 +388,9 @@ class TestObservedFisher:
         data = from_bivariate(pairs, censoring_threshold(params, 0.4))
         fit = fit_mle(data, params.kind)
         assert fit.status is FitStatus.CONVERGED
+        # the profile is so flat here that rounding in the score limits a
+        # double-precision root to about 1e-8 relative
+        assert fit.params_hat.lam == pytest.approx(lam_root, rel=1e-7)
         info = observed_fisher(fit.params_hat, data)
         # the last Cholesky pivot is the lambda Schur complement, which at the
         # closed-form rates is -p''(lambda_hat); lambda_hat's own error moves
@@ -526,6 +560,79 @@ class TestBootstrapCi:
         with pytest.raises(ResampleFailureError):
             bootstrap_ci(fit, data, B=60, seed=0)
 
+    def test_failure_reasons_are_listed_and_counted(self):
+        p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
+        data = from_bivariate(sample(p, 6, seed=4))
+        fit = fit_mle(data, L)
+        per_resample = _refit_each_resample(fit, data, 60, 0)
+        failed = [r for r in per_resample if isinstance(r, str)]
+        assert 0.3 * 60 < len(failed) < 0.7 * 60
+        with pytest.raises(ResampleFailureError) as err:
+            bootstrap_ci(fit, data, B=60, seed=0)
+        message = str(err.value)
+        assert message.startswith(f"{len(failed)} of 60 bootstrap resamples failed")
+        for reason in set(failed):
+            assert f"{reason}: {failed.count(reason)}" in message
+
+    @pytest.mark.parametrize(
+        "params, n, censored_fraction, data_seed, B, seed",
+        [
+            (BvfParams(W, 1.34, 1.17, 0.86, 0.91), 300, 0.0, 16, 50, 21),
+            (BvfParams(G, 1.13, 0.96, 0.79, 1.05), 200, 0.4, 21, 60, 22),
+            # the six-pair Lomax case above: about half the refits fail
+            (BvfParams(L, 0.85, 0.57, 0.74, 0.69), 6, 0.0, 4, 60, 0),
+        ],
+    )
+    def test_refits_equal_fit_mle_on_each_resample(
+        self, params, n, censored_fraction, data_seed, B, seed
+    ):
+        c = censoring_threshold(params, censored_fraction) if censored_fraction else None
+        data = from_bivariate(sample(params, n, seed=data_seed), c)
+        fit = fit_mle(data, params.kind)
+        expected = _refit_each_resample(fit, data, B, seed)
+        estimates, failures = _bootstrap_refits(
+            fit.params_hat, data, np.random.SeedSequence(seed).spawn(B), FitOptions()
+        )
+        for b, want in enumerate(expected):
+            if isinstance(want, str):
+                assert failures[b] == want, b
+                assert np.isnan(estimates[b]).all(), b
+            else:
+                assert failures[b] is None, b
+                assert estimates[b].tolist() == list(want), b
+        ok = [w for w in expected if not isinstance(w, str)]
+        n_failed = B - len(ok)
+        if n_failed > 0.05 * B:
+            with pytest.raises(ResampleFailureError):
+                bootstrap_ci(fit, data, B=B, seed=seed)
+            return
+        ci = bootstrap_ci(fit, data, B=B, seed=seed)
+        assert ci.n_failed == n_failed
+        assert sum(ci.failure_reasons.values()) == n_failed
+        ordered = np.sort(np.array(ok), axis=0)
+        lo, hi = percentile_ranks(len(ok), 0.95)
+        for j, name in enumerate(("alpha0", "alpha1", "alpha2", "lambda")):
+            assert ci.intervals[name] == (ordered[lo - 1, j], ordered[hi - 1, j])
+
+
+def _refit_each_resample(fit, data, B, seed):
+    """Per resample, the fit_mle estimate (alpha0, alpha1, alpha2, lambda),
+    or the reason the resample fails: the bootstrap's reference loop."""
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(B):
+        pairs = sample(fit.params_hat, data.n, np.random.default_rng(child))
+        try:
+            refit = fit_mle(from_bivariate(pairs, data.censoring_time), fit.kind)
+        except (EstimationError, ValidationError, DomainError) as exc:
+            out.append(type(exc).__name__)
+            continue
+        if refit.params_hat is None:
+            out.append(refit.status.value)
+            continue
+        q = refit.params_hat
+        out.append((q.alpha0, q.alpha1, q.alpha2, q.lam))
+    return out
+
 
 class TestJsonShapes:
     def test_fit_json(self, data12):
@@ -548,3 +655,6 @@ class TestJsonShapes:
         b = bootstrap_ci(fit, data12, B=8, seed=2).to_json_dict()
         assert b["method"] == "Bootstrap"
         assert b["B"] == 8 and b["seed"] == 2
+        assert set(b) == {"method", "level", "intervals", "B", "seed",
+                          "n_failed", "failure_reasons"}
+        assert sum(b["failure_reasons"].values()) == b["n_failed"]
