@@ -1,17 +1,33 @@
-"""NumPy fallback for the profile-likelihood hot kernel.
+"""The two per-record sums of the profile log-likelihood, for one lambda.
 
-Semantics must match ``_cykernels`` exactly; ``tests/test_kernels.py`` holds
-the two backends to bitwise-comparable agreement.
+Fitting does not call this module: ``bvf.inference`` takes the same sums, and
+their derivatives, for many datasets at once. It stays as a standalone,
+reference-tested form of the sums because ``perfbench`` reads its names:
+the tracer wraps :func:`lehmann_sums`, and the benchmark's environment record
+reports :data:`active_backend` and :func:`available_backends`. NumPy is the
+only implementation, so both report ``"python"``.
 """
 
 import numpy as np
 
-BACKEND = "python"
+__all__ = [
+    "lehmann_sums",
+    "active_backend",
+    "available_backends",
+    "WEIBULL",
+    "GOMPERTZ",
+    "LOMAX",
+]
 
-# kind codes shared with the Cython backend
 WEIBULL = 0
 GOMPERTZ = 1
 LOMAX = 2
+
+active_backend = "python"
+
+
+def available_backends() -> tuple[str, ...]:
+    return (active_backend,)
 
 
 def lehmann_sums(kind: int, lam: float, x_all, x_unc):

@@ -37,6 +37,9 @@ class FailureMode(enum.IntEnum):
     CENSORED = 3
 
 
+_DELTA_CODES = tuple(FailureMode)
+
+
 @dataclass(frozen=True)
 class CompetingRisksRecord:
     """A single observation: time t > 0 and failure mode delta."""
@@ -49,7 +52,13 @@ class CompetingRisksRecord:
         if not (t > 0.0) or not np.isfinite(t):
             raise ValidationError(f"record time must be positive finite, got {t!r}")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "delta", FailureMode(self.delta))
+        try:
+            delta = FailureMode(self.delta)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"record delta must be one of 0, 1, 2, 3, got {self.delta!r}"
+            ) from None
+        object.__setattr__(self, "delta", delta)
 
 
 class CompetingRisksData:
@@ -73,15 +82,18 @@ class CompetingRisksData:
 
     def __init__(self, t, delta, censoring_time=None):
         t = np.ascontiguousarray(t, dtype=np.float64)
-        delta = np.ascontiguousarray(delta, dtype=np.int8)
+        delta = np.asarray(delta)
         if t.ndim != 1 or delta.ndim != 1 or t.shape != delta.shape:
             raise ValidationError("t and delta must be 1-D arrays of equal length")
         if t.size == 0:
             raise ValidationError("no records")
         if not np.all(np.isfinite(t)) or not np.all(t > 0.0):
             raise ValidationError("all observation times must be positive finite")
-        if np.any(delta < 0) or np.any(delta > 3):
-            raise ValidationError("delta values must be in {0, 1, 2, 3}")
+        # checked before the int8 cast, which would wrap 256 to 0 and
+        # truncate 1.5 to 1
+        if delta.dtype.kind not in "iuf" or not np.all(np.isin(delta, _DELTA_CODES)):
+            raise ValidationError("delta values must be integers in {0, 1, 2, 3}")
+        delta = np.ascontiguousarray(delta, dtype=np.int8)
 
         counts = np.bincount(delta, minlength=4)
         censored_times = t[delta == FailureMode.CENSORED]

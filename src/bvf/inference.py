@@ -15,7 +15,7 @@ closed-form first and second derivatives, then locates it.
 One engine fits R equal-length datasets at once, stacked as (R, n) arrays:
 :func:`fit_mle` is its one-row case, and :func:`bootstrap_ci` refits all its
 resamples in one call. Every sum runs along a row in NumPy, so a row's fit
-does not depend on the other rows, nor on the kernel backend.
+does not depend on the other rows.
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -27,12 +27,11 @@ import enum
 import functools
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.stats import norm
 
 from .baselines import BaselineKind, _check_lambda
 # sample and from_bivariate are not called here, but stay names of this
@@ -665,9 +664,7 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
         I_lam,lam = (alpha0 + alpha1 + alpha2) * a''(lambda) - c''(lambda)
 
     At the closed-form rates the lambda Schur complement of this matrix is
-    -p''(lambda), the curvature of the profile. The derivative sums are taken
-    with NumPy, not through the kernel backend, so the matrix is the same
-    under every backend.
+    -p''(lambda), the curvature of the profile.
 
     Raises
     ------
@@ -759,17 +756,11 @@ def asymptotic_ci(
     level = _check_level(level)
     p_hat = _require_converged(fit, "asymptotic_ci")
     info = observed_fisher(p_hat, data)
-    try:
-        factor = cho_factor(info)
-        cov = cho_solve(factor, np.eye(4))
-    except LinAlgError:
-        raise SingularMatrixError(
-            "observed information matrix is not invertible"
-        ) from None
-    variances = np.diag(cov)
+    # diag(I^-1) = column sums of squares of L^-1, where I = L L^T
+    variances = (np.linalg.inv(np.linalg.cholesky(info)) ** 2).sum(axis=0)
     if np.any(variances <= 0.0) or not np.all(np.isfinite(variances)):
         raise SingularMatrixError("nonpositive variance estimate")
-    z = float(norm.ppf(0.5 * (1.0 + level)))
+    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
     theta = (p_hat.alpha0, p_hat.alpha1, p_hat.alpha2, p_hat.lam)
     half = z * np.sqrt(variances)
     intervals = {

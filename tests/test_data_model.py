@@ -131,6 +131,20 @@ class TestContainer:
         with pytest.raises(ValidationError):
             CompetingRisksData([1.0], [-1])
 
+    @pytest.mark.parametrize(
+        "delta",
+        [np.array([256, 1]), [1.5, 2.0], [1.7, 2], [math.nan, 1], ["1", "2"]],
+        ids=["wraps-to-tie", "fraction", "truncates", "nan", "strings"],
+    )
+    def test_rejects_delta_the_int8_cast_would_change(self, delta):
+        with pytest.raises(ValidationError, match="delta values"):
+            CompetingRisksData([1.0, 2.0], delta)
+
+    def test_accepts_integral_float_delta(self):
+        data = CompetingRisksData([1.0, 2.0], [1.0, 2.0])
+        assert data.delta.tolist() == [1, 2]
+        assert data.delta.dtype == np.int8
+
     def test_rejects_bad_times(self):
         with pytest.raises(ValidationError):
             CompetingRisksData([0.0], [1])
@@ -157,6 +171,11 @@ class TestContainer:
     def test_record_validation(self):
         with pytest.raises(ValidationError):
             CompetingRisksRecord(-1.0, FailureMode.TIE)
+
+    @pytest.mark.parametrize("delta", [7, 1.5, -1, "1"])
+    def test_record_rejects_bad_delta(self, delta):
+        with pytest.raises(ValidationError):
+            CompetingRisksRecord(1.0, delta)
 
 
 class TestCsv:

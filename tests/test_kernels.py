@@ -1,15 +1,12 @@
-"""Kernel backends: numerical parity, dispatch, and overflow behavior."""
+"""The standalone per-record sums: reference values and overflow behavior."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from bvf import _kernels
-from bvf._kernels import GOMPERTZ, LOMAX, WEIBULL, available_backends, get_backend, use_backend
+from bvf._kernels import GOMPERTZ, LOMAX, WEIBULL, lehmann_sums
 
 
 def _reference_sums(kind, lam, x_all, x_unc):
@@ -33,9 +30,8 @@ def arrays():
 
 
 def test_backend_listing_contains_python():
-    names = available_backends()
-    assert "python" in names
-    assert _kernels.active_backend in names
+    assert _kernels.available_backends() == ("python",)
+    assert _kernels.active_backend == "python"
 
 
 @pytest.mark.parametrize("kind", [WEIBULL, GOMPERTZ, LOMAX])
@@ -45,84 +41,16 @@ def test_all_backends_match_reference(arrays, kind, lam):
     x_all = np.log(t) if kind == WEIBULL else t
     x_unc = np.empty(0) if kind != LOMAX else unc
     ref_a, ref_b = _reference_sums(kind, lam, x_all, x_unc)
-    for name in available_backends():
-        fn = get_backend(name).lehmann_sums
-        a, b = fn(kind, lam, np.ascontiguousarray(x_all), np.ascontiguousarray(x_unc))
-        assert a == pytest.approx(ref_a, rel=1e-12), name
-        assert b == pytest.approx(ref_b, rel=1e-12), name
-
-
-def test_backends_agree_with_each_other(arrays):
-    t, unc = arrays
-    names = available_backends()
-    for kind in (WEIBULL, GOMPERTZ, LOMAX):
-        x_all = np.log(t) if kind == WEIBULL else t
-        x_unc = unc if kind == LOMAX else np.empty(0)
-        results = [
-            get_backend(n).lehmann_sums(
-                kind, 1.37, np.ascontiguousarray(x_all), np.ascontiguousarray(x_unc)
-            )
-            for n in names
-        ]
-        first = results[0]
-        for r in results[1:]:
-            assert r[0] == pytest.approx(first[0], rel=1e-12)
-            assert r[1] == pytest.approx(first[1], rel=1e-12)
-
-
-def test_use_backend_switches_and_restores():
-    before = _kernels.active_backend
-    try:
-        use_backend("python")
-        assert _kernels.active_backend == "python"
-        a, b = _kernels.lehmann_sums(WEIBULL, 1.0, np.zeros(3), np.empty(0))
-        assert a == 3.0 and b == 0.0
-    finally:
-        use_backend(before)
-    assert _kernels.active_backend == before
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-    with pytest.raises(ValueError):
-        use_backend("fortran")
+    a, b = lehmann_sums(kind, lam, x_all, x_unc)
+    assert a == pytest.approx(ref_a, rel=1e-12)
+    assert b == pytest.approx(ref_b, rel=1e-12)
 
 
 def test_overflow_saturates_to_inf():
     x = np.array([800.0, 1.0])
-    for name in available_backends():
-        fn = get_backend(name).lehmann_sums
-        a, _ = fn(GOMPERTZ, 2.0, x, np.empty(0))
-        assert math.isinf(a) and a > 0
+    a, _ = lehmann_sums(GOMPERTZ, 2.0, x, np.empty(0))
+    assert math.isinf(a) and a > 0
 
 
 def test_empty_arrays_give_zero_sums():
-    for name in available_backends():
-        fn = get_backend(name).lehmann_sums
-        assert fn(LOMAX, 1.0, np.empty(0), np.empty(0)) == (0.0, 0.0)
-
-
-def test_env_variable_selects_backend():
-    code = (
-        "import bvf._kernels as k; print(k.active_backend)"
-    )
-    env = dict(os.environ, BVF_KERNEL="python")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
-
-
-@pytest.mark.skipif(
-    "cython" not in available_backends(), reason="compiled kernel not built"
-)
-def test_env_variable_selects_compiled_backend():
-    code = "import bvf._kernels as k; print(k.active_backend)"
-    env = dict(os.environ, BVF_KERNEL="cython")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "cython"
+    assert lehmann_sums(LOMAX, 1.0, np.empty(0), np.empty(0)) == (0.0, 0.0)
