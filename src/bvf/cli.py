@@ -24,7 +24,6 @@ from .bvf_model import BvfParams, jpdf_ac, sample
 from .data_model import FailureMode, from_bivariate, load_csv, save_csv
 from .errors import BvfError, DomainError, EstimationError, ValidationError
 from .inference import (
-    FitOptions,
     FitStatus,
     asymptotic_ci,
     bootstrap_ci,
@@ -45,6 +44,9 @@ _log = logging.getLogger("bvf")
 
 _KIND_CHOICES = ("weibull", "gompertz", "lomax")
 _CRITERION_CHOICES = {"max-loglik": SelectionCriterion.MAX_LOGLIK, "aic": SelectionCriterion.AIC}
+
+# the lambda grid of profile-curve's defaults, and of fit --profile-out
+_PROFILE_GRID = (1e-3, 1e3, 200)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +88,25 @@ def _emit_csv(header: Sequence[str], rows, out_path: Optional[str]) -> None:
     _emit("\n".join(lines) + "\n", out_path)
 
 
+def _emit_profile(data, kind, lambda_min, lambda_max, points, out_path) -> None:
+    """Write the profile log-likelihood on a geometric lambda grid as CSV."""
+    if not (0.0 < lambda_min < lambda_max):
+        raise ValidationError("need 0 < --lambda-min < --lambda-max")
+    if points < 2:
+        raise ValidationError("--points must be >= 2")
+    grid = np.geomspace(lambda_min, lambda_max, points)
+    rows = [(lam, profile_loglik(lam, data, kind)) for lam in grid]
+    _emit_csv(("lambda", "profile_loglik"), rows, out_path)
+
+
+def _emit_table(report, out_path: Optional[str]) -> None:
+    """Write a study report's per-row table as CSV, if a path is given."""
+    if out_path:
+        rows = report.to_csv_rows()
+        header = list(rows[0].keys())
+        _emit_csv(header, [[r[k] for k in header] for r in rows], out_path)
+
+
 def _params_from_args(args) -> BvfParams:
     return BvfParams(
         kind=BaselineKind.parse(args.kind),
@@ -108,6 +129,8 @@ def cmd_generate(args) -> int:
     params = _params_from_args(args)
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
+    if not (0.0 <= args.censor_frac < 1.0):
+        raise ValidationError(f"--censor-frac must lie in [0, 1), got {args.censor_frac}")
     pairs = sample(params, args.n, args.seed)
     censoring = None
     if args.censor_frac > 0.0:
@@ -133,11 +156,9 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     data = load_csv(args.data)
     kind = BaselineKind.parse(args.kind)
-    options = FitOptions(keep_trace=bool(args.profile_out))
-    fit = fit_mle(data, kind, options)
+    fit = fit_mle(data, kind)
     if args.profile_out:
-        rows = [(lam, p) for lam, p in fit.profile_trace]
-        _emit_csv(("lambda", "profile_loglik"), rows, args.profile_out)
+        _emit_profile(data, kind, *_PROFILE_GRID, args.profile_out)
     _emit_json(fit.to_json_dict(), args.out)
     if fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE:
         sys.stderr.write("bvf: no MLE: profile log-likelihood is monotone\n")
@@ -188,10 +209,7 @@ def cmd_sim_estimate(args) -> int:
     )
     report = run_estimation_study(config)
     _emit_json(report.to_json_dict(), args.out)
-    if args.table_out:
-        rows = report.to_csv_rows()
-        header = list(rows[0].keys())
-        _emit_csv(header, [[r[k] for k in header] for r in rows], args.table_out)
+    _emit_table(report, args.table_out)
     return 0
 
 
@@ -214,23 +232,14 @@ def cmd_sim_select(args) -> int:
     )
     report = run_selection_study(config)
     _emit_json(report.to_json_dict(), args.out)
-    if args.table_out:
-        rows = report.to_csv_rows()
-        header = list(rows[0].keys())
-        _emit_csv(header, [[r[k] for k in header] for r in rows], args.table_out)
+    _emit_table(report, args.table_out)
     return 0
 
 
 def cmd_profile_curve(args) -> int:
     data = load_csv(args.data)
     kind = BaselineKind.parse(args.kind)
-    if not (0.0 < args.lambda_min < args.lambda_max):
-        raise ValidationError("need 0 < --lambda-min < --lambda-max")
-    if args.points < 2:
-        raise ValidationError("--points must be >= 2")
-    grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
-    rows = [(lam, profile_loglik(lam, data, kind)) for lam in grid]
-    _emit_csv(("lambda", "profile_loglik"), rows, args.out)
+    _emit_profile(data, kind, args.lambda_min, args.lambda_max, args.points, args.out)
     return 0
 
 
@@ -256,6 +265,8 @@ def cmd_density_grid(args) -> int:
 
 
 def cmd_km_compare(args) -> int:
+    if args.grid_points < 1:
+        raise ValidationError("--grid-points must be >= 1")
     data = load_csv(args.data)
     explicit = [args.alpha0, args.alpha1, args.alpha2, args.lam]
     if all(v is not None for v in explicit):
@@ -296,7 +307,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="maximum-likelihood fit for one kind")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    p.add_argument("--profile-out", help="also write the profile (lambda, p) trace CSV")
+    p.add_argument("--profile-out", help="also write profile-curve's CSV at its default grid")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
@@ -345,9 +356,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("profile-curve", help="profile log-likelihood on a lambda grid")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1e-3)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=1e3)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=_PROFILE_GRID[0])
+    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=_PROFILE_GRID[1])
+    p.add_argument("--points", type=int, default=_PROFILE_GRID[2])
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile_curve)
 

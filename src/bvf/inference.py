@@ -304,29 +304,18 @@ def profile_loglik(lam: float, data: CompetingRisksData, kind: BaselineKind) -> 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Tuning knobs for :func:`fit_mle` and the refits of :func:`bootstrap_ci`.
+    """Search range and start for :func:`fit_mle` and the refits of
+    :func:`bootstrap_ci`.
 
     bracket : (float, float)
         Hard search range for lambda; expansion clamps here.
-    tol : float
-        Relative lambda width at which Newton stops: when its step, or the
-        bracket around the root of the score, is at most ``tol`` * lambda.
-    max_evals : int
-        Budget of profile evaluations; the Newton stage takes at most the
-        remainder after the ladder, and never fewer than 10 iterates.
     lambda_init : float
-        Starting rung of the geometric bracket expansion.
-    keep_trace : bool
-        Record every (lambda, p(lambda)) evaluation in the result. A traced
-        fit also evaluates the profile on every rung of the ladder, so the
-        trace covers the whole bracket; its decisions are unchanged.
+        Starting rung of the geometric bracket expansion; clamped into
+        ``bracket``.
     """
 
     bracket: tuple[float, float] = (1e-8, 1e8)
-    tol: float = 1e-10
-    max_evals: int = 500
     lambda_init: float = 1.0
-    keep_trace: bool = False
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -334,10 +323,6 @@ class FitOptions:
             raise ValidationError(
                 f"bracket must satisfy 0 < lo < hi < inf, got {self.bracket!r}"
             )
-        if not (self.tol > 0.0):
-            raise ValidationError("tol must be > 0")
-        if self.max_evals < 10:
-            raise ValidationError("max_evals must be >= 10")
         if not (self.lambda_init > 0.0) or math.isinf(self.lambda_init):
             raise ValidationError(
                 f"lambda_init must be a positive finite real, got {self.lambda_init!r}"
@@ -347,6 +332,12 @@ class FitOptions:
 
 
 _DEFAULT_OPTIONS = FitOptions()
+
+# Newton stops when its step is at most _TOL * lambda. Its iterates take
+# what is left of _MAX_EVALS profile evaluations after the ladder, and never
+# fewer than 10.
+_TOL = 1e-10
+_MAX_EVALS = 500
 
 # Relative flatness below which a maximum adjacent to a bracket clamp is not
 # distinguishable from a monotone profile's finite limit (float noise there
@@ -359,7 +350,8 @@ class FitResult:
     """Outcome of :func:`fit_mle`.
 
     ``params_hat``/``loglik_max`` are None exactly when no MLE exists
-    (status NoMleMonotoneProfile).
+    (status NoMleMonotoneProfile). ``n_evals`` counts the profile
+    evaluations the fit made, ladder rungs and Newton iterates alike.
     """
 
     kind: BaselineKind
@@ -367,7 +359,6 @@ class FitResult:
     params_hat: Optional[BvfParams]
     loglik_max: Optional[float]
     n_evals: int
-    profile_trace: Optional[tuple[tuple[float, float], ...]] = None
 
     def to_json_dict(self) -> dict:
         p = self.params_hat
@@ -386,21 +377,21 @@ class FitResult:
 @functools.lru_cache(maxsize=16)
 def _ladder(bracket: tuple[float, float], lam_init: float) -> tuple[np.ndarray, int]:
     """Geometric rung grid: lam_init scaled by powers of 4, clamped ends;
-    returned read-only, with the index of lam_init's rung."""
+    returned read-only, with the index of lam_init's rung. ``lam_init``
+    lies in ``bracket``, as :class:`FitOptions` ensures."""
     lo, hi = bracket
-    start = min(max(lam_init, lo), hi)
-    rungs = {lo, hi, start}
-    v = start / 4.0
+    rungs = {lo, hi, lam_init}
+    v = lam_init / 4.0
     while v > lo:
         rungs.add(v)
         v /= 4.0
-    v = start * 4.0
+    v = lam_init * 4.0
     while v < hi:
         rungs.add(v)
         v *= 4.0
     grid = np.array(sorted(rungs))
     grid.flags.writeable = False
-    return grid, int(np.searchsorted(grid, start))
+    return grid, int(np.searchsorted(grid, lam_init))
 
 
 class _Fits(NamedTuple):
@@ -418,9 +409,8 @@ class _Fits(NamedTuple):
 
 
 @np.errstate(all="ignore")
-def _fit_stack(stack: _Stack, opts: FitOptions, traces=None) -> _Fits:
-    """Fit every row of ``stack``; ``traces``, if given, holds one list per
-    row that receives every (lambda, p(lambda)) evaluated for it.
+def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
+    """Fit every row of ``stack``.
 
     Each row climbs the geometric ladder from ``lambda_init`` to a local
     maximum of the profile (every rung is evaluated when the start is -inf).
@@ -429,7 +419,7 @@ def _fit_stack(stack: _Stack, opts: FitOptions, traces=None) -> _Fits:
     [rung k-1, rung k+1]: each iterate narrows the bracket by the sign of its
     score, and a step that would leave the bracket, or that comes from a
     non-concave point, bisects it in log lambda instead. Newton stops when
-    its step or the bracket is at most ``tol`` * lambda; lambda-hat is its
+    its step or the bracket is at most _TOL * lambda; lambda-hat is its
     last iterate. Rungs cost one transcendental pass per record; only Newton
     iterates take the derivative sums.
     """
@@ -443,33 +433,19 @@ def _fit_stack(stack: _Stack, opts: FitOptions, traces=None) -> _Fits:
     n_evals = np.zeros(R, dtype=np.int64)
     outcome: list = [None] * R
 
-    def record(rows, lam, values=None):
-        np.add.at(n_evals, rows, 1)
-        if traces is not None:
-            if values is None:
-                values = stack.profile(rows, lam)
-            for r, x, v in zip(np.arange(R)[rows].tolist(), lam.tolist(), values.tolist()):
-                traces[r].append((x, v))
-
     def evaluate(rows, idx):
         new = np.isnan(vals[rows, idx + 1])
         rows, idx = rows[new], idx[new]
         if rows.size:
-            values = stack.profile(rows, rungs[idx])
-            vals[rows, idx + 1] = values
-            record(rows, rungs[idx], values)
+            vals[rows, idx + 1] = stack.profile(rows, rungs[idx])
+            np.add.at(n_evals, rows, 1)
 
     for r in np.flatnonzero(stack.m == 0).tolist():
         outcome[r] = EstimationError("no failures observed")
     act = np.flatnonzero(stack.m > 0)
     cur = np.full(R, start)
-    # the climb always looks at the start and both its neighbours; a traced
-    # fit samples every rung, so that its trace shows the profile's shape
-    # across the bracket and not only the iterates near the maximum
-    if traces is None:
-        around = np.arange(max(start - 1, 0), min(start + 1, last) + 1)
-    else:
-        around = np.arange(rungs.size)
+    # the climb always looks at the start and both its neighbours
+    around = np.arange(max(start - 1, 0), min(start + 1, last) + 1)
     evaluate(np.repeat(act, around.size), np.tile(around, act.size))
     dead = act[vals[act, start + 1] == -np.inf]
     if dead.size:
@@ -517,25 +493,25 @@ def _fit_stack(stack: _Stack, opts: FitOptions, traces=None) -> _Fits:
 
     # Newton: each active row has its iterate lambda and its bracket [lo, hi];
     # the iterates share one budget. Both lambda and the next iterate lie in
-    # the bracket, so a bracket narrower than tol * lambda stops Newton too.
+    # the bracket, so a bracket narrower than _TOL * lambda stops Newton too.
     lam_hat = np.full(R, np.nan)
     a_hat = np.full(R, np.nan)
     act = inner
     c = cur[act]
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
-    budget = max(10, opts.max_evals - int(n_evals.max(initial=0)))
+    budget = max(10, _MAX_EVALS - int(n_evals.max(initial=0)))
     while act.size:
         budget -= 1
         rows = act if act.size < R else _ALL
         a, g, h = stack.newton_terms(rows, lam)
-        record(rows, lam)
+        np.add.at(n_evals, rows, 1)
         lo = np.where(g > 0.0, lam, lo)
         hi = np.where(g < 0.0, lam, hi)
         # from a non-concave point (h >= 0) the step points away from the
         # root, past the bracket end lambda has just become, so it bisects
         nxt = lam * np.exp(g / -h)
         nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, np.sqrt(lo * hi))
-        go = np.abs(nxt - lam) > opts.tol * lam
+        go = np.abs(nxt - lam) > _TOL * lam
         if budget == 0:
             go[:] = False
         if not go.all():
@@ -555,7 +531,7 @@ def _fit_stack(stack: _Stack, opts: FitOptions, traces=None) -> _Fits:
         clamp = np.where(near_lo[near], 0, last)
         evaluate(rows, clamp)
         p_hat = stack.profile(rows, lam_hat[rows])
-        record(rows, lam_hat[rows], p_hat)
+        np.add.at(n_evals, rows, 1)
         gap = p_hat - vals[rows, clamp + 1]
         for r in rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))].tolist():
             outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
@@ -588,9 +564,10 @@ def fit_mle(
     profile is monotone there and no MLE exists (status
     NoMleMonotoneProfile). An interior maximum brackets the root of the
     profile score p'(lambda), which a safeguarded Newton iteration in log
-    lambda, with closed-form derivatives, locates to ``tol`` relative. The
-    alphas then follow in closed form. Any failure mode absent from the data
-    pins its alpha to 0 (status BoundaryAlphaZero).
+    lambda, with closed-form derivatives, locates; Newton stops when its
+    step is at most 1e-10 relative. The alphas then follow in closed form.
+    Any failure mode absent from the data pins its alpha to 0 (status
+    BoundaryAlphaZero).
 
     This is the one-row case of the engine that :func:`bootstrap_ci` runs
     on all its resamples at once, so a resample's bootstrap estimate is
@@ -603,8 +580,7 @@ def fit_mle(
         the entire bracket.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
-    trace: Optional[list] = [] if opts.keep_trace else None
-    fits = _fit_stack(_workspace(data, kind), opts, None if trace is None else [trace])
+    fits = _fit_stack(_workspace(data, kind), opts)
     outcome = fits.outcome[0]
     if isinstance(outcome, BvfError):
         raise outcome
@@ -616,7 +592,6 @@ def fit_mle(
             params_hat=None,
             loglik_max=None,
             n_evals=n_evals,
-            profile_trace=_sorted_trace(trace),
         )
     alpha_hat = fits.alphas[:, 0].tolist()
     params_hat = BvfParams(
@@ -639,17 +614,7 @@ def fit_mle(
         params_hat=params_hat,
         loglik_max=log_likelihood(params_hat, data),
         n_evals=n_evals,
-        profile_trace=_sorted_trace(trace),
     )
-
-
-def _sorted_trace(trace) -> Optional[tuple[tuple[float, float], ...]]:
-    if trace is None:
-        return None
-    seen: dict[float, float] = {}
-    for lam, value in trace:
-        seen.setdefault(lam, value)
-    return tuple(sorted(seen.items()))
 
 
 def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:

@@ -88,6 +88,13 @@ class TestGenerate:
                            capsys)
         assert code == 1
 
+    def test_negative_censoring_fraction_exits_one(self, capsys):
+        code, out, err = run(GEN + ["--n", "10", "--seed", "1", "--censor-frac", "-0.3"],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert "--censor-frac" in err
+
 
 class TestFit:
     def test_json_matches_library(self, dataset, capsys):
@@ -133,6 +140,28 @@ class TestFit:
         assert float(mid["profile_loglik"]) == pytest.approx(
             profile_loglik(float(mid["lambda"]), data, W), rel=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["weibull", "gompertz", "lomax"])
+    def test_report_independent_of_profile_out(self, kind, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        code, _, _ = run(GEN + ["--n", "200", "--seed", "3", "--out", str(data)], capsys)
+        assert code == 0
+        argv = ["fit", "--data", str(data), "--kind", kind]
+        code_plain, plain, _ = run(argv, capsys)
+        code_traced, traced, _ = run(argv + ["--profile-out", str(tmp_path / "p.csv")],
+                                     capsys)
+        assert code_plain == code_traced
+        assert traced == plain
+
+    def test_profile_out_matches_profile_curve_defaults(self, dataset, tmp_path, capsys):
+        path = tmp_path / "profile.csv"
+        run(["fit", "--data", str(dataset), "--kind", "weibull",
+             "--profile-out", str(path)], capsys)
+        code, out, _ = run(["profile-curve", "--data", str(dataset), "--kind", "weibull"],
+                           capsys)
+        assert code == 0
+        assert path.read_text() == out
+        assert len(out.splitlines()) == 201
 
     def test_no_mle_exits_two_with_json(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -279,6 +308,25 @@ class TestSimSelect:
         for row in d["rows"]:
             assert sum(row["probabilities"].values()) == pytest.approx(1.0)
 
+    def test_table_out(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        code, out, _ = run(
+            ["sim-select", "--kind", "weibull", "--alpha0", "1.34",
+             "--alpha1", "1.17", "--alpha2", "0.86", "--lambda", "0.91",
+             "--candidates", "weibull,lomax", "--n", "30,50",
+             "--reps", "4", "--seed", "8", "--table-out", str(table)],
+            capsys,
+        )
+        assert code == 0
+        with open(table) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["n", "p_weibull", "p_lomax", "dropped"]
+        assert [int(r["n"]) for r in rows] == [30, 50]
+        for r, row in zip(rows, json.loads(out)["rows"]):
+            assert float(r["p_weibull"]) == row["probabilities"]["Weibull"]
+            assert int(r["dropped"]) == row["dropped"]
+
     def test_bad_n_list_exits_one(self, capsys):
         code, _, _ = run(
             ["sim-select", "--kind", "weibull", "--alpha0", "1.34",
@@ -362,6 +410,17 @@ class TestKmCompare:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_nonpositive_grid_points_exit_one(self, dataset, points, capsys):
+        code, out, err = run(
+            ["km-compare", "--data", str(dataset), "--kind", "weibull",
+             "--grid-points", points],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--grid-points" in err
 
     def test_model_tracks_km_at_truth(self, tmp_path, capsys):
         big = tmp_path / "big.csv"

@@ -223,19 +223,6 @@ class TestFitWeibull:
         assert a.params_hat == b.params_hat
         assert a.n_evals == b.n_evals
 
-    def test_trace_kept_on_request(self, data12):
-        fit = fit_mle(data12, W, FitOptions(keep_trace=True))
-        assert fit.profile_trace is not None
-        lams = [lam for lam, _ in fit.profile_trace]
-        assert lams == sorted(lams)
-        assert len(lams) <= fit.n_evals
-        # trace pairs are genuine profile evaluations
-        lam, val = fit.profile_trace[len(fit.profile_trace) // 2]
-        assert val == pytest.approx(profile_loglik(lam, data12, W), rel=1e-12)
-
-    def test_trace_absent_by_default(self, data12):
-        assert fit_mle(data12, W).profile_trace is None
-
     def test_eval_budget_respected(self, data12):
         fit = fit_mle(data12, W)
         assert fit.n_evals <= 500
@@ -285,10 +272,6 @@ class TestFitOptions:
             FitOptions(bracket=(1.0, 0.5))
         with pytest.raises(ValidationError):
             FitOptions(bracket=(0.0, 2.0))
-
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ValidationError):
-            FitOptions(max_evals=0)
 
     def test_bad_init_rejected(self):
         with pytest.raises(ValidationError):
