@@ -52,7 +52,7 @@ from .inference import (
     percentile_ranks,
     profile_loglik,
 )
-from .selection import SelectionCriterion, SelectionResult, aic, select_model
+from .selection import SelectionResult, aic, select_model
 from .simulation import (
     EstimationStudyConfig,
     EstimationStudyReport,
@@ -110,7 +110,6 @@ __all__ = [
     "asymptotic_ci",
     "bootstrap_ci",
     "percentile_ranks",
-    "SelectionCriterion",
     "SelectionResult",
     "aic",
     "select_model",

@@ -30,7 +30,7 @@ from .inference import (
     fit_mle,
     profile_loglik,
 )
-from .selection import SelectionCriterion, select_model
+from .selection import select_model
 from .simulation import (
     EstimationStudyConfig,
     SelectionStudyConfig,
@@ -43,10 +43,6 @@ __all__ = ["main"]
 _log = logging.getLogger("bvf")
 
 _KIND_CHOICES = ("weibull", "gompertz", "lomax")
-_CRITERION_CHOICES = {"max-loglik": SelectionCriterion.MAX_LOGLIK, "aic": SelectionCriterion.AIC}
-
-# the lambda grid of profile-curve's defaults, and of fit --profile-out
-_PROFILE_GRID = (1e-3, 1e3, 200)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,23 +84,20 @@ def _emit_csv(header: Sequence[str], rows, out_path: Optional[str]) -> None:
     _emit("\n".join(lines) + "\n", out_path)
 
 
-def _emit_profile(data, kind, lambda_min, lambda_max, points, out_path) -> None:
-    """Write the profile log-likelihood on a geometric lambda grid as CSV."""
-    if not (0.0 < lambda_min < lambda_max):
-        raise ValidationError("need 0 < --lambda-min < --lambda-max")
-    if points < 2:
-        raise ValidationError("--points must be >= 2")
-    grid = np.geomspace(lambda_min, lambda_max, points)
-    rows = [(lam, profile_loglik(lam, data, kind)) for lam in grid]
-    _emit_csv(("lambda", "profile_loglik"), rows, out_path)
-
-
 def _emit_table(report, out_path: Optional[str]) -> None:
     """Write a study report's per-row table as CSV, if a path is given."""
     if out_path:
         rows = report.to_csv_rows()
         header = list(rows[0].keys())
         _emit_csv(header, [[r[k] for k in header] for r in rows], out_path)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _params_from_args(args) -> BvfParams:
@@ -157,8 +150,6 @@ def cmd_fit(args) -> int:
     data = load_csv(args.data)
     kind = BaselineKind.parse(args.kind)
     fit = fit_mle(data, kind)
-    if args.profile_out:
-        _emit_profile(data, kind, *_PROFILE_GRID, args.profile_out)
     _emit_json(fit.to_json_dict(), args.out)
     if fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE:
         sys.stderr.write("bvf: no MLE: profile log-likelihood is monotone\n")
@@ -191,7 +182,7 @@ def cmd_ci(args) -> int:
 def cmd_select(args) -> int:
     data = load_csv(args.data)
     kinds = [BaselineKind.parse(k) for k in args.candidates.split(",") if k.strip()]
-    result = select_model(data, kinds, _CRITERION_CHOICES[args.criterion])
+    result = select_model(data, kinds)
     _emit_json(result.to_json_dict(), args.out)
     return 0
 
@@ -226,7 +217,6 @@ def cmd_sim_select(args) -> int:
         candidates=tuple(kinds),
         n_grid=tuple(n_grid),
         replications=args.reps,
-        criterion=_CRITERION_CHOICES[args.criterion],
         seed=args.seed,
         workers=args.workers,
     )
@@ -239,7 +229,13 @@ def cmd_sim_select(args) -> int:
 def cmd_profile_curve(args) -> int:
     data = load_csv(args.data)
     kind = BaselineKind.parse(args.kind)
-    _emit_profile(data, kind, args.lambda_min, args.lambda_max, args.points, args.out)
+    if not (0.0 < args.lambda_min < args.lambda_max):
+        raise ValidationError("need 0 < --lambda-min < --lambda-max")
+    if args.points < 2:
+        raise ValidationError("--points must be >= 2")
+    grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
+    rows = [(lam, profile_loglik(lam, data, kind)) for lam in grid]
+    _emit_csv(("lambda", "profile_loglik"), rows, args.out)
     return 0
 
 
@@ -300,14 +296,13 @@ def build_parser() -> _Parser:
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--censor-frac", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit for one kind")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    p.add_argument("--profile-out", help="also write profile-curve's CSV at its default grid")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
@@ -317,14 +312,13 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("asymptotic", "bootstrap"), default="asymptotic")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot-B", dest="boot_B", type=int, default=500)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser("select", help="rank baseline kinds by likelihood")
     p.add_argument("--data", required=True)
     p.add_argument("--candidates", default="weibull,gompertz,lomax")
-    p.add_argument("--criterion", choices=tuple(_CRITERION_CHOICES), default="max-loglik")
     p.add_argument("--out")
     p.set_defaults(func=cmd_select)
 
@@ -335,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot-B", dest="boot_B", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--table-out", help="also write the per-parameter CSV table")
@@ -344,10 +338,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sim-select", help="model-selection probability study")
     _add_param_flags(p)
     p.add_argument("--candidates", default="weibull,gompertz,lomax")
-    p.add_argument("--criterion", choices=tuple(_CRITERION_CHOICES), default="max-loglik")
     p.add_argument("--n", required=True, help="sample sizes, comma-separated (e.g. 50,150,300)")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--table-out")
@@ -356,9 +349,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("profile-curve", help="profile log-likelihood on a lambda grid")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=_PROFILE_GRID[0])
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=_PROFILE_GRID[1])
-    p.add_argument("--points", type=int, default=_PROFILE_GRID[2])
+    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1e-3)
+    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=1e3)
+    p.add_argument("--points", type=int, default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile_curve)
 

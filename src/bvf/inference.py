@@ -304,8 +304,8 @@ def profile_loglik(lam: float, data: CompetingRisksData, kind: BaselineKind) -> 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Search range and start for :func:`fit_mle` and the refits of
-    :func:`bootstrap_ci`.
+    """Search range and start for :func:`fit_mle`. The refits of
+    :func:`bootstrap_ci` always use the defaults.
 
     bracket : (float, float)
         Hard search range for lambda; expansion clamps here.
@@ -540,7 +540,7 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
     for r in inner.tolist():
         if outcome[r] is not None:
             continue
-        if not (math.isfinite(a_hat[r]) and a_hat[r] > 0.0):
+        if not (math.isfinite(a_hat[r]) and np.isfinite(alphas[:, r]).all()):
             outcome[r] = DegenerateDataError(
                 f"sum of log S0 vanished or overflowed at lambda={float(lam_hat[r])!r}"
             )
@@ -763,7 +763,6 @@ def bootstrap_ci(
     B: int = 500,
     level: float = 0.95,
     seed: Seed = None,
-    options: Optional[FitOptions] = None,
 ) -> ConfidenceIntervalSet:
     """Parametric percentile bootstrap.
 
@@ -788,9 +787,8 @@ def bootstrap_ci(
         raise DomainError(f"B must be >= 1, got {B}")
     level = _check_level(level)
     p_hat = _require_converged(fit, "bootstrap_ci")
-    opts = options if options is not None else _DEFAULT_OPTIONS
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    estimates, failures = _bootstrap_refits(p_hat, data, ss.spawn(B), opts)
+    estimates, failures = _bootstrap_refits(p_hat, data, ss.spawn(B))
     reasons = dict(collections.Counter(r for r in failures if r is not None))
     n_failed = sum(reasons.values())
     n_ok = B - n_failed
@@ -825,7 +823,7 @@ def bootstrap_ci(
 
 
 def _bootstrap_refits(
-    p_hat: BvfParams, data: CompetingRisksData, children, opts: FitOptions
+    p_hat: BvfParams, data: CompetingRisksData, children
 ) -> tuple[np.ndarray, list]:
     """Draw and refit one resample per ``SeedSequence`` child, as
     ``fit_mle(from_bivariate(sample(p_hat, n, default_rng(child)), C))``
@@ -846,7 +844,7 @@ def _bootstrap_refits(
     estimates = np.full((len(children), 4), np.nan)
     rows = np.flatnonzero(coords_ok & times_ok)
     if rows.size:
-        fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]), opts)
+        fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]), _DEFAULT_OPTIONS)
         for j, b in enumerate(rows.tolist()):
             o = fits.outcome[j]
             if o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO:

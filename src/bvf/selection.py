@@ -1,24 +1,21 @@
 """Likelihood-based choice among the three baseline kinds for one dataset.
 
-All candidates share the same parameter dimension (4), so ranking by
-maximized log-likelihood and ranking by AIC coincide; both criteria are
-offered and the equality is asserted by the test suite. Candidates whose
-profile has no maximum are excluded from the ranking rather than failing the
-whole selection.
+Every candidate spends the same four parameters, so the best candidate is
+the one with the largest maximized log-likelihood; each candidate's AIC is
+reported alongside. Candidates whose profile has no maximum are excluded
+from the ranking rather than failing the whole selection.
 """
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .baselines import BaselineKind
 from .data_model import CompetingRisksData
 from .errors import SelectionError, ValidationError
-from .inference import FitOptions, FitResult, FitStatus, fit_mle
+from .inference import FitResult, FitStatus, fit_mle
 
 __all__ = [
     "N_PARAMS",
-    "SelectionCriterion",
     "SelectionResult",
     "aic",
     "select_model",
@@ -27,14 +24,10 @@ __all__ = [
 N_PARAMS = 4
 
 
-class SelectionCriterion(enum.Enum):
-    MAX_LOGLIK = "MaxLoglik"
-    AIC = "AIC"
-
-
-def aic(loglik: float, k: int = N_PARAMS) -> float:
-    """Akaike information criterion, 2k - 2*loglik (smaller is better)."""
-    return 2.0 * k - 2.0 * loglik
+def aic(loglik: float) -> float:
+    """Akaike information criterion of a bivariate fit,
+    2 * N_PARAMS - 2 * loglik (smaller is better)."""
+    return 2.0 * N_PARAMS - 2.0 * loglik
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,6 @@ class SelectionResult:
     (kind, reason) for candidates without an MLE.
     """
 
-    criterion: SelectionCriterion
     ranked: tuple[tuple[BaselineKind, FitResult], ...]
     excluded: tuple[tuple[BaselineKind, str], ...]
 
@@ -75,24 +67,17 @@ class SelectionResult:
                     "status": FitStatus.NO_MLE_MONOTONE_PROFILE.value,
                 }
             )
-        return {
-            "chosen": self.chosen.value,
-            "criterion": self.criterion.value,
-            "table": table,
-        }
+        return {"chosen": self.chosen.value, "table": table}
 
 
 def select_model(
     data: CompetingRisksData,
     candidates: Iterable[BaselineKind] = tuple(BaselineKind),
-    criterion: SelectionCriterion = SelectionCriterion.MAX_LOGLIK,
-    options: Optional[FitOptions] = None,
 ) -> SelectionResult:
     """Fit every candidate kind and rank the converged fits.
 
-    Ranking is by maximized log-likelihood (descending) or, equivalently for
-    equal dimensions, by AIC (ascending). Exact likelihood ties (a
-    probability-zero event) break by the fixed kind order Weibull <
+    Ranking is by maximized log-likelihood, descending. Exact likelihood
+    ties (a probability-zero event) break by the fixed kind order Weibull <
     Gompertz < Lomax, for reproducibility.
 
     Raises
@@ -111,7 +96,7 @@ def select_model(
     ranked: list[tuple[BaselineKind, FitResult]] = []
     excluded: list[tuple[BaselineKind, str]] = []
     for kind in sorted(kinds, key=lambda k: k.order):
-        fit = fit_mle(data, kind, options)
+        fit = fit_mle(data, kind)
         if fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE:
             excluded.append(
                 (kind, "profile log-likelihood is monotone over the search bracket")
@@ -123,10 +108,5 @@ def select_model(
             "all candidate fits failed: "
             + "; ".join(f"{kind.value}: {reason}" for kind, reason in excluded)
         )
-    if criterion is SelectionCriterion.AIC:
-        ranked.sort(key=lambda kf: (aic(kf[1].loglik_max), kf[0].order))
-    else:
-        ranked.sort(key=lambda kf: (-kf[1].loglik_max, kf[0].order))
-    return SelectionResult(
-        criterion=criterion, ranked=tuple(ranked), excluded=tuple(excluded)
-    )
+    ranked.sort(key=lambda kf: (-kf[1].loglik_max, kf[0].order))
+    return SelectionResult(ranked=tuple(ranked), excluded=tuple(excluded))

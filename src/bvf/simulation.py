@@ -28,7 +28,7 @@ from .inference import (
     bootstrap_ci,
     fit_mle,
 )
-from .selection import SelectionCriterion, select_model
+from .selection import select_model
 
 __all__ = [
     "EstimationStudyConfig",
@@ -65,6 +65,12 @@ def relative_metrics(estimates, truth: float) -> tuple[float, float]:
     return mse / truth**2, bias / truth
 
 
+def _check_seed(seed: Optional[int]) -> None:
+    # SeedSequence rejects negative entropy with a bare ValueError
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class EstimationStudyConfig:
     """One cell of an estimator-performance study.
@@ -95,6 +101,7 @@ class EstimationStudyConfig:
             raise ValidationError("ci_level must lie in (0, 1)")
         if self.bootstrap_B < 0:
             raise ValidationError("bootstrap_B must be >= 0")
+        _check_seed(self.seed)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -315,7 +322,6 @@ class SelectionStudyConfig:
     candidates: tuple[BaselineKind, ...]
     n_grid: tuple[int, ...]
     replications: int
-    criterion: SelectionCriterion = SelectionCriterion.MAX_LOGLIK
     seed: Optional[int] = None
     workers: int = 1
 
@@ -332,6 +338,7 @@ class SelectionStudyConfig:
             raise ValidationError("n_grid must be non-empty with every n >= 10")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
+        _check_seed(self.seed)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -355,7 +362,6 @@ class SelectionStudyReport:
             "study": "selection",
             "parent_params": cfg.parent_params.to_json_dict(),
             "candidates": [k.value for k in cfg.candidates],
-            "criterion": cfg.criterion.value,
             "replications": cfg.replications,
             "seed": cfg.seed,
             "rows": [
@@ -381,11 +387,11 @@ class SelectionStudyReport:
 
 
 def _selection_replicate(payload):
-    parent_params, n, candidates, criterion, child = payload
+    parent_params, n, candidates, child = payload
     try:
         pairs = sample(parent_params, n, np.random.default_rng(child))
         data = from_bivariate(pairs)
-        result = select_model(data, candidates, criterion)
+        result = select_model(data, candidates)
     except BvfError:
         return None
     return result.chosen
@@ -400,13 +406,7 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     rows = []
     for i, n in enumerate(config.n_grid):
         payloads = [
-            (
-                config.parent_params,
-                n,
-                config.candidates,
-                config.criterion,
-                children[i * reps + r],
-            )
+            (config.parent_params, n, config.candidates, children[i * reps + r])
             for r in range(reps)
         ]
         chosen = _run_replicates(_selection_replicate, payloads, config.workers)

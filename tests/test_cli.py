@@ -127,41 +127,17 @@ class TestFit:
         assert d["status"] == "NoMleMonotoneProfile"
         assert d["alpha0"] is None and d["loglik"] is None
 
-    def test_profile_trace_written(self, dataset, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        code, _, _ = run(["fit", "--data", str(dataset), "--kind", "weibull",
-                          "--profile-out", str(trace)], capsys)
-        assert code == 0
-        with open(trace) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) > 10
-        data = load_csv(dataset)
-        mid = rows[len(rows) // 2]
-        assert float(mid["profile_loglik"]) == pytest.approx(
-            profile_loglik(float(mid["lambda"]), data, W), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("kind", ["weibull", "gompertz", "lomax"])
-    def test_report_independent_of_profile_out(self, kind, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        code, _, _ = run(GEN + ["--n", "200", "--seed", "3", "--out", str(data)], capsys)
-        assert code == 0
-        argv = ["fit", "--data", str(data), "--kind", kind]
-        code_plain, plain, _ = run(argv, capsys)
-        code_traced, traced, _ = run(argv + ["--profile-out", str(tmp_path / "p.csv")],
-                                     capsys)
-        assert code_plain == code_traced
-        assert traced == plain
-
-    def test_profile_out_matches_profile_curve_defaults(self, dataset, tmp_path, capsys):
-        path = tmp_path / "profile.csv"
-        run(["fit", "--data", str(dataset), "--kind", "weibull",
-             "--profile-out", str(path)], capsys)
-        code, out, _ = run(["profile-curve", "--data", str(dataset), "--kind", "weibull"],
-                           capsys)
-        assert code == 0
-        assert path.read_text() == out
-        assert len(out.splitlines()) == 201
+    @pytest.mark.parametrize("kind", ["gompertz", "lomax"])
+    def test_overflowing_rates_exit_two(self, kind, tmp_path, capsys):
+        # subnormal times: the rate denominator at lambda-hat is itself
+        # subnormal, so the closed-form rates overflow
+        path = tmp_path / "tiny.csv"
+        path.write_text("t,delta\n5e-324,1\n5e-324,2\n5e-324,0\n5e-324,1\n"
+                        "1e-320,2\n1e-320,1\n")
+        code, out, err = run(["fit", "--data", str(path), "--kind", kind], capsys)
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err
 
     def test_no_mle_exits_two_with_json(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -243,12 +219,6 @@ class TestSelect:
         assert code == 0
         d = json.loads(out)
         assert {row["kind"] for row in d["table"]} == {"Weibull", "Gompertz"}
-
-    def test_aic_criterion_accepted(self, dataset, capsys):
-        code, out, _ = run(["select", "--data", str(dataset), "--criterion", "aic"],
-                           capsys)
-        assert code == 0
-        assert json.loads(out)["criterion"] == "AIC"
 
     def test_unknown_candidate_exits_one(self, dataset, capsys):
         code, _, err = run(["select", "--data", str(dataset),
@@ -356,6 +326,15 @@ class TestProfileCurve:
         lams = [float(r["lambda"]) for r in rows]
         assert lams[0] == pytest.approx(0.5) and lams[-1] == pytest.approx(2.0)
 
+    def test_default_grid(self, dataset, capsys):
+        code, out, _ = run(["profile-curve", "--data", str(dataset), "--kind", "weibull"],
+                           capsys)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 200
+        assert float(rows[0]["lambda"]) == 1e-3
+        assert float(rows[-1]["lambda"]) == 1e3
+
     def test_bad_range_exits_one(self, dataset, capsys):
         code, _, _ = run(
             ["profile-curve", "--data", str(dataset), "--kind", "weibull",
@@ -438,6 +417,30 @@ class TestKmCompare:
         gaps = [abs(float(r["km_survival"]) - float(r["model_survival"]))
                 for r in rows if r["km_survival"] != ""]
         assert max(gaps) < 0.02
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GEN + ["--n", "10", "--seed", "-1"],
+        ["ci", "--kind", "weibull", "--method", "bootstrap", "--boot-B", "20",
+         "--seed", "-1"],
+        ["sim-estimate", "--kind", "weibull", "--alpha0", "1.34", "--alpha1", "1.17",
+         "--alpha2", "0.86", "--lambda", "0.91", "--n", "60", "--reps", "4",
+         "--boot-B", "0", "--seed", "-1"],
+        ["sim-select", "--kind", "weibull", "--alpha0", "1.34", "--alpha1", "1.17",
+         "--alpha2", "0.86", "--lambda", "0.91", "--n", "40", "--reps", "4",
+         "--seed", "-2"],
+    ],
+    ids=["generate", "ci", "sim-estimate", "sim-select"],
+)
+def test_negative_seed_exits_one(argv, dataset, capsys):
+    if argv[0] == "ci":
+        argv = argv + ["--data", str(dataset)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
 
 
 class TestParserBehavior:

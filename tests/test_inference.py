@@ -13,6 +13,7 @@ from bvf import (
     BaselineKind,
     BvfParams,
     CompetingRisksData,
+    DegenerateDataError,
     DomainError,
     EstimationError,
     FitOptions,
@@ -246,6 +247,30 @@ class TestFitOtherKinds:
         for kind in (W, G, L):
             assert fit_mle(data, kind).status is FitStatus.NO_MLE_MONOTONE_PROFILE
 
+    def test_flat_profile_next_to_clamp_has_no_mle(self):
+        # Gompertz, seed 9305, replicate 290 of criterion 7's 40%-censored
+        # n=200 cell, rebuilt as the estimation study builds it. The ladder
+        # rung next to the lower clamp beats the clamp by float noise only, so
+        # the climb sees an interior maximum and the flatness guard decides
+        params = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
+        child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
+        pairs = sample(params, 200, np.random.default_rng(child))
+        data = from_bivariate(pairs, censoring_threshold(params, 0.4))
+        assert profile_loglik(4.0**-13, data, G) > profile_loglik(1e-8, data, G)
+        assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
+
+    @pytest.mark.parametrize("kind", [G, L])
+    def test_overflowing_rates_are_degenerate(self, kind):
+        # subnormal times: the rate denominator at lambda-hat is itself
+        # subnormal, so the closed-form rates m / a overflow
+        t = [5e-324, 5e-324, 5e-324, 5e-324, 1e-320, 1e-320]
+        delta = [1, 2, 0, 1, 2, 1]
+        with pytest.raises(DegenerateDataError):
+            fit_mle(CompetingRisksData(t, delta), kind)
+        fits = _fit_stack(_Stack(kind, np.array([t]), np.array([delta], dtype=np.int8)),
+                          FitOptions())
+        assert type(fits.outcome[0]) is DegenerateDataError
+
 
 class TestFitBoundary:
     def test_zero_count_mode_pins_rate_to_zero(self, caplog):
@@ -282,10 +307,22 @@ class TestFitOptions:
         assert fit.params_hat.lam == pytest.approx(W_LAM_HAT, rel=1e-7)
 
     def test_recovery_when_start_is_degenerate(self, data12):
-        # an initial lambda whose profile is -inf must not abort the search
+        # a start far above the MLE, where the profile is finite but very low
+        # (about -6.8e7), must still climb down to the interior maximum
         fit = fit_mle(data12, G, FitOptions(lambda_init=1e7))
         assert fit.status is FitStatus.CONVERGED
         assert fit.params_hat.lam == pytest.approx(G_LAM_HAT, rel=1e-6)
+        # every t < 1: at lambda = 1e8 each t**lambda underflows to 0, so the
+        # profile is -inf at the start and the climb evaluates every rung first
+        data = CompetingRisksData(
+            [0.2, 0.5, 0.7, 0.3, 0.9, 0.6, 0.45, 0.8, 0.35, 0.95, 0.95, 0.95],
+            [1, 1, 1, 2, 2, 2, 0, 0, 1, 3, 3, 3],
+        )
+        assert profile_loglik(1e8, data, W) == -math.inf
+        far = fit_mle(data, W, FitOptions(lambda_init=1e8))
+        near = fit_mle(data, W)
+        assert far.status is FitStatus.CONVERGED
+        assert abs(far.params_hat.lam - near.params_hat.lam) <= 1e-9 * near.params_hat.lam
 
 
 class TestStackedFits:
@@ -602,7 +639,7 @@ class TestBootstrapCi:
         fit = fit_mle(data, params.kind)
         expected = _refit_each_resample(fit, data, B, seed)
         estimates, failures = _bootstrap_refits(
-            fit.params_hat, data, np.random.SeedSequence(seed).spawn(B), FitOptions()
+            fit.params_hat, data, np.random.SeedSequence(seed).spawn(B)
         )
         for b, want in enumerate(expected):
             if isinstance(want, str):

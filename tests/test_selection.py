@@ -1,4 +1,4 @@
-"""Model choice across baseline kinds by likelihood-based criteria."""
+"""Model choice across baseline kinds by maximized likelihood."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from bvf import (
     BvfParams,
     CompetingRisksData,
     FitStatus,
-    SelectionCriterion,
     SelectionError,
     ValidationError,
     aic,
@@ -54,14 +53,6 @@ def test_ranking_by_loglik_descending(data12):
     assert logliks == sorted(logliks, reverse=True)
 
 
-def test_aic_agrees_with_loglik_on_equal_dimension(data12):
-    # every candidate spends four parameters, so the two orders coincide
-    a = select_model(data12, criterion=SelectionCriterion.MAX_LOGLIK)
-    b = select_model(data12, criterion=SelectionCriterion.AIC)
-    assert [kind for kind, _ in a.ranked] == [kind for kind, _ in b.ranked]
-    assert b.chosen is a.chosen
-
-
 def test_duplicate_candidates_rejected(data12):
     with pytest.raises(ValidationError):
         select_model(data12, candidates=(W, W))
@@ -96,7 +87,6 @@ def test_deterministic(data12):
 
 def test_json_shape(data12):
     d = select_model(data12).to_json_dict()
-    assert d["criterion"] == "MaxLoglik"
     assert d["chosen"] == "Weibull"
     kinds = [row["kind"] for row in d["table"]]
     assert kinds == ["Weibull", "Gompertz", "Lomax"]

@@ -76,6 +76,10 @@ class TestEstimationConfig:
         with pytest.raises(ValidationError):
             EstimationStudyConfig(true_params=PW, n=50, replications=5, workers=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            EstimationStudyConfig(true_params=PW, n=50, replications=5, seed=-1)
+
 
 class TestEstimationStudy:
     def test_single_replication_degenerates_to_one_fit(self):
@@ -162,6 +166,13 @@ class TestSelectionConfig:
         with pytest.raises(ValidationError):
             SelectionStudyConfig(
                 parent_params=PW, candidates=(W, G), n_grid=(5,), replications=5
+            )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            SelectionStudyConfig(
+                parent_params=PW, candidates=(W, G), n_grid=(50,), replications=5,
+                seed=-2,
             )
 
 
