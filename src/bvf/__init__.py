@@ -20,7 +20,6 @@ from .bvf_model import (
 )
 from .data_model import (
     CompetingRisksData,
-    CompetingRisksRecord,
     FailureMode,
     from_bivariate,
     load_csv,
@@ -83,7 +82,6 @@ __all__ = [
     "sample",
     "censoring_threshold",
     "FailureMode",
-    "CompetingRisksRecord",
     "CompetingRisksData",
     "from_bivariate",
     "load_csv",

@@ -71,12 +71,9 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _check_time(t: float, *, positive: bool = False) -> float:
+def _check_time(t: float) -> float:
     t = float(t)
-    if positive:
-        if not (t > 0.0):
-            raise DomainError(f"t must be > 0, got {t!r}")
-    elif not (t >= 0.0):
+    if not (t >= 0.0):
         raise DomainError(f"t must be >= 0, got {t!r}")
     if math.isinf(t):
         raise DomainError("t must be finite")

@@ -24,7 +24,7 @@ from .baselines import (
     log_f0,
     log_s0,
 )
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "BvfParams",
@@ -208,10 +208,19 @@ def tie_probability(p: BvfParams) -> OrderingProbabilities:
     )
 
 
-def _resolve_rng(seed: Seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """None, an integer >= 0 or a SeedSequence as a SeedSequence, whose
+    ``default_rng`` draws what the seed's own would; any other seed is a
+    ValidationError."""
+    if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.default_rng(seed)
+    if seed is not None and (
+        not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0
+    ):
+        raise ValidationError(
+            f"seed must be None, an integer >= 0 or a SeedSequence, got {seed!r}"
+        )
+    return np.random.SeedSequence(seed)
 
 
 def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
@@ -230,7 +239,10 @@ def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
     n : int
         Number of pairs, >= 1.
     seed : int | None | numpy Generator | SeedSequence
-        Reproducibility handle; a given seed fully determines the output.
+        Reproducibility handle; a given seed fully determines the output. A
+        Generator is drawn from as it is; any other seed must be None, an
+        integer >= 0 or a SeedSequence (else ValidationError), and gives
+        what ``default_rng(seed)`` draws.
 
     Returns
     -------
@@ -240,7 +252,10 @@ def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    rng = _resolve_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(_seed_sequence(seed))
     x, y = _pairs_from_uniforms(p, rng.random((3, n)))
     return np.column_stack((x, y))
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._km import kaplan_meier, km_survival_at
 from .baselines import BaselineKind, log_s0, s0_inv
 from .bvf_model import BvfParams, jpdf_ac, sample
-from .data_model import FailureMode, from_bivariate, load_csv, save_csv
+from .data_model import FailureMode, _csv_text, from_bivariate, load_csv
 from .errors import BvfError, DomainError, EstimationError, ValidationError
 from .inference import (
     FitStatus,
@@ -92,14 +92,6 @@ def _emit_table(report, out_path: Optional[str]) -> None:
         _emit_csv(header, [[r[k] for k in header] for r in rows], out_path)
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: a non-negative integer."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
-
-
 def _params_from_args(args) -> BvfParams:
     return BvfParams(
         kind=BaselineKind.parse(args.kind),
@@ -134,15 +126,8 @@ def cmd_generate(args) -> int:
     counts_line = (
         f"n={data.n} m0={data.m0} m1={data.m1} m2={data.m2} m3={data.m3}\n"
     )
-    if args.out:
-        save_csv(data, args.out)
-        sys.stdout.write(counts_line)
-    else:
-        lines = ["t,delta"] + [
-            f"{float(t)!r},{int(d)}" for t, d in zip(data.t, data.delta)
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-        sys.stderr.write(counts_line)
+    _emit(_csv_text(data), args.out)
+    (sys.stdout if args.out else sys.stderr).write(counts_line)
     return 0
 
 
@@ -296,7 +281,7 @@ def build_parser() -> _Parser:
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--censor-frac", type=float, default=0.0)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
@@ -312,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("asymptotic", "bootstrap"), default="asymptotic")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot-B", dest="boot_B", type=int, default=500)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ci)
 
@@ -329,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--boot-B", dest="boot_B", type=int, default=500)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--table-out", help="also write the per-parameter CSV table")
@@ -340,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", default="weibull,gompertz,lomax")
     p.add_argument("--n", required=True, help="sample sizes, comma-separated (e.g. 50,150,300)")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--table-out")

@@ -8,13 +8,13 @@ t = min(x, y) together with the failure mode
 * delta = 2: risk 2 first (y < x);
 * delta = 3: neither seen by the fixed censoring time C (Type-I).
 
-The per-mode counts m0..m3 are always recomputed from the records, never
-trusted from input. Data objects are immutable after construction (arrays are
-frozen), so they are freely shareable and safely cacheable.
+A dataset is held as two frozen arrays, ``t`` and ``delta``, one entry per
+record. The per-mode counts m0..m3 are always recomputed from them, never
+trusted from input. Data objects are immutable after construction, so they are
+freely shareable and safely cacheable.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import DomainError, ParseError, ValidationError
 
 __all__ = [
     "FailureMode",
-    "CompetingRisksRecord",
     "CompetingRisksData",
     "from_bivariate",
     "load_csv",
@@ -38,27 +37,6 @@ class FailureMode(enum.IntEnum):
 
 
 _DELTA_CODES = tuple(FailureMode)
-
-
-@dataclass(frozen=True)
-class CompetingRisksRecord:
-    """A single observation: time t > 0 and failure mode delta."""
-
-    t: float
-    delta: FailureMode
-
-    def __post_init__(self):
-        t = float(self.t)
-        if not (t > 0.0) or not np.isfinite(t):
-            raise ValidationError(f"record time must be positive finite, got {t!r}")
-        object.__setattr__(self, "t", t)
-        try:
-            delta = FailureMode(self.delta)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"record delta must be one of 0, 1, 2, 3, got {self.delta!r}"
-            ) from None
-        object.__setattr__(self, "delta", delta)
 
 
 class CompetingRisksData:
@@ -145,30 +123,6 @@ class CompetingRisksData:
     def n_failures(self) -> int:
         """Number of uncensored records, m0 + m1 + m2."""
         return self.m0 + self.m1 + self.m2
-
-    @property
-    def records(self) -> tuple[CompetingRisksRecord, ...]:
-        """The observations as record objects (materialized on demand; the
-        vectorized ``t``/``delta`` arrays are the primary representation)."""
-        cached = self._cache.get("records")
-        if cached is None:
-            cached = tuple(
-                CompetingRisksRecord(float(ti), FailureMode(int(di)))
-                for ti, di in zip(self.t, self.delta)
-            )
-            self._cache["records"] = cached
-        return cached
-
-    @classmethod
-    def from_records(cls, records, censoring_time=None) -> "CompetingRisksData":
-        pairs = [
-            (r.t, int(r.delta)) if isinstance(r, CompetingRisksRecord) else (r[0], int(r[1]))
-            for r in records
-        ]
-        if not pairs:
-            raise ValidationError("no records")
-        t, delta = zip(*pairs)
-        return cls(t, delta, censoring_time=censoring_time)
 
     def __repr__(self):
         c = f", censoring_time={self.censoring_time!r}" if self.censoring_time else ""
@@ -282,10 +236,14 @@ def load_csv(path) -> CompetingRisksData:
     return CompetingRisksData(times, deltas)
 
 
-def save_csv(data: CompetingRisksData, path) -> None:
-    """Write data in the :func:`load_csv` format. Times are written with
+def _csv_text(data: CompetingRisksData) -> str:
+    """The :func:`load_csv` format of ``data``. Times are written with
     ``repr`` so the save/load round trip is bit-exact."""
+    lines = [f"{float(t)!r},{int(d)}\n" for t, d in zip(data.t, data.delta)]
+    return _HEADER + "\n" + "".join(lines)
+
+
+def save_csv(data: CompetingRisksData, path) -> None:
+    """Write data in the :func:`load_csv` format (bit-exact on reload)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_HEADER + "\n")
-        for t, d in zip(data.t, data.delta):
-            fh.write(f"{float(t)!r},{int(d)}\n")
+        fh.write(_csv_text(data))

@@ -36,7 +36,7 @@ import numpy as np
 from .baselines import BaselineKind, _check_lambda
 # sample and from_bivariate are not called here, but stay names of this
 # module: perfbench's tracer rebinds them in every namespace that held them
-from .bvf_model import BvfParams, _pairs_from_uniforms, sample  # noqa: F401
+from .bvf_model import BvfParams, _pairs_from_uniforms, _seed_sequence, sample  # noqa: F401
 from .data_model import (  # noqa: F401
     CompetingRisksData,
     FailureMode,
@@ -351,7 +351,9 @@ class FitResult:
 
     ``params_hat``/``loglik_max`` are None exactly when no MLE exists
     (status NoMleMonotoneProfile). ``n_evals`` counts the profile
-    evaluations the fit made, ladder rungs and Newton iterates alike.
+    evaluations the fit needed, ladder rungs and Newton iterates alike;
+    rungs a batched ladder scan evaluated past the profile's fall are not
+    counted, so a fit reports the same count alone as in a bootstrap stack.
     """
 
     kind: BaselineKind
@@ -419,9 +421,12 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
     [rung k-1, rung k+1]: each iterate narrows the bracket by the sign of its
     score, and a step that would leave the bracket, or that comes from a
     non-concave point, bisects it in log lambda instead. Newton stops when
-    its step or the bracket is at most _TOL * lambda; lambda-hat is its
-    last iterate. Rungs cost one transcendental pass per record; only Newton
-    iterates take the derivative sums.
+    its step or the bracket is at most _TOL * lambda, or when its next
+    iterate is its previous one; lambda-hat is its last iterate. Rungs cost
+    one transcendental pass per record; only Newton iterates take the
+    derivative sums. A row's ``n_evals`` counts the rungs a one-rung scan
+    would evaluate, whatever the chunk size; only the Newton budget is
+    shared, sized from the most evaluations any row's ladder made.
     """
     R = stack.m.size
     rungs, start = _ladder(opts.bracket, opts.lambda_init)
@@ -462,8 +467,9 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
     # Every later step of the climbing rule keeps that direction while the
     # profile rises, so the rest of the climb is a scan. It evaluates k rungs
     # ahead per call, k doubling from a size at which the chunk's records
-    # cost about what the call itself does; only rungs of the last chunk
-    # past the stop are evaluated in vain.
+    # cost about what the call itself does. Rungs of the last chunk past the
+    # first fall are forgotten and not counted; they are all new to the
+    # chunk, since the scan moves away from every evaluated rung.
     c = cur[act]
     p_left, p_cur, p_right = vals[act, c], vals[act, c + 1], vals[act, c + 2]
     go_left = p_left > p_cur
@@ -477,11 +483,16 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
         path = c[:, None] + step[:, None] * np.arange(k + 1)
         ahead = path[:, 1:]
         inside = (ahead >= 0) & (ahead <= last)
-        evaluate(np.broadcast_to(scan[:, None], ahead.shape)[inside], ahead[inside])
+        row_of = np.broadcast_to(scan[:, None], ahead.shape)
+        evaluate(row_of[inside], ahead[inside])
         p = vals[scan[:, None], np.clip(path + 1, 0, last + 2)]
         falls = p[:, 1:] <= p[:, :-1]
         stops = falls.any(axis=1)
-        cur[scan] = c + step * np.where(stops, falls.argmax(axis=1), k)
+        fall = np.where(stops, falls.argmax(axis=1), k)
+        vain = inside & (np.arange(k) > fall[:, None])
+        vals[row_of[vain], ahead[vain] + 1] = np.nan
+        np.subtract.at(n_evals, row_of[vain], 1)
+        cur[scan] = c + step * fall
         scan, step = scan[~stops], step[~stops]
         k *= 2
 
@@ -499,6 +510,7 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
     act = inner
     c = cur[act]
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
+    prev = np.full(act.size, np.nan)
     budget = max(10, _MAX_EVALS - int(n_evals.max(initial=0)))
     while act.size:
         budget -= 1
@@ -511,15 +523,17 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
         # root, past the bracket end lambda has just become, so it bisects
         nxt = lam * np.exp(g / -h)
         nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, np.sqrt(lo * hi))
-        go = np.abs(nxt - lam) > _TOL * lam
+        # a step back to the previous iterate starts a two-cycle: at the
+        # rounding floor each step can land on the other end of the bracket
+        go = (np.abs(nxt - lam) > _TOL * lam) & (nxt != prev)
         if budget == 0:
             go[:] = False
         if not go.all():
             stop = ~go
             done = act[stop]
             lam_hat[done], a_hat[done] = lam[stop], a[stop]
-            act, nxt, lo, hi = act[go], nxt[go], lo[go], hi[go]
-        lam = nxt
+            act, nxt, lo, hi, lam = act[go], nxt[go], lo[go], hi[go], lam[go]
+        prev, lam = lam, nxt
 
     # flatness guard: a "maximum" close to a clamp that barely beats the
     # clamp value is a monotone profile seen through float noise
@@ -779,16 +793,18 @@ def bootstrap_ci(
     dropped, counted in ``n_failed`` and by reason in ``failure_reasons``.
     More than 5% of them is an error that lists the reasons.
 
-    B >= 100 is recommended for real use; smaller values are accepted (the
-    rank arithmetic stays well-defined down to B = 1).
+    ``seed`` must be None, an integer >= 0 or a SeedSequence; anything else
+    is a ValidationError. B >= 100 is recommended for real use; smaller
+    values are accepted (the rank arithmetic stays well-defined down to
+    B = 1).
     """
     B = int(B)
     if B < 1:
         raise DomainError(f"B must be >= 1, got {B}")
     level = _check_level(level)
     p_hat = _require_converged(fit, "bootstrap_ci")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    estimates, failures = _bootstrap_refits(p_hat, data, ss.spawn(B))
+    children = _seed_sequence(seed).spawn(B)
+    estimates, failures = _bootstrap_refits(p_hat, data, children)
     reasons = dict(collections.Counter(r for r in failures if r is not None))
     n_failed = sum(reasons.values())
     n_ok = B - n_failed

@@ -2,10 +2,13 @@
 
 Both studies draw replication RNG streams up front from one seed
 (SeedSequence spawning), so a study is reproducible bit-for-bit under any
-worker count or scheduling order. Replications are independent work items;
-with ``workers > 1`` they run in a process pool.
+worker count or scheduling order. A work item is one replication: a
+module-level replicate function bound to the study's config (and, for
+selection, the sample size) by ``functools.partial``, applied to that
+replication's stream. With ``workers > 1`` the items run in a process pool.
 """
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -13,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import BaselineKind
-from .bvf_model import BvfParams, censoring_threshold, sample
+from .bvf_model import BvfParams, _seed_sequence, censoring_threshold, sample
 from .data_model import from_bivariate
 from .errors import (
     BvfError,
@@ -65,12 +68,6 @@ def relative_metrics(estimates, truth: float) -> tuple[float, float]:
     return mse / truth**2, bias / truth
 
 
-def _check_seed(seed: Optional[int]) -> None:
-    # SeedSequence rejects negative entropy with a bare ValueError
-    if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-
-
 @dataclass(frozen=True)
 class EstimationStudyConfig:
     """One cell of an estimator-performance study.
@@ -101,7 +98,10 @@ class EstimationStudyConfig:
             raise ValidationError("ci_level must lie in (0, 1)")
         if self.bootstrap_B < 0:
             raise ValidationError("bootstrap_B must be >= 0")
-        _check_seed(self.seed)
+        # reports echo the seed as a JSON integer
+        if isinstance(self.seed, np.random.SeedSequence):
+            raise ValidationError("seed must be None or an integer >= 0")
+        _seed_sequence(self.seed)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -160,41 +160,33 @@ class EstimationStudyReport:
         return out
 
     def to_csv_rows(self) -> list[dict]:
-        """Rows mirroring the classical study-table layout: one row per
-        parameter, interval summaries as columns (blank when disabled)."""
+        """The ``parameters`` of :meth:`to_json_dict` in the classical
+        study-table layout: one row per parameter, interval summaries as
+        columns (blank when disabled)."""
         rows = []
-        for name, summary in self.parameters.items():
-            rows.append(
-                {
-                    "parameter": name,
-                    "relative_mse": summary.relative_mse,
-                    "relative_bias": summary.relative_bias,
-                    "asym_avg_length": summary.asymptotic.avg_length
-                    if summary.asymptotic
-                    else "",
-                    "asym_coverage": summary.asymptotic.coverage
-                    if summary.asymptotic
-                    else "",
-                    "boot_avg_length": summary.bootstrap.avg_length
-                    if summary.bootstrap
-                    else "",
-                    "boot_coverage": summary.bootstrap.coverage
-                    if summary.bootstrap
-                    else "",
-                }
-            )
+        for name, entry in self.to_json_dict()["parameters"].items():
+            row = {
+                "parameter": name,
+                "relative_mse": entry["relative_mse"],
+                "relative_bias": entry["relative_bias"],
+            }
+            for method, prefix in (("asymptotic", "asym"), ("bootstrap", "boot")):
+                ci = entry[method] or {}
+                row[f"{prefix}_avg_length"] = ci.get("avg_length", "")
+                row[f"{prefix}_coverage"] = ci.get("coverage", "")
+            rows.append(row)
         return rows
 
 
-def _estimation_replicate(payload):
+def _estimation_replicate(config: EstimationStudyConfig, child):
     """One replication; module-level so process pools can pickle it."""
-    true_params, n, censored_fraction, level, boot_b, child = payload
+    true_params = config.true_params
     streams = child.spawn(2)
     try:
-        pairs = sample(true_params, n, np.random.default_rng(streams[0]))
+        pairs = sample(true_params, config.n, np.random.default_rng(streams[0]))
         c = (
-            censoring_threshold(true_params, censored_fraction)
-            if censored_fraction > 0.0
+            censoring_threshold(true_params, config.censored_fraction)
+            if config.censored_fraction > 0.0
             else None
         )
         data = from_bivariate(pairs, c)
@@ -208,10 +200,12 @@ def _estimation_replicate(payload):
             return None
         q = fit.params_hat
         estimate = (q.alpha0, q.alpha1, q.alpha2, q.lam)
-        asym = asymptotic_ci(fit, data, level)
+        asym = asymptotic_ci(fit, data, config.ci_level)
         boot = (
-            bootstrap_ci(fit, data, B=boot_b, level=level, seed=streams[1])
-            if boot_b > 0
+            bootstrap_ci(
+                fit, data, B=config.bootstrap_B, level=config.ci_level, seed=streams[1]
+            )
+            if config.bootstrap_B > 0
             else None
         )
     except BvfError:
@@ -232,12 +226,13 @@ def _interval_stats(rows, truth) -> list[IntervalSummary]:
     ]
 
 
-def _run_replicates(worker, payloads, workers: int):
+def _run_replicates(worker, children, workers: int):
+    """``worker`` applied to each replication's stream, in order."""
     if workers > 1:
-        chunk = max(1, len(payloads) // (workers * 8))
+        chunk = max(1, len(children) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads, chunksize=chunk))
-    return [worker(p) for p in payloads]
+            return list(pool.map(worker, children, chunksize=chunk))
+    return [worker(child) for child in children]
 
 
 def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport:
@@ -253,18 +248,8 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     """
     reps = config.replications
     children = np.random.SeedSequence(config.seed).spawn(reps)
-    payloads = [
-        (
-            config.true_params,
-            config.n,
-            config.censored_fraction,
-            config.ci_level,
-            config.bootstrap_B,
-            children[r],
-        )
-        for r in range(reps)
-    ]
-    results = _run_replicates(_estimation_replicate, payloads, config.workers)
+    worker = functools.partial(_estimation_replicate, config)
+    results = _run_replicates(worker, children, config.workers)
     kept = [r for r in results if r is not None and r != "no_mle"]
     failed = reps - len(kept)
     hard = failed - sum(1 for r in results if r == "no_mle")
@@ -338,7 +323,10 @@ class SelectionStudyConfig:
             raise ValidationError("n_grid must be non-empty with every n >= 10")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        _check_seed(self.seed)
+        # reports echo the seed as a JSON integer
+        if isinstance(self.seed, np.random.SeedSequence):
+            raise ValidationError("seed must be None or an integer >= 0")
+        _seed_sequence(self.seed)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
@@ -386,12 +374,11 @@ class SelectionStudyReport:
         return out
 
 
-def _selection_replicate(payload):
-    parent_params, n, candidates, child = payload
+def _selection_replicate(config: SelectionStudyConfig, n: int, child):
     try:
-        pairs = sample(parent_params, n, np.random.default_rng(child))
+        pairs = sample(config.parent_params, n, np.random.default_rng(child))
         data = from_bivariate(pairs)
-        result = select_model(data, candidates)
+        result = select_model(data, config.candidates)
     except BvfError:
         return None
     return result.chosen
@@ -405,11 +392,10 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     children = np.random.SeedSequence(config.seed).spawn(reps * len(config.n_grid))
     rows = []
     for i, n in enumerate(config.n_grid):
-        payloads = [
-            (config.parent_params, n, config.candidates, children[i * reps + r])
-            for r in range(reps)
-        ]
-        chosen = _run_replicates(_selection_replicate, payloads, config.workers)
+        worker = functools.partial(_selection_replicate, config, n)
+        chosen = _run_replicates(
+            worker, children[i * reps : (i + 1) * reps], config.workers
+        )
         kept = [c for c in chosen if c is not None]
         dropped = reps - len(kept)
         if dropped > 0.10 * reps:

@@ -9,6 +9,7 @@ from bvf import (
     BaselineKind,
     BvfParams,
     DomainError,
+    ValidationError,
     censoring_threshold,
     f0,
     joint_survival,
@@ -19,6 +20,7 @@ from bvf import (
     singular_density,
     tie_probability,
 )
+from bvf.bvf_model import _pairs_from_uniforms
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 
@@ -253,6 +255,15 @@ class TestSampling:
             sample(PW, 0, seed=1)
         with pytest.raises(DomainError):
             sample(PW, -3, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample(PW, 5, seed)
+
+    def test_integer_seed_draws_the_default_rng_stream(self):
+        x, y = _pairs_from_uniforms(PW, np.random.default_rng(7).random((3, 40)))
+        np.testing.assert_array_equal(sample(PW, 40, 7), np.column_stack((x, y)))
 
 
 class TestCensoringThreshold:

@@ -9,7 +9,6 @@ from bvf import (
     BaselineKind,
     BvfParams,
     CompetingRisksData,
-    CompetingRisksRecord,
     DomainError,
     FailureMode,
     ParseError,
@@ -156,26 +155,6 @@ class TestContainer:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             CompetingRisksData([1.0, 2.0], [1])
-
-    def test_records_round_trip(self):
-        data = CompetingRisksData([0.5, 1.5], [2, 3])
-        recs = data.records
-        assert recs == (
-            CompetingRisksRecord(0.5, FailureMode.RISK2_FIRST),
-            CompetingRisksRecord(1.5, FailureMode.CENSORED),
-        )
-        again = CompetingRisksData.from_records(recs)
-        np.testing.assert_array_equal(again.t, data.t)
-        np.testing.assert_array_equal(again.delta, data.delta)
-
-    def test_record_validation(self):
-        with pytest.raises(ValidationError):
-            CompetingRisksRecord(-1.0, FailureMode.TIE)
-
-    @pytest.mark.parametrize("delta", [7, 1.5, -1, "1"])
-    def test_record_rejects_bad_delta(self, delta):
-        with pytest.raises(ValidationError):
-            CompetingRisksRecord(1.0, delta)
 
 
 class TestCsv:

@@ -272,6 +272,22 @@ class TestFitOtherKinds:
         assert type(fits.outcome[0]) is DegenerateDataError
 
 
+    @pytest.mark.parametrize(
+        "child, n, lam_hat",
+        [(791, 150, 0.0010053271723372878), (1155, 300, 0.0020476120961489697)],
+    )
+    def test_newton_stops_on_a_two_cycle(self, child, n, lam_hat):
+        # criterion 8's Weibull-parent data: Newton's steps alternated between
+        # two bracket ends 2.3e-9 apart until the evaluation cap
+        parent = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
+        stream = np.random.SeedSequence(8800).spawn(1500)[child]
+        data = from_bivariate(sample(parent, n, np.random.default_rng(stream)))
+        fit = fit_mle(data, G)
+        assert fit.status is FitStatus.CONVERGED
+        assert fit.n_evals < 60
+        assert fit.params_hat.lam == pytest.approx(lam_hat, rel=1e-8)
+
+
 class TestFitBoundary:
     def test_zero_count_mode_pins_rate_to_zero(self, caplog):
         data = CompetingRisksData([0.3, 0.7, 1.2, 0.9], [1, 1, 2, 1])
@@ -349,6 +365,19 @@ class TestStackedFits:
                     q = fit.params_hat
                     assert fits.lam[j] == q.lam, (kind, j)
                     assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
+
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_eval_counts_do_not_depend_on_the_stack(self, kind):
+        # lambda-hat far from the ladder's start, so every fit scans rungs; at
+        # n=400 a one-row scan evaluates more rungs per call than a stack
+        parent = BvfParams(kind, 1.34, 1.17, 0.86, 300.0)
+        rng = np.random.default_rng(400)
+        datasets = [from_bivariate(sample(parent, 400, rng)) for _ in range(20)]
+        t = np.array([d.t for d in datasets])
+        delta = np.array([d.delta for d in datasets])
+        fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+        assert fits.n_evals.tolist() == [fit_mle(d, kind).n_evals for d in datasets]
 
 
 class TestConsistency:
@@ -587,6 +616,11 @@ class TestBootstrapCi:
         ci = bootstrap_ci(fit, data, B=1, seed=5)
         for lo, hi in ci.intervals.values():
             assert lo == hi
+
+    def test_negative_seed_rejected(self, fitted):
+        data, fit = fitted
+        with pytest.raises(ValidationError, match="seed"):
+            bootstrap_ci(fit, data, B=5, seed=-1)
 
     def test_zero_b_rejected(self, fitted):
         data, fit = fitted

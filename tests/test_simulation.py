@@ -80,6 +80,11 @@ class TestEstimationConfig:
         with pytest.raises(ValidationError, match="seed"):
             EstimationStudyConfig(true_params=PW, n=50, replications=5, seed=-1)
 
+    @pytest.mark.parametrize("seed", [np.random.SeedSequence(3), 2.5])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            EstimationStudyConfig(true_params=PW, n=50, replications=5, seed=seed)
+
 
 class TestEstimationStudy:
     def test_single_replication_degenerates_to_one_fit(self):
@@ -173,6 +178,14 @@ class TestSelectionConfig:
             SelectionStudyConfig(
                 parent_params=PW, candidates=(W, G), n_grid=(50,), replications=5,
                 seed=-2,
+            )
+
+    @pytest.mark.parametrize("seed", [np.random.SeedSequence(3), 2.5])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            SelectionStudyConfig(
+                parent_params=PW, candidates=(W, G), n_grid=(50,), replications=5,
+                seed=seed,
             )
 
 
