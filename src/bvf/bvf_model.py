@@ -223,6 +223,15 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _check_count(name: str, value) -> int:
+    """A count (a size, a replication or resample number) as an int: an int
+    or NumPy integer passes, anything else, bool included, is a
+    ValidationError. Ranges are the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
     """Draw ``n`` pairs (x, y) exactly from the family.
 
@@ -237,7 +246,8 @@ def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
     ----------
     p : BvfParams
     n : int
-        Number of pairs, >= 1.
+        Number of pairs, an integer >= 1 (a non-integer is a
+        ValidationError).
     seed : int | None | numpy Generator | SeedSequence
         Reproducibility handle; a given seed fully determines the output. A
         Generator is drawn from as it is; any other seed must be None, an
@@ -249,7 +259,7 @@ def sample(p: BvfParams, n: int, seed: Seed = None) -> np.ndarray:
     ndarray of shape (n, 2)
         Columns x, y; every entry strictly positive.
     """
-    n = int(n)
+    n = _check_count("n", n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if isinstance(seed, np.random.Generator):

@@ -36,7 +36,13 @@ import numpy as np
 from .baselines import BaselineKind, _check_lambda
 # sample and from_bivariate are not called here, but stay names of this
 # module: perfbench's tracer rebinds them in every namespace that held them
-from .bvf_model import BvfParams, _pairs_from_uniforms, _seed_sequence, sample  # noqa: F401
+from .bvf_model import (  # noqa: F401
+    BvfParams,
+    _check_count,
+    _pairs_from_uniforms,
+    _seed_sequence,
+    sample,
+)
 from .data_model import (  # noqa: F401
     CompetingRisksData,
     FailureMode,
@@ -249,19 +255,37 @@ def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
     sum over uncensored records only. Returns ``-inf`` where the likelihood
     vanishes (e.g. a zero alpha against a nonzero count).
     """
-    ws = _workspace(data, p.kind)
+    alphas = np.array([[p.alpha0], [p.alpha1], [p.alpha2]])
+    return _loglik_rows(_workspace(data, p.kind), _ALL, np.array([p.lam]), alphas)[0]
+
+
+def _loglik_rows(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) -> list:
+    """:func:`log_likelihood` at each of ``rows``, with one lambda and one
+    column of ``alphas`` (shape (3, R)) per row. The per-record sums take
+    one stacked pass; the rest is scalar arithmetic per row, so every row
+    gets the bits its one-row call would."""
     with np.errstate(all="ignore"):
-        _, a, c = ws.survival(_ALL, np.array([p.lam]))
-    a, c = float(a[0]), float(c[0])
+        _, a, c = stack.survival(rows, lam)
+    return [
+        _loglik_from_sums(m, alpha, a_r, c_r)
+        for m, alpha, a_r, c_r in zip(
+            stack.counts[:, rows].T.tolist(), alphas.T.tolist(), a.tolist(), c.tolist()
+        )
+    ]
+
+
+def _loglik_from_sums(m: list, alpha: list, a: float, c: float) -> float:
+    """The log-likelihood from the counts m_k, the alphas, the survival sum
+    a and the hazard sum c, in one fixed float operation order."""
     if not math.isfinite(a):
         return -math.inf
     total = 0.0
-    for m_k, alpha_k in zip(ws.counts[:, 0].tolist(), (p.alpha0, p.alpha1, p.alpha2)):
+    for m_k, alpha_k in zip(m, alpha):
         if m_k:
             if alpha_k <= 0.0:
                 return -math.inf
             total += m_k * math.log(alpha_k)
-    total += -(p.alpha0 + p.alpha1 + p.alpha2) * a
+    total += -(alpha[0] + alpha[1] + alpha[2]) * a
     total += c
     return total
 
@@ -793,12 +817,12 @@ def bootstrap_ci(
     dropped, counted in ``n_failed`` and by reason in ``failure_reasons``.
     More than 5% of them is an error that lists the reasons.
 
-    ``seed`` must be None, an integer >= 0 or a SeedSequence; anything else
-    is a ValidationError. B >= 100 is recommended for real use; smaller
-    values are accepted (the rank arithmetic stays well-defined down to
-    B = 1).
+    ``seed`` must be None, an integer >= 0 or a SeedSequence, and ``B`` an
+    integer; anything else is a ValidationError. B >= 100 is recommended for
+    real use; smaller values are accepted (the rank arithmetic stays
+    well-defined down to B = 1).
     """
-    B = int(B)
+    B = _check_count("B", B)
     if B < 1:
         raise DomainError(f"B must be >= 1, got {B}")
     level = _check_level(level)
@@ -838,6 +862,25 @@ def bootstrap_ci(
     )
 
 
+def _draw_stack(p: BvfParams, n: int, children, censoring_time):
+    """The records ``from_bivariate(sample(p, n, default_rng(child)), C)``
+    gives for each ``SeedSequence`` child, drawn and transformed as one
+    (R, n) stack. Returns ``t``, ``delta`` and, per row, None or the name of
+    the error ``from_bivariate`` would raise for that row."""
+    v = np.stack([np.random.default_rng(child).random((3, n)) for child in children])
+    x, y = _pairs_from_uniforms(p, v)
+    t, delta = _first_failure(x, y, censoring_time)
+    failures: list = [None] * len(children)
+    # the errors from_bivariate and CompetingRisksData raise for such a row
+    coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
+    times_ok = np.isfinite(t).all(axis=-1)
+    for r in np.flatnonzero(~coords_ok).tolist():
+        failures[r] = DomainError.__name__
+    for r in np.flatnonzero(coords_ok & ~times_ok).tolist():
+        failures[r] = ValidationError.__name__
+    return t, delta, failures
+
+
 def _bootstrap_refits(
     p_hat: BvfParams, data: CompetingRisksData, children
 ) -> tuple[np.ndarray, list]:
@@ -845,20 +888,9 @@ def _bootstrap_refits(
     ``fit_mle(from_bivariate(sample(p_hat, n, default_rng(child)), C))``
     would, in one stacked pass. Returns the (B, 4) estimates in
     ``PARAM_NAMES`` order and, per resample, None or the reason it failed."""
-    n = data.n
-    v = np.stack([np.random.default_rng(child).random((3, n)) for child in children])
-    x, y = _pairs_from_uniforms(p_hat, v)
-    t, delta = _first_failure(x, y, data.censoring_time)
-    failures: list = [None] * len(children)
-    # the errors from_bivariate and CompetingRisksData raise for such a row
-    coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
-    times_ok = np.isfinite(t).all(axis=-1)
-    for b in np.flatnonzero(~coords_ok).tolist():
-        failures[b] = DomainError.__name__
-    for b in np.flatnonzero(coords_ok & ~times_ok).tolist():
-        failures[b] = ValidationError.__name__
+    t, delta, failures = _draw_stack(p_hat, data.n, children, data.censoring_time)
     estimates = np.full((len(children), 4), np.nan)
-    rows = np.flatnonzero(coords_ok & times_ok)
+    rows = np.flatnonzero([f is None for f in failures])
     if rows.size:
         fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]), _DEFAULT_OPTIONS)
         for j, b in enumerate(rows.tolist()):

@@ -1,18 +1,32 @@
-"""Likelihood-based choice among the three baseline kinds for one dataset.
+"""Likelihood-based choice among the three baseline kinds.
 
 Every candidate spends the same four parameters, so the best candidate is
 the one with the largest maximized log-likelihood; each candidate's AIC is
 reported alongside. Candidates whose profile has no maximum are excluded
 from the ranking rather than failing the whole selection.
+
+:func:`select_model` chooses for one dataset; a selection study chooses for
+a stack of equal-length datasets at once (:func:`_select_stack`), with the
+same ranking rule and one fitting-engine call per candidate kind.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .baselines import BaselineKind
 from .data_model import CompetingRisksData
-from .errors import SelectionError, ValidationError
-from .inference import FitResult, FitStatus, fit_mle
+from .errors import BvfError, SelectionError, ValidationError
+from .inference import (
+    _DEFAULT_OPTIONS,
+    FitResult,
+    FitStatus,
+    _fit_stack,
+    _loglik_rows,
+    _Stack,
+    fit_mle,
+)
 
 __all__ = [
     "N_PARAMS",
@@ -78,7 +92,9 @@ def select_model(
 
     Ranking is by maximized log-likelihood, descending. Exact likelihood
     ties (a probability-zero event) break by the fixed kind order Weibull <
-    Gompertz < Lomax, for reproducibility.
+    Gompertz < Lomax, for reproducibility. A selection study ranks each of
+    its datasets by this same rule, fitted in stacks rather than through
+    :func:`fit_mle`, so its choice for a dataset is the one made here.
 
     Raises
     ------
@@ -93,7 +109,7 @@ def select_model(
     if len(set(kinds)) != len(kinds):
         raise ValidationError("candidate kinds must be distinct")
 
-    ranked: list[tuple[BaselineKind, FitResult]] = []
+    fits: dict[BaselineKind, FitResult] = {}
     excluded: list[tuple[BaselineKind, str]] = []
     for kind in sorted(kinds, key=lambda k: k.order):
         fit = fit_mle(data, kind)
@@ -102,11 +118,49 @@ def select_model(
                 (kind, "profile log-likelihood is monotone over the search bracket")
             )
         else:
-            ranked.append((kind, fit))
-    if not ranked:
+            fits[kind] = fit
+    if not fits:
         raise SelectionError(
             "all candidate fits failed: "
             + "; ".join(f"{kind.value}: {reason}" for kind, reason in excluded)
         )
-    ranked.sort(key=lambda kf: (-kf[1].loglik_max, kf[0].order))
-    return SelectionResult(ranked=tuple(ranked), excluded=tuple(excluded))
+    ranked = _rank([(kind, fit.loglik_max) for kind, fit in fits.items()])
+    return SelectionResult(
+        ranked=tuple((kind, fits[kind]) for kind, _ in ranked),
+        excluded=tuple(excluded),
+    )
+
+
+def _rank(scored: list) -> list:
+    """(kind, maximized log-likelihood) pairs, given in kind order, sorted
+    best-first: by log-likelihood descending, an exact tie (a
+    probability-zero event) going to the earlier kind in the fixed order
+    Weibull < Gompertz < Lomax, for reproducibility."""
+    return sorted(scored, key=lambda kl: (-kl[1], kl[0].order))
+
+
+def _select_stack(
+    t: np.ndarray, delta: np.ndarray, candidates: Iterable[BaselineKind]
+) -> list[Optional[BaselineKind]]:
+    """The kind :func:`select_model` chooses for each row of a (R, n) record
+    stack, or None for a row where it raises: a candidate's fit ends in an
+    error, or every candidate is excluded. Each candidate kind is fitted on
+    all rows in one engine call, each row bit for bit as :func:`fit_mle`
+    fits it alone, and its log-likelihood is :func:`log_likelihood`'s."""
+    R = t.shape[0]
+    scored: list[list] = [[] for _ in range(R)]
+    failed = np.zeros(R, dtype=bool)
+    for kind in sorted(candidates, key=lambda k: k.order):
+        stack = _Stack(kind, t, delta)
+        fits = _fit_stack(stack, _DEFAULT_OPTIONS)
+        failed |= [isinstance(o, BvfError) for o in fits.outcome]
+        rows = np.flatnonzero(
+            [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome]
+        )
+        logliks = _loglik_rows(stack, rows, fits.lam[rows], fits.alphas[:, rows])
+        for r, loglik in zip(rows.tolist(), logliks):
+            scored[r].append((kind, loglik))
+    return [
+        None if failed[r] or not scored[r] else _rank(scored[r])[0][0]
+        for r in range(R)
+    ]

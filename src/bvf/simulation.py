@@ -2,10 +2,14 @@
 
 Both studies draw replication RNG streams up front from one seed
 (SeedSequence spawning), so a study is reproducible bit-for-bit under any
-worker count or scheduling order. A work item is one replication: a
-module-level replicate function bound to the study's config (and, for
-selection, the sample size) by ``functools.partial``, applied to that
-replication's stream. With ``workers > 1`` the items run in a process pool.
+worker count or scheduling order. A work item is a contiguous chunk of
+replications: a module-level chunk function bound to the study's config
+(and, for selection, the sample size) by ``functools.partial``, applied to
+the chunk's streams. An estimation chunk runs its replications one by one;
+a selection chunk draws all its datasets as one stack and fits each
+candidate kind on the whole stack in one engine call. With ``workers = 1``
+a cell is one chunk, run in this process; with ``workers > 1`` it is split
+into that many chunks, which run in a process pool.
 """
 
 import functools
@@ -16,7 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .baselines import BaselineKind
-from .bvf_model import BvfParams, _seed_sequence, censoring_threshold, sample
+from .bvf_model import (
+    BvfParams,
+    _check_count,
+    _seed_sequence,
+    censoring_threshold,
+    sample,
+)
 from .data_model import from_bivariate
 from .errors import (
     BvfError,
@@ -27,11 +37,15 @@ from .errors import (
 from .inference import (
     PARAM_NAMES,
     FitStatus,
+    _draw_stack,
     asymptotic_ci,
     bootstrap_ci,
     fit_mle,
 )
-from .selection import select_model
+# select_model is not called here (studies select in stacks), but stays a
+# name of this module: perfbench's tracer rebinds it in every namespace
+# that held it
+from .selection import _select_stack, select_model  # noqa: F401
 
 __all__ = [
     "EstimationStudyConfig",
@@ -88,6 +102,8 @@ class EstimationStudyConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n", "replications", "bootstrap_B", "workers"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.n < 10:
             raise ValidationError(f"n must be >= 10, got {self.n}")
         if self.replications < 1:
@@ -179,7 +195,8 @@ class EstimationStudyReport:
 
 
 def _estimation_replicate(config: EstimationStudyConfig, child):
-    """One replication; module-level so process pools can pickle it."""
+    """One replication: None if it failed, "no_mle" if its fit found no MLE,
+    else its estimate and its interval dicts."""
     true_params = config.true_params
     streams = child.spawn(2)
     try:
@@ -226,13 +243,22 @@ def _interval_stats(rows, truth) -> list[IntervalSummary]:
     ]
 
 
-def _run_replicates(worker, children, workers: int):
-    """``worker`` applied to each replication's stream, in order."""
-    if workers > 1:
-        chunk = max(1, len(children) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, children, chunksize=chunk))
-    return [worker(child) for child in children]
+def _estimation_chunk(config: EstimationStudyConfig, children) -> list:
+    """The replications of ``children``, one by one; module-level so
+    process pools can pickle it."""
+    return [_estimation_replicate(config, child) for child in children]
+
+
+def _run_chunks(worker, children, workers: int) -> list:
+    """``worker`` applied to ``workers`` contiguous chunks of the
+    replications' streams, its per-replication results concatenated in
+    order. One chunk runs in this process, more in a process pool."""
+    bounds = [len(children) * i // workers for i in range(workers + 1)]
+    chunks = [children[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(chunks) == 1:
+        return worker(chunks[0])
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [r for part in pool.map(worker, chunks) for r in part]
 
 
 def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport:
@@ -248,8 +274,8 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     """
     reps = config.replications
     children = np.random.SeedSequence(config.seed).spawn(reps)
-    worker = functools.partial(_estimation_replicate, config)
-    results = _run_replicates(worker, children, config.workers)
+    worker = functools.partial(_estimation_chunk, config)
+    results = _run_chunks(worker, children, config.workers)
     kept = [r for r in results if r is not None and r != "no_mle"]
     failed = reps - len(kept)
     hard = failed - sum(1 for r in results if r == "no_mle")
@@ -312,7 +338,11 @@ class SelectionStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(
+            self, "n_grid", tuple(_check_count("n", n) for n in self.n_grid)
+        )
+        for name in ("replications", "workers"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if len(self.candidates) not in (2, 3):
             raise ValidationError("candidate set must have size 2 or 3")
         if len(set(self.candidates)) != len(self.candidates):
@@ -374,26 +404,39 @@ class SelectionStudyReport:
         return out
 
 
-def _selection_replicate(config: SelectionStudyConfig, n: int, child):
-    try:
-        pairs = sample(config.parent_params, n, np.random.default_rng(child))
-        data = from_bivariate(pairs)
-        result = select_model(data, config.candidates)
-    except BvfError:
-        return None
-    return result.chosen
+def _selection_chunk(config: SelectionStudyConfig, n: int, children) -> list:
+    """The kind each replication of ``children`` selects, or None where it
+    is dropped: what ``select_model(from_bivariate(sample(parent, n,
+    default_rng(child))), candidates)`` returns, or None where that raises.
+    All the chunk's datasets are drawn as one stack and each candidate kind
+    is fitted on it in one engine call; module-level so process pools can
+    pickle it."""
+    t, delta, failures = _draw_stack(config.parent_params, n, children, None)
+    ok = np.flatnonzero([f is None for f in failures])
+    chosen: list = [None] * len(children)
+    if ok.size:
+        for r, kind in zip(ok.tolist(), _select_stack(t[ok], delta[ok], config.candidates)):
+            chosen[r] = kind
+    return chosen
 
 
 def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     """Empirical probability that each candidate is selected, per sample
-    size. Replications where every candidate fails are dropped and counted;
-    within a row the probabilities sum to 1 over the candidates."""
+    size; within a row the probabilities sum to 1 over the candidates.
+
+    Each replication chooses as :func:`select_model` would on its dataset,
+    but a cell's datasets are fitted as stacks, one engine call per
+    candidate kind and chunk, not one ``select_model`` call per dataset. A
+    replication is dropped, and counted, where ``select_model`` would
+    raise: its data are invalid, a candidate's fit ends in an error, or
+    every candidate is excluded. More than 10% dropped at any n aborts the
+    study as a misconfiguration signal."""
     reps = config.replications
     children = np.random.SeedSequence(config.seed).spawn(reps * len(config.n_grid))
     rows = []
     for i, n in enumerate(config.n_grid):
-        worker = functools.partial(_selection_replicate, config, n)
-        chosen = _run_replicates(
+        worker = functools.partial(_selection_chunk, config, n)
+        chosen = _run_chunks(
             worker, children[i * reps : (i + 1) * reps], config.workers
         )
         kept = [c for c in chosen if c is not None]

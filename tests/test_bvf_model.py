@@ -256,6 +256,14 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(PW, -3, seed=1)
 
+    @pytest.mark.parametrize("n", [2.7, 3.0, True, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            sample(PW, n, seed=1)
+
+    def test_numpy_integer_n_accepted(self):
+        np.testing.assert_array_equal(sample(PW, np.int64(7), 1), sample(PW, 7, 1))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):

@@ -627,6 +627,12 @@ class TestBootstrapCi:
         with pytest.raises(DomainError):
             bootstrap_ci(fit, data, B=0, seed=5)
 
+    @pytest.mark.parametrize("B", [20.9, 20.0, True])
+    def test_non_integer_b_rejected(self, fitted, B):
+        data, fit = fitted
+        with pytest.raises(ValidationError, match="B must be an integer"):
+            bootstrap_ci(fit, data, B=B, seed=5)
+
     def test_requires_converged_fit(self, data12):
         fit = fit_mle(data12, L)
         with pytest.raises(EstimationError):

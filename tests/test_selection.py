@@ -2,8 +2,11 @@
 
 import pytest
 
+import numpy as np
+
 from bvf import (
     BaselineKind,
+    BvfError,
     BvfParams,
     CompetingRisksData,
     FitStatus,
@@ -14,6 +17,7 @@ from bvf import (
     sample,
     select_model,
 )
+from bvf.selection import _select_stack
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 
@@ -67,6 +71,26 @@ def test_all_candidates_failing_is_an_error():
     data = CompetingRisksData([1.0, 1.0, 1.0], [0, 1, 2])
     with pytest.raises(SelectionError):
         select_model(data)
+
+
+@pytest.mark.parametrize("candidates", [(W, G, L), (G, L), (L,)])
+def test_stacked_selection_drops_where_select_model_raises(data12, candidates):
+    # rows: twelve records that rank Weibull over Gompertz and exclude Lomax;
+    # the same twelve all censored (every fit raises); twelve Lomax draws
+    # that rank Lomax over Weibull and exclude Gompertz
+    lomax = from_bivariate(sample(BvfParams(L, 0.85, 0.57, 0.74, 0.69), 12, seed=2))
+    rows = [(T12, D12), ([1.5] * 12, [3] * 12), (lomax.t, lomax.delta)]
+    t = np.array([r[0] for r in rows])
+    delta = np.array([r[1] for r in rows], dtype=np.int8)
+    want = []
+    for times, deltas in rows:
+        try:
+            want.append(select_model(CompetingRisksData(times, deltas), candidates).chosen)
+        except BvfError:
+            want.append(None)
+    assert _select_stack(t, delta, candidates) == want
+    assert want[1] is None
+    assert want[2] is L
 
 
 def test_boundary_fits_still_rank():

@@ -1,4 +1,7 @@
-"""Monte Carlo study harness: metrics, determinism, failure policy."""
+"""Monte Carlo study harness: metrics, determinism, failure policy, and the
+stacked selection study's equivalence with one select_model per dataset."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,19 +10,31 @@ from hypothesis import strategies as st
 
 from bvf import (
     BaselineKind,
+    BvfError,
     BvfParams,
     DomainError,
     EstimationError,
     EstimationStudyConfig,
     SelectionStudyConfig,
     ValidationError,
+    from_bivariate,
+    log_likelihood,
     relative_metrics,
     run_estimation_study,
     run_selection_study,
+    sample,
+    select_model,
 )
+from bvf.inference import _loglik_rows, _Stack
+from bvf.simulation import _selection_chunk
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 PW = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
+CAPTION = {
+    W: PW,
+    G: BvfParams(G, 1.13, 0.96, 0.79, 1.05),
+    L: BvfParams(L, 0.85, 0.57, 0.74, 0.69),
+}
 
 
 class TestRelativeMetrics:
@@ -85,6 +100,24 @@ class TestEstimationConfig:
         with pytest.raises(ValidationError, match="seed"):
             EstimationStudyConfig(true_params=PW, n=50, replications=5, seed=seed)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 50.5), ("n", 50.0), ("replications", 2.5), ("replications", True),
+         ("bootstrap_B", 3.5), ("workers", 1.5)],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        base = dict(true_params=PW, n=50, replications=5, bootstrap_B=0)
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            EstimationStudyConfig(**{**base, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = EstimationStudyConfig(
+            true_params=PW, n=np.int64(50), replications=np.int32(5),
+            bootstrap_B=np.int64(0), workers=np.int8(1),
+        )
+        assert (cfg.n, cfg.replications, cfg.bootstrap_B, cfg.workers) == (50, 5, 0, 1)
+        assert type(cfg.n) is int
+
 
 class TestEstimationStudy:
     def test_single_replication_degenerates_to_one_fit(self):
@@ -114,7 +147,8 @@ class TestEstimationStudy:
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_workers_do_not_change_results(self):
-        base = dict(true_params=PW, n=60, replications=6, bootstrap_B=0, seed=14)
+        # 7 replications: the two workers' chunks have unequal sizes
+        base = dict(true_params=PW, n=60, replications=7, bootstrap_B=5, seed=14)
         serial = run_estimation_study(EstimationStudyConfig(**base, workers=1))
         pooled = run_estimation_study(EstimationStudyConfig(**base, workers=2))
         assert serial.to_json_dict() == pooled.to_json_dict()
@@ -188,6 +222,17 @@ class TestSelectionConfig:
                 seed=seed,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_grid", (50, 50.7)), ("n_grid", (True,)), ("replications", 2.5),
+         ("workers", 1.5)],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        base = dict(parent_params=PW, candidates=(W, G), n_grid=(50,), replications=5)
+        name = "n" if field == "n_grid" else field
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            SelectionStudyConfig(**{**base, field: value})
+
 
 class TestSelectionStudy:
     def test_rows_sum_to_one(self):
@@ -202,8 +247,10 @@ class TestSelectionStudy:
             assert row.replications_used + row.dropped == 30
 
     def test_deterministic_and_worker_free(self):
+        # 7 replications: the two workers' chunks have unequal sizes
         base = dict(
-            parent_params=PW, candidates=(W, G), n_grid=(40,), replications=12, seed=3
+            parent_params=PW, candidates=(W, G, L), n_grid=(40, 90), replications=7,
+            seed=3,
         )
         a = run_selection_study(SelectionStudyConfig(**base, workers=1))
         b = run_selection_study(SelectionStudyConfig(**base, workers=2))
@@ -226,3 +273,64 @@ class TestSelectionStudy:
         assert d["candidates"] == ["Weibull", "Gompertz"]
         assert d["rows"][0]["n"] == 40
         assert set(d["rows"][0]["probabilities"]) == {"Weibull", "Gompertz"}
+
+
+class TestStackedSelection:
+    """The study fits each cell's datasets as stacks; every replication must
+    still choose what select_model chooses on its dataset alone."""
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("parent", [W, G, L])
+    def test_each_replicate_matches_select_model(self, parent, n):
+        params = CAPTION[parent]
+        cfg = SelectionStudyConfig(
+            parent_params=params, candidates=(W, G, L), n_grid=(n,),
+            replications=25, seed=8800 + parent.order,
+        )
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+        want = []
+        gompertz_excluded = 0
+        for child in children:
+            data = from_bivariate(sample(params, n, np.random.default_rng(child)))
+            try:
+                result = select_model(data, cfg.candidates)
+            except BvfError:
+                want.append(None)
+                continue
+            want.append(result.chosen)
+            gompertz_excluded += any(kind is G for kind, _ in result.excluded)
+        assert _selection_chunk(cfg, n, children) == want
+        # excluded candidates are part of what the stack must reproduce; the
+        # Weibull and Lomax parents' seeds exclude Gompertz on most datasets
+        assert parent is G or gompertz_excluded > 0
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_log_likelihood_is_the_one_row_case(self, kind):
+        # mixed rows: complete and censored data, a zero alpha against a
+        # nonzero count, and a large lambda (which overflows the Weibull and
+        # Gompertz survival sums)
+        n = 40
+        rng = np.random.default_rng(17)
+        datasets, params = [], []
+        for r in range(8):
+            p = CAPTION[kind]
+            data = from_bivariate(
+                sample(p, n, rng), None if r % 2 == 0 else 0.8 + 0.1 * r
+            )
+            alphas = [float(a) for a in rng.uniform(0.2, 2.0, 3)]
+            lam = float(rng.uniform(0.3, 3.0))
+            if r == 2:
+                alphas[0] = 0.0
+            if r == 5:
+                lam = 1e3
+            datasets.append(data)
+            params.append(BvfParams(kind, *alphas, lam))
+        t = np.stack([d.t for d in datasets])
+        delta = np.stack([d.delta for d in datasets])
+        lam = np.array([p.lam for p in params])
+        alphas = np.array([[p.alpha0, p.alpha1, p.alpha2] for p in params]).T
+        got = _loglik_rows(_Stack(kind, t, delta), np.arange(len(params)), lam, alphas)
+        want = [log_likelihood(p, d) for p, d in zip(params, datasets)]
+        assert got == want
+        assert want[2] == -math.inf
+        assert sum(math.isfinite(v) for v in want) >= 6
