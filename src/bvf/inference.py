@@ -15,7 +15,12 @@ closed-form first and second derivatives, then locates it.
 One engine fits R equal-length datasets at once, stacked as (R, n) arrays:
 :func:`fit_mle` is its one-row case, and :func:`bootstrap_ci` refits all its
 resamples in one call. Every sum runs along a row in NumPy, so a row's fit
-does not depend on the other rows.
+does not depend on the other rows. Each pass over the records, and the
+bootstrap's draws, run in row blocks of at most 16384 records
+(``_SCAN_RECORDS``). Their temporaries stay in cache and are reused from
+block to block, where whole-stack temporaries would be mapped and faulted
+in afresh on every pass: a boot-study replicate (n=400, B=100) took about
+1470 minor page faults as one block and about 125 in blocks.
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -97,8 +102,22 @@ _MODES = np.array([[FailureMode.TIE], [FailureMode.RISK1_FIRST], [FailureMode.RI
 # every row of a stack; for a one-row stack, a view instead of a gather
 _ALL = slice(None)
 
-# records per ladder-scan call below which the call's fixed cost dominates
+# Records per block of a stacked pass, and per ladder-scan call below which
+# the call's fixed cost dominates. A block's float temporaries take at most
+# 128 KB: they stay in cache, and glibc's malloc hands the same memory back
+# from block to block. Whole-stack temporaries (0.3-5 MB in a bootstrap
+# stack) are mapped afresh on every pass, and each new page costs a minor
+# fault of about 2 us. On a 2-core x86-64 host with NumPy 2.4, exp(lam*x)
+# summed over 300 x 400 records took 0.9-1.2 ms with 436 faults as one
+# block, and 0.26-0.35 ms with none in 40-row blocks.
 _SCAN_RECORDS = 1 << 14
+
+
+def _row_blocks(R: int, n: int) -> list:
+    """Slices of consecutive rows of a (R, n) stack, each holding at most
+    _SCAN_RECORDS records and never fewer than one row."""
+    per = max(1, _SCAN_RECORDS // n)
+    return [slice(lo, min(lo + per, R)) for lo in range(0, R, per)]
 
 
 class _Stack:
@@ -107,75 +126,114 @@ class _Stack:
 
     ``x`` holds the per-record transform: log(t) for Weibull (so t**lam =
     exp(lam*log t)), t itself otherwise; ``unc`` marks uncensored records.
-    Methods take rows (an index array, or a slice) and one lambda per row,
+    Methods take rows (an index array, or ``_ALL``) and one lambda per row,
     and reduce along the last axis only, so a row's numbers are the same
     bits whatever else is stacked with it. Callers silence floating-point
     warnings: overflow saturates to inf and the log of 0 is -inf.
+
+    Every pass over the records runs in row blocks of at most
+    ``_SCAN_RECORDS`` records (:func:`_row_blocks`), and only per-row sums
+    leave a block. Each row is still summed whole, as one contiguous row,
+    so the blocks change no bit; they keep the temporaries small enough to stay
+    in cache and be reused, where (R, n) temporaries would be mapped and
+    page-faulted in afresh on every pass. A one-row stack evaluated at
+    several lambdas broadcasts its row instead of gathering copies.
     """
 
     __slots__ = ("kind", "x", "unc", "counts", "m", "unc_sum")
 
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray):
         self.kind = kind
-        self.x = np.log(t) if kind is BaselineKind.WEIBULL else t
+        R, n = t.shape
+        self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
         self.unc = delta != FailureMode.CENSORED
-        self.counts = (delta[..., None, :] == _MODES).sum(axis=-1).T
-        self.m = self.counts.sum(axis=0)
+        self.counts = np.empty((3, R), dtype=np.int64)
         # sum_unc log h0 is m log(lam) plus lam (Gompertz) or lam - 1
         # (Weibull) times this sum; for Lomax it needs a pass per lambda
         if kind is not BaselineKind.LOMAX:
-            self.unc_sum = np.where(self.unc, self.x, 0.0).sum(axis=-1)
+            self.unc_sum = np.empty(R)
+        for blk in _row_blocks(R, n):
+            if kind is BaselineKind.WEIBULL:
+                np.log(t[blk], out=self.x[blk])
+            self.counts[:, blk] = (delta[blk, None, :] == _MODES).sum(axis=-1).T
+            if kind is not BaselineKind.LOMAX:
+                self.unc_sum[blk] = np.where(self.unc[blk], self.x[blk], 0.0).sum(axis=-1)
+        self.m = self.counts.sum(axis=0)
+
+    def _block(self, rows, sel):
+        """x and, for Lomax, unc (None otherwise) of ``rows[sel]``. A one-row
+        stack gives its own (1, n) arrays, which broadcast against any
+        number of lambdas, instead of gathering copies of its row."""
+        if self.x.shape[0] == 1:
+            return self.x, self.unc
+        idx = sel if rows is _ALL else rows[sel]
+        return self.x[idx], self.unc[idx] if self.kind is BaselineKind.LOMAX else None
+
+    def _rowwise(self, sums, rows, lam):
+        """The per-row sums that ``sums(x, unc, lam)`` returns for a block of
+        records, at each of ``rows``: evaluated in the blocks of
+        :func:`_row_blocks` (``per`` rows each), and joined into one (k, R)
+        array when there is more than one."""
+        per = max(1, _SCAN_RECORDS // self.x.shape[-1])
+        if lam.size <= per:
+            return sums(*self._block(rows, _ALL), lam)
+        return np.concatenate(
+            [
+                sums(*self._block(rows, blk), lam[blk])
+                for blk in _row_blocks(lam.size, self.x.shape[-1])
+            ],
+            axis=1,
+        )
+
+    def _survival_sums(self, x, unc, lam):
+        """The per-row record sums of :meth:`survival` over one block."""
+        z = lam[:, None] * x
+        if self.kind is BaselineKind.WEIBULL:
+            return (np.exp(z).sum(axis=-1),)
+        if self.kind is BaselineKind.GOMPERTZ:
+            return (np.expm1(z).sum(axis=-1),)
+        s = np.log1p(z)
+        return s.sum(axis=-1), np.where(unc, s, 0.0).sum(axis=-1)
 
     def survival(self, rows, lam):
-        """z = lam*x, the survival sum a = -sum_all log S0(t_i) and the hazard
-        sum c = sum_unc log h0(t_i) at each row, in one transcendental pass."""
-        x = self.x[rows]
-        z = lam[:, None] * x
+        """The survival sum a = -sum_all log S0(t_i) and the hazard sum
+        c = sum_unc log h0(t_i) at each row, in one transcendental pass."""
+        sums = self._rowwise(self._survival_sums, rows, lam)
         c = self.m[rows] * np.log(lam)
         if self.kind is BaselineKind.WEIBULL:
-            s = np.exp(z)
             c += (lam - 1.0) * self.unc_sum[rows]
         elif self.kind is BaselineKind.GOMPERTZ:
-            s = np.expm1(z)
             c += lam * self.unc_sum[rows]
         else:
-            s = np.log1p(z)
-            c -= np.where(self.unc[rows], s, 0.0).sum(axis=-1)
-        return z, s.sum(axis=-1), c
+            c -= sums[1]
+        return sums[0], c
 
     def profile(self, rows, lam) -> np.ndarray:
         """p(lambda) = c - m log a at each row; -inf where a vanishes or is
         undefined. A survival sum past double range (Weibull and Gompertz
         only; Lomax sums grow logarithmically) has its log taken as a
-        logsumexp over z, the -1 terms of Gompertz's expm1 being negligible
-        there: keeping the profile finite stops a monotone rise being
-        mistaken for an interior maximum."""
-        z, a, c = self.survival(rows, lam)
+        logsumexp over z = lam*x, the -1 terms of Gompertz's expm1 being
+        negligible there: keeping the profile finite stops a monotone rise
+        being mistaken for an interior maximum."""
+        a, c = self.survival(rows, lam)
         m = self.m[rows]
         log_a = np.log(a)
         p = c - m * log_a
         if not np.isfinite(log_a).all():
             if self.kind is not BaselineKind.LOMAX:
                 over = np.flatnonzero(a == np.inf)
-                e, hi = _shifted_exp(z[over])
+                e, hi = _shifted_exp(lam[over, None] * self._block(rows, over)[0])
                 p[over] = c[over] - m[over] * (hi + np.log(e.sum(axis=-1)))
             p[~((a > 0.0) & (p > -np.inf))] = -np.inf
         return p
 
-    def _slopes(self, rows, lam):
-        """z, the survival sum a and its lambda derivatives a' and a'' at each
-        row, and for Lomax the uncensored sums of q and q**2 that the hazard
-        terms need. Weibull and Gompertz share a = sum exp(lam*x) up to a
-        constant, so a' = sum x exp(lam*x) and a'' = sum x**2 exp(lam*x); for
-        Lomax, with q = t / (1 + lam*t), a' = sum q and a'' = -sum q**2."""
-        x = self.x[rows]
+    def _slope_sums(self, x, unc, lam):
+        """The per-row record sums of :meth:`_slopes` over one block."""
         z = lam[:, None] * x
         if self.kind is BaselineKind.LOMAX:
             q = x / (1.0 + z)
             qq = q * q
-            unc = self.unc[rows]
             return (
-                z,
                 np.log1p(z).sum(axis=-1),
                 q.sum(axis=-1),
                 -qq.sum(axis=-1),
@@ -188,12 +246,22 @@ class _Stack:
         else:
             s = np.expm1(z)
             xe = x * (s + 1.0)
-        return z, s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1), None, None
+        return s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1)
+
+    def _slopes(self, rows, lam):
+        """The survival sum a and its lambda derivatives a' and a'' at each
+        row, and for Lomax the uncensored sums of q and q**2 that the hazard
+        terms need (None otherwise). Weibull and Gompertz share
+        a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x) and
+        a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
+        a' = sum q and a'' = -sum q**2."""
+        sums = self._rowwise(self._slope_sums, rows, lam)
+        return tuple(sums) if self.kind is BaselineKind.LOMAX else (*sums, None, None)
 
     def moments(self, rows, lam):
         """a', a'' and c'' at each row (see :meth:`_slopes`); c'' is
         -m / lam**2, plus sum_unc q**2 for Lomax."""
-        _, _, a1, a2, _, uq2 = self._slopes(rows, lam)
+        _, a1, a2, _, uq2 = self._slopes(rows, lam)
         c2 = -self.m[rows] / lam**2
         return a1, a2, c2 if uq2 is None else c2 + uq2
 
@@ -208,15 +276,15 @@ class _Stack:
         m - lam sum_unc q (Lomax), and lam**2 c'' is -m, plus
         lam**2 sum_unc q**2 for Lomax.
         """
-        z, a, a1, a2, uq, uq2 = self._slopes(rows, lam)
+        a, a1, a2, uq, uq2 = self._slopes(rows, lam)
         m = self.m[rows]
         r1 = a1 / a
         r2 = a2 / a
         if self.kind is not BaselineKind.LOMAX and not np.isfinite(r2).all():
             # survival sums past double range: the ratios from exp(z - max z)
             over = np.flatnonzero(a == np.inf)
-            x = self.x[rows][over]
-            e, _ = _shifted_exp(z[over])
+            x = self._block(rows, over)[0]
+            e, _ = _shifted_exp(lam[over, None] * x)
             se = e.sum(axis=-1)
             xe = x * e
             r1[over] = xe.sum(axis=-1) / se
@@ -265,7 +333,7 @@ def _loglik_rows(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) -> li
     one stacked pass; the rest is scalar arithmetic per row, so every row
     gets the bits its one-row call would."""
     with np.errstate(all="ignore"):
-        _, a, c = stack.survival(rows, lam)
+        a, c = stack.survival(rows, lam)
     return [
         _loglik_from_sums(m, alpha, a_r, c_r)
         for m, alpha, a_r, c_r in zip(
@@ -301,7 +369,7 @@ def alphas_given_lambda(
     lam = _check_lambda(lam)
     ws = _workspace(data, kind)
     with np.errstate(all="ignore"):
-        a = float(ws.survival(_ALL, np.array([lam]))[1][0])
+        a = float(ws.survival(_ALL, np.array([lam]))[0][0])
     if not math.isfinite(a) or a <= 0.0:
         raise DegenerateDataError(f"sum of log S0 vanished or overflowed at lambda={lam!r}")
     m0, m1, m2 = ws.counts[:, 0].tolist()
@@ -575,14 +643,16 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
             outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
 
     alphas = stack.counts / a_hat
-    for r in inner.tolist():
+    finite = (np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]
+    full = stack.counts[:, inner].all(axis=0)
+    for r, ok, interior in zip(inner.tolist(), finite.tolist(), full.tolist()):
         if outcome[r] is not None:
             continue
-        if not (math.isfinite(a_hat[r]) and np.isfinite(alphas[:, r]).all()):
+        if not ok:
             outcome[r] = DegenerateDataError(
                 f"sum of log S0 vanished or overflowed at lambda={float(lam_hat[r])!r}"
             )
-        elif stack.counts[:, r].all():
+        elif interior:
             outcome[r] = FitStatus.CONVERGED
         else:
             outcome[r] = FitStatus.BOUNDARY_ALPHA_ZERO
@@ -864,20 +934,32 @@ def bootstrap_ci(
 
 def _draw_stack(p: BvfParams, n: int, children, censoring_time):
     """The records ``from_bivariate(sample(p, n, default_rng(child)), C)``
-    gives for each ``SeedSequence`` child, drawn and transformed as one
-    (R, n) stack. Returns ``t``, ``delta`` and, per row, None or the name of
-    the error ``from_bivariate`` would raise for that row."""
-    v = np.stack([np.random.default_rng(child).random((3, n)) for child in children])
-    x, y = _pairs_from_uniforms(p, v)
-    t, delta = _first_failure(x, y, censoring_time)
-    failures: list = [None] * len(children)
-    # the errors from_bivariate and CompetingRisksData raise for such a row
-    coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
-    times_ok = np.isfinite(t).all(axis=-1)
-    for r in np.flatnonzero(~coords_ok).tolist():
-        failures[r] = DomainError.__name__
-    for r in np.flatnonzero(coords_ok & ~times_ok).tolist():
-        failures[r] = ValidationError.__name__
+    gives for each ``SeedSequence`` child, as one (R, n) stack. Returns
+    ``t``, ``delta`` and, per row, None or the name of the error
+    ``from_bivariate`` would raise for that row. The rows are drawn and
+    transformed in blocks of :func:`_row_blocks` that hold at most
+    ``_SCAN_RECORDS`` uniforms (3n per row), so no temporary of the inverse
+    transform outgrows a block of the engine's; each child's uniforms go
+    into one reused buffer, from the same stream ``random((3, n))`` draws."""
+    R = len(children)
+    t = np.empty((R, n))
+    delta = np.empty((R, n), dtype=np.int8)
+    failures: list = [None] * R
+    blocks = _row_blocks(R, 3 * n)
+    v = np.empty((blocks[0].stop, 3, n))
+    for blk in blocks:
+        u = v[: blk.stop - blk.start]
+        for child, out in zip(children[blk], u):
+            np.random.default_rng(child).random(out=out)
+        x, y = _pairs_from_uniforms(p, u)
+        t[blk], delta[blk] = _first_failure(x, y, censoring_time)
+        # the errors from_bivariate and CompetingRisksData raise for such a row
+        coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
+        times_ok = np.isfinite(t[blk]).all(axis=-1)
+        for r in np.flatnonzero(~coords_ok).tolist():
+            failures[blk.start + r] = DomainError.__name__
+        for r in np.flatnonzero(coords_ok & ~times_ok).tolist():
+            failures[blk.start + r] = ValidationError.__name__
     return t, delta, failures
 
 
@@ -893,11 +975,12 @@ def _bootstrap_refits(
     rows = np.flatnonzero([f is None for f in failures])
     if rows.size:
         fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]), _DEFAULT_OPTIONS)
-        for j, b in enumerate(rows.tolist()):
+        got = np.array(
+            [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome]
+        )
+        estimates[rows[got], :3] = fits.alphas[:, got].T
+        estimates[rows[got], 3] = fits.lam[got]
+        for j in np.flatnonzero(~got).tolist():
             o = fits.outcome[j]
-            if o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO:
-                estimates[b, :3] = fits.alphas[:, j]
-                estimates[b, 3] = fits.lam[j]
-            else:
-                failures[b] = o.value if isinstance(o, FitStatus) else type(o).__name__
+            failures[rows[j]] = o.value if isinstance(o, FitStatus) else type(o).__name__
     return estimates, failures

@@ -8,8 +8,9 @@ replications: a module-level chunk function bound to the study's config
 the chunk's streams. An estimation chunk runs its replications one by one;
 a selection chunk draws all its datasets as one stack and fits each
 candidate kind on the whole stack in one engine call. With ``workers = 1``
-a cell is one chunk, run in this process; with ``workers > 1`` it is split
-into that many chunks, which run in a process pool.
+each cell is one chunk, run in this process; with ``workers > 1`` each cell
+is split into that many chunks, and the chunks of all of a study's cells
+run in one process pool.
 """
 
 import functools
@@ -249,16 +250,26 @@ def _estimation_chunk(config: EstimationStudyConfig, children) -> list:
     return [_estimation_replicate(config, child) for child in children]
 
 
-def _run_chunks(worker, children, workers: int) -> list:
-    """``worker`` applied to ``workers`` contiguous chunks of the
-    replications' streams, its per-replication results concatenated in
-    order. One chunk runs in this process, more in a process pool."""
-    bounds = [len(children) * i // workers for i in range(workers + 1)]
-    chunks = [children[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(chunks) == 1:
-        return worker(chunks[0])
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return [r for part in pool.map(worker, chunks) for r in part]
+def _run_chunks(cells, workers: int) -> list:
+    """For each cell of a study, a (worker, streams) pair, ``worker``
+    applied to ``workers`` contiguous chunks of the cell's streams; returns
+    each cell's per-replication results, concatenated in order. When every
+    cell is one chunk they run in this process; otherwise all chunks of
+    all cells share one process pool."""
+    jobs = []
+    for i, (worker, children) in enumerate(cells):
+        bounds = [len(children) * j // workers for j in range(workers + 1)]
+        jobs += [(i, worker, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    results: list = [[] for _ in cells]
+    if len(jobs) == len(cells):
+        for i, worker, chunk in jobs:
+            results[i] += worker(chunk)
+        return results
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        futures = [(i, pool.submit(worker, chunk)) for i, worker, chunk in jobs]
+        for i, future in futures:
+            results[i] += future.result()
+    return results
 
 
 def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport:
@@ -275,7 +286,7 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     reps = config.replications
     children = np.random.SeedSequence(config.seed).spawn(reps)
     worker = functools.partial(_estimation_chunk, config)
-    results = _run_chunks(worker, children, config.workers)
+    (results,) = _run_chunks([(worker, children)], config.workers)
     kept = [r for r in results if r is not None and r != "no_mle"]
     failed = reps - len(kept)
     hard = failed - sum(1 for r in results if r == "no_mle")
@@ -433,12 +444,12 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     study as a misconfiguration signal."""
     reps = config.replications
     children = np.random.SeedSequence(config.seed).spawn(reps * len(config.n_grid))
+    cells = [
+        (functools.partial(_selection_chunk, config, n), children[i * reps : (i + 1) * reps])
+        for i, n in enumerate(config.n_grid)
+    ]
     rows = []
-    for i, n in enumerate(config.n_grid):
-        worker = functools.partial(_selection_chunk, config, n)
-        chosen = _run_chunks(
-            worker, children[i * reps : (i + 1) * reps], config.workers
-        )
+    for n, chosen in zip(config.n_grid, _run_chunks(cells, config.workers)):
         kept = [c for c in chosen if c is not None]
         dropped = reps - len(kept)
         if dropped > 0.10 * reps:

@@ -33,7 +33,15 @@ from bvf import (
     sample,
 )
 from bvf.bvf_model import censoring_threshold
-from bvf.inference import PARAM_NAMES, _bootstrap_refits, _fit_stack, _Stack
+from bvf.inference import (
+    _ALL,
+    _SCAN_RECORDS,
+    PARAM_NAMES,
+    _bootstrap_refits,
+    _draw_stack,
+    _fit_stack,
+    _Stack,
+)
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 
@@ -380,6 +388,101 @@ class TestStackedFits:
         assert fits.n_evals.tolist() == [fit_mle(d, kind).n_evals for d in datasets]
 
 
+class TestRowBlocks:
+    """Stacked passes run in row blocks of at most _SCAN_RECORDS records;
+    rows past the first block must get the bits their one-row call gets."""
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_stack_spanning_blocks_fits_each_row_as_fit_mle(self, kind):
+        # 120 rows of 400 records: Newton's passes span three blocks and the
+        # ladder's first call (three rungs per row) nine
+        parent = BvfParams(kind, 1.34, 1.17, 0.86, 0.91)
+        rng = np.random.default_rng(120)
+        datasets = [from_bivariate(sample(parent, 400, rng)) for _ in range(120)]
+        assert 120 * 400 > 2 * _SCAN_RECORDS
+        t = np.array([d.t for d in datasets])
+        delta = np.array([d.delta for d in datasets])
+        fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+        for j, data in enumerate(datasets):
+            fit = fit_mle(data, kind)
+            assert fits.outcome[j] is fit.status, j
+            assert fits.n_evals[j] == fit.n_evals, j
+            if fit.params_hat is not None:
+                q = fit.params_hat
+                assert fits.lam[j] == q.lam, j
+                assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2], j
+
+    @pytest.mark.parametrize("kind, big, lam", [(W, 1e30, 30.0), (G, 1000.0, 1.0)])
+    def test_overflowing_rows_past_the_first_block(self, kind, big, lam):
+        # every third row from row 60 on holds one record whose survival term
+        # overflows at its lambda; blocks hold 40 rows of 400 records
+        rng = np.random.default_rng(61)
+        R, n = 100, 400
+        t = rng.uniform(0.5, 2.0, size=(R, n))
+        delta = rng.integers(0, 3, size=(R, n)).astype(np.int8)
+        over = np.arange(60, R, 3)
+        t[over, 7] = big
+        delta[over, 7] = 1
+        lams = np.where(np.isin(np.arange(R), over), lam, 0.8)
+        stack = _Stack(kind, t, delta)
+        with np.errstate(all="ignore"):
+            a, _ = stack.survival(_ALL, lams)
+            p = stack.profile(np.arange(R), lams)
+            terms = stack.newton_terms(_ALL, lams)
+        assert (a[over] == np.inf).all() and np.isfinite(p[over]).all()
+        for r in range(R):
+            data = CompetingRisksData(t[r], delta[r])
+            assert p[r] == profile_loglik(float(lams[r]), data, kind), r
+            one = _Stack(kind, t[r : r + 1], delta[r : r + 1])
+            with np.errstate(all="ignore"):
+                want = one.newton_terms(_ALL, lams[r : r + 1])
+            assert [v[r] for v in terms] == [v[0] for v in want], r
+
+    @pytest.mark.parametrize(
+        "params, n, R, censored_fraction",
+        [
+            # alphas and lambda small enough that some draws underflow to 0
+            # (DomainError) or overflow to inf times (ValidationError)
+            (BvfParams(W, 0.048, 0.048, 0.048, 0.0052), 100, 150, 0.0),
+            (BvfParams(G, 1.13, 0.96, 0.79, 1.05), 400, 40, 0.4),
+        ],
+    )
+    def test_draw_stack_spanning_blocks_equals_each_draw(
+        self, params, n, R, censored_fraction
+    ):
+        assert R * 3 * n > 2 * _SCAN_RECORDS
+        c = censoring_threshold(params, censored_fraction) if censored_fraction else None
+        children = np.random.SeedSequence(77).spawn(R)
+        t, delta, failures = _draw_stack(params, n, children, c)
+        for r, child in enumerate(children):
+            pairs = sample(params, n, np.random.default_rng(child))
+            try:
+                data = from_bivariate(pairs, c)
+            except (DomainError, ValidationError) as exc:
+                assert failures[r] == type(exc).__name__, r
+                continue
+            assert failures[r] is None, r
+            assert t[r].tolist() == data.t.tolist(), r
+            assert delta[r].tolist() == data.delta.tolist(), r
+        if censored_fraction == 0.0:
+            assert {"DomainError", "ValidationError", None} <= set(failures)
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_rows_longer_than_a_block_fit_as_fit_mle(self, kind):
+        data = from_bivariate(sample(BvfParams(kind, 1.34, 1.17, 0.86, 0.91), 20000, seed=5))
+        assert data.n > _SCAN_RECORDS
+        fit = fit_mle(data, kind)
+        t = np.stack([data.t, data.t])
+        delta = np.stack([data.delta, data.delta])
+        fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+        q = fit.params_hat
+        for j in range(2):
+            assert fits.outcome[j] is fit.status
+            assert fits.n_evals[j] == fit.n_evals
+            assert fits.lam[j] == q.lam
+            assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
+
+
 class TestConsistency:
     def test_large_sample_recovers_truth(self):
         p = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -669,6 +772,8 @@ class TestBootstrapCi:
             (BvfParams(G, 1.13, 0.96, 0.79, 1.05), 200, 0.4, 21, 60, 22),
             # the six-pair Lomax case above: about half the refits fail
             (BvfParams(L, 0.85, 0.57, 0.74, 0.69), 6, 0.0, 4, 60, 0),
+            # the sampler's and the engine's blocks both split these refits
+            (BvfParams(W, 1.34, 1.17, 0.86, 0.91), 400, 0.0, 17, 120, 23),
         ],
     )
     def test_refits_equal_fit_mle_on_each_resample(

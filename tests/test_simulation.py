@@ -2,6 +2,7 @@
 stacked selection study's equivalence with one select_model per dataset."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bvf import (
     sample,
     select_model,
 )
+from bvf import simulation
 from bvf.inference import _loglik_rows, _Stack
 from bvf.simulation import _selection_chunk
 
@@ -246,15 +248,25 @@ class TestSelectionStudy:
             assert sum(row.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
             assert row.replications_used + row.dropped == 30
 
-    def test_deterministic_and_worker_free(self):
+    def test_deterministic_and_worker_free(self, monkeypatch):
         # 7 replications: the two workers' chunks have unequal sizes
         base = dict(
             parent_params=PW, candidates=(W, G, L), n_grid=(40, 90), replications=7,
             seed=3,
         )
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", counted_pool)
         a = run_selection_study(SelectionStudyConfig(**base, workers=1))
+        assert pools == []
         b = run_selection_study(SelectionStudyConfig(**base, workers=2))
         assert a.to_json_dict() == b.to_json_dict()
+        # every n of the grid shares the study's one pool
+        assert pools == [{"max_workers": 2}]
 
     def test_parent_usually_wins_at_moderate_n(self):
         cfg = SelectionStudyConfig(
