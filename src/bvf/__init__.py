@@ -39,7 +39,6 @@ from .errors import (
 from .inference import (
     CiMethod,
     ConfidenceIntervalSet,
-    FitOptions,
     FitResult,
     FitStatus,
     alphas_given_lambda,
@@ -96,7 +95,6 @@ __all__ = [
     "ResampleFailureError",
     "SelectionError",
     "FitStatus",
-    "FitOptions",
     "FitResult",
     "CiMethod",
     "ConfidenceIntervalSet",

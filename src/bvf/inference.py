@@ -29,8 +29,6 @@ that refits resamples drawn at the MLE.
 
 import collections
 import enum
-import functools
-import logging
 import math
 import statistics
 from dataclasses import dataclass
@@ -67,7 +65,6 @@ from .errors import (
 __all__ = [
     "PARAM_NAMES",
     "FitStatus",
-    "FitOptions",
     "FitResult",
     "CiMethod",
     "ConfidenceIntervalSet",
@@ -80,8 +77,6 @@ __all__ = [
     "bootstrap_ci",
     "percentile_ranks",
 ]
-
-_log = logging.getLogger("bvf")
 
 PARAM_NAMES = ("alpha0", "alpha1", "alpha2", "lambda")
 
@@ -142,6 +137,7 @@ class _Stack:
 
     __slots__ = ("kind", "x", "unc", "counts", "m", "unc_sum")
 
+    @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray):
         self.kind = kind
         R, n = t.shape
@@ -394,40 +390,22 @@ def profile_loglik(lam: float, data: CompetingRisksData, kind: BaselineKind) -> 
         return float(ws.profile(_ALL, np.array([lam]))[0])
 
 
-@dataclass(frozen=True)
 class FitOptions:
-    """Search range and start for :func:`fit_mle`. The refits of
-    :func:`bootstrap_ci` always use the defaults.
+    """The fitting engine's fixed search range for lambda, ``bracket``. It
+    takes no arguments: every fit searches the same range, from the same
+    start (see :func:`fit_mle`)."""
 
-    bracket : (float, float)
-        Hard search range for lambda; expansion clamps here.
-    lambda_init : float
-        Starting rung of the geometric bracket expansion; clamped into
-        ``bracket``.
-    """
-
-    bracket: tuple[float, float] = (1e-8, 1e8)
-    lambda_init: float = 1.0
-
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not (0.0 < lo < hi) or math.isinf(hi):
-            raise ValidationError(
-                f"bracket must satisfy 0 < lo < hi < inf, got {self.bracket!r}"
-            )
-        if not (self.lambda_init > 0.0) or math.isinf(self.lambda_init):
-            raise ValidationError(
-                f"lambda_init must be a positive finite real, got {self.lambda_init!r}"
-            )
-        if not (lo <= self.lambda_init <= hi):
-            object.__setattr__(self, "lambda_init", min(max(self.lambda_init, lo), hi))
+    bracket = (1e-8, 1e8)
 
 
-_DEFAULT_OPTIONS = FitOptions()
+# The ladder: 1 and its multiples by powers of 4 inside the search range,
+# clamped to its ends; 29 rungs, read-only, with the start at rung 14
+_RUNGS = np.array([FitOptions.bracket[0], *4.0 ** np.arange(-13, 14), FitOptions.bracket[1]])
+_RUNGS.flags.writeable = False
+_START = 14
 
-# Newton stops when its step is at most _TOL * lambda. Its iterates take
-# what is left of _MAX_EVALS profile evaluations after the ladder, and never
-# fewer than 10.
+# Newton stops when its step is at most _TOL * lambda, or once its row has
+# made _MAX_EVALS profile evaluations, ladder rungs included.
 _TOL = 1e-10
 _MAX_EVALS = 500
 
@@ -443,9 +421,10 @@ class FitResult:
 
     ``params_hat``/``loglik_max`` are None exactly when no MLE exists
     (status NoMleMonotoneProfile). ``n_evals`` counts the profile
-    evaluations the fit needed, ladder rungs and Newton iterates alike;
-    rungs a batched ladder scan evaluated past the profile's fall are not
-    counted, so a fit reports the same count alone as in a bootstrap stack.
+    evaluations the fit needed: ladder rungs, Newton iterates, and the
+    flatness check's clamp rung and lambda-hat. Rungs a batched ladder scan
+    evaluated past the profile's fall are not counted, so a fit reports the
+    same count alone as in any stack.
     """
 
     kind: BaselineKind
@@ -468,26 +447,6 @@ class FitResult:
         }
 
 
-@functools.lru_cache(maxsize=16)
-def _ladder(bracket: tuple[float, float], lam_init: float) -> tuple[np.ndarray, int]:
-    """Geometric rung grid: lam_init scaled by powers of 4, clamped ends;
-    returned read-only, with the index of lam_init's rung. ``lam_init``
-    lies in ``bracket``, as :class:`FitOptions` ensures."""
-    lo, hi = bracket
-    rungs = {lo, hi, lam_init}
-    v = lam_init / 4.0
-    while v > lo:
-        rungs.add(v)
-        v /= 4.0
-    v = lam_init * 4.0
-    while v < hi:
-        rungs.add(v)
-        v *= 4.0
-    grid = np.array(sorted(rungs))
-    grid.flags.writeable = False
-    return grid, int(np.searchsorted(grid, lam_init))
-
-
 class _Fits(NamedTuple):
     """Per-row outcome of :func:`_fit_stack`.
 
@@ -503,25 +462,27 @@ class _Fits(NamedTuple):
 
 
 @np.errstate(all="ignore")
-def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
+def _fit_stack(stack: _Stack) -> _Fits:
     """Fit every row of ``stack``.
 
-    Each row climbs the geometric ladder from ``lambda_init`` to a local
+    Each row climbs the ladder (``_RUNGS``) from lambda = 1 to a local
     maximum of the profile (every rung is evaluated when the start is -inf).
     A maximum at a clamped end means no MLE. An interior maximum at rung k
     is refined by Newton steps on the score in log lambda inside
     [rung k-1, rung k+1]: each iterate narrows the bracket by the sign of its
     score, and a step that would leave the bracket, or that comes from a
     non-concave point, bisects it in log lambda instead. Newton stops when
-    its step or the bracket is at most _TOL * lambda, or when its next
-    iterate is its previous one; lambda-hat is its last iterate. Rungs cost
-    one transcendental pass per record; only Newton iterates take the
-    derivative sums. A row's ``n_evals`` counts the rungs a one-rung scan
-    would evaluate, whatever the chunk size; only the Newton budget is
-    shared, sized from the most evaluations any row's ladder made.
+    its step or the bracket is at most _TOL * lambda, when its next iterate
+    is its previous one, or once its row has made _MAX_EVALS evaluations;
+    lambda-hat is its last iterate. A maximum next to a clamp then faces the
+    flatness check (``_FLATNESS_RTOL``). Rungs cost one transcendental pass
+    per record; only Newton iterates take the derivative sums. A row's
+    ``n_evals`` counts the rungs a one-rung scan would evaluate, whatever
+    the chunk size, and no stopping rule looks at another row, so each row
+    gets the bits and the count of its one-row fit.
     """
     R = stack.m.size
-    rungs, start = _ladder(opts.bracket, opts.lambda_init)
+    rungs, start = _RUNGS, _START
     last = rungs.size - 1
     # column k+1 holds p(rung k), NaN until evaluated; the two -inf end
     # columns stand for the missing neighbours of the clamps
@@ -594,18 +555,16 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
         outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
     inner = act[~edge]
 
-    # Newton: each active row has its iterate lambda and its bracket [lo, hi];
-    # the iterates share one budget. Both lambda and the next iterate lie in
-    # the bracket, so a bracket narrower than _TOL * lambda stops Newton too.
+    # Newton: each active row has its iterate lambda and its bracket [lo, hi].
+    # Both lambda and the next iterate lie in the bracket, so a bracket
+    # narrower than _TOL * lambda stops Newton too.
     lam_hat = np.full(R, np.nan)
     a_hat = np.full(R, np.nan)
     act = inner
     c = cur[act]
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
     prev = np.full(act.size, np.nan)
-    budget = max(10, _MAX_EVALS - int(n_evals.max(initial=0)))
     while act.size:
-        budget -= 1
         rows = act if act.size < R else _ALL
         a, g, h = stack.newton_terms(rows, lam)
         np.add.at(n_evals, rows, 1)
@@ -617,9 +576,7 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
         nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, np.sqrt(lo * hi))
         # a step back to the previous iterate starts a two-cycle: at the
         # rounding floor each step can land on the other end of the bracket
-        go = (np.abs(nxt - lam) > _TOL * lam) & (nxt != prev)
-        if budget == 0:
-            go[:] = False
+        go = (np.abs(nxt - lam) > _TOL * lam) & (nxt != prev) & (n_evals[act] < _MAX_EVALS)
         if not go.all():
             stop = ~go
             done = act[stop]
@@ -659,36 +616,35 @@ def _fit_stack(stack: _Stack, opts: FitOptions) -> _Fits:
     return _Fits(outcome, lam_hat, alphas, n_evals)
 
 
-def fit_mle(
-    data: CompetingRisksData,
-    kind: BaselineKind,
-    options: Optional[FitOptions] = None,
-) -> FitResult:
+def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     """Maximum-likelihood fit of the four parameters for one baseline kind.
 
-    Strategy: evaluate the profile on a geometric ladder of lambda values
-    expanding by factors of 4 from ``lambda_init`` and climb to a local
-    maximum. A maximum at a clamped end of the search range means the
-    profile is monotone there and no MLE exists (status
-    NoMleMonotoneProfile). An interior maximum brackets the root of the
-    profile score p'(lambda), which a safeguarded Newton iteration in log
-    lambda, with closed-form derivatives, locates; Newton stops when its
-    step is at most 1e-10 relative. The alphas then follow in closed form.
-    Any failure mode absent from the data pins its alpha to 0 (status
-    BoundaryAlphaZero).
+    Strategy: evaluate the profile on a fixed geometric ladder of lambda
+    values, 1 times powers of 4 clamped to the search range [1e-8, 1e8]
+    (29 rungs), and climb from lambda = 1 to a local maximum. A maximum at
+    a clamped end of the range means the profile is monotone there and no
+    MLE exists (status NoMleMonotoneProfile); so does a maximum next to a
+    clamp that beats the clamp value by float noise only. An interior
+    maximum brackets the root of the profile score p'(lambda), which a
+    safeguarded Newton iteration in log lambda, with closed-form
+    derivatives, locates; Newton stops when its step is at most 1e-10
+    relative, or once the fit has made 500 profile evaluations. The alphas
+    then follow in closed form. Any failure mode absent from the data pins its alpha to 0
+    (status BoundaryAlphaZero).
 
-    This is the one-row case of the engine that :func:`bootstrap_ci` runs
-    on all its resamples at once, so a resample's bootstrap estimate is
-    bit for bit the fit of that resample.
+    This is the one-row case of the engine that :func:`bootstrap_ci` and
+    the selection study run on whole stacks of datasets, so a stacked
+    row's estimate is bit for bit the fit of that dataset alone.
 
     Raises
     ------
     EstimationError
         If the data contain no failures at all, or the profile is -inf over
-        the entire bracket.
+        the entire search range.
+    DegenerateDataError
+        If the closed-form alphas at lambda-hat are not finite.
     """
-    opts = options if options is not None else _DEFAULT_OPTIONS
-    fits = _fit_stack(_workspace(data, kind), opts)
+    fits = _fit_stack(_workspace(data, kind))
     outcome = fits.outcome[0]
     if isinstance(outcome, BvfError):
         raise outcome
@@ -709,13 +665,6 @@ def fit_mle(
         alpha2=alpha_hat[2],
         lam=float(fits.lam[0]),
     )
-    for k, (m_k, name) in enumerate(zip(data.counts, ("alpha0", "alpha1", "alpha2"))):
-        if m_k == 0:
-            _log.warning(
-                "no failures of mode %d observed; %s estimated at the boundary 0",
-                k,
-                name,
-            )
     return FitResult(
         kind=kind,
         status=outcome,
@@ -777,8 +726,10 @@ class ConfidenceIntervalSet:
 
     ``intervals`` maps parameter name -> (lower, upper); lower bounds may be
     negative for asymptotic intervals (deliberately not truncated). For a
-    bootstrap, ``failure_reasons`` counts the failed resamples by reason (a
-    fit status value or an error class name); the counts sum to ``n_failed``.
+    bootstrap, ``seed`` is the integer seed that reproduces the intervals,
+    or None when the seed was not an integer; ``failure_reasons`` counts the
+    failed resamples by reason (a fit status value or an error class name),
+    and the counts sum to ``n_failed``.
     """
 
     level: float
@@ -888,7 +839,9 @@ def bootstrap_ci(
     More than 5% of them is an error that lists the reasons.
 
     ``seed`` must be None, an integer >= 0 or a SeedSequence, and ``B`` an
-    integer; anything else is a ValidationError. B >= 100 is recommended for
+    integer; anything else is a ValidationError. Only an integer seed is
+    echoed in the result: a SeedSequence, spawned or not, is reported as
+    None, since its root entropy alone need not reproduce the intervals. B >= 100 is recommended for
     real use; smaller values are accepted (the rank arithmetic stays
     well-defined down to B = 1).
     """
@@ -915,18 +868,12 @@ def bootstrap_ci(
         name: (float(usable[lo_rank - 1, j]), float(usable[hi_rank - 1, j]))
         for j, name in enumerate(PARAM_NAMES)
     }
-    if isinstance(seed, (int, np.integer)):
-        seed_out = int(seed)
-    elif isinstance(seed, np.random.SeedSequence) and isinstance(seed.entropy, int):
-        seed_out = seed.entropy
-    else:
-        seed_out = None
     return ConfidenceIntervalSet(
         level=level,
         method=CiMethod.BOOTSTRAP,
         intervals=intervals,
         B=B,
-        seed=seed_out,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
         n_failed=n_failed,
         failure_reasons=reasons,
     )
@@ -974,7 +921,7 @@ def _bootstrap_refits(
     estimates = np.full((len(children), 4), np.nan)
     rows = np.flatnonzero([f is None for f in failures])
     if rows.size:
-        fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]), _DEFAULT_OPTIONS)
+        fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]))
         got = np.array(
             [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome]
         )

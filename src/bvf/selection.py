@@ -19,7 +19,6 @@ from .baselines import BaselineKind
 from .data_model import CompetingRisksData
 from .errors import BvfError, SelectionError, ValidationError
 from .inference import (
-    _DEFAULT_OPTIONS,
     FitResult,
     FitStatus,
     _fit_stack,
@@ -152,7 +151,7 @@ def _select_stack(
     failed = np.zeros(R, dtype=bool)
     for kind in sorted(candidates, key=lambda k: k.order):
         stack = _Stack(kind, t, delta)
-        fits = _fit_stack(stack, _DEFAULT_OPTIONS)
+        fits = _fit_stack(stack)
         failed |= [isinstance(o, BvfError) for o in fits.outcome]
         rows = np.flatnonzero(
             [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome]

@@ -1,10 +1,12 @@
 """Likelihood, profile maximization, information matrix, and intervals."""
 
+import inspect
 import logging
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from bvf import (
     DegenerateDataError,
     DomainError,
     EstimationError,
-    FitOptions,
     FitStatus,
     ResampleFailureError,
     SingularMatrixError,
@@ -32,11 +33,13 @@ from bvf import (
     profile_loglik,
     sample,
 )
+from bvf import inference
 from bvf.bvf_model import censoring_threshold
 from bvf.inference import (
     _ALL,
     _SCAN_RECORDS,
     PARAM_NAMES,
+    FitOptions,
     _bootstrap_refits,
     _draw_stack,
     _fit_stack,
@@ -275,10 +278,17 @@ class TestFitOtherKinds:
         delta = [1, 2, 0, 1, 2, 1]
         with pytest.raises(DegenerateDataError):
             fit_mle(CompetingRisksData(t, delta), kind)
-        fits = _fit_stack(_Stack(kind, np.array([t]), np.array([delta], dtype=np.int8)),
-                          FitOptions())
+        fits = _fit_stack(_Stack(kind, np.array([t]), np.array([delta], dtype=np.int8)))
         assert type(fits.outcome[0]) is DegenerateDataError
 
+    def test_overflowing_hazard_sum_warns_nothing(self):
+        # the uncensored Gompertz times sum past double range while the
+        # stack is built; that sum saturates to inf without a warning
+        data = CompetingRisksData([0.2, 0.5, 0.7, 1e308, 1e308], [1, 2, 0, 1, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profile_loglik(1.0, data, G) == -math.inf
+            assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
 
     @pytest.mark.parametrize(
         "child, n, lam_hat",
@@ -298,13 +308,15 @@ class TestFitOtherKinds:
 
 class TestFitBoundary:
     def test_zero_count_mode_pins_rate_to_zero(self, caplog):
+        # the status and the zero rate report the empty mode; a fit logs
+        # nothing, as a row of a stacked fit does not
         data = CompetingRisksData([0.3, 0.7, 1.2, 0.9], [1, 1, 2, 1])
-        with caplog.at_level(logging.WARNING, logger="bvf.inference"):
+        with caplog.at_level(logging.DEBUG):
             fit = fit_mle(data, W)
         assert fit.status is FitStatus.BOUNDARY_ALPHA_ZERO
         assert fit.params_hat.alpha0 == 0.0
         assert fit.params_hat.alpha1 > 0
-        assert any("mode 0" in r.message for r in caplog.records)
+        assert caplog.records == []
 
     def test_boundary_consistent_with_estimates(self):
         p = BvfParams(W, 0.0, 1.17, 0.86, 0.91)
@@ -316,37 +328,34 @@ class TestFitBoundary:
 
 
 class TestFitOptions:
-    def test_bad_bracket_rejected(self):
-        with pytest.raises(ValidationError):
-            FitOptions(bracket=(1.0, 0.5))
-        with pytest.raises(ValidationError):
-            FitOptions(bracket=(0.0, 2.0))
+    """Every fit searches the same fixed range from the same start."""
 
-    def test_bad_init_rejected(self):
-        with pytest.raises(ValidationError):
-            FitOptions(lambda_init=-1.0)
+    def test_search_range_is_fixed(self):
+        assert FitOptions().bracket == (1e-8, 1e8)
+        with pytest.raises(TypeError):
+            FitOptions(bracket=(0.5, 8.0))
+        assert list(inspect.signature(fit_mle).parameters) == ["data", "kind"]
+        rungs = inference._RUNGS
+        assert (rungs[0], rungs[-1]) == FitOptions().bracket
+        assert rungs.size == 29 and rungs[inference._START] == 1.0
+        assert (rungs[2:-1] / rungs[1:-2] == 4.0).all()
 
-    def test_custom_bracket_still_finds_interior_max(self, data12):
-        fit = fit_mle(data12, W, FitOptions(bracket=(0.5, 8.0), lambda_init=0.7))
-        assert fit.params_hat.lam == pytest.approx(W_LAM_HAT, rel=1e-7)
-
-    def test_recovery_when_start_is_degenerate(self, data12):
-        # a start far above the MLE, where the profile is finite but very low
-        # (about -6.8e7), must still climb down to the interior maximum
-        fit = fit_mle(data12, G, FitOptions(lambda_init=1e7))
-        assert fit.status is FitStatus.CONVERGED
-        assert fit.params_hat.lam == pytest.approx(G_LAM_HAT, rel=1e-6)
-        # every t < 1: at lambda = 1e8 each t**lambda underflows to 0, so the
-        # profile is -inf at the start and the climb evaluates every rung first
-        data = CompetingRisksData(
-            [0.2, 0.5, 0.7, 0.3, 0.9, 0.6, 0.45, 0.8, 0.35, 0.95, 0.95, 0.95],
-            [1, 1, 1, 2, 2, 2, 0, 0, 1, 3, 3, 3],
-        )
-        assert profile_loglik(1e8, data, W) == -math.inf
-        far = fit_mle(data, W, FitOptions(lambda_init=1e8))
-        near = fit_mle(data, W)
-        assert far.status is FitStatus.CONVERGED
-        assert abs(far.params_hat.lam - near.params_hat.lam) <= 1e-9 * near.params_hat.lam
+    def test_recovery_when_start_is_degenerate(self):
+        # exp(lambda * 1.7e308) overflows from lambda = 1 up, so the profile
+        # is -inf at the start: the climb evaluates all 29 rungs, and the
+        # finite ones rise towards the lower clamp
+        t = [0.3, 0.8, 1.1, 2.0, 1.7e308]
+        delta = [1, 1, 2, 0, 2]
+        data = CompetingRisksData(t, delta)
+        assert profile_loglik(1.0, data, G) == -math.inf
+        fit = fit_mle(data, G)
+        assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
+        assert fit.n_evals == 29
+        # the same row stacked next to a row that converges
+        near = [0.3, 0.8, 1.1, 2.0, 1.7]
+        fits = _fit_stack(_Stack(G, np.array([near, t]), np.array([[0, 1, 2, 1, 2], delta])))
+        assert fits.outcome == [FitStatus.CONVERGED, FitStatus.NO_MLE_MONOTONE_PROFILE]
+        assert fits.n_evals[1] == 29
 
 
 class TestStackedFits:
@@ -360,7 +369,7 @@ class TestStackedFits:
         t = np.array([r[0] for r in rows])
         delta = np.array([r[1] for r in rows], dtype=np.int8)
         for kind in (W, G, L):
-            fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+            fits = _fit_stack(_Stack(kind, t, delta))
             for j, (tj, dj) in enumerate(rows):
                 try:
                     fit = fit_mle(CompetingRisksData(tj, dj), kind)
@@ -375,6 +384,22 @@ class TestStackedFits:
                     assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
 
 
+    def test_each_row_stops_at_the_evaluation_cap(self, monkeypatch):
+        # ladders of 3, 7 and 6 rungs and 9, 12 and 13 evaluations uncapped;
+        # with the cap at 8 each row stops at its eighth evaluation, alone
+        # and in a stack alike
+        rows = [[x**p for x in T12] for p in (1.0, 0.005, 50.0)]
+        datasets = [CompetingRisksData(t, D12) for t in rows]
+        assert [fit_mle(d, W).n_evals for d in datasets] == [9, 12, 13]
+        monkeypatch.setattr(inference, "_MAX_EVALS", 8)
+        fits = _fit_stack(_Stack(W, np.array(rows), np.array([D12] * 3, dtype=np.int8)))
+        assert fits.n_evals.tolist() == [8, 8, 8]
+        for j, data in enumerate(datasets):
+            fit = fit_mle(data, W)
+            assert fit.status is fits.outcome[j] is FitStatus.CONVERGED
+            assert fit.n_evals == 8
+            assert fit.params_hat.lam == fits.lam[j]
+
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_eval_counts_do_not_depend_on_the_stack(self, kind):
         # lambda-hat far from the ladder's start, so every fit scans rungs; at
@@ -384,7 +409,7 @@ class TestStackedFits:
         datasets = [from_bivariate(sample(parent, 400, rng)) for _ in range(20)]
         t = np.array([d.t for d in datasets])
         delta = np.array([d.delta for d in datasets])
-        fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+        fits = _fit_stack(_Stack(kind, t, delta))
         assert fits.n_evals.tolist() == [fit_mle(d, kind).n_evals for d in datasets]
 
 
@@ -402,7 +427,7 @@ class TestRowBlocks:
         assert 120 * 400 > 2 * _SCAN_RECORDS
         t = np.array([d.t for d in datasets])
         delta = np.array([d.delta for d in datasets])
-        fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+        fits = _fit_stack(_Stack(kind, t, delta))
         for j, data in enumerate(datasets):
             fit = fit_mle(data, kind)
             assert fits.outcome[j] is fit.status, j
@@ -474,7 +499,7 @@ class TestRowBlocks:
         fit = fit_mle(data, kind)
         t = np.stack([data.t, data.t])
         delta = np.stack([data.delta, data.delta])
-        fits = _fit_stack(_Stack(kind, t, delta), FitOptions())
+        fits = _fit_stack(_Stack(kind, t, delta))
         q = fit.params_hat
         for j in range(2):
             assert fits.outcome[j] is fit.status
@@ -700,6 +725,16 @@ class TestBootstrapCi:
         assert ci.n_failed == 0
         for lo, hi in ci.intervals.values():
             assert lo < hi
+
+    def test_spawned_seed_is_not_echoed(self, fitted):
+        # a spawned child's entropy is its root's, but the root seed draws
+        # other resamples: only an integer seed is reported
+        data, fit = fitted
+        child = np.random.SeedSequence(9).spawn(3)[2]
+        ci = bootstrap_ci(fit, data, B=25, seed=child)
+        assert ci.seed is None
+        assert ci.to_json_dict()["seed"] is None
+        assert ci.intervals != bootstrap_ci(fit, data, B=25, seed=9).intervals
 
     def test_interval_brackets_estimate_usually(self, fitted):
         data, fit = fitted
