@@ -4,15 +4,12 @@ Subcommands: generate, fit, ci, select, sim-estimate, sim-select,
 profile-curve, density-grid, km-compare. JSON reports go to stdout unless
 ``--out`` redirects them; CSV emitters behave the same. Exit codes: 0
 success, 1 validation/usage error, 2 numerical failure (no MLE, singular
-information, bootstrap breakdown). Set BVF_LOG=debug|info|warning|error for
-diagnostics on stderr. Stochastic subcommands require --seed.
+information, bootstrap breakdown). Stochastic subcommands require --seed.
 """
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -40,8 +37,6 @@ from .simulation import (
 
 __all__ = ["main"]
 
-_log = logging.getLogger("bvf")
-
 _KIND_CHOICES = ("weibull", "gompertz", "lomax")
 
 
@@ -50,19 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _configure_logging():
-    name = os.environ.get("BVF_LOG", "").strip().upper()
-    level = logging.WARNING
-    if name:
-        if name.isdigit():
-            level = int(name)
-        else:
-            level = getattr(logging, name, logging.WARNING)
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="bvf: %(levelname)s: %(message)s"
-    )
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -363,7 +345,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

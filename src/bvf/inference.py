@@ -644,33 +644,49 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     DegenerateDataError
         If the closed-form alphas at lambda-hat are not finite.
     """
-    fits = _fit_stack(_workspace(data, kind))
-    outcome = fits.outcome[0]
+    stack = _workspace(data, kind)
+    fits = _fit_stack(stack)
+    return _fit_result(kind, fits, 0, _fitted_logliks(stack, fits)[0])
+
+
+def _estimated(fits: _Fits) -> np.ndarray:
+    """Per row of ``fits``, whether it has estimates: its outcome is
+    Converged or BoundaryAlphaZero."""
+    return np.array(
+        [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome],
+        dtype=bool,
+    )
+
+
+def _fitted_logliks(stack: _Stack, fits: _Fits) -> list:
+    """Each row's maximized log-likelihood, :func:`log_likelihood` at its
+    estimates, in one stacked pass; None for a row without estimates."""
+    out: list = [None] * len(fits.outcome)
+    rows = np.flatnonzero(_estimated(fits))
+    logliks = _loglik_rows(stack, rows, fits.lam[rows], fits.alphas[:, rows])
+    for r, loglik in zip(rows.tolist(), logliks):
+        out[r] = loglik
+    return out
+
+
+def _fit_result(kind: BaselineKind, fits: _Fits, r: int, loglik) -> FitResult:
+    """Row ``r`` of ``fits`` as :func:`fit_mle` reports it, with ``loglik``
+    its maximized log-likelihood (unused for a row without an MLE). Raises
+    the row's error if its fit ended in one."""
+    outcome = fits.outcome[r]
     if isinstance(outcome, BvfError):
         raise outcome
-    n_evals = int(fits.n_evals[0])
     if outcome is FitStatus.NO_MLE_MONOTONE_PROFILE:
-        return FitResult(
-            kind=kind,
-            status=outcome,
-            params_hat=None,
-            loglik_max=None,
-            n_evals=n_evals,
-        )
-    alpha_hat = fits.alphas[:, 0].tolist()
-    params_hat = BvfParams(
-        kind=kind,
-        alpha0=alpha_hat[0],
-        alpha1=alpha_hat[1],
-        alpha2=alpha_hat[2],
-        lam=float(fits.lam[0]),
-    )
+        params_hat = loglik = None
+    else:
+        alpha0, alpha1, alpha2 = fits.alphas[:, r].tolist()
+        params_hat = BvfParams(kind, alpha0, alpha1, alpha2, float(fits.lam[r]))
     return FitResult(
         kind=kind,
         status=outcome,
         params_hat=params_hat,
-        loglik_max=log_likelihood(params_hat, data),
-        n_evals=n_evals,
+        loglik_max=loglik,
+        n_evals=int(fits.n_evals[r]),
     )
 
 
@@ -921,10 +937,11 @@ def _bootstrap_refits(
     estimates = np.full((len(children), 4), np.nan)
     rows = np.flatnonzero([f is None for f in failures])
     if rows.size:
-        fits = _fit_stack(_Stack(p_hat.kind, t[rows], delta[rows]))
-        got = np.array(
-            [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome]
-        )
+        # rows are fitted independently, so the usual case, every draw
+        # valid, passes the stack through instead of gathering a copy
+        take = _ALL if rows.size == len(failures) else rows
+        fits = _fit_stack(_Stack(p_hat.kind, t[take], delta[take]))
+        got = _estimated(fits)
         estimates[rows[got], :3] = fits.alphas[:, got].T
         estimates[rows[got], 3] = fits.lam[got]
         for j in np.flatnonzero(~got).tolist():

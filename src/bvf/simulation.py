@@ -5,12 +5,13 @@ Both studies draw replication RNG streams up front from one seed
 worker count or scheduling order. A work item is a contiguous chunk of
 replications: a module-level chunk function bound to the study's config
 (and, for selection, the sample size) by ``functools.partial``, applied to
-the chunk's streams. An estimation chunk runs its replications one by one;
-a selection chunk draws all its datasets as one stack and fits each
-candidate kind on the whole stack in one engine call. With ``workers = 1``
-each cell is one chunk, run in this process; with ``workers > 1`` each cell
-is split into that many chunks, and the chunks of all of a study's cells
-run in one process pool.
+the chunk's streams. An estimation chunk runs its replications one by one.
+A selection chunk draws all its datasets as one stack and runs
+:func:`select_model`'s own path on it, which fits each candidate kind on
+the whole stack in one engine call; there is no second selection rule for
+studies. With ``workers = 1`` each cell is one chunk, run in this process;
+with ``workers > 1`` each cell is split into that many chunks, and the
+chunks of all of a study's cells run in one process pool.
 """
 
 import functools
@@ -38,15 +39,17 @@ from .errors import (
 from .inference import (
     PARAM_NAMES,
     FitStatus,
+    _ALL,
     _draw_stack,
     asymptotic_ci,
     bootstrap_ci,
     fit_mle,
 )
+from .selection import _check_candidates, _select_stack
 # select_model is not called here (studies select in stacks), but stays a
 # name of this module: perfbench's tracer rebinds it in every namespace
 # that held it
-from .selection import _select_stack, select_model  # noqa: F401
+from .selection import select_model  # noqa: F401
 
 __all__ = [
     "EstimationStudyConfig",
@@ -356,8 +359,7 @@ class SelectionStudyConfig:
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if len(self.candidates) not in (2, 3):
             raise ValidationError("candidate set must have size 2 or 3")
-        if len(set(self.candidates)) != len(self.candidates):
-            raise ValidationError("candidate kinds must be distinct")
+        _check_candidates(self.candidates)
         if self.parent_params.kind not in self.candidates:
             raise ValidationError("parent kind must be among the candidates")
         if not self.n_grid or any(n < 10 for n in self.n_grid):
@@ -419,14 +421,17 @@ def _selection_chunk(config: SelectionStudyConfig, n: int, children) -> list:
     """The kind each replication of ``children`` selects, or None where it
     is dropped: what ``select_model(from_bivariate(sample(parent, n,
     default_rng(child))), candidates)`` returns, or None where that raises.
-    All the chunk's datasets are drawn as one stack and each candidate kind
-    is fitted on it in one engine call; module-level so process pools can
-    pickle it."""
+    All the chunk's datasets are drawn as one stack, and select_model's own
+    path runs on it (:func:`_select_stack`); module-level so process pools
+    can pickle it."""
     t, delta, failures = _draw_stack(config.parent_params, n, children, None)
     ok = np.flatnonzero([f is None for f in failures])
     chosen: list = [None] * len(children)
     if ok.size:
-        for r, kind in zip(ok.tolist(), _select_stack(t[ok], delta[ok], config.candidates)):
+        # rows are selected independently, so the usual case, every draw
+        # valid, passes the stack through instead of gathering a copy
+        take = _ALL if ok.size == len(children) else ok
+        for r, kind in zip(ok.tolist(), _select_stack(t[take], delta[take], config.candidates)):
             chosen[r] = kind
     return chosen
 
@@ -435,9 +440,9 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     """Empirical probability that each candidate is selected, per sample
     size; within a row the probabilities sum to 1 over the candidates.
 
-    Each replication chooses as :func:`select_model` would on its dataset,
-    but a cell's datasets are fitted as stacks, one engine call per
-    candidate kind and chunk, not one ``select_model`` call per dataset. A
+    Each replication chooses by :func:`select_model`'s own path, run on a
+    stack of the cell's datasets: one engine call per candidate kind and
+    chunk, not one ``select_model`` call per dataset. A
     replication is dropped, and counted, where ``select_model`` would
     raise: its data are invalid, a candidate's fit ends in an error, or
     every candidate is excluded. More than 10% dropped at any n aborts the

@@ -453,9 +453,3 @@ class TestParserBehavior:
     def test_unknown_flag_exits_one(self, capsys):
         assert run(["fit", "--data", "x.csv", "--kind", "weibull", "--bogus"],
                    capsys)[0] == 1
-
-    def test_log_env_accepts_level_names(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BVF_LOG", "debug")
-        path = tmp_path / "d.csv"
-        code, _, _ = run(GEN + ["--n", "12", "--seed", "2", "--out", str(path)], capsys)
-        assert code == 0

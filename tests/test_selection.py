@@ -9,10 +9,13 @@ from bvf import (
     BvfError,
     BvfParams,
     CompetingRisksData,
+    EstimationError,
     FitStatus,
     SelectionError,
     ValidationError,
     aic,
+    censoring_threshold,
+    fit_mle,
     from_bivariate,
     sample,
     select_model,
@@ -67,10 +70,89 @@ def test_empty_candidates_rejected(data12):
         select_model(data12, candidates=())
 
 
+@pytest.mark.parametrize("candidates", [("weibull",), (W, "x"), (W, None)])
+def test_non_kind_candidates_rejected(data12, candidates):
+    with pytest.raises(ValidationError, match="BaselineKind"):
+        select_model(data12, candidates)
+
+
 def test_all_candidates_failing_is_an_error():
     data = CompetingRisksData([1.0, 1.0, 1.0], [0, 1, 2])
     with pytest.raises(SelectionError):
         select_model(data)
+
+
+def test_all_excluded_message():
+    data = CompetingRisksData([1.0, 1.0, 1.0], [0, 1, 2])
+    with pytest.raises(SelectionError) as info:
+        select_model(data, (L, W))
+    monotone = "profile log-likelihood is monotone over the search bracket"
+    assert str(info.value) == (
+        f"all candidate fits failed: Weibull: {monotone}; Lomax: {monotone}"
+    )
+
+
+PARENTS = {
+    W: BvfParams(W, 1.34, 1.17, 0.86, 0.91),
+    G: BvfParams(G, 1.13, 0.96, 0.79, 1.05),
+    L: BvfParams(L, 0.85, 0.57, 0.74, 0.69),
+}
+
+
+def _equivalence_datasets():
+    """Draws from each caption parent at n = 40 and 300, complete and about
+    30% censored, and a Weibull parent with alpha0 = 0 (no ties)."""
+    out = []
+    for j, (kind, p) in enumerate(PARENTS.items()):
+        for n in (40, 300):
+            for frac in (0.0, 0.3):
+                c = censoring_threshold(p, frac) if frac else None
+                out.append(from_bivariate(sample(p, n, seed=500 + 10 * j + n + int(10 * frac)), c))
+    out.append(from_bivariate(sample(BvfParams(W, 0.0, 1.17, 0.86, 0.91), 300, seed=41)))
+    return out
+
+
+@pytest.mark.parametrize("candidates", [(W, G, L), (L, G), (G,)])
+def test_select_model_fits_are_fit_mle(candidates):
+    # select_model fits in stacks; every fit it reports must be the whole
+    # FitResult fit_mle gives, n_evals included, and it must exclude exactly
+    # the candidates whose fit_mle finds no MLE
+    excluded_any = boundary_any = False
+    for data in _equivalence_datasets():
+        want = {k: fit_mle(data, k) for k in candidates}
+        no_mle = [
+            k for k in sorted(candidates, key=lambda k: k.order)
+            if want[k].status is FitStatus.NO_MLE_MONOTONE_PROFILE
+        ]
+        if len(no_mle) == len(candidates):
+            with pytest.raises(SelectionError):
+                select_model(data, candidates)
+            excluded_any = True
+            continue
+        res = select_model(data, candidates)
+        ranked = dict(res.ranked)
+        for kind, fit in ranked.items():
+            assert fit == want[kind]
+        assert [k for k, _ in res.excluded] == no_mle
+        assert set(ranked) | {k for k, _ in res.excluded} == set(candidates)
+        excluded_any |= bool(res.excluded)
+        boundary_any |= any(
+            f.status is FitStatus.BOUNDARY_ALPHA_ZERO for f in ranked.values()
+        )
+    if G in candidates:
+        assert excluded_any
+    if W in candidates:
+        assert boundary_any
+
+
+def test_no_failures_raises_as_fit_mle():
+    data = CompetingRisksData([1.5] * 12, [3] * 12)
+    with pytest.raises(EstimationError) as fit_error:
+        fit_mle(data, W)
+    with pytest.raises(EstimationError) as select_error:
+        select_model(data)
+    assert type(select_error.value) is type(fit_error.value)
+    assert str(select_error.value) == str(fit_error.value) == "no failures observed"
 
 
 @pytest.mark.parametrize("candidates", [(W, G, L), (G, L), (L,)])

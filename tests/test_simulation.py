@@ -203,6 +203,12 @@ class TestSelectionConfig:
                 parent_params=PW, candidates=(W, W), n_grid=(50,), replications=5
             )
 
+    def test_non_kind_candidate_rejected(self):
+        with pytest.raises(ValidationError, match="BaselineKind"):
+            SelectionStudyConfig(
+                parent_params=PW, candidates=(W, "x"), n_grid=(50,), replications=5
+            )
+
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
             SelectionStudyConfig(
