@@ -17,7 +17,7 @@ import numpy as np
 
 from ._km import kaplan_meier, km_survival_at
 from .baselines import BaselineKind, log_s0, s0_inv
-from .bvf_model import BvfParams, jpdf_ac, sample
+from .bvf_model import BvfParams, censoring_threshold, jpdf_ac, sample
 from .data_model import FailureMode, _csv_text, from_bivariate, load_csv
 from .errors import BvfError, DomainError, EstimationError, ValidationError
 from .inference import (
@@ -101,8 +101,6 @@ def cmd_generate(args) -> int:
     pairs = sample(params, args.n, args.seed)
     censoring = None
     if args.censor_frac > 0.0:
-        from .bvf_model import censoring_threshold
-
         censoring = censoring_threshold(params, args.censor_frac)
     data = from_bivariate(pairs, censoring)
     counts_line = (
@@ -206,16 +204,23 @@ def cmd_profile_curve(args) -> int:
     return 0
 
 
+def _axis_max(given, params: BvfParams, rate: float, axis: str) -> float:
+    """The bound ``given`` for the ``axis`` coordinate, else the time it
+    outlives with probability 0.005, its rates summing to ``rate``. With
+    rate 0 it never fails, and its bound must be given."""
+    if given is not None:
+        return given
+    if rate == 0.0:
+        raise ValidationError(f"{axis} never fails (its rates sum to 0); give --{axis}-max")
+    return s0_inv(params.kind, 0.005 ** (1.0 / rate), params.lam)
+
+
 def cmd_density_grid(args) -> int:
     params = _params_from_args(args)
     if args.grid_n < 2:
         raise ValidationError("--grid-n must be >= 2")
-    x_max = args.x_max
-    y_max = args.y_max
-    if x_max is None:
-        x_max = s0_inv(params.kind, 0.005 ** (1.0 / (params.alpha0 + params.alpha1)), params.lam)
-    if y_max is None:
-        y_max = s0_inv(params.kind, 0.005 ** (1.0 / (params.alpha0 + params.alpha2)), params.lam)
+    x_max = _axis_max(args.x_max, params, params.alpha0 + params.alpha1, "x")
+    y_max = _axis_max(args.y_max, params, params.alpha0 + params.alpha2, "y")
     xs = np.linspace(x_max / args.grid_n, x_max, args.grid_n)
     ys = np.linspace(y_max / args.grid_n, y_max, args.grid_n)
     rows = []

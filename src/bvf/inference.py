@@ -13,14 +13,14 @@ Newton iteration on the profile score p'(lambda), in log lambda and with
 closed-form first and second derivatives, then locates it.
 
 One engine fits R equal-length datasets at once, stacked as (R, n) arrays:
-:func:`fit_mle` is its one-row case, and :func:`bootstrap_ci` refits all its
-resamples in one call. Every sum runs along a row in NumPy, so a row's fit
-does not depend on the other rows. Each pass over the records, and the
-bootstrap's draws, run in row blocks of at most 16384 records
-(``_SCAN_RECORDS``). Their temporaries stay in cache and are reused from
-block to block, where whole-stack temporaries would be mapped and faulted
-in afresh on every pass: a boot-study replicate (n=400, B=100) took about
-1470 minor page faults as one block and about 125 in blocks.
+:func:`fit_mle` is its one-row case; :func:`bootstrap_ci` refits all its
+resamples, and a study chunk fits all its datasets, in one call. Every sum
+runs along a row in NumPy, so a row's fit does not depend on the other
+rows. Each pass over the records, and the draws, run in row blocks of at
+most 16384 records (``_SCAN_RECORDS``). Their temporaries stay in cache
+and are reused from block to block, where whole-stack temporaries would be
+mapped and faulted in afresh on every pass: a boot-study replicate (n=400,
+B=100) took about 1470 minor page faults as one block and 125 in blocks.
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -897,9 +897,10 @@ def bootstrap_ci(
 
 def _draw_stack(p: BvfParams, n: int, children, censoring_time):
     """The records ``from_bivariate(sample(p, n, default_rng(child)), C)``
-    gives for each ``SeedSequence`` child, as one (R, n) stack. Returns
-    ``t``, ``delta`` and, per row, None or the name of the error
-    ``from_bivariate`` would raise for that row. The rows are drawn and
+    gives for each ``SeedSequence`` child. Returns the indices ``rows`` of
+    the valid ones, their records ``t`` and ``delta`` as one stack (the
+    drawn stack itself when every row is valid), and, per child, None or the
+    name of the error ``from_bivariate`` would raise. The rows are drawn and
     transformed in blocks of :func:`_row_blocks` that hold at most
     ``_SCAN_RECORDS`` uniforms (3n per row), so no temporary of the inverse
     transform outgrows a block of the engine's; each child's uniforms go
@@ -908,6 +909,9 @@ def _draw_stack(p: BvfParams, n: int, children, censoring_time):
     t = np.empty((R, n))
     delta = np.empty((R, n), dtype=np.int8)
     failures: list = [None] * R
+    if censoring_time is not None and not 0.0 < censoring_time < math.inf:
+        # from_bivariate rejects such a censoring time whatever the draws
+        return np.arange(0), t[:0], delta[:0], [DomainError.__name__] * R
     blocks = _row_blocks(R, 3 * n)
     v = np.empty((blocks[0].stop, 3, n))
     for blk in blocks:
@@ -923,7 +927,16 @@ def _draw_stack(p: BvfParams, n: int, children, censoring_time):
             failures[blk.start + r] = DomainError.__name__
         for r in np.flatnonzero(coords_ok & ~times_ok).tolist():
             failures[blk.start + r] = ValidationError.__name__
-    return t, delta, failures
+    rows = np.flatnonzero([f is None for f in failures])
+    if rows.size < R:
+        t, delta = t[rows], delta[rows]
+    return rows, t, delta, failures
+
+
+def _reason(outcome) -> str:
+    """A fit outcome without estimates as a failure reason: its FitStatus
+    value, or the class name of its error."""
+    return outcome.value if isinstance(outcome, FitStatus) else type(outcome).__name__
 
 
 def _bootstrap_refits(
@@ -933,18 +946,12 @@ def _bootstrap_refits(
     ``fit_mle(from_bivariate(sample(p_hat, n, default_rng(child)), C))``
     would, in one stacked pass. Returns the (B, 4) estimates in
     ``PARAM_NAMES`` order and, per resample, None or the reason it failed."""
-    t, delta, failures = _draw_stack(p_hat, data.n, children, data.censoring_time)
+    rows, t, delta, failures = _draw_stack(p_hat, data.n, children, data.censoring_time)
     estimates = np.full((len(children), 4), np.nan)
-    rows = np.flatnonzero([f is None for f in failures])
-    if rows.size:
-        # rows are fitted independently, so the usual case, every draw
-        # valid, passes the stack through instead of gathering a copy
-        take = _ALL if rows.size == len(failures) else rows
-        fits = _fit_stack(_Stack(p_hat.kind, t[take], delta[take]))
-        got = _estimated(fits)
-        estimates[rows[got], :3] = fits.alphas[:, got].T
-        estimates[rows[got], 3] = fits.lam[got]
-        for j in np.flatnonzero(~got).tolist():
-            o = fits.outcome[j]
-            failures[rows[j]] = o.value if isinstance(o, FitStatus) else type(o).__name__
+    fits = _fit_stack(_Stack(p_hat.kind, t, delta))
+    got = _estimated(fits)
+    estimates[rows[got], :3] = fits.alphas[:, got].T
+    estimates[rows[got], 3] = fits.lam[got]
+    for j in np.flatnonzero(~got).tolist():
+        failures[rows[j]] = _reason(fits.outcome[j])
     return estimates, failures

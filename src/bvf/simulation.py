@@ -5,8 +5,8 @@ Both studies draw replication RNG streams up front from one seed
 worker count or scheduling order. A work item is a contiguous chunk of
 replications: a module-level chunk function bound to the study's config
 (and, for selection, the sample size) by ``functools.partial``, applied to
-the chunk's streams. An estimation chunk runs its replications one by one.
-A selection chunk draws all its datasets as one stack and runs
+the chunk's streams, drawn as one stack of datasets. An estimation chunk
+fits the stack in one engine call; a selection chunk runs
 :func:`select_model`'s own path on it, which fits each candidate kind on
 the whole stack in one engine call; there is no second selection rule for
 studies. With ``workers = 1`` each cell is one chunk, run in this process;
@@ -22,34 +22,37 @@ from typing import Optional
 import numpy as np
 
 from .baselines import BaselineKind
-from .bvf_model import (
+# sample, from_bivariate, fit_mle and select_model are not called here
+# (studies draw, fit and select in stacks), but stay names of this module:
+# perfbench's tracer rebinds them in every namespace that held them
+from .bvf_model import (  # noqa: F401
     BvfParams,
     _check_count,
     _seed_sequence,
     censoring_threshold,
     sample,
 )
-from .data_model import from_bivariate
+from .data_model import CompetingRisksData, from_bivariate  # noqa: F401
 from .errors import (
     BvfError,
     DomainError,
     EstimationError,
     ValidationError,
 )
-from .inference import (
+from .inference import (  # noqa: F401
     PARAM_NAMES,
     FitStatus,
-    _ALL,
     _draw_stack,
+    _fit_result,
+    _fit_stack,
+    _fitted_logliks,
+    _reason,
+    _Stack,
     asymptotic_ci,
     bootstrap_ci,
     fit_mle,
 )
-from .selection import _check_candidates, _select_stack
-# select_model is not called here (studies select in stacks), but stays a
-# name of this module: perfbench's tracer rebinds it in every namespace
-# that held it
-from .selection import select_model  # noqa: F401
+from .selection import _check_candidates, _select_stack, select_model  # noqa: F401
 
 __all__ = [
     "EstimationStudyConfig",
@@ -86,6 +89,16 @@ def relative_metrics(estimates, truth: float) -> tuple[float, float]:
     return mse / truth**2, bias / truth
 
 
+def _check_seed_and_workers(config) -> None:
+    """A study config's last checks: its seed and its worker count."""
+    # reports echo the seed as a JSON integer
+    if isinstance(config.seed, np.random.SeedSequence):
+        raise ValidationError("seed must be None or an integer >= 0")
+    _seed_sequence(config.seed)
+    if config.workers < 1:
+        raise ValidationError("workers must be >= 1")
+
+
 @dataclass(frozen=True)
 class EstimationStudyConfig:
     """One cell of an estimator-performance study.
@@ -118,12 +131,7 @@ class EstimationStudyConfig:
             raise ValidationError("ci_level must lie in (0, 1)")
         if self.bootstrap_B < 0:
             raise ValidationError("bootstrap_B must be >= 0")
-        # reports echo the seed as a JSON integer
-        if isinstance(self.seed, np.random.SeedSequence):
-            raise ValidationError("seed must be None or an integer >= 0")
-        _seed_sequence(self.seed)
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
+        _check_seed_and_workers(self)
 
 
 @dataclass(frozen=True)
@@ -198,42 +206,6 @@ class EstimationStudyReport:
         return rows
 
 
-def _estimation_replicate(config: EstimationStudyConfig, child):
-    """One replication: None if it failed, "no_mle" if its fit found no MLE,
-    else its estimate and its interval dicts."""
-    true_params = config.true_params
-    streams = child.spawn(2)
-    try:
-        pairs = sample(true_params, config.n, np.random.default_rng(streams[0]))
-        c = (
-            censoring_threshold(true_params, config.censored_fraction)
-            if config.censored_fraction > 0.0
-            else None
-        )
-        data = from_bivariate(pairs, c)
-        fit = fit_mle(data, true_params.kind)
-        if fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE:
-            # Documented non-existence: heavy censoring routinely pushes the
-            # shape profile onto its boundary. Excluded from averages but not
-            # read as misconfiguration.
-            return "no_mle"
-        if fit.status is not FitStatus.CONVERGED:
-            return None
-        q = fit.params_hat
-        estimate = (q.alpha0, q.alpha1, q.alpha2, q.lam)
-        asym = asymptotic_ci(fit, data, config.ci_level)
-        boot = (
-            bootstrap_ci(
-                fit, data, B=config.bootstrap_B, level=config.ci_level, seed=streams[1]
-            )
-            if config.bootstrap_B > 0
-            else None
-        )
-    except BvfError:
-        return None
-    return estimate, asym.intervals, None if boot is None else boot.intervals
-
-
 def _interval_stats(rows, truth) -> list[IntervalSummary]:
     arr = np.asarray(rows, dtype=np.float64)  # (reps, 4, 2)
     lengths = arr[:, :, 1] - arr[:, :, 0]
@@ -248,9 +220,33 @@ def _interval_stats(rows, truth) -> list[IntervalSummary]:
 
 
 def _estimation_chunk(config: EstimationStudyConfig, children) -> list:
-    """The replications of ``children``, one by one; module-level so
-    process pools can pickle it."""
-    return [_estimation_replicate(config, child) for child in children]
+    """Per replication of ``children``, seeded by ``child.spawn(2)``: its
+    estimate and interval dicts (None without bootstrap), or the reason it
+    has none (a FitStatus value or an error class name), as fit_mle,
+    asymptotic_ci and bootstrap_ci give them on its dataset alone. The
+    datasets are drawn as one stack and fitted in one engine call."""
+    p, B, level = config.true_params, config.bootstrap_B, config.ci_level
+    c = censoring_threshold(p, config.censored_fraction) if config.censored_fraction else None
+    streams = [child.spawn(2) for child in children]
+    rows, t, delta, results = _draw_stack(p, config.n, [s[0] for s in streams], c)
+    stack = _Stack(p.kind, t, delta)
+    fits = _fit_stack(stack)
+    logliks = _fitted_logliks(stack, fits)
+    for j, r in enumerate(rows.tolist()):
+        if fits.outcome[j] is not FitStatus.CONVERGED:
+            results[r] = _reason(fits.outcome[j])
+            continue
+        fit = _fit_result(p.kind, fits, j, logliks[j])
+        data = CompetingRisksData(t[j], delta[j], c)
+        try:
+            asym = asymptotic_ci(fit, data, level).intervals
+            boot = bootstrap_ci(fit, data, B, level, streams[r][1]).intervals if B else None
+        except BvfError as exc:
+            results[r] = type(exc).__name__
+            continue
+        q = fit.params_hat
+        results[r] = (q.alpha0, q.alpha1, q.alpha2, q.lam), asym, boot
+    return results
 
 
 def _run_chunks(cells, workers: int) -> list:
@@ -279,10 +275,12 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     """Sample -> censor -> fit -> intervals, replicated; aggregate relative
     MSE/bias per parameter and average length/coverage per interval method.
 
-    A replication that fails anywhere is excluded from every average and
-    counted in ``failed_replications``. Hard failures (degenerate data,
-    boundary estimates, singular information, bootstrap breakdown) above 10%
-    abort the study as a misconfiguration signal; a monotone profile is a
+    A chunk of replications is fitted in one engine call; each converged
+    fit's intervals are computed on its own dataset. A replication that
+    fails anywhere is excluded from every average and counted in
+    ``failed_replications``. Hard failures (degenerate data, boundary
+    estimates, singular information, bootstrap breakdown) above 10% abort
+    the study as a misconfiguration signal; a monotone profile is a
     documented no-MLE outcome and only excluded, since under 40% censoring
     it occurs at rates a sound study still has to absorb.
     """
@@ -290,9 +288,9 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     children = np.random.SeedSequence(config.seed).spawn(reps)
     worker = functools.partial(_estimation_chunk, config)
     (results,) = _run_chunks([(worker, children)], config.workers)
-    kept = [r for r in results if r is not None and r != "no_mle"]
+    kept = [r for r in results if not isinstance(r, str)]
     failed = reps - len(kept)
-    hard = failed - sum(1 for r in results if r == "no_mle")
+    hard = failed - results.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
     if hard > 0.10 * reps:
         raise EstimationError(
             f"{hard} of {reps} replications failed; study configuration "
@@ -366,12 +364,7 @@ class SelectionStudyConfig:
             raise ValidationError("n_grid must be non-empty with every n >= 10")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        # reports echo the seed as a JSON integer
-        if isinstance(self.seed, np.random.SeedSequence):
-            raise ValidationError("seed must be None or an integer >= 0")
-        _seed_sequence(self.seed)
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
+        _check_seed_and_workers(self)
 
 
 @dataclass(frozen=True)
@@ -424,15 +417,10 @@ def _selection_chunk(config: SelectionStudyConfig, n: int, children) -> list:
     All the chunk's datasets are drawn as one stack, and select_model's own
     path runs on it (:func:`_select_stack`); module-level so process pools
     can pickle it."""
-    t, delta, failures = _draw_stack(config.parent_params, n, children, None)
-    ok = np.flatnonzero([f is None for f in failures])
+    rows, t, delta, _ = _draw_stack(config.parent_params, n, children, None)
     chosen: list = [None] * len(children)
-    if ok.size:
-        # rows are selected independently, so the usual case, every draw
-        # valid, passes the stack through instead of gathering a copy
-        take = _ALL if ok.size == len(children) else ok
-        for r, kind in zip(ok.tolist(), _select_stack(t[take], delta[take], config.candidates)):
-            chosen[r] = kind
+    for r, kind in zip(rows.tolist(), _select_stack(t, delta, config.candidates)):
+        chosen[r] = kind
     return chosen
 
 

@@ -361,6 +361,22 @@ class TestDensityGrid:
         off = [r for r in rows if r["x"] != r["y"]]
         assert all(float(r["density"]) >= 0 for r in off)
 
+    @pytest.mark.parametrize(
+        "alphas, axis",
+        [(("0", "0", "1"), "x"), (("0", "1", "0"), "y")],
+    )
+    def test_coordinate_that_never_fails_needs_its_bound(self, alphas, axis, capsys):
+        argv = ["density-grid", "--kind", "weibull", "--alpha0", alphas[0],
+                "--alpha1", alphas[1], "--alpha2", alphas[2], "--lambda", "1",
+                "--grid-n", "3"]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bvf: error: ") and f"--{axis}-max" in err
+        code, out, _ = run(argv + [f"--{axis}-max", "2.0"], capsys)
+        assert code == 0
+        assert len(list(csv.DictReader(out.splitlines()))) == 9
+
 
 class TestKmCompare:
     def test_explicit_params(self, dataset, capsys):

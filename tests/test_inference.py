@@ -473,12 +473,25 @@ class TestRowBlocks:
         ],
     )
     def test_draw_stack_spanning_blocks_equals_each_draw(
-        self, params, n, R, censored_fraction
+        self, params, n, R, censored_fraction, monkeypatch
     ):
         assert R * 3 * n > 2 * _SCAN_RECORDS
         c = censoring_threshold(params, censored_fraction) if censored_fraction else None
         children = np.random.SeedSequence(77).spawn(R)
-        t, delta, failures = _draw_stack(params, n, children, c)
+        # every buffer the draw allocates, to tell the drawn stack from a gather
+        buffers, empty = [], np.empty
+
+        def recorded_empty(*args, **kwargs):
+            buffers.append(empty(*args, **kwargs))
+            return buffers[-1]
+
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        rows, t, delta, failures = _draw_stack(params, n, children, c)
+        monkeypatch.undo()
+        assert rows.tolist() == [r for r, f in enumerate(failures) if f is None]
+        assert t.shape == delta.shape == (rows.size, n)
+        drawn = any(np.shares_memory(t, b) for b in buffers)
+        assert drawn == (rows.size == R)
         for r, child in enumerate(children):
             pairs = sample(params, n, np.random.default_rng(child))
             try:
@@ -487,10 +500,26 @@ class TestRowBlocks:
                 assert failures[r] == type(exc).__name__, r
                 continue
             assert failures[r] is None, r
-            assert t[r].tolist() == data.t.tolist(), r
-            assert delta[r].tolist() == data.delta.tolist(), r
+            j = int(np.searchsorted(rows, r))
+            assert t[j].tolist() == data.t.tolist(), r
+            assert delta[j].tolist() == data.delta.tolist(), r
         if censored_fraction == 0.0:
             assert {"DomainError", "ValidationError", None} <= set(failures)
+        else:
+            assert rows.size == R
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_draw_stack_rejects_the_censoring_time_as_from_bivariate(self, c):
+        params = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
+        children = np.random.SeedSequence(5).spawn(3)
+        rows, t, delta, failures = _draw_stack(params, 20, children, c)
+        with pytest.raises(DomainError):
+            from_bivariate(sample(params, 20, np.random.default_rng(children[0])), c)
+        assert rows.size == 0 and t.shape == delta.shape == (0, 20)
+        assert failures == ["DomainError"] * 3
+        # an empty stack fits to empty results
+        fits = _fit_stack(_Stack(G, t, delta))
+        assert fits.outcome == [] and fits.lam.size == 0
 
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_rows_longer_than_a_block_fit_as_fit_mle(self, kind):

@@ -1,5 +1,6 @@
 """Monte Carlo study harness: metrics, determinism, failure policy, and the
-stacked selection study's equivalence with one select_model per dataset."""
+stacked studies' equivalence with the one-dataset path: fit_mle and its
+intervals, or select_model, per dataset."""
 
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -16,8 +17,12 @@ from bvf import (
     DomainError,
     EstimationError,
     EstimationStudyConfig,
+    FitStatus,
     SelectionStudyConfig,
     ValidationError,
+    asymptotic_ci,
+    bootstrap_ci,
+    fit_mle,
     from_bivariate,
     log_likelihood,
     relative_metrics,
@@ -27,8 +32,9 @@ from bvf import (
     select_model,
 )
 from bvf import simulation
+from bvf.bvf_model import censoring_threshold
 from bvf.inference import _loglik_rows, _Stack
-from bvf.simulation import _selection_chunk
+from bvf.simulation import _estimation_chunk, _selection_chunk
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 PW = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -37,6 +43,9 @@ CAPTION = {
     G: BvfParams(G, 1.13, 0.96, 0.79, 1.05),
     L: BvfParams(L, 0.85, 0.57, 0.74, 0.69),
 }
+# alphas and lambda small enough that some draws underflow to 0
+# (DomainError) or overflow to inf times (ValidationError)
+TINY = BvfParams(W, 0.048, 0.048, 0.048, 0.0052)
 
 
 class TestRelativeMetrics:
@@ -182,6 +191,113 @@ class TestEstimationStudy:
         entry = d["parameters"]["lambda"]
         assert set(entry) == {"relative_mse", "relative_bias", "asymptotic", "bootstrap"}
         assert set(entry["bootstrap"]) == {"avg_length", "coverage"}
+
+
+def _estimate_one_by_one(config, children):
+    """Per replication, what the one-dataset path gives: sample ->
+    from_bivariate -> fit_mle -> asymptotic_ci -> bootstrap_ci, seeded by
+    child.spawn(2). The estimate and the interval dicts, or the reason there
+    are none: the fit's status, or the class name of the error raised."""
+    p = config.true_params
+    frac = config.censored_fraction
+    c = censoring_threshold(p, frac) if frac > 0.0 else None
+    out = []
+    for child in children:
+        data_seed, boot_seed = child.spawn(2)
+        try:
+            data = from_bivariate(sample(p, config.n, np.random.default_rng(data_seed)), c)
+            fit = fit_mle(data, p.kind)
+            if fit.status is not FitStatus.CONVERGED:
+                out.append(fit.status.value)
+                continue
+            asym = asymptotic_ci(fit, data, config.ci_level)
+            boot = None
+            if config.bootstrap_B > 0:
+                boot = bootstrap_ci(
+                    fit, data, B=config.bootstrap_B, level=config.ci_level, seed=boot_seed
+                ).intervals
+        except BvfError as exc:
+            out.append(type(exc).__name__)
+            continue
+        q = fit.params_hat
+        out.append(((q.alpha0, q.alpha1, q.alpha2, q.lam), asym.intervals, boot))
+    return out
+
+
+class TestStackedEstimation:
+    """The study draws and fits each chunk's datasets as one stack; every
+    replication must still end as the one-dataset path ends on it."""
+
+    @pytest.mark.parametrize(
+        "params, n, frac, B, reps, seed, reasons",
+        [
+            (TINY, 100, 0.0, 0, 12, 3, {"DomainError", "ValidationError"}),
+            # 40% censoring: profiles without a maximum
+            (CAPTION[G], 30, 0.4, 0, 30, 5, {"NoMleMonotoneProfile"}),
+            # n=10: absent failure modes, and under heavy censoring no
+            # failures at all
+            (CAPTION[W], 10, 0.9, 0, 30, 7, {"BoundaryAlphaZero", "EstimationError"}),
+            # bootstraps that break down next to ones that do not; under
+            # light censoring some datasets have no censored record, and
+            # their bootstraps must still censor at the study's threshold
+            (CAPTION[G], 10, 0.05, 10, 20, 6, {"ResampleFailureError"}),
+            # a few invalid draws among bootstrapped replications: each
+            # keeps its own bootstrap stream
+            (BvfParams(W, 0.15, 0.15, 0.15, 0.01), 50, 0.0, 20, 40, 3,
+             {"DomainError", "ResampleFailureError"}),
+        ],
+    )
+    def test_each_replicate_matches_the_one_dataset_path(
+        self, params, n, frac, B, reps, seed, reasons
+    ):
+        cfg = EstimationStudyConfig(
+            true_params=params, n=n, replications=reps, censored_fraction=frac,
+            bootstrap_B=B, seed=seed,
+        )
+        # spawn(2) advances a child, so each path gets its own children
+        want = _estimate_one_by_one(cfg, np.random.SeedSequence(seed).spawn(reps))
+        assert _estimation_chunk(cfg, np.random.SeedSequence(seed).spawn(reps)) == want
+        assert reasons <= {r for r in want if isinstance(r, str)}
+        assert any(not isinstance(r, str) for r in want)
+
+    def test_chunk_without_a_valid_draw(self):
+        cfg = EstimationStudyConfig(
+            true_params=TINY, n=100, replications=12, bootstrap_B=5, seed=3
+        )
+        want = _estimate_one_by_one(cfg, np.random.SeedSequence(3).spawn(12))
+        invalid = [i for i, r in enumerate(want) if r in ("DomainError", "ValidationError")]
+        assert len(invalid) >= 2
+        children = np.random.SeedSequence(3).spawn(12)
+        got = _estimation_chunk(cfg, [children[i] for i in invalid])
+        assert got == [want[i] for i in invalid]
+
+    def test_censoring_time_past_double_range(self):
+        # C overflows to inf, which from_bivariate rejects on every dataset,
+        # although many of these draws are valid
+        params = BvfParams(L, 0.002, 0.002, 0.002, 1.0)
+        assert censoring_threshold(params, 0.01) == math.inf
+        cfg = EstimationStudyConfig(
+            true_params=params, n=10, replications=10, censored_fraction=0.01,
+            bootstrap_B=0, seed=0,
+        )
+        want = _estimate_one_by_one(cfg, np.random.SeedSequence(0).spawn(10))
+        assert want == ["DomainError"] * 10
+        assert _estimation_chunk(cfg, np.random.SeedSequence(0).spawn(10)) == want
+
+    def test_no_mle_is_not_a_hard_failure(self):
+        # 11 of these 30 fits have no MLE and none fails otherwise: the study
+        # runs, where 11 hard failures would abort it
+        cfg = EstimationStudyConfig(
+            true_params=CAPTION[G], n=30, replications=30, censored_fraction=0.4,
+            bootstrap_B=0, seed=5,
+        )
+        want = _estimate_one_by_one(cfg, np.random.SeedSequence(5).spawn(30))
+        no_mle = want.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
+        assert no_mle > 3
+        assert all(isinstance(r, tuple) or r == "NoMleMonotoneProfile" for r in want)
+        report = run_estimation_study(cfg)
+        assert report.failed_replications == no_mle
+        assert report.replications_used == 30 - no_mle
 
 
 class TestSelectionConfig:
