@@ -223,6 +223,122 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+# NumPy's SeedSequence is O'Neill's seed_seq hash (M. O'Neill, "Developing a
+# seed_seq alternative", pcg-random.org, 2015) with these constants; NEP 19
+# keeps its streams, and PCG64's seeding from them, stable across releases
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _word_count(x) -> int:
+    """How many 32-bit words SeedSequence reads from an entropy or spawn-key
+    value: an integer splits into little-endian words (0 is one word), a
+    sequence into its entries' words."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(_word_count(v) for v in x)
+
+
+def _child_states(parent: np.random.SeedSequence, keys) -> np.ndarray:
+    """PCG64 seed words of children of ``parent``, hashed for all of them at
+    once: row r of the (R, 4) uint64 result is
+
+        SeedSequence(parent.entropy, spawn_key=parent.spawn_key + keys[r],
+                     pool_size=parent.pool_size).generate_state(4, np.uint64)
+
+    ``keys`` is an (R, d) array of integers in [0, 2**64), one spawn-key
+    suffix per row; the r-th child of a parent's ``spawn`` has the suffix
+    (parent.n_children_spawned + r,).
+
+    A child's entropy words are its parent's followed by its key words, so
+    its pool is the parent's ``pool`` with the key words mixed in, and the
+    hash constant resumes where the parent's left off: after P*P hashes for
+    the pool of P words, and P per word past the pool. A key entry of 2**32
+    or more is two words, so rows with different word counts are hashed as
+    separate groups."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    P = parent.pool_size
+    n_words = _word_count(parent.entropy)
+    if parent.spawn_key:
+        # a spawned sequence's entropy is zero-padded to the pool size
+        n_words = max(n_words, P) + _word_count(parent.spawn_key)
+    hashes = P * P + P * max(0, n_words - P)
+    wide = keys > _MASK32
+    low = (keys & np.uint64(_MASK32)).astype(np.uint32)
+    high = (keys >> np.uint64(32)).astype(np.uint32)
+    # rows whose key entries split into words alike hash as one group
+    codes = wide @ (np.uint64(1) << np.arange(keys.shape[1], dtype=np.uint64))
+    out = np.empty((keys.shape[0], 4), dtype=np.uint64)
+    for code in set(codes.tolist()):
+        rows = np.flatnonzero(codes == code)
+        words = []
+        for j, two in enumerate(wide[rows[0]].tolist()):
+            words += [low[rows, j], high[rows, j]] if two else [low[rows, j]]
+        out[rows] = _hashed_states(parent.pool, np.column_stack(words), hashes)
+    return out
+
+
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """The hash constants init * mult**k mod 2**32 for k in [start, start +
+    count), as uint32."""
+    h = [init * pow(mult, start, 1 << 32) & _MASK32]
+    for _ in range(count - 1):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)
+
+
+def _hashed_states(pool, words: np.ndarray, hashes: int) -> np.ndarray:
+    """SeedSequence's ``mix_entropy`` continued from ``pool`` after
+    ``hashes`` hashes, over the (R, W) uint32 ``words`` row by row, then
+    ``generate_state(4, np.uint64)`` per row. A word is hashed once per
+    pool word, with successive constants, and each hash mixes into its own
+    pool word only, so one word mixes into the whole (R, P) pool at once.
+    Elementwise uint32 arithmetic wraps modulo 2**32, as the hash's C code
+    does; all operands are uint32 arrays or scalars, so NumPy promotes alike
+    before and after NEP 50."""
+    R, W = words.shape
+    P = len(pool)
+    shift = np.uint32(16)
+    h = _hash_constants(_INIT_A, _MULT_A, hashes, P * W + 1)
+    mixer = np.broadcast_to(pool, (R, P))
+    for w in range(W):
+        # hashmix: xor with one constant, multiply by the next
+        value = (words[:, w : w + 1] ^ h[w * P : (w + 1) * P]) * h[w * P + 1 : (w + 1) * P + 1]
+        value ^= value >> shift
+        mixer = np.uint32(_MIX_MULT_L) * mixer - np.uint32(_MIX_MULT_R) * value
+        mixer ^= mixer >> shift
+    # generate_state cycles through the pool for 8 uint32 words
+    h = _hash_constants(_INIT_B, _MULT_B, 0, 9)
+    value = (mixer[:, np.arange(8) % P] ^ h[:8]) * h[1:]
+    value ^= value >> shift
+    # little-endian pairs of uint32 words make the uint64 words
+    return np.ascontiguousarray(value, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_state(words) -> dict:
+    """The ``PCG64.state`` that PCG64 seeded from a SeedSequence starts in,
+    given that sequence's ``generate_state(4, np.uint64)`` as four ints (a
+    row of :func:`_child_states`). Words 0-1 are ``initstate`` and words
+    2-3 ``initseq``, high word first; the increment is 2 * initseq + 1, and
+    the state is two LCG steps from 0 with ``initstate`` added between."""
+    s0, s1, s2, s3 = words
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _check_count(name: str, value) -> int:
     """A count (a size, a replication or resample number) as an int: an int
     or NumPy integer passes, anything else, bool included, is a

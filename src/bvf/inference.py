@@ -42,7 +42,9 @@ from .baselines import BaselineKind, _check_lambda
 from .bvf_model import (  # noqa: F401
     BvfParams,
     _check_count,
+    _child_states,
     _pairs_from_uniforms,
+    _pcg64_state,
     _seed_sequence,
     sample,
 )
@@ -844,10 +846,13 @@ def bootstrap_ci(
     Draws B datasets of size n from the fitted model (reusing the original
     censoring time, if any), refits each, and takes component-wise order
     statistics at the :func:`percentile_ranks` positions. Resample b draws
-    its uniforms from the b-th of B ``SeedSequence`` children of ``seed``,
-    exactly as ``from_bivariate(sample(p_hat, n, default_rng(child_b)), C)``
-    would; all B are transformed and refitted as one (B, n) stack, and each
-    refit is bit for bit what :func:`fit_mle` gives on that resample.
+    its uniforms from the b-th of the next B ``SeedSequence`` children of
+    ``seed``, the ones its ``spawn`` would make next, exactly as ``sample``
+    seeded with that child would; a SeedSequence ``seed`` advances by B
+    children, so successive calls on one draw successive resamples. All B
+    are seeded in one hash pass (no child objects are built), transformed
+    and refitted as one (B, n) stack, and each refit is bit for bit what
+    :func:`fit_mle` gives on that resample.
 
     A resample fails when its data are invalid or its refit ends without an
     estimate (no failures, no MLE, a degenerate likelihood); failures are
@@ -866,11 +871,35 @@ def bootstrap_ci(
         raise DomainError(f"B must be >= 1, got {B}")
     level = _check_level(level)
     p_hat = _require_converged(fit, "bootstrap_ci")
-    children = _seed_sequence(seed).spawn(B)
-    estimates, failures = _bootstrap_refits(p_hat, data, children)
+    parent = _seed_sequence(seed)
+    first = parent.n_children_spawned
+    if parent is seed:
+        # the caller's sequence moves past the B children drawn from
+        seed.spawn(B)
+    keys = (first + np.arange(B, dtype=np.uint64))[:, None]
+    intervals, reasons = _bootstrap_intervals(p_hat, data, level, _child_states(parent, keys))
+    return ConfidenceIntervalSet(
+        level=level,
+        method=CiMethod.BOOTSTRAP,
+        intervals=intervals,
+        B=B,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
+        n_failed=sum(reasons.values()),
+        failure_reasons=reasons,
+    )
+
+
+def _bootstrap_intervals(
+    p_hat: BvfParams, data: CompetingRisksData, level: float, states: np.ndarray
+) -> tuple[dict, dict]:
+    """:func:`bootstrap_ci`'s percentile intervals and failure counts by
+    reason, from one resample per row of ``states`` (seed words from
+    :func:`_child_states`); more than 5% failed resamples is a
+    ResampleFailureError."""
+    B = len(states)
+    estimates, failures = _bootstrap_refits(p_hat, data, states)
     reasons = dict(collections.Counter(r for r in failures if r is not None))
     n_failed = sum(reasons.values())
-    n_ok = B - n_failed
     if n_failed > 0.05 * B:
         listed = ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items()))
         raise ResampleFailureError(
@@ -879,33 +908,27 @@ def bootstrap_ci(
         )
     ok = np.array([r is None for r in failures])
     usable = np.sort(estimates[ok], axis=0)
-    lo_rank, hi_rank = percentile_ranks(n_ok, level)
+    lo_rank, hi_rank = percentile_ranks(B - n_failed, level)
     intervals = {
         name: (float(usable[lo_rank - 1, j]), float(usable[hi_rank - 1, j]))
         for j, name in enumerate(PARAM_NAMES)
     }
-    return ConfidenceIntervalSet(
-        level=level,
-        method=CiMethod.BOOTSTRAP,
-        intervals=intervals,
-        B=B,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
-        n_failed=n_failed,
-        failure_reasons=reasons,
-    )
+    return intervals, reasons
 
 
-def _draw_stack(p: BvfParams, n: int, children, censoring_time):
-    """The records ``from_bivariate(sample(p, n, default_rng(child)), C)``
-    gives for each ``SeedSequence`` child. Returns the indices ``rows`` of
-    the valid ones, their records ``t`` and ``delta`` as one stack (the
-    drawn stack itself when every row is valid), and, per child, None or the
-    name of the error ``from_bivariate`` would raise. The rows are drawn and
+def _draw_stack(p: BvfParams, n: int, states: np.ndarray, censoring_time):
+    """The records ``from_bivariate(sample(p, n, seed), C)`` gives for each
+    child SeedSequence, whose PCG64 seed words are a row of ``states`` (from
+    :func:`_child_states`). Returns the indices ``rows`` of the valid ones,
+    their records ``t`` and ``delta`` as one stack (the drawn stack itself
+    when every row is valid), and, per row of ``states``, None or the name
+    of the error ``from_bivariate`` would raise. The rows are drawn and
     transformed in blocks of :func:`_row_blocks` that hold at most
     ``_SCAN_RECORDS`` uniforms (3n per row), so no temporary of the inverse
-    transform outgrows a block of the engine's; each child's uniforms go
-    into one reused buffer, from the same stream ``random((3, n))`` draws."""
-    R = len(children)
+    transform outgrows a block of the engine's. One PCG64, local to the
+    call, is set to each row's state in turn and fills the row's slice of
+    one reused buffer, from the same stream ``random((3, n))`` draws."""
+    R = len(states)
     t = np.empty((R, n))
     delta = np.empty((R, n), dtype=np.int8)
     failures: list = [None] * R
@@ -914,10 +937,13 @@ def _draw_stack(p: BvfParams, n: int, children, censoring_time):
         return np.arange(0), t[:0], delta[:0], [DomainError.__name__] * R
     blocks = _row_blocks(R, 3 * n)
     v = np.empty((blocks[0].stop, 3, n))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     for blk in blocks:
         u = v[: blk.stop - blk.start]
-        for child, out in zip(children[blk], u):
-            np.random.default_rng(child).random(out=out)
+        for words, out in zip(states[blk].tolist(), u):
+            bit_generator.state = _pcg64_state(words)
+            rng.random(out=out)
         x, y = _pairs_from_uniforms(p, u)
         t[blk], delta[blk] = _first_failure(x, y, censoring_time)
         # the errors from_bivariate and CompetingRisksData raise for such a row
@@ -940,14 +966,15 @@ def _reason(outcome) -> str:
 
 
 def _bootstrap_refits(
-    p_hat: BvfParams, data: CompetingRisksData, children
+    p_hat: BvfParams, data: CompetingRisksData, states: np.ndarray
 ) -> tuple[np.ndarray, list]:
-    """Draw and refit one resample per ``SeedSequence`` child, as
-    ``fit_mle(from_bivariate(sample(p_hat, n, default_rng(child)), C))``
-    would, in one stacked pass. Returns the (B, 4) estimates in
-    ``PARAM_NAMES`` order and, per resample, None or the reason it failed."""
-    rows, t, delta, failures = _draw_stack(p_hat, data.n, children, data.censoring_time)
-    estimates = np.full((len(children), 4), np.nan)
+    """Draw and refit one resample per row of ``states``, as
+    ``fit_mle(from_bivariate(sample(p_hat, n, seed), C))`` would with the
+    child SeedSequence whose seed words the row holds, in one stacked pass.
+    Returns the (B, 4) estimates in ``PARAM_NAMES`` order and, per resample,
+    None or the reason it failed."""
+    rows, t, delta, failures = _draw_stack(p_hat, data.n, states, data.censoring_time)
+    estimates = np.full((len(states), 4), np.nan)
     fits = _fit_stack(_Stack(p_hat.kind, t, delta))
     got = _estimated(fits)
     estimates[rows[got], :3] = fits.alphas[:, got].T

@@ -1,20 +1,30 @@
 """Monte Carlo harnesses: estimator performance and model selection.
 
-Both studies draw replication RNG streams up front from one seed
-(SeedSequence spawning), so a study is reproducible bit-for-bit under any
-worker count or scheduling order. A work item is a contiguous chunk of
-replications: a module-level chunk function bound to the study's config
-(and, for selection, the sample size) by ``functools.partial``, applied to
-the chunk's streams, drawn as one stack of datasets. An estimation chunk
-fits the stack in one engine call; a selection chunk runs
-:func:`select_model`'s own path on it, which fits each candidate kind on
-the whole stack in one engine call; there is no second selection rule for
-studies. With ``workers = 1`` each cell is one chunk, run in this process;
-with ``workers > 1`` each cell is split into that many chunks, and the
-chunks of all of a study's cells run in one process pool.
+Every replication's RNG stream is a fixed child of the study's one root
+``SeedSequence``, named by its spawn key: replication i's data come from
+key (i, 0) and its bootstrap resample b from key (i, 1, b) in an
+estimation study; replication r at the c-th sample size of a selection
+study has key (c * replications + r,). These are the children that
+spawning the root (and spawning each child twice, for estimation) would
+make, so a study is reproducible bit-for-bit under any worker count or
+scheduling order. No child object is built: a chunk hashes all its rows'
+seeds in one NumPy pass (:func:`_child_states`).
+
+A work item is a contiguous chunk of replication indices: a module-level
+chunk function bound to the study's config and root (and, for selection,
+the sample size) by ``functools.partial``, applied to the indices. The
+chunk's datasets are drawn as one stack. An estimation chunk fits the stack
+in one engine call; a selection chunk runs :func:`select_model`'s own path
+on it, which fits each candidate kind on the whole stack in one engine
+call; there is no second selection rule for studies. With ``workers = 1``
+each cell is one chunk, run in this process; with ``workers > 1`` each
+cell is split into that many chunks, and the chunks of all of a study's
+cells run in one process pool.
 """
 
 import functools
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -28,6 +38,7 @@ from .baselines import BaselineKind
 from .bvf_model import (  # noqa: F401
     BvfParams,
     _check_count,
+    _child_states,
     _seed_sequence,
     censoring_threshold,
     sample,
@@ -42,6 +53,7 @@ from .errors import (
 from .inference import (  # noqa: F401
     PARAM_NAMES,
     FitStatus,
+    _bootstrap_intervals,
     _draw_stack,
     _fit_result,
     _fit_stack,
@@ -125,8 +137,20 @@ class EstimationStudyConfig:
             raise ValidationError(f"n must be >= 10, got {self.n}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
+        for name in ("censored_fraction", "ci_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.censored_fraction < 1.0):
             raise ValidationError("censored_fraction must lie in [0, 1)")
+        if self.censored_fraction:
+            c = censoring_threshold(self.true_params, self.censored_fraction)
+            if not 0.0 < c < math.inf:
+                # from_bivariate would reject every dataset censored at C
+                raise ValidationError(
+                    f"censored_fraction {self.censored_fraction!r} puts the "
+                    f"censoring time C at {c!r}, outside (0, inf)"
+                )
         if not (0.0 < self.ci_level < 1.0):
             raise ValidationError("ci_level must lie in (0, 1)")
         if self.bootstrap_B < 0:
@@ -219,19 +243,23 @@ def _interval_stats(rows, truth) -> list[IntervalSummary]:
     ]
 
 
-def _estimation_chunk(config: EstimationStudyConfig, children) -> list:
-    """Per replication of ``children``, seeded by ``child.spawn(2)``: its
-    estimate and interval dicts (None without bootstrap), or the reason it
-    has none (a FitStatus value or an error class name), as fit_mle,
-    asymptotic_ci and bootstrap_ci give them on its dataset alone. The
-    datasets are drawn as one stack and fitted in one engine call."""
+def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
+    """Per replication i of ``replicates``, its estimate and interval dicts
+    (None without bootstrap), or the reason it has none (a FitStatus value
+    or an error class name), as fit_mle, asymptotic_ci and bootstrap_ci
+    give them on its dataset alone, with its data drawn from child (i, 0)
+    of ``root`` and its bootstrap resample b from child (i, 1, b). The
+    datasets are drawn as one stack and fitted in one engine call; each
+    bootstrap's B seeds are hashed in one pass."""
     p, B, level = config.true_params, config.bootstrap_B, config.ci_level
     c = censoring_threshold(p, config.censored_fraction) if config.censored_fraction else None
-    streams = [child.spawn(2) for child in children]
-    rows, t, delta, results = _draw_stack(p, config.n, [s[0] for s in streams], c)
+    index = np.asarray(replicates, dtype=np.uint64)
+    data_keys = np.column_stack((index, np.zeros_like(index)))
+    rows, t, delta, results = _draw_stack(p, config.n, _child_states(root, data_keys), c)
     stack = _Stack(p.kind, t, delta)
     fits = _fit_stack(stack)
     logliks = _fitted_logliks(stack, fits)
+    resample = np.arange(B, dtype=np.uint64)
     for j, r in enumerate(rows.tolist()):
         if fits.outcome[j] is not FitStatus.CONVERGED:
             results[r] = _reason(fits.outcome[j])
@@ -240,7 +268,10 @@ def _estimation_chunk(config: EstimationStudyConfig, children) -> list:
         data = CompetingRisksData(t[j], delta[j], c)
         try:
             asym = asymptotic_ci(fit, data, level).intervals
-            boot = bootstrap_ci(fit, data, B, level, streams[r][1]).intervals if B else None
+            boot = None
+            if B:
+                keys = np.column_stack((np.full(B, index[r]), np.ones_like(resample), resample))
+                boot = _bootstrap_intervals(fit.params_hat, data, level, _child_states(root, keys))[0]
         except BvfError as exc:
             results[r] = type(exc).__name__
             continue
@@ -250,15 +281,16 @@ def _estimation_chunk(config: EstimationStudyConfig, children) -> list:
 
 
 def _run_chunks(cells, workers: int) -> list:
-    """For each cell of a study, a (worker, streams) pair, ``worker``
-    applied to ``workers`` contiguous chunks of the cell's streams; returns
-    each cell's per-replication results, concatenated in order. When every
-    cell is one chunk they run in this process; otherwise all chunks of
-    all cells share one process pool."""
+    """For each cell of a study, a (worker, replicates) pair, ``worker``
+    applied to ``workers`` contiguous chunks of the cell's replicate
+    indices (a range or a list); returns each cell's per-replication
+    results, concatenated in order. When every cell is one chunk they run
+    in this process; otherwise all chunks of all cells share one process
+    pool."""
     jobs = []
-    for i, (worker, children) in enumerate(cells):
-        bounds = [len(children) * j // workers for j in range(workers + 1)]
-        jobs += [(i, worker, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    for i, (worker, replicates) in enumerate(cells):
+        bounds = [len(replicates) * j // workers for j in range(workers + 1)]
+        jobs += [(i, worker, replicates[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     results: list = [[] for _ in cells]
     if len(jobs) == len(cells):
         for i, worker, chunk in jobs:
@@ -285,9 +317,9 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     it occurs at rates a sound study still has to absorb.
     """
     reps = config.replications
-    children = np.random.SeedSequence(config.seed).spawn(reps)
-    worker = functools.partial(_estimation_chunk, config)
-    (results,) = _run_chunks([(worker, children)], config.workers)
+    root = np.random.SeedSequence(config.seed)
+    worker = functools.partial(_estimation_chunk, config, root)
+    (results,) = _run_chunks([(worker, range(reps))], config.workers)
     kept = [r for r in results if not isinstance(r, str)]
     failed = reps - len(kept)
     hard = failed - results.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
@@ -410,15 +442,17 @@ class SelectionStudyReport:
         return out
 
 
-def _selection_chunk(config: SelectionStudyConfig, n: int, children) -> list:
-    """The kind each replication of ``children`` selects, or None where it
-    is dropped: what ``select_model(from_bivariate(sample(parent, n,
-    default_rng(child))), candidates)`` returns, or None where that raises.
-    All the chunk's datasets are drawn as one stack, and select_model's own
+def _selection_chunk(config: SelectionStudyConfig, n: int, root, replicates) -> list:
+    """The kind each replication j of ``replicates`` selects, or None where
+    it is dropped: what :func:`select_model` returns on
+    ``from_bivariate(sample(parent, n, seed))``, seeded with child (j,) of
+    ``root``, or None where that raises. All the chunk's seeds are hashed in
+    one pass and its datasets drawn as one stack, and select_model's own
     path runs on it (:func:`_select_stack`); module-level so process pools
     can pickle it."""
-    rows, t, delta, _ = _draw_stack(config.parent_params, n, children, None)
-    chosen: list = [None] * len(children)
+    keys = np.asarray(replicates, dtype=np.uint64)[:, None]
+    rows, t, delta, _ = _draw_stack(config.parent_params, n, _child_states(root, keys), None)
+    chosen: list = [None] * len(replicates)
     for r, kind in zip(rows.tolist(), _select_stack(t, delta, config.candidates)):
         chosen[r] = kind
     return chosen
@@ -436,9 +470,9 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     every candidate is excluded. More than 10% dropped at any n aborts the
     study as a misconfiguration signal."""
     reps = config.replications
-    children = np.random.SeedSequence(config.seed).spawn(reps * len(config.n_grid))
+    root = np.random.SeedSequence(config.seed)
     cells = [
-        (functools.partial(_selection_chunk, config, n), children[i * reps : (i + 1) * reps])
+        (functools.partial(_selection_chunk, config, n, root), range(i * reps, (i + 1) * reps))
         for i, n in enumerate(config.n_grid)
     ]
     rows = []

@@ -262,6 +262,19 @@ class TestSimEstimate:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_censoring_time_out_of_range_exits_one(self, capsys):
+        # at 1% censoring this Lomax model's C overflows to inf
+        code, out, err = run(
+            ["sim-estimate", "--kind", "lomax", "--alpha0", "0.002",
+             "--alpha1", "0.002", "--alpha2", "0.002", "--lambda", "1",
+             "--n", "10", "--reps", "10", "--censor-frac", "0.01",
+             "--boot-B", "0", "--seed", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bvf: error: ") and "censoring time C" in err
+
 
 class TestSimSelect:
     def test_comma_separated_sizes(self, capsys):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from bvf import (
     sample,
 )
 from bvf import inference
-from bvf.bvf_model import censoring_threshold
+from bvf.bvf_model import _child_states, _pairs_from_uniforms, censoring_threshold
 from bvf.inference import (
     _ALL,
     _SCAN_RECORDS,
@@ -478,6 +479,7 @@ class TestRowBlocks:
         assert R * 3 * n > 2 * _SCAN_RECORDS
         c = censoring_threshold(params, censored_fraction) if censored_fraction else None
         children = np.random.SeedSequence(77).spawn(R)
+        states = _child_states(np.random.SeedSequence(77), np.arange(R)[:, None])
         # every buffer the draw allocates, to tell the drawn stack from a gather
         buffers, empty = [], np.empty
 
@@ -486,7 +488,7 @@ class TestRowBlocks:
             return buffers[-1]
 
         monkeypatch.setattr(np, "empty", recorded_empty)
-        rows, t, delta, failures = _draw_stack(params, n, children, c)
+        rows, t, delta, failures = _draw_stack(params, n, states, c)
         monkeypatch.undo()
         assert rows.tolist() == [r for r, f in enumerate(failures) if f is None]
         assert t.shape == delta.shape == (rows.size, n)
@@ -512,7 +514,8 @@ class TestRowBlocks:
     def test_draw_stack_rejects_the_censoring_time_as_from_bivariate(self, c):
         params = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
         children = np.random.SeedSequence(5).spawn(3)
-        rows, t, delta, failures = _draw_stack(params, 20, children, c)
+        states = _child_states(np.random.SeedSequence(5), np.arange(3)[:, None])
+        rows, t, delta, failures = _draw_stack(params, 20, states, c)
         with pytest.raises(DomainError):
             from_bivariate(sample(params, 20, np.random.default_rng(children[0])), c)
         assert rows.size == 0 and t.shape == delta.shape == (0, 20)
@@ -535,6 +538,73 @@ class TestRowBlocks:
             assert fits.n_evals[j] == fit.n_evals
             assert fits.lam[j] == q.lam
             assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
+
+
+def _spawned(entropy, spawned=0, **kwargs):
+    """A SeedSequence that has already spawned ``spawned`` children."""
+    seq = np.random.SeedSequence(entropy, **kwargs)
+    seq.spawn(spawned)
+    return seq
+
+
+class TestChildSeeds:
+    """A stack's seeds are hashed in one pass; each row must draw the
+    uniforms that NumPy's own child SeedSequence draws."""
+
+    ROOTS = [0, 7, 9138, 20220618, 2**70 + 12345, 2**100 + 5, [1, 2**40, 3]]
+
+    @staticmethod
+    def check(parent, keys, children, monkeypatch, n=4):
+        states = _child_states(parent, keys)
+        assert states.tolist() == [c.generate_state(4, np.uint64).tolist() for c in children]
+        drawn = []
+
+        def recorded(p, v):
+            drawn.append(v.copy())
+            return _pairs_from_uniforms(p, v)
+
+        monkeypatch.setattr(inference, "_pairs_from_uniforms", recorded)
+        _draw_stack(BvfParams(W, 1.0, 1.0, 1.0, 1.0), n, states, None)
+        monkeypatch.undo()
+        want = [np.random.default_rng(c).random((3, n)).tolist() for c in children]
+        assert np.concatenate(drawn).tolist() == want
+
+    @pytest.mark.parametrize("entropy", ROOTS)
+    def test_depth_one_keys(self, entropy, monkeypatch):
+        children = np.random.SeedSequence(entropy).spawn(700)
+        keys = np.arange(700)[:, None]
+        self.check(np.random.SeedSequence(entropy), keys, children, monkeypatch)
+
+    @pytest.mark.parametrize("entropy", ROOTS)
+    def test_depth_three_keys(self, entropy, monkeypatch):
+        # as an estimation study seeds replicate i's bootstrap: key (i, 1, b)
+        replicates, B = [0, 3, 41], 60
+        children = np.random.SeedSequence(entropy).spawn(42)
+        resamples = [c for i in replicates for c in children[i].spawn(2)[1].spawn(B)]
+        keys = [(i, 1, b) for i in replicates for b in range(B)]
+        self.check(np.random.SeedSequence(entropy), keys, resamples, monkeypatch)
+
+    @pytest.mark.parametrize("spawned, pool_size", [(5, 4), (0, 8)], ids=["pre-spawned", "pool-size-8"])
+    def test_parent_spawns_its_next_children(self, spawned, pool_size, monkeypatch):
+        parent = _spawned(9138, spawned, pool_size=pool_size)
+        children = _spawned(9138, spawned, pool_size=pool_size).spawn(40)
+        self.check(parent, spawned + np.arange(40)[:, None], children, monkeypatch)
+
+    def test_keys_of_two_words(self, monkeypatch):
+        # keys of 2**32 and more are two words each. NumPy 2.4's own spawn
+        # exhausts memory from this count on, so the reference children are
+        # built from their spawn keys
+        first = 2**32 - 2
+        parent = np.random.SeedSequence(9138, n_children_spawned=first)
+        children = [np.random.SeedSequence(9138, spawn_key=(first + b,)) for b in range(4)]
+        self.check(parent, first + np.arange(4)[:, None], children, monkeypatch)
+
+    def test_spawned_parent(self, monkeypatch):
+        # a parent with a spawn key of its own, as a bootstrap seeded with a
+        # study's child sequence has
+        parent = np.random.SeedSequence(9138).spawn(3)[2]
+        children = np.random.SeedSequence(9138).spawn(3)[2].spawn(40)
+        self.check(parent, np.arange(40)[:, None], children, monkeypatch)
 
 
 class TestConsistency:
@@ -819,7 +889,7 @@ class TestBootstrapCi:
         p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
         data = from_bivariate(sample(p, 6, seed=4))
         fit = fit_mle(data, L)
-        per_resample = _refit_each_resample(fit, data, 60, 0)
+        per_resample = _refit_each_resample(fit, data, np.random.SeedSequence(0).spawn(60))
         failed = [r for r in per_resample if isinstance(r, str)]
         assert 0.3 * 60 < len(failed) < 0.7 * 60
         with pytest.raises(ResampleFailureError) as err:
@@ -846,9 +916,9 @@ class TestBootstrapCi:
         c = censoring_threshold(params, censored_fraction) if censored_fraction else None
         data = from_bivariate(sample(params, n, seed=data_seed), c)
         fit = fit_mle(data, params.kind)
-        expected = _refit_each_resample(fit, data, B, seed)
+        expected = _refit_each_resample(fit, data, np.random.SeedSequence(seed).spawn(B))
         estimates, failures = _bootstrap_refits(
-            fit.params_hat, data, np.random.SeedSequence(seed).spawn(B)
+            fit.params_hat, data, _child_states(np.random.SeedSequence(seed), np.arange(B)[:, None])
         )
         for b, want in enumerate(expected):
             if isinstance(want, str):
@@ -866,17 +936,66 @@ class TestBootstrapCi:
         ci = bootstrap_ci(fit, data, B=B, seed=seed)
         assert ci.n_failed == n_failed
         assert sum(ci.failure_reasons.values()) == n_failed
-        ordered = np.sort(np.array(ok), axis=0)
-        lo, hi = percentile_ranks(len(ok), 0.95)
-        for j, name in enumerate(("alpha0", "alpha1", "alpha2", "lambda")):
-            assert ci.intervals[name] == (ordered[lo - 1, j], ordered[hi - 1, j])
+        assert ci.intervals == _percentile_intervals(expected)
+
+    @pytest.mark.parametrize("spawned", [0, 3])
+    def test_seed_sequence_draws_its_next_children(self, fitted, spawned):
+        # a fresh sequence, and one that has already spawned three children:
+        # each call draws the B children spawn would make next, and moves the
+        # sequence past them, so a second call draws the next B
+        data, fit = fitted
+        B = 30
+        seq, reference = np.random.SeedSequence(41), np.random.SeedSequence(41)
+        seq.spawn(spawned)
+        reference.spawn(spawned)
+        for _ in range(2):
+            want = _percentile_intervals(_refit_each_resample(fit, data, reference.spawn(B)))
+            assert bootstrap_ci(fit, data, B=B, seed=seq).intervals == want
+            assert seq.n_children_spawned == reference.n_children_spawned
+
+    def test_integer_seed_draws_its_first_children(self, fitted):
+        data, fit = fitted
+        children = np.random.SeedSequence(41).spawn(30)
+        want = _percentile_intervals(_refit_each_resample(fit, data, children))
+        assert bootstrap_ci(fit, data, B=30, seed=41).intervals == want
+
+    def test_threads_draw_what_serial_calls_draw(self, fitted):
+        # each call seeds its own generator; more threads than cores and a
+        # short switch interval interleave their draws
+        data, fit = fitted
+        seeds = list(range(5, 13))
+
+        def intervals(seed):
+            return bootstrap_ci(fit, data, B=40, seed=seed).intervals
+
+        serial = [intervals(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(intervals, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
-def _refit_each_resample(fit, data, B, seed):
+def _percentile_intervals(per_resample, level=0.95):
+    """The percentile intervals of the estimates among ``per_resample``
+    (failed resamples are reason strings, and dropped)."""
+    ordered = np.sort(np.array([r for r in per_resample if not isinstance(r, str)]), axis=0)
+    lo, hi = percentile_ranks(len(ordered), level)
+    return {
+        name: (ordered[lo - 1, j], ordered[hi - 1, j])
+        for j, name in enumerate(("alpha0", "alpha1", "alpha2", "lambda"))
+    }
+
+
+def _refit_each_resample(fit, data, children):
     """Per resample, the fit_mle estimate (alpha0, alpha1, alpha2, lambda),
-    or the reason the resample fails: the bootstrap's reference loop."""
+    or the reason the resample fails, with resample b drawn from
+    ``default_rng(children[b])``: the bootstrap's reference loop."""
     out = []
-    for child in np.random.SeedSequence(seed).spawn(B):
+    for child in children:
         pairs = sample(fit.params_hat, data.n, np.random.default_rng(child))
         try:
             refit = fit_mle(from_bivariate(pairs, data.censoring_time), fit.kind)

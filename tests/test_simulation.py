@@ -121,6 +121,16 @@ class TestEstimationConfig:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             EstimationStudyConfig(**{**base, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("censored_fraction", "0.2"), ("censored_fraction", None),
+         ("ci_level", "0.95"), ("ci_level", None), ("ci_level", True)],
+    )
+    def test_non_number_fraction_or_level_rejected(self, field, value):
+        base = dict(true_params=PW, n=50, replications=5, bootstrap_B=0)
+        with pytest.raises(ValidationError, match=f"{field} must be a number"):
+            EstimationStudyConfig(**{**base, field: value})
+
     def test_numpy_integer_counts_accepted(self):
         cfg = EstimationStudyConfig(
             true_params=PW, n=np.int64(50), replications=np.int32(5),
@@ -254,9 +264,8 @@ class TestStackedEstimation:
             true_params=params, n=n, replications=reps, censored_fraction=frac,
             bootstrap_B=B, seed=seed,
         )
-        # spawn(2) advances a child, so each path gets its own children
         want = _estimate_one_by_one(cfg, np.random.SeedSequence(seed).spawn(reps))
-        assert _estimation_chunk(cfg, np.random.SeedSequence(seed).spawn(reps)) == want
+        assert _estimation_chunk(cfg, np.random.SeedSequence(seed), range(reps)) == want
         assert reasons <= {r for r in want if isinstance(r, str)}
         assert any(not isinstance(r, str) for r in want)
 
@@ -267,22 +276,23 @@ class TestStackedEstimation:
         want = _estimate_one_by_one(cfg, np.random.SeedSequence(3).spawn(12))
         invalid = [i for i, r in enumerate(want) if r in ("DomainError", "ValidationError")]
         assert len(invalid) >= 2
-        children = np.random.SeedSequence(3).spawn(12)
-        got = _estimation_chunk(cfg, [children[i] for i in invalid])
+        got = _estimation_chunk(cfg, np.random.SeedSequence(3), invalid)
         assert got == [want[i] for i in invalid]
 
     def test_censoring_time_past_double_range(self):
-        # C overflows to inf, which from_bivariate rejects on every dataset,
-        # although many of these draws are valid
-        params = BvfParams(L, 0.002, 0.002, 0.002, 1.0)
-        assert censoring_threshold(params, 0.01) == math.inf
-        cfg = EstimationStudyConfig(
-            true_params=params, n=10, replications=10, censored_fraction=0.01,
-            bootstrap_B=0, seed=0,
-        )
-        want = _estimate_one_by_one(cfg, np.random.SeedSequence(0).spawn(10))
-        assert want == ["DomainError"] * 10
-        assert _estimation_chunk(cfg, np.random.SeedSequence(0).spawn(10)) == want
+        # C overflows to inf, or underflows to 0: from_bivariate would reject
+        # every dataset, although many of the draws are valid, so the config
+        # is rejected where it is built
+        for params, frac, c in [
+            (BvfParams(L, 0.002, 0.002, 0.002, 1.0), 0.01, math.inf),
+            (BvfParams(W, 1.0, 1.0, 1.0, 0.0005), 0.2, 0.0),
+        ]:
+            assert censoring_threshold(params, frac) == c
+            with pytest.raises(ValidationError, match="censoring time C at"):
+                EstimationStudyConfig(
+                    true_params=params, n=10, replications=10, censored_fraction=frac,
+                    bootstrap_B=0, seed=0,
+                )
 
     def test_no_mle_is_not_a_hard_failure(self):
         # 11 of these 30 fits have no MLE and none fails otherwise: the study
@@ -433,7 +443,8 @@ class TestStackedSelection:
                 continue
             want.append(result.chosen)
             gompertz_excluded += any(kind is G for kind, _ in result.excluded)
-        assert _selection_chunk(cfg, n, children) == want
+        root = np.random.SeedSequence(cfg.seed)
+        assert _selection_chunk(cfg, n, root, range(cfg.replications)) == want
         # excluded candidates are part of what the stack must reproduce; the
         # Weibull and Lomax parents' seeds exclude Gompertz on most datasets
         assert parent is G or gompertz_excluded > 0
