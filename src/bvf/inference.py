@@ -24,12 +24,19 @@ B=100) took about 1470 minor page faults as one block and 125 in blocks.
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
-that refits resamples drawn at the MLE.
+that refits resamples drawn at the MLE. The information is a diagonal rate
+block bordered by one lambda row, so its inverse has a closed form too: the
+Wald variances need the lambda Schur complement s (-p''(lambda) at the
+closed-form rates), and the matrix is positive definite exactly when every
+failure count m_k is positive, s > 0 and every entry is finite. No matrix is
+factorized, and one stacked pass gives the variances of a whole stack of
+fits (:func:`_wald_variances`), as it gives :func:`asymptotic_ci` one.
 """
 
 import collections
 import enum
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -703,8 +710,13 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
         I_k,lam   = a'(lambda)
         I_lam,lam = (alpha0 + alpha1 + alpha2) * a''(lambda) - c''(lambda)
 
-    At the closed-form rates the lambda Schur complement of this matrix is
-    -p''(lambda), the curvature of the profile.
+    The lambda Schur complement of this matrix,
+    s = I_lam,lam - a'(lambda)**2 * sum_k alpha_k**2 / m_k, is -p''(lambda),
+    the curvature of the profile, at the closed-form rates. The matrix is
+    positive definite exactly when every m_k > 0, s > 0 and every entry is
+    finite; its inverse then has the closed-form diagonal that
+    :func:`asymptotic_ci` reports (see :func:`_wald_variances`, which tests
+    this rule for both).
 
     Raises
     ------
@@ -718,24 +730,50 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
     if np.any(theta <= 0.0):
         raise DomainError("observed_fisher requires an interior estimate (all > 0)")
     ws = _workspace(data, p_hat.kind)
-    alphas = theta[:3]
+    lam, alphas = theta[3:], theta[:3, None]
+    if np.isnan(_wald_variances(ws, _ALL, lam, alphas)).any():
+        raise SingularMatrixError("observed information matrix is not positive definite")
     with np.errstate(all="ignore"):
-        d1_a, d2_a, d2_c = ws.moments(_ALL, theta[3:])
-    d1_a, d2_a, d2_c = float(d1_a[0]), float(d2_a[0]), float(d2_c[0])
-    info = np.zeros((4, 4))
-    info[:3, :3] = np.diag(ws.counts[:, 0] / alphas**2)
-    info[:3, 3] = d1_a
-    info[3, :3] = d1_a
-    info[3, 3] = float(np.sum(alphas)) * d2_a - d2_c
-    if not np.all(np.isfinite(info)):
-        raise SingularMatrixError("observed information matrix has non-finite entries")
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            "observed information matrix is not positive definite"
-        ) from None
+        d1_a, d2_a, d2_c = ws.moments(_ALL, lam)
+    info = np.diag(np.append(ws.counts[:, 0] / theta[:3] ** 2, 0.0))
+    info[:3, 3] = info[3, :3] = d1_a[0]
+    info[3, 3] = (theta[0] + theta[1] + theta[2]) * d2_a[0] - d2_c[0]
     return info
+
+
+def _wald_variances(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The Wald variances, the diagonal of the inverse observed information,
+    at each of ``rows`` of ``stack``, with one lambda and one column of
+    ``alphas`` (shape (3, R)) per row: an (R, 4) array in ``PARAM_NAMES``
+    order, NaN throughout a row whose information is not positive definite.
+
+    The information (:func:`observed_fisher`) is I = [[D, b], [b^T, c]] with
+    D = diag(m_k / alpha_k**2), b_k = a'(lambda) and
+    c = (alpha0 + alpha1 + alpha2) a''(lambda) - c''(lambda). With the
+    lambda Schur complement s = c - a'**2 sum_k alpha_k**2 / m_k,
+
+        var(lambda)  = 1 / s
+        var(alpha_k) = alpha_k**2 / m_k + (a' alpha_k**2 / m_k)**2 / s
+
+    and I is positive definite exactly when every m_k > 0, s > 0 and every
+    entry is finite; a row whose s is so small that a variance overflows is
+    singular too. One stacked pass over the records takes a', a'' and c''
+    (:meth:`_Stack.moments`); the rest is elementwise, so each row gets the
+    bits of its one-row call.
+    """
+    m = stack.counts[:, rows]
+    with np.errstate(all="ignore"):
+        a1, a2, c2 = stack.moments(rows, lam)
+        inv_d = alphas**2 / m
+        c = (alphas[0] + alphas[1] + alphas[2]) * a2 - c2
+        s = c - a1 * a1 * inv_d.sum(axis=0)
+        var = np.empty((lam.size, 4))
+        var[:, :3] = (inv_d + (a1 * inv_d) ** 2 / s).T
+        var[:, 3] = 1.0 / s
+        ok = (m > 0).all(axis=0) & np.isfinite(m / alphas**2).all(axis=0)
+    ok &= np.isfinite(a1) & np.isfinite(c) & (s > 0.0) & np.isfinite(var).all(axis=1)
+    var[~ok] = np.nan
+    return var
 
 
 @dataclass(frozen=True)
@@ -783,7 +821,11 @@ def _require_converged(fit: FitResult, what: str) -> BvfParams:
     return fit.params_hat
 
 
-def _check_level(level: float) -> float:
+def _check_level(level) -> float:
+    """A confidence level as a float: a real number (bool excluded) strictly
+    between 0 and 1."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Real):
+        raise ValidationError(f"level must be a number, got {level!r}")
     level = float(level)
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0, 1), got {level!r}")
@@ -794,27 +836,38 @@ def asymptotic_ci(
     fit: FitResult, data: CompetingRisksData, level: float = 0.95
 ) -> ConfidenceIntervalSet:
     """Wald intervals theta_j +/- z * sqrt([I^-1]_jj) from the observed
-    information. Lower limits may be negative; they are reported as-is."""
+    information, whose inverse diagonal has a closed form (see
+    :func:`observed_fisher`). Lower limits may be negative; they are
+    reported as-is. This is the one-row case of the variances a study
+    computes for a whole stack of fits.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the information is not positive definite.
+    """
     level = _check_level(level)
     p_hat = _require_converged(fit, "asymptotic_ci")
-    info = observed_fisher(p_hat, data)
-    # diag(I^-1) = column sums of squares of L^-1, where I = L L^T
-    variances = (np.linalg.inv(np.linalg.cholesky(info)) ** 2).sum(axis=0)
-    if np.any(variances <= 0.0) or not np.all(np.isfinite(variances)):
-        raise SingularMatrixError("nonpositive variance estimate")
-    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
-    theta = (p_hat.alpha0, p_hat.alpha1, p_hat.alpha2, p_hat.lam)
-    half = z * np.sqrt(variances)
-    intervals = {
-        name: (theta[j] - half[j], theta[j] + half[j])
-        for j, name in enumerate(PARAM_NAMES)
-    }
+    theta = [p_hat.alpha0, p_hat.alpha1, p_hat.alpha2, p_hat.lam]
+    variances = _wald_variances(
+        _workspace(data, p_hat.kind), _ALL, np.array(theta[3:]), np.array(theta[:3])[:, None]
+    )[0]
+    if np.isnan(variances).any():
+        raise SingularMatrixError("observed information matrix is not positive definite")
     return ConfidenceIntervalSet(
         level=level,
         method=CiMethod.ASYMPTOTIC,
-        intervals=intervals,
-        variances={name: float(variances[j]) for j, name in enumerate(PARAM_NAMES)},
+        intervals=_wald_intervals(theta, variances, level),
+        variances=dict(zip(PARAM_NAMES, variances.tolist())),
     )
+
+
+def _wald_intervals(theta: list, variances: np.ndarray, level: float) -> dict:
+    """theta_j +/- z * sqrt(variance_j) per parameter name, z being the
+    standard normal quantile of (1 + level) / 2."""
+    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
+    half = (z * np.sqrt(variances)).tolist()
+    return {name: (theta[j] - half[j], theta[j] + half[j]) for j, name in enumerate(PARAM_NAMES)}
 
 
 def percentile_ranks(b_effective: int, level: float) -> tuple[int, int]:
@@ -832,6 +885,9 @@ def percentile_ranks(b_effective: int, level: float) -> tuple[int, int]:
 
 
 Seed = Union[int, None, np.random.SeedSequence]
+
+# NumPy counts a SeedSequence's spawned children in a uint32
+_MAX_CHILDREN = 2**32 - 1
 
 
 def bootstrap_ci(
@@ -873,11 +929,19 @@ def bootstrap_ci(
     p_hat = _require_converged(fit, "bootstrap_ci")
     parent = _seed_sequence(seed)
     first = parent.n_children_spawned
+    if first + B > _MAX_CHILDREN:
+        # past it NumPy's spawn, whose counter is a uint32, exhausts memory
+        raise ValidationError(
+            f"seed has n_children_spawned = {first}; B = {B} more children would "
+            f"pass NumPy's limit of 2**32 - 1"
+        )
     if parent is seed:
         # the caller's sequence moves past the B children drawn from
         seed.spawn(B)
     keys = (first + np.arange(B, dtype=np.uint64))[:, None]
-    intervals, reasons = _bootstrap_intervals(p_hat, data, level, _child_states(parent, keys))
+    intervals, reasons = _bootstrap_intervals(
+        p_hat, data.n, data.censoring_time, level, _child_states(parent, keys)
+    )
     return ConfidenceIntervalSet(
         level=level,
         method=CiMethod.BOOTSTRAP,
@@ -890,14 +954,15 @@ def bootstrap_ci(
 
 
 def _bootstrap_intervals(
-    p_hat: BvfParams, data: CompetingRisksData, level: float, states: np.ndarray
+    p_hat: BvfParams, n: int, censoring_time, level: float, states: np.ndarray
 ) -> tuple[dict, dict]:
     """:func:`bootstrap_ci`'s percentile intervals and failure counts by
-    reason, from one resample per row of ``states`` (seed words from
-    :func:`_child_states`); more than 5% failed resamples is a
+    reason, from one resample of ``n`` records, censored at
+    ``censoring_time`` (None for none), per row of ``states`` (seed words
+    from :func:`_child_states`); more than 5% failed resamples is a
     ResampleFailureError."""
     B = len(states)
-    estimates, failures = _bootstrap_refits(p_hat, data, states)
+    estimates, failures = _bootstrap_refits(p_hat, n, censoring_time, states)
     reasons = dict(collections.Counter(r for r in failures if r is not None))
     n_failed = sum(reasons.values())
     if n_failed > 0.05 * B:
@@ -966,14 +1031,14 @@ def _reason(outcome) -> str:
 
 
 def _bootstrap_refits(
-    p_hat: BvfParams, data: CompetingRisksData, states: np.ndarray
+    p_hat: BvfParams, n: int, censoring_time, states: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """Draw and refit one resample per row of ``states``, as
-    ``fit_mle(from_bivariate(sample(p_hat, n, seed), C))`` would with the
-    child SeedSequence whose seed words the row holds, in one stacked pass.
-    Returns the (B, 4) estimates in ``PARAM_NAMES`` order and, per resample,
-    None or the reason it failed."""
-    rows, t, delta, failures = _draw_stack(p_hat, data.n, states, data.censoring_time)
+    ``fit_mle(from_bivariate(sample(p_hat, n, seed), censoring_time))``
+    would with the child SeedSequence whose seed words the row holds, in one
+    stacked pass. Returns the (B, 4) estimates in ``PARAM_NAMES`` order and,
+    per resample, None or the reason it failed."""
+    rows, t, delta, failures = _draw_stack(p_hat, n, states, censoring_time)
     estimates = np.full((len(states), 4), np.nan)
     fits = _fit_stack(_Stack(p_hat.kind, t, delta))
     got = _estimated(fits)

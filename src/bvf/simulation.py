@@ -32,9 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .baselines import BaselineKind
-# sample, from_bivariate, fit_mle and select_model are not called here
-# (studies draw, fit and select in stacks), but stay names of this module:
-# perfbench's tracer rebinds them in every namespace that held them
+# sample, from_bivariate, fit_mle, asymptotic_ci, bootstrap_ci and
+# select_model are not called here (studies draw, fit, take intervals and
+# select in stacks), but stay names of this module: perfbench's tracer
+# rebinds them in every namespace that held them
 from .bvf_model import (  # noqa: F401
     BvfParams,
     _check_count,
@@ -43,11 +44,12 @@ from .bvf_model import (  # noqa: F401
     censoring_threshold,
     sample,
 )
-from .data_model import CompetingRisksData, from_bivariate  # noqa: F401
+from .data_model import from_bivariate  # noqa: F401
 from .errors import (
     BvfError,
     DomainError,
     EstimationError,
+    SingularMatrixError,
     ValidationError,
 )
 from .inference import (  # noqa: F401
@@ -55,11 +57,11 @@ from .inference import (  # noqa: F401
     FitStatus,
     _bootstrap_intervals,
     _draw_stack,
-    _fit_result,
     _fit_stack,
-    _fitted_logliks,
     _reason,
     _Stack,
+    _wald_intervals,
+    _wald_variances,
     asymptotic_ci,
     bootstrap_ci,
     fit_mle,
@@ -249,34 +251,40 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     or an error class name), as fit_mle, asymptotic_ci and bootstrap_ci
     give them on its dataset alone, with its data drawn from child (i, 0)
     of ``root`` and its bootstrap resample b from child (i, 1, b). The
-    datasets are drawn as one stack and fitted in one engine call; each
-    bootstrap's B seeds are hashed in one pass."""
-    p, B, level = config.true_params, config.bootstrap_B, config.ci_level
+    datasets are drawn as one stack and fitted in one engine call, the Wald
+    variances of all converged rows take one more pass over that stack, and
+    each bootstrap's B seeds are hashed in one pass."""
+    p, B, level = config.true_params, config.bootstrap_B, float(config.ci_level)
     c = censoring_threshold(p, config.censored_fraction) if config.censored_fraction else None
     index = np.asarray(replicates, dtype=np.uint64)
     data_keys = np.column_stack((index, np.zeros_like(index)))
     rows, t, delta, results = _draw_stack(p, config.n, _child_states(root, data_keys), c)
     stack = _Stack(p.kind, t, delta)
     fits = _fit_stack(stack)
-    logliks = _fitted_logliks(stack, fits)
-    resample = np.arange(B, dtype=np.uint64)
     for j, r in enumerate(rows.tolist()):
         if fits.outcome[j] is not FitStatus.CONVERGED:
             results[r] = _reason(fits.outcome[j])
+    conv = np.flatnonzero([o is FitStatus.CONVERGED for o in fits.outcome])
+    lam, alphas = fits.lam[conv], fits.alphas[:, conv]
+    variances = _wald_variances(stack, conv, lam, alphas)
+    resample = np.arange(B, dtype=np.uint64)
+    estimates = zip(alphas.T.tolist(), lam.tolist())
+    for r, (alpha, lam_r), var in zip(rows[conv].tolist(), estimates, variances):
+        if np.isnan(var).any():
+            results[r] = SingularMatrixError.__name__
             continue
-        fit = _fit_result(p.kind, fits, j, logliks[j])
-        data = CompetingRisksData(t[j], delta[j], c)
-        try:
-            asym = asymptotic_ci(fit, data, level).intervals
-            boot = None
-            if B:
-                keys = np.column_stack((np.full(B, index[r]), np.ones_like(resample), resample))
-                boot = _bootstrap_intervals(fit.params_hat, data, level, _child_states(root, keys))[0]
-        except BvfError as exc:
-            results[r] = type(exc).__name__
-            continue
-        q = fit.params_hat
-        results[r] = (q.alpha0, q.alpha1, q.alpha2, q.lam), asym, boot
+        theta = (*alpha, lam_r)
+        boot = None
+        if B:
+            keys = np.column_stack((np.full(B, index[r]), np.ones_like(resample), resample))
+            try:
+                boot = _bootstrap_intervals(
+                    BvfParams(p.kind, *theta), config.n, c, level, _child_states(root, keys)
+                )[0]
+            except BvfError as exc:
+                results[r] = type(exc).__name__
+                continue
+        results[r] = theta, _wald_intervals(theta, var, level), boot
     return results
 
 
@@ -307,14 +315,15 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     """Sample -> censor -> fit -> intervals, replicated; aggregate relative
     MSE/bias per parameter and average length/coverage per interval method.
 
-    A chunk of replications is fitted in one engine call; each converged
-    fit's intervals are computed on its own dataset. A replication that
-    fails anywhere is excluded from every average and counted in
-    ``failed_replications``. Hard failures (degenerate data, boundary
-    estimates, singular information, bootstrap breakdown) above 10% abort
-    the study as a misconfiguration signal; a monotone profile is a
-    documented no-MLE outcome and only excluded, since under 40% censoring
-    it occurs at rates a sound study still has to absorb.
+    A chunk of replications is fitted in one engine call, and the Wald
+    variances of its converged fits take one more stacked pass; each
+    converged fit's bootstrap refits resamples drawn at its own estimate.
+    A replication that fails anywhere is excluded from every average and
+    counted in ``failed_replications``. Hard failures (degenerate data,
+    boundary estimates, singular information, bootstrap breakdown) above
+    10% abort the study as a misconfiguration signal; a monotone profile is
+    a documented no-MLE outcome and only excluded, since under 40%
+    censoring it occurs at rates a sound study still has to absorb.
     """
     reps = config.replications
     root = np.random.SeedSequence(config.seed)

@@ -48,6 +48,9 @@ from bvf.inference import (
 )
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
+# the Gompertz and Lomax caption parameters
+PG = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
+PL = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
 
 # Twelve records, two ties, four first-risk, three second-risk, three
 # censored at 1.5. Small enough to solve independently to high precision.
@@ -675,10 +678,7 @@ class TestObservedFisher:
     def test_weakly_identified_fit_is_positive_definite(
         self, params, seed, replicate, neg_p2, lam_root
     ):
-        # rebuilt exactly as the estimation study builds its replicate
-        child = np.random.SeedSequence(seed).spawn(500)[replicate].spawn(2)[0]
-        pairs = sample(params, 200, np.random.default_rng(child))
-        data = from_bivariate(pairs, censoring_threshold(params, 0.4))
+        data = _study_replicate(params, seed, replicate)
         fit = fit_mle(data, params.kind)
         assert fit.status is FitStatus.CONVERGED
         # the profile is so flat here that rounding in the score limits a
@@ -690,6 +690,15 @@ class TestObservedFisher:
         # p'' by under 3e-8 relative here
         chol = np.linalg.cholesky(info)
         assert chol[3, 3] ** 2 == pytest.approx(neg_p2, rel=1e-6)
+
+
+def _study_replicate(params, seed, replicate):
+    """Replicate ``replicate`` of a 500-replicate, n=200, 40%-censored
+    estimation study with root seed ``seed``, rebuilt exactly as the study
+    builds it."""
+    child = np.random.SeedSequence(seed).spawn(500)[replicate].spawn(2)[0]
+    pairs = sample(params, 200, np.random.default_rng(child))
+    return from_bivariate(pairs, censoring_threshold(params, 0.4))
 
 
 def _hessian_by_gradient(p, data):
@@ -780,6 +789,85 @@ class TestAsymptoticCi:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
                 asymptotic_ci(fit, data12, bad)
+
+    @pytest.mark.parametrize("bad", ["0.9", "abc", None, True, [0.9]])
+    def test_non_number_level_rejected(self, data12, bad):
+        # every interval entry point checks its level the same way
+        fit = fit_mle(data12, W)
+        for call in (
+            lambda: asymptotic_ci(fit, data12, bad),
+            lambda: bootstrap_ci(fit, data12, B=5, level=bad, seed=1),
+            lambda: percentile_ranks(10, bad),
+        ):
+            with pytest.raises(ValidationError, match="level must be a number"):
+                call()
+
+    @pytest.mark.parametrize(
+        "params, data",
+        [
+            (PG, _study_replicate(PG, 9305, 115)),
+            (PL, _study_replicate(PL, 9308, 275)),
+            (PG, from_bivariate(sample(PG, 30, seed=0), censoring_threshold(PG, 0.4))),
+        ],
+        ids=["gompertz-rep115", "lomax-rep275", "gompertz-n30"],
+    )
+    def test_variances_match_a_50_digit_inverse(self, params, data):
+        import mpmath
+
+        fit = fit_mle(data, params.kind)
+        info = observed_fisher(fit.params_hat, data)
+        with mpmath.workdps(50):
+            inverse = mpmath.matrix(info.tolist()) ** -1
+            want = [float(inverse[j, j]) for j in range(4)]
+        got = [asymptotic_ci(fit, data).variances[name] for name in PARAM_NAMES]
+        # The lambda Schur complement s = c - a'**2 sum alpha_k**2 / m_k is a
+        # difference of two terms whose sum is kappa * s. kappa is about
+        # 2.5e8 on the two weakly identified replicates, where rounding the
+        # double entries alone moves every variance by up to eps * kappa
+        # (about 5e-8), and 2.3e5 on the last dataset
+        q = np.sum(1.0 / np.diag(info)[:3])
+        tail = info[0, 3] ** 2 * q
+        kappa = (info[3, 3] + tail) / (info[3, 3] - tail)
+        rel = max(1e-10, np.finfo(float).eps * kappa)
+        assert got == pytest.approx(want, rel=rel)
+
+
+class TestWaldVariances:
+    def test_singular_rows_of_a_stack_are_nan(self):
+        # Lomax caption datasets of one size: converged fits; one of them at
+        # lambda = 16 with its closed-form rates, where the profile is
+        # convex (s = -p'' < 0); and a dataset without second-risk failures
+        datasets = [from_bivariate(sample(PL, 40, seed=seed)) for seed in range(4)]
+        fits = [fit_mle(data, L) for data in datasets]
+        assert all(fit.status is FitStatus.CONVERGED for fit in fits)
+        convex = datasets[1]
+        _, g, h = inference._workspace(convex, L).newton_terms(_ALL, np.array([16.0]))
+        assert h[0] - g[0] > 0.0  # lambda**2 p''
+        delta = datasets[0].delta.copy()
+        delta[delta == 2] = 1
+        no_mode2 = CompetingRisksData(datasets[0].t, delta)
+        # per row: its data, the point (alpha0, alpha1, alpha2, lambda) it
+        # is evaluated at, and its fit (None for the singular rows)
+        rows = [(data, _theta(fit.params_hat), fit) for data, fit in zip(datasets, fits)]
+        rows.insert(1, (convex, (*alphas_given_lambda(16.0, convex, L), 16.0), None))
+        rows.insert(3, (no_mode2, _theta(fits[0].params_hat), None))
+        stack = _Stack(L, np.stack([r[0].t for r in rows]), np.stack([r[0].delta for r in rows]))
+        order = np.array([5, 1, 0, 3, 4, 2])
+        theta = np.array([rows[r][1] for r in order])
+        variances = inference._wald_variances(stack, order, theta[:, 3], theta[:, :3].T)
+        for r, got in zip(order.tolist(), variances):
+            data, point, fit = rows[r]
+            if fit is None:
+                assert np.isnan(got).all(), r
+                with pytest.raises(SingularMatrixError):
+                    observed_fisher(BvfParams(L, *point), data)
+            else:
+                want = asymptotic_ci(fit, data).variances
+                assert got.tolist() == [want[name] for name in PARAM_NAMES], r
+
+
+def _theta(p):
+    return (p.alpha0, p.alpha1, p.alpha2, p.lam)
 
 
 class TestPercentileRanks:
@@ -918,7 +1006,10 @@ class TestBootstrapCi:
         fit = fit_mle(data, params.kind)
         expected = _refit_each_resample(fit, data, np.random.SeedSequence(seed).spawn(B))
         estimates, failures = _bootstrap_refits(
-            fit.params_hat, data, _child_states(np.random.SeedSequence(seed), np.arange(B)[:, None])
+            fit.params_hat,
+            data.n,
+            data.censoring_time,
+            _child_states(np.random.SeedSequence(seed), np.arange(B)[:, None]),
         )
         for b, want in enumerate(expected):
             if isinstance(want, str):
@@ -952,6 +1043,22 @@ class TestBootstrapCi:
             want = _percentile_intervals(_refit_each_resample(fit, data, reference.spawn(B)))
             assert bootstrap_ci(fit, data, B=B, seed=seq).intervals == want
             assert seq.n_children_spawned == reference.n_children_spawned
+
+    def test_spawn_counter_limit(self, fitted):
+        # NumPy counts a SeedSequence's children in a uint32, and its spawn
+        # exhausts memory once the count would pass 2**32 - 1: one more
+        # resample is still drawn, two are rejected before any spawning
+        data, fit = fitted
+        first = 2**32 - 2
+        seq = np.random.SeedSequence(9138, n_children_spawned=first)
+        child = np.random.SeedSequence(9138, spawn_key=(first,))
+        want = _percentile_intervals(_refit_each_resample(fit, data, [child]))
+        assert bootstrap_ci(fit, data, B=1, seed=seq).intervals == want
+        assert seq.n_children_spawned == 2**32 - 1
+        seq = np.random.SeedSequence(9138, n_children_spawned=first)
+        with pytest.raises(ValidationError, match="n_children_spawned"):
+            bootstrap_ci(fit, data, B=2, seed=seq)
+        assert seq.n_children_spawned == first
 
     def test_integer_seed_draws_its_first_children(self, fitted):
         data, fit = fitted
