@@ -14,8 +14,9 @@ Lomax         1 / (1 + lam*t)            lam / (1 + lam*t)
 
 All functions are pure and scalar. Likelihood code must consume the ``log_*``
 variants: the plain ones underflow for large t (the Gompertz survival decays
-doubly exponentially). Overflowing intermediates saturate to the correct
-signed infinity instead of raising.
+doubly exponentially). One overflow rule (:func:`_or_inf`): a result past
+double range saturates to the signed infinity instead of raising, and log f0
+is ``-inf`` wherever log S0 is, whatever its other terms read.
 """
 
 import enum
@@ -64,6 +65,12 @@ class BaselineKind(enum.Enum):
 _ORDER = {kind: i for i, kind in enumerate(BaselineKind)}
 
 
+def _check_kind(kind) -> None:
+    """Raise DomainError unless ``kind`` is a BaselineKind."""
+    if not isinstance(kind, BaselineKind):
+        raise DomainError(f"kind must be a BaselineKind, got {kind!r}")
+
+
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not (lam > 0.0) or math.isinf(lam):
@@ -78,6 +85,15 @@ def _check_time(t: float) -> float:
     if math.isinf(t):
         raise DomainError("t must be finite")
     return t
+
+
+def _or_inf(f, *args) -> float:
+    """``f(*args)``, or ``inf`` where it overflows: Python's float ``**`` and
+    ``math`` functions raise OverflowError there instead of returning inf."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
 
 
 def log_s0(kind: BaselineKind, t: float, lam: float) -> float:
@@ -99,23 +115,16 @@ def log_s0(kind: BaselineKind, t: float, lam: float) -> float:
     Raises
     ------
     DomainError
-        If ``t < 0`` or ``lam <= 0``.
+        If ``kind`` is not a BaselineKind, ``t < 0`` or ``lam <= 0``.
     """
     t = _check_time(t)
     lam = _check_lambda(lam)
     if kind is BaselineKind.WEIBULL:
-        try:
-            return -(t**lam)
-        except OverflowError:
-            return -math.inf
+        return -_or_inf(pow, t, lam)
     if kind is BaselineKind.GOMPERTZ:
-        try:
-            return -math.expm1(lam * t)
-        except OverflowError:
-            return -math.inf
-    if kind is BaselineKind.LOMAX:
-        return -math.log1p(lam * t)
-    raise DomainError(f"unknown baseline kind {kind!r}")
+        return -_or_inf(math.expm1, lam * t)
+    _check_kind(kind)
+    return -math.log1p(lam * t)
 
 
 def s0(kind: BaselineKind, t: float, lam: float) -> float:
@@ -134,6 +143,7 @@ def log_f0(kind: BaselineKind, t: float, lam: float) -> float:
     """
     t = _check_time(t)
     lam = _check_lambda(lam)
+    # log f0 = log h0 + log S0, with log S0 as in log_s0
     if kind is BaselineKind.WEIBULL:
         if t == 0.0:
             if lam < 1.0:
@@ -141,27 +151,21 @@ def log_f0(kind: BaselineKind, t: float, lam: float) -> float:
             if lam == 1.0:
                 return math.log(lam)
             return -math.inf
-        try:
-            return math.log(lam) + (lam - 1.0) * math.log(t) - t**lam
-        except OverflowError:
-            return -math.inf
-    if kind is BaselineKind.GOMPERTZ:
-        try:
-            return math.log(lam) + lam * t - math.expm1(lam * t)
-        except OverflowError:
-            return -math.inf
-    if kind is BaselineKind.LOMAX:
+        log_s = -_or_inf(pow, t, lam)
+        log_h = math.log(lam) + (lam - 1.0) * math.log(t)
+    elif kind is BaselineKind.GOMPERTZ:
+        log_s = -_or_inf(math.expm1, lam * t)
+        log_h = math.log(lam) + lam * t
+    else:
+        _check_kind(kind)
         return math.log(lam) - 2.0 * math.log1p(lam * t)
-    raise DomainError(f"unknown baseline kind {kind!r}")
+    # the density vanishes with the survival, whatever log h0 reads
+    return -math.inf if log_s == -math.inf else log_h + log_s
 
 
 def f0(kind: BaselineKind, t: float, lam: float) -> float:
     """Baseline density f0(t; lambda) = -dS0/dt, >= 0."""
-    lf = log_f0(kind, t, lam)
-    try:
-        return math.exp(lf)
-    except OverflowError:
-        return math.inf
+    return _or_inf(math.exp, log_f0(kind, t, lam))
 
 
 def h0(kind: BaselineKind, t: float, lam: float) -> float:
@@ -176,35 +180,21 @@ def h0(kind: BaselineKind, t: float, lam: float) -> float:
             if lam < 1.0:
                 raise DomainError("Weibull hazard with lambda < 1 has a pole at t=0")
             return lam if lam == 1.0 else 0.0
-        try:
-            return lam * t ** (lam - 1.0)
-        except OverflowError:
-            return math.inf
+        return lam * _or_inf(pow, t, lam - 1.0)
     if kind is BaselineKind.GOMPERTZ:
-        try:
-            return lam * math.exp(lam * t)
-        except OverflowError:
-            return math.inf
-    if kind is BaselineKind.LOMAX:
-        return lam / (1.0 + lam * t)
-    raise DomainError(f"unknown baseline kind {kind!r}")
+        return lam * _or_inf(math.exp, lam * t)
+    _check_kind(kind)
+    return lam / (1.0 + lam * t)
 
 
 def _s0_inv_log(kind: BaselineKind, log_p: float, lam: float) -> float:
-    """Inverse survival evaluated from log p; log_p <= 0, possibly -inf."""
+    """Inverse survival evaluated from log p; log_p <= 0, possibly -inf.
+    ``kind`` must already be a BaselineKind."""
     if kind is BaselineKind.WEIBULL:
-        try:
-            return (-log_p) ** (1.0 / lam)
-        except OverflowError:
-            return math.inf
+        return _or_inf(pow, -log_p, 1.0 / lam)
     if kind is BaselineKind.GOMPERTZ:
         return math.log1p(-log_p) / lam
-    if kind is BaselineKind.LOMAX:
-        try:
-            return math.expm1(-log_p) / lam
-        except OverflowError:
-            return math.inf
-    raise DomainError(f"unknown baseline kind {kind!r}")
+    return _or_inf(math.expm1, -log_p) / lam
 
 
 def s0_inv(kind: BaselineKind, p: float, lam: float) -> float:
@@ -226,8 +216,9 @@ def s0_inv(kind: BaselineKind, p: float, lam: float) -> float:
     Raises
     ------
     DomainError
-        If ``p`` is outside (0, 1].
+        If ``kind`` is not a BaselineKind or ``p`` is outside (0, 1].
     """
+    _check_kind(kind)
     p = float(p)
     lam = _check_lambda(lam)
     if not (0.0 < p <= 1.0):
@@ -237,12 +228,11 @@ def s0_inv(kind: BaselineKind, p: float, lam: float) -> float:
 
 def _s0_inv_log_array(kind: BaselineKind, log_p: np.ndarray, lam: float) -> np.ndarray:
     """Vector version of ``_s0_inv_log`` for the sampler; log_p entries <= 0
-    (``-inf`` maps to ``+inf`` time, i.e. an event that never happens)."""
+    (``-inf`` maps to ``+inf`` time, i.e. an event that never happens).
+    ``kind`` must already be a BaselineKind."""
     with np.errstate(over="ignore"):
         if kind is BaselineKind.WEIBULL:
             return (-log_p) ** (1.0 / lam)
         if kind is BaselineKind.GOMPERTZ:
             return np.log1p(-log_p) / lam
-        if kind is BaselineKind.LOMAX:
-            return np.expm1(-log_p) / lam
-    raise DomainError(f"unknown baseline kind {kind!r}")
+        return np.expm1(-log_p) / lam

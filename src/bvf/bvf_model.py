@@ -18,7 +18,9 @@ import numpy as np
 
 from .baselines import (
     BaselineKind,
+    _check_kind,
     _check_lambda,
+    _or_inf,
     _s0_inv_log,
     _s0_inv_log_array,
     log_f0,
@@ -64,8 +66,7 @@ class BvfParams:
     lam: float
 
     def __post_init__(self):
-        if not isinstance(self.kind, BaselineKind):
-            raise DomainError(f"kind must be a BaselineKind, got {self.kind!r}")
+        _check_kind(self.kind)
         for name in ("alpha0", "alpha1", "alpha2"):
             value = float(getattr(self, name))
             if not (value >= 0.0) or math.isinf(value):
@@ -135,7 +136,9 @@ def jpdf_ac(p: BvfParams, x: float, y: float) -> float:
     For 0 < x < y:
         alpha1*(alpha0+alpha2) * S0(y)**(alpha0+alpha2-1) * S0(x)**(alpha1-1)
         * f0(x) * f0(y)
-    and symmetrically (alpha1 <-> alpha2, x <-> y) for 0 < y < x.
+    and symmetrically (alpha1 <-> alpha2, x <-> y) for 0 < y < x. It is 0
+    where either survival underflows: each S0**(alpha-1) * f0 factor is
+    h0 * S0**alpha, and h0 grows more slowly than S0 decays.
 
     Raises
     ------
@@ -147,51 +150,40 @@ def jpdf_ac(p: BvfParams, x: float, y: float) -> float:
     y = _check_positive_time("y", y)
     if x == y:
         raise DomainError("jpdf_ac is undefined on the diagonal x = y")
-    if x < y:
-        rate = p.alpha1 * (p.alpha0 + p.alpha2)
-        if rate == 0.0:
-            return 0.0
-        exponent = (
-            math.log(p.alpha1)
-            + math.log(p.alpha0 + p.alpha2)
-            + (p.alpha0 + p.alpha2 - 1.0) * log_s0(p.kind, y, p.lam)
-            + (p.alpha1 - 1.0) * log_s0(p.kind, x, p.lam)
-        )
-    else:
-        rate = p.alpha2 * (p.alpha0 + p.alpha1)
-        if rate == 0.0:
-            return 0.0
-        exponent = (
-            math.log(p.alpha2)
-            + math.log(p.alpha0 + p.alpha1)
-            + (p.alpha0 + p.alpha1 - 1.0) * log_s0(p.kind, x, p.lam)
-            + (p.alpha2 - 1.0) * log_s0(p.kind, y, p.lam)
-        )
+    a1, a2 = p.alpha1, p.alpha2
+    if y < x:
+        # the x < y branch, mirrored
+        x, y, a1, a2 = y, x, a2, a1
+    if a1 * (p.alpha0 + a2) == 0.0:
+        return 0.0
+    log_sx, log_sy = log_s0(p.kind, x, p.lam), log_s0(p.kind, y, p.lam)
+    if -math.inf in (log_sx, log_sy):
+        return 0.0
+    exponent = (
+        math.log(a1)
+        + math.log(p.alpha0 + a2)
+        + (p.alpha0 + a2 - 1.0) * log_sy
+        + (a1 - 1.0) * log_sx
+    )
     exponent += log_f0(p.kind, x, p.lam) + log_f0(p.kind, y, p.lam)
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
+    return _or_inf(math.exp, exponent)
 
 
 def singular_density(p: BvfParams, t: float) -> float:
     """Density of the singular component along x = y:
     alpha0 * S0(t)**(alpha0+alpha1+alpha2-1) * f0(t).
 
-    Integrates to the tie probability alpha0 / alpha_sum.
+    Integrates to the tie probability alpha0 / alpha_sum; 0 where the
+    survival underflows, as :func:`jpdf_ac` is.
     """
     t = _check_positive_time("t", t)
     if p.alpha0 == 0.0:
         return 0.0
-    exponent = (
-        math.log(p.alpha0)
-        + (p.alpha_sum() - 1.0) * log_s0(p.kind, t, p.lam)
-        + log_f0(p.kind, t, p.lam)
-    )
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
+    log_s = log_s0(p.kind, t, p.lam)
+    if log_s == -math.inf:
+        return 0.0
+    exponent = math.log(p.alpha0) + (p.alpha_sum() - 1.0) * log_s + log_f0(p.kind, t, p.lam)
+    return _or_inf(math.exp, exponent)
 
 
 def tie_probability(p: BvfParams) -> OrderingProbabilities:
@@ -248,36 +240,24 @@ def _child_states(parent: np.random.SeedSequence, keys) -> np.ndarray:
         SeedSequence(parent.entropy, spawn_key=parent.spawn_key + keys[r],
                      pool_size=parent.pool_size).generate_state(4, np.uint64)
 
-    ``keys`` is an (R, d) array of integers in [0, 2**64), one spawn-key
+    ``keys`` is an (R, d) array of integers in [0, 2**32), one spawn-key
     suffix per row; the r-th child of a parent's ``spawn`` has the suffix
-    (parent.n_children_spawned + r,).
+    (parent.n_children_spawned + r,). Each entry is then one 32-bit word
+    (SeedSequence splits larger ones into two); every caller keeps them
+    below 2**32: ``bootstrap_ci`` bounds the spawn counter plus B, and the
+    study configs bound their replication and resample counts.
 
     A child's entropy words are its parent's followed by its key words, so
     its pool is the parent's ``pool`` with the key words mixed in, and the
     hash constant resumes where the parent's left off: after P*P hashes for
-    the pool of P words, and P per word past the pool. A key entry of 2**32
-    or more is two words, so rows with different word counts are hashed as
-    separate groups."""
-    keys = np.asarray(keys, dtype=np.uint64)
+    the pool of P words, and P per word past the pool."""
     P = parent.pool_size
     n_words = _word_count(parent.entropy)
     if parent.spawn_key:
         # a spawned sequence's entropy is zero-padded to the pool size
         n_words = max(n_words, P) + _word_count(parent.spawn_key)
     hashes = P * P + P * max(0, n_words - P)
-    wide = keys > _MASK32
-    low = (keys & np.uint64(_MASK32)).astype(np.uint32)
-    high = (keys >> np.uint64(32)).astype(np.uint32)
-    # rows whose key entries split into words alike hash as one group
-    codes = wide @ (np.uint64(1) << np.arange(keys.shape[1], dtype=np.uint64))
-    out = np.empty((keys.shape[0], 4), dtype=np.uint64)
-    for code in set(codes.tolist()):
-        rows = np.flatnonzero(codes == code)
-        words = []
-        for j, two in enumerate(wide[rows[0]].tolist()):
-            words += [low[rows, j], high[rows, j]] if two else [low[rows, j]]
-        out[rows] = _hashed_states(parent.pool, np.column_stack(words), hashes)
-    return out
+    return _hashed_states(parent.pool, np.asarray(keys, dtype=np.uint32), hashes)
 
 
 def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .baselines import BaselineKind, _check_lambda
+from .baselines import BaselineKind, _check_kind, _check_lambda
 # sample and from_bivariate are not called here, but stay names of this
 # module: perfbench's tracer rebinds them in every namespace that held them
 from .bvf_model import (  # noqa: F401
@@ -311,7 +311,10 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
-    """The one-row stack of ``data``, built once per (data, kind)."""
+    """The one-row stack of ``data``, built once per (data, kind): the one
+    place a (data, kind) pair enters, so a kind that is not a BaselineKind
+    is a DomainError here."""
+    _check_kind(kind)
     key = ("workspace", kind)
     ws = data._cache.get(key)
     if ws is None:

@@ -133,12 +133,16 @@ class EstimationStudyConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.true_params, BvfParams):
+            raise ValidationError(f"true_params must be a BvfParams, got {self.true_params!r}")
         for name in ("n", "replications", "bootstrap_B", "workers"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.n < 10:
             raise ValidationError(f"n must be >= 10, got {self.n}")
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        # replicate i and its resample b seed with spawn-key entries i and b,
+        # which _child_states takes as one 32-bit word each
+        if not 1 <= self.replications <= 2**32:
+            raise ValidationError("replications must lie in [1, 2**32]")
         for name in ("censored_fraction", "ci_level"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -155,8 +159,8 @@ class EstimationStudyConfig:
                 )
         if not (0.0 < self.ci_level < 1.0):
             raise ValidationError("ci_level must lie in (0, 1)")
-        if self.bootstrap_B < 0:
-            raise ValidationError("bootstrap_B must be >= 0")
+        if not 0 <= self.bootstrap_B <= 2**32:
+            raise ValidationError("bootstrap_B must lie in [0, 2**32]")
         _check_seed_and_workers(self)
 
 
@@ -390,6 +394,8 @@ class SelectionStudyConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.parent_params, BvfParams):
+            raise ValidationError(f"parent_params must be a BvfParams, got {self.parent_params!r}")
         object.__setattr__(self, "candidates", tuple(self.candidates))
         object.__setattr__(
             self, "n_grid", tuple(_check_count("n", n) for n in self.n_grid)
@@ -405,6 +411,10 @@ class SelectionStudyConfig:
             raise ValidationError("n_grid must be non-empty with every n >= 10")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
+        # replicate i at the k-th n seeds with the spawn-key entry
+        # k * replications + i, one 32-bit word in _child_states
+        if self.replications * len(self.n_grid) > 2**32:
+            raise ValidationError("replications * len(n_grid) must be <= 2**32")
         _check_seed_and_workers(self)
 
 

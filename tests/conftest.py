@@ -3,11 +3,17 @@
 test_acceptance.py records one line per acceptance criterion through the
 ``criterion`` context manager; the collected lines are replayed as a block
 in the terminal summary so every criterion's verdict is visible at a glance.
+Hypothesis runs derandomized and without its example database.
 """
 
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, so a verdict repeats
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 ACCEPTANCE_LINES = []
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bvf import BaselineKind, DomainError, f0, h0, log_f0, log_s0, s0, s0_inv
 
 KINDS = list(BaselineKind)
+W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 
 # mpmath, mp.dps=50
 GOMPERTZ_S0_1_105 = 0.15603871677608838
@@ -207,3 +208,36 @@ def test_density_matches_negative_survival_derivative():
                 h = 1e-5 * max(t, 1.0)
                 num = -(s0(kind, t + h, lam) - s0(kind, t - h, lam)) / (2 * h)
                 assert num == pytest.approx(f0(kind, t, lam), rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "fn, kind, t, lam, want",
+    [
+        (log_s0, W, 1e10, 50.0, -math.inf),
+        (log_s0, G, 1000.0, 1.0, -math.inf),
+        # (lam - 1) log t is itself inf here; the density still vanishes
+        (log_f0, W, 1e300, 1e307, -math.inf),
+        (log_f0, G, 1000.0, 1.0, -math.inf),
+        (f0, W, 5e-324, 0.01, math.inf),
+        (h0, W, 1e300, 3.0, math.inf),
+        (h0, G, 1000.0, 1.0, math.inf),
+        (s0_inv, W, 1e-300, 1e-3, math.inf),
+        (s0_inv, L, 1e-320, 1.0, math.inf),
+    ],
+)
+def test_overflow_saturates_to_signed_inf(fn, kind, t, lam, want):
+    assert fn(kind, t, lam) == want
+
+
+def test_density_vanishes_where_survival_underflows():
+    # lam*t overflows to inf, where math.expm1 returns inf without raising
+    assert log_s0(G, 1e300, 1e10) == -math.inf
+    assert log_f0(G, 1e300, 1e10) == -math.inf
+    assert f0(G, 1e300, 1e10) == 0.0
+
+
+@pytest.mark.parametrize("fn", [log_s0, s0, log_f0, f0, h0, s0_inv])
+@pytest.mark.parametrize("kind", ["weibull", None, 0])
+def test_non_kind_rejected(fn, kind):
+    with pytest.raises(DomainError, match="kind must be a BaselineKind"):
+        fn(kind, 0.5, 1.0)

@@ -129,6 +129,23 @@ class TestAbsolutelyContinuousDensity:
         with pytest.raises(DomainError):
             jpdf_ac(PW, 0.7, 0.7)
 
+    def test_overflow_saturates_to_inf(self):
+        p = BvfParams(W, 1.0, 1.0, 1.0, 0.01)
+        assert jpdf_ac(p, 5e-324, 1.0) == math.inf
+        assert jpdf_ac(p, 1.0, 5e-324) == math.inf
+        assert singular_density(p, 5e-324) == math.inf
+
+    def test_vanishes_where_a_survival_underflows(self):
+        # Gompertz: lam*y overflows to inf; Weibull: t**lam overflows, and
+        # S0(y) enters with a zero power
+        gompertz = BvfParams(G, 1.0, 1.0, 1.0, 1e10)
+        assert jpdf_ac(gompertz, 1e-3, 1e300) == 0.0
+        assert jpdf_ac(gompertz, 1e300, 1e-300) == 0.0
+        assert singular_density(gompertz, 1e300) == 0.0
+        weibull = BvfParams(W, 0.5, 1.0, 0.5, 50.0)
+        assert jpdf_ac(weibull, 1.0, 1e10) == 0.0
+        assert singular_density(BvfParams(W, 0.2, 0.2, 0.2, 50.0), 1e10) == 0.0
+
     def test_zero_rate_kills_branch(self):
         p = BvfParams(W, 1.0, 0.0, 1.0, 1.0)
         assert jpdf_ac(p, 0.5, 1.0) == 0.0

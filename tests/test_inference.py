@@ -28,7 +28,9 @@ from bvf import (
     bootstrap_ci,
     fit_mle,
     from_bivariate,
+    h0,
     log_likelihood,
+    log_s0,
     observed_fisher,
     percentile_ranks,
     profile_loglik,
@@ -201,6 +203,20 @@ class TestProfile:
     def test_lomax_small_lambda_limit(self, data12):
         # as lambda -> 0 the Lomax profile approaches -M log(sum of t)
         assert profile_loglik(1e-8, data12, L) == pytest.approx(NEG_9_LOG_11_2, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda data, kind: profile_loglik(1.0, data, kind),
+            lambda data, kind: alphas_given_lambda(1.0, data, kind),
+            fit_mle,
+        ],
+        ids=["profile_loglik", "alphas_given_lambda", "fit_mle"],
+    )
+    @pytest.mark.parametrize("kind", ["weibull", None, 0])
+    def test_non_kind_rejected(self, data12, entry, kind):
+        with pytest.raises(DomainError, match="kind must be a BaselineKind"):
+            entry(data12, kind)
 
     def test_no_failures_is_an_error(self):
         data = CompetingRisksData([2.0, 2.0], [3, 3])
@@ -550,6 +566,48 @@ def _spawned(entropy, spawned=0, **kwargs):
     return seq
 
 
+class TestStackSums:
+    """The engine's per-record sums against the scalar model layer."""
+
+    @staticmethod
+    def check(got, terms):
+        want = math.fsum(terms)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * math.fsum(abs(v) for v in terms)
+
+    @pytest.mark.parametrize(
+        "p", [BvfParams(W, 1.34, 1.17, 0.86, 0.91), PG, PL], ids=lambda p: p.kind.value
+    )
+    def test_survival_matches_log_s0_and_h0(self, p):
+        lams = [0.3, 1.0, 2.7]
+        datasets = [
+            from_bivariate(sample(p, 60, seed), censoring_threshold(p, 0.3))
+            for seed in (1, 2, 3)
+        ]
+        t = np.stack([d.t for d in datasets for _ in lams])
+        delta = np.stack([d.delta for d in datasets for _ in lams])
+        lam = np.array(lams * len(datasets))
+        with np.errstate(all="ignore"):
+            a, c = _Stack(p.kind, t, delta).survival(_ALL, lam)
+        assert (delta == 3).any(axis=1).all()
+        for r in range(lam.size):
+            unc = t[r][delta[r] != 3].tolist()
+            self.check(a[r], [-log_s0(p.kind, x, lam[r]) for x in t[r].tolist()])
+            self.check(c[r], [math.log(h0(p.kind, x, lam[r])) for x in unc])
+
+    def test_overflowing_gompertz_row(self):
+        # the censored record's exp(lam*t) is past double range
+        t = np.array([[0.5, 1.0, 2.0, 800.0]])
+        delta = np.array([[0, 1, 2, 3]])
+        with np.errstate(all="ignore"):
+            a, c = _Stack(G, t, delta).survival(_ALL, np.array([1.0]))
+        self.check(a[0], [-log_s0(G, x, 1.0) for x in t[0].tolist()])
+        self.check(c[0], [math.log(h0(G, x, 1.0)) for x in t[0, :3].tolist()])
+        assert a[0] == math.inf and math.isfinite(c[0])
+
+
 class TestChildSeeds:
     """A stack's seeds are hashed in one pass; each row must draw the
     uniforms that NumPy's own child SeedSequence draws."""
@@ -593,11 +651,11 @@ class TestChildSeeds:
         children = _spawned(9138, spawned, pool_size=pool_size).spawn(40)
         self.check(parent, spawned + np.arange(40)[:, None], children, monkeypatch)
 
-    def test_keys_of_two_words(self, monkeypatch):
-        # keys of 2**32 and more are two words each. NumPy 2.4's own spawn
-        # exhausts memory from this count on, so the reference children are
-        # built from their spawn keys
-        first = 2**32 - 2
+    def test_largest_one_word_keys(self, monkeypatch):
+        # the entry points keep every key entry below 2**32 (one word). NumPy
+        # 2.4's own spawn exhausts memory at these counts, so the reference
+        # children are built from their spawn keys
+        first = 2**32 - 4
         parent = np.random.SeedSequence(9138, n_children_spawned=first)
         children = [np.random.SeedSequence(9138, spawn_key=(first + b,)) for b in range(4)]
         self.check(parent, first + np.arange(4)[:, None], children, monkeypatch)

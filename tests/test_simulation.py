@@ -131,6 +131,19 @@ class TestEstimationConfig:
         with pytest.raises(ValidationError, match=f"{field} must be a number"):
             EstimationStudyConfig(**{**base, field: value})
 
+    @pytest.mark.parametrize("parent", ["x", None, W])
+    def test_parent_must_be_params(self, parent):
+        with pytest.raises(ValidationError, match="true_params must be a BvfParams"):
+            EstimationStudyConfig(true_params=parent, n=10, replications=1)
+
+    @pytest.mark.parametrize("field", ["replications", "bootstrap_B"])
+    def test_seed_keys_stay_one_word(self, field):
+        # replicate i and resample b seed with spawn-key entries i and b
+        base = dict(true_params=PW, n=50, replications=5, bootstrap_B=0)
+        assert getattr(EstimationStudyConfig(**{**base, field: 2**32}), field) == 2**32
+        with pytest.raises(ValidationError, match=f"{field} must lie in"):
+            EstimationStudyConfig(**{**base, field: 2**32 + 1})
+
     def test_numpy_integer_counts_accepted(self):
         cfg = EstimationStudyConfig(
             true_params=PW, n=np.int64(50), replications=np.int32(5),
@@ -340,6 +353,20 @@ class TestSelectionConfig:
             SelectionStudyConfig(
                 parent_params=PW, candidates=(W, G), n_grid=(5,), replications=5
             )
+
+    @pytest.mark.parametrize("parent", ["x", None, W])
+    def test_parent_must_be_params(self, parent):
+        with pytest.raises(ValidationError, match="parent_params must be a BvfParams"):
+            SelectionStudyConfig(
+                parent_params=parent, candidates=(W, G), n_grid=(50,), replications=5
+            )
+
+    def test_seed_keys_stay_one_word(self):
+        # replicate i at the k-th n seeds with key k * replications + i
+        base = dict(parent_params=PW, candidates=(W, G), n_grid=(50, 60))
+        assert SelectionStudyConfig(**base, replications=2**31).replications == 2**31
+        with pytest.raises(ValidationError, match="len\\(n_grid\\) must be <= 2"):
+            SelectionStudyConfig(**base, replications=2**31 + 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
