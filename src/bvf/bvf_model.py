@@ -114,19 +114,20 @@ def joint_survival(p: BvfParams, x: float, y: float) -> float:
     * x = y: S0(x)**(alpha0+alpha1+alpha2)
 
     Evaluated as the exponential of sums of alpha * log S0 terms, so it
-    cannot underflow prematurely.
+    cannot underflow prematurely. A term whose alpha is 0 is left out,
+    since S0**0 = 1 even where S0 underflows to 0.
     """
     x = _check_positive_time("x", x)
     y = _check_positive_time("y", y)
     lsx = log_s0(p.kind, x, p.lam)
     lsy = log_s0(p.kind, y, p.lam)
     if x < y:
-        exponent = (p.alpha0 + p.alpha2) * lsy + p.alpha1 * lsx
+        terms = ((p.alpha0 + p.alpha2, lsy), (p.alpha1, lsx))
     elif y < x:
-        exponent = (p.alpha0 + p.alpha1) * lsx + p.alpha2 * lsy
+        terms = ((p.alpha0 + p.alpha1, lsx), (p.alpha2, lsy))
     else:
-        exponent = p.alpha_sum() * lsx
-    return math.exp(exponent)
+        terms = ((p.alpha_sum(), lsx),)
+    return math.exp(sum(alpha * ls for alpha, ls in terms if alpha))
 
 
 def jpdf_ac(p: BvfParams, x: float, y: float) -> float:

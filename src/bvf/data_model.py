@@ -168,10 +168,11 @@ def _first_failure(x, y, censoring_time):
     shape: t = min(x, y), delta from the ordering (exact equality is a tie),
     and with a censoring time C every minimum beyond C becomes (C, 3)."""
     t = np.minimum(x, y)
-    delta = np.where(x < y, 1, np.where(y < x, 2, 0)).astype(np.int8)
+    # 1 where x < y, 2 where y < x, 0 on a tie
+    delta = (x < y).view(np.int8) + 2 * (y < x).view(np.int8)
     if censoring_time is not None:
         censored = t > censoring_time
-        t = np.where(censored, censoring_time, t)
+        np.minimum(t, censoring_time, out=t)
         delta[censored] = FailureMode.CENSORED
     return t, delta
 

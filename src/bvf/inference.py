@@ -17,10 +17,13 @@ One engine fits R equal-length datasets at once, stacked as (R, n) arrays:
 resamples, and a study chunk fits all its datasets, in one call. Every sum
 runs along a row in NumPy, so a row's fit does not depend on the other
 rows. Each pass over the records, and the draws, run in row blocks of at
-most 16384 records (``_SCAN_RECORDS``). Their temporaries stay in cache
-and are reused from block to block, where whole-stack temporaries would be
-mapped and faulted in afresh on every pass: a boot-study replicate (n=400,
-B=100) took about 1470 minor page faults as one block and 125 in blocks.
+most 16384 records (``_SCAN_RECORDS``). A pass writes its temporaries into
+two scratch buffers of one block that its stack allocates once, so it
+allocates no per-record array, and the memory it touches stays in cache
+from block to block and from pass to pass. A sum over the uncensored
+records multiplies by the records' 0/1 float weights, where selecting them
+with np.where cost five times as much per record; the product and the
+selection give the same sums (see :class:`_Stack`).
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -107,13 +110,14 @@ _MODES = np.array([[FailureMode.TIE], [FailureMode.RISK1_FIRST], [FailureMode.RI
 _ALL = slice(None)
 
 # Records per block of a stacked pass, and per ladder-scan call below which
-# the call's fixed cost dominates. A block's float temporaries take at most
-# 128 KB: they stay in cache, and glibc's malloc hands the same memory back
-# from block to block. Whole-stack temporaries (0.3-5 MB in a bootstrap
-# stack) are mapped afresh on every pass, and each new page costs a minor
-# fault of about 2 us. On a 2-core x86-64 host with NumPy 2.4, exp(lam*x)
-# summed over 300 x 400 records took 0.9-1.2 ms with 436 faults as one
-# block, and 0.26-0.35 ms with none in 40-row blocks.
+# the call's fixed cost dominates. A pass's temporaries live in its stack's
+# two scratch buffers of one block each (128 KB apiece, or one row when a
+# row is longer), which stay in cache from block to block. Whole-stack
+# temporaries (0.3-5 MB in a bootstrap stack) would be mapped afresh on
+# every pass, and each new page costs a minor fault of about 2 us: on a
+# 2-core x86-64 host with NumPy 2.4, exp(lam*x) summed over 300 x 400
+# records took 0.9-1.2 ms with 436 faults as one block, and 0.26-0.35 ms
+# with none in 40-row blocks.
 _SCAN_RECORDS = 1 << 14
 
 
@@ -129,53 +133,94 @@ class _Stack:
     in which the fitting engine evaluates the profile and its derivatives.
 
     ``x`` holds the per-record transform: log(t) for Weibull (so t**lam =
-    exp(lam*log t)), t itself otherwise; ``unc`` marks uncensored records.
-    Methods take rows (an index array, or ``_ALL``) and one lambda per row,
-    and reduce along the last axis only, so a row's numbers are the same
-    bits whatever else is stacked with it. Callers silence floating-point
-    warnings: overflow saturates to inf and the log of 0 is -inf.
+    exp(lam*log t)), t itself otherwise. Methods take rows (an index array,
+    or ``_ALL``) and one lambda per row, and reduce along the last axis
+    only, so a row's numbers are the same bits whatever else is stacked
+    with it. Callers silence floating-point warnings: overflow saturates to
+    inf and the log of 0 is -inf.
 
     Every pass over the records runs in row blocks of at most
     ``_SCAN_RECORDS`` records (:func:`_row_blocks`), and only per-row sums
     leave a block. Each row is still summed whole, as one contiguous row,
-    so the blocks change no bit; they keep the temporaries small enough to stay
-    in cache and be reused, where (R, n) temporaries would be mapped and
-    page-faulted in afresh on every pass. A one-row stack evaluated at
-    several lambdas broadcasts its row instead of gathering copies.
+    so the blocks change no bit. A pass writes its temporaries into the
+    stack's two scratch buffers (:meth:`_scratch`), one block of records
+    each and allocated at the stack's first pass, in the order of the plain
+    formulas, so it allocates no per-record array and what it touches
+    stays in cache; only its fresh per-row sums leave it, so no result
+    aliases the scratch. The scratch makes a stack single-threaded: a stack
+    shared between calls hands each one its own (:meth:`_share`). A one-row
+    stack evaluated at several lambdas broadcasts its row instead of
+    gathering copies.
+
+    A sum over uncensored records multiplies by their 0/1 float weights
+    (``w``, kept for Lomax, whose hazard sums need a pass per lambda; the
+    other kinds need one such sum, ``unc_sum``, taken here). For a finite
+    term v, v*1 is v and v*0 a zero, so the sums are those of selecting the
+    terms. The one term that can be infinite is Lomax's log1p(lam*C) at a
+    censored record once lam*C overflows: there 0*inf makes the hazard sum
+    c NaN, but the survival sum a is inf, and every reader of c (the
+    profile, the log-likelihood, the closed-form alphas) returns -inf or
+    raises where a is inf, whatever c is.
     """
 
-    __slots__ = ("kind", "x", "unc", "counts", "m", "unc_sum")
+    __slots__ = ("kind", "x", "w", "counts", "m", "unc_sum", "_s", "_u")
 
     @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray):
         self.kind = kind
         R, n = t.shape
         self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
-        self.unc = delta != FailureMode.CENSORED
+        self._s = self._u = None
         self.counts = np.empty((3, R), dtype=np.int64)
         # sum_unc log h0 is m log(lam) plus lam (Gompertz) or lam - 1
         # (Weibull) times this sum; for Lomax it needs a pass per lambda
-        if kind is not BaselineKind.LOMAX:
+        if kind is BaselineKind.LOMAX:
+            self.w = np.empty((R, n))
+            self.unc_sum = None
+        else:
+            self.w = None
             self.unc_sum = np.empty(R)
         for blk in _row_blocks(R, n):
             if kind is BaselineKind.WEIBULL:
                 np.log(t[blk], out=self.x[blk])
             self.counts[:, blk] = (delta[blk, None, :] == _MODES).sum(axis=-1).T
-            if kind is not BaselineKind.LOMAX:
-                self.unc_sum[blk] = np.where(self.unc[blk], self.x[blk], 0.0).sum(axis=-1)
+            w = self._scratch(blk.stop - blk.start)[0] if self.w is None else self.w[blk]
+            np.not_equal(delta[blk], FailureMode.CENSORED, out=w)
+            if self.w is None:
+                self.unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
         self.m = self.counts.sum(axis=0)
 
+    def _share(self) -> "_Stack":
+        """A stack over the same records with no scratch yet: it allocates
+        its own at its first pass, so it and this stack can run passes at
+        the same time, from different threads too."""
+        new = object.__new__(_Stack)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        new._s = new._u = None
+        return new
+
+    def _scratch(self, k):
+        """The stack's two scratch buffers, cut to ``k`` rows. Each holds
+        one block of :func:`_row_blocks`; they are allocated at the first
+        pass and reused by every pass after it."""
+        if self._s is None:
+            n = self.x.shape[-1]
+            per = max(1, _SCAN_RECORDS // n)
+            self._s, self._u = np.empty((per, n)), np.empty((per, n))
+        return self._s[:k], self._u[:k]
+
     def _block(self, rows, sel):
-        """x and, for Lomax, unc (None otherwise) of ``rows[sel]``. A one-row
-        stack gives its own (1, n) arrays, which broadcast against any
-        number of lambdas, instead of gathering copies of its row."""
+        """x and w (None but for Lomax) of ``rows[sel]``. A one-row stack
+        gives its own (1, n) arrays, which broadcast against any number of
+        lambdas, instead of gathering copies of its row."""
         if self.x.shape[0] == 1:
-            return self.x, self.unc
+            return self.x, self.w
         idx = sel if rows is _ALL else rows[sel]
-        return self.x[idx], self.unc[idx] if self.kind is BaselineKind.LOMAX else None
+        return self.x[idx], None if self.w is None else self.w[idx]
 
     def _rowwise(self, sums, rows, lam):
-        """The per-row sums that ``sums(x, unc, lam)`` returns for a block of
+        """The per-row sums that ``sums(x, w, lam)`` returns for a block of
         records, at each of ``rows``: evaluated in the blocks of
         :func:`_row_blocks` (``per`` rows each), and joined into one (k, R)
         array when there is more than one."""
@@ -190,15 +235,16 @@ class _Stack:
             axis=1,
         )
 
-    def _survival_sums(self, x, unc, lam):
+    def _survival_sums(self, x, w, lam):
         """The per-row record sums of :meth:`survival` over one block."""
-        z = lam[:, None] * x
+        z, u = self._scratch(lam.size)
+        np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.WEIBULL:
-            return (np.exp(z).sum(axis=-1),)
+            return (np.exp(z, out=z).sum(axis=-1),)
         if self.kind is BaselineKind.GOMPERTZ:
-            return (np.expm1(z).sum(axis=-1),)
-        s = np.log1p(z)
-        return s.sum(axis=-1), np.where(unc, s, 0.0).sum(axis=-1)
+            return (np.expm1(z, out=z).sum(axis=-1),)
+        s = np.log1p(z, out=z)
+        return s.sum(axis=-1), np.multiply(s, w, out=u).sum(axis=-1)
 
     def survival(self, rows, lam):
         """The survival sum a = -sum_all log S0(t_i) and the hazard sum
@@ -232,26 +278,27 @@ class _Stack:
             p[~((a > 0.0) & (p > -np.inf))] = -np.inf
         return p
 
-    def _slope_sums(self, x, unc, lam):
+    def _slope_sums(self, x, w, lam):
         """The per-row record sums of :meth:`_slopes` over one block."""
-        z = lam[:, None] * x
+        z, u = self._scratch(lam.size)
+        np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
-            q = x / (1.0 + z)
-            qq = q * q
-            return (
-                np.log1p(z).sum(axis=-1),
-                q.sum(axis=-1),
-                -qq.sum(axis=-1),
-                np.where(unc, q, 0.0).sum(axis=-1),
-                np.where(unc, qq, 0.0).sum(axis=-1),
-            )
+            a = np.log1p(z, out=u).sum(axis=-1)
+            z += 1.0
+            q = np.divide(x, z, out=z)
+            a1 = q.sum(axis=-1)
+            uq = np.multiply(q, w, out=u).sum(axis=-1)
+            qq = np.multiply(q, q, out=q)
+            return a, a1, -qq.sum(axis=-1), uq, np.multiply(qq, w, out=u).sum(axis=-1)
         if self.kind is BaselineKind.WEIBULL:
-            s = np.exp(z)
-            xe = x * s
+            s = np.exp(z, out=z)
+            a = s.sum(axis=-1)
         else:
-            s = np.expm1(z)
-            xe = x * (s + 1.0)
-        return s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1)
+            s = np.expm1(z, out=z)
+            a = s.sum(axis=-1)
+            s += 1.0
+        xe = np.multiply(x, s, out=u)
+        return a, xe.sum(axis=-1), np.multiply(x, xe, out=xe).sum(axis=-1)
 
     def _slopes(self, rows, lam):
         """The survival sum a and its lambda derivatives a' and a'' at each
@@ -311,16 +358,20 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
-    """The one-row stack of ``data``, built once per (data, kind): the one
-    place a (data, kind) pair enters, so a kind that is not a BaselineKind
-    is a DomainError here."""
+    """The one-row stack of ``data``, whose records are built once per
+    (data, kind): the one place a (data, kind) pair enters, so a kind that
+    is not a BaselineKind is a DomainError here. The dataset caches a
+    stack without scratch, and each call gets a stack of its own over the
+    cached records (:meth:`_Stack._share`): a dataset keeps no scratch
+    alive, and calls on it from several threads write to no shared buffer."""
     _check_kind(kind)
     key = ("workspace", kind)
     ws = data._cache.get(key)
     if ws is None:
         ws = _Stack(kind, data.t[None, :], data.delta[None, :])
-        data._cache[key] = ws
-    return ws
+        data._cache[key] = ws._share()
+        return ws
+    return ws._share()
 
 
 def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
@@ -718,8 +769,9 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
     the curvature of the profile, at the closed-form rates. The matrix is
     positive definite exactly when every m_k > 0, s > 0 and every entry is
     finite; its inverse then has the closed-form diagonal that
-    :func:`asymptotic_ci` reports (see :func:`_wald_variances`, which tests
-    this rule for both).
+    :func:`asymptotic_ci` reports (see :func:`_wald_variances`). Both test
+    this rule with :func:`_variances_from_moments`, so the matrix and its
+    test share one moments pass.
 
     Raises
     ------
@@ -733,11 +785,10 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
     if np.any(theta <= 0.0):
         raise DomainError("observed_fisher requires an interior estimate (all > 0)")
     ws = _workspace(data, p_hat.kind)
-    lam, alphas = theta[3:], theta[:3, None]
-    if np.isnan(_wald_variances(ws, _ALL, lam, alphas)).any():
-        raise SingularMatrixError("observed information matrix is not positive definite")
     with np.errstate(all="ignore"):
-        d1_a, d2_a, d2_c = ws.moments(_ALL, lam)
+        d1_a, d2_a, d2_c = ws.moments(_ALL, theta[3:])
+    if np.isnan(_variances_from_moments(ws.counts, theta[:3, None], d1_a, d2_a, d2_c)).any():
+        raise SingularMatrixError("observed information matrix is not positive definite")
     info = np.diag(np.append(ws.counts[:, 0] / theta[:3] ** 2, 0.0))
     info[:3, 3] = info[3, :3] = d1_a[0]
     info[3, 3] = (theta[0] + theta[1] + theta[2]) * d2_a[0] - d2_c[0]
@@ -761,16 +812,24 @@ def _wald_variances(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) ->
     and I is positive definite exactly when every m_k > 0, s > 0 and every
     entry is finite; a row whose s is so small that a variance overflows is
     singular too. One stacked pass over the records takes a', a'' and c''
-    (:meth:`_Stack.moments`); the rest is elementwise, so each row gets the
-    bits of its one-row call.
+    (:meth:`_Stack.moments`); the rest is elementwise
+    (:func:`_variances_from_moments`), so each row gets the bits of its
+    one-row call.
     """
-    m = stack.counts[:, rows]
     with np.errstate(all="ignore"):
-        a1, a2, c2 = stack.moments(rows, lam)
+        moments = stack.moments(rows, lam)
+    return _variances_from_moments(stack.counts[:, rows], alphas, *moments)
+
+
+def _variances_from_moments(m, alphas, a1, a2, c2) -> np.ndarray:
+    """:func:`_wald_variances` from the failure counts ``m`` and the
+    ``alphas`` (both shape (3, R)), and from a', a'' and c'' at each row
+    (:meth:`_Stack.moments`)."""
+    with np.errstate(all="ignore"):
         inv_d = alphas**2 / m
         c = (alphas[0] + alphas[1] + alphas[2]) * a2 - c2
         s = c - a1 * a1 * inv_d.sum(axis=0)
-        var = np.empty((lam.size, 4))
+        var = np.empty((a1.size, 4))
         var[:, :3] = (inv_d + (a1 * inv_d) ** 2 / s).T
         var[:, 3] = 1.0 / s
         ok = (m > 0).all(axis=0) & np.isfinite(m / alphas**2).all(axis=0)

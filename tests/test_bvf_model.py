@@ -112,6 +112,17 @@ class TestJointSurvival:
         with pytest.raises(DomainError):
             joint_survival(PW, -0.1, 1.0)
 
+    def test_zero_alpha_drops_an_underflowing_survival(self):
+        # S0(1e300)**0 = 1, where 0 * log S0(1e300) = 0 * -inf would be NaN
+        assert joint_survival(BvfParams(W, 1.0, 0.0, 1.0, 50.0), 1e10, 1e300) == 0.0
+        assert joint_survival(BvfParams(W, 1.0, 1.0, 0.0, 50.0), 1e300, 1e10) == 0.0
+        # with alpha0 = alpha2 = 0, Y never fails: P(X > x, Y > y) = S0(x)**alpha1
+        for p in (BvfParams(W, 0.0, 1.3, 0.0, 2.0), BvfParams(G, 0.0, 0.7, 0.0, 1.0)):
+            for x in (0.3, 1.0):
+                want = s0(p.kind, x, p.lam) ** p.alpha1
+                assert joint_survival(p, x, 1e300) == pytest.approx(want, rel=1e-14)
+                assert joint_survival(p, x, 2.0 * x) == pytest.approx(want, rel=1e-14)
+
 
 class TestAbsolutelyContinuousDensity:
     def test_branch_value_below_diagonal(self):

@@ -19,6 +19,7 @@ from bvf import (
     save_csv,
     tie_probability,
 )
+from bvf.data_model import _first_failure
 
 
 def test_failure_mode_codes():
@@ -82,6 +83,26 @@ class TestFromBivariate:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             from_bivariate(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("c", [None, 0.7])
+    def test_first_failure_matches_the_selection_rule(self, c):
+        # (x, y) blocks as a stacked draw holds them, and strided columns as
+        # from_bivariate passes them; a third of the pairs are ties
+        rng = np.random.default_rng(8)
+        x = rng.choice([0.3, 0.7, 1.1, 0.5], size=(40, 90))
+        y = np.where(rng.random((40, 90)) < 0.33, x, rng.uniform(0.1, 1.5, size=(40, 90)))
+        pairs = np.stack([x.ravel(), y.ravel()], axis=1)
+        for xs, ys in ((x, y), (pairs[:, 0], pairs[:, 1])):
+            t, delta = _first_failure(xs, ys, c)
+            want_t = np.minimum(xs, ys)
+            want_delta = np.where(xs < ys, 1, np.where(ys < xs, 2, 0)).astype(np.int8)
+            if c is not None:
+                want_delta[want_t > c] = FailureMode.CENSORED
+                want_t = np.where(want_t > c, c, want_t)
+            assert delta.dtype == np.int8 and t.dtype == np.float64
+            assert t.tobytes() == want_t.tobytes()
+            assert delta.tolist() == want_delta.tolist()
+            assert set(delta.ravel().tolist()) == ({0, 1, 2} if c is None else {0, 1, 2, 3})
 
 
 class TestContainer:

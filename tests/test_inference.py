@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -607,6 +608,218 @@ class TestStackSums:
         self.check(c[0], [math.log(h0(G, x, 1.0)) for x in t[0, :3].tolist()])
         assert a[0] == math.inf and math.isfinite(c[0])
 
+    def test_overflowing_lomax_row(self):
+        # the censored record's lam*t is past double range, so its log1p is
+        # inf: a is inf, and the hazard sum c, which weights that inf by 0,
+        # is NaN; every consumer reads a first and returns -inf or raises
+        t = np.array([0.5, 1.0, 2.0, 1e300])
+        delta = np.array([0, 1, 2, 3])
+        lam = 1e10
+        with np.errstate(all="ignore"):
+            a, c = _Stack(L, t[None], delta[None]).survival(_ALL, np.array([lam]))
+        self.check(a[0], [-log_s0(L, x, lam) for x in t.tolist()])
+        assert a[0] == math.inf and math.isnan(c[0])
+        data = CompetingRisksData(t, delta, censoring_time=1e300)
+        assert profile_loglik(lam, data, L) == -math.inf
+        assert log_likelihood(BvfParams(L, 1.0, 1.0, 1.0, lam), data) == -math.inf
+        with pytest.raises(DegenerateDataError):
+            alphas_given_lambda(lam, data, L)
+
+
+def _reference_sums(kind, t, delta, lam):
+    """The record sums of a stack of ``t``/``delta`` rows at ``lam`` (one
+    per row, or several against one row), computed over whole rows with
+    fresh temporaries and np.where masks: the stack's formulas before its
+    passes wrote into scratch and weighted by floats. Returns the survival
+    sums (a, and for Lomax the uncensored log1p sum), the slope sums (a,
+    a', a'', and for Lomax sum_unc q and q**2) and, but for Lomax, the
+    uncensored sum of x."""
+    x = np.log(t) if kind is W else t
+    unc = delta != 3
+    z = lam[:, None] * x
+    if kind is L:
+        s = np.log1p(z)
+        q = x / (1.0 + z)
+        qq = q * q
+        survival = (s.sum(axis=-1), np.where(unc, s, 0.0).sum(axis=-1))
+        slopes = (
+            np.log1p(z).sum(axis=-1),
+            q.sum(axis=-1),
+            -qq.sum(axis=-1),
+            np.where(unc, q, 0.0).sum(axis=-1),
+            np.where(unc, qq, 0.0).sum(axis=-1),
+        )
+        return survival, slopes, None
+    s = np.exp(z) if kind is W else np.expm1(z)
+    xe = x * s if kind is W else x * (s + 1.0)
+    survival = (s.sum(axis=-1),)
+    slopes = (s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1))
+    return survival, slopes, np.where(unc, x, 0.0).sum(axis=-1)
+
+
+def _reference_passes(kind, t, delta, lam):
+    """survival, newton_terms and moments of a stack of ``t``/``delta``
+    rows at ``lam``, from :func:`_reference_sums` by the stack's formulas
+    (rows whose survival sums stay in double range)."""
+    (a, *lomax), (_, a1, a2, *uqs), unc_sum = _reference_sums(kind, t, delta, lam)
+    m = np.broadcast_to((delta != 3).sum(axis=-1), lam.shape)
+    c = m * np.log(lam)
+    if kind is W:
+        c += (lam - 1.0) * unc_sum
+    elif kind is G:
+        c += lam * unc_sum
+    else:
+        c -= lomax[0]
+    r1, r2 = a1 / a, a2 / a
+    lam2 = lam * lam
+    if kind is L:
+        uq, uq2 = uqs
+        g = m - lam * uq - m * (lam * r1)
+        h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
+    else:
+        g = m + lam * unc_sum - m * (lam * r1)
+        h = g - m - m * (lam2 * (r2 - r1 * r1))
+    c2 = -m / lam**2
+    moments = (a1, a2, c2 + uqs[1] if kind is L else c2)
+    return {"survival": (a, c), "newton_terms": (a, g, h), "moments": moments}
+
+
+class TestStackPasses:
+    """A pass writes its temporaries into the stack's scratch and weights
+    its masked sums by floats; its outputs must be the bits of the plain
+    formulas (:func:`_reference_passes`), whatever ran on the stack before,
+    and it must allocate no per-record array."""
+
+    @staticmethod
+    def records(kind, censored, R, n, seed=0):
+        p = BvfParams(kind, 1.34, 1.17, 0.86, 0.91)
+        c = censoring_threshold(p, 0.3) if censored else None
+        datasets = [from_bivariate(sample(p, n, seed + j), c) for j in range(R)]
+        t = np.stack([d.t for d in datasets])
+        delta = np.stack([d.delta for d in datasets])
+        assert (delta == 3).any() == censored
+        return t, delta
+
+    @staticmethod
+    def assert_passes(stack, rows, lam, want):
+        for name, values in want.items():
+            with np.errstate(all="ignore"):
+                got = getattr(stack, name)(rows, lam)
+            assert len(got) == len(values), name
+            for g, v in zip(got, values):
+                assert g.shape == v.shape and np.array_equal(g, v, equal_nan=True), name
+                assert g.tobytes() == v.tobytes(), name
+                assert not np.shares_memory(g, stack._s) and not np.shares_memory(g, stack._u)
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_multi_row_stack(self, kind, censored):
+        # 60 rows of 400 records span two blocks; a rows array repeats,
+        # scrambles and gathers rows
+        t, delta = self.records(kind, censored, 60, 400)
+        stack = _Stack(kind, t, delta)
+        lam = np.linspace(0.2, 3.0, 60)
+        with np.errstate(all="ignore"):
+            want = _reference_passes(kind, t, delta, lam)
+        self.assert_passes(stack, _ALL, lam, want)
+        rows = np.array([59, 0, 17, 17, 3, 41])
+        with np.errstate(all="ignore"):
+            want = _reference_passes(kind, t[rows], delta[rows], lam[rows])
+        self.assert_passes(stack, rows, lam[rows], want)
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_one_row_longer_than_a_block(self, kind, censored):
+        t, delta = self.records(kind, censored, 1, 20000)
+        assert t.shape[1] > _SCAN_RECORDS
+        stack = _Stack(kind, t, delta)
+        for lam in (0.3, 1.0, 2.5):
+            lam = np.array([lam])
+            with np.errstate(all="ignore"):
+                want = _reference_passes(kind, t, delta, lam)
+            self.assert_passes(stack, _ALL, lam, want)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_one_row_at_many_lambdas(self, kind, censored, n):
+        # 19 ladder rungs against one broadcast row: one block at n=300,
+        # blocks of 16 lambdas at n=1000; the survival sums stay finite
+        t, delta = self.records(kind, censored, 1, n)
+        stack = _Stack(kind, t, delta)
+        lam = inference._RUNGS[:19].copy()
+        with np.errstate(all="ignore"):
+            want = _reference_passes(kind, t, delta, lam)
+        assert np.isfinite(want["survival"][0]).all()
+        self.assert_passes(stack, np.zeros(lam.size, dtype=np.int64), lam, want)
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_scratch_reuse_leaks_nothing(self, kind):
+        # passes of every kind, at other lambdas and rows, run in turn on one
+        # stack: each gives what it gives on a new stack
+        t, delta = self.records(kind, True, 9, 300, seed=40)
+        shared = _Stack(kind, t, delta)
+        calls = [
+            ("profile", _ALL, np.full(9, 0.7)),
+            ("newton_terms", _ALL, np.linspace(0.5, 2.0, 9)),
+            ("profile", np.array([4, 1]), np.array([2.2, 0.05])),
+            ("moments", np.array([8]), np.array([1.3])),
+            ("survival", _ALL, np.full(9, 0.7)),
+            ("newton_terms", np.array([2, 2, 6]), np.array([0.4, 3.0, 1.0])),
+            ("profile", _ALL, np.full(9, 1.9)),
+        ]
+        with np.errstate(all="ignore"):
+            for name, rows, lam in calls:
+                got = getattr(shared, name)(rows, lam)
+                want = getattr(_Stack(kind, t, delta), name)(rows, lam)
+                for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
+                    assert g.tobytes() == w.tobytes(), (name, lam)
+
+    def test_threads_on_one_dataset_share_no_scratch(self):
+        # profiles, fits and log-likelihoods of one dataset from more threads
+        # than cores, with a short switch interval: each call runs on the
+        # cached records in scratch of its own, and the cache keeps none
+        p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
+        data = from_bivariate(sample(p, 20000, seed=3), censoring_threshold(p, 0.3))
+
+        def task(j):
+            kind = (W, G, L)[j % 3]
+            lam = 0.5 + 0.1 * j
+            fit = fit_mle(data, kind)
+            params = BvfParams(kind, 1.0, 1.0, 1.0, lam)
+            return profile_loglik(lam, data, kind), log_likelihood(params, data), fit
+
+        serial = [task(j) for j in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(task, range(12), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert all(data._cache[("workspace", kind)]._s is None for kind in (W, G, L))
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_passes_allocate_no_record_arrays(self, kind):
+        # a one-row stack of 50000 records: a pass's temporaries would take
+        # 400 kB each; past the first pass, which allocates the scratch,
+        # only per-row sums and their arithmetic may be new
+        t, delta = self.records(kind, True, 1, 50000)
+        stack = _Stack(kind, t, delta)
+        lam = np.array([0.9])
+        with np.errstate(all="ignore"):
+            stack.survival(_ALL, lam)
+        tracemalloc.start()
+        try:
+            for name in ("survival", "profile", "newton_terms", "moments"):
+                tracemalloc.reset_peak()
+                with np.errstate(all="ignore"):
+                    getattr(stack, name)(_ALL, lam)
+                assert tracemalloc.get_traced_memory()[1] < 50000, name
+        finally:
+            tracemalloc.stop()
+
 
 class TestChildSeeds:
     """A stack's seeds are hashed in one pass; each row must draw the
@@ -713,6 +926,27 @@ class TestObservedFisher:
         tol = 1e-4 * (np.abs(info) + np.sqrt(np.outer(d, d)))
         err = np.abs(info - (-ref))
         assert np.all(err <= tol), np.argwhere(err > tol)
+
+    @pytest.mark.parametrize("kind", [W, L])
+    def test_one_moments_pass(self, kind, monkeypatch):
+        # the positive-definiteness test and the matrix share one pass
+        p = BvfParams(kind, 1.34, 1.17, 0.86, 0.91)
+        data = from_bivariate(sample(p, 300, seed=21), censoring_threshold(p, 0.3))
+        fit = fit_mle(data, kind)
+        want = observed_fisher(fit.params_hat, data)
+        passes = []
+        moments = _Stack.moments
+
+        def counted(stack, rows, lam):
+            passes.append(lam.tolist())
+            return moments(stack, rows, lam)
+
+        monkeypatch.setattr(_Stack, "moments", counted)
+        assert observed_fisher(fit.params_hat, data).tobytes() == want.tobytes()
+        assert passes == [[fit.params_hat.lam]]
+        with pytest.raises(SingularMatrixError):
+            observed_fisher(BvfParams(kind, 1.0, 1e-9, 1e-9, 1.0), CompetingRisksData([1.0], [0]))
+        assert len(passes) == 2
 
     def test_requires_positive_rates(self):
         data = CompetingRisksData([0.3, 0.7, 1.2, 0.9], [1, 1, 2, 1])
