@@ -173,7 +173,9 @@ def _first_failure(x, y, censoring_time):
     if censoring_time is not None:
         censored = t > censoring_time
         np.minimum(t, censoring_time, out=t)
-        delta[censored] = FailureMode.CENSORED
+        # every code is at most 3, so or-ing in 3 makes it CENSORED; a plain
+        # 3 keeps the product int8, where the IntEnum member would make it int64
+        delta |= 3 * censored.view(np.int8)
     return t, delta
 
 

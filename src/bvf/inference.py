@@ -32,8 +32,14 @@ block bordered by one lambda row, so its inverse has a closed form too: the
 Wald variances need the lambda Schur complement s (-p''(lambda) at the
 closed-form rates), and the matrix is positive definite exactly when every
 failure count m_k is positive, s > 0 and every entry is finite. No matrix is
-factorized, and one stacked pass gives the variances of a whole stack of
-fits (:func:`_wald_variances`), as it gives :func:`asymptotic_ci` one.
+factorized. The sums the variances need at lambda-hat, a', a'' and c'', are
+those of the fit's last Newton pass, which was evaluated there, as are the
+survival and hazard sums of the maximized log-likelihood: the engine keeps
+them per row (:class:`_Fits`), so a fit reports its log-likelihood, and a
+study the variances of a whole stack of fits, without another pass over the
+records. :func:`fit_mle` leaves them in the dataset's cache, where
+:func:`asymptotic_ci` and :func:`observed_fisher` find them at the same
+lambda; at any other lambda they take one pass.
 """
 
 import collections
@@ -104,7 +110,10 @@ class CiMethod(enum.Enum):
     BOOTSTRAP = "Bootstrap"
 
 
-_MODES = np.array([[FailureMode.TIE], [FailureMode.RISK1_FIRST], [FailureMode.RISK2_FIRST]])
+# int8 as delta is, so counting the modes casts no record
+_MODES = np.array(
+    [[FailureMode.TIE], [FailureMode.RISK1_FIRST], [FailureMode.RISK2_FIRST]], dtype=np.int8
+)
 
 # every row of a stack; for a one-row stack, a view instead of a gather
 _ALL = slice(None)
@@ -249,15 +258,21 @@ class _Stack:
     def survival(self, rows, lam):
         """The survival sum a = -sum_all log S0(t_i) and the hazard sum
         c = sum_unc log h0(t_i) at each row, in one transcendental pass."""
-        sums = self._rowwise(self._survival_sums, rows, lam)
+        a, *unc_log1p = self._rowwise(self._survival_sums, rows, lam)
+        return a, self._hazard(rows, lam, *unc_log1p)
+
+    def _hazard(self, rows, lam, unc_log1p=None):
+        """The hazard sum c at each row: m log(lam) plus lam - 1 (Weibull) or
+        lam (Gompertz) times ``unc_sum``; for Lomax, minus ``unc_log1p``,
+        the uncensored sum of log1p(lam*x) that a record pass took."""
         c = self.m[rows] * np.log(lam)
         if self.kind is BaselineKind.WEIBULL:
             c += (lam - 1.0) * self.unc_sum[rows]
         elif self.kind is BaselineKind.GOMPERTZ:
             c += lam * self.unc_sum[rows]
         else:
-            c -= sums[1]
-        return sums[0], c
+            c -= unc_log1p
+        return c
 
     def profile(self, rows, lam) -> np.ndarray:
         """p(lambda) = c - m log a at each row; -inf where a vanishes or is
@@ -283,13 +298,15 @@ class _Stack:
         z, u = self._scratch(lam.size)
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
-            a = np.log1p(z, out=u).sum(axis=-1)
+            s = np.log1p(z, out=u)
+            a = s.sum(axis=-1)
+            ul = np.multiply(s, w, out=u).sum(axis=-1)
             z += 1.0
             q = np.divide(x, z, out=z)
             a1 = q.sum(axis=-1)
             uq = np.multiply(q, w, out=u).sum(axis=-1)
             qq = np.multiply(q, q, out=q)
-            return a, a1, -qq.sum(axis=-1), uq, np.multiply(qq, w, out=u).sum(axis=-1)
+            return a, a1, -qq.sum(axis=-1), ul, uq, np.multiply(qq, w, out=u).sum(axis=-1)
         if self.kind is BaselineKind.WEIBULL:
             s = np.exp(z, out=z)
             a = s.sum(axis=-1)
@@ -302,24 +319,35 @@ class _Stack:
 
     def _slopes(self, rows, lam):
         """The survival sum a and its lambda derivatives a' and a'' at each
-        row, and for Lomax the uncensored sums of q and q**2 that the hazard
-        terms need (None otherwise). Weibull and Gompertz share
-        a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x) and
-        a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
-        a' = sum q and a'' = -sum q**2."""
+        row, and for Lomax the uncensored sums of log1p(lam*t), q and q**2
+        that the hazard terms need (None otherwise). Weibull and Gompertz
+        share a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x)
+        and a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
+        a' = sum q and a'' = -sum q**2. a and the log1p sum are the bits
+        :meth:`survival` sums, from the same terms in the same order."""
         sums = self._rowwise(self._slope_sums, rows, lam)
-        return tuple(sums) if self.kind is BaselineKind.LOMAX else (*sums, None, None)
+        return tuple(sums) if self.kind is BaselineKind.LOMAX else (*sums, None, None, None)
+
+    def _curvature(self, rows, lam, uq2):
+        """c'' at each row: -m / lam**2, plus ``uq2`` (sum_unc q**2) for
+        Lomax."""
+        c2 = -self.m[rows] / lam**2
+        return c2 + uq2 if self.kind is BaselineKind.LOMAX else c2
 
     def moments(self, rows, lam):
-        """a', a'' and c'' at each row (see :meth:`_slopes`); c'' is
-        -m / lam**2, plus sum_unc q**2 for Lomax."""
-        _, a1, a2, _, uq2 = self._slopes(rows, lam)
-        c2 = -self.m[rows] / lam**2
-        return a1, a2, c2 if uq2 is None else c2 + uq2
+        """a', a'' and c'' at each row (see :meth:`_slopes`)."""
+        _, a1, a2, _, _, uq2 = self._slopes(rows, lam)
+        return a1, a2, self._curvature(rows, lam, uq2)
 
     def newton_terms(self, rows, lam):
         """The survival sum a and the first two derivatives of the profile in
-        log lambda, g = lam p' and h = lam p' + lam**2 p'', at each row, from
+        log lambda, g and h (see :meth:`_derivatives`), at each row."""
+        sums = self._slopes(rows, lam)
+        return (sums[0], *self._derivatives(rows, lam, sums))
+
+    def _derivatives(self, rows, lam, sums):
+        """g = lam p' and h = lam p' + lam**2 p'' at each row, from the sums
+        of :meth:`_slopes` at ``lam`` and
 
             p'  = c' - m a'/a
             p'' = c'' - m (a''/a - (a'/a)**2)
@@ -328,7 +356,7 @@ class _Stack:
         m - lam sum_unc q (Lomax), and lam**2 c'' is -m, plus
         lam**2 sum_unc q**2 for Lomax.
         """
-        a, a1, a2, uq, uq2 = self._slopes(rows, lam)
+        a, a1, a2, _, uq, uq2 = sums
         m = self.m[rows]
         r1 = a1 / a
         r2 = a2 / a
@@ -348,7 +376,7 @@ class _Stack:
         else:
             g = m - lam * uq - m * (lam * r1)
             h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
-        return a, g, h
+        return g, h
 
 
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,17 +421,21 @@ def _loglik_rows(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) -> li
     gets the bits its one-row call would."""
     with np.errstate(all="ignore"):
         a, c = stack.survival(rows, lam)
+    return _loglik_from_sums(stack.counts[:, rows], alphas, a, c)
+
+
+def _loglik_from_sums(m: np.ndarray, alphas: np.ndarray, a: np.ndarray, c: np.ndarray) -> list:
+    """The log-likelihood of each column of the counts m_k and the
+    ``alphas`` (both shape (3, R)) with its survival sum a and hazard sum c,
+    in one fixed float operation order per row."""
     return [
-        _loglik_from_sums(m, alpha, a_r, c_r)
-        for m, alpha, a_r, c_r in zip(
-            stack.counts[:, rows].T.tolist(), alphas.T.tolist(), a.tolist(), c.tolist()
-        )
+        _loglik_row(m_r, alpha, a_r, c_r)
+        for m_r, alpha, a_r, c_r in zip(m.T.tolist(), alphas.T.tolist(), a.tolist(), c.tolist())
     ]
 
 
-def _loglik_from_sums(m: list, alpha: list, a: float, c: float) -> float:
-    """The log-likelihood from the counts m_k, the alphas, the survival sum
-    a and the hazard sum c, in one fixed float operation order."""
+def _loglik_row(m: list, alpha: list, a: float, c: float) -> float:
+    """One row of :func:`_loglik_from_sums`."""
     if not math.isfinite(a):
         return -math.inf
     total = 0.0
@@ -516,12 +548,22 @@ class _Fits(NamedTuple):
     ``outcome[r]`` is a :class:`FitStatus`, or the error :func:`fit_mle`
     raises for that row. ``lam`` and ``alphas`` (shape (3, R)) hold the
     estimates of rows whose outcome is Converged or BoundaryAlphaZero.
+    ``a``, ``c``, ``a1``, ``a2`` and ``c2`` hold, per row that reached
+    Newton (NaN otherwise), the survival and hazard sums a and c and the
+    derivatives a', a'' and c'' at its lambda-hat: the sums of its last
+    Newton pass, which was evaluated there, so they are the bits of
+    :meth:`_Stack.survival` and :meth:`_Stack.moments` at ``lam``.
     """
 
     outcome: list
     lam: np.ndarray
     alphas: np.ndarray
     n_evals: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    c2: np.ndarray
 
 
 @np.errstate(all="ignore")
@@ -539,7 +581,9 @@ def _fit_stack(stack: _Stack) -> _Fits:
     is its previous one, or once its row has made _MAX_EVALS evaluations;
     lambda-hat is its last iterate. A maximum next to a clamp then faces the
     flatness check (``_FLATNESS_RTOL``). Rungs cost one transcendental pass
-    per record; only Newton iterates take the derivative sums. A row's
+    per record; only Newton iterates take the derivative sums, and the sums
+    of a row's last iterate, at lambda-hat, are kept (see :class:`_Fits`)
+    for the log-likelihood and the Wald variances there. A row's
     ``n_evals`` counts the rungs a one-rung scan would evaluate, whatever
     the chunk size, and no stopping rule looks at another row, so each row
     gets the bits and the count of its one-row fit.
@@ -622,14 +666,18 @@ def _fit_stack(stack: _Stack) -> _Fits:
     # Both lambda and the next iterate lie in the bracket, so a bracket
     # narrower than _TOL * lambda stops Newton too.
     lam_hat = np.full(R, np.nan)
-    a_hat = np.full(R, np.nan)
+    # a, a', a'' and, for Lomax, sum_unc log1p(lam*x) and sum_unc q**2 of
+    # each row's last Newton pass (the entries of _Stack._slopes kept here)
+    kept_sums = np.full((5, R), np.nan)
+    kept = (0, 1, 2, 3, 5) if stack.kind is BaselineKind.LOMAX else (0, 1, 2)
     act = inner
     c = cur[act]
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
     prev = np.full(act.size, np.nan)
     while act.size:
         rows = act if act.size < R else _ALL
-        a, g, h = stack.newton_terms(rows, lam)
+        sums = stack._slopes(rows, lam)
+        g, h = stack._derivatives(rows, lam, sums)
         np.add.at(n_evals, rows, 1)
         lo = np.where(g > 0.0, lam, lo)
         hi = np.where(g < 0.0, lam, hi)
@@ -643,7 +691,9 @@ def _fit_stack(stack: _Stack) -> _Fits:
         if not go.all():
             stop = ~go
             done = act[stop]
-            lam_hat[done], a_hat[done] = lam[stop], a[stop]
+            lam_hat[done] = lam[stop]
+            for k, j in enumerate(kept):
+                kept_sums[k, done] = sums[j][stop]
             act, nxt, lo, hi, lam = act[go], nxt[go], lo[go], hi[go], lam[go]
         prev, lam = lam, nxt
 
@@ -662,6 +712,7 @@ def _fit_stack(stack: _Stack) -> _Fits:
         for r in rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))].tolist():
             outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
 
+    a_hat, a1, a2, unc_log1p, uq2 = kept_sums
     alphas = stack.counts / a_hat
     finite = (np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]
     full = stack.counts[:, inner].all(axis=0)
@@ -676,7 +727,9 @@ def _fit_stack(stack: _Stack) -> _Fits:
             outcome[r] = FitStatus.CONVERGED
         else:
             outcome[r] = FitStatus.BOUNDARY_ALPHA_ZERO
-    return _Fits(outcome, lam_hat, alphas, n_evals)
+    c = stack._hazard(_ALL, lam_hat, unc_log1p)
+    c2 = stack._curvature(_ALL, lam_hat, uq2)
+    return _Fits(outcome, lam_hat, alphas, n_evals, a_hat, c, a1, a2, c2)
 
 
 def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
@@ -699,6 +752,14 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     the selection study run on whole stacks of datasets, so a stacked
     row's estimate is bit for bit the fit of that dataset alone.
 
+    Newton's last pass is evaluated at lambda-hat itself, so its sums give
+    ``loglik_max`` without another pass over the records. The fit also
+    leaves that pass's a', a'' and c'' in the dataset's cache, under its
+    kind, for :func:`asymptotic_ci` and :func:`observed_fisher` at the same
+    lambda: a fit then an interval on one dataset object makes exactly
+    ``n_evals`` passes, unless its ladder scan evaluated rungs past the
+    profile's fall.
+
     Raises
     ------
     EstimationError
@@ -709,6 +770,7 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     """
     stack = _workspace(data, kind)
     fits = _fit_stack(stack)
+    data._cache[("moments", kind)] = (float(fits.lam[0]), fits.a1, fits.a2, fits.c2)
     return _fit_result(kind, fits, 0, _fitted_logliks(stack, fits)[0])
 
 
@@ -723,10 +785,14 @@ def _estimated(fits: _Fits) -> np.ndarray:
 
 def _fitted_logliks(stack: _Stack, fits: _Fits) -> list:
     """Each row's maximized log-likelihood, :func:`log_likelihood` at its
-    estimates, in one stacked pass; None for a row without estimates."""
+    estimates, or None for a row without estimates. It takes no pass over
+    the records: the survival and hazard sums at lambda-hat are those of
+    the row's last Newton pass (:class:`_Fits`)."""
     out: list = [None] * len(fits.outcome)
     rows = np.flatnonzero(_estimated(fits))
-    logliks = _loglik_rows(stack, rows, fits.lam[rows], fits.alphas[:, rows])
+    logliks = _loglik_from_sums(
+        stack.counts[:, rows], fits.alphas[:, rows], fits.a[rows], fits.c[rows]
+    )
     for r, loglik in zip(rows.tolist(), logliks):
         out[r] = loglik
     return out
@@ -769,9 +835,10 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
     the curvature of the profile, at the closed-form rates. The matrix is
     positive definite exactly when every m_k > 0, s > 0 and every entry is
     finite; its inverse then has the closed-form diagonal that
-    :func:`asymptotic_ci` reports (see :func:`_wald_variances`). Both test
-    this rule with :func:`_variances_from_moments`, so the matrix and its
-    test share one moments pass.
+    :func:`asymptotic_ci` reports (see :func:`_variances_from_moments`).
+    Both test this rule with that function, and take a', a'' and c'' from
+    :func:`_moments_at`: at the lambda-hat of :func:`fit_mle` on the same
+    dataset object they take no pass over the records, elsewhere one.
 
     Raises
     ------
@@ -784,9 +851,7 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
     theta = np.array([p_hat.alpha0, p_hat.alpha1, p_hat.alpha2, p_hat.lam])
     if np.any(theta <= 0.0):
         raise DomainError("observed_fisher requires an interior estimate (all > 0)")
-    ws = _workspace(data, p_hat.kind)
-    with np.errstate(all="ignore"):
-        d1_a, d2_a, d2_c = ws.moments(_ALL, theta[3:])
+    ws, (d1_a, d2_a, d2_c) = _moments_at(data, p_hat)
     if np.isnan(_variances_from_moments(ws.counts, theta[:3, None], d1_a, d2_a, d2_c)).any():
         raise SingularMatrixError("observed information matrix is not positive definite")
     info = np.diag(np.append(ws.counts[:, 0] / theta[:3] ** 2, 0.0))
@@ -795,11 +860,28 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
     return info
 
 
-def _wald_variances(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def _moments_at(data: CompetingRisksData, p_hat: BvfParams) -> tuple[_Stack, tuple]:
+    """The workspace of ``data`` for ``p_hat``'s kind, and a', a'' and c''
+    at ``p_hat.lam`` (shape (1,) each, see :meth:`_Stack.moments`). When
+    ``p_hat.lam`` is the lambda-hat that :func:`fit_mle` last found on this
+    dataset object for this kind, they are the sums its last Newton pass
+    kept there, which a moments pass would repeat bit for bit; otherwise
+    they take that one pass."""
+    ws = _workspace(data, p_hat.kind)
+    memo = data._cache.get(("moments", p_hat.kind))
+    # lambda is a positive float, for which == compares bits
+    if memo is not None and memo[0] == p_hat.lam:
+        return ws, memo[1:]
+    with np.errstate(all="ignore"):
+        return ws, ws.moments(_ALL, np.array([p_hat.lam]))
+
+
+def _variances_from_moments(m, alphas, a1, a2, c2) -> np.ndarray:
     """The Wald variances, the diagonal of the inverse observed information,
-    at each of ``rows`` of ``stack``, with one lambda and one column of
-    ``alphas`` (shape (3, R)) per row: an (R, 4) array in ``PARAM_NAMES``
-    order, NaN throughout a row whose information is not positive definite.
+    of R fits, from the failure counts ``m`` and the ``alphas`` (both shape
+    (3, R)) and from a', a'' and c'' at each fit's lambda
+    (:meth:`_Stack.moments`): an (R, 4) array in ``PARAM_NAMES`` order, NaN
+    throughout a row whose information is not positive definite.
 
     The information (:func:`observed_fisher`) is I = [[D, b], [b^T, c]] with
     D = diag(m_k / alpha_k**2), b_k = a'(lambda) and
@@ -811,20 +893,9 @@ def _wald_variances(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) ->
 
     and I is positive definite exactly when every m_k > 0, s > 0 and every
     entry is finite; a row whose s is so small that a variance overflows is
-    singular too. One stacked pass over the records takes a', a'' and c''
-    (:meth:`_Stack.moments`); the rest is elementwise
-    (:func:`_variances_from_moments`), so each row gets the bits of its
-    one-row call.
+    singular too. All of it is elementwise, so each row gets the bits of
+    its one-row call.
     """
-    with np.errstate(all="ignore"):
-        moments = stack.moments(rows, lam)
-    return _variances_from_moments(stack.counts[:, rows], alphas, *moments)
-
-
-def _variances_from_moments(m, alphas, a1, a2, c2) -> np.ndarray:
-    """:func:`_wald_variances` from the failure counts ``m`` and the
-    ``alphas`` (both shape (3, R)), and from a', a'' and c'' at each row
-    (:meth:`_Stack.moments`)."""
     with np.errstate(all="ignore"):
         inv_d = alphas**2 / m
         c = (alphas[0] + alphas[1] + alphas[2]) * a2 - c2
@@ -901,7 +972,11 @@ def asymptotic_ci(
     information, whose inverse diagonal has a closed form (see
     :func:`observed_fisher`). Lower limits may be negative; they are
     reported as-is. This is the one-row case of the variances a study
-    computes for a whole stack of fits.
+    computes for a whole stack of fits. After :func:`fit_mle` on the same
+    dataset object, it takes no pass over the records: a', a'' and c'' at
+    lambda-hat are the sums the fit's last Newton pass kept there
+    (:func:`_moments_at`); ``fit`` from another dataset object, or a
+    dataset not fitted yet, takes one moments pass, with the same bits.
 
     Raises
     ------
@@ -911,9 +986,8 @@ def asymptotic_ci(
     level = _check_level(level)
     p_hat = _require_converged(fit, "asymptotic_ci")
     theta = [p_hat.alpha0, p_hat.alpha1, p_hat.alpha2, p_hat.lam]
-    variances = _wald_variances(
-        _workspace(data, p_hat.kind), _ALL, np.array(theta[3:]), np.array(theta[:3])[:, None]
-    )[0]
+    ws, moments = _moments_at(data, p_hat)
+    variances = _variances_from_moments(ws.counts, np.array(theta[:3])[:, None], *moments)[0]
     if np.isnan(variances).any():
         raise SingularMatrixError("observed information matrix is not positive definite")
     return ConfidenceIntervalSet(

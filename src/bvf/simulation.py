@@ -60,8 +60,8 @@ from .inference import (  # noqa: F401
     _fit_stack,
     _reason,
     _Stack,
+    _variances_from_moments,
     _wald_intervals,
-    _wald_variances,
     asymptotic_ci,
     bootstrap_ci,
     fit_mle,
@@ -256,8 +256,9 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     give them on its dataset alone, with its data drawn from child (i, 0)
     of ``root`` and its bootstrap resample b from child (i, 1, b). The
     datasets are drawn as one stack and fitted in one engine call, the Wald
-    variances of all converged rows take one more pass over that stack, and
-    each bootstrap's B seeds are hashed in one pass."""
+    variances of all converged rows come from the sums their last Newton
+    pass kept at lambda-hat (no further pass over the stack), and each
+    bootstrap's B seeds are hashed in one pass."""
     p, B, level = config.true_params, config.bootstrap_B, float(config.ci_level)
     c = censoring_threshold(p, config.censored_fraction) if config.censored_fraction else None
     index = np.asarray(replicates, dtype=np.uint64)
@@ -270,7 +271,9 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
             results[r] = _reason(fits.outcome[j])
     conv = np.flatnonzero([o is FitStatus.CONVERGED for o in fits.outcome])
     lam, alphas = fits.lam[conv], fits.alphas[:, conv]
-    variances = _wald_variances(stack, conv, lam, alphas)
+    variances = _variances_from_moments(
+        stack.counts[:, conv], alphas, fits.a1[conv], fits.a2[conv], fits.c2[conv]
+    )
     resample = np.arange(B, dtype=np.uint64)
     estimates = zip(alphas.T.tolist(), lam.tolist())
     for r, (alpha, lam_r), var in zip(rows[conv].tolist(), estimates, variances):
@@ -319,8 +322,8 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     """Sample -> censor -> fit -> intervals, replicated; aggregate relative
     MSE/bias per parameter and average length/coverage per interval method.
 
-    A chunk of replications is fitted in one engine call, and the Wald
-    variances of its converged fits take one more stacked pass; each
+    A chunk of replications is fitted in one engine call, which also gives
+    the Wald variances of its converged fits at no further pass; each
     converged fit's bootstrap refits resamples drawn at its own estimate.
     A replication that fails anywhere is excluded from every average and
     counted in ``failed_replications``. Hard failures (degenerate data,

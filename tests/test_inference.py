@@ -929,7 +929,8 @@ class TestObservedFisher:
 
     @pytest.mark.parametrize("kind", [W, L])
     def test_one_moments_pass(self, kind, monkeypatch):
-        # the positive-definiteness test and the matrix share one pass
+        # the positive-definiteness test and the matrix share one pass; on
+        # the fitted dataset object they take the fit's sums and none
         p = BvfParams(kind, 1.34, 1.17, 0.86, 0.91)
         data = from_bivariate(sample(p, 300, seed=21), censoring_threshold(p, 0.3))
         fit = fit_mle(data, kind)
@@ -943,6 +944,9 @@ class TestObservedFisher:
 
         monkeypatch.setattr(_Stack, "moments", counted)
         assert observed_fisher(fit.params_hat, data).tobytes() == want.tobytes()
+        assert passes == []
+        fresh = CompetingRisksData(data.t, data.delta, data.censoring_time)
+        assert observed_fisher(fit.params_hat, fresh).tobytes() == want.tobytes()
         assert passes == [[fit.params_hat.lam]]
         with pytest.raises(SingularMatrixError):
             observed_fisher(BvfParams(kind, 1.0, 1e-9, 1e-9, 1.0), CompetingRisksData([1.0], [0]))
@@ -1146,7 +1150,10 @@ class TestWaldVariances:
         stack = _Stack(L, np.stack([r[0].t for r in rows]), np.stack([r[0].delta for r in rows]))
         order = np.array([5, 1, 0, 3, 4, 2])
         theta = np.array([rows[r][1] for r in order])
-        variances = inference._wald_variances(stack, order, theta[:, 3], theta[:, :3].T)
+        with np.errstate(all="ignore"):
+            moments = stack.moments(order, theta[:, 3])
+        m = stack.counts[:, order]
+        variances = inference._variances_from_moments(m, theta[:, :3].T, *moments)
         for r, got in zip(order.tolist(), variances):
             data, point, fit = rows[r]
             if fit is None:
@@ -1156,6 +1163,119 @@ class TestWaldVariances:
             else:
                 want = asymptotic_ci(fit, data).variances
                 assert got.tolist() == [want[name] for name in PARAM_NAMES], r
+
+
+class TestFittedSums:
+    """A fit keeps the sums of each row's last Newton pass, which was
+    evaluated at lambda-hat: the log-likelihood and the Wald variances
+    there are read from them, with the bits fresh passes would give."""
+
+    @staticmethod
+    def assert_bytes(got, want):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_multi_row_stack(self, kind, censored):
+        t, delta = TestStackPasses.records(kind, censored, 60, 400, seed=7)
+        fits = _fit_stack(_Stack(kind, t, delta))
+        fitted = np.flatnonzero(np.isfinite(fits.lam))
+        assert fitted.size > 50
+        kept = (fits.a, fits.c, fits.a1, fits.a2, fits.c2)
+        fresh = _Stack(kind, t, delta)
+        lam = np.where(np.isfinite(fits.lam), fits.lam, 1.0)
+        with np.errstate(all="ignore"):
+            want = (*fresh.survival(_ALL, lam), *fresh.moments(_ALL, lam))
+        self.assert_bytes([v[fitted] for v in kept], [v[fitted] for v in want])
+        rows = fitted[::-3]
+        with np.errstate(all="ignore"):
+            want = (*fresh.survival(rows, fits.lam[rows]), *fresh.moments(rows, fits.lam[rows]))
+        self.assert_bytes([v[rows] for v in kept], want)
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_one_row_longer_than_a_block(self, kind, censored):
+        t, delta = TestStackPasses.records(kind, censored, 1, 20000)
+        fits = _fit_stack(_Stack(kind, t, delta))
+        assert fits.outcome == [FitStatus.CONVERGED]
+        fresh = _Stack(kind, t, delta)
+        with np.errstate(all="ignore"):
+            want = (*fresh.survival(_ALL, fits.lam), *fresh.moments(_ALL, fits.lam))
+        self.assert_bytes((fits.a, fits.c, fits.a1, fits.a2, fits.c2), want)
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_loglik_max_is_the_loglik_at_the_estimate(self, kind, censored):
+        for seed in (3, 4):
+            t, delta = TestStackPasses.records(kind, censored, 1, 300, seed=seed)
+            data = CompetingRisksData(t[0], delta[0])
+            fit = fit_mle(data, kind)
+            assert fit.status is FitStatus.CONVERGED
+            assert fit.loglik_max == log_likelihood(fit.params_hat, data)
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_intervals_from_the_fit_match_a_fresh_pass(self, kind, monkeypatch):
+        # a hit (the fitted dataset object) against misses: a new dataset
+        # over the same arrays, and the fit of another dataset object
+        p = BvfParams(kind, 0.85, 0.57, 0.74, 0.69)
+        data = from_bivariate(sample(p, 500, seed=11), censoring_threshold(p, 0.3))
+        other = CompetingRisksData(data.t, data.delta, data.censoring_time)
+        fit, other_fit = fit_mle(data, kind), fit_mle(other, kind)
+        assert fit == other_fit
+        passes = []
+        moments = _Stack.moments
+
+        def counted(stack, rows, lam):
+            passes.append(lam.tolist())
+            return moments(stack, rows, lam)
+
+        monkeypatch.setattr(_Stack, "moments", counted)
+        hit = asymptotic_ci(fit, data), observed_fisher(fit.params_hat, data)
+        assert passes == []
+        for f in (fit, other_fit):
+            d = CompetingRisksData(data.t, data.delta, data.censoring_time)
+            ci, info = asymptotic_ci(f, d), observed_fisher(f.params_hat, d)
+            assert repr(ci) == repr(hit[0]) and info.tobytes() == hit[1].tobytes()
+        assert passes == [[fit.params_hat.lam]] * 4
+
+        def task(j):
+            d = data if j % 2 else CompetingRisksData(data.t, data.delta, data.censoring_time)
+            return repr(asymptotic_ci(fit, d)), observed_fisher(fit.params_hat, d).tobytes()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(task, range(8), timeout=120))
+        assert threaded == [(repr(hit[0]), hit[1].tobytes())] * 8
+
+
+@pytest.mark.parametrize("kind", [W, G, L])
+def test_fit_and_interval_record_passes(kind, monkeypatch):
+    # a caption dataset whose profile peaks at the start rung, far from the
+    # clamps: no scan and no flatness check, so each evaluation the fit
+    # counts is one pass over the records (n exceeds one block, so a call
+    # is one pass) and nothing else takes one
+    p = {W: BvfParams(W, 1.34, 1.17, 0.86, 0.91), G: PG, L: PL}[kind]
+    data = from_bivariate(sample(p, 20000, seed=5), censoring_threshold(p, 0.3))
+    calls = []
+    for name in ("_survival_sums", "_slope_sums"):
+        wrapped = getattr(_Stack, name)
+
+        def counted(stack, x, w, lam, wrapped=wrapped, name=name):
+            calls.append((name, lam.size))
+            return wrapped(stack, x, w, lam)
+
+        monkeypatch.setattr(_Stack, name, counted)
+    fit = fit_mle(data, kind)
+    assert fit.status is FitStatus.CONVERGED
+    assert abs(math.log(fit.params_hat.lam)) < math.log(2.0)
+    assert all(size == 1 for _, size in calls)
+    # the start rung and its neighbours, then Newton iterates only
+    names = [name for name, _ in calls]
+    assert names == ["_survival_sums"] * 3 + ["_slope_sums"] * (len(names) - 3)
+    assert len(calls) == fit.n_evals
+    del calls[:]
+    asymptotic_ci(fit, data)
+    assert calls == []
 
 
 def _theta(p):
