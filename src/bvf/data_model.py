@@ -38,6 +38,10 @@ class FailureMode(enum.IntEnum):
 
 _DELTA_CODES = tuple(FailureMode)
 
+# the censored code as int8, the dtype of delta: comparing an int8 array with
+# the IntEnum member itself would cast every record to int64 first
+_CENSORED = np.int8(FailureMode.CENSORED)
+
 
 class CompetingRisksData:
     """An immutable collection of competing-risks records.
@@ -74,7 +78,7 @@ class CompetingRisksData:
         delta = np.ascontiguousarray(delta, dtype=np.int8)
 
         counts = np.bincount(delta, minlength=4)
-        censored_times = t[delta == FailureMode.CENSORED]
+        censored_times = t[delta == _CENSORED]
         if censored_times.size:
             first = float(censored_times[0])
             if np.any(censored_times != first):
@@ -90,7 +94,7 @@ class CompetingRisksData:
             censoring_time = float(censoring_time)
             if not (censoring_time > 0.0) or not np.isfinite(censoring_time):
                 raise DomainError("censoring time must be positive finite")
-            late = t[delta != FailureMode.CENSORED] > censoring_time
+            late = t[delta != _CENSORED] > censoring_time
             if np.any(late):
                 raise ValidationError(
                     f"{int(np.count_nonzero(late))} failure(s) recorded after the "

@@ -12,15 +12,19 @@ whether the profile has an interior maximum and brackets it; a safeguarded
 Newton iteration on the profile score p'(lambda), in log lambda and with
 closed-form first and second derivatives, then locates it.
 
-One engine fits R equal-length datasets at once, stacked as (R, n) arrays:
-:func:`fit_mle` is its one-row case; :func:`bootstrap_ci` refits all its
-resamples, and a study chunk fits all its datasets, in one call. Every sum
-runs along a row in NumPy, so a row's fit does not depend on the other
-rows. Each pass over the records, and the draws, run in row blocks of at
-most 16384 records (``_SCAN_RECORDS``). A pass writes its temporaries into
-two scratch buffers of one block that its stack allocates once, so it
-allocates no per-record array, and the memory it touches stays in cache
-from block to block and from pass to pass. A sum over the uncensored
+One engine fits a list of stacks at once, each holding R equal-length
+datasets of one kind as (R, n) arrays, where the stacks may differ in kind
+and in n: :func:`fit_mle` is its one-row case; :func:`bootstrap_ci` refits
+all its resamples, a study chunk fits all its datasets, and a selection
+fits every candidate kind at every sample size, in one call. The rows of
+all the stacks run in lockstep under one ladder and one Newton control, and
+only the passes over the records run per stack. Every sum runs along a row
+in NumPy, so a row's fit does not depend on the other rows. Each pass over
+the records, and the draws, run in row blocks of at most 16384 records
+(``_SCAN_RECORDS``). A pass writes its temporaries into two scratch
+buffers of one block, allocated once and shared by the stacks of one call,
+so it allocates no per-record array, and the memory it touches stays in
+cache from block to block and from pass to pass. A sum over the uncensored
 records multiplies by the records' 0/1 float weights, where selecting them
 with np.where cost five times as much per record; the product and the
 selection give the same sums (see :class:`_Stack`).
@@ -65,6 +69,7 @@ from .bvf_model import (  # noqa: F401
     sample,
 )
 from .data_model import (  # noqa: F401
+    _CENSORED,
     CompetingRisksData,
     FailureMode,
     _first_failure,
@@ -137,6 +142,31 @@ def _row_blocks(R: int, n: int) -> list:
     return [slice(lo, min(lo + per, R)) for lo in range(0, R, per)]
 
 
+def _block_size(n: int) -> int:
+    """The records in a full block of :func:`_row_blocks` of n-record rows."""
+    return max(1, _SCAN_RECORDS // n) * n
+
+
+def _scratch_for(ns) -> tuple[np.ndarray, np.ndarray]:
+    """One scratch pair for stacks of the row lengths ``ns`` whose passes
+    never run at the same time, as in one engine call: two flat buffers,
+    each as large as the largest block among them (see
+    :meth:`_Stack._use_scratch`)."""
+    size = max(_block_size(n) for n in ns)
+    return np.empty(size), np.empty(size)
+
+
+def _tally(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The failure counts m_k of each row of a (R, n) stack of modes, shape
+    (3, R), and their sums m, counted in row blocks: the parts of a
+    :class:`_Stack` that do not depend on its kind."""
+    R, n = delta.shape
+    counts = np.empty((3, R), dtype=np.int64)
+    for blk in _row_blocks(R, n):
+        counts[:, blk] = (delta[blk, None, :] == _MODES).sum(axis=-1).T
+    return counts, counts.sum(axis=0)
+
+
 class _Stack:
     """R equal-length datasets of one kind, stacked as (R, n) arrays: the form
     in which the fitting engine evaluates the profile and its derivatives.
@@ -175,12 +205,21 @@ class _Stack:
     __slots__ = ("kind", "x", "w", "counts", "m", "unc_sum", "_s", "_u")
 
     @np.errstate(all="ignore")
-    def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray):
+    def __init__(
+        self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None, scratch=None
+    ):
+        """The stack of kind ``kind`` over the records ``t`` and ``delta``.
+        ``tally`` is their :func:`_tally`, which stacks of several kinds over
+        one record set share, taken here when not given; ``scratch`` is a
+        pair from :func:`_scratch_for` that the stack shares with the others
+        of its engine call, or None for scratch of its own."""
         self.kind = kind
         R, n = t.shape
         self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
         self._s = self._u = None
-        self.counts = np.empty((3, R), dtype=np.int64)
+        if scratch is not None:
+            self._use_scratch(*scratch)
+        self.counts, self.m = _tally(delta) if tally is None else tally
         # sum_unc log h0 is m log(lam) plus lam (Gompertz) or lam - 1
         # (Weibull) times this sum; for Lomax it needs a pass per lambda
         if kind is BaselineKind.LOMAX:
@@ -192,32 +231,41 @@ class _Stack:
         for blk in _row_blocks(R, n):
             if kind is BaselineKind.WEIBULL:
                 np.log(t[blk], out=self.x[blk])
-            self.counts[:, blk] = (delta[blk, None, :] == _MODES).sum(axis=-1).T
             w = self._scratch(blk.stop - blk.start)[0] if self.w is None else self.w[blk]
-            np.not_equal(delta[blk], FailureMode.CENSORED, out=w)
+            np.not_equal(delta[blk], _CENSORED, out=w)
             if self.w is None:
                 self.unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
-        self.m = self.counts.sum(axis=0)
 
-    def _share(self) -> "_Stack":
-        """A stack over the same records with no scratch yet: it allocates
-        its own at its first pass, so it and this stack can run passes at
-        the same time, from different threads too."""
+    def _share(self, scratch=None) -> "_Stack":
+        """A stack over the same records with the ``scratch`` pair of
+        :func:`_scratch_for`, or with none yet: it then allocates its own at
+        its first pass, so it and this stack can run passes at the same
+        time, from different threads too."""
         new = object.__new__(_Stack)
         for name in self.__slots__:
             setattr(new, name, getattr(self, name))
         new._s = new._u = None
+        if scratch is not None:
+            new._use_scratch(*scratch)
         return new
 
     def _scratch(self, k):
         """The stack's two scratch buffers, cut to ``k`` rows. Each holds
         one block of :func:`_row_blocks`; they are allocated at the first
-        pass and reused by every pass after it."""
+        pass, or handed over by :meth:`_use_scratch`, and reused by every
+        pass after it."""
         if self._s is None:
-            n = self.x.shape[-1]
-            per = max(1, _SCAN_RECORDS // n)
-            self._s, self._u = np.empty((per, n)), np.empty((per, n))
+            size = _block_size(self.x.shape[-1])
+            self._use_scratch(np.empty(size), np.empty(size))
         return self._s[:k], self._u[:k]
+
+    def _use_scratch(self, s: np.ndarray, u: np.ndarray) -> None:
+        """Make the flat buffers ``s`` and ``u``, of at least one block each,
+        this stack's scratch; stacks whose passes never run at the same time
+        may share them."""
+        n = self.x.shape[-1]
+        per = _block_size(n) // n
+        self._s, self._u = s[: per * n].reshape(per, n), u[: per * n].reshape(per, n)
 
     def _block(self, rows, sel):
         """x and w (None but for Lomax) of ``rows[sel]``. A one-row stack
@@ -385,21 +433,26 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(z - hi[:, None]), hi
 
 
-def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
+def _workspace(data: CompetingRisksData, kind: BaselineKind, scratch=None) -> _Stack:
     """The one-row stack of ``data``, whose records are built once per
     (data, kind): the one place a (data, kind) pair enters, so a kind that
     is not a BaselineKind is a DomainError here. The dataset caches a
     stack without scratch, and each call gets a stack of its own over the
-    cached records (:meth:`_Stack._share`): a dataset keeps no scratch
-    alive, and calls on it from several threads write to no shared buffer."""
+    cached records (:meth:`_Stack._share`), with the ``scratch`` pair it
+    passes (:func:`_scratch_for`) or scratch of its own: a dataset keeps no
+    scratch alive, and calls on it from several threads write to no shared
+    buffer."""
     _check_kind(kind)
     key = ("workspace", kind)
     ws = data._cache.get(key)
     if ws is None:
-        ws = _Stack(kind, data.t[None, :], data.delta[None, :])
+        # the dataset has counted its failure modes already
+        counts = np.array([[data.m0], [data.m1], [data.m2]])
+        tally = (counts, counts.sum(axis=0))
+        ws = _Stack(kind, data.t[None, :], data.delta[None, :], tally, scratch)
         data._cache[key] = ws._share()
         return ws
-    return ws._share()
+    return ws._share(scratch)
 
 
 def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
@@ -543,7 +596,7 @@ class FitResult:
 
 
 class _Fits(NamedTuple):
-    """Per-row outcome of :func:`_fit_stack`.
+    """Per-row outcome of one stack of :func:`_fit_stacks`.
 
     ``outcome[r]`` is a :class:`FitStatus`, or the error :func:`fit_mle`
     raises for that row. ``lam`` and ``alphas`` (shape (3, R)) hold the
@@ -566,29 +619,115 @@ class _Fits(NamedTuple):
     c2: np.ndarray
 
 
-@np.errstate(all="ignore")
-def _fit_stack(stack: _Stack) -> _Fits:
-    """Fit every row of ``stack``.
+class _Passes:
+    """The record passes of one engine call, over the rows of its stacks
+    laid end to end: row r of the call is a row of the stack whose offset
+    range holds it. ``m``, ``counts`` and ``slices`` (each stack's rows of
+    the call) are per call row.
 
-    Each row climbs the ladder (``_RUNGS``) from lambda = 1 to a local
-    maximum of the profile (every rung is evaluated when the start is -inf).
-    A maximum at a clamped end means no MLE. An interior maximum at rung k
-    is refined by Newton steps on the score in log lambda inside
-    [rung k-1, rung k+1]: each iterate narrows the bracket by the sign of its
-    score, and a step that would leave the bracket, or that comes from a
-    non-concave point, bisects it in log lambda instead. Newton stops when
-    its step or the bracket is at most _TOL * lambda, when its next iterate
-    is its previous one, or once its row has made _MAX_EVALS evaluations;
-    lambda-hat is its last iterate. A maximum next to a clamp then faces the
-    flatness check (``_FLATNESS_RTOL``). Rungs cost one transcendental pass
-    per record; only Newton iterates take the derivative sums, and the sums
-    of a row's last iterate, at lambda-hat, are kept (see :class:`_Fits`)
-    for the log-likelihood and the Wald variances there. A row's
-    ``n_evals`` counts the rungs a one-rung scan would evaluate, whatever
-    the chunk size, and no stopping rule looks at another row, so each row
-    gets the bits and the count of its one-row fit.
+    Every pass's rows are in ascending order, so each stack's rows are one
+    contiguous run of them, which np.searchsorted on the stack offsets
+    finds; each stack evaluates its run, and the results are joined in the
+    pass's order. A one-stack call hands its rows straight to the stack,
+    with no dispatch. Passes run one at a time and no result aliases a
+    stack's scratch, so the stacks of a call can share one scratch pair
+    (:func:`_scratch_for`), as the callers that build them do.
     """
-    R = stack.m.size
+
+    def __init__(self, stacks: list):
+        self.stacks = stacks
+        if len(stacks) == 1:
+            (stack,) = stacks
+            self.m, self.counts, self.slices = stack.m, stack.counts, [_ALL]
+            return
+        rows = [stack.m.size for stack in stacks]
+        self.offsets = np.cumsum([0, *rows])
+        bounds = self.offsets.tolist()
+        self.slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self.m = np.concatenate([stack.m for stack in stacks])
+        self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
+        self.n = np.repeat([stack.x.shape[-1] for stack in stacks], rows)
+
+    def records(self, rows: np.ndarray) -> int:
+        """The records of ``rows`` (distinct rows) in all."""
+        if len(self.stacks) == 1:
+            return rows.size * self.stacks[0].x.shape[-1]
+        return int(self.n[rows].sum())
+
+    def _runs(self, rows: np.ndarray, lam: np.ndarray) -> list:
+        """Per stack with rows in the pass, in order: the stack, its own
+        indices of them, and their lambdas."""
+        if len(self.stacks) == 1:
+            return [(self.stacks[0], rows, lam)]
+        cuts = np.searchsorted(rows, self.offsets).tolist()
+        return [
+            (stack, rows[lo:hi] - off, lam[lo:hi])
+            for stack, off, lo, hi in zip(self.stacks, self.offsets.tolist(), cuts, cuts[1:])
+            if hi > lo
+        ]
+
+    def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """:meth:`_Stack.profile` at each of ``rows``."""
+        runs = self._runs(rows, lam)
+        if len(runs) == 1:
+            stack, own, lam = runs[0]
+            return stack.profile(own, lam)
+        return np.concatenate([stack.profile(own, lam) for stack, own, lam in runs])
+
+    def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
+        """g and h (:meth:`_Stack._derivatives`) at each of ``rows``, which
+        are distinct, then the sums of :meth:`_Stack._slopes` that a fit
+        keeps: a, a', a'', and for Lomax sum_unc log1p(lam*x) and
+        sum_unc q**2 (None where no row is Lomax, NaN at other rows)."""
+        parts = []
+        for stack, own, lam in self._runs(rows, lam):
+            if own.size == stack.m.size:
+                own = _ALL
+            sums = stack._slopes(own, lam)
+            parts.append((*stack._derivatives(own, lam, sums), *sums[:4], sums[5]))
+        if len(parts) == 1:
+            return parts[0]
+        sizes = [part[0].size for part in parts]
+
+        def join(column):
+            if all(v is None for v in column):
+                return None
+            pieces = [np.full(k, np.nan) if v is None else v for v, k in zip(column, sizes)]
+            return np.concatenate(pieces)
+
+        return tuple(join(column) for column in zip(*parts))
+
+
+@np.errstate(all="ignore")
+def _fit_stacks(stacks: list) -> list:
+    """Fit every row of every stack of ``stacks``, which may differ in kind
+    and in record count; returns each stack's :class:`_Fits`.
+
+    The rows of all the stacks run in lockstep under one ladder and one
+    Newton control, as rows of one call (:class:`_Passes`); only the record
+    passes run per stack. Each row climbs the ladder (``_RUNGS``) from
+    lambda = 1 to a local maximum of the profile (every rung is evaluated
+    when the start is -inf). A maximum at a clamped end means no MLE. An
+    interior maximum at rung k is refined by Newton steps on the score in
+    log lambda inside [rung k-1, rung k+1]: each iterate narrows the
+    bracket by the sign of its score, and a step that would leave the
+    bracket, or that comes from a non-concave point, bisects it in log
+    lambda instead. Newton stops when its step or the bracket is at most
+    _TOL * lambda, when its next iterate is its previous one, or once its
+    row has made _MAX_EVALS evaluations; lambda-hat is its last iterate. A
+    maximum next to a clamp then faces the flatness check
+    (``_FLATNESS_RTOL``). Rungs cost one transcendental pass per record;
+    only Newton iterates take the derivative sums, and the sums of a row's
+    last iterate, at lambda-hat, are kept (see :class:`_Fits`) for the
+    log-likelihood and the Wald variances there. A row's ``n_evals``
+    counts the rungs a one-rung scan would evaluate, whatever the chunk
+    size, and no stopping rule looks at another row, so each row gets the
+    bits and the count of its one-row fit, whatever stacks it is fitted
+    with.
+    """
+    passes = _Passes(stacks)
+    m, counts = passes.m, passes.counts
+    R = m.size
     rungs, start = _RUNGS, _START
     last = rungs.size - 1
     # column k+1 holds p(rung k), NaN until evaluated; the two -inf end
@@ -602,12 +741,12 @@ def _fit_stack(stack: _Stack) -> _Fits:
         new = np.isnan(vals[rows, idx + 1])
         rows, idx = rows[new], idx[new]
         if rows.size:
-            vals[rows, idx + 1] = stack.profile(rows, rungs[idx])
+            vals[rows, idx + 1] = passes.profile(rows, rungs[idx])
             np.add.at(n_evals, rows, 1)
 
-    for r in np.flatnonzero(stack.m == 0).tolist():
+    for r in np.flatnonzero(m == 0).tolist():
         outcome[r] = EstimationError("no failures observed")
-    act = np.flatnonzero(stack.m > 0)
+    act = np.flatnonzero(m > 0)
     cur = np.full(R, start)
     # the climb always looks at the start and both its neighbours
     around = np.arange(max(start - 1, 0), min(start + 1, last) + 1)
@@ -637,7 +776,7 @@ def _fit_stack(stack: _Stack) -> _Fits:
     step = np.where(go_right, 1, np.where(go_left, -1, 0))
     cur[act] = c + step
     scan, step = act[step != 0], step[step != 0]
-    k = min(rungs.size, max(1, _SCAN_RECORDS // max(1, scan.size * stack.x.shape[-1])))
+    k = min(rungs.size, max(1, _SCAN_RECORDS // max(1, passes.records(scan))))
     while scan.size:
         c = cur[scan]
         path = c[:, None] + step[:, None] * np.arange(k + 1)
@@ -667,18 +806,15 @@ def _fit_stack(stack: _Stack) -> _Fits:
     # narrower than _TOL * lambda stops Newton too.
     lam_hat = np.full(R, np.nan)
     # a, a', a'' and, for Lomax, sum_unc log1p(lam*x) and sum_unc q**2 of
-    # each row's last Newton pass (the entries of _Stack._slopes kept here)
+    # each row's last Newton pass (see _Passes.newton)
     kept_sums = np.full((5, R), np.nan)
-    kept = (0, 1, 2, 3, 5) if stack.kind is BaselineKind.LOMAX else (0, 1, 2)
     act = inner
     c = cur[act]
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
     prev = np.full(act.size, np.nan)
     while act.size:
-        rows = act if act.size < R else _ALL
-        sums = stack._slopes(rows, lam)
-        g, h = stack._derivatives(rows, lam, sums)
-        np.add.at(n_evals, rows, 1)
+        g, h, *sums = passes.newton(act, lam)
+        np.add.at(n_evals, act, 1)
         lo = np.where(g > 0.0, lam, lo)
         hi = np.where(g < 0.0, lam, hi)
         # from a non-concave point (h >= 0) the step points away from the
@@ -692,8 +828,9 @@ def _fit_stack(stack: _Stack) -> _Fits:
             stop = ~go
             done = act[stop]
             lam_hat[done] = lam[stop]
-            for k, j in enumerate(kept):
-                kept_sums[k, done] = sums[j][stop]
+            for j, v in enumerate(sums):
+                if v is not None:
+                    kept_sums[j, done] = v[stop]
             act, nxt, lo, hi, lam = act[go], nxt[go], lo[go], hi[go], lam[go]
         prev, lam = lam, nxt
 
@@ -706,16 +843,16 @@ def _fit_stack(stack: _Stack) -> _Fits:
         rows = inner[near]
         clamp = np.where(near_lo[near], 0, last)
         evaluate(rows, clamp)
-        p_hat = stack.profile(rows, lam_hat[rows])
+        p_hat = passes.profile(rows, lam_hat[rows])
         np.add.at(n_evals, rows, 1)
         gap = p_hat - vals[rows, clamp + 1]
         for r in rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))].tolist():
             outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
 
     a_hat, a1, a2, unc_log1p, uq2 = kept_sums
-    alphas = stack.counts / a_hat
+    alphas = counts / a_hat
     finite = (np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]
-    full = stack.counts[:, inner].all(axis=0)
+    full = counts[:, inner].all(axis=0)
     for r, ok, interior in zip(inner.tolist(), finite.tolist(), full.tolist()):
         if outcome[r] is not None:
             continue
@@ -727,9 +864,15 @@ def _fit_stack(stack: _Stack) -> _Fits:
             outcome[r] = FitStatus.CONVERGED
         else:
             outcome[r] = FitStatus.BOUNDARY_ALPHA_ZERO
-    c = stack._hazard(_ALL, lam_hat, unc_log1p)
-    c2 = stack._curvature(_ALL, lam_hat, uq2)
-    return _Fits(outcome, lam_hat, alphas, n_evals, a_hat, c, a1, a2, c2)
+    fits = []
+    for stack, at in zip(stacks, passes.slices):
+        lam = lam_hat[at]
+        c = stack._hazard(_ALL, lam, unc_log1p[at])
+        c2 = stack._curvature(_ALL, lam, uq2[at])
+        fits.append(
+            _Fits(outcome[at], lam, alphas[:, at], n_evals[at], a_hat[at], c, a1[at], a2[at], c2)
+        )
+    return fits
 
 
 def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
@@ -769,7 +912,7 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
         If the closed-form alphas at lambda-hat are not finite.
     """
     stack = _workspace(data, kind)
-    fits = _fit_stack(stack)
+    (fits,) = _fit_stacks([stack])
     data._cache[("moments", kind)] = (float(fits.lam[0]), fits.a1, fits.a2, fits.c2)
     return _fit_result(kind, fits, 0, _fitted_logliks(stack, fits)[0])
 
@@ -1176,7 +1319,7 @@ def _bootstrap_refits(
     per resample, None or the reason it failed."""
     rows, t, delta, failures = _draw_stack(p_hat, n, states, censoring_time)
     estimates = np.full((len(states), 4), np.nan)
-    fits = _fit_stack(_Stack(p_hat.kind, t, delta))
+    (fits,) = _fit_stacks([_Stack(p_hat.kind, t, delta)])
     got = _estimated(fits)
     estimates[rows[got], :3] = fits.alphas[:, got].T
     estimates[rows[got], 3] = fits.lam[got]

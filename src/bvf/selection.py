@@ -5,17 +5,17 @@ the one with the largest maximized log-likelihood; each candidate's AIC is
 reported alongside. Candidates whose profile has no maximum are excluded
 from the ranking rather than failing the whole selection.
 
-There is one selection path. Each candidate kind is fitted on a stack of
-equal-length datasets in one engine call (:func:`_fit_candidates`), and each
-row is decided by one rule (:func:`_rank_row`). :func:`select_model` is the
-one-row case, on the dataset's own one-row stacks; a selection study runs
-the same two functions on a stack of its datasets (:func:`_select_stack`).
+There is one selection path. Every candidate kind is fitted on its stacks
+of datasets in one engine call (:func:`_fit_candidates`), and each row is
+decided by one rule (:func:`_rank_row`). :func:`select_model` is the
+one-row case, one call on the dataset's own one-row stacks; a selection
+study runs the same two functions on stacks of its datasets, one per
+sample size, all candidates at every size in one call
+(:func:`_select_stacks`).
 """
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .baselines import BaselineKind
 from .data_model import CompetingRisksData
@@ -24,9 +24,11 @@ from .inference import (
     FitResult,
     FitStatus,
     _fit_result,
-    _fit_stack,
+    _fit_stacks,
     _fitted_logliks,
+    _scratch_for,
     _Stack,
+    _tally,
     _workspace,
 )
 # fit_mle is not called here (candidates are fitted in stacks), but stays a
@@ -101,9 +103,9 @@ def select_model(
     Ranking is by maximized log-likelihood, descending. Exact likelihood
     ties (a probability-zero event) break by the fixed kind order Weibull <
     Gompertz < Lomax, for reproducibility. This is the one-row case of the
-    stacked selection a study runs on many datasets at once: each candidate
-    is fitted on the dataset's one-row stack, and each fit is the one
-    :func:`fit_mle` returns.
+    stacked selection a study runs on many datasets at once: the candidates
+    are fitted on the dataset's one-row stacks in one engine call, and each
+    fit is the one :func:`fit_mle` returns.
 
     Raises
     ------
@@ -117,7 +119,8 @@ def select_model(
         BaselineKind members.
     """
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
-    fits, logliks = _fit_candidates(_workspace(data, kind) for kind in kinds)
+    scratch = _scratch_for([data.n])
+    fits, logliks = _fit_candidates([_workspace(data, kind, scratch) for kind in kinds])
     ranked, excluded = _rank_row(kinds, fits, logliks, 0)
     results = {
         kind: _fit_result(kind, f, 0, ll[0]) for kind, f, ll in zip(kinds, fits, logliks)
@@ -142,15 +145,11 @@ def _check_candidates(candidates: Iterable[BaselineKind]) -> tuple:
     return kinds
 
 
-def _fit_candidates(stacks: Iterable[_Stack]) -> tuple[list, list]:
-    """Each stack's fits, one engine call per stack, and per row its
-    maximized log-likelihood (None for a row without estimates). The stacks
-    are taken one at a time, so a generator holds only one alive."""
-    fits, logliks = [], []
-    for stack in stacks:
-        fits.append(_fit_stack(stack))
-        logliks.append(_fitted_logliks(stack, fits[-1]))
-    return fits, logliks
+def _fit_candidates(stacks: list) -> tuple[list, list]:
+    """Each stack's fits, all in one engine call, and per row its maximized
+    log-likelihood (None for a row without estimates)."""
+    fits = _fit_stacks(stacks)
+    return fits, [_fitted_logliks(stack, f) for stack, f in zip(stacks, fits)]
 
 
 def _rank_row(kinds: list, fits: list, logliks: list, r: int) -> tuple[list, list]:
@@ -181,21 +180,33 @@ def _rank_row(kinds: list, fits: list, logliks: list, r: int) -> tuple[list, lis
     return [kind for kind, _ in scored], excluded
 
 
-def _select_stack(
-    t: np.ndarray, delta: np.ndarray, candidates: Iterable[BaselineKind]
-) -> list[Optional[BaselineKind]]:
-    """The kind :func:`select_model` chooses for each row of a (R, n) record
-    stack, or None for a row where it raises: a candidate's fit ends in an
-    error, or every candidate is excluded. It runs select_model's own path,
-    :func:`_fit_candidates` and :func:`_rank_row`, on the whole stack: each
-    candidate kind is fitted on all rows in one engine call, each row bit
-    for bit as it is fitted alone."""
+def _select_stacks(
+    records: list, candidates: Iterable[BaselineKind]
+) -> list[list[Optional[BaselineKind]]]:
+    """For each (t, delta) pair of ``records``, a (R, n) record stack (n
+    may differ from pair to pair), the kind :func:`select_model` chooses
+    for each row, or None for a row where it raises: a candidate's fit ends
+    in an error, or every candidate is excluded. It runs select_model's own
+    path, :func:`_fit_candidates` and :func:`_rank_row`, on every row at
+    once: every candidate kind over every record stack is fitted in one
+    engine call, each row bit for bit as it is fitted alone. The candidates
+    over one record stack share its failure counts (:func:`_tally`), and
+    all the stacks share one scratch pair (:func:`_scratch_for`)."""
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
-    fits, logliks = _fit_candidates(_Stack(kind, t, delta) for kind in kinds)
+    scratch = _scratch_for([t.shape[-1] for t, _ in records])
+    stacks = []
+    for t, delta in records:
+        tally = _tally(delta)
+        stacks += [_Stack(kind, t, delta, tally, scratch) for kind in kinds]
+    fits, logliks = _fit_candidates(stacks)
     chosen: list = []
-    for r in range(t.shape[0]):
-        try:
-            chosen.append(_rank_row(kinds, fits, logliks, r)[0][0])
-        except BvfError:
-            chosen.append(None)
+    for i, (t, _) in enumerate(records):
+        cut = slice(i * len(kinds), (i + 1) * len(kinds))
+        row_chosen = []
+        for r in range(t.shape[0]):
+            try:
+                row_chosen.append(_rank_row(kinds, fits[cut], logliks[cut], r)[0][0])
+            except BvfError:
+                row_chosen.append(None)
+        chosen.append(row_chosen)
     return chosen

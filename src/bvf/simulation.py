@@ -11,15 +11,16 @@ scheduling order. No child object is built: a chunk hashes all its rows'
 seeds in one NumPy pass (:func:`_child_states`).
 
 A work item is a contiguous chunk of replication indices: a module-level
-chunk function bound to the study's config and root (and, for selection,
-the sample size) by ``functools.partial``, applied to the indices. The
-chunk's datasets are drawn as one stack. An estimation chunk fits the stack
-in one engine call; a selection chunk runs :func:`select_model`'s own path
-on it, which fits each candidate kind on the whole stack in one engine
-call; there is no second selection rule for studies. With ``workers = 1``
-each cell is one chunk, run in this process; with ``workers > 1`` each
-cell is split into that many chunks, and the chunks of all of a study's
-cells run in one process pool.
+chunk function bound to the study's config and root by
+``functools.partial``, applied to the indices. An estimation chunk draws
+its datasets as one stack and fits it in one engine call. A selection chunk
+draws its datasets at every sample size of the grid, one stack per size,
+and runs :func:`select_model`'s own path on them, which fits every
+candidate kind at every size in one engine call; there is no second
+selection rule for studies. With ``workers = 1`` the study's replications
+are one chunk, run in this process; with ``workers > 1`` they are split
+into that many chunks (no more than there are replications), and more than
+one chunk runs in a process pool.
 """
 
 import functools
@@ -57,7 +58,7 @@ from .inference import (  # noqa: F401
     FitStatus,
     _bootstrap_intervals,
     _draw_stack,
-    _fit_stack,
+    _fit_stacks,
     _reason,
     _Stack,
     _variances_from_moments,
@@ -66,7 +67,7 @@ from .inference import (  # noqa: F401
     bootstrap_ci,
     fit_mle,
 )
-from .selection import _check_candidates, _select_stack, select_model  # noqa: F401
+from .selection import _check_candidates, _select_stacks, select_model  # noqa: F401
 
 __all__ = [
     "EstimationStudyConfig",
@@ -265,7 +266,7 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     data_keys = np.column_stack((index, np.zeros_like(index)))
     rows, t, delta, results = _draw_stack(p, config.n, _child_states(root, data_keys), c)
     stack = _Stack(p.kind, t, delta)
-    fits = _fit_stack(stack)
+    (fits,) = _fit_stacks([stack])
     for j, r in enumerate(rows.tolist()):
         if fits.outcome[j] is not FitStatus.CONVERGED:
             results[r] = _reason(fits.outcome[j])
@@ -295,27 +296,18 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     return results
 
 
-def _run_chunks(cells, workers: int) -> list:
-    """For each cell of a study, a (worker, replicates) pair, ``worker``
-    applied to ``workers`` contiguous chunks of the cell's replicate
-    indices (a range or a list); returns each cell's per-replication
-    results, concatenated in order. When every cell is one chunk they run
-    in this process; otherwise all chunks of all cells share one process
+def _run_chunks(worker, replicates: range, workers: int) -> list:
+    """``worker`` applied to ``workers`` contiguous chunks of the replicate
+    indices ``replicates``; returns its per-replication results,
+    concatenated in order. A single non-empty chunk (one worker, or fewer
+    replicates than workers) runs in this process; more share one process
     pool."""
-    jobs = []
-    for i, (worker, replicates) in enumerate(cells):
-        bounds = [len(replicates) * j // workers for j in range(workers + 1)]
-        jobs += [(i, worker, replicates[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    results: list = [[] for _ in cells]
-    if len(jobs) == len(cells):
-        for i, worker, chunk in jobs:
-            results[i] += worker(chunk)
-        return results
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [(i, pool.submit(worker, chunk)) for i, worker, chunk in jobs]
-        for i, future in futures:
-            results[i] += future.result()
-    return results
+    bounds = [len(replicates) * j // workers for j in range(workers + 1)]
+    chunks = [replicates[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(chunks) == 1:
+        return worker(chunks[0])
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [result for part in pool.map(worker, chunks) for result in part]
 
 
 def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport:
@@ -335,7 +327,7 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     reps = config.replications
     root = np.random.SeedSequence(config.seed)
     worker = functools.partial(_estimation_chunk, config, root)
-    (results,) = _run_chunks([(worker, range(reps))], config.workers)
+    results = _run_chunks(worker, range(reps), config.workers)
     kept = [r for r in results if not isinstance(r, str)]
     failed = reps - len(kept)
     hard = failed - results.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
@@ -464,19 +456,31 @@ class SelectionStudyReport:
         return out
 
 
-def _selection_chunk(config: SelectionStudyConfig, n: int, root, replicates) -> list:
-    """The kind each replication j of ``replicates`` selects, or None where
-    it is dropped: what :func:`select_model` returns on
-    ``from_bivariate(sample(parent, n, seed))``, seeded with child (j,) of
-    ``root``, or None where that raises. All the chunk's seeds are hashed in
-    one pass and its datasets drawn as one stack, and select_model's own
-    path runs on it (:func:`_select_stack`); module-level so process pools
-    can pickle it."""
-    keys = np.asarray(replicates, dtype=np.uint64)[:, None]
-    rows, t, delta, _ = _draw_stack(config.parent_params, n, _child_states(root, keys), None)
-    chosen: list = [None] * len(replicates)
-    for r, kind in zip(rows.tolist(), _select_stack(t, delta, config.candidates)):
-        chosen[r] = kind
+def _selection_chunk(config: SelectionStudyConfig, root, replicates) -> list:
+    """Per replication j of ``replicates``, the kind it selects at each n of
+    the grid, in grid order, or None where it is dropped: at the c-th n,
+    what :func:`select_model` returns on
+    ``from_bivariate(sample(parent, n, seed))``, seeded with child
+    (c * replications + j,) of ``root``, or None where that raises. All
+    the chunk's seeds at each n are hashed in one pass and its datasets
+    drawn as one stack, and select_model's own path fits every candidate
+    on the stacks of every n in one engine call (:func:`_select_stacks`);
+    module-level so process pools can pickle it."""
+    index = np.asarray(replicates, dtype=np.uint64)
+    draws = [
+        _draw_stack(
+            config.parent_params,
+            n,
+            _child_states(root, (c * config.replications + index)[:, None]),
+            None,
+        )
+        for c, n in enumerate(config.n_grid)
+    ]
+    picks = _select_stacks([(t, delta) for _, t, delta, _ in draws], config.candidates)
+    chosen = [[None] * len(draws) for _ in replicates]
+    for c, ((rows, *_), kinds) in enumerate(zip(draws, picks)):
+        for r, kind in zip(rows.tolist(), kinds):
+            chosen[r][c] = kind
     return chosen
 
 
@@ -484,22 +488,21 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     """Empirical probability that each candidate is selected, per sample
     size; within a row the probabilities sum to 1 over the candidates.
 
-    Each replication chooses by :func:`select_model`'s own path, run on a
-    stack of the cell's datasets: one engine call per candidate kind and
-    chunk, not one ``select_model`` call per dataset. A
-    replication is dropped, and counted, where ``select_model`` would
-    raise: its data are invalid, a candidate's fit ends in an error, or
-    every candidate is excluded. More than 10% dropped at any n aborts the
-    study as a misconfiguration signal."""
+    Each replication chooses by :func:`select_model`'s own path, run on
+    stacks of the study's datasets: a chunk of replications draws its
+    datasets at every n, and fits every candidate kind at every n in one
+    engine call, not one ``select_model`` call per dataset. A replication
+    is dropped at an n, and counted, where ``select_model`` would raise:
+    its data are invalid, a candidate's fit ends in an error, or every
+    candidate is excluded. More than 10% dropped at any n aborts the study
+    as a misconfiguration signal."""
     reps = config.replications
     root = np.random.SeedSequence(config.seed)
-    cells = [
-        (functools.partial(_selection_chunk, config, n, root), range(i * reps, (i + 1) * reps))
-        for i, n in enumerate(config.n_grid)
-    ]
+    worker = functools.partial(_selection_chunk, config, root)
+    results = _run_chunks(worker, range(reps), config.workers)
     rows = []
-    for n, chosen in zip(config.n_grid, _run_chunks(cells, config.workers)):
-        kept = [c for c in chosen if c is not None]
+    for i, n in enumerate(config.n_grid):
+        kept = [chosen[i] for chosen in results if chosen[i] is not None]
         dropped = reps - len(kept)
         if dropped > 0.10 * reps:
             raise EstimationError(

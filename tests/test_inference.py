@@ -46,7 +46,7 @@ from bvf.inference import (
     FitOptions,
     _bootstrap_refits,
     _draw_stack,
-    _fit_stack,
+    _fit_stacks,
     _Stack,
 )
 
@@ -299,7 +299,8 @@ class TestFitOtherKinds:
         delta = [1, 2, 0, 1, 2, 1]
         with pytest.raises(DegenerateDataError):
             fit_mle(CompetingRisksData(t, delta), kind)
-        fits = _fit_stack(_Stack(kind, np.array([t]), np.array([delta], dtype=np.int8)))
+        stack = _Stack(kind, np.array([t]), np.array([delta], dtype=np.int8))
+        (fits,) = _fit_stacks([stack])
         assert type(fits.outcome[0]) is DegenerateDataError
 
     def test_overflowing_hazard_sum_warns_nothing(self):
@@ -374,7 +375,8 @@ class TestFitOptions:
         assert fit.n_evals == 29
         # the same row stacked next to a row that converges
         near = [0.3, 0.8, 1.1, 2.0, 1.7]
-        fits = _fit_stack(_Stack(G, np.array([near, t]), np.array([[0, 1, 2, 1, 2], delta])))
+        stack = _Stack(G, np.array([near, t]), np.array([[0, 1, 2, 1, 2], delta]))
+        (fits,) = _fit_stacks([stack])
         assert fits.outcome == [FitStatus.CONVERGED, FitStatus.NO_MLE_MONOTONE_PROFILE]
         assert fits.n_evals[1] == 29
 
@@ -390,7 +392,7 @@ class TestStackedFits:
         t = np.array([r[0] for r in rows])
         delta = np.array([r[1] for r in rows], dtype=np.int8)
         for kind in (W, G, L):
-            fits = _fit_stack(_Stack(kind, t, delta))
+            (fits,) = _fit_stacks([_Stack(kind, t, delta)])
             for j, (tj, dj) in enumerate(rows):
                 try:
                     fit = fit_mle(CompetingRisksData(tj, dj), kind)
@@ -413,7 +415,8 @@ class TestStackedFits:
         datasets = [CompetingRisksData(t, D12) for t in rows]
         assert [fit_mle(d, W).n_evals for d in datasets] == [9, 12, 13]
         monkeypatch.setattr(inference, "_MAX_EVALS", 8)
-        fits = _fit_stack(_Stack(W, np.array(rows), np.array([D12] * 3, dtype=np.int8)))
+        stack = _Stack(W, np.array(rows), np.array([D12] * 3, dtype=np.int8))
+        (fits,) = _fit_stacks([stack])
         assert fits.n_evals.tolist() == [8, 8, 8]
         for j, data in enumerate(datasets):
             fit = fit_mle(data, W)
@@ -430,8 +433,93 @@ class TestStackedFits:
         datasets = [from_bivariate(sample(parent, 400, rng)) for _ in range(20)]
         t = np.array([d.t for d in datasets])
         delta = np.array([d.delta for d in datasets])
-        fits = _fit_stack(_Stack(kind, t, delta))
+        (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         assert fits.n_evals.tolist() == [fit_mle(d, kind).n_evals for d in datasets]
+
+
+def _flat_near_clamp_records():
+    """Gompertz, seed 9305, replicate 290 of criterion 7's 40%-censored
+    n=200 cell, whose maximum next to the lower clamp only the flatness
+    check rejects (see test_flat_profile_next_to_clamp_has_no_mle)."""
+    child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
+    pairs = sample(PG, 200, np.random.default_rng(child))
+    data = from_bivariate(pairs, censoring_threshold(PG, 0.4))
+    return data.t, data.delta
+
+
+class TestLockstepFits:
+    """One engine call over stacks of every kind and of several record
+    counts must fit each stack as a call of its own does, field by field."""
+
+    @staticmethod
+    def assert_same_fits(got, want):
+        assert len(got.outcome) == len(want.outcome)
+        for o, w in zip(got.outcome, want.outcome):
+            if isinstance(w, FitStatus):
+                assert o is w
+            else:
+                assert type(o) is type(w) and str(o) == str(w)
+        for name in inference._Fits._fields[1:]:
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert np.array_equal(g, w, equal_nan=True) and g.tobytes() == w.tobytes(), name
+
+    def test_mixed_stacks_fit_as_each_alone(self):
+        overflow = list(T12)
+        overflow[3] = 300.0  # exp(4 * 300) is past double range at rung 4
+        unbounded = list(T12)
+        unbounded[3] = math.inf  # not a valid record: p = -inf at every rung
+        short = [
+            (T12, D12),  # interior maximum for Weibull and Gompertz
+            ([1.5] * 12, [3] * 12),  # no failures
+            ([1.0] * 12, [0, 1, 2] * 4),  # monotone profile for every kind
+            ([0.3, 0.7, 1.2, 0.9] * 3, [1, 1, 2, 1] * 3),  # boundary alpha0
+            (unbounded, D12),  # profile -inf over the whole bracket
+            (overflow, D12),  # survival sums overflow on the ladder
+        ]
+        flat = _flat_near_clamp_records()
+        rng = np.random.default_rng(12)
+        long = [flat] + [
+            (d.t, d.delta)
+            for p in (PG, PL, BvfParams(W, 1.34, 1.17, 0.86, 0.91))
+            for d in (from_bivariate(sample(p, 200, rng)) for _ in range(3))
+        ]
+        records = {
+            12: (np.array([r[0] for r in short]), np.array([r[1] for r in short], dtype=np.int8)),
+            200: (np.array([r[0] for r in long]), np.array([r[1] for r in long], dtype=np.int8)),
+        }
+        one = from_bivariate(sample(PL, 50, rng))
+        layout = [(G, 200), (W, 12), (L, 200), (G, 12), (W, 200), (L, 12)]
+
+        def build():
+            stacks = [_Stack(kind, *records[n]) for kind, n in layout]
+            # a one-row stack, and a stack with no rows
+            stacks.append(_Stack(L, one.t[None], one.delta[None]))
+            stacks.append(_Stack(G, records[200][0][:0], records[200][1][:0]))
+            return stacks
+
+        got = _fit_stacks(build())
+        alone = [_fit_stacks([stack])[0] for stack in build()]
+        assert len(got) == len(alone) == len(layout) + 2
+        for g, w in zip(got, alone):
+            self.assert_same_fits(g, w)
+
+        # the rows take every path of the engine
+        fits = dict(zip(layout, alone))
+        for kind in (W, G, L):
+            outcome = fits[kind, 12].outcome
+            assert str(outcome[1]) == "no failures observed"
+            assert str(outcome[4]) == "profile log-likelihood is -inf over the entire bracket"
+            assert outcome[2] is FitStatus.NO_MLE_MONOTONE_PROFILE
+        assert fits[W, 12].outcome[0] is FitStatus.CONVERGED
+        assert fits[W, 12].outcome[3] is FitStatus.BOUNDARY_ALPHA_ZERO
+        assert fits[G, 200].outcome[0] is FitStatus.NO_MLE_MONOTONE_PROFILE
+        assert np.isfinite(fits[G, 200].lam[0])  # Newton ran: the flatness check decided
+        with np.errstate(all="ignore"):
+            a, _ = _Stack(G, *records[12]).survival(np.array([5]), np.array([4.0]))
+        assert a[0] == math.inf
+        assert fits[G, 12].n_evals[5] > 0
+        assert got[-2].outcome == [FitStatus.CONVERGED] and got[-1].outcome == []
 
 
 class TestRowBlocks:
@@ -448,7 +536,7 @@ class TestRowBlocks:
         assert 120 * 400 > 2 * _SCAN_RECORDS
         t = np.array([d.t for d in datasets])
         delta = np.array([d.delta for d in datasets])
-        fits = _fit_stack(_Stack(kind, t, delta))
+        (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         for j, data in enumerate(datasets):
             fit = fit_mle(data, kind)
             assert fits.outcome[j] is fit.status, j
@@ -541,7 +629,7 @@ class TestRowBlocks:
         assert rows.size == 0 and t.shape == delta.shape == (0, 20)
         assert failures == ["DomainError"] * 3
         # an empty stack fits to empty results
-        fits = _fit_stack(_Stack(G, t, delta))
+        (fits,) = _fit_stacks([_Stack(G, t, delta)])
         assert fits.outcome == [] and fits.lam.size == 0
 
     @pytest.mark.parametrize("kind", [W, G, L])
@@ -551,7 +639,7 @@ class TestRowBlocks:
         fit = fit_mle(data, kind)
         t = np.stack([data.t, data.t])
         delta = np.stack([data.delta, data.delta])
-        fits = _fit_stack(_Stack(kind, t, delta))
+        (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         q = fit.params_hat
         for j in range(2):
             assert fits.outcome[j] is fit.status
@@ -1179,7 +1267,7 @@ class TestFittedSums:
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_multi_row_stack(self, kind, censored):
         t, delta = TestStackPasses.records(kind, censored, 60, 400, seed=7)
-        fits = _fit_stack(_Stack(kind, t, delta))
+        (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         fitted = np.flatnonzero(np.isfinite(fits.lam))
         assert fitted.size > 50
         kept = (fits.a, fits.c, fits.a1, fits.a2, fits.c2)
@@ -1197,7 +1285,7 @@ class TestFittedSums:
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_one_row_longer_than_a_block(self, kind, censored):
         t, delta = TestStackPasses.records(kind, censored, 1, 20000)
-        fits = _fit_stack(_Stack(kind, t, delta))
+        (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         assert fits.outcome == [FitStatus.CONVERGED]
         fresh = _Stack(kind, t, delta)
         with np.errstate(all="ignore"):

@@ -20,7 +20,7 @@ from bvf import (
     sample,
     select_model,
 )
-from bvf.selection import _select_stack
+from bvf.selection import _select_stacks
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 
@@ -170,7 +170,7 @@ def test_stacked_selection_drops_where_select_model_raises(data12, candidates):
             want.append(select_model(CompetingRisksData(times, deltas), candidates).chosen)
         except BvfError:
             want.append(None)
-    assert _select_stack(t, delta, candidates) == want
+    assert _select_stacks([(t, delta)], candidates) == [want]
     assert want[1] is None
     assert want[2] is L
 

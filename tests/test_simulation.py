@@ -2,6 +2,7 @@
 stacked studies' equivalence with the one-dataset path: fit_mle and its
 intervals, or select_model, per dataset."""
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -31,7 +32,7 @@ from bvf import (
     sample,
     select_model,
 )
-from bvf import simulation
+from bvf import inference, selection, simulation
 from bvf.bvf_model import censoring_threshold
 from bvf.inference import _loglik_rows, _Stack
 from bvf.simulation import _estimation_chunk, _selection_chunk
@@ -427,6 +428,37 @@ class TestSelectionStudy:
         # every n of the grid shares the study's one pool
         assert pools == [{"max_workers": 2}]
 
+    def test_fewer_replications_than_workers_run_in_process(self, monkeypatch):
+        # one replication, two workers: the only non-empty chunk runs here
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", counted_pool)
+        studies = [
+            (
+                run_estimation_study,
+                functools.partial(
+                    EstimationStudyConfig, true_params=PW, n=60, replications=1,
+                    bootstrap_B=5, seed=14,
+                ),
+            ),
+            (
+                run_selection_study,
+                functools.partial(
+                    SelectionStudyConfig, parent_params=PW, candidates=(W, G, L),
+                    n_grid=(40, 90, 150), replications=1, seed=3,
+                ),
+            ),
+        ]
+        for run, config in studies:
+            serial = run(config(workers=1))
+            pooled = run(config(workers=2))
+            assert serial.to_json_dict() == pooled.to_json_dict()
+        assert pools == []
+
     def test_parent_usually_wins_at_moderate_n(self):
         cfg = SelectionStudyConfig(
             parent_params=PW, candidates=(W, G), n_grid=(300,),
@@ -471,10 +503,33 @@ class TestStackedSelection:
             want.append(result.chosen)
             gompertz_excluded += any(kind is G for kind, _ in result.excluded)
         root = np.random.SeedSequence(cfg.seed)
-        assert _selection_chunk(cfg, n, root, range(cfg.replications)) == want
+        assert _selection_chunk(cfg, root, range(cfg.replications)) == [[w] for w in want]
         # excluded candidates are part of what the stack must reproduce; the
         # Weibull and Lomax parents' seeds exclude Gompertz on most datasets
         assert parent is G or gompertz_excluded > 0
+
+    def test_chunk_covers_every_n(self):
+        # a chunk of replicates 2..8 at three sample sizes: replicate j at the
+        # c-th n draws from child c * replications + j of the root
+        cfg = SelectionStudyConfig(
+            parent_params=CAPTION[L], candidates=(W, G, L), n_grid=(30, 80, 160),
+            replications=9, seed=41,
+        )
+        children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.n_grid) * cfg.replications)
+        want = []
+        for j in range(2, 9):
+            row = []
+            for c, n in enumerate(cfg.n_grid):
+                child = children[c * cfg.replications + j]
+                data = from_bivariate(sample(cfg.parent_params, n, np.random.default_rng(child)))
+                try:
+                    row.append(select_model(data, cfg.candidates).chosen)
+                except BvfError:
+                    row.append(None)
+            want.append(row)
+        root = np.random.SeedSequence(cfg.seed)
+        assert _selection_chunk(cfg, root, range(2, 9)) == want
+        assert {kind for row in want for kind in row} >= {W, L}
 
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_log_likelihood_is_the_one_row_case(self, kind):
@@ -506,3 +561,46 @@ class TestStackedSelection:
         assert got == want
         assert want[2] == -math.inf
         assert sum(math.isfinite(v) for v in want) >= 6
+
+
+class TestEngineCalls:
+    """The fitting engine runs once per study chunk, selection or bootstrap,
+    however many kinds and sample sizes it covers."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        engine = inference._fit_stacks
+
+        def counted(stacks):
+            calls.append(len(stacks))
+            return engine(stacks)
+
+        for module in (inference, selection, simulation):
+            monkeypatch.setattr(module, "_fit_stacks", counted)
+        return calls
+
+    def test_selection_study_is_one_call(self, calls):
+        cfg = SelectionStudyConfig(
+            parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=6,
+            seed=3,
+        )
+        run_selection_study(cfg)
+        assert calls == [9]
+
+    def test_select_model_is_one_call(self, calls):
+        data = from_bivariate(sample(PW, 80, seed=5))
+        select_model(data, (W, L))
+        assert calls == [2]
+
+    def test_fit_mle_and_bootstrap_ci_are_one_call_each(self, calls):
+        data = from_bivariate(sample(PW, 80, seed=5))
+        fit = fit_mle(data, W)
+        assert calls == [1]
+        bootstrap_ci(fit, data, B=20, seed=1)
+        assert calls == [1, 1]
+
+    def test_estimation_chunk_is_one_call(self, calls):
+        cfg = EstimationStudyConfig(true_params=PW, n=60, replications=4, bootstrap_B=0, seed=2)
+        run_estimation_study(cfg)
+        assert calls == [1]
