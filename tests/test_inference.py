@@ -36,6 +36,7 @@ from bvf import (
     percentile_ranks,
     profile_loglik,
     sample,
+    select_model,
 )
 from bvf import inference
 from bvf.bvf_model import _child_states, _pairs_from_uniforms, censoring_threshold
@@ -864,9 +865,10 @@ class TestStackPasses:
                     assert g.tobytes() == w.tobytes(), (name, lam)
 
     def test_threads_on_one_dataset_share_no_scratch(self):
-        # profiles, fits and log-likelihoods of one dataset from more threads
-        # than cores, with a short switch interval: each call runs on the
-        # cached records in scratch of its own, and the cache keeps none
+        # profiles, fits, selections and log-likelihoods of one dataset from
+        # more threads than cores, with a short switch interval: each call
+        # runs on the cached records in scratch of its own (a selection's
+        # three candidate stacks share one pair), and the cache keeps none
         p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
         data = from_bivariate(sample(p, 20000, seed=3), censoring_threshold(p, 0.3))
 
@@ -875,7 +877,8 @@ class TestStackPasses:
             lam = 0.5 + 0.1 * j
             fit = fit_mle(data, kind)
             params = BvfParams(kind, 1.0, 1.0, 1.0, lam)
-            return profile_loglik(lam, data, kind), log_likelihood(params, data), fit
+            chosen = select_model(data).to_json_dict()
+            return profile_loglik(lam, data, kind), log_likelihood(params, data), fit, chosen
 
         serial = [task(j) for j in range(12)]
         interval = sys.getswitchinterval()
