@@ -147,15 +147,6 @@ def _block_size(n: int) -> int:
     return max(1, _SCAN_RECORDS // n) * n
 
 
-def _scratch_for(ns) -> tuple[np.ndarray, np.ndarray]:
-    """One scratch pair for stacks of the row lengths ``ns`` whose passes
-    never run at the same time, as in one engine call: two flat buffers,
-    each as large as the largest block among them (see
-    :meth:`_Stack._use_scratch`)."""
-    size = max(_block_size(n) for n in ns)
-    return np.empty(size), np.empty(size)
-
-
 def _tally(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The failure counts m_k of each row of a (R, n) stack of modes, shape
     (3, R), and their sums m, counted in row blocks: the parts of a
@@ -183,7 +174,8 @@ class _Stack:
     leave a block. Each row is still summed whole, as one contiguous row,
     so the blocks change no bit. A pass writes its temporaries into the
     stack's two scratch buffers (:meth:`_scratch`), one block of records
-    each and allocated at the stack's first pass, in the order of the plain
+    each, allocated at the stack's first pass or handed over by the engine
+    call it is in (:class:`_Passes`), in the order of the plain
     formulas, so it allocates no per-record array and what it touches
     stays in cache; only its fresh per-row sums leave it, so no result
     aliases the scratch. The scratch makes a stack single-threaded: a stack
@@ -205,20 +197,14 @@ class _Stack:
     __slots__ = ("kind", "x", "w", "counts", "m", "unc_sum", "_s", "_u")
 
     @np.errstate(all="ignore")
-    def __init__(
-        self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None, scratch=None
-    ):
+    def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None):
         """The stack of kind ``kind`` over the records ``t`` and ``delta``.
         ``tally`` is their :func:`_tally`, which stacks of several kinds over
-        one record set share, taken here when not given; ``scratch`` is a
-        pair from :func:`_scratch_for` that the stack shares with the others
-        of its engine call, or None for scratch of its own."""
+        one record set share, taken here when not given."""
         self.kind = kind
         R, n = t.shape
         self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
         self._s = self._u = None
-        if scratch is not None:
-            self._use_scratch(*scratch)
         self.counts, self.m = _tally(delta) if tally is None else tally
         # sum_unc log h0 is m log(lam) plus lam (Gompertz) or lam - 1
         # (Weibull) times this sum; for Lomax it needs a pass per lambda
@@ -228,25 +214,24 @@ class _Stack:
         else:
             self.w = None
             self.unc_sum = np.empty(R)
+            # the weights of one block at a time
+            tmp = np.empty((min(R, _block_size(n) // n), n))
         for blk in _row_blocks(R, n):
             if kind is BaselineKind.WEIBULL:
                 np.log(t[blk], out=self.x[blk])
-            w = self._scratch(blk.stop - blk.start)[0] if self.w is None else self.w[blk]
+            w = tmp[: blk.stop - blk.start] if self.w is None else self.w[blk]
             np.not_equal(delta[blk], _CENSORED, out=w)
             if self.w is None:
                 self.unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
 
-    def _share(self, scratch=None) -> "_Stack":
-        """A stack over the same records with the ``scratch`` pair of
-        :func:`_scratch_for`, or with none yet: it then allocates its own at
-        its first pass, so it and this stack can run passes at the same
-        time, from different threads too."""
+    def _share(self) -> "_Stack":
+        """A stack over the same records without scratch yet: it allocates
+        its own at its first pass, so it and this stack can run passes at
+        the same time, from different threads too."""
         new = object.__new__(_Stack)
         for name in self.__slots__:
             setattr(new, name, getattr(self, name))
         new._s = new._u = None
-        if scratch is not None:
-            new._use_scratch(*scratch)
         return new
 
     def _scratch(self, k):
@@ -433,15 +418,14 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(z - hi[:, None]), hi
 
 
-def _workspace(data: CompetingRisksData, kind: BaselineKind, scratch=None) -> _Stack:
+def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
     """The one-row stack of ``data``, whose records are built once per
     (data, kind): the one place a (data, kind) pair enters, so a kind that
     is not a BaselineKind is a DomainError here. The dataset caches a
     stack without scratch, and each call gets a stack of its own over the
-    cached records (:meth:`_Stack._share`), with the ``scratch`` pair it
-    passes (:func:`_scratch_for`) or scratch of its own: a dataset keeps no
-    scratch alive, and calls on it from several threads write to no shared
-    buffer."""
+    cached records (:meth:`_Stack._share`), which takes scratch at its
+    first pass or from its engine call: a dataset keeps no scratch alive,
+    and calls on it from several threads write to no shared buffer."""
     _check_kind(kind)
     key = ("workspace", kind)
     ws = data._cache.get(key)
@@ -449,10 +433,8 @@ def _workspace(data: CompetingRisksData, kind: BaselineKind, scratch=None) -> _S
         # the dataset has counted its failure modes already
         counts = np.array([[data.m0], [data.m1], [data.m2]])
         tally = (counts, counts.sum(axis=0))
-        ws = _Stack(kind, data.t[None, :], data.delta[None, :], tally, scratch)
-        data._cache[key] = ws._share()
-        return ws
-    return ws._share(scratch)
+        ws = data._cache[key] = _Stack(kind, data.t[None, :], data.delta[None, :], tally)
+    return ws._share()
 
 
 def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
@@ -628,18 +610,17 @@ class _Passes:
     Every pass's rows are in ascending order, so each stack's rows are one
     contiguous run of them, which np.searchsorted on the stack offsets
     finds; each stack evaluates its run, and the results are joined in the
-    pass's order. A one-stack call hands its rows straight to the stack,
-    with no dispatch. Passes run one at a time and no result aliases a
-    stack's scratch, so the stacks of a call can share one scratch pair
-    (:func:`_scratch_for`), as the callers that build them do.
+    pass's order. Passes run one at a time and no result aliases a stack's
+    scratch, so the stacks of a call share one scratch pair, as large as
+    the largest block among them (:meth:`_Stack._use_scratch`).
     """
 
     def __init__(self, stacks: list):
         self.stacks = stacks
-        if len(stacks) == 1:
-            (stack,) = stacks
-            self.m, self.counts, self.slices = stack.m, stack.counts, [_ALL]
-            return
+        size = max(_block_size(stack.x.shape[-1]) for stack in stacks)
+        scratch = np.empty(size), np.empty(size)
+        for stack in stacks:
+            stack._use_scratch(*scratch)
         rows = [stack.m.size for stack in stacks]
         self.offsets = np.cumsum([0, *rows])
         bounds = self.offsets.tolist()
@@ -650,18 +631,15 @@ class _Passes:
 
     def records(self, rows: np.ndarray) -> int:
         """The records of ``rows`` (distinct rows) in all."""
-        if len(self.stacks) == 1:
-            return rows.size * self.stacks[0].x.shape[-1]
         return int(self.n[rows].sum())
 
     def _runs(self, rows: np.ndarray, lam: np.ndarray) -> list:
-        """Per stack with rows in the pass, in order: the stack, its own
-        indices of them, and their lambdas."""
-        if len(self.stacks) == 1:
-            return [(self.stacks[0], rows, lam)]
+        """Per stack with rows in the pass, in order: the pass positions of
+        its run, the stack, its own indices of the run's rows, and their
+        lambdas."""
         cuts = np.searchsorted(rows, self.offsets).tolist()
         return [
-            (stack, rows[lo:hi] - off, lam[lo:hi])
+            (slice(lo, hi), stack, rows[lo:hi] - off, lam[lo:hi])
             for stack, off, lo, hi in zip(self.stacks, self.offsets.tolist(), cuts, cuts[1:])
             if hi > lo
         ]
@@ -670,32 +648,28 @@ class _Passes:
         """:meth:`_Stack.profile` at each of ``rows``."""
         runs = self._runs(rows, lam)
         if len(runs) == 1:
-            stack, own, lam = runs[0]
+            _, stack, own, lam = runs[0]
             return stack.profile(own, lam)
-        return np.concatenate([stack.profile(own, lam) for stack, own, lam in runs])
+        return np.concatenate([stack.profile(own, lam) for _, stack, own, lam in runs])
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:meth:`_Stack._derivatives`) at each of ``rows``, which
-        are distinct, then the sums of :meth:`_Stack._slopes` that a fit
-        keeps: a, a', a'', and for Lomax sum_unc log1p(lam*x) and
-        sum_unc q**2 (None where no row is Lomax, NaN at other rows)."""
-        parts = []
-        for stack, own, lam in self._runs(rows, lam):
+        are distinct, and per run of :meth:`_runs` its pass positions with
+        the sums of :meth:`_Stack._slopes` that a fit keeps: a, a', a'',
+        and for Lomax sum_unc log1p(lam*x) and sum_unc q**2 (None for the
+        other kinds)."""
+        g, h, kept = [], [], []
+        for at, stack, own, lam in self._runs(rows, lam):
             if own.size == stack.m.size:
                 own = _ALL
             sums = stack._slopes(own, lam)
-            parts.append((*stack._derivatives(own, lam, sums), *sums[:4], sums[5]))
-        if len(parts) == 1:
-            return parts[0]
-        sizes = [part[0].size for part in parts]
-
-        def join(column):
-            if all(v is None for v in column):
-                return None
-            pieces = [np.full(k, np.nan) if v is None else v for v, k in zip(column, sizes)]
-            return np.concatenate(pieces)
-
-        return tuple(join(column) for column in zip(*parts))
+            g_run, h_run = stack._derivatives(own, lam, sums)
+            g.append(g_run)
+            h.append(h_run)
+            kept.append((at, (*sums[:4], sums[5])))
+        if len(kept) == 1:
+            return g[0], h[0], kept
+        return np.concatenate(g), np.concatenate(h), kept
 
 
 @np.errstate(all="ignore")
@@ -813,7 +787,7 @@ def _fit_stacks(stacks: list) -> list:
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
     prev = np.full(act.size, np.nan)
     while act.size:
-        g, h, *sums = passes.newton(act, lam)
+        g, h, kept = passes.newton(act, lam)
         np.add.at(n_evals, act, 1)
         lo = np.where(g > 0.0, lam, lo)
         hi = np.where(g < 0.0, lam, hi)
@@ -826,11 +800,14 @@ def _fit_stacks(stacks: list) -> list:
         go = (np.abs(nxt - lam) > _TOL * lam) & (nxt != prev) & (n_evals[act] < _MAX_EVALS)
         if not go.all():
             stop = ~go
-            done = act[stop]
-            lam_hat[done] = lam[stop]
-            for j, v in enumerate(sums):
-                if v is not None:
-                    kept_sums[j, done] = v[stop]
+            lam_hat[act[stop]] = lam[stop]
+            for at, sums in kept:
+                ends = stop[at]
+                if ends.any():
+                    done = act[at][ends]
+                    for j, v in enumerate(sums):
+                        if v is not None:
+                            kept_sums[j, done] = v[ends]
             act, nxt, lo, hi, lam = act[go], nxt[go], lo[go], hi[go], lam[go]
         prev, lam = lam, nxt
 

@@ -26,7 +26,6 @@ from .inference import (
     _fit_result,
     _fit_stacks,
     _fitted_logliks,
-    _scratch_for,
     _Stack,
     _tally,
     _workspace,
@@ -119,8 +118,7 @@ def select_model(
         BaselineKind members.
     """
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
-    scratch = _scratch_for([data.n])
-    fits, logliks = _fit_candidates([_workspace(data, kind, scratch) for kind in kinds])
+    fits, logliks = _fit_candidates([_workspace(data, kind) for kind in kinds])
     ranked, excluded = _rank_row(kinds, fits, logliks, 0)
     results = {
         kind: _fit_result(kind, f, 0, ll[0]) for kind, f, ll in zip(kinds, fits, logliks)
@@ -190,14 +188,12 @@ def _select_stacks(
     path, :func:`_fit_candidates` and :func:`_rank_row`, on every row at
     once: every candidate kind over every record stack is fitted in one
     engine call, each row bit for bit as it is fitted alone. The candidates
-    over one record stack share its failure counts (:func:`_tally`), and
-    all the stacks share one scratch pair (:func:`_scratch_for`)."""
+    over one record stack share its failure counts (:func:`_tally`)."""
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
-    scratch = _scratch_for([t.shape[-1] for t, _ in records])
     stacks = []
     for t, delta in records:
         tally = _tally(delta)
-        stacks += [_Stack(kind, t, delta, tally, scratch) for kind in kinds]
+        stacks += [_Stack(kind, t, delta, tally) for kind in kinds]
     fits, logliks = _fit_candidates(stacks)
     chosen: list = []
     for i, (t, _) in enumerate(records):

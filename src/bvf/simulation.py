@@ -16,11 +16,12 @@ chunk function bound to the study's config and root by
 its datasets as one stack and fits it in one engine call. A selection chunk
 draws its datasets at every sample size of the grid, one stack per size,
 and runs :func:`select_model`'s own path on them, which fits every
-candidate kind at every size in one engine call; there is no second
-selection rule for studies. With ``workers = 1`` the study's replications
-are one chunk, run in this process; with ``workers > 1`` they are split
-into that many chunks (no more than there are replications), and more than
-one chunk runs in a process pool.
+candidate kind at every size in one engine call, for up to 65536 records
+over the grid at a time (``_CALL_RECORDS``); there is no second selection
+rule for studies. With ``workers = 1`` the study's replications are one
+chunk, run in this process; with ``workers > 1`` they are split into that
+many chunks (no more than there are replications), and more than one chunk
+runs in a process pool.
 """
 
 import functools
@@ -456,16 +457,35 @@ class SelectionStudyReport:
         return out
 
 
+# Records a selection chunk draws, at every n of the grid together, and
+# fits in one engine call. Every candidate kind's stack over them is alive
+# in that call, so a chunk of more replications than this allows is split
+# into such calls: its memory then stays bounded whatever the replications.
+_CALL_RECORDS = 1 << 16
+
+
 def _selection_chunk(config: SelectionStudyConfig, root, replicates) -> list:
     """Per replication j of ``replicates``, the kind it selects at each n of
     the grid, in grid order, or None where it is dropped: at the c-th n,
     what :func:`select_model` returns on
     ``from_bivariate(sample(parent, n, seed))``, seeded with child
-    (c * replications + j,) of ``root``, or None where that raises. All
-    the chunk's seeds at each n are hashed in one pass and its datasets
-    drawn as one stack, and select_model's own path fits every candidate
-    on the stacks of every n in one engine call (:func:`_select_stacks`);
-    module-level so process pools can pickle it."""
+    (c * replications + j,) of ``root``, or None where that raises. The
+    replications run in consecutive parts of at most ``_CALL_RECORDS``
+    records over the grid (at least one replication each); module-level so
+    process pools can pickle it."""
+    per = max(1, _CALL_RECORDS // sum(config.n_grid))
+    return [
+        chosen
+        for lo in range(0, len(replicates), per)
+        for chosen in _selection_part(config, root, replicates[lo : lo + per])
+    ]
+
+
+def _selection_part(config: SelectionStudyConfig, root, replicates) -> list:
+    """:func:`_selection_chunk` on one part of its replicates: all their
+    seeds at each n are hashed in one pass and their datasets drawn as one
+    stack, and select_model's own path fits every candidate on the stacks
+    of every n in one engine call (:func:`_select_stacks`)."""
     index = np.asarray(replicates, dtype=np.uint64)
     draws = [
         _draw_stack(
@@ -491,11 +511,12 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     Each replication chooses by :func:`select_model`'s own path, run on
     stacks of the study's datasets: a chunk of replications draws its
     datasets at every n, and fits every candidate kind at every n in one
-    engine call, not one ``select_model`` call per dataset. A replication
-    is dropped at an n, and counted, where ``select_model`` would raise:
-    its data are invalid, a candidate's fit ends in an error, or every
-    candidate is excluded. More than 10% dropped at any n aborts the study
-    as a misconfiguration signal."""
+    engine call per at most ``_CALL_RECORDS`` records, not one
+    ``select_model`` call per dataset. A replication is dropped at an n,
+    and counted, where ``select_model`` would raise: its data are invalid,
+    a candidate's fit ends in an error, or every candidate is excluded.
+    More than 10% dropped at any n aborts the study as a misconfiguration
+    signal."""
     reps = config.replications
     root = np.random.SeedSequence(config.seed)
     worker = functools.partial(_selection_chunk, config, root)

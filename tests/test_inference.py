@@ -499,8 +499,12 @@ class TestLockstepFits:
             stacks.append(_Stack(G, records[200][0][:0], records[200][1][:0]))
             return stacks
 
-        got = _fit_stacks(build())
+        stacks = build()
+        got = _fit_stacks(stacks)
         alone = [_fit_stacks([stack])[0] for stack in build()]
+        # the stacks of one call share one scratch pair
+        assert len({id(stack._s.base) for stack in stacks}) == 1
+        assert len({id(stack._u.base) for stack in stacks}) == 1
         assert len(got) == len(alone) == len(layout) + 2
         for g, w in zip(got, alone):
             self.assert_same_fits(g, w)

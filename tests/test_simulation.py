@@ -588,6 +588,17 @@ class TestEngineCalls:
         run_selection_study(cfg)
         assert calls == [9]
 
+    def test_selection_study_splits_past_the_record_cap(self, calls, monkeypatch):
+        # 7 replications of 280 records over the grid, at most 3 per call
+        cfg = SelectionStudyConfig(
+            parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=7,
+            seed=3,
+        )
+        want = run_selection_study(cfg)
+        monkeypatch.setattr(simulation, "_CALL_RECORDS", 3 * 280)
+        assert run_selection_study(cfg) == want
+        assert calls == [9, 9, 9, 9]
+
     def test_select_model_is_one_call(self, calls):
         data = from_bivariate(sample(PW, 80, seed=5))
         select_model(data, (W, L))
