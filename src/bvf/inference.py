@@ -17,10 +17,12 @@ datasets of one kind as (R, n) arrays, where the stacks may differ in kind
 and in n: :func:`fit_mle` is its one-row case; :func:`bootstrap_ci` refits
 all its resamples, a study chunk fits all its datasets, and a selection
 fits every candidate kind at every sample size, in one call. The rows of
-all the stacks run in lockstep under one ladder and one Newton control, and
-only the passes over the records run per stack. Every sum runs along a row
-in NumPy, so a row's fit does not depend on the other rows. Each pass over
-the records, and the draws, run in row blocks of at most 16384 records
+all the stacks run in lockstep under one ladder and one Newton control;
+only the sums over the records run per stack, and the formulas that turn
+them into the profile and its derivatives, one set for all three kinds,
+run once per pass. Every sum runs along a row in NumPy, so a row's fit
+does not depend on the other rows. Each pass over the records, and the
+draws, run in row blocks of at most 16384 records
 (``_SCAN_RECORDS``). A pass writes its temporaries into two scratch
 buffers of one block, allocated once and shared by the stacks of one call,
 so it allocates no per-record array, and the memory it touches stays in
@@ -48,6 +50,7 @@ lambda; at any other lambda they take one pass.
 
 import collections
 import enum
+import itertools
 import math
 import numbers
 import statistics
@@ -167,7 +170,10 @@ class _Stack:
     or ``_ALL``) and one lambda per row, and reduce along the last axis
     only, so a row's numbers are the same bits whatever else is stacked
     with it. Callers silence floating-point warnings: overflow saturates to
-    inf and the log of 0 is -inf.
+    inf and the log of 0 is -inf. A pass over the records writes per-row
+    sums only (:meth:`_rowwise`); formulas common to every kind, fed each
+    row's constants ``terms``, do the rest (:func:`_profile`,
+    :func:`_score`), once per pass over every stack of an engine call.
 
     Every pass over the records runs in row blocks of at most
     ``_SCAN_RECORDS`` records (:func:`_row_blocks`), and only per-row sums
@@ -177,7 +183,7 @@ class _Stack:
     each, allocated at the stack's first pass or handed over by the engine
     call it is in (:class:`_Passes`), in the order of the plain
     formulas, so it allocates no per-record array and what it touches
-    stays in cache; only its fresh per-row sums leave it, so no result
+    stays in cache; only its per-row sums leave it, so no result
     aliases the scratch. The scratch makes a stack single-threaded: a stack
     shared between calls hands each one its own (:meth:`_share`). A one-row
     stack evaluated at several lambdas broadcasts its row instead of
@@ -185,7 +191,7 @@ class _Stack:
 
     A sum over uncensored records multiplies by their 0/1 float weights
     (``w``, kept for Lomax, whose hazard sums need a pass per lambda; the
-    other kinds need one such sum, ``unc_sum``, taken here). For a finite
+    other kinds need one such sum, sum_unc x, taken here). For a finite
     term v, v*1 is v and v*0 a zero, so the sums are those of selecting the
     terms. The one term that can be infinite is Lomax's log1p(lam*C) at a
     censored record once lam*C overflows: there 0*inf makes the hazard sum
@@ -194,7 +200,7 @@ class _Stack:
     raises where a is inf, whatever c is.
     """
 
-    __slots__ = ("kind", "x", "w", "counts", "m", "unc_sum", "_s", "_u")
+    __slots__ = ("kind", "x", "w", "counts", "m", "terms", "_s", "_u")
 
     @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None):
@@ -206,14 +212,17 @@ class _Stack:
         self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
         self._s = self._u = None
         self.counts, self.m = _tally(delta) if tally is None else tally
-        # sum_unc log h0 is m log(lam) plus lam (Gompertz) or lam - 1
-        # (Weibull) times this sum; for Lomax it needs a pass per lambda
+        # per row m, s (1 for Weibull, else 0) and sum_unc x (-0.0 for
+        # Lomax, whose hazard sum needs a pass per lambda): see _hazard
+        self.terms = np.empty((3, R))
+        self.terms[0] = self.m
+        self.terms[1] = 1.0 if kind is BaselineKind.WEIBULL else 0.0
+        unc_sum = self.terms[2]
         if kind is BaselineKind.LOMAX:
             self.w = np.empty((R, n))
-            self.unc_sum = None
+            unc_sum[:] = -0.0
         else:
             self.w = None
-            self.unc_sum = np.empty(R)
             # the weights of one block at a time
             tmp = np.empty((min(R, _block_size(n) // n), n))
         for blk in _row_blocks(R, n):
@@ -222,7 +231,7 @@ class _Stack:
             w = tmp[: blk.stop - blk.start] if self.w is None else self.w[blk]
             np.not_equal(delta[blk], _CENSORED, out=w)
             if self.w is None:
-                self.unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
+                unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
 
     def _share(self) -> "_Stack":
         """A stack over the same records without scratch yet: it allocates
@@ -261,155 +270,194 @@ class _Stack:
         idx = sel if rows is _ALL else rows[sel]
         return self.x[idx], None if self.w is None else self.w[idx]
 
-    def _rowwise(self, sums, rows, lam):
-        """The per-row sums that ``sums(x, w, lam)`` returns for a block of
-        records, at each of ``rows``: evaluated in the blocks of
-        :func:`_row_blocks` (``per`` rows each), and joined into one (k, R)
-        array when there is more than one."""
-        per = max(1, _SCAN_RECORDS // self.x.shape[-1])
-        if lam.size <= per:
-            return sums(*self._block(rows, _ALL), lam)
-        return np.concatenate(
-            [
-                sums(*self._block(rows, blk), lam[blk])
-                for blk in _row_blocks(lam.size, self.x.shape[-1])
-            ],
-            axis=1,
-        )
+    def _rowwise(self, sums, rows, lam, out) -> None:
+        """Write into ``out``, one column per lambda, the per-row sums that
+        ``sums(x, w, lam, out)`` writes for a block of records, at each of
+        ``rows``, in the blocks of :func:`_row_blocks`."""
+        n = self.x.shape[-1]
+        if lam.size <= max(1, _SCAN_RECORDS // n):
+            sums(*self._block(rows, _ALL), lam, out)
+            return
+        for blk in _row_blocks(lam.size, n):
+            sums(*self._block(rows, blk), lam[blk], out[:, blk])
 
-    def _survival_sums(self, x, w, lam):
-        """The per-row record sums of :meth:`survival` over one block."""
+    def _survival_sums(self, x, w, lam, out) -> None:
+        """Write into the (2, k) ``out`` a block's survival sums a and, for
+        Lomax, sum_unc log1p(lam*x), in one transcendental pass."""
         z, u = self._scratch(lam.size)
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.WEIBULL:
-            return (np.exp(z, out=z).sum(axis=-1),)
-        if self.kind is BaselineKind.GOMPERTZ:
-            return (np.expm1(z, out=z).sum(axis=-1),)
-        s = np.log1p(z, out=z)
-        return s.sum(axis=-1), np.multiply(s, w, out=u).sum(axis=-1)
+            np.exp(z, out=z).sum(axis=-1, out=out[0])
+        elif self.kind is BaselineKind.GOMPERTZ:
+            np.expm1(z, out=z).sum(axis=-1, out=out[0])
+        else:
+            s = np.log1p(z, out=z)
+            s.sum(axis=-1, out=out[0])
+            np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
 
     def survival(self, rows, lam):
         """The survival sum a = -sum_all log S0(t_i) and the hazard sum
         c = sum_unc log h0(t_i) at each row, in one transcendental pass."""
-        a, *unc_log1p = self._rowwise(self._survival_sums, rows, lam)
-        return a, self._hazard(rows, lam, *unc_log1p)
-
-    def _hazard(self, rows, lam, unc_log1p=None):
-        """The hazard sum c at each row: m log(lam) plus lam - 1 (Weibull) or
-        lam (Gompertz) times ``unc_sum``; for Lomax, minus ``unc_log1p``,
-        the uncensored sum of log1p(lam*x) that a record pass took."""
-        c = self.m[rows] * np.log(lam)
-        if self.kind is BaselineKind.WEIBULL:
-            c += (lam - 1.0) * self.unc_sum[rows]
-        elif self.kind is BaselineKind.GOMPERTZ:
-            c += lam * self.unc_sum[rows]
-        else:
-            c -= unc_log1p
-        return c
+        a, unc_log1p = sums = _SURVIVAL_SUMS.repeat(lam.size, axis=1)
+        self._rowwise(self._survival_sums, rows, lam, sums)
+        return a, _hazard(self.terms[:, rows], lam, unc_log1p)
 
     def profile(self, rows, lam) -> np.ndarray:
-        """p(lambda) = c - m log a at each row; -inf where a vanishes or is
-        undefined. A survival sum past double range (Weibull and Gompertz
-        only; Lomax sums grow logarithmically) has its log taken as a
-        logsumexp over z = lam*x, the -1 terms of Gompertz's expm1 being
-        negligible there: keeping the profile finite stops a monotone rise
-        being mistaken for an interior maximum."""
-        a, c = self.survival(rows, lam)
-        m = self.m[rows]
-        log_a = np.log(a)
-        p = c - m * log_a
-        if not np.isfinite(log_a).all():
-            if self.kind is not BaselineKind.LOMAX:
-                over = np.flatnonzero(a == np.inf)
-                e, hi = _shifted_exp(lam[over, None] * self._block(rows, over)[0])
-                p[over] = c[over] - m[over] * (hi + np.log(e.sum(axis=-1)))
-            p[~((a > 0.0) & (p > -np.inf))] = -np.inf
-        return p
+        """p(lambda) = c - m log a at each row (:func:`_profile`)."""
+        sums = _SURVIVAL_SUMS.repeat(lam.size, axis=1)
+        self._rowwise(self._survival_sums, rows, lam, sums)
+        return _profile([(_ALL, self, rows, lam)], lam, self.terms[:, rows], sums)
 
-    def _slope_sums(self, x, w, lam):
-        """The per-row record sums of :meth:`_slopes` over one block."""
+    def _log_survival_overflow(self, rows, lam, a, c, m, p) -> None:
+        """Where a is past double range (Weibull and Gompertz; Lomax sums
+        grow logarithmically), p = c - m log a with log a a logsumexp over
+        z = lam*x, the -1 terms of Gompertz's expm1 being negligible there.
+        Writes into ``p``; the arrays hold a value for each of ``rows``."""
+        if self.kind is BaselineKind.LOMAX:
+            return
+        over = np.flatnonzero(a == np.inf)
+        if over.size:
+            e, hi = _shifted_exp(lam[over, None] * self._block(rows, over)[0])
+            p[over] = c[over] - m[over] * (hi + np.log(e.sum(axis=-1)))
+
+    def _slope_sums(self, x, w, lam, out) -> None:
+        """Write into the (6, k) ``out`` a block's survival sum a, its
+        lambda derivatives a' and a'', and the uncensored sums of
+        log1p(lam*t), q and q**2 that the Lomax hazard terms need (the other
+        kinds leave them). Weibull and Gompertz share a = sum exp(lam*x) up
+        to a constant, so a' = sum x exp(lam*x) and a'' = sum x**2
+        exp(lam*x); for Lomax, with q = t / (1 + lam*t), a' = sum q and
+        a'' = -sum q**2. a and the log1p sum are the bits
+        :meth:`_survival_sums` writes, from the same terms in the same
+        order."""
         z, u = self._scratch(lam.size)
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
             s = np.log1p(z, out=u)
-            a = s.sum(axis=-1)
-            ul = np.multiply(s, w, out=u).sum(axis=-1)
+            s.sum(axis=-1, out=out[0])
+            np.multiply(s, w, out=u).sum(axis=-1, out=out[3])
             z += 1.0
             q = np.divide(x, z, out=z)
-            a1 = q.sum(axis=-1)
-            uq = np.multiply(q, w, out=u).sum(axis=-1)
+            q.sum(axis=-1, out=out[1])
+            np.multiply(q, w, out=u).sum(axis=-1, out=out[4])
             qq = np.multiply(q, q, out=q)
-            return a, a1, -qq.sum(axis=-1), ul, uq, np.multiply(qq, w, out=u).sum(axis=-1)
+            np.negative(qq.sum(axis=-1, out=out[2]), out=out[2])
+            np.multiply(qq, w, out=u).sum(axis=-1, out=out[5])
+            return
         if self.kind is BaselineKind.WEIBULL:
             s = np.exp(z, out=z)
-            a = s.sum(axis=-1)
+            s.sum(axis=-1, out=out[0])
         else:
             s = np.expm1(z, out=z)
-            a = s.sum(axis=-1)
+            s.sum(axis=-1, out=out[0])
             s += 1.0
         xe = np.multiply(x, s, out=u)
-        return a, xe.sum(axis=-1), np.multiply(x, xe, out=xe).sum(axis=-1)
-
-    def _slopes(self, rows, lam):
-        """The survival sum a and its lambda derivatives a' and a'' at each
-        row, and for Lomax the uncensored sums of log1p(lam*t), q and q**2
-        that the hazard terms need (None otherwise). Weibull and Gompertz
-        share a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x)
-        and a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
-        a' = sum q and a'' = -sum q**2. a and the log1p sum are the bits
-        :meth:`survival` sums, from the same terms in the same order."""
-        sums = self._rowwise(self._slope_sums, rows, lam)
-        return tuple(sums) if self.kind is BaselineKind.LOMAX else (*sums, None, None, None)
-
-    def _curvature(self, rows, lam, uq2):
-        """c'' at each row: -m / lam**2, plus ``uq2`` (sum_unc q**2) for
-        Lomax."""
-        c2 = -self.m[rows] / lam**2
-        return c2 + uq2 if self.kind is BaselineKind.LOMAX else c2
+        xe.sum(axis=-1, out=out[1])
+        np.multiply(x, xe, out=xe).sum(axis=-1, out=out[2])
 
     def moments(self, rows, lam):
-        """a', a'' and c'' at each row (see :meth:`_slopes`)."""
-        _, a1, a2, _, _, uq2 = self._slopes(rows, lam)
-        return a1, a2, self._curvature(rows, lam, uq2)
+        """a', a'' and c'' at each row (see :meth:`_slope_sums`)."""
+        _, a1, a2, _, _, uq2 = sums = _SLOPE_SUMS.repeat(lam.size, axis=1)
+        self._rowwise(self._slope_sums, rows, lam, sums)
+        return a1, a2, _curvature(self.terms[0, rows], lam, uq2)
 
     def newton_terms(self, rows, lam):
         """The survival sum a and the first two derivatives of the profile in
-        log lambda, g and h (see :meth:`_derivatives`), at each row."""
-        sums = self._slopes(rows, lam)
-        return (sums[0], *self._derivatives(rows, lam, sums))
+        log lambda, g and h (see :func:`_score`), at each row."""
+        sums = _SLOPE_SUMS.repeat(lam.size, axis=1)
+        self._rowwise(self._slope_sums, rows, lam, sums)
+        return (sums[0], *_score([(_ALL, self, rows, lam)], lam, self.terms[:, rows], sums))
 
-    def _derivatives(self, rows, lam, sums):
-        """g = lam p' and h = lam p' + lam**2 p'' at each row, from the sums
-        of :meth:`_slopes` at ``lam`` and
-
-            p'  = c' - m a'/a
-            p'' = c'' - m (a''/a - (a'/a)**2)
-
-        where lam c' is m + lam sum_unc x (Weibull, Gompertz) or
-        m - lam sum_unc q (Lomax), and lam**2 c'' is -m, plus
-        lam**2 sum_unc q**2 for Lomax.
-        """
-        a, a1, a2, _, uq, uq2 = sums
-        m = self.m[rows]
-        r1 = a1 / a
-        r2 = a2 / a
-        if self.kind is not BaselineKind.LOMAX and not np.isfinite(r2).all():
-            # survival sums past double range: the ratios from exp(z - max z)
-            over = np.flatnonzero(a == np.inf)
+    def _ratios_overflow(self, rows, lam, a, r1, r2) -> None:
+        """Where a is past double range (Weibull and Gompertz), the ratios
+        r1 = a'/a and r2 = a''/a from exp(z - max z). Writes into ``r1`` and
+        ``r2``; the arrays hold a value for each of ``rows``."""
+        if self.kind is BaselineKind.LOMAX:
+            return
+        over = np.flatnonzero(a == np.inf)
+        if over.size:
             x = self._block(rows, over)[0]
             e, _ = _shifted_exp(lam[over, None] * x)
             se = e.sum(axis=-1)
             xe = x * e
             r1[over] = xe.sum(axis=-1) / se
             r2[over] = (x * xe).sum(axis=-1) / se
-        lam2 = lam * lam
-        if uq is None:
-            g = m + lam * self.unc_sum[rows] - m * (lam * r1)
-            h = g - m - m * (lam2 * (r2 - r1 * r1))
-        else:
-            g = m - lam * uq - m * (lam * r1)
-            h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
-        return g, h
+
+
+# The per-row sums of a pass start as these columns: a survival pass's 2
+# (a, sum_unc log1p(lam*x)) and a slopes pass's 6 (a, a', a'', and the
+# sums of log1p(lam*x), q and q**2 over uncensored records). The Lomax-only
+# sums hold what the other kinds leave there, 0.0, 0.0 and -0.0, with which
+# the common formulas give each kind its own bits (x - 0.0 and x + -0.0
+# are x).
+_SURVIVAL_SUMS = np.array([[np.nan], [0.0]])
+_SLOPE_SUMS = np.array([[np.nan], [np.nan], [np.nan], [0.0], [0.0], [-0.0]])
+
+
+def _hazard(terms, lam, unc_log1p):
+    """The hazard sum c = sum_unc log h0(t_i) at each row, for every kind
+
+        c = m log(lam) + (lam - s) unc_sum - unc_log1p
+
+    with m, s (1 for Weibull, else 0) and unc_sum = sum_unc x (-0.0 for
+    Lomax) the rows' ``terms`` (:class:`_Stack`) and unc_log1p =
+    sum_unc log1p(lam*x) (Lomax; 0.0 otherwise): lam - 0.0 is lam and
+    lam * -0.0 is -0.0, so each kind gets the bits of its own formula."""
+    m, s, unc_sum = terms
+    return m * np.log(lam) + (lam - s) * unc_sum - unc_log1p
+
+
+def _profile(runs, lam, terms, sums) -> np.ndarray:
+    """p(lambda) = c - m log a (c from :func:`_hazard`) at each row of a
+    pass, from the rows' ``terms`` and the pass's (2, R) survival ``sums``
+    (:meth:`_Stack._survival_sums`); -inf where a vanishes or is
+    undefined. Where a is past double
+    range the row's stack takes log a as a logsumexp (``runs`` as
+    :meth:`_Passes._runs` gives them): keeping the profile finite stops a
+    monotone rise being mistaken for an interior maximum."""
+    a, unc_log1p = sums
+    m = terms[0]
+    c = _hazard(terms, lam, unc_log1p)
+    log_a = np.log(a)
+    p = c - m * log_a
+    # a sum is finite only if every term is (an overflow merely costs time)
+    if not math.isfinite(log_a.sum()):
+        for at, stack, own, lam_run in runs:
+            stack._log_survival_overflow(own, lam_run, a[at], c[at], m[at], p[at])
+        p[~((a > 0.0) & (p > -np.inf))] = -np.inf
+    return p
+
+
+def _score(runs, lam, terms, sums) -> tuple:
+    """g = lam p' and h = lam p' + lam**2 p'' at each row of a pass, from
+    the rows' ``terms`` and the pass's (6, R) slopes ``sums``
+    (:meth:`_Stack._slope_sums`), with p' = c' - m r1 and
+    p'' = c'' - m (r2 - r1**2), r1 = a'/a, r2 = a''/a,
+    lam c' = m + lam (unc_sum - uq) and lam**2 c'' = lam**2 uq2 - m (uq and
+    uq2 the Lomax sums of q and q**2, as in :func:`_hazard`):
+
+        g = m + lam (unc_sum - uq) - m (lam r1)
+        h = g + lam**2 uq2 - m - m (lam**2 (r2 - r1**2))
+
+    Where a is past double range the row's stack takes r1 and r2 from
+    shifted exponentials (``runs`` as in :func:`_profile`)."""
+    a, a1, a2, _, uq, uq2 = sums
+    m, _, unc_sum = terms
+    r1 = a1 / a
+    r2 = a2 / a
+    if not math.isfinite(r2.sum()):
+        for at, stack, own, lam_run in runs:
+            stack._ratios_overflow(own, lam_run, a[at], r1[at], r2[at])
+    lam2 = lam * lam
+    g = m + lam * (unc_sum - uq) - m * (lam * r1)
+    h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
+    return g, h
+
+
+def _curvature(m, lam, uq2):
+    """c'' = (0 - m) / lam**2 + uq2 at each row (0 - m, unlike -m, is +0.0
+    where m is 0)."""
+    return (0.0 - m) / lam**2 + uq2
 
 
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -585,9 +633,10 @@ class _Fits(NamedTuple):
     estimates of rows whose outcome is Converged or BoundaryAlphaZero.
     ``a``, ``c``, ``a1``, ``a2`` and ``c2`` hold, per row that reached
     Newton (NaN otherwise), the survival and hazard sums a and c and the
-    derivatives a', a'' and c'' at its lambda-hat: the sums of its last
-    Newton pass, which was evaluated there, so they are the bits of
-    :meth:`_Stack.survival` and :meth:`_Stack.moments` at ``lam``.
+    derivatives a', a'' and c'' at its lambda-hat, from the sums of its
+    last Newton pass, which was evaluated there (c and c'' once per engine
+    call), so they are the bits of :meth:`_Stack.survival` and
+    :meth:`_Stack.moments` at ``lam``.
     """
 
     outcome: list
@@ -604,15 +653,17 @@ class _Fits(NamedTuple):
 class _Passes:
     """The record passes of one engine call, over the rows of its stacks
     laid end to end: row r of the call is a row of the stack whose offset
-    range holds it. ``m``, ``counts`` and ``slices`` (each stack's rows of
-    the call) are per call row.
+    range holds it. ``terms`` (see :class:`_Stack`), ``counts`` and
+    ``slices`` (each stack's rows of the call) are per call row.
 
     Every pass's rows are in ascending order, so each stack's rows are one
     contiguous run of them, which np.searchsorted on the stack offsets
-    finds; each stack evaluates its run, and the results are joined in the
-    pass's order. Passes run one at a time and no result aliases a stack's
-    scratch, so the stacks of a call share one scratch pair, as large as
-    the largest block among them (:meth:`_Stack._use_scratch`).
+    finds. Each stack writes the record sums of its run into the pass's
+    one array of per-row sums; the formulas then run once over all the
+    pass's rows, and only rows whose survival sum is past double range go
+    back to their stack. Passes run one at a time and no result aliases a
+    stack's scratch, so the stacks of a call share one scratch pair, as
+    large as the largest block among them (:meth:`_Stack._use_scratch`).
     """
 
     def __init__(self, stacks: list):
@@ -621,55 +672,51 @@ class _Passes:
         scratch = np.empty(size), np.empty(size)
         for stack in stacks:
             stack._use_scratch(*scratch)
-        rows = [stack.m.size for stack in stacks]
-        self.offsets = np.cumsum([0, *rows])
-        bounds = self.offsets.tolist()
-        self.slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        self.m = np.concatenate([stack.m for stack in stacks])
+        self.bounds = list(itertools.accumulate((stack.m.size for stack in stacks), initial=0))
+        self.offsets = np.array(self.bounds)
+        self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
+        self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
-        self.n = np.repeat([stack.x.shape[-1] for stack in stacks], rows)
 
     def records(self, rows: np.ndarray) -> int:
         """The records of ``rows`` (distinct rows) in all."""
-        return int(self.n[rows].sum())
-
-    def _runs(self, rows: np.ndarray, lam: np.ndarray) -> list:
-        """Per stack with rows in the pass, in order: the pass positions of
-        its run, the stack, its own indices of the run's rows, and their
-        lambdas."""
         cuts = np.searchsorted(rows, self.offsets).tolist()
-        return [
-            (slice(lo, hi), stack, rows[lo:hi] - off, lam[lo:hi])
-            for stack, off, lo, hi in zip(self.stacks, self.offsets.tolist(), cuts, cuts[1:])
-            if hi > lo
-        ]
+        return sum((hi - lo) * st.x.shape[-1] for st, lo, hi in zip(self.stacks, cuts, cuts[1:]))
+
+    def _runs(self, rows: np.ndarray, lam: np.ndarray, distinct=False) -> list:
+        """Per stack with rows in the pass, in order: the pass positions of
+        its run, the stack, its own indices of the run's rows (``_ALL``
+        when ``rows`` are ``distinct`` and the run holds every row of the
+        stack), and their lambdas."""
+        cuts = np.searchsorted(rows, self.offsets).tolist()
+        runs = []
+        for stack, off, lo, hi in zip(self.stacks, self.bounds, cuts, cuts[1:]):
+            if hi > lo:
+                if distinct and hi - lo == stack.m.size:
+                    own = _ALL
+                else:
+                    own = rows[lo:hi] - off if off else rows[lo:hi]
+                runs.append((slice(lo, hi), stack, own, lam[lo:hi]))
+        return runs
 
     def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """:meth:`_Stack.profile` at each of ``rows``."""
         runs = self._runs(rows, lam)
-        if len(runs) == 1:
-            _, stack, own, lam = runs[0]
-            return stack.profile(own, lam)
-        return np.concatenate([stack.profile(own, lam) for _, stack, own, lam in runs])
+        sums = _SURVIVAL_SUMS.repeat(rows.size, axis=1)
+        for at, stack, own, lam_run in runs:
+            stack._rowwise(stack._survival_sums, own, lam_run, sums[:, at])
+        return _profile(runs, lam, self.terms[:, rows], sums)
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
-        """g and h (:meth:`_Stack._derivatives`) at each of ``rows``, which
-        are distinct, and per run of :meth:`_runs` its pass positions with
-        the sums of :meth:`_Stack._slopes` that a fit keeps: a, a', a'',
-        and for Lomax sum_unc log1p(lam*x) and sum_unc q**2 (None for the
-        other kinds)."""
-        g, h, kept = [], [], []
-        for at, stack, own, lam in self._runs(rows, lam):
-            if own.size == stack.m.size:
-                own = _ALL
-            sums = stack._slopes(own, lam)
-            g_run, h_run = stack._derivatives(own, lam, sums)
-            g.append(g_run)
-            h.append(h_run)
-            kept.append((at, (*sums[:4], sums[5])))
-        if len(kept) == 1:
-            return g[0], h[0], kept
-        return np.concatenate(g), np.concatenate(h), kept
+        """g and h (:func:`_score`) at each of ``rows``, which are distinct,
+        and the (6, R) sums of :meth:`_Stack._slope_sums` they come from."""
+        runs = self._runs(rows, lam, distinct=True)
+        sums = _SLOPE_SUMS.repeat(rows.size, axis=1)
+        for at, stack, own, lam_run in runs:
+            stack._rowwise(stack._slope_sums, own, lam_run, sums[:, at])
+        # as many distinct rows as the call has are all of them, in order
+        terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
+        return (*_score(runs, lam, terms, sums), sums)
 
 
 @np.errstate(all="ignore")
@@ -679,7 +726,7 @@ def _fit_stacks(stacks: list) -> list:
 
     The rows of all the stacks run in lockstep under one ladder and one
     Newton control, as rows of one call (:class:`_Passes`); only the record
-    passes run per stack. Each row climbs the ladder (``_RUNGS``) from
+    sums run per stack. Each row climbs the ladder (``_RUNGS``) from
     lambda = 1 to a local maximum of the profile (every rung is evaluated
     when the start is -inf). A maximum at a clamped end means no MLE. An
     interior maximum at rung k is refined by Newton steps on the score in
@@ -692,15 +739,16 @@ def _fit_stacks(stacks: list) -> list:
     maximum next to a clamp then faces the flatness check
     (``_FLATNESS_RTOL``). Rungs cost one transcendental pass per record;
     only Newton iterates take the derivative sums, and the sums of a row's
-    last iterate, at lambda-hat, are kept (see :class:`_Fits`) for the
-    log-likelihood and the Wald variances there. A row's ``n_evals``
-    counts the rungs a one-rung scan would evaluate, whatever the chunk
-    size, and no stopping rule looks at another row, so each row gets the
-    bits and the count of its one-row fit, whatever stacks it is fitted
-    with.
+    last iterate, at lambda-hat, are kept, read from the pass's sums when
+    the row stops (see :class:`_Fits`), for the log-likelihood and the Wald
+    variances there. A row's ``n_evals`` counts the rungs a one-rung scan
+    would evaluate, whatever the chunk size, and no stopping rule looks at
+    another row, so each row gets the bits and the count of its one-row
+    fit, whatever stacks it is fitted with.
     """
     passes = _Passes(stacks)
-    m, counts = passes.m, passes.counts
+    m = passes.terms[0]
+    counts = passes.counts
     R = m.size
     rungs, start = _RUNGS, _START
     last = rungs.size - 1
@@ -779,15 +827,14 @@ def _fit_stacks(stacks: list) -> list:
     # Both lambda and the next iterate lie in the bracket, so a bracket
     # narrower than _TOL * lambda stops Newton too.
     lam_hat = np.full(R, np.nan)
-    # a, a', a'' and, for Lomax, sum_unc log1p(lam*x) and sum_unc q**2 of
-    # each row's last Newton pass (see _Passes.newton)
-    kept_sums = np.full((5, R), np.nan)
+    # the sums of each row's last Newton pass (see _Passes.newton)
+    kept = np.full((6, R), np.nan)
     act = inner
     c = cur[act]
     lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
     prev = np.full(act.size, np.nan)
     while act.size:
-        g, h, kept = passes.newton(act, lam)
+        g, h, sums = passes.newton(act, lam)
         np.add.at(n_evals, act, 1)
         lo = np.where(g > 0.0, lam, lo)
         hi = np.where(g < 0.0, lam, hi)
@@ -801,13 +848,7 @@ def _fit_stacks(stacks: list) -> list:
         if not go.all():
             stop = ~go
             lam_hat[act[stop]] = lam[stop]
-            for at, sums in kept:
-                ends = stop[at]
-                if ends.any():
-                    done = act[at][ends]
-                    for j, v in enumerate(sums):
-                        if v is not None:
-                            kept_sums[j, done] = v[ends]
+            kept[:, act[stop]] = sums[:, stop]
             act, nxt, lo, hi, lam = act[go], nxt[go], lo[go], hi[go], lam[go]
         prev, lam = lam, nxt
 
@@ -826,7 +867,7 @@ def _fit_stacks(stacks: list) -> list:
         for r in rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))].tolist():
             outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
 
-    a_hat, a1, a2, unc_log1p, uq2 = kept_sums
+    a_hat, a1, a2, unc_log1p, _, uq2 = kept
     alphas = counts / a_hat
     finite = (np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]
     full = counts[:, inner].all(axis=0)
@@ -841,15 +882,15 @@ def _fit_stacks(stacks: list) -> list:
             outcome[r] = FitStatus.CONVERGED
         else:
             outcome[r] = FitStatus.BOUNDARY_ALPHA_ZERO
-    fits = []
-    for stack, at in zip(stacks, passes.slices):
-        lam = lam_hat[at]
-        c = stack._hazard(_ALL, lam, unc_log1p[at])
-        c2 = stack._curvature(_ALL, lam, uq2[at])
-        fits.append(
-            _Fits(outcome[at], lam, alphas[:, at], n_evals[at], a_hat[at], c, a1[at], a2[at], c2)
+    c = _hazard(passes.terms, lam_hat, unc_log1p)
+    c2 = _curvature(m, lam_hat, uq2)
+    return [
+        _Fits(
+            outcome[at], lam_hat[at], alphas[:, at], n_evals[at],
+            a_hat[at], c[at], a1[at], a2[at], c2[at],
         )
-    return fits
+        for at in passes.slices
+    ]
 
 
 def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:

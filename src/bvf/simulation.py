@@ -483,17 +483,15 @@ def _selection_chunk(config: SelectionStudyConfig, root, replicates) -> list:
 
 def _selection_part(config: SelectionStudyConfig, root, replicates) -> list:
     """:func:`_selection_chunk` on one part of its replicates: all their
-    seeds at each n are hashed in one pass and their datasets drawn as one
-    stack, and select_model's own path fits every candidate on the stacks
-    of every n in one engine call (:func:`_select_stacks`)."""
+    seeds at every n are hashed in one pass, their datasets at each n drawn
+    as one stack, and select_model's own path fits every candidate on the
+    stacks of every n in one engine call (:func:`_select_stacks`)."""
     index = np.asarray(replicates, dtype=np.uint64)
+    grid = np.arange(len(config.n_grid), dtype=np.uint64)[:, None]
+    keys = grid * config.replications + index
+    states = _child_states(root, keys.reshape(-1, 1)).reshape(*keys.shape, 4)
     draws = [
-        _draw_stack(
-            config.parent_params,
-            n,
-            _child_states(root, (c * config.replications + index)[:, None]),
-            None,
-        )
+        _draw_stack(config.parent_params, n, states[c], None)
         for c, n in enumerate(config.n_grid)
     ]
     picks = _select_stacks([(t, delta) for _, t, delta, _ in draws], config.candidates)

@@ -526,6 +526,57 @@ class TestLockstepFits:
         assert fits[G, 12].n_evals[5] > 0
         assert got[-2].outcome == [FitStatus.CONVERGED] and got[-1].outcome == []
 
+    def test_overflow_rows_past_the_first_stack(self):
+        # A pass's per-row arithmetic runs once over all its runs; only rows
+        # whose survival sum overflows go back to their stack, at their run's
+        # positions. Lomax comes first, with a censored record at 1e305 whose
+        # log1p(lam*C) overflows (a = inf, c NaN: 0*inf); Weibull (t = 1e30)
+        # and Gompertz (t = 1000) rows overflow at the lambdas given below.
+        base = np.array([T12] * 4)
+        delta = np.array([D12] * 4, dtype=np.int8)
+        lomax_t, weibull_t, gompertz_t = base.copy(), base.copy(), base.copy()
+        lomax_t[1, 10] = 1e305
+        weibull_t[[1, 3], 3] = 1e30
+        gompertz_t[[0, 2], 3] = 1000.0
+
+        def build():
+            return [
+                _Stack(L, lomax_t, delta), _Stack(W, weibull_t, delta), _Stack(G, gompertz_t, delta)
+            ]
+
+        rows = np.array([0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+        # a profile and a Newton pass at these lambdas: the Weibull and
+        # Gompertz rows overflow at a ladder rung (4**2) and at other lambdas,
+        # and every sum but those and the Lomax row's at 1e4 stays finite
+        lam = np.array([0.7, 1e4, 1.3, 0.8, 16.0, 1.1, 30.0, 16.0, 0.9, 1.0, 2.5])
+        stacks = build()
+        passes = inference._Passes(stacks)
+        with np.errstate(all="ignore"):
+            p = passes.profile(rows, lam)
+            g, h, sums = passes.newton(rows, lam)
+            want_p, want_terms, want_sums = [], [], []
+            for stack, at in zip(build(), passes.slices):
+                own = rows[(rows >= at.start) & (rows < at.stop)] - at.start
+                lam_own = lam[(rows >= at.start) & (rows < at.stop)]
+                want_p.append(stack.profile(own, lam_own))
+                want_terms.append(stack.newton_terms(own, lam_own))
+                slopes = inference._SLOPE_SUMS.repeat(own.size, axis=1)
+                stack._rowwise(stack._slope_sums, own, lam_own, slopes)
+                want_sums.append(slopes)
+            a, c = _Stack(L, lomax_t, delta).survival(np.array([1]), np.array([1e4]))
+        assert a[0] == math.inf and math.isnan(c[0])
+        # survival sums past double range at pass positions 1 (Lomax), 4
+        # and 6 (Weibull), 7 and 9 (Gompertz)
+        over = [4, 6, 7, 9]
+        assert (sums[0][[1, *over]] == math.inf).all()
+        assert np.isfinite(sums[0][[0, 2, 3, 5, 8, 10]]).all()
+        assert p[1] == -math.inf and np.isfinite(p[over]).all()
+        assert np.isfinite(g[over]).all() and np.isfinite(h[over]).all()
+        assert p.tobytes() == np.concatenate(want_p).tobytes()
+        assert g.tobytes() == np.concatenate([t[1] for t in want_terms]).tobytes()
+        assert h.tobytes() == np.concatenate([t[2] for t in want_terms]).tobytes()
+        assert sums.tobytes() == np.concatenate(want_sums, axis=1).tobytes()
+
 
 class TestRowBlocks:
     """Stacked passes run in row blocks of at most _SCAN_RECORDS records;
@@ -1355,9 +1406,9 @@ def test_fit_and_interval_record_passes(kind, monkeypatch):
     for name in ("_survival_sums", "_slope_sums"):
         wrapped = getattr(_Stack, name)
 
-        def counted(stack, x, w, lam, wrapped=wrapped, name=name):
+        def counted(stack, x, w, lam, out, wrapped=wrapped, name=name):
             calls.append((name, lam.size))
-            return wrapped(stack, x, w, lam)
+            return wrapped(stack, x, w, lam, out)
 
         monkeypatch.setattr(_Stack, name, counted)
     fit = fit_mle(data, kind)

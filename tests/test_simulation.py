@@ -2,6 +2,7 @@
 stacked studies' equivalence with the one-dataset path: fit_mle and its
 intervals, or select_model, per dataset."""
 
+import collections
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -587,6 +588,48 @@ class TestEngineCalls:
         )
         run_selection_study(cfg)
         assert calls == [9]
+
+    def test_per_row_formulas_run_once_per_pass(self, calls, monkeypatch):
+        # the 9 stacks' record sums run per stack, but the formulas that turn
+        # them into the profile, g and h, c and c'' run once per pass (and c
+        # and c'' once more per call, at lambda-hat) over the rows of them all
+        counts = collections.Counter()
+        runs = []
+
+        def counted(name, wrapped):
+            def call(*args):
+                counts[name] += 1
+                return wrapped(*args)
+
+            return call
+
+        for name in ("_profile", "_score", "_hazard", "_curvature"):
+            monkeypatch.setattr(inference, name, counted(name, getattr(inference, name)))
+        for name in ("profile", "newton"):
+            monkeypatch.setattr(
+                inference._Passes, name, counted(name, getattr(inference._Passes, name))
+            )
+        passes_runs = inference._Passes._runs
+
+        def recorded_runs(self, *args, **kwargs):
+            got = passes_runs(self, *args, **kwargs)
+            runs.append(len(got))
+            return got
+
+        monkeypatch.setattr(inference._Passes, "_runs", recorded_runs)
+        cfg = SelectionStudyConfig(
+            parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=6,
+            seed=3,
+        )
+        run_selection_study(cfg)
+        assert calls == [9]
+        # one run per stack with rows in a pass: the first pass has all 9
+        assert len(runs) == counts["profile"] + counts["newton"]
+        assert runs[0] == 9 and sum(runs) > 3 * len(runs)
+        assert counts["_profile"] == counts["profile"]
+        assert counts["_score"] == counts["newton"]
+        assert counts["_hazard"] == counts["profile"] + 1
+        assert counts["_curvature"] == 1
 
     def test_selection_study_splits_past_the_record_cap(self, calls, monkeypatch):
         # 7 replications of 280 records over the grid, at most 3 per call
