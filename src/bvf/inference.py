@@ -21,11 +21,14 @@ all the stacks run in lockstep under one ladder and one Newton control;
 only the sums over the records run per stack, and the formulas that turn
 them into the profile and its derivatives, one set for all three kinds,
 run once per pass. Every sum runs along a row in NumPy, so a row's fit
-does not depend on the other rows. Each pass over the records, and the
-draws, run in row blocks of at most 16384 records
-(``_SCAN_RECORDS``). A pass writes its temporaries into two scratch
-buffers of one block, allocated once and shared by the stacks of one call,
-so it allocates no per-record array, and the memory it touches stays in
+does not depend on the other rows. The ladder's climb, after its first
+step, scans ahead in chunks of rungs, the first of about two blocks of
+16384 records (``_SCAN_RECORDS``) per stack with scanning rows, about
+what a pass's fixed cost is worth, so a selection call scans its ladder
+in one pass. Each pass over the records, and the draws, run in row blocks of at
+most ``_SCAN_RECORDS`` records. A pass writes its temporaries into
+two scratch buffers of one block, allocated once and shared by the stacks
+of one call, so it allocates no per-record array, and the memory it touches stays in
 cache from block to block and from pass to pass. A sum over the uncensored
 records multiplies by the records' 0/1 float weights, where selecting them
 with np.where cost five times as much per record; the product and the
@@ -126,15 +129,28 @@ _MODES = np.array(
 # every row of a stack; for a one-row stack, a view instead of a gather
 _ALL = slice(None)
 
-# Records per block of a stacked pass, and per ladder-scan call below which
-# the call's fixed cost dominates. A pass's temporaries live in its stack's
-# two scratch buffers of one block each (128 KB apiece, or one row when a
-# row is longer), which stay in cache from block to block. Whole-stack
-# temporaries (0.3-5 MB in a bootstrap stack) would be mapped afresh on
-# every pass, and each new page costs a minor fault of about 2 us: on a
-# 2-core x86-64 host with NumPy 2.4, exp(lam*x) summed over 300 x 400
-# records took 0.9-1.2 ms with 436 faults as one block, and 0.26-0.35 ms
-# with none in 40-row blocks.
+# Records per block of a stacked pass; a ladder scan's first chunk holds
+# about two blocks per stack with scanning rows (:meth:`_Passes.scan_chunk`).
+#
+# A pass's temporaries live in its stack's two scratch buffers of one block
+# each (128 KB apiece, or one row when a row is longer), which stay in
+# cache from block to block. Whole-stack temporaries (0.3-5 MB in a
+# bootstrap stack) would be mapped afresh on every pass, and each new page
+# costs a minor fault of about 2 us: on a 2-core x86-64 host with NumPy
+# 2.4, exp(lam*x) summed over 300 x 400 records took 0.9-1.2 ms with 436
+# faults as one block, and 0.26-0.35 ms with none in 40-row blocks.
+#
+# A scan chunk costs a pass whose fixed part grows with the stacks it runs:
+# in a selection call of 9 stacks (3 kinds x n 50/150/300, 10 rows each) a
+# profile pass took about 175 us before its records, which took 5.6 ns
+# each, and the scan's bookkeeping about 230 us per chunk, together the
+# time of about 70,000 records (same host). Its first chunk, of 9 x 2
+# blocks, scans 20 or more rungs ahead, past the 13 that a scan from the
+# start can take, so the call scans in one pass, where one block for the
+# whole call took 3.3 passes on average and one block per stack 1.44. A
+# one-stack call, whose pass costs less, scans 2 blocks first: in 100-row
+# bootstrap stacks of 400 records (Weibull and Lomax) that made its
+# profile passes take about 11% longer than one block, and 8 blocks 20%.
 _SCAN_RECORDS = 1 << 14
 
 
@@ -306,7 +322,7 @@ class _Stack:
         """p(lambda) = c - m log a at each row (:func:`_profile`)."""
         sums = _SURVIVAL_SUMS.repeat(lam.size, axis=1)
         self._rowwise(self._survival_sums, rows, lam, sums)
-        return _profile([(_ALL, self, rows, lam)], lam, self.terms[:, rows], sums)
+        return _profile([(_ALL, self, rows)], lam, self.terms[:, rows], sums)
 
     def _log_survival_overflow(self, rows, lam, a, c, m, p) -> None:
         """Where a is past double range (Weibull and Gompertz; Lomax sums
@@ -360,13 +376,6 @@ class _Stack:
         _, a1, a2, _, _, uq2 = sums = _SLOPE_SUMS.repeat(lam.size, axis=1)
         self._rowwise(self._slope_sums, rows, lam, sums)
         return a1, a2, _curvature(self.terms[0, rows], lam, uq2)
-
-    def newton_terms(self, rows, lam):
-        """The survival sum a and the first two derivatives of the profile in
-        log lambda, g and h (see :func:`_score`), at each row."""
-        sums = _SLOPE_SUMS.repeat(lam.size, axis=1)
-        self._rowwise(self._slope_sums, rows, lam, sums)
-        return (sums[0], *_score([(_ALL, self, rows, lam)], lam, self.terms[:, rows], sums))
 
     def _ratios_overflow(self, rows, lam, a, r1, r2) -> None:
         """Where a is past double range (Weibull and Gompertz), the ratios
@@ -422,8 +431,8 @@ def _profile(runs, lam, terms, sums) -> np.ndarray:
     p = c - m * log_a
     # a sum is finite only if every term is (an overflow merely costs time)
     if not math.isfinite(log_a.sum()):
-        for at, stack, own, lam_run in runs:
-            stack._log_survival_overflow(own, lam_run, a[at], c[at], m[at], p[at])
+        for at, stack, own in runs:
+            stack._log_survival_overflow(own, lam[at], a[at], c[at], m[at], p[at])
         p[~((a > 0.0) & (p > -np.inf))] = -np.inf
     return p
 
@@ -446,8 +455,8 @@ def _score(runs, lam, terms, sums) -> tuple:
     r1 = a1 / a
     r2 = a2 / a
     if not math.isfinite(r2.sum()):
-        for at, stack, own, lam_run in runs:
-            stack._ratios_overflow(own, lam_run, a[at], r1[at], r2[at])
+        for at, stack, own in runs:
+            stack._ratios_overflow(own, lam[at], a[at], r1[at], r2[at])
     lam2 = lam * lam
     g = m + lam * (unc_sum - uq) - m * (lam * r1)
     h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
@@ -677,17 +686,23 @@ class _Passes:
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
+        # the rows, runs and terms of the last Newton pass (see newton)
+        self._newton = None
 
-    def records(self, rows: np.ndarray) -> int:
-        """The records of ``rows`` (distinct rows) in all."""
+    def scan_chunk(self, rows: np.ndarray) -> int:
+        """The rungs ahead that a ladder scan of ``rows`` (distinct rows)
+        evaluates in its first pass: at least one, and as many as two
+        blocks of records (2 x ``_SCAN_RECORDS``) per stack with rows among
+        them allow."""
         cuts = np.searchsorted(rows, self.offsets).tolist()
-        return sum((hi - lo) * st.x.shape[-1] for st, lo, hi in zip(self.stacks, cuts, cuts[1:]))
+        records = [(hi - lo) * st.x.shape[-1] for st, lo, hi in zip(self.stacks, cuts, cuts[1:])]
+        return max(1, 2 * _SCAN_RECORDS * (len(records) - records.count(0)) // max(1, sum(records)))
 
-    def _runs(self, rows: np.ndarray, lam: np.ndarray, distinct=False) -> list:
+    def _runs(self, rows: np.ndarray, distinct=False) -> list:
         """Per stack with rows in the pass, in order: the pass positions of
-        its run, the stack, its own indices of the run's rows (``_ALL``
+        its run, the stack, and its own indices of the run's rows (``_ALL``
         when ``rows`` are ``distinct`` and the run holds every row of the
-        stack), and their lambdas."""
+        stack)."""
         cuts = np.searchsorted(rows, self.offsets).tolist()
         runs = []
         for stack, off, lo, hi in zip(self.stacks, self.bounds, cuts, cuts[1:]):
@@ -696,26 +711,32 @@ class _Passes:
                     own = _ALL
                 else:
                     own = rows[lo:hi] - off if off else rows[lo:hi]
-                runs.append((slice(lo, hi), stack, own, lam[lo:hi]))
+                runs.append((slice(lo, hi), stack, own))
         return runs
 
     def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """:meth:`_Stack.profile` at each of ``rows``."""
-        runs = self._runs(rows, lam)
+        runs = self._runs(rows)
         sums = _SURVIVAL_SUMS.repeat(rows.size, axis=1)
-        for at, stack, own, lam_run in runs:
-            stack._rowwise(stack._survival_sums, own, lam_run, sums[:, at])
+        for at, stack, own in runs:
+            stack._rowwise(stack._survival_sums, own, lam[at], sums[:, at])
         return _profile(runs, lam, self.terms[:, rows], sums)
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
-        and the (6, R) sums of :meth:`_Stack._slope_sums` they come from."""
-        runs = self._runs(rows, lam, distinct=True)
+        and the (6, R) sums of :meth:`_Stack._slope_sums` they come from.
+        Newton's active rows stay one array from pass to pass until some
+        stop, so the runs of ``rows`` and their terms are kept from the
+        last call while it passes the same array, which no caller writes
+        into."""
+        if self._newton is None or self._newton[0] is not rows:
+            # as many distinct rows as the call has are all of them, in order
+            terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
+            self._newton = rows, self._runs(rows, distinct=True), terms
+        _, runs, terms = self._newton
         sums = _SLOPE_SUMS.repeat(rows.size, axis=1)
-        for at, stack, own, lam_run in runs:
-            stack._rowwise(stack._slope_sums, own, lam_run, sums[:, at])
-        # as many distinct rows as the call has are all of them, in order
-        terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
+        for at, stack, own in runs:
+            stack._rowwise(stack._slope_sums, own, lam[at], sums[:, at])
         return (*_score(runs, lam, terms, sums), sums)
 
 
@@ -737,14 +758,19 @@ def _fit_stacks(stacks: list) -> list:
     _TOL * lambda, when its next iterate is its previous one, or once its
     row has made _MAX_EVALS evaluations; lambda-hat is its last iterate. A
     maximum next to a clamp then faces the flatness check
-    (``_FLATNESS_RTOL``). Rungs cost one transcendental pass per record;
-    only Newton iterates take the derivative sums, and the sums of a row's
-    last iterate, at lambda-hat, are kept, read from the pass's sums when
-    the row stops (see :class:`_Fits`), for the log-likelihood and the Wald
-    variances there. A row's ``n_evals`` counts the rungs a one-rung scan
-    would evaluate, whatever the chunk size, and no stopping rule looks at
-    another row, so each row gets the bits and the count of its one-row
-    fit, whatever stacks it is fitted with.
+    (``_FLATNESS_RTOL``). After its first step a row's climb scans ahead
+    in chunks of rungs, one profile pass each: the first chunk holds about
+    2 x ``_SCAN_RECORDS`` records per stack with scanning rows
+    (:meth:`_Passes.scan_chunk`), and each later one twice the rungs, so a
+    selection call scans in one pass. Rungs cost one
+    transcendental pass per record; only Newton iterates take the
+    derivative sums, and the sums of a row's last iterate, at lambda-hat,
+    are kept, read from the pass's sums when the row stops (see
+    :class:`_Fits`), for the log-likelihood and the Wald variances there.
+    A row's ``n_evals`` counts the rungs a one-rung scan would evaluate,
+    whatever the chunk size, and no stopping rule looks at another row, so
+    each row gets the bits and the count of its one-row fit, whatever
+    stacks it is fitted with.
     """
     passes = _Passes(stacks)
     m = passes.terms[0]
@@ -787,10 +813,11 @@ def _fit_stacks(stacks: list) -> list:
     # First step: to the better neighbour (left, unless right beats it too).
     # Every later step of the climbing rule keeps that direction while the
     # profile rises, so the rest of the climb is a scan. It evaluates k rungs
-    # ahead per call, k doubling from a size at which the chunk's records
-    # cost about what the call itself does. Rungs of the last chunk past the
-    # first fall are forgotten and not counted; they are all new to the
-    # chunk, since the scan moves away from every evaluated rung.
+    # ahead per pass, k doubling from a size at which the chunk's records
+    # cost about what the pass and its bookkeeping do (_Passes.scan_chunk).
+    # Rungs of the last chunk past the first fall are forgotten and not
+    # counted; they are all new to the chunk, since the scan moves away from
+    # every evaluated rung.
     c = cur[act]
     p_left, p_cur, p_right = vals[act, c], vals[act, c + 1], vals[act, c + 2]
     go_left = p_left > p_cur
@@ -798,7 +825,7 @@ def _fit_stacks(stacks: list) -> list:
     step = np.where(go_right, 1, np.where(go_left, -1, 0))
     cur[act] = c + step
     scan, step = act[step != 0], step[step != 0]
-    k = min(rungs.size, max(1, _SCAN_RECORDS // max(1, passes.records(scan))))
+    k = min(rungs.size, passes.scan_chunk(scan))
     while scan.size:
         c = cur[scan]
         path = c[:, None] + step[:, None] * np.arange(k + 1)
@@ -831,26 +858,36 @@ def _fit_stacks(stacks: list) -> list:
     kept = np.full((6, R), np.nan)
     act = inner
     c = cur[act]
-    lam, lo, hi = rungs[c], rungs[c - 1], rungs[c + 1]
-    prev = np.full(act.size, np.nan)
+    # per active row: lambda, lo, hi and the previous iterate, compacted by
+    # one index when rows stop (np.count_nonzero and compress cost a third
+    # to a half of .all() and of boolean indexing at this size)
+    state = np.stack([rungs[c], rungs[c - 1], rungs[c + 1], np.full(act.size, np.nan)])
+    lam, lo, hi, prev = state
     while act.size:
         g, h, sums = passes.newton(act, lam)
-        np.add.at(n_evals, act, 1)
-        lo = np.where(g > 0.0, lam, lo)
-        hi = np.where(g < 0.0, lam, hi)
+        evals = n_evals[act] + 1
+        n_evals[act] = evals
+        np.copyto(lo, lam, where=g > 0.0)
+        np.copyto(hi, lam, where=g < 0.0)
         # from a non-concave point (h >= 0) the step points away from the
         # root, past the bracket end lambda has just become, so it bisects
         nxt = lam * np.exp(g / -h)
-        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, np.sqrt(lo * hi))
+        inside = (lo <= nxt) & (nxt <= hi)
+        if np.count_nonzero(inside) < act.size:
+            out = ~inside
+            nxt[out] = np.sqrt(lo[out] * hi[out])
         # a step back to the previous iterate starts a two-cycle: at the
         # rounding floor each step can land on the other end of the bracket
-        go = (np.abs(nxt - lam) > _TOL * lam) & (nxt != prev) & (n_evals[act] < _MAX_EVALS)
-        if not go.all():
-            stop = ~go
-            lam_hat[act[stop]] = lam[stop]
-            kept[:, act[stop]] = sums[:, stop]
-            act, nxt, lo, hi, lam = act[go], nxt[go], lo[go], hi[go], lam[go]
-        prev, lam = lam, nxt
+        go = (np.abs(nxt - lam) > _TOL * lam) & (nxt != prev) & (evals < _MAX_EVALS)
+        prev[:] = lam
+        lam[:] = nxt
+        if np.count_nonzero(go) < act.size:
+            done = ~go
+            rows = act[done]
+            lam_hat[rows] = prev[done]
+            kept[:, rows] = sums.compress(done, axis=1)
+            state, act = state.compress(go, axis=1), act[go]
+            lam, lo, hi, prev = state
 
     # flatness guard: a "maximum" close to a clamp that barely beats the
     # clamp value is a monotone profile seen through float noise
@@ -1308,17 +1345,21 @@ def _draw_stack(p: BvfParams, n: int, states: np.ndarray, censoring_time):
             rng.random(out=out)
         x, y = _pairs_from_uniforms(p, u)
         t[blk], delta[blk] = _first_failure(x, y, censoring_time)
-        # the errors from_bivariate and CompetingRisksData raise for such a row
+        # a NaN minimum fails the test too, so a block passes it only when
+        # every row is valid; otherwise the errors from_bivariate and
+        # CompetingRisksData raise are found row by row
+        if x.min() > 0.0 and y.min() > 0.0 and np.isfinite(t[blk]).all():
+            continue
         coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
         times_ok = np.isfinite(t[blk]).all(axis=-1)
         for r in np.flatnonzero(~coords_ok).tolist():
             failures[blk.start + r] = DomainError.__name__
         for r in np.flatnonzero(coords_ok & ~times_ok).tolist():
             failures[blk.start + r] = ValidationError.__name__
+    if failures.count(None) == R:
+        return np.arange(R), t, delta, failures
     rows = np.flatnonzero([f is None for f in failures])
-    if rows.size < R:
-        t, delta = t[rows], delta[rows]
-    return rows, t, delta, failures
+    return rows, t[rows], delta[rows], failures
 
 
 def _reason(outcome) -> str:

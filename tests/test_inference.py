@@ -526,6 +526,28 @@ class TestLockstepFits:
         assert fits[G, 12].n_evals[5] > 0
         assert got[-2].outcome == [FitStatus.CONVERGED] and got[-1].outcome == []
 
+    def test_fits_ending_at_a_clamp_count_sixteen_evaluations(self):
+        # a monotone profile climbs from rung 14 to a clamp: 3 rungs at the
+        # start and 13 in the scan. Rungs a scan chunk evaluated past the
+        # clamp's -inf neighbour are not counted, so a fit reads 16 alone
+        # (one scan chunk) and as a row of a mixed call (chunks from 1 rung)
+        pw = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
+        datasets = [from_bivariate(sample(pw, 150, seed=s)) for s in range(200)]
+        t = np.array([d.t for d in datasets])
+        delta = np.array([d.delta for d in datasets])
+        mixed = _fit_stacks([_Stack(kind, t, delta) for kind in (W, G, L)])
+        at_clamp = {}
+        for kind, fits in zip((W, G, L), mixed):
+            # no Newton ran on a row that ends at a clamp
+            rows = [
+                r for r, o in enumerate(fits.outcome)
+                if o is FitStatus.NO_MLE_MONOTONE_PROFILE and math.isnan(fits.lam[r])
+            ]
+            assert fits.n_evals[rows].tolist() == [16] * len(rows), kind
+            assert [fit_mle(datasets[r], kind).n_evals for r in rows] == [16] * len(rows)
+            at_clamp[kind] = len(rows)
+        assert at_clamp == {W: 0, G: 166, L: 34}
+
     def test_overflow_rows_past_the_first_stack(self):
         # A pass's per-row arithmetic runs once over all its runs; only rows
         # whose survival sum overflows go back to their stack, at their run's
@@ -559,9 +581,8 @@ class TestLockstepFits:
                 own = rows[(rows >= at.start) & (rows < at.stop)] - at.start
                 lam_own = lam[(rows >= at.start) & (rows < at.stop)]
                 want_p.append(stack.profile(own, lam_own))
-                want_terms.append(stack.newton_terms(own, lam_own))
-                slopes = inference._SLOPE_SUMS.repeat(own.size, axis=1)
-                stack._rowwise(stack._slope_sums, own, lam_own, slopes)
+                *terms, slopes = inference._Passes([stack]).newton(own, lam_own)
+                want_terms.append(terms)
                 want_sums.append(slopes)
             a, c = _Stack(L, lomax_t, delta).survival(np.array([1]), np.array([1e4]))
         assert a[0] == math.inf and math.isnan(c[0])
@@ -573,8 +594,8 @@ class TestLockstepFits:
         assert p[1] == -math.inf and np.isfinite(p[over]).all()
         assert np.isfinite(g[over]).all() and np.isfinite(h[over]).all()
         assert p.tobytes() == np.concatenate(want_p).tobytes()
-        assert g.tobytes() == np.concatenate([t[1] for t in want_terms]).tobytes()
-        assert h.tobytes() == np.concatenate([t[2] for t in want_terms]).tobytes()
+        assert g.tobytes() == np.concatenate([t[0] for t in want_terms]).tobytes()
+        assert h.tobytes() == np.concatenate([t[1] for t in want_terms]).tobytes()
         assert sums.tobytes() == np.concatenate(want_sums, axis=1).tobytes()
 
 
@@ -618,14 +639,14 @@ class TestRowBlocks:
         with np.errstate(all="ignore"):
             a, _ = stack.survival(_ALL, lams)
             p = stack.profile(np.arange(R), lams)
-            terms = stack.newton_terms(_ALL, lams)
+            terms = _newton_terms(stack, _ALL, lams)
         assert (a[over] == np.inf).all() and np.isfinite(p[over]).all()
         for r in range(R):
             data = CompetingRisksData(t[r], delta[r])
             assert p[r] == profile_loglik(float(lams[r]), data, kind), r
             one = _Stack(kind, t[r : r + 1], delta[r : r + 1])
             with np.errstate(all="ignore"):
-                want = one.newton_terms(_ALL, lams[r : r + 1])
+                want = _newton_terms(one, _ALL, lams[r : r + 1])
             assert [v[r] for v in terms] == [v[0] for v in want], r
 
     @pytest.mark.parametrize(
@@ -801,6 +822,24 @@ def _reference_sums(kind, t, delta, lam):
     return survival, slopes, np.where(unc, x, 0.0).sum(axis=-1)
 
 
+def _newton_terms(stack, rows, lam, passes=None):
+    """a, g and h at ``rows`` of ``stack`` (ascending indices, or ``_ALL``),
+    from a Newton pass of ``passes``, an engine call over that stack alone
+    (a new one when not given)."""
+    if rows is _ALL:
+        rows = np.arange(stack.m.size)
+    g, h, sums = (passes or inference._Passes([stack])).newton(rows, lam)
+    return sums[0], g, h
+
+
+def _stack_pass(stack, name, rows, lam, passes=None):
+    """The pass ``name`` of ``stack`` at ``rows`` and ``lam``: a method of
+    the stack, or "newton_terms" (:func:`_newton_terms` with ``passes``)."""
+    if name == "newton_terms":
+        return _newton_terms(stack, rows, lam, passes)
+    return getattr(stack, name)(rows, lam)
+
+
 def _reference_passes(kind, t, delta, lam):
     """survival, newton_terms and moments of a stack of ``t``/``delta``
     rows at ``lam``, from :func:`_reference_sums` by the stack's formulas
@@ -848,7 +887,7 @@ class TestStackPasses:
     def assert_passes(stack, rows, lam, want):
         for name, values in want.items():
             with np.errstate(all="ignore"):
-                got = getattr(stack, name)(rows, lam)
+                got = _stack_pass(stack, name, rows, lam)
             assert len(got) == len(values), name
             for g, v in zip(got, values):
                 assert g.shape == v.shape and np.array_equal(g, v, equal_nan=True), name
@@ -869,6 +908,11 @@ class TestStackPasses:
         rows = np.array([59, 0, 17, 17, 3, 41])
         with np.errstate(all="ignore"):
             want = _reference_passes(kind, t[rows], delta[rows], lam[rows])
+        # a Newton pass takes distinct rows in ascending order
+        newton = want.pop("newton_terms")
+        self.assert_passes(stack, rows, lam[rows], want)
+        rows, first = np.unique(rows, return_index=True)
+        want = {"newton_terms": tuple(v[first] for v in newton)}
         self.assert_passes(stack, rows, lam[rows], want)
 
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
@@ -903,19 +947,21 @@ class TestStackPasses:
         # stack: each gives what it gives on a new stack
         t, delta = self.records(kind, True, 9, 300, seed=40)
         shared = _Stack(kind, t, delta)
+        # its scratch is the engine call's from here on
+        passes = inference._Passes([shared])
         calls = [
             ("profile", _ALL, np.full(9, 0.7)),
             ("newton_terms", _ALL, np.linspace(0.5, 2.0, 9)),
             ("profile", np.array([4, 1]), np.array([2.2, 0.05])),
             ("moments", np.array([8]), np.array([1.3])),
             ("survival", _ALL, np.full(9, 0.7)),
-            ("newton_terms", np.array([2, 2, 6]), np.array([0.4, 3.0, 1.0])),
+            ("newton_terms", np.array([2, 5, 6]), np.array([0.4, 3.0, 1.0])),
             ("profile", _ALL, np.full(9, 1.9)),
         ]
         with np.errstate(all="ignore"):
             for name, rows, lam in calls:
-                got = getattr(shared, name)(rows, lam)
-                want = getattr(_Stack(kind, t, delta), name)(rows, lam)
+                got = _stack_pass(shared, name, rows, lam, passes)
+                want = _stack_pass(_Stack(kind, t, delta), name, rows, lam)
                 for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
                     assert g.tobytes() == w.tobytes(), (name, lam)
 
@@ -954,6 +1000,7 @@ class TestStackPasses:
         t, delta = self.records(kind, True, 1, 50000)
         stack = _Stack(kind, t, delta)
         lam = np.array([0.9])
+        passes = inference._Passes([stack])
         with np.errstate(all="ignore"):
             stack.survival(_ALL, lam)
         tracemalloc.start()
@@ -961,7 +1008,7 @@ class TestStackPasses:
             for name in ("survival", "profile", "newton_terms", "moments"):
                 tracemalloc.reset_peak()
                 with np.errstate(all="ignore"):
-                    getattr(stack, name)(_ALL, lam)
+                    _stack_pass(stack, name, _ALL, lam, passes)
                 assert tracemalloc.get_traced_memory()[1] < 50000, name
         finally:
             tracemalloc.stop()
@@ -1283,7 +1330,7 @@ class TestWaldVariances:
         fits = [fit_mle(data, L) for data in datasets]
         assert all(fit.status is FitStatus.CONVERGED for fit in fits)
         convex = datasets[1]
-        _, g, h = inference._workspace(convex, L).newton_terms(_ALL, np.array([16.0]))
+        _, g, h = _newton_terms(inference._workspace(convex, L), _ALL, np.array([16.0]))
         assert h[0] - g[0] > 0.0  # lambda**2 p''
         delta = datasets[0].delta.copy()
         delta[delta == 2] = 1

@@ -590,11 +590,13 @@ class TestEngineCalls:
         assert calls == [9]
 
     def test_per_row_formulas_run_once_per_pass(self, calls, monkeypatch):
-        # the 9 stacks' record sums run per stack, but the formulas that turn
-        # them into the profile, g and h, c and c'' run once per pass (and c
-        # and c'' once more per call, at lambda-hat) over the rows of them all
+        # the 9 stacks' record sums run once per stack with rows in a pass,
+        # but the formulas that turn them into the profile, g and h, c and
+        # c'' run once per pass (and c and c'' once more per call, at
+        # lambda-hat) over the rows of them all
         counts = collections.Counter()
-        runs = []
+        summed = []  # the stacks whose record sums ran since the last pass
+        runs = []  # per pass, the stacks of its runs and of its record sums
 
         def counted(name, wrapped):
             def call(*args):
@@ -603,33 +605,75 @@ class TestEngineCalls:
 
             return call
 
-        for name in ("_profile", "_score", "_hazard", "_curvature"):
+        def formulas(name, wrapped):
+            def call(pass_runs, *args):
+                runs.append(([stack for _, stack, _ in pass_runs], summed[:]))
+                summed.clear()
+                return counted(name, wrapped)(pass_runs, *args)
+
+            return call
+
+        for name in ("_profile", "_score"):
+            monkeypatch.setattr(inference, name, formulas(name, getattr(inference, name)))
+        for name in ("_hazard", "_curvature"):
             monkeypatch.setattr(inference, name, counted(name, getattr(inference, name)))
         for name in ("profile", "newton"):
             monkeypatch.setattr(
                 inference._Passes, name, counted(name, getattr(inference._Passes, name))
             )
-        passes_runs = inference._Passes._runs
+        rowwise = inference._Stack._rowwise
 
-        def recorded_runs(self, *args, **kwargs):
-            got = passes_runs(self, *args, **kwargs)
-            runs.append(len(got))
-            return got
+        def recorded_rowwise(self, *args):
+            summed.append(self)
+            return rowwise(self, *args)
 
-        monkeypatch.setattr(inference._Passes, "_runs", recorded_runs)
+        monkeypatch.setattr(inference._Stack, "_rowwise", recorded_rowwise)
         cfg = SelectionStudyConfig(
             parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=6,
             seed=3,
         )
         run_selection_study(cfg)
         assert calls == [9]
-        # one run per stack with rows in a pass: the first pass has all 9
+        # one run per stack with rows in a pass, whose record sums run once:
+        # the first pass has all 9
         assert len(runs) == counts["profile"] + counts["newton"]
-        assert runs[0] == 9 and sum(runs) > 3 * len(runs)
+        for stacks, sums in runs:
+            assert [id(s) for s in sums] == [id(s) for s in stacks]
+            assert len(set(map(id, stacks))) == len(stacks)
+        sizes = [len(stacks) for stacks, _ in runs]
+        assert sizes[0] == 9 and sum(sizes) > 3 * len(sizes)
         assert counts["_profile"] == counts["profile"]
         assert counts["_score"] == counts["newton"]
         assert counts["_hazard"] == counts["profile"] + 1
         assert counts["_curvature"] == 1
+
+    @pytest.mark.parametrize("parent", list(CAPTION.values()), ids=lambda p: p.kind.value)
+    def test_selection_call_scans_in_one_pass(self, calls, monkeypatch, parent):
+        # a call of the benchmark's select-study shape (10 replications at
+        # n 50/150/300): after the pass at the start rung and its
+        # neighbours, the ladder scan takes one profile pass before
+        # Newton's first (3 or 4 with one block of _SCAN_RECORDS records
+        # for the whole call's first chunk)
+        order = []
+
+        def recorded(name, wrapped):
+            def call(*args):
+                order.append(name)
+                return wrapped(*args)
+
+            return call
+
+        for name in ("profile", "newton"):
+            monkeypatch.setattr(
+                inference._Passes, name, recorded(name, getattr(inference._Passes, name))
+            )
+        cfg = SelectionStudyConfig(
+            parent_params=parent, candidates=(W, G, L), n_grid=(50, 150, 300),
+            replications=10, seed=5,
+        )
+        run_selection_study(cfg)
+        assert calls == [9]
+        assert order[:3] == ["profile", "profile", "newton"]
 
     def test_selection_study_splits_past_the_record_cap(self, calls, monkeypatch):
         # 7 replications of 280 records over the grid, at most 3 per call
