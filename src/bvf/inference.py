@@ -82,7 +82,6 @@ from .data_model import (  # noqa: F401
     from_bivariate,
 )
 from .errors import (
-    BvfError,
     DegenerateDataError,
     DomainError,
     EstimationError,
@@ -634,12 +633,45 @@ class FitResult:
         }
 
 
+# A row's outcome is one int8 code; the codes up to _BOUNDARY have
+# estimates. _NO_MLE_CLAMP: the ladder's maximum is at a clamp;
+# _NO_MLE_FLAT: the flatness check rejects one next to a clamp. The last
+# two are draw codes (:func:`_draw_stack`).
+(_CONVERGED, _BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_FLAT, _NO_FAILURES, _NO_FINITE_PROFILE,
+ _DEGENERATE, _DRAW_DOMAIN, _DRAW_INVALID) = range(9)
+
+# Per code, its FitStatus, or its error's class and message; _REASONS
+# names each as reports do
+_OUTCOMES = (
+    FitStatus.CONVERGED,
+    FitStatus.BOUNDARY_ALPHA_ZERO,
+    FitStatus.NO_MLE_MONOTONE_PROFILE,
+    FitStatus.NO_MLE_MONOTONE_PROFILE,
+    (EstimationError, "no failures observed"),
+    (EstimationError, "profile log-likelihood is -inf over the entire bracket"),
+    (DegenerateDataError, "sum of log S0 vanished or overflowed at lambda={!r}"),
+    (DomainError, "all coordinates must be strictly positive"),
+    (ValidationError, "all observation times must be positive finite"),
+)
+_REASONS = tuple(o.value if isinstance(o, FitStatus) else o[0].__name__ for o in _OUTCOMES)
+
+
+def _status(code: int, fits: "_Fits", r: int) -> FitStatus:
+    """The FitStatus of ``code``, row ``r``'s code in ``fits``, or else
+    the row's error raised."""
+    outcome = _OUTCOMES[code]
+    if isinstance(outcome, FitStatus):
+        return outcome
+    error, message = outcome
+    raise error(message.format(float(fits.lam[r])))
+
+
 class _Fits(NamedTuple):
     """Per-row outcome of one stack of :func:`_fit_stacks`.
 
-    ``outcome[r]`` is a :class:`FitStatus`, or the error :func:`fit_mle`
-    raises for that row. ``lam`` and ``alphas`` (shape (3, R)) hold the
-    estimates of rows whose outcome is Converged or BoundaryAlphaZero.
+    ``code`` holds each row's outcome code (``_OUTCOMES``); ``lam`` and
+    ``alphas`` (shape (3, R)) hold the estimates of rows with
+    ``code <= _BOUNDARY``.
     ``a``, ``c``, ``a1``, ``a2`` and ``c2`` hold, per row that reached
     Newton (NaN otherwise), the survival and hazard sums a and c and the
     derivatives a', a'' and c'' at its lambda-hat, from the sums of its
@@ -648,7 +680,7 @@ class _Fits(NamedTuple):
     :meth:`_Stack.moments` at ``lam``.
     """
 
-    outcome: list
+    code: np.ndarray
     lam: np.ndarray
     alphas: np.ndarray
     n_evals: np.ndarray
@@ -783,7 +815,8 @@ def _fit_stacks(stacks: list) -> list:
     vals = np.full((R, rungs.size + 2), np.nan)
     vals[:, 0] = vals[:, -1] = -np.inf
     n_evals = np.zeros(R, dtype=np.int64)
-    outcome: list = [None] * R
+    # Converged, until a row's other outcome overwrites it
+    code = np.zeros(R, dtype=np.int8)
 
     def evaluate(rows, idx):
         new = np.isnan(vals[rows, idx + 1])
@@ -792,8 +825,7 @@ def _fit_stacks(stacks: list) -> list:
             vals[rows, idx + 1] = passes.profile(rows, rungs[idx])
             np.add.at(n_evals, rows, 1)
 
-    for r in np.flatnonzero(m == 0).tolist():
-        outcome[r] = EstimationError("no failures observed")
+    code[m == 0] = _NO_FAILURES
     act = np.flatnonzero(m > 0)
     cur = np.full(R, start)
     # the climb always looks at the start and both its neighbours
@@ -804,10 +836,7 @@ def _fit_stacks(stacks: list) -> list:
         evaluate(np.repeat(dead, rungs.size), np.tile(np.arange(rungs.size), dead.size))
         cur[dead] = vals[dead, 1:-1].argmax(axis=1)
         hopeless = dead[vals[dead, cur[dead] + 1] == -np.inf]
-        for r in hopeless.tolist():
-            outcome[r] = EstimationError(
-                "profile log-likelihood is -inf over the entire bracket"
-            )
+        code[hopeless] = _NO_FINITE_PROFILE
         act = np.setdiff1d(act, hopeless)
 
     # First step: to the better neighbour (left, unless right beats it too).
@@ -846,8 +875,7 @@ def _fit_stacks(stacks: list) -> list:
 
     c = cur[act]
     edge = (c == 0) | (c == last)
-    for r in act[edge].tolist():
-        outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
+    code[act[edge]] = _NO_MLE_CLAMP
     inner = act[~edge]
 
     # Newton: each active row has its iterate lambda and its bracket [lo, hi].
@@ -889,6 +917,11 @@ def _fit_stacks(stacks: list) -> list:
             state, act = state.compress(go, axis=1), act[go]
             lam, lo, hi, prev = state
 
+    a_hat, a1, a2, unc_log1p, _, uq2 = kept
+    alphas = counts / a_hat
+    code[inner[~counts[:, inner].all(axis=0)]] = _BOUNDARY
+    code[inner[~(np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]]] = _DEGENERATE
+
     # flatness guard: a "maximum" close to a clamp that barely beats the
     # clamp value is a monotone profile seen through float noise
     c = cur[inner]
@@ -901,29 +934,12 @@ def _fit_stacks(stacks: list) -> list:
         p_hat = passes.profile(rows, lam_hat[rows])
         np.add.at(n_evals, rows, 1)
         gap = p_hat - vals[rows, clamp + 1]
-        for r in rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))].tolist():
-            outcome[r] = FitStatus.NO_MLE_MONOTONE_PROFILE
-
-    a_hat, a1, a2, unc_log1p, _, uq2 = kept
-    alphas = counts / a_hat
-    finite = (np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]
-    full = counts[:, inner].all(axis=0)
-    for r, ok, interior in zip(inner.tolist(), finite.tolist(), full.tolist()):
-        if outcome[r] is not None:
-            continue
-        if not ok:
-            outcome[r] = DegenerateDataError(
-                f"sum of log S0 vanished or overflowed at lambda={float(lam_hat[r])!r}"
-            )
-        elif interior:
-            outcome[r] = FitStatus.CONVERGED
-        else:
-            outcome[r] = FitStatus.BOUNDARY_ALPHA_ZERO
+        code[rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))]] = _NO_MLE_FLAT
     c = _hazard(passes.terms, lam_hat, unc_log1p)
     c2 = _curvature(m, lam_hat, uq2)
     return [
         _Fits(
-            outcome[at], lam_hat[at], alphas[:, at], n_evals[at],
+            code[at], lam_hat[at], alphas[:, at], n_evals[at],
             a_hat[at], c[at], a1[at], a2[at], c2[at],
         )
         for at in passes.slices
@@ -943,8 +959,8 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     safeguarded Newton iteration in log lambda, with closed-form
     derivatives, locates; Newton stops when its step is at most 1e-10
     relative, or once the fit has made 500 profile evaluations. The alphas
-    then follow in closed form. Any failure mode absent from the data pins its alpha to 0
-    (status BoundaryAlphaZero).
+    then follow in closed form. Any failure mode absent from the data pins
+    its alpha to 0 (status BoundaryAlphaZero).
 
     This is the one-row case of the engine that :func:`bootstrap_ci` and
     the selection study run on whole stacks of datasets, so a stacked
@@ -972,22 +988,13 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     return _fit_result(kind, fits, 0, _fitted_logliks(stack, fits)[0])
 
 
-def _estimated(fits: _Fits) -> np.ndarray:
-    """Per row of ``fits``, whether it has estimates: its outcome is
-    Converged or BoundaryAlphaZero."""
-    return np.array(
-        [o is FitStatus.CONVERGED or o is FitStatus.BOUNDARY_ALPHA_ZERO for o in fits.outcome],
-        dtype=bool,
-    )
-
-
 def _fitted_logliks(stack: _Stack, fits: _Fits) -> list:
     """Each row's maximized log-likelihood, :func:`log_likelihood` at its
     estimates, or None for a row without estimates. It takes no pass over
     the records: the survival and hazard sums at lambda-hat are those of
     the row's last Newton pass (:class:`_Fits`)."""
-    out: list = [None] * len(fits.outcome)
-    rows = np.flatnonzero(_estimated(fits))
+    out: list = [None] * fits.code.size
+    rows = np.flatnonzero(fits.code <= _BOUNDARY)
     logliks = _loglik_from_sums(
         stack.counts[:, rows], fits.alphas[:, rows], fits.a[rows], fits.c[rows]
     )
@@ -999,18 +1006,16 @@ def _fitted_logliks(stack: _Stack, fits: _Fits) -> list:
 def _fit_result(kind: BaselineKind, fits: _Fits, r: int, loglik) -> FitResult:
     """Row ``r`` of ``fits`` as :func:`fit_mle` reports it, with ``loglik``
     its maximized log-likelihood (unused for a row without an MLE). Raises
-    the row's error if its fit ended in one."""
-    outcome = fits.outcome[r]
-    if isinstance(outcome, BvfError):
-        raise outcome
-    if outcome is FitStatus.NO_MLE_MONOTONE_PROFILE:
+    the row's error if its fit ended in one (:func:`_status`)."""
+    status = _status(int(fits.code[r]), fits, r)
+    if status is FitStatus.NO_MLE_MONOTONE_PROFILE:
         params_hat = loglik = None
     else:
         alpha0, alpha1, alpha2 = fits.alphas[:, r].tolist()
         params_hat = BvfParams(kind, alpha0, alpha1, alpha2, float(fits.lam[r]))
     return FitResult(
         kind=kind,
-        status=outcome,
+        status=status,
         params_hat=params_hat,
         loglik_max=loglik,
         n_evals=int(fits.n_evals[r]),
@@ -1252,9 +1257,9 @@ def bootstrap_ci(
     ``seed`` must be None, an integer >= 0 or a SeedSequence, and ``B`` an
     integer; anything else is a ValidationError. Only an integer seed is
     echoed in the result: a SeedSequence, spawned or not, is reported as
-    None, since its root entropy alone need not reproduce the intervals. B >= 100 is recommended for
-    real use; smaller values are accepted (the rank arithmetic stays
-    well-defined down to B = 1).
+    None, since its root entropy alone need not reproduce the intervals.
+    B >= 100 is recommended for real use; smaller values are accepted (the
+    rank arithmetic stays well-defined down to B = 1).
     """
     B = _check_count("B", B)
     if B < 1:
@@ -1296,17 +1301,18 @@ def _bootstrap_intervals(
     from :func:`_child_states`); more than 5% failed resamples is a
     ResampleFailureError."""
     B = len(states)
-    estimates, failures = _bootstrap_refits(p_hat, n, censoring_time, states)
-    reasons = dict(collections.Counter(r for r in failures if r is not None))
-    n_failed = sum(reasons.values())
+    estimates, code = _bootstrap_refits(p_hat, n, censoring_time, states)
+    # counted in row order, so the reasons keep their first occurrence's
+    failed = code[code > _BOUNDARY].tolist()
+    reasons = dict(collections.Counter(_REASONS[c] for c in failed))
+    n_failed = len(failed)
     if n_failed > 0.05 * B:
         listed = ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items()))
         raise ResampleFailureError(
             f"{n_failed} of {B} bootstrap resamples failed to produce an "
             f"estimate ({listed})"
         )
-    ok = np.array([r is None for r in failures])
-    usable = np.sort(estimates[ok], axis=0)
+    usable = np.sort(estimates[code <= _BOUNDARY], axis=0)
     lo_rank, hi_rank = percentile_ranks(B - n_failed, level)
     intervals = {
         name: (float(usable[lo_rank - 1, j]), float(usable[hi_rank - 1, j]))
@@ -1320,8 +1326,9 @@ def _draw_stack(p: BvfParams, n: int, states: np.ndarray, censoring_time):
     child SeedSequence, whose PCG64 seed words are a row of ``states`` (from
     :func:`_child_states`). Returns the indices ``rows`` of the valid ones,
     their records ``t`` and ``delta`` as one stack (the drawn stack itself
-    when every row is valid), and, per row of ``states``, None or the name
-    of the error ``from_bivariate`` would raise. The rows are drawn and
+    when every row is valid), and per row of ``states`` the draw code of
+    the error ``from_bivariate`` would raise, else 0, for its fit's code
+    to replace. The rows are drawn and
     transformed in blocks of :func:`_row_blocks` that hold at most
     ``_SCAN_RECORDS`` uniforms (3n per row), so no temporary of the inverse
     transform outgrows a block of the engine's. One PCG64, local to the
@@ -1330,10 +1337,11 @@ def _draw_stack(p: BvfParams, n: int, states: np.ndarray, censoring_time):
     R = len(states)
     t = np.empty((R, n))
     delta = np.empty((R, n), dtype=np.int8)
-    failures: list = [None] * R
+    code = np.zeros(R, dtype=np.int8)
     if censoring_time is not None and not 0.0 < censoring_time < math.inf:
         # from_bivariate rejects such a censoring time whatever the draws
-        return np.arange(0), t[:0], delta[:0], [DomainError.__name__] * R
+        code[:] = _DRAW_DOMAIN
+        return np.arange(0), t[:0], delta[:0], code
     blocks = _row_blocks(R, 3 * n)
     v = np.empty((blocks[0].stop, 3, n))
     bit_generator = np.random.PCG64(0)
@@ -1350,38 +1358,28 @@ def _draw_stack(p: BvfParams, n: int, states: np.ndarray, censoring_time):
         # CompetingRisksData raise are found row by row
         if x.min() > 0.0 and y.min() > 0.0 and np.isfinite(t[blk]).all():
             continue
-        coords_ok = (x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1)
-        times_ok = np.isfinite(t[blk]).all(axis=-1)
-        for r in np.flatnonzero(~coords_ok).tolist():
-            failures[blk.start + r] = DomainError.__name__
-        for r in np.flatnonzero(coords_ok & ~times_ok).tolist():
-            failures[blk.start + r] = ValidationError.__name__
-    if failures.count(None) == R:
-        return np.arange(R), t, delta, failures
-    rows = np.flatnonzero([f is None for f in failures])
-    return rows, t[rows], delta[rows], failures
-
-
-def _reason(outcome) -> str:
-    """A fit outcome without estimates as a failure reason: its FitStatus
-    value, or the class name of its error."""
-    return outcome.value if isinstance(outcome, FitStatus) else type(outcome).__name__
+        own = code[blk]
+        own[~np.isfinite(t[blk]).all(axis=-1)] = _DRAW_INVALID
+        own[~((x > 0.0).all(axis=-1) & (y > 0.0).all(axis=-1))] = _DRAW_DOMAIN
+    if not code.any():
+        return np.arange(R), t, delta, code
+    rows = np.flatnonzero(code == 0)
+    return rows, t[rows], delta[rows], code
 
 
 def _bootstrap_refits(
     p_hat: BvfParams, n: int, censoring_time, states: np.ndarray
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw and refit one resample per row of ``states``, as
     ``fit_mle(from_bivariate(sample(p_hat, n, seed), censoring_time))``
     would with the child SeedSequence whose seed words the row holds, in one
-    stacked pass. Returns the (B, 4) estimates in ``PARAM_NAMES`` order and,
-    per resample, None or the reason it failed."""
-    rows, t, delta, failures = _draw_stack(p_hat, n, states, censoring_time)
+    stacked pass. Returns the (B, 4) estimates in ``PARAM_NAMES`` order and
+    each resample's draw or refit code."""
+    rows, t, delta, code = _draw_stack(p_hat, n, states, censoring_time)
     estimates = np.full((len(states), 4), np.nan)
     (fits,) = _fit_stacks([_Stack(p_hat.kind, t, delta)])
-    got = _estimated(fits)
+    code[rows] = fits.code
+    got = fits.code <= _BOUNDARY
     estimates[rows[got], :3] = fits.alphas[:, got].T
     estimates[rows[got], 3] = fits.lam[got]
-    for j in np.flatnonzero(~got).tolist():
-        failures[rows[j]] = _reason(fits.outcome[j])
-    return estimates, failures
+    return estimates, code

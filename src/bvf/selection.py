@@ -27,6 +27,7 @@ from .inference import (
     _fit_stacks,
     _fitted_logliks,
     _Stack,
+    _status,
     _tally,
     _workspace,
 )
@@ -118,8 +119,8 @@ def select_model(
         BaselineKind members.
     """
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
-    fits, logliks = _fit_candidates([_workspace(data, kind) for kind in kinds])
-    ranked, excluded = _rank_row(kinds, fits, logliks, 0)
+    fits, codes, logliks = _fit_candidates([_workspace(data, kind) for kind in kinds])
+    ranked, excluded = _rank_row(kinds, fits, codes, logliks, 0)
     results = {
         kind: _fit_result(kind, f, 0, ll[0]) for kind, f, ll in zip(kinds, fits, logliks)
     }
@@ -143,16 +144,18 @@ def _check_candidates(candidates: Iterable[BaselineKind]) -> tuple:
     return kinds
 
 
-def _fit_candidates(stacks: list) -> tuple[list, list]:
-    """Each stack's fits, all in one engine call, and per row its maximized
-    log-likelihood (None for a row without estimates)."""
+def _fit_candidates(stacks: list) -> tuple[list, list, list]:
+    """Each stack's fits, all in one engine call, and per row its outcome
+    code and its maximized log-likelihood (None for a row without
+    estimates), as lists."""
     fits = _fit_stacks(stacks)
-    return fits, [_fitted_logliks(stack, f) for stack, f in zip(stacks, fits)]
+    codes = [f.code.tolist() for f in fits]
+    return fits, codes, [_fitted_logliks(stack, f) for stack, f in zip(stacks, fits)]
 
 
-def _rank_row(kinds: list, fits: list, logliks: list, r: int) -> tuple[list, list]:
+def _rank_row(kinds: list, fits: list, codes: list, logliks: list, r: int) -> tuple[list, list]:
     """The ranked and the excluded kinds of row ``r``, given the candidate
-    kinds in kind order with their fits and log-likelihoods.
+    kinds in kind order with their fits, codes and log-likelihoods.
 
     A kind whose profile is monotone is excluded. The rest rank best-first
     by maximized log-likelihood; an exact tie (a probability-zero event)
@@ -161,11 +164,8 @@ def _rank_row(kinds: list, fits: list, logliks: list, r: int) -> tuple[list, lis
     in one, or a SelectionError if every kind is excluded.
     """
     scored, excluded = [], []
-    for kind, f, ll in zip(kinds, fits, logliks):
-        outcome = f.outcome[r]
-        if isinstance(outcome, BvfError):
-            raise outcome
-        if outcome is FitStatus.NO_MLE_MONOTONE_PROFILE:
+    for kind, f, code, ll in zip(kinds, fits, codes, logliks):
+        if _status(code[r], f, r) is FitStatus.NO_MLE_MONOTONE_PROFILE:
             excluded.append(kind)
         else:
             scored.append((kind, ll[r]))
@@ -194,14 +194,14 @@ def _select_stacks(
     for t, delta in records:
         tally = _tally(delta)
         stacks += [_Stack(kind, t, delta, tally) for kind in kinds]
-    fits, logliks = _fit_candidates(stacks)
+    fits, codes, logliks = _fit_candidates(stacks)
     chosen: list = []
     for i, (t, _) in enumerate(records):
         cut = slice(i * len(kinds), (i + 1) * len(kinds))
         row_chosen = []
         for r in range(t.shape[0]):
             try:
-                row_chosen.append(_rank_row(kinds, fits[cut], logliks[cut], r)[0][0])
+                row_chosen.append(_rank_row(kinds, fits[cut], codes[cut], logliks[cut], r)[0][0])
             except BvfError:
                 row_chosen.append(None)
         chosen.append(row_chosen)

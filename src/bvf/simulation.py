@@ -55,12 +55,13 @@ from .errors import (
     ValidationError,
 )
 from .inference import (  # noqa: F401
+    _CONVERGED,
+    _REASONS,
     PARAM_NAMES,
     FitStatus,
     _bootstrap_intervals,
     _draw_stack,
     _fit_stacks,
-    _reason,
     _Stack,
     _variances_from_moments,
     _wald_intervals,
@@ -257,21 +258,22 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     or an error class name), as fit_mle, asymptotic_ci and bootstrap_ci
     give them on its dataset alone, with its data drawn from child (i, 0)
     of ``root`` and its bootstrap resample b from child (i, 1, b). The
-    datasets are drawn as one stack and fitted in one engine call, the Wald
-    variances of all converged rows come from the sums their last Newton
-    pass kept at lambda-hat (no further pass over the stack), and each
-    bootstrap's B seeds are hashed in one pass."""
+    datasets are drawn as one stack and fitted in one engine call, into one
+    array of draw and fit codes. The Wald variances of all converged rows
+    come from the sums their last Newton pass kept at lambda-hat (no
+    further pass over the stack), and each bootstrap's B seeds are hashed
+    in one pass."""
     p, B, level = config.true_params, config.bootstrap_B, float(config.ci_level)
     c = censoring_threshold(p, config.censored_fraction) if config.censored_fraction else None
     index = np.asarray(replicates, dtype=np.uint64)
     data_keys = np.column_stack((index, np.zeros_like(index)))
-    rows, t, delta, results = _draw_stack(p, config.n, _child_states(root, data_keys), c)
+    rows, t, delta, code = _draw_stack(p, config.n, _child_states(root, data_keys), c)
     stack = _Stack(p.kind, t, delta)
     (fits,) = _fit_stacks([stack])
-    for j, r in enumerate(rows.tolist()):
-        if fits.outcome[j] is not FitStatus.CONVERGED:
-            results[r] = _reason(fits.outcome[j])
-    conv = np.flatnonzero([o is FitStatus.CONVERGED for o in fits.outcome])
+    code[rows] = fits.code
+    # the converged rows' reasons are replaced below
+    results = [_REASONS[k] for k in code.tolist()]
+    conv = np.flatnonzero(fits.code == _CONVERGED)
     lam, alphas = fits.lam[conv], fits.alphas[:, conv]
     variances = _variances_from_moments(
         stack.counts[:, conv], alphas, fits.a1[conv], fits.a2[conv], fits.c2[conv]

@@ -15,6 +15,7 @@ import pytest
 
 from bvf import (
     BaselineKind,
+    BvfError,
     BvfParams,
     CompetingRisksData,
     DegenerateDataError,
@@ -40,8 +41,19 @@ from bvf import (
 )
 from bvf import inference
 from bvf.bvf_model import _child_states, _pairs_from_uniforms, censoring_threshold
+from bvf.cli import main
 from bvf.inference import (
     _ALL,
+    _BOUNDARY,
+    _CONVERGED,
+    _DEGENERATE,
+    _DRAW_DOMAIN,
+    _DRAW_INVALID,
+    _NO_FAILURES,
+    _NO_FINITE_PROFILE,
+    _NO_MLE_CLAMP,
+    _NO_MLE_FLAT,
+    _REASONS,
     _SCAN_RECORDS,
     PARAM_NAMES,
     FitOptions,
@@ -55,6 +67,8 @@ W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 # the Gompertz and Lomax caption parameters
 PG = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
 PL = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
+# the Weibull caption parameters
+PW = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
 
 # Twelve records, two ties, four first-risk, three second-risk, three
 # censored at 1.5. Small enough to solve independently to high precision.
@@ -95,6 +109,46 @@ L_LAM_ROOT_REP275 = 0.00043203126602589618
 @pytest.fixture(scope="module")
 def data12():
     return CompetingRisksData(T12, D12)
+
+
+def _outcome(fits, r):
+    """Row ``r`` of engine fits as fit_mle reports it: the FitStatus its
+    code decodes to, or the error it raises."""
+    try:
+        return inference._status(int(fits.code[r]), fits, r)
+    except BvfError as exc:
+        return exc
+
+
+def _fit_mle_outcome(data, kind):
+    """fit_mle's status on ``data``, or the error it raises."""
+    try:
+        return fit_mle(data, kind).status
+    except BvfError as exc:
+        return exc
+
+
+def _one_row_fit_mle(kind, t, delta):
+    """fit_mle's outcome on the records ``t`` and ``delta`` alone. Records
+    that CompetingRisksData rejects (an infinite time) take the rest of
+    fit_mle's path: one engine call on their one-row stack, decoded by
+    _fit_result."""
+    try:
+        data = CompetingRisksData(t, delta)
+    except ValidationError:
+        (fits,) = _fit_stacks([_Stack(kind, t[None], delta[None])])
+        try:
+            return inference._fit_result(kind, fits, 0, None).status
+        except BvfError as exc:
+            return exc
+    return _fit_mle_outcome(data, kind)
+
+
+def _same_outcome(got, want) -> bool:
+    """The same FitStatus, or errors of one class with one message."""
+    if isinstance(want, FitStatus):
+        return got is want
+    return type(got) is type(want) and str(got) == str(want)
 
 
 def test_import_does_not_load_scipy():
@@ -298,11 +352,13 @@ class TestFitOtherKinds:
         # subnormal, so the closed-form rates m / a overflow
         t = [5e-324, 5e-324, 5e-324, 5e-324, 1e-320, 1e-320]
         delta = [1, 2, 0, 1, 2, 1]
+        data = CompetingRisksData(t, delta)
         with pytest.raises(DegenerateDataError):
-            fit_mle(CompetingRisksData(t, delta), kind)
+            fit_mle(data, kind)
         stack = _Stack(kind, np.array([t]), np.array([delta], dtype=np.int8))
         (fits,) = _fit_stacks([stack])
-        assert type(fits.outcome[0]) is DegenerateDataError
+        assert fits.code.tolist() == [_DEGENERATE]
+        assert _same_outcome(_outcome(fits, 0), _fit_mle_outcome(data, kind))
 
     def test_overflowing_hazard_sum_warns_nothing(self):
         # the uncensored Gompertz times sum past double range while the
@@ -378,7 +434,7 @@ class TestFitOptions:
         near = [0.3, 0.8, 1.1, 2.0, 1.7]
         stack = _Stack(G, np.array([near, t]), np.array([[0, 1, 2, 1, 2], delta]))
         (fits,) = _fit_stacks([stack])
-        assert fits.outcome == [FitStatus.CONVERGED, FitStatus.NO_MLE_MONOTONE_PROFILE]
+        assert fits.code.tolist() == [_CONVERGED, _NO_MLE_CLAMP]
         assert fits.n_evals[1] == 29
 
 
@@ -395,12 +451,12 @@ class TestStackedFits:
         for kind in (W, G, L):
             (fits,) = _fit_stacks([_Stack(kind, t, delta)])
             for j, (tj, dj) in enumerate(rows):
-                try:
-                    fit = fit_mle(CompetingRisksData(tj, dj), kind)
-                except EstimationError as exc:
-                    assert type(fits.outcome[j]) is type(exc), (kind, j)
+                data = CompetingRisksData(tj, dj)
+                want = _fit_mle_outcome(data, kind)
+                assert _same_outcome(_outcome(fits, j), want), (kind, j)
+                if isinstance(want, BvfError):
                     continue
-                assert fits.outcome[j] is fit.status, (kind, j)
+                fit = fit_mle(data, kind)
                 assert fits.n_evals[j] == fit.n_evals, (kind, j)
                 if fit.params_hat is not None:
                     q = fit.params_hat
@@ -421,7 +477,7 @@ class TestStackedFits:
         assert fits.n_evals.tolist() == [8, 8, 8]
         for j, data in enumerate(datasets):
             fit = fit_mle(data, W)
-            assert fit.status is fits.outcome[j] is FitStatus.CONVERGED
+            assert fit.status is _outcome(fits, j) is FitStatus.CONVERGED
             assert fit.n_evals == 8
             assert fit.params_hat.lam == fits.lam[j]
 
@@ -448,19 +504,104 @@ def _flat_near_clamp_records():
     return data.t, data.delta
 
 
+def _unit_flat_records(scale):
+    """Data whose Gompertz fit depends on the time unit: the Weibull
+    caption parent, n=20, seed 103, its times multiplied by ``scale``."""
+    data = from_bivariate(sample(PW, 20, 103))
+    return data.t * scale, data.delta
+
+
+# Per outcome code of a fit: the kind and records that end in it, and the
+# FitStatus or the error class and message that fit_mle gives them
+_CODE_CASES = {
+    _CONVERGED: (W, lambda: (T12, D12), FitStatus.CONVERGED),
+    _BOUNDARY: (W, lambda: ([0.3, 0.7, 1.2, 0.9], [1, 1, 2, 1]), FitStatus.BOUNDARY_ALPHA_ZERO),
+    _NO_MLE_CLAMP: (
+        G,
+        lambda: (lambda d: (d.t, d.delta))(from_bivariate(sample(PW, 20, 0))),
+        FitStatus.NO_MLE_MONOTONE_PROFILE,
+    ),
+    _NO_MLE_FLAT: (G, lambda: _unit_flat_records(1e4), FitStatus.NO_MLE_MONOTONE_PROFILE),
+    _NO_FAILURES: (W, lambda: ([1.5] * 12, [3] * 12), (EstimationError, "no failures observed")),
+    _NO_FINITE_PROFILE: (
+        W,
+        lambda: (T12[:3] + [math.inf] + T12[4:], D12),
+        (EstimationError, "profile log-likelihood is -inf over the entire bracket"),
+    ),
+    _DEGENERATE: (
+        G,
+        lambda: ([5e-324, 5e-324, 5e-324, 5e-324, 1e-320, 1e-320], [1, 2, 0, 1, 2, 1]),
+        (DegenerateDataError, "sum of log S0 vanished or overflowed at lambda="),
+    ),
+}
+
+
+class TestOutcomeCodes:
+    """Every fit ends in one int8 code, which decodes to what fit_mle
+    reports: a FitStatus, or an error with its message."""
+
+    @pytest.mark.parametrize("code", sorted(_CODE_CASES))
+    def test_each_code_decodes_as_fit_mle_reports_it(self, code):
+        kind, records, want = _CODE_CASES[code]
+        t, delta = (np.asarray(v, dtype=dt) for v, dt in zip(records(), (float, np.int8)))
+        (fits,) = _fit_stacks([_Stack(kind, t[None], delta[None])])
+        assert fits.code.dtype == np.int8 and fits.code.tolist() == [code]
+        got = _one_row_fit_mle(kind, t, delta)
+        assert _same_outcome(_outcome(fits, 0), got)
+        if isinstance(want, FitStatus):
+            assert got is want
+            assert _REASONS[code] == want.value
+        else:
+            error, message = want
+            assert type(got) is error and str(got).startswith(message)
+            assert _REASONS[code] == error.__name__
+        if code == _DEGENERATE:
+            assert str(got) == message + repr(float(fits.lam[0]))
+
+    def test_draw_codes_name_the_errors_of_from_bivariate(self):
+        # draws whose coordinates underflow to 0 (DomainError) or whose
+        # times overflow to inf (ValidationError)
+        params = BvfParams(W, 0.048, 0.048, 0.048, 0.0052)
+        states = _child_states(np.random.SeedSequence(77), np.arange(150)[:, None])
+        _, t, delta, code = _draw_stack(params, 100, states, None)
+        assert {_DRAW_DOMAIN, _DRAW_INVALID} <= set(code.tolist())
+        (fits,) = _fit_stacks([_Stack(W, t, delta)])
+        for draw_code, error in ((_DRAW_DOMAIN, DomainError), (_DRAW_INVALID, ValidationError)):
+            assert _REASONS[draw_code] == error.__name__
+            with pytest.raises(error):
+                inference._status(draw_code, fits, 0)
+
+    def test_clamp_and_flatness_no_mle_are_told_apart(self):
+        # Both report NoMleMonotoneProfile. CLAMP: the ladder's maximum is at
+        # a clamp and no Newton runs. FLAT: _unit_flat_records at t * 1e4,
+        # where the flatness check rejects a maximum 16x above the lower
+        # clamp. The same data at unit scale converge, so FLAT here is an
+        # artefact of the time unit: the change that makes Gompertz and Lomax
+        # fits unit-free (ROADMAP) removes it, and moves this case into its
+        # own audit. At unit scale none of 21,600 caption fits (caption
+        # parents x censoring 0/20/40% x n 10/30/100/300 x seeds 0-199 x 3
+        # kinds) was decided by the flatness check; 7200 ended at a clamp.
+        clamp = from_bivariate(sample(PW, 20, 0))
+        t, delta = _unit_flat_records(1e4)
+        (fits,) = _fit_stacks(
+            [_Stack(G, np.array([clamp.t, t]), np.array([clamp.delta, delta]))]
+        )
+        assert fits.code.tolist() == [_NO_MLE_CLAMP, _NO_MLE_FLAT]
+        assert math.isnan(fits.lam[0]) and np.isfinite(fits.lam[1])
+        assert fits.n_evals.tolist() == [16, 22]
+        for data in (clamp, CompetingRisksData(t, delta)):
+            assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
+        unit = fit_mle(CompetingRisksData(*_unit_flat_records(1.0)), G)
+        assert unit.status is FitStatus.CONVERGED and unit.n_evals == 14
+
+
 class TestLockstepFits:
     """One engine call over stacks of every kind and of several record
     counts must fit each stack as a call of its own does, field by field."""
 
     @staticmethod
     def assert_same_fits(got, want):
-        assert len(got.outcome) == len(want.outcome)
-        for o, w in zip(got.outcome, want.outcome):
-            if isinstance(w, FitStatus):
-                assert o is w
-            else:
-                assert type(o) is type(w) and str(o) == str(w)
-        for name in inference._Fits._fields[1:]:
+        for name in inference._Fits._fields:
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and g.shape == w.shape, name
             assert np.array_equal(g, w, equal_nan=True) and g.tobytes() == w.tobytes(), name
@@ -492,12 +633,13 @@ class TestLockstepFits:
         one = from_bivariate(sample(PL, 50, rng))
         layout = [(G, 200), (W, 12), (L, 200), (G, 12), (W, 200), (L, 12)]
 
+        # a one-row stack, and a stack with no rows, come last
+        kinds = [kind for kind, _ in layout] + [L, G]
+        stacked = [records[n] for _, n in layout]
+        stacked += [(one.t[None], one.delta[None]), (records[200][0][:0], records[200][1][:0])]
+
         def build():
-            stacks = [_Stack(kind, *records[n]) for kind, n in layout]
-            # a one-row stack, and a stack with no rows
-            stacks.append(_Stack(L, one.t[None], one.delta[None]))
-            stacks.append(_Stack(G, records[200][0][:0], records[200][1][:0]))
-            return stacks
+            return [_Stack(kind, *rec) for kind, rec in zip(kinds, stacked)]
 
         stacks = build()
         got = _fit_stacks(stacks)
@@ -508,23 +650,26 @@ class TestLockstepFits:
         assert len(got) == len(alone) == len(layout) + 2
         for g, w in zip(got, alone):
             self.assert_same_fits(g, w)
+        # every row's code is the outcome of fit_mle on its records alone
+        for g, kind, (t, delta) in zip(got, kinds, stacked):
+            for r in range(g.code.size):
+                want = _one_row_fit_mle(kind, t[r], delta[r])
+                assert _same_outcome(_outcome(g, r), want), (kind, r)
 
         # the rows take every path of the engine
         fits = dict(zip(layout, alone))
         for kind in (W, G, L):
-            outcome = fits[kind, 12].outcome
-            assert str(outcome[1]) == "no failures observed"
-            assert str(outcome[4]) == "profile log-likelihood is -inf over the entire bracket"
-            assert outcome[2] is FitStatus.NO_MLE_MONOTONE_PROFILE
-        assert fits[W, 12].outcome[0] is FitStatus.CONVERGED
-        assert fits[W, 12].outcome[3] is FitStatus.BOUNDARY_ALPHA_ZERO
-        assert fits[G, 200].outcome[0] is FitStatus.NO_MLE_MONOTONE_PROFILE
+            code = fits[kind, 12].code
+            assert (code[1], code[4], code[2]) == (_NO_FAILURES, _NO_FINITE_PROFILE, _NO_MLE_CLAMP)
+        assert fits[W, 12].code[0] == _CONVERGED
+        assert fits[W, 12].code[3] == _BOUNDARY
+        assert fits[G, 200].code[0] == _NO_MLE_FLAT
         assert np.isfinite(fits[G, 200].lam[0])  # Newton ran: the flatness check decided
         with np.errstate(all="ignore"):
             a, _ = _Stack(G, *records[12]).survival(np.array([5]), np.array([4.0]))
         assert a[0] == math.inf
         assert fits[G, 12].n_evals[5] > 0
-        assert got[-2].outcome == [FitStatus.CONVERGED] and got[-1].outcome == []
+        assert got[-2].code.tolist() == [_CONVERGED] and got[-1].code.size == 0
 
     def test_fits_ending_at_a_clamp_count_sixteen_evaluations(self):
         # a monotone profile climbs from rung 14 to a clamp: 3 rungs at the
@@ -539,10 +684,8 @@ class TestLockstepFits:
         at_clamp = {}
         for kind, fits in zip((W, G, L), mixed):
             # no Newton ran on a row that ends at a clamp
-            rows = [
-                r for r, o in enumerate(fits.outcome)
-                if o is FitStatus.NO_MLE_MONOTONE_PROFILE and math.isnan(fits.lam[r])
-            ]
+            rows = np.flatnonzero(fits.code == _NO_MLE_CLAMP).tolist()
+            assert np.isnan(fits.lam[rows]).all()
             assert fits.n_evals[rows].tolist() == [16] * len(rows), kind
             assert [fit_mle(datasets[r], kind).n_evals for r in rows] == [16] * len(rows)
             at_clamp[kind] = len(rows)
@@ -616,7 +759,7 @@ class TestRowBlocks:
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         for j, data in enumerate(datasets):
             fit = fit_mle(data, kind)
-            assert fits.outcome[j] is fit.status, j
+            assert _outcome(fits, j) is fit.status, j
             assert fits.n_evals[j] == fit.n_evals, j
             if fit.params_hat is not None:
                 q = fit.params_hat
@@ -673,9 +816,10 @@ class TestRowBlocks:
             return buffers[-1]
 
         monkeypatch.setattr(np, "empty", recorded_empty)
-        rows, t, delta, failures = _draw_stack(params, n, states, c)
+        rows, t, delta, code = _draw_stack(params, n, states, c)
         monkeypatch.undo()
-        assert rows.tolist() == [r for r, f in enumerate(failures) if f is None]
+        assert code.dtype == np.int8 and code.shape == (R,)
+        assert rows.tolist() == np.flatnonzero(code == 0).tolist()
         assert t.shape == delta.shape == (rows.size, n)
         drawn = any(np.shares_memory(t, b) for b in buffers)
         assert drawn == (rows.size == R)
@@ -684,14 +828,14 @@ class TestRowBlocks:
             try:
                 data = from_bivariate(pairs, c)
             except (DomainError, ValidationError) as exc:
-                assert failures[r] == type(exc).__name__, r
+                assert _REASONS[code[r]] == type(exc).__name__, r
                 continue
-            assert failures[r] is None, r
+            assert code[r] == 0, r
             j = int(np.searchsorted(rows, r))
             assert t[j].tolist() == data.t.tolist(), r
             assert delta[j].tolist() == data.delta.tolist(), r
         if censored_fraction == 0.0:
-            assert {"DomainError", "ValidationError", None} <= set(failures)
+            assert {_DRAW_DOMAIN, _DRAW_INVALID, 0} <= set(code.tolist())
         else:
             assert rows.size == R
 
@@ -700,14 +844,14 @@ class TestRowBlocks:
         params = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
         children = np.random.SeedSequence(5).spawn(3)
         states = _child_states(np.random.SeedSequence(5), np.arange(3)[:, None])
-        rows, t, delta, failures = _draw_stack(params, 20, states, c)
+        rows, t, delta, code = _draw_stack(params, 20, states, c)
         with pytest.raises(DomainError):
             from_bivariate(sample(params, 20, np.random.default_rng(children[0])), c)
         assert rows.size == 0 and t.shape == delta.shape == (0, 20)
-        assert failures == ["DomainError"] * 3
+        assert code.tolist() == [_DRAW_DOMAIN] * 3
         # an empty stack fits to empty results
         (fits,) = _fit_stacks([_Stack(G, t, delta)])
-        assert fits.outcome == [] and fits.lam.size == 0
+        assert fits.code.size == 0 and fits.lam.size == 0
 
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_rows_longer_than_a_block_fit_as_fit_mle(self, kind):
@@ -719,7 +863,7 @@ class TestRowBlocks:
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         q = fit.params_hat
         for j in range(2):
-            assert fits.outcome[j] is fit.status
+            assert _outcome(fits, j) is fit.status
             assert fits.n_evals[j] == fit.n_evals
             assert fits.lam[j] == q.lam
             assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
@@ -1391,7 +1535,7 @@ class TestFittedSums:
     def test_one_row_longer_than_a_block(self, kind, censored):
         t, delta = TestStackPasses.records(kind, censored, 1, 20000)
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
-        assert fits.outcome == [FitStatus.CONVERGED]
+        assert fits.code.tolist() == [_CONVERGED]
         fresh = _Stack(kind, t, delta)
         with np.errstate(all="ignore"):
             want = (*fresh.survival(_ALL, fits.lam), *fresh.moments(_ALL, fits.lam))
@@ -1592,6 +1736,24 @@ class TestBootstrapCi:
         for reason in set(failed):
             assert f"{reason}: {failed.count(reason)}" in message
 
+    def test_failure_reasons_keep_their_first_occurrence_order(self, tmp_path, capsys):
+        # 3 of 200 resamples fail: a ValidationError first, then two
+        # DomainErrors; the reasons are counted in resample order, and the
+        # ci command prints them as counted, unsorted
+        params = BvfParams(W, 0.048, 0.048, 0.048, 0.0052)
+        data = from_bivariate(sample(params, 8, 11))
+        ci = bootstrap_ci(fit_mle(data, W), data, B=200, seed=11)
+        assert list(ci.failure_reasons.items()) == [("ValidationError", 1), ("DomainError", 2)]
+        path = str(tmp_path / "w8.csv")
+        generate = ["generate", "--kind", "weibull", "--n", "8", "--seed", "11", "--out", path]
+        for name in ("alpha0", "alpha1", "alpha2"):
+            generate += [f"--{name}", "0.048"]
+        assert main(generate + ["--lambda", "0.0052"]) == 0
+        capsys.readouterr()
+        ci_args = ["--method", "bootstrap", "--boot-B", "200", "--seed", "11"]
+        assert main(["ci", "--data", path, "--kind", "weibull", *ci_args]) == 0
+        assert capsys.readouterr().out == CI_FAILURE_REASONS_JSON
+
     @pytest.mark.parametrize(
         "params, n, censored_fraction, data_seed, B, seed",
         [
@@ -1610,7 +1772,7 @@ class TestBootstrapCi:
         data = from_bivariate(sample(params, n, seed=data_seed), c)
         fit = fit_mle(data, params.kind)
         expected = _refit_each_resample(fit, data, np.random.SeedSequence(seed).spawn(B))
-        estimates, failures = _bootstrap_refits(
+        estimates, code = _bootstrap_refits(
             fit.params_hat,
             data.n,
             data.censoring_time,
@@ -1618,10 +1780,10 @@ class TestBootstrapCi:
         )
         for b, want in enumerate(expected):
             if isinstance(want, str):
-                assert failures[b] == want, b
+                assert _REASONS[code[b]] == want, b
                 assert np.isnan(estimates[b]).all(), b
             else:
-                assert failures[b] is None, b
+                assert code[b] <= _BOUNDARY, b
                 assert estimates[b].tolist() == list(want), b
         ok = [w for w in expected if not isinstance(w, str)]
         n_failed = B - len(ok)
@@ -1700,6 +1862,50 @@ def _percentile_intervals(per_resample, level=0.95):
         name: (ordered[lo - 1, j], ordered[hi - 1, j])
         for j, name in enumerate(("alpha0", "alpha1", "alpha2", "lambda"))
     }
+
+
+# the ci command's output on the dataset of
+# test_failure_reasons_keep_their_first_occurrence_order
+CI_FAILURE_REASONS_JSON = """{
+  "method": "Bootstrap",
+  "level": 0.95,
+  "intervals": {
+    "alpha0": [
+      0.0,
+      0.09494085860859006
+    ],
+    "alpha1": [
+      0.0,
+      0.1969931918296496
+    ],
+    "alpha2": [
+      0.0014503274842708428,
+      0.2775649958543033
+    ],
+    "lambda": [
+      0.003766741742606513,
+      0.013612071400272504
+    ]
+  },
+  "B": 200,
+  "seed": 11,
+  "n_failed": 3,
+  "failure_reasons": {
+    "ValidationError": 1,
+    "DomainError": 2
+  },
+  "fit": {
+    "kind": "Weibull",
+    "status": "Converged",
+    "alpha0": 0.01728629791253977,
+    "alpha1": 0.05185889373761931,
+    "alpha2": 0.06914519165015907,
+    "lambda": 0.005707479806247257,
+    "loglik": -1984.2903067446111,
+    "n_evals": 13
+  }
+}
+"""
 
 
 def _refit_each_resample(fit, data, children):
