@@ -6,9 +6,15 @@
   reduced replication counts, each at ``workers`` 1 and 2;
 - ``fit_mle``, ``asymptotic_ci`` and ``bootstrap_ci`` (B = 0, 10 and 50)
   on censored and uncensored datasets, and a bootstrap whose resamples fail
-  for two reasons;
-- the ``generate``, ``fit``, ``ci`` (both methods), ``select`` and
-  ``sim-select`` commands of the CLI: exit code, stdout and stderr.
+  for two reasons; ``asymptotic_ci`` and ``observed_fisher`` at each
+  estimate on the fitted dataset object and on a new one over its records;
+- ``profile_loglik``, ``alphas_given_lambda``, ``log_likelihood`` and
+  ``observed_fisher`` at the clamps of the search range, at ladder rungs
+  and off the ladder, on those datasets, on one longer than a block of the
+  engine, and on records whose survival sums overflow;
+- the ``generate``, ``fit``, ``ci`` (both methods), ``select``,
+  ``sim-select``, ``profile-curve`` and ``km-compare`` commands of the CLI:
+  exit code, stdout and stderr.
 
 An output that raises is recorded as its error class and message. Dict keys
 keep their order, so a reordered report reads as a change.
@@ -33,13 +39,18 @@ from bvf import (
     BaselineKind,
     BvfError,
     BvfParams,
+    CompetingRisksData,
     EstimationStudyConfig,
     SelectionStudyConfig,
+    alphas_given_lambda,
     asymptotic_ci,
     bootstrap_ci,
     censoring_threshold,
     fit_mle,
     from_bivariate,
+    log_likelihood,
+    observed_fisher,
+    profile_loglik,
     run_estimation_study,
     run_selection_study,
     sample,
@@ -58,8 +69,10 @@ CAPTION = {
 
 
 def _plain(value):
-    """``value`` as plain JSON values: tuples become lists, NumPy scalars
-    Python numbers."""
+    """``value`` as plain JSON values: tuples and arrays become lists, NumPy
+    scalars Python numbers."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -120,6 +133,16 @@ def _inference(out: dict) -> None:
             key = f"fit/{name}/{kind.value}"
             out[key] = _plain(fit.to_json_dict())
             out[f"{key}/asymptotic"] = _guarded(lambda: asymptotic_ci(fit, data).to_json_dict())
+            if fit.params_hat is not None:
+                # the fit's kept sums, then a pass on a new dataset object
+                fresh = CompetingRisksData(data.t, data.delta, data.censoring_time)
+                out[f"{key}/fisher"] = _guarded(lambda: observed_fisher(fit.params_hat, data))
+                out[f"{key}/fresh/fisher"] = _guarded(
+                    lambda: observed_fisher(fit.params_hat, fresh)
+                )
+                out[f"{key}/fresh/asymptotic"] = _guarded(
+                    lambda: asymptotic_ci(fit, fresh).to_json_dict()
+                )
             for B in (0, 10, 50):
                 out[f"{key}/bootstrap{B}"] = _guarded(
                     lambda: bootstrap_ci(fit, data, B=B, seed=B + 1).to_json_dict()
@@ -134,6 +157,35 @@ def _inference(out: dict) -> None:
     out["bootstrap/failure_reasons"] = _guarded(
         lambda: bootstrap_ci(fit, data, B=200, seed=11).to_json_dict()
     )
+
+
+# both clamps of the search range, rungs of the ladder (4**k), lambdas off
+# it, and one past the range that only the evaluation functions accept
+LAMBDAS = (1e-8, 4.0**-6, 0.37, 1.0, 2.9, 4.0**5, 1e8, 1e10)
+
+
+def _evaluations(out: dict) -> None:
+    sets = dict(_datasets())
+    sets["long"] = from_bivariate(
+        sample(CAPTION[G], 20000, 3), censoring_threshold(CAPTION[G], 0.3)
+    )
+    # a censored Gompertz exp(lam * t) and a censored Lomax lam * C past
+    # double range
+    sets["overflow/800"] = CompetingRisksData([0.5, 1.0, 2.0, 800.0], [0, 1, 2, 3])
+    sets["overflow/1e300"] = CompetingRisksData([0.5, 1.0, 2.0, 1e300], [0, 1, 2, 3])
+    for name, data in sets.items():
+        for kind, params in CAPTION.items():
+            for lam in LAMBDAS:
+                key = f"eval/{name}/{kind.value}/{lam!r}"
+                out[f"{key}/profile"] = _guarded(lambda: profile_loglik(lam, data, kind))
+                alphas = out[f"{key}/alphas"] = _guarded(
+                    lambda: alphas_given_lambda(lam, data, kind)
+                )
+                if not (isinstance(alphas, list) and min(alphas) > 0.0):
+                    alphas = [params.alpha0, params.alpha1, params.alpha2]
+                point = BvfParams(kind, *alphas, lam)
+                out[f"{key}/loglik"] = _guarded(lambda: log_likelihood(point, data))
+                out[f"{key}/fisher"] = _guarded(lambda: observed_fisher(point, data))
 
 
 def _parsed(text: str):
@@ -185,6 +237,17 @@ def _cli(out: dict) -> None:
                     ["ci", *common, "--method", "bootstrap", "--boot-B", "40", "--seed", "3"]
                 )
             out[f"cli/{kind}/select"] = run_cli(["select", "--data", path])
+            out[f"cli/{kind}/profile-curve"] = run_cli([
+                "profile-curve", "--data", path, "--kind", kind, "--lambda-min", "1e-8",
+                "--lambda-max", "1e8", "--points", "33",
+            ])
+            out[f"cli/{kind}/km-compare"] = run_cli(
+                ["km-compare", "--data", path, "--kind", kind, "--grid-points", "20"]
+            )
+            out[f"cli/{kind}/km-compare/given"] = run_cli([
+                "km-compare", "--data", path, "--kind", kind, "--alpha0", "0.8",
+                "--alpha1", "0.6", "--alpha2", "0.7", "--lambda", "1.2", "--grid-points", "20",
+            ])
         out["cli/sim-select"] = run_cli([
             "sim-select", "--kind", "lomax", "--alpha0", "0.85", "--alpha1", "0.57",
             "--alpha2", "0.74", "--lambda", "0.69", "--n", "30,60", "--reps", "15",
@@ -197,6 +260,7 @@ def outputs() -> dict:
     out: dict = {}
     _studies(out)
     _inference(out)
+    _evaluations(out)
     _cli(out)
     return out
 
