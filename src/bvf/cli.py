@@ -62,7 +62,8 @@ def _emit_json(obj: dict, out_path: Optional[str]) -> None:
 def _emit_csv(header: Sequence[str], rows, out_path: Optional[str]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if v == "" else repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+        cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", out_path)
 
 
@@ -261,7 +262,9 @@ def cmd_km_compare(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bvf", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(
+        prog="bvf", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample competing-risks data to CSV")

@@ -23,16 +23,21 @@ them into the profile and its derivatives, one set for all three kinds,
 run once per pass. Every sum runs along a row in NumPy, so a row's fit
 does not depend on the other rows. The ladder's climb, after its first
 step, scans ahead in chunks of rungs, the first of about two blocks of
-16384 records (``_SCAN_RECORDS``) per stack with scanning rows, about
-what a pass's fixed cost is worth, so a selection call scans its ladder
-in one pass. Each pass over the records, and the draws, run in row blocks of at
-most ``_SCAN_RECORDS`` records. A pass writes its temporaries into
-two scratch buffers of one block, allocated once and shared by the stacks
-of one call, so it allocates no per-record array, and the memory it touches stays in
-cache from block to block and from pass to pass. A sum over the uncensored
-records multiplies by the records' 0/1 float weights, where selecting them
-with np.where cost five times as much per record; the product and the
-selection give the same sums (see :class:`_Stack`).
+16384 records (``_SCAN_RECORDS``) per stack with scanning rows, about what
+a pass's fixed cost is worth, so a selection call scans its ladder in one
+pass.
+
+Every pass over the records runs in an engine call (:class:`_Passes`),
+the one-row evaluations of a single dataset included. Passes, and the
+draws, run in row blocks of at most ``_SCAN_RECORDS`` records. A stack
+holds its records and writes nothing after it is built; the engine call
+owns two scratch buffers of one block, into which each of its passes
+writes its temporaries, so a pass allocates no per-record array, the
+memory it touches stays in cache from block to block and from pass to
+pass, and calls from several threads share no buffer. A sum over the
+uncensored records multiplies by the records' 0/1 float weights, where
+selecting them with np.where cost five times as much per record; the
+product and the selection give the same sums (see :class:`_Stack`).
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -128,11 +133,15 @@ _MODES = np.array(
 # every row of a stack; for a one-row stack, a view instead of a gather
 _ALL = slice(None)
 
+# the rows of a one-row call on a dataset's stack (:func:`_workspace`)
+_ONE = np.zeros(1, np.intp)
+_ONE.flags.writeable = False
+
 # Records per block of a stacked pass; a ladder scan's first chunk holds
 # about two blocks per stack with scanning rows (:meth:`_Passes.scan_chunk`).
 #
-# A pass's temporaries live in its stack's two scratch buffers of one block
-# each (128 KB apiece, or one row when a row is longer), which stay in
+# A pass's temporaries live in its engine call's two scratch buffers of one
+# block each (128 KB apiece, or one row when a row is longer), which stay in
 # cache from block to block. Whole-stack temporaries (0.3-5 MB in a
 # bootstrap stack) would be mapped afresh on every pass, and each new page
 # costs a minor fault of about 2 us: on a 2-core x86-64 host with NumPy
@@ -179,28 +188,28 @@ def _tally(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Stack:
     """R equal-length datasets of one kind, stacked as (R, n) arrays: the form
     in which the fitting engine evaluates the profile and its derivatives.
+    A stack holds its records and writes nothing after ``__init__``, so one
+    stack may be in any number of engine calls at once, from several
+    threads too.
 
     ``x`` holds the per-record transform: log(t) for Weibull (so t**lam =
-    exp(lam*log t)), t itself otherwise. Methods take rows (an index array,
-    or ``_ALL``) and one lambda per row, and reduce along the last axis
-    only, so a row's numbers are the same bits whatever else is stacked
-    with it. Callers silence floating-point warnings: overflow saturates to
-    inf and the log of 0 is -inf. A pass over the records writes per-row
-    sums only (:meth:`_rowwise`); formulas common to every kind, fed each
-    row's constants ``terms``, do the rest (:func:`_profile`,
+    exp(lam*log t)), t itself otherwise. Its record sums take rows (an
+    index array, or ``_ALL``) and one lambda per row, and reduce along the
+    last axis only, so a row's numbers are the same bits whatever else is
+    stacked with it. Callers silence floating-point warnings: overflow
+    saturates to inf and the log of 0 is -inf. A pass over the records
+    writes per-row sums only (:meth:`_rowwise`); formulas common to every
+    kind, fed each row's constants ``terms``, do the rest (:func:`_profile`,
     :func:`_score`), once per pass over every stack of an engine call.
 
     Every pass over the records runs in row blocks of at most
     ``_SCAN_RECORDS`` records (:func:`_row_blocks`), and only per-row sums
     leave a block. Each row is still summed whole, as one contiguous row,
-    so the blocks change no bit. A pass writes its temporaries into the
-    stack's two scratch buffers (:meth:`_scratch`), one block of records
-    each, allocated at the stack's first pass or handed over by the engine
-    call it is in (:class:`_Passes`), in the order of the plain
-    formulas, so it allocates no per-record array and what it touches
-    stays in cache; only its per-row sums leave it, so no result
-    aliases the scratch. The scratch makes a stack single-threaded: a stack
-    shared between calls hands each one its own (:meth:`_share`). A one-row
+    so the blocks change no bit. A pass writes its temporaries, in the
+    order of the plain formulas, into the two scratch buffers ``z`` and
+    ``u`` of one block that its engine call owns (:class:`_Passes`), so it
+    allocates no per-record array and what it touches stays in cache; only
+    its per-row sums leave it, so no result aliases the scratch. A one-row
     stack evaluated at several lambdas broadcasts its row instead of
     gathering copies.
 
@@ -215,7 +224,7 @@ class _Stack:
     raises where a is inf, whatever c is.
     """
 
-    __slots__ = ("kind", "x", "w", "counts", "m", "terms", "_s", "_u")
+    __slots__ = ("kind", "x", "w", "counts", "m", "terms")
 
     @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None):
@@ -225,7 +234,6 @@ class _Stack:
         self.kind = kind
         R, n = t.shape
         self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
-        self._s = self._u = None
         self.counts, self.m = _tally(delta) if tally is None else tally
         # per row m, s (1 for Weibull, else 0) and sum_unc x (-0.0 for
         # Lomax, whose hazard sum needs a pass per lambda): see _hazard
@@ -248,34 +256,6 @@ class _Stack:
             if self.w is None:
                 unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
 
-    def _share(self) -> "_Stack":
-        """A stack over the same records without scratch yet: it allocates
-        its own at its first pass, so it and this stack can run passes at
-        the same time, from different threads too."""
-        new = object.__new__(_Stack)
-        for name in self.__slots__:
-            setattr(new, name, getattr(self, name))
-        new._s = new._u = None
-        return new
-
-    def _scratch(self, k):
-        """The stack's two scratch buffers, cut to ``k`` rows. Each holds
-        one block of :func:`_row_blocks`; they are allocated at the first
-        pass, or handed over by :meth:`_use_scratch`, and reused by every
-        pass after it."""
-        if self._s is None:
-            size = _block_size(self.x.shape[-1])
-            self._use_scratch(np.empty(size), np.empty(size))
-        return self._s[:k], self._u[:k]
-
-    def _use_scratch(self, s: np.ndarray, u: np.ndarray) -> None:
-        """Make the flat buffers ``s`` and ``u``, of at least one block each,
-        this stack's scratch; stacks whose passes never run at the same time
-        may share them."""
-        n = self.x.shape[-1]
-        per = _block_size(n) // n
-        self._s, self._u = s[: per * n].reshape(per, n), u[: per * n].reshape(per, n)
-
     def _block(self, rows, sel):
         """x and w (None but for Lomax) of ``rows[sel]``. A one-row stack
         gives its own (1, n) arrays, which broadcast against any number of
@@ -285,21 +265,22 @@ class _Stack:
         idx = sel if rows is _ALL else rows[sel]
         return self.x[idx], None if self.w is None else self.w[idx]
 
-    def _rowwise(self, sums, rows, lam, out) -> None:
+    def _rowwise(self, sums, rows, lam, out, z, u) -> None:
         """Write into ``out``, one column per lambda, the per-row sums that
-        ``sums(x, w, lam, out)`` writes for a block of records, at each of
-        ``rows``, in the blocks of :func:`_row_blocks`."""
-        n = self.x.shape[-1]
-        if lam.size <= max(1, _SCAN_RECORDS // n):
-            sums(*self._block(rows, _ALL), lam, out)
+        ``sums(x, w, lam, out, z, u)`` writes for a block of records, at
+        each of ``rows``, in the blocks of :func:`_row_blocks`; ``z`` and
+        ``u`` are the scratch buffers, (block, n) views, that the blocks
+        reuse."""
+        if lam.size <= len(z):
+            sums(*self._block(rows, _ALL), lam, out, z[: lam.size], u[: lam.size])
             return
-        for blk in _row_blocks(lam.size, n):
-            sums(*self._block(rows, blk), lam[blk], out[:, blk])
+        for blk in _row_blocks(lam.size, self.x.shape[-1]):
+            k = blk.stop - blk.start
+            sums(*self._block(rows, blk), lam[blk], out[:, blk], z[:k], u[:k])
 
-    def _survival_sums(self, x, w, lam, out) -> None:
+    def _survival_sums(self, x, w, lam, out, z, u) -> None:
         """Write into the (2, k) ``out`` a block's survival sums a and, for
         Lomax, sum_unc log1p(lam*x), in one transcendental pass."""
-        z, u = self._scratch(lam.size)
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.WEIBULL:
             np.exp(z, out=z).sum(axis=-1, out=out[0])
@@ -309,19 +290,6 @@ class _Stack:
             s = np.log1p(z, out=z)
             s.sum(axis=-1, out=out[0])
             np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
-
-    def survival(self, rows, lam):
-        """The survival sum a = -sum_all log S0(t_i) and the hazard sum
-        c = sum_unc log h0(t_i) at each row, in one transcendental pass."""
-        a, unc_log1p = sums = _SURVIVAL_SUMS.repeat(lam.size, axis=1)
-        self._rowwise(self._survival_sums, rows, lam, sums)
-        return a, _hazard(self.terms[:, rows], lam, unc_log1p)
-
-    def profile(self, rows, lam) -> np.ndarray:
-        """p(lambda) = c - m log a at each row (:func:`_profile`)."""
-        sums = _SURVIVAL_SUMS.repeat(lam.size, axis=1)
-        self._rowwise(self._survival_sums, rows, lam, sums)
-        return _profile([(_ALL, self, rows)], lam, self.terms[:, rows], sums)
 
     def _log_survival_overflow(self, rows, lam, a, c, m, p) -> None:
         """Where a is past double range (Weibull and Gompertz; Lomax sums
@@ -335,7 +303,7 @@ class _Stack:
             e, hi = _shifted_exp(lam[over, None] * self._block(rows, over)[0])
             p[over] = c[over] - m[over] * (hi + np.log(e.sum(axis=-1)))
 
-    def _slope_sums(self, x, w, lam, out) -> None:
+    def _slope_sums(self, x, w, lam, out, z, u) -> None:
         """Write into the (6, k) ``out`` a block's survival sum a, its
         lambda derivatives a' and a'', and the uncensored sums of
         log1p(lam*t), q and q**2 that the Lomax hazard terms need (the other
@@ -345,7 +313,6 @@ class _Stack:
         a'' = -sum q**2. a and the log1p sum are the bits
         :meth:`_survival_sums` writes, from the same terms in the same
         order."""
-        z, u = self._scratch(lam.size)
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
             s = np.log1p(z, out=u)
@@ -369,12 +336,6 @@ class _Stack:
         xe = np.multiply(x, s, out=u)
         xe.sum(axis=-1, out=out[1])
         np.multiply(x, xe, out=xe).sum(axis=-1, out=out[2])
-
-    def moments(self, rows, lam):
-        """a', a'' and c'' at each row (see :meth:`_slope_sums`)."""
-        _, a1, a2, _, _, uq2 = sums = _SLOPE_SUMS.repeat(lam.size, axis=1)
-        self._rowwise(self._slope_sums, rows, lam, sums)
-        return a1, a2, _curvature(self.terms[0, rows], lam, uq2)
 
     def _ratios_overflow(self, rows, lam, a, r1, r2) -> None:
         """Where a is past double range (Weibull and Gompertz), the ratios
@@ -418,11 +379,11 @@ def _hazard(terms, lam, unc_log1p):
 def _profile(runs, lam, terms, sums) -> np.ndarray:
     """p(lambda) = c - m log a (c from :func:`_hazard`) at each row of a
     pass, from the rows' ``terms`` and the pass's (2, R) survival ``sums``
-    (:meth:`_Stack._survival_sums`); -inf where a vanishes or is
-    undefined. Where a is past double
-    range the row's stack takes log a as a logsumexp (``runs`` as
-    :meth:`_Passes._runs` gives them): keeping the profile finite stops a
-    monotone rise being mistaken for an interior maximum."""
+    (:meth:`_Stack._survival_sums`); -inf where a vanishes or is undefined.
+    Where a is past double range the row's stack takes log a as a
+    logsumexp (``runs`` as :meth:`_Passes._runs` gives them): keeping the
+    profile finite stops a monotone rise being mistaken for an interior
+    maximum."""
     a, unc_log1p = sums
     m = terms[0]
     c = _hazard(terms, lam, unc_log1p)
@@ -430,7 +391,7 @@ def _profile(runs, lam, terms, sums) -> np.ndarray:
     p = c - m * log_a
     # a sum is finite only if every term is (an overflow merely costs time)
     if not math.isfinite(log_a.sum()):
-        for at, stack, own in runs:
+        for at, stack, own, _ in runs:
             stack._log_survival_overflow(own, lam[at], a[at], c[at], m[at], p[at])
         p[~((a > 0.0) & (p > -np.inf))] = -np.inf
     return p
@@ -454,7 +415,7 @@ def _score(runs, lam, terms, sums) -> tuple:
     r1 = a1 / a
     r2 = a2 / a
     if not math.isfinite(r2.sum()):
-        for at, stack, own in runs:
+        for at, stack, own, _ in runs:
             stack._ratios_overflow(own, lam[at], a[at], r1[at], r2[at])
     lam2 = lam * lam
     g = m + lam * (unc_sum - uq) - m * (lam * r1)
@@ -477,11 +438,10 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
     """The one-row stack of ``data``, whose records are built once per
     (data, kind): the one place a (data, kind) pair enters, so a kind that
-    is not a BaselineKind is a DomainError here. The dataset caches a
-    stack without scratch, and each call gets a stack of its own over the
-    cached records (:meth:`_Stack._share`), which takes scratch at its
-    first pass or from its engine call: a dataset keeps no scratch alive,
-    and calls on it from several threads write to no shared buffer."""
+    is not a BaselineKind is a DomainError here. The dataset caches the
+    stack, which holds no scratch: each engine call on it owns its own
+    (:class:`_Passes`), so calls on one dataset from several threads write
+    to no shared buffer."""
     _check_kind(kind)
     key = ("workspace", kind)
     ws = data._cache.get(key)
@@ -490,7 +450,7 @@ def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
         counts = np.array([[data.m0], [data.m1], [data.m2]])
         tally = (counts, counts.sum(axis=0))
         ws = data._cache[key] = _Stack(kind, data.t[None, :], data.delta[None, :], tally)
-    return ws._share()
+    return ws
 
 
 def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
@@ -501,18 +461,13 @@ def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
     sum over uncensored records only. Returns ``-inf`` where the likelihood
     vanishes (e.g. a zero alpha against a nonzero count).
     """
+    ws = _workspace(data, p.kind)
+    lam = np.array([p.lam])
     alphas = np.array([[p.alpha0], [p.alpha1], [p.alpha2]])
-    return _loglik_rows(_workspace(data, p.kind), _ALL, np.array([p.lam]), alphas)[0]
-
-
-def _loglik_rows(stack: _Stack, rows, lam: np.ndarray, alphas: np.ndarray) -> list:
-    """:func:`log_likelihood` at each of ``rows``, with one lambda and one
-    column of ``alphas`` (shape (3, R)) per row. The per-record sums take
-    one stacked pass; the rest is scalar arithmetic per row, so every row
-    gets the bits its one-row call would."""
     with np.errstate(all="ignore"):
-        a, c = stack.survival(rows, lam)
-    return _loglik_from_sums(stack.counts[:, rows], alphas, a, c)
+        _, (a, unc_log1p) = _Passes([ws]).survival(_ONE, lam)
+        c = _hazard(ws.terms, lam, unc_log1p)
+    return _loglik_from_sums(ws.counts, alphas, a, c)[0]
 
 
 def _loglik_from_sums(m: np.ndarray, alphas: np.ndarray, a: np.ndarray, c: np.ndarray) -> list:
@@ -551,7 +506,7 @@ def alphas_given_lambda(
     lam = _check_lambda(lam)
     ws = _workspace(data, kind)
     with np.errstate(all="ignore"):
-        a = float(ws.survival(_ALL, np.array([lam]))[0][0])
+        a = float(_Passes([ws]).survival(_ONE, np.array([lam]))[1][0, 0])
     if not math.isfinite(a) or a <= 0.0:
         raise DegenerateDataError(f"sum of log S0 vanished or overflowed at lambda={lam!r}")
     m0, m1, m2 = ws.counts[:, 0].tolist()
@@ -573,7 +528,7 @@ def profile_loglik(lam: float, data: CompetingRisksData, kind: BaselineKind) -> 
     if ws.m[0] == 0:
         raise EstimationError("no failures observed")
     with np.errstate(all="ignore"):
-        return float(ws.profile(_ALL, np.array([lam]))[0])
+        return float(_Passes([ws]).profile(_ONE, np.array([lam]))[0])
 
 
 class FitOptions:
@@ -671,13 +626,12 @@ class _Fits(NamedTuple):
 
     ``code`` holds each row's outcome code (``_OUTCOMES``); ``lam`` and
     ``alphas`` (shape (3, R)) hold the estimates of rows with
-    ``code <= _BOUNDARY``.
-    ``a``, ``c``, ``a1``, ``a2`` and ``c2`` hold, per row that reached
-    Newton (NaN otherwise), the survival and hazard sums a and c and the
-    derivatives a', a'' and c'' at its lambda-hat, from the sums of its
-    last Newton pass, which was evaluated there (c and c'' once per engine
-    call), so they are the bits of :meth:`_Stack.survival` and
-    :meth:`_Stack.moments` at ``lam``.
+    ``code <= _BOUNDARY``. ``a``, ``c``, ``a1``, ``a2`` and ``c2`` hold,
+    per row that reached Newton (NaN otherwise), the survival and hazard
+    sums a and c and the derivatives a', a'' and c'' at its lambda-hat,
+    from the sums of its last Newton pass, which was evaluated there (c
+    and c'' once per engine call): the bits that a survival or Newton pass
+    of a new engine call gives at ``lam``.
     """
 
     code: np.ndarray
@@ -692,34 +646,37 @@ class _Fits(NamedTuple):
 
 
 class _Passes:
-    """The record passes of one engine call, over the rows of its stacks
-    laid end to end: row r of the call is a row of the stack whose offset
+    """One engine call: the record passes over the rows of its stacks laid
+    end to end, where row r of the call is a row of the stack whose offset
     range holds it. ``terms`` (see :class:`_Stack`), ``counts`` and
     ``slices`` (each stack's rows of the call) are per call row.
+
+    The call owns the only scratch its passes write: two flat buffers as
+    large as the largest block among its stacks, of which each stack gets
+    its (block, n) views once, here. Passes run one at a time and no result
+    aliases the scratch, so the stacks share the buffers; the stacks
+    themselves are only read, so a stack may be in several calls at once.
 
     Every pass's rows are in ascending order, so each stack's rows are one
     contiguous run of them, which np.searchsorted on the stack offsets
     finds. Each stack writes the record sums of its run into the pass's
     one array of per-row sums; the formulas then run once over all the
     pass's rows, and only rows whose survival sum is past double range go
-    back to their stack. Passes run one at a time and no result aliases a
-    stack's scratch, so the stacks of a call share one scratch pair, as
-    large as the largest block among them (:meth:`_Stack._use_scratch`).
+    back to their stack.
     """
 
     def __init__(self, stacks: list):
         self.stacks = stacks
-        size = max(_block_size(stack.x.shape[-1]) for stack in stacks)
-        scratch = np.empty(size), np.empty(size)
-        for stack in stacks:
-            stack._use_scratch(*scratch)
+        ns = [stack.x.shape[-1] for stack in stacks]
+        s, u = (np.empty(max(map(_block_size, ns))) for _ in range(2))
+        self.views = [
+            (s[: _block_size(n)].reshape(-1, n), u[: _block_size(n)].reshape(-1, n)) for n in ns
+        ]
         self.bounds = list(itertools.accumulate((stack.m.size for stack in stacks), initial=0))
         self.offsets = np.array(self.bounds)
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
-        # the rows, runs and terms of the last Newton pass (see newton)
-        self._newton = None
 
     def scan_chunk(self, rows: np.ndarray) -> int:
         """The rungs ahead that a ladder scan of ``rows`` (distinct rows)
@@ -728,47 +685,49 @@ class _Passes:
         them allow."""
         cuts = np.searchsorted(rows, self.offsets).tolist()
         records = [(hi - lo) * st.x.shape[-1] for st, lo, hi in zip(self.stacks, cuts, cuts[1:])]
-        return max(1, 2 * _SCAN_RECORDS * (len(records) - records.count(0)) // max(1, sum(records)))
+        busy = len(records) - records.count(0)
+        return max(1, 2 * _SCAN_RECORDS * busy // max(1, sum(records)))
 
     def _runs(self, rows: np.ndarray, distinct=False) -> list:
         """Per stack with rows in the pass, in order: the pass positions of
-        its run, the stack, and its own indices of the run's rows (``_ALL``
+        its run, the stack, its own indices of the run's rows (``_ALL``
         when ``rows`` are ``distinct`` and the run holds every row of the
-        stack)."""
+        stack), and its scratch views."""
         cuts = np.searchsorted(rows, self.offsets).tolist()
         runs = []
-        for stack, off, lo, hi in zip(self.stacks, self.bounds, cuts, cuts[1:]):
+        for stack, views, off, lo, hi in zip(self.stacks, self.views, self.bounds, cuts, cuts[1:]):
             if hi > lo:
                 if distinct and hi - lo == stack.m.size:
                     own = _ALL
                 else:
                     own = rows[lo:hi] - off if off else rows[lo:hi]
-                runs.append((slice(lo, hi), stack, own))
+                runs.append((slice(lo, hi), stack, own, views))
         return runs
 
-    def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """:meth:`_Stack.profile` at each of ``rows``."""
+    def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
+        """The runs of ``rows`` and the (2, R) survival sums at them
+        (:meth:`_Stack._survival_sums`): a, and sum_unc log1p(lam*x) for
+        Lomax rows."""
         runs = self._runs(rows)
         sums = _SURVIVAL_SUMS.repeat(rows.size, axis=1)
-        for at, stack, own in runs:
-            stack._rowwise(stack._survival_sums, own, lam[at], sums[:, at])
+        for at, stack, own, views in runs:
+            stack._rowwise(stack._survival_sums, own, lam[at], sums[:, at], *views)
+        return runs, sums
+
+    def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """p(lambda) (:func:`_profile`) at each of ``rows``."""
+        runs, sums = self.survival(rows, lam)
         return _profile(runs, lam, self.terms[:, rows], sums)
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
-        and the (6, R) sums of :meth:`_Stack._slope_sums` they come from.
-        Newton's active rows stay one array from pass to pass until some
-        stop, so the runs of ``rows`` and their terms are kept from the
-        last call while it passes the same array, which no caller writes
-        into."""
-        if self._newton is None or self._newton[0] is not rows:
-            # as many distinct rows as the call has are all of them, in order
-            terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
-            self._newton = rows, self._runs(rows, distinct=True), terms
-        _, runs, terms = self._newton
+        and the (6, R) sums of :meth:`_Stack._slope_sums` they come from."""
+        # as many distinct rows as the call has are all of them, in order
+        terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
+        runs = self._runs(rows, distinct=True)
         sums = _SLOPE_SUMS.repeat(rows.size, axis=1)
-        for at, stack, own in runs:
-            stack._rowwise(stack._slope_sums, own, lam[at], sums[:, at])
+        for at, stack, own, views in runs:
+            stack._rowwise(stack._slope_sums, own, lam[at], sums[:, at], *views)
         return (*_score(runs, lam, terms, sums), sums)
 
 
@@ -794,11 +753,11 @@ def _fit_stacks(stacks: list) -> list:
     in chunks of rungs, one profile pass each: the first chunk holds about
     2 x ``_SCAN_RECORDS`` records per stack with scanning rows
     (:meth:`_Passes.scan_chunk`), and each later one twice the rungs, so a
-    selection call scans in one pass. Rungs cost one
-    transcendental pass per record; only Newton iterates take the
-    derivative sums, and the sums of a row's last iterate, at lambda-hat,
-    are kept, read from the pass's sums when the row stops (see
-    :class:`_Fits`), for the log-likelihood and the Wald variances there.
+    selection call scans in one pass. Rungs cost one transcendental pass
+    per record; only Newton iterates take the derivative sums, and the
+    sums of a row's last iterate, at lambda-hat, are kept, read from the
+    pass's sums when the row stops (see :class:`_Fits`), for the
+    log-likelihood and the Wald variances there.
     A row's ``n_evals`` counts the rungs a one-rung scan would evaluate,
     whatever the chunk size, and no stopping rule looks at another row, so
     each row gets the bits and the count of its one-row fit, whatever
@@ -1065,25 +1024,27 @@ def observed_fisher(p_hat: BvfParams, data: CompetingRisksData) -> np.ndarray:
 
 def _moments_at(data: CompetingRisksData, p_hat: BvfParams) -> tuple[_Stack, tuple]:
     """The workspace of ``data`` for ``p_hat``'s kind, and a', a'' and c''
-    at ``p_hat.lam`` (shape (1,) each, see :meth:`_Stack.moments`). When
-    ``p_hat.lam`` is the lambda-hat that :func:`fit_mle` last found on this
-    dataset object for this kind, they are the sums its last Newton pass
-    kept there, which a moments pass would repeat bit for bit; otherwise
-    they take that one pass."""
+    at ``p_hat.lam`` (shape (1,) each). When ``p_hat.lam`` is the
+    lambda-hat that :func:`fit_mle` last found on this dataset object for
+    this kind, they are the sums its last Newton pass kept there;
+    otherwise they take one Newton pass at ``p_hat.lam``, which gives the
+    same bits there."""
     ws = _workspace(data, p_hat.kind)
     memo = data._cache.get(("moments", p_hat.kind))
     # lambda is a positive float, for which == compares bits
     if memo is not None and memo[0] == p_hat.lam:
         return ws, memo[1:]
+    lam = np.array([p_hat.lam])
     with np.errstate(all="ignore"):
-        return ws, ws.moments(_ALL, np.array([p_hat.lam]))
+        _, a1, a2, _, _, uq2 = _Passes([ws]).newton(_ONE, lam)[2]
+        return ws, (a1, a2, _curvature(ws.terms[0], lam, uq2))
 
 
 def _variances_from_moments(m, alphas, a1, a2, c2) -> np.ndarray:
     """The Wald variances, the diagonal of the inverse observed information,
     of R fits, from the failure counts ``m`` and the ``alphas`` (both shape
     (3, R)) and from a', a'' and c'' at each fit's lambda
-    (:meth:`_Stack.moments`): an (R, 4) array in ``PARAM_NAMES`` order, NaN
+    (:func:`_moments_at`): an (R, 4) array in ``PARAM_NAMES`` order, NaN
     throughout a row whose information is not positive definite.
 
     The information (:func:`observed_fisher`) is I = [[D, b], [b^T, c]] with
@@ -1179,7 +1140,8 @@ def asymptotic_ci(
     dataset object, it takes no pass over the records: a', a'' and c'' at
     lambda-hat are the sums the fit's last Newton pass kept there
     (:func:`_moments_at`); ``fit`` from another dataset object, or a
-    dataset not fitted yet, takes one moments pass, with the same bits.
+    dataset not fitted yet, takes one Newton pass there, with the same
+    bits.
 
     Raises
     ------

@@ -54,7 +54,9 @@ def _differences(got, want, close, path="", out=None) -> list:
 
 
 def _relative(got: float, want: float) -> bool:
-    return abs(got - want) <= RTOL * max(abs(got), abs(want))
+    # an infinity is close to nothing but itself, which == has compared
+    finite = math.isfinite(got) and math.isfinite(want)
+    return finite and abs(got - want) <= RTOL * max(abs(got), abs(want))
 
 
 def test_studies_do_not_depend_on_the_worker_count(got):

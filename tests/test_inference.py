@@ -63,6 +63,8 @@ from bvf.inference import (
     _Stack,
 )
 
+from engine_passes import run_pass
+
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 # the Gompertz and Lomax caption parameters
 PG = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
@@ -644,9 +646,10 @@ class TestLockstepFits:
         stacks = build()
         got = _fit_stacks(stacks)
         alone = [_fit_stacks([stack])[0] for stack in build()]
-        # the stacks of one call share one scratch pair
-        assert len({id(stack._s.base) for stack in stacks}) == 1
-        assert len({id(stack._u.base) for stack in stacks}) == 1
+        # the stacks of one call share its one scratch pair
+        views = inference._Passes(stacks).views
+        assert len(views) == len(stacks)
+        assert len({id(z.base) for z, _ in views}) == len({id(u.base) for _, u in views}) == 1
         assert len(got) == len(alone) == len(layout) + 2
         for g, w in zip(got, alone):
             self.assert_same_fits(g, w)
@@ -666,7 +669,7 @@ class TestLockstepFits:
         assert fits[G, 200].code[0] == _NO_MLE_FLAT
         assert np.isfinite(fits[G, 200].lam[0])  # Newton ran: the flatness check decided
         with np.errstate(all="ignore"):
-            a, _ = _Stack(G, *records[12]).survival(np.array([5]), np.array([4.0]))
+            a, _ = run_pass(_Stack(G, *records[12]), "survival", np.array([5]), np.array([4.0]))
         assert a[0] == math.inf
         assert fits[G, 12].n_evals[5] > 0
         assert got[-2].code.tolist() == [_CONVERGED] and got[-1].code.size == 0
@@ -723,11 +726,11 @@ class TestLockstepFits:
             for stack, at in zip(build(), passes.slices):
                 own = rows[(rows >= at.start) & (rows < at.stop)] - at.start
                 lam_own = lam[(rows >= at.start) & (rows < at.stop)]
-                want_p.append(stack.profile(own, lam_own))
+                want_p.append(run_pass(stack, "profile", own, lam_own))
                 *terms, slopes = inference._Passes([stack]).newton(own, lam_own)
                 want_terms.append(terms)
                 want_sums.append(slopes)
-            a, c = _Stack(L, lomax_t, delta).survival(np.array([1]), np.array([1e4]))
+            a, c = run_pass(_Stack(L, lomax_t, delta), "survival", np.array([1]), np.array([1e4]))
         assert a[0] == math.inf and math.isnan(c[0])
         # survival sums past double range at pass positions 1 (Lomax), 4
         # and 6 (Weibull), 7 and 9 (Gompertz)
@@ -780,16 +783,16 @@ class TestRowBlocks:
         lams = np.where(np.isin(np.arange(R), over), lam, 0.8)
         stack = _Stack(kind, t, delta)
         with np.errstate(all="ignore"):
-            a, _ = stack.survival(_ALL, lams)
-            p = stack.profile(np.arange(R), lams)
-            terms = _newton_terms(stack, _ALL, lams)
+            a, _ = run_pass(stack, "survival", _ALL, lams)
+            p = run_pass(stack, "profile", np.arange(R), lams)
+            terms = run_pass(stack, "newton_terms", _ALL, lams)
         assert (a[over] == np.inf).all() and np.isfinite(p[over]).all()
         for r in range(R):
             data = CompetingRisksData(t[r], delta[r])
             assert p[r] == profile_loglik(float(lams[r]), data, kind), r
             one = _Stack(kind, t[r : r + 1], delta[r : r + 1])
             with np.errstate(all="ignore"):
-                want = _newton_terms(one, _ALL, lams[r : r + 1])
+                want = run_pass(one, "newton_terms", _ALL, lams[r : r + 1])
             assert [v[r] for v in terms] == [v[0] for v in want], r
 
     @pytest.mark.parametrize(
@@ -900,7 +903,7 @@ class TestStackSums:
         delta = np.stack([d.delta for d in datasets for _ in lams])
         lam = np.array(lams * len(datasets))
         with np.errstate(all="ignore"):
-            a, c = _Stack(p.kind, t, delta).survival(_ALL, lam)
+            a, c = run_pass(_Stack(p.kind, t, delta), "survival", _ALL, lam)
         assert (delta == 3).any(axis=1).all()
         for r in range(lam.size):
             unc = t[r][delta[r] != 3].tolist()
@@ -912,7 +915,7 @@ class TestStackSums:
         t = np.array([[0.5, 1.0, 2.0, 800.0]])
         delta = np.array([[0, 1, 2, 3]])
         with np.errstate(all="ignore"):
-            a, c = _Stack(G, t, delta).survival(_ALL, np.array([1.0]))
+            a, c = run_pass(_Stack(G, t, delta), "survival", _ALL, np.array([1.0]))
         self.check(a[0], [-log_s0(G, x, 1.0) for x in t[0].tolist()])
         self.check(c[0], [math.log(h0(G, x, 1.0)) for x in t[0, :3].tolist()])
         assert a[0] == math.inf and math.isfinite(c[0])
@@ -925,7 +928,7 @@ class TestStackSums:
         delta = np.array([0, 1, 2, 3])
         lam = 1e10
         with np.errstate(all="ignore"):
-            a, c = _Stack(L, t[None], delta[None]).survival(_ALL, np.array([lam]))
+            a, c = run_pass(_Stack(L, t[None], delta[None]), "survival", _ALL, np.array([lam]))
         self.check(a[0], [-log_s0(L, x, lam) for x in t.tolist()])
         assert a[0] == math.inf and math.isnan(c[0])
         data = CompetingRisksData(t, delta, censoring_time=1e300)
@@ -966,24 +969,6 @@ def _reference_sums(kind, t, delta, lam):
     return survival, slopes, np.where(unc, x, 0.0).sum(axis=-1)
 
 
-def _newton_terms(stack, rows, lam, passes=None):
-    """a, g and h at ``rows`` of ``stack`` (ascending indices, or ``_ALL``),
-    from a Newton pass of ``passes``, an engine call over that stack alone
-    (a new one when not given)."""
-    if rows is _ALL:
-        rows = np.arange(stack.m.size)
-    g, h, sums = (passes or inference._Passes([stack])).newton(rows, lam)
-    return sums[0], g, h
-
-
-def _stack_pass(stack, name, rows, lam, passes=None):
-    """The pass ``name`` of ``stack`` at ``rows`` and ``lam``: a method of
-    the stack, or "newton_terms" (:func:`_newton_terms` with ``passes``)."""
-    if name == "newton_terms":
-        return _newton_terms(stack, rows, lam, passes)
-    return getattr(stack, name)(rows, lam)
-
-
 def _reference_passes(kind, t, delta, lam):
     """survival, newton_terms and moments of a stack of ``t``/``delta``
     rows at ``lam``, from :func:`_reference_sums` by the stack's formulas
@@ -1012,10 +997,10 @@ def _reference_passes(kind, t, delta, lam):
 
 
 class TestStackPasses:
-    """A pass writes its temporaries into the stack's scratch and weights
-    its masked sums by floats; its outputs must be the bits of the plain
-    formulas (:func:`_reference_passes`), whatever ran on the stack before,
-    and it must allocate no per-record array."""
+    """A pass writes its temporaries into its engine call's scratch and
+    weights its masked sums by floats; its outputs must be the bits of the
+    plain formulas (:func:`_reference_passes`), whatever ran in the call
+    before, and it must allocate no per-record array."""
 
     @staticmethod
     def records(kind, censored, R, n, seed=0):
@@ -1029,14 +1014,16 @@ class TestStackPasses:
 
     @staticmethod
     def assert_passes(stack, rows, lam, want):
+        passes = inference._Passes([stack])
+        scratch = [view.base for view in passes.views[0]]
         for name, values in want.items():
             with np.errstate(all="ignore"):
-                got = _stack_pass(stack, name, rows, lam)
+                got = run_pass(stack, name, rows, lam, passes)
             assert len(got) == len(values), name
             for g, v in zip(got, values):
                 assert g.shape == v.shape and np.array_equal(g, v, equal_nan=True), name
                 assert g.tobytes() == v.tobytes(), name
-                assert not np.shares_memory(g, stack._s) and not np.shares_memory(g, stack._u)
+                assert not any(np.shares_memory(g, buffer) for buffer in scratch), name
 
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
     @pytest.mark.parametrize("kind", [W, G, L])
@@ -1052,11 +1039,11 @@ class TestStackPasses:
         rows = np.array([59, 0, 17, 17, 3, 41])
         with np.errstate(all="ignore"):
             want = _reference_passes(kind, t[rows], delta[rows], lam[rows])
-        # a Newton pass takes distinct rows in ascending order
-        newton = want.pop("newton_terms")
+        # a Newton pass, and so a moments pass, takes distinct rows
+        distinct = {name: want.pop(name) for name in ("newton_terms", "moments")}
         self.assert_passes(stack, rows, lam[rows], want)
         rows, first = np.unique(rows, return_index=True)
-        want = {"newton_terms": tuple(v[first] for v in newton)}
+        want = {name: tuple(v[first] for v in values) for name, values in distinct.items()}
         self.assert_passes(stack, rows, lam[rows], want)
 
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
@@ -1087,11 +1074,11 @@ class TestStackPasses:
 
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_scratch_reuse_leaks_nothing(self, kind):
-        # passes of every kind, at other lambdas and rows, run in turn on one
-        # stack: each gives what it gives on a new stack
+        # passes of every kind, at other lambdas and rows, run in turn in one
+        # engine call, on its one scratch pair: each gives what it gives in
+        # a new call on a new stack
         t, delta = self.records(kind, True, 9, 300, seed=40)
         shared = _Stack(kind, t, delta)
-        # its scratch is the engine call's from here on
         passes = inference._Passes([shared])
         calls = [
             ("profile", _ALL, np.full(9, 0.7)),
@@ -1104,16 +1091,18 @@ class TestStackPasses:
         ]
         with np.errstate(all="ignore"):
             for name, rows, lam in calls:
-                got = _stack_pass(shared, name, rows, lam, passes)
-                want = _stack_pass(_Stack(kind, t, delta), name, rows, lam)
+                got = run_pass(shared, name, rows, lam, passes)
+                want = run_pass(_Stack(kind, t, delta), name, rows, lam)
                 for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
                     assert g.tobytes() == w.tobytes(), (name, lam)
 
     def test_threads_on_one_dataset_share_no_scratch(self):
         # profiles, fits, selections and log-likelihoods of one dataset from
         # more threads than cores, with a short switch interval: each call
-        # runs on the cached records in scratch of its own (a selection's
-        # three candidate stacks share one pair), and the cache keeps none
+        # runs on the cached stacks in the scratch of its own engine call (a
+        # selection's three candidate stacks share one pair), and the
+        # cached stacks hold only their records, which no call writes
+        assert _Stack.__slots__ == ("kind", "x", "w", "counts", "m", "terms")
         p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
         data = from_bivariate(sample(p, 20000, seed=3), censoring_threshold(p, 0.3))
 
@@ -1125,7 +1114,14 @@ class TestStackPasses:
             chosen = select_model(data).to_json_dict()
             return profile_loglik(lam, data, kind), log_likelihood(params, data), fit, chosen
 
+        def records(ws):
+            return [None if ws.w is None else ws.w.tobytes()] + [
+                getattr(ws, name).tobytes() for name in ("x", "counts", "m", "terms")
+            ]
+
         serial = [task(j) for j in range(12)]
+        cached = {kind: inference._workspace(data, kind) for kind in (W, G, L)}
+        before = {kind: records(ws) for kind, ws in cached.items()}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1134,25 +1130,28 @@ class TestStackPasses:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
-        assert all(data._cache[("workspace", kind)]._s is None for kind in (W, G, L))
+        for kind, ws in cached.items():
+            assert inference._workspace(data, kind) is ws
+            assert records(ws) == before[kind], kind
 
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_passes_allocate_no_record_arrays(self, kind):
         # a one-row stack of 50000 records: a pass's temporaries would take
-        # 400 kB each; past the first pass, which allocates the scratch,
-        # only per-row sums and their arithmetic may be new
+        # 400 kB each; once the engine call has allocated its scratch, and
+        # a first pass has run, only per-row sums and their arithmetic may
+        # be new
         t, delta = self.records(kind, True, 1, 50000)
         stack = _Stack(kind, t, delta)
         lam = np.array([0.9])
         passes = inference._Passes([stack])
         with np.errstate(all="ignore"):
-            stack.survival(_ALL, lam)
+            run_pass(stack, "survival", _ALL, lam, passes)
         tracemalloc.start()
         try:
             for name in ("survival", "profile", "newton_terms", "moments"):
                 tracemalloc.reset_peak()
                 with np.errstate(all="ignore"):
-                    _stack_pass(stack, name, _ALL, lam, passes)
+                    run_pass(stack, name, _ALL, lam, passes)
                 assert tracemalloc.get_traced_memory()[1] < 50000, name
         finally:
             tracemalloc.stop()
@@ -1229,6 +1228,22 @@ class TestConsistency:
         assert fit.params_hat.alpha2 == pytest.approx(p.alpha2, rel=0.05)
 
 
+def _recorded_passes(monkeypatch) -> list:
+    """A list to which every record pass of an engine call, from here on,
+    appends its kind ("survival", of which a profile pass is one, or
+    "newton") and its lambdas."""
+    passes = []
+    for name in ("survival", "newton"):
+        wrapped = getattr(inference._Passes, name)
+
+        def recorded(self, rows, lam, wrapped=wrapped, name=name):
+            passes.append((name, lam.tolist()))
+            return wrapped(self, rows, lam)
+
+        monkeypatch.setattr(inference._Passes, name, recorded)
+    return passes
+
+
 class TestObservedFisher:
     def test_rate_block_closed_form(self):
         p = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -1272,19 +1287,12 @@ class TestObservedFisher:
         data = from_bivariate(sample(p, 300, seed=21), censoring_threshold(p, 0.3))
         fit = fit_mle(data, kind)
         want = observed_fisher(fit.params_hat, data)
-        passes = []
-        moments = _Stack.moments
-
-        def counted(stack, rows, lam):
-            passes.append(lam.tolist())
-            return moments(stack, rows, lam)
-
-        monkeypatch.setattr(_Stack, "moments", counted)
+        passes = _recorded_passes(monkeypatch)
         assert observed_fisher(fit.params_hat, data).tobytes() == want.tobytes()
         assert passes == []
         fresh = CompetingRisksData(data.t, data.delta, data.censoring_time)
         assert observed_fisher(fit.params_hat, fresh).tobytes() == want.tobytes()
-        assert passes == [[fit.params_hat.lam]]
+        assert passes == [("newton", [fit.params_hat.lam])]
         with pytest.raises(SingularMatrixError):
             observed_fisher(BvfParams(kind, 1.0, 1e-9, 1e-9, 1.0), CompetingRisksData([1.0], [0]))
         assert len(passes) == 2
@@ -1474,7 +1482,7 @@ class TestWaldVariances:
         fits = [fit_mle(data, L) for data in datasets]
         assert all(fit.status is FitStatus.CONVERGED for fit in fits)
         convex = datasets[1]
-        _, g, h = _newton_terms(inference._workspace(convex, L), _ALL, np.array([16.0]))
+        _, g, h = run_pass(inference._workspace(convex, L), "newton_terms", _ALL, np.array([16.0]))
         assert h[0] - g[0] > 0.0  # lambda**2 p''
         delta = datasets[0].delta.copy()
         delta[delta == 2] = 1
@@ -1488,7 +1496,7 @@ class TestWaldVariances:
         order = np.array([5, 1, 0, 3, 4, 2])
         theta = np.array([rows[r][1] for r in order])
         with np.errstate(all="ignore"):
-            moments = stack.moments(order, theta[:, 3])
+            moments = run_pass(stack, "moments", order, theta[:, 3])
         m = stack.counts[:, order]
         variances = inference._variances_from_moments(m, theta[:, :3].T, *moments)
         for r, got in zip(order.tolist(), variances):
@@ -1512,6 +1520,12 @@ class TestFittedSums:
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @staticmethod
+    def fresh_sums(stack, rows, lam):
+        """a and c from a survival pass and a', a'' and c'' from a moments
+        pass of a new engine call at ``rows``."""
+        return (*run_pass(stack, "survival", rows, lam), *run_pass(stack, "moments", rows, lam))
+
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_multi_row_stack(self, kind, censored):
@@ -1523,11 +1537,11 @@ class TestFittedSums:
         fresh = _Stack(kind, t, delta)
         lam = np.where(np.isfinite(fits.lam), fits.lam, 1.0)
         with np.errstate(all="ignore"):
-            want = (*fresh.survival(_ALL, lam), *fresh.moments(_ALL, lam))
+            want = self.fresh_sums(fresh, _ALL, lam)
         self.assert_bytes([v[fitted] for v in kept], [v[fitted] for v in want])
         rows = fitted[::-3]
         with np.errstate(all="ignore"):
-            want = (*fresh.survival(rows, fits.lam[rows]), *fresh.moments(rows, fits.lam[rows]))
+            want = self.fresh_sums(fresh, rows, fits.lam[rows])
         self.assert_bytes([v[rows] for v in kept], want)
 
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
@@ -1536,9 +1550,8 @@ class TestFittedSums:
         t, delta = TestStackPasses.records(kind, censored, 1, 20000)
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         assert fits.code.tolist() == [_CONVERGED]
-        fresh = _Stack(kind, t, delta)
         with np.errstate(all="ignore"):
-            want = (*fresh.survival(_ALL, fits.lam), *fresh.moments(_ALL, fits.lam))
+            want = self.fresh_sums(_Stack(kind, t, delta), _ALL, fits.lam)
         self.assert_bytes((fits.a, fits.c, fits.a1, fits.a2, fits.c2), want)
 
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
@@ -1560,21 +1573,14 @@ class TestFittedSums:
         other = CompetingRisksData(data.t, data.delta, data.censoring_time)
         fit, other_fit = fit_mle(data, kind), fit_mle(other, kind)
         assert fit == other_fit
-        passes = []
-        moments = _Stack.moments
-
-        def counted(stack, rows, lam):
-            passes.append(lam.tolist())
-            return moments(stack, rows, lam)
-
-        monkeypatch.setattr(_Stack, "moments", counted)
+        passes = _recorded_passes(monkeypatch)
         hit = asymptotic_ci(fit, data), observed_fisher(fit.params_hat, data)
         assert passes == []
         for f in (fit, other_fit):
             d = CompetingRisksData(data.t, data.delta, data.censoring_time)
             ci, info = asymptotic_ci(f, d), observed_fisher(f.params_hat, d)
             assert repr(ci) == repr(hit[0]) and info.tobytes() == hit[1].tobytes()
-        assert passes == [[fit.params_hat.lam]] * 4
+        assert passes == [("newton", [fit.params_hat.lam])] * 4
 
         def task(j):
             d = data if j % 2 else CompetingRisksData(data.t, data.delta, data.censoring_time)
@@ -1597,9 +1603,9 @@ def test_fit_and_interval_record_passes(kind, monkeypatch):
     for name in ("_survival_sums", "_slope_sums"):
         wrapped = getattr(_Stack, name)
 
-        def counted(stack, x, w, lam, out, wrapped=wrapped, name=name):
+        def counted(stack, x, w, lam, *args, wrapped=wrapped, name=name):
             calls.append((name, lam.size))
-            return wrapped(stack, x, w, lam, out)
+            return wrapped(stack, x, w, lam, *args)
 
         monkeypatch.setattr(_Stack, name, counted)
     fit = fit_mle(data, kind)

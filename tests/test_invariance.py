@@ -11,7 +11,12 @@ estimate, in no failures or in degenerate rates. For each:
   by c**-lambda-hat, to 1e-13 relative;
 - a dataset fitted alone, first or last in a lockstep call of several
   kinds and sizes, and as a row of a bootstrap-sized stack, gets the same
-  bits in every field of its fit.
+  bits in every field of its fit;
+- the single-dataset evaluations (``profile_loglik``,
+  ``alphas_given_lambda``, ``log_likelihood`` and ``observed_fisher`` away
+  from a fitted lambda) give the bits their dataset gets as the first,
+  a middle or the last row of an engine call of several kinds and sizes,
+  at a lambda where its survival sum overflows too.
 
 Gompertz and Lomax estimates get no order, duplication or unit bound
 here: those wait for the ROADMAP changes that remove the cancellation in
@@ -27,8 +32,14 @@ from bvf import (
     BvfError,
     BvfParams,
     CompetingRisksData,
+    DegenerateDataError,
+    SingularMatrixError,
+    alphas_given_lambda,
     censoring_threshold,
     from_bivariate,
+    log_likelihood,
+    observed_fisher,
+    profile_loglik,
     sample,
     select_model,
 )
@@ -38,9 +49,14 @@ from bvf.inference import (
     _NO_FAILURES,
     _NO_MLE_CLAMP,
     _NO_MLE_FLAT,
+    _curvature,
     _Fits,
     _fit_stacks,
+    _hazard,
+    _loglik_from_sums,
+    _Passes,
     _Stack,
+    _variances_from_moments,
     _workspace,
 )
 
@@ -166,3 +182,107 @@ def test_stack_position_keeps_every_bit(kind, base):
         last = _fit_stacks([*others, _stack_of([DATASETS[i]], kind)])[-1]
         for got, r in ((first, 0), (last, 0), (big, j)):
             _assert_same_row(got, r, alone)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _rates(kind) -> tuple:
+    p = CAPTION[kind]
+    return p.alpha0, p.alpha1, p.alpha2
+
+
+def _evaluations(data, kind, lam) -> dict:
+    """profile_loglik, alphas_given_lambda, log_likelihood and the
+    observed_fisher of a new dataset object over ``data``'s records, at
+    ``lam`` and the closed-form rates (the caption rates where those
+    fail), each as its bits or its error's class."""
+    out = {}
+    for name, evaluate in (
+        ("profile", lambda: profile_loglik(lam, data, kind)),
+        ("alphas", lambda: alphas_given_lambda(lam, data, kind)),
+    ):
+        try:
+            out[name] = _bits(evaluate())
+        except BvfError as exc:
+            out[name] = type(exc)
+    rates = _rates(kind)
+    if isinstance(out["alphas"], bytes):
+        rates = alphas_given_lambda(lam, data, kind)
+    point = BvfParams(kind, *rates, lam)
+    out["loglik"] = _bits(log_likelihood(point, data))
+    fresh = CompetingRisksData(data.t, data.delta, data.censoring_time)
+    try:
+        out["fisher"] = _bits(observed_fisher(point, fresh))
+    except BvfError as exc:
+        out["fisher"] = type(exc)
+    return out
+
+
+def _evaluations_in_call(passes, r, lams, kind) -> dict:
+    """What :func:`_evaluations` reads, from row ``r`` of the engine call
+    ``passes`` with each row of the call at its lambda of ``lams``."""
+    rows = np.arange(lams.size)
+    at = slice(r, r + 1)
+    lam, m = lams[at], passes.counts[:, at]
+    out = {"profile": _bits(passes.profile(rows, lams)[r])}
+    _, (a, unc_log1p) = passes.survival(rows, lams)
+    if np.isfinite(a[r]) and a[r] > 0.0:
+        rates = [m_k / float(a[r]) for m_k in m[:, 0].tolist()]
+        out["alphas"] = _bits(rates)
+    else:
+        out["alphas"], rates = DegenerateDataError, _rates(kind)
+    alphas = np.array(rates)[:, None]
+    c = _hazard(passes.terms[:, at], lam, unc_log1p[at])
+    out["loglik"] = _bits(_loglik_from_sums(m, alphas, a[at], c))
+    _, a1, a2, _, _, uq2 = passes.newton(rows, lams)[2][:, at]
+    c2 = _curvature(passes.terms[0, at], lam, uq2)
+    if np.isnan(_variances_from_moments(m, alphas, a1, a2, c2)).any():
+        out["fisher"] = SingularMatrixError
+    else:
+        # observed_fisher's matrix, in its order of operations
+        info = np.diag(np.append(m[:, 0] / alphas[:, 0] ** 2, 0.0))
+        info[:3, 3] = info[3, :3] = a1[0]
+        info[3, 3] = (alphas[0, 0] + alphas[1, 0] + alphas[2, 0]) * a2[0] - c2[0]
+        out["fisher"] = _bits(info)
+    return out
+
+
+# per kind, a record, its mode and a lambda at which its survival term
+# overflows: exp(30 log 1e30) (Weibull), expm1(1000) (Gompertz), and
+# log1p(1e10 C) at a record censored at C = 1e300, where the hazard sum is
+# NaN (Lomax)
+_OVERFLOW = {W: (1e30, 1, 30.0), G: (1000.0, 1, 1.0), L: (1e300, 3, 1e10)}
+
+
+@pytest.mark.parametrize("kind", [W, G, L])
+def test_single_dataset_evaluations_keep_their_bits_in_any_call_position(kind):
+    big, mode, over = _OVERFLOW[kind]
+    rng = np.random.default_rng(30)
+    regular, *neighbours = [from_bivariate(sample(CAPTION[kind], 30, rng)) for _ in range(3)]
+    t, delta = regular.t.copy(), regular.delta.copy()
+    t[4], delta[4] = big, mode
+    overflowing = CompetingRisksData(t, delta)
+    assert min(regular.m0, regular.m1, regular.m2) > 0
+    # stacks of the two other kinds, of other sizes
+    others = [
+        _stack_of([from_bivariate(sample(CAPTION[k], n, seed)) for seed in (1, 2)], k)
+        for k, n in zip([k for k in CAPTION if k is not kind], (12, 50))
+    ]
+    for data, lam in ((regular, 0.7), (overflowing, over)):
+        want = _evaluations(data, kind, lam)
+        assert isinstance(want["fisher"], bytes) == (data is regular)
+        # the dataset is the call's first row, a middle row, and its last
+        for place in range(3):
+            rows = neighbours[:]
+            rows.insert(place, data)
+            own = _stack_of(rows, kind)
+            stacks = ([own, *others], [others[0], own, others[1]], [*others, own])[place]
+            passes = _Passes(stacks)
+            r = passes.slices[stacks.index(own)].start + place
+            lams = np.full(passes.terms.shape[1], 0.9)
+            lams[r] = lam
+            with np.errstate(all="ignore"):
+                got = _evaluations_in_call(passes, r, lams, kind)
+            assert got == want, (lam, place)

@@ -35,8 +35,10 @@ from bvf import (
 )
 from bvf import inference, selection, simulation
 from bvf.bvf_model import censoring_threshold
-from bvf.inference import _loglik_rows, _Stack
+from bvf.inference import _loglik_from_sums, _Stack
 from bvf.simulation import _estimation_chunk, _selection_chunk
+
+from engine_passes import run_pass
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 PW = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -557,7 +559,10 @@ class TestStackedSelection:
         delta = np.stack([d.delta for d in datasets])
         lam = np.array([p.lam for p in params])
         alphas = np.array([[p.alpha0, p.alpha1, p.alpha2] for p in params]).T
-        got = _loglik_rows(_Stack(kind, t, delta), np.arange(len(params)), lam, alphas)
+        stack = _Stack(kind, t, delta)
+        with np.errstate(all="ignore"):
+            a, c = run_pass(stack, "survival", inference._ALL, lam)
+        got = _loglik_from_sums(stack.counts, alphas, a, c)
         want = [log_likelihood(p, d) for p, d in zip(params, datasets)]
         assert got == want
         assert want[2] == -math.inf
@@ -607,7 +612,7 @@ class TestEngineCalls:
 
         def formulas(name, wrapped):
             def call(pass_runs, *args):
-                runs.append(([stack for _, stack, _ in pass_runs], summed[:]))
+                runs.append(([stack for _, stack, _, _ in pass_runs], summed[:]))
                 summed.clear()
                 return counted(name, wrapped)(pass_runs, *args)
 
