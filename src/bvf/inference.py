@@ -757,11 +757,11 @@ def _fit_stacks(stacks: list) -> list:
     per record; only Newton iterates take the derivative sums, and the
     sums of a row's last iterate, at lambda-hat, are kept, read from the
     pass's sums when the row stops (see :class:`_Fits`), for the
-    log-likelihood and the Wald variances there.
-    A row's ``n_evals`` counts the rungs a one-rung scan would evaluate,
-    whatever the chunk size, and no stopping rule looks at another row, so
-    each row gets the bits and the count of its one-row fit, whatever
-    stacks it is fitted with.
+    log-likelihood and the Wald variances there. A row's ``n_evals``
+    counts the rungs a one-rung scan would evaluate, whatever the chunk
+    size, and no stopping rule looks at another row, so each row gets the
+    bits and the count of its one-row fit, whatever stacks it is fitted
+    with.
     """
     passes = _Passes(stacks)
     m = passes.terms[0]

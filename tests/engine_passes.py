@@ -10,16 +10,14 @@ import numpy as np
 
 from bvf import inference
 
-NAMES = ("survival", "profile", "newton_terms", "moments")
-
 
 def run_pass(stack, name, rows, lam, passes=None):
-    """The pass ``name`` of ``NAMES`` at ``rows`` of ``stack`` (indices in
-    any order, or ``inference._ALL``) and one lambda per row, in
-    ``passes``, an engine call over that stack alone (a new one when not
-    given). An engine call takes its rows in ascending order, so rows out
-    of order are sorted for the call and its results put back in the order
-    given; results of rows in order are the call's own arrays.
+    """The pass ``name``, one of those below, at ``rows`` of ``stack``
+    (indices in any order, or ``inference._ALL``) and one lambda per row,
+    in ``passes``, an engine call over that stack alone (a new one when
+    not given). An engine call takes its rows in ascending order, so rows
+    out of order are sorted for the call and its results put back in the
+    order given; results of rows in order are the call's own arrays.
 
     - survival: the survival sum a and the hazard sum c;
     - profile: p(lambda);
@@ -34,9 +32,9 @@ def run_pass(stack, name, rows, lam, passes=None):
         order = np.argsort(rows, kind="stable")
         back = np.argsort(order)
         rows, lam = rows[order], lam[order]
-    terms = passes.terms[:, rows]
     if name == "profile":
         return passes.profile(rows, lam)[back]
+    terms = passes.terms[:, rows]
     if name == "survival":
         _, (a, unc_log1p) = passes.survival(rows, lam)
         got = a, inference._hazard(terms, lam, unc_log1p)
