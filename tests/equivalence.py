@@ -13,8 +13,10 @@
   and off the ladder, on those datasets, on one longer than a block of the
   engine, and on records whose survival sums overflow;
 - the ``generate``, ``fit``, ``ci`` (both methods), ``select``,
-  ``sim-select``, ``profile-curve`` and ``km-compare`` commands of the CLI:
-  exit code, stdout and stderr.
+  ``sim-select``, ``sim-estimate`` (with and without a bootstrap),
+  ``profile-curve``, ``km-compare`` and ``density-grid`` commands of the
+  CLI: exit code, stdout and stderr, and the ``--table-out`` CSV of both
+  study commands.
 
 An output that raises is recorded as its error class and message. Dict keys
 keep their order, so a reordered report reads as a change.
@@ -248,11 +250,44 @@ def _cli(out: dict) -> None:
                 "km-compare", "--data", path, "--kind", kind, "--alpha0", "0.8",
                 "--alpha1", "0.6", "--alpha2", "0.7", "--lambda", "1.2", "--grid-points", "20",
             ])
-        out["cli/sim-select"] = run_cli([
+
+        def study(name, argv):
+            # the table is written only by a study that succeeds
+            table = os.path.join(tmp, f"{name.replace('/', '-')}.csv")
+            out[f"cli/{name}"] = run_cli(argv + ["--table-out", table])
+            if os.path.exists(table):
+                with open(table, encoding="utf-8") as fh:
+                    out[f"cli/{name}/table"] = _parsed(fh.read())
+
+        study("sim-select", [
             "sim-select", "--kind", "lomax", "--alpha0", "0.85", "--alpha1", "0.57",
             "--alpha2", "0.74", "--lambda", "0.69", "--n", "30,60", "--reps", "15",
             "--seed", "8",
         ])
+        study("sim-estimate", [
+            "sim-estimate", "--kind", "lomax", "--alpha0", "0.85", "--alpha1", "0.57",
+            "--alpha2", "0.74", "--lambda", "0.69", "--n", "50", "--reps", "12",
+            "--boot-B", "0", "--seed", "12",
+        ])
+        study("sim-estimate/bootstrap", [
+            "sim-estimate", "--kind", "weibull", "--alpha0", "1.34", "--alpha1", "1.17",
+            "--alpha2", "0.86", "--lambda", "0.91", "--n", "50", "--reps", "4",
+            "--censor-frac", "0.2", "--boot-B", "20", "--seed", "13",
+        ])
+        # a study that aborts: every bootstrap breaks down, since one failed
+        # resample in 15 is past the 5% a bootstrap allows
+        study("sim-estimate/unsound", [
+            "sim-estimate", "--kind", "gompertz", "--alpha0", "1.13", "--alpha1", "0.96",
+            "--alpha2", "0.79", "--lambda", "1.05", "--n", "40", "--reps", "4",
+            "--censor-frac", "0.2", "--boot-B", "15", "--seed", "13",
+        ])
+        for kind, bounds in (("gompertz", []), ("lomax", ["--x-max", "3", "--y-max", "2.5"])):
+            params = CAPTION[BaselineKind.parse(kind)]
+            out[f"cli/density-grid/{kind}"] = run_cli([
+                "density-grid", "--kind", kind, "--alpha0", str(params.alpha0),
+                "--alpha1", str(params.alpha1), "--alpha2", str(params.alpha2),
+                "--lambda", str(params.lam), "--grid-n", "5", *bounds,
+            ])
 
 
 def outputs() -> dict:
