@@ -20,12 +20,14 @@ fits every candidate kind at every sample size, in one call. The rows of
 all the stacks run in lockstep under one ladder and one Newton control;
 only the sums over the records run per stack, and the formulas that turn
 them into the profile and its derivatives, one set for all three kinds,
-run once per pass. Every sum runs along a row in NumPy, so a row's fit
-does not depend on the other rows. The ladder's climb, after its first
-step, scans ahead in chunks of rungs, the first of about two blocks of
-16384 records (``_SCAN_RECORDS``) per stack with scanning rows, about what
-a pass's fixed cost is worth, so a selection call scans its ladder in one
-pass.
+run once per pass. Each kind has one record kernel: a profile pass takes
+its survival sums, and a Newton pass the same sums continued to their
+lambda derivatives, so the two passes agree on the survival sums by
+construction. Every sum runs along a row in NumPy, so a row's fit does not
+depend on the other rows. The ladder's climb, after its first step, scans
+ahead in chunks of rungs, the first of about two blocks of 16384 records
+(``_SCAN_RECORDS``) per stack with scanning rows, about what a pass's
+fixed cost is worth, so a selection call scans its ladder in one pass.
 
 Every pass over the records runs in an engine call (:class:`_Passes`),
 the one-row evaluations of a single dataset included. Passes, and the
@@ -136,6 +138,8 @@ _ALL = slice(None)
 # the rows of a one-row call on a dataset's stack (:func:`_workspace`)
 _ONE = np.zeros(1, np.intp)
 _ONE.flags.writeable = False
+# no rows at all
+_NONE = _ONE[:0]
 
 # Records per block of a stacked pass; a ladder scan's first chunk holds
 # about two blocks per stack with scanning rows (:meth:`_Passes.scan_chunk`).
@@ -202,6 +206,14 @@ class _Stack:
     kind, fed each row's constants ``terms``, do the rest (:func:`_profile`,
     :func:`_score`), once per pass over every stack of an engine call.
 
+    Each kind has one record kernel, :meth:`_sums`. It always writes the
+    survival sums, which is all a profile pass asks; a Newton pass lets it
+    go on from the terms it holds to the lambda derivatives. So the
+    survival sums of a Newton pass, which a fit keeps for its
+    log-likelihood, are a profile pass's bits by construction. Rows whose
+    survival sum is past double range have one fix-up, :meth:`_shifted`,
+    which both the profile and the score read.
+
     Every pass over the records runs in row blocks of at most
     ``_SCAN_RECORDS`` records (:func:`_row_blocks`), and only per-row sums
     leave a block. Each row is still summed whole, as one contiguous row,
@@ -265,102 +277,81 @@ class _Stack:
         idx = sel if rows is _ALL else rows[sel]
         return self.x[idx], None if self.w is None else self.w[idx]
 
-    def _rowwise(self, sums, rows, lam, out, z, u) -> None:
+    def _rowwise(self, rows, lam, out, z, u) -> None:
         """Write into ``out``, one column per lambda, the per-row sums that
-        ``sums(x, w, lam, out, z, u)`` writes for a block of records, at
-        each of ``rows``, in the blocks of :func:`_row_blocks`; ``z`` and
-        ``u`` are the scratch buffers, (block, n) views, that the blocks
-        reuse."""
+        :meth:`_sums` writes for a block of records, at each of ``rows``, in
+        the blocks of :func:`_row_blocks`; ``z`` and ``u`` are the scratch
+        buffers, (block, n) views, that the blocks reuse."""
         if lam.size <= len(z):
-            sums(*self._block(rows, _ALL), lam, out, z[: lam.size], u[: lam.size])
+            self._sums(*self._block(rows, _ALL), lam, out, z[: lam.size], u[: lam.size])
             return
         for blk in _row_blocks(lam.size, self.x.shape[-1]):
             k = blk.stop - blk.start
-            sums(*self._block(rows, blk), lam[blk], out[:, blk], z[:k], u[:k])
+            self._sums(*self._block(rows, blk), lam[blk], out[:, blk], z[:k], u[:k])
 
-    def _survival_sums(self, x, w, lam, out, z, u) -> None:
-        """Write into the (2, k) ``out`` a block's survival sums a and, for
-        Lomax, sum_unc log1p(lam*x), in one transcendental pass."""
-        np.multiply(lam[:, None], x, out=z)
-        if self.kind is BaselineKind.WEIBULL:
-            np.exp(z, out=z).sum(axis=-1, out=out[0])
-        elif self.kind is BaselineKind.GOMPERTZ:
-            np.expm1(z, out=z).sum(axis=-1, out=out[0])
-        else:
-            s = np.log1p(z, out=z)
-            s.sum(axis=-1, out=out[0])
-            np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
-
-    def _log_survival_overflow(self, rows, lam, a, c, m, p) -> None:
-        """Where a is past double range (Weibull and Gompertz; Lomax sums
-        grow logarithmically), p = c - m log a with log a a logsumexp over
-        z = lam*x, the -1 terms of Gompertz's expm1 being negligible there.
-        Writes into ``p``; the arrays hold a value for each of ``rows``."""
-        if self.kind is BaselineKind.LOMAX:
-            return
-        over = np.flatnonzero(a == np.inf)
-        if over.size:
-            e, hi = _shifted_exp(lam[over, None] * self._block(rows, over)[0])
-            p[over] = c[over] - m[over] * (hi + np.log(e.sum(axis=-1)))
-
-    def _slope_sums(self, x, w, lam, out, z, u) -> None:
-        """Write into the (6, k) ``out`` a block's survival sum a, its
-        lambda derivatives a' and a'', and the uncensored sums of
-        log1p(lam*t), q and q**2 that the Lomax hazard terms need (the other
-        kinds leave them). Weibull and Gompertz share a = sum exp(lam*x) up
-        to a constant, so a' = sum x exp(lam*x) and a'' = sum x**2
-        exp(lam*x); for Lomax, with q = t / (1 + lam*t), a' = sum q and
-        a'' = -sum q**2. a and the log1p sum are the bits
-        :meth:`_survival_sums` writes, from the same terms in the same
-        order."""
+    def _sums(self, x, w, lam, out, z, u) -> None:
+        """Write into ``out`` a block's record sums in one transcendental
+        pass. Its first two rows get the survival sums: a, and for Lomax
+        sum_unc log1p(lam*x). A 6-row ``out`` (a Newton pass) goes on from
+        the terms the survival stage left in ``z`` (exp(lam*x) for Weibull,
+        expm1(lam*x) for Gompertz, lam*x for Lomax) to a' and a'', and, for
+        Lomax, to the uncensored sums of q and q**2. Weibull and Gompertz
+        share a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x)
+        and a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
+        a' = sum q and a'' = -sum q**2. A Newton pass's survival sums are
+        thus a survival pass's bits by construction."""
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
             s = np.log1p(z, out=u)
             s.sum(axis=-1, out=out[0])
-            np.multiply(s, w, out=u).sum(axis=-1, out=out[3])
+            np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
+            if len(out) == 2:
+                return
             z += 1.0
             q = np.divide(x, z, out=z)
-            q.sum(axis=-1, out=out[1])
+            q.sum(axis=-1, out=out[2])
             np.multiply(q, w, out=u).sum(axis=-1, out=out[4])
             qq = np.multiply(q, q, out=q)
-            np.negative(qq.sum(axis=-1, out=out[2]), out=out[2])
+            np.negative(qq.sum(axis=-1, out=out[3]), out=out[3])
             np.multiply(qq, w, out=u).sum(axis=-1, out=out[5])
             return
-        if self.kind is BaselineKind.WEIBULL:
-            s = np.exp(z, out=z)
-            s.sum(axis=-1, out=out[0])
-        else:
-            s = np.expm1(z, out=z)
-            s.sum(axis=-1, out=out[0])
+        gompertz = self.kind is BaselineKind.GOMPERTZ
+        s = np.expm1(z, out=z) if gompertz else np.exp(z, out=z)
+        s.sum(axis=-1, out=out[0])
+        if len(out) == 2:
+            return
+        if gompertz:
             s += 1.0
         xe = np.multiply(x, s, out=u)
-        xe.sum(axis=-1, out=out[1])
-        np.multiply(x, xe, out=xe).sum(axis=-1, out=out[2])
+        xe.sum(axis=-1, out=out[2])
+        np.multiply(x, xe, out=xe).sum(axis=-1, out=out[3])
 
-    def _ratios_overflow(self, rows, lam, a, r1, r2) -> None:
-        """Where a is past double range (Weibull and Gompertz), the ratios
-        r1 = a'/a and r2 = a''/a from exp(z - max z). Writes into ``r1`` and
-        ``r2``; the arrays hold a value for each of ``rows``."""
-        if self.kind is BaselineKind.LOMAX:
-            return
-        over = np.flatnonzero(a == np.inf)
-        if over.size:
-            x = self._block(rows, over)[0]
-            e, _ = _shifted_exp(lam[over, None] * x)
-            se = e.sum(axis=-1)
-            xe = x * e
-            r1[over] = xe.sum(axis=-1) / se
-            r2[over] = (x * xe).sum(axis=-1) / se
+    def _shifted(self, rows, lam, a) -> tuple:
+        """The sums of the rows whose a is past double range, from
+        e = exp(z - max z), z = lam*x: their positions among ``rows``, the
+        row maxima, sum e, sum x e and sum x**2 e (log a is then
+        max + log sum e, a'/a and a''/a the ratios to sum e; the -1 terms
+        of Gompertz's expm1 are negligible there). ``lam`` and ``a`` hold a
+        value for each of ``rows``. No Lomax row is among them: its sums
+        grow logarithmically, so its a is inf only where a term is."""
+        over = _NONE if self.kind is BaselineKind.LOMAX else np.flatnonzero(a == np.inf)
+        # a one-row stack gives its row whatever ``over`` holds
+        x = self._block(rows, over)[0][: over.size]
+        z = lam[over, None] * x
+        hi = z.max(axis=-1)
+        e = np.exp(z - hi[:, None])
+        xe = x * e
+        return over, hi, e.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1)
 
 
-# The per-row sums of a pass start as these columns: a survival pass's 2
-# (a, sum_unc log1p(lam*x)) and a slopes pass's 6 (a, a', a'', and the
-# sums of log1p(lam*x), q and q**2 over uncensored records). The Lomax-only
+# The per-row sums of a pass start as these columns: a Newton pass's 6 (a,
+# sum_unc log1p(lam*x), a', a'', and the sums of q and q**2 over uncensored
+# records), of which a survival pass writes the first 2. The Lomax-only
 # sums hold what the other kinds leave there, 0.0, 0.0 and -0.0, with which
 # the common formulas give each kind its own bits (x - 0.0 and x + -0.0
 # are x).
-_SURVIVAL_SUMS = np.array([[np.nan], [0.0]])
-_SLOPE_SUMS = np.array([[np.nan], [np.nan], [np.nan], [0.0], [0.0], [-0.0]])
+_SLOPE_SUMS = np.array([[np.nan], [0.0], [np.nan], [np.nan], [0.0], [-0.0]])
+_SURVIVAL_SUMS = _SLOPE_SUMS[:2]
 
 
 def _hazard(terms, lam, unc_log1p):
@@ -379,11 +370,11 @@ def _hazard(terms, lam, unc_log1p):
 def _profile(runs, lam, terms, sums) -> np.ndarray:
     """p(lambda) = c - m log a (c from :func:`_hazard`) at each row of a
     pass, from the rows' ``terms`` and the pass's (2, R) survival ``sums``
-    (:meth:`_Stack._survival_sums`); -inf where a vanishes or is undefined.
-    Where a is past double range the row's stack takes log a as a
-    logsumexp (``runs`` as :meth:`_Passes._runs` gives them): keeping the
-    profile finite stops a monotone rise being mistaken for an interior
-    maximum."""
+    (:meth:`_Stack._sums`); -inf where a vanishes or is undefined. Where a is past
+    double range the row's stack takes log a as a logsumexp
+    (:meth:`_Stack._shifted`, ``runs`` as :meth:`_Passes._runs` gives
+    them): keeping the profile finite stops a monotone rise being mistaken
+    for an interior maximum."""
     a, unc_log1p = sums
     m = terms[0]
     c = _hazard(terms, lam, unc_log1p)
@@ -392,15 +383,16 @@ def _profile(runs, lam, terms, sums) -> np.ndarray:
     # a sum is finite only if every term is (an overflow merely costs time)
     if not math.isfinite(log_a.sum()):
         for at, stack, own, _ in runs:
-            stack._log_survival_overflow(own, lam[at], a[at], c[at], m[at], p[at])
+            over, hi, se, _, _ = stack._shifted(own, lam[at], a[at])
+            p[at][over] = c[at][over] - m[at][over] * (hi + np.log(se))
         p[~((a > 0.0) & (p > -np.inf))] = -np.inf
     return p
 
 
 def _score(runs, lam, terms, sums) -> tuple:
     """g = lam p' and h = lam p' + lam**2 p'' at each row of a pass, from
-    the rows' ``terms`` and the pass's (6, R) slopes ``sums``
-    (:meth:`_Stack._slope_sums`), with p' = c' - m r1 and
+    the rows' ``terms`` and the pass's (6, R) Newton ``sums``
+    (:meth:`_Stack._sums`), with p' = c' - m r1 and
     p'' = c'' - m (r2 - r1**2), r1 = a'/a, r2 = a''/a,
     lam c' = m + lam (unc_sum - uq) and lam**2 c'' = lam**2 uq2 - m (uq and
     uq2 the Lomax sums of q and q**2, as in :func:`_hazard`):
@@ -409,14 +401,17 @@ def _score(runs, lam, terms, sums) -> tuple:
         h = g + lam**2 uq2 - m - m (lam**2 (r2 - r1**2))
 
     Where a is past double range the row's stack takes r1 and r2 from
-    shifted exponentials (``runs`` as in :func:`_profile`)."""
-    a, a1, a2, _, uq, uq2 = sums
+    shifted exponentials (:meth:`_Stack._shifted`, ``runs`` as in
+    :func:`_profile`)."""
+    a, _, a1, a2, uq, uq2 = sums
     m, _, unc_sum = terms
     r1 = a1 / a
     r2 = a2 / a
     if not math.isfinite(r2.sum()):
         for at, stack, own, _ in runs:
-            stack._ratios_overflow(own, lam[at], a[at], r1[at], r2[at])
+            over, _, se, sxe, sxxe = stack._shifted(own, lam[at], a[at])
+            r1[at][over] = sxe / se
+            r2[at][over] = sxxe / se
     lam2 = lam * lam
     g = m + lam * (unc_sum - uq) - m * (lam * r1)
     h = g + lam2 * uq2 - m - m * (lam2 * (r2 - r1 * r1))
@@ -427,12 +422,6 @@ def _curvature(m, lam, uq2):
     """c'' = (0 - m) / lam**2 + uq2 at each row (0 - m, unlike -m, is +0.0
     where m is 0)."""
     return (0.0 - m) / lam**2 + uq2
-
-
-def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z - max z) along the last axis, and the row maxima."""
-    hi = z.max(axis=-1)
-    return np.exp(z - hi[:, None]), hi
 
 
 def _workspace(data: CompetingRisksData, kind: BaselineKind) -> _Stack:
@@ -630,8 +619,9 @@ class _Fits(NamedTuple):
     per row that reached Newton (NaN otherwise), the survival and hazard
     sums a and c and the derivatives a', a'' and c'' at its lambda-hat,
     from the sums of its last Newton pass, which was evaluated there (c
-    and c'' once per engine call): the bits that a survival or Newton pass
-    of a new engine call gives at ``lam``.
+    and c'' once per engine call). A Newton pass is the survival pass
+    continued (:meth:`_Stack._sums`), so these are the bits that a survival
+    or Newton pass of a new engine call gives at ``lam``.
     """
 
     code: np.ndarray
@@ -659,10 +649,13 @@ class _Passes:
 
     Every pass's rows are in ascending order, so each stack's rows are one
     contiguous run of them, which np.searchsorted on the stack offsets
-    finds. Each stack writes the record sums of its run into the pass's
-    one array of per-row sums; the formulas then run once over all the
-    pass's rows, and only rows whose survival sum is past double range go
-    back to their stack.
+    finds. A survival pass and a Newton pass take one dispatch
+    (:meth:`_sums`), and differ only in how many sums per row they ask of
+    each stack's one kernel (:meth:`_Stack._sums`): 2, or 6. Each stack
+    writes the record sums of its run into the pass's one array of per-row
+    sums; the formulas then run once over all the pass's rows, and only
+    rows whose survival sum is past double range go back to their stack
+    (:meth:`_Stack._shifted`).
     """
 
     def __init__(self, stacks: list):
@@ -704,15 +697,20 @@ class _Passes:
                 runs.append((slice(lo, hi), stack, own, views))
         return runs
 
-    def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
-        """The runs of ``rows`` and the (2, R) survival sums at them
-        (:meth:`_Stack._survival_sums`): a, and sum_unc log1p(lam*x) for
-        Lomax rows."""
-        runs = self._runs(rows)
-        sums = _SURVIVAL_SUMS.repeat(rows.size, axis=1)
+    def _sums(self, rows: np.ndarray, lam: np.ndarray, preset, distinct=False) -> tuple:
+        """The runs of ``rows`` (:meth:`_runs`) and the per-row sums that
+        :meth:`_Stack._sums` writes at them, one column per row, from the
+        columns ``preset``: ``_SURVIVAL_SUMS`` or ``_SLOPE_SUMS``."""
+        runs = self._runs(rows, distinct)
+        sums = preset.repeat(rows.size, axis=1)
         for at, stack, own, views in runs:
-            stack._rowwise(stack._survival_sums, own, lam[at], sums[:, at], *views)
+            stack._rowwise(own, lam[at], sums[:, at], *views)
         return runs, sums
+
+    def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
+        """The runs of ``rows`` and the (2, R) survival sums at them: a,
+        and sum_unc log1p(lam*x) for Lomax rows."""
+        return self._sums(rows, lam, _SURVIVAL_SUMS)
 
     def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """p(lambda) (:func:`_profile`) at each of ``rows``."""
@@ -721,13 +719,11 @@ class _Passes:
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
-        and the (6, R) sums of :meth:`_Stack._slope_sums` they come from."""
+        and the (6, R) sums they come from: the survival sums, then a',
+        a'' and the Lomax sums of q and q**2."""
         # as many distinct rows as the call has are all of them, in order
         terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
-        runs = self._runs(rows, distinct=True)
-        sums = _SLOPE_SUMS.repeat(rows.size, axis=1)
-        for at, stack, own, views in runs:
-            stack._rowwise(stack._slope_sums, own, lam[at], sums[:, at], *views)
+        runs, sums = self._sums(rows, lam, _SLOPE_SUMS, distinct=True)
         return (*_score(runs, lam, terms, sums), sums)
 
 
@@ -876,7 +872,7 @@ def _fit_stacks(stacks: list) -> list:
             state, act = state.compress(go, axis=1), act[go]
             lam, lo, hi, prev = state
 
-    a_hat, a1, a2, unc_log1p, _, uq2 = kept
+    a_hat, unc_log1p, a1, a2, _, uq2 = kept
     alphas = counts / a_hat
     code[inner[~counts[:, inner].all(axis=0)]] = _BOUNDARY
     code[inner[~(np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]]] = _DEGENERATE
@@ -1036,7 +1032,7 @@ def _moments_at(data: CompetingRisksData, p_hat: BvfParams) -> tuple[_Stack, tup
         return ws, memo[1:]
     lam = np.array([p_hat.lam])
     with np.errstate(all="ignore"):
-        _, a1, a2, _, _, uq2 = _Passes([ws]).newton(_ONE, lam)[2]
+        _, _, a1, a2, _, uq2 = _Passes([ws]).newton(_ONE, lam)[2]
         return ws, (a1, a2, _curvature(ws.terms[0], lam, uq2))
 
 

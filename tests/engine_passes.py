@@ -42,6 +42,6 @@ def run_pass(stack, name, rows, lam, passes=None):
         g, h, sums = passes.newton(rows, lam)
         got = sums[0], g, h
     else:
-        _, a1, a2, _, _, uq2 = passes.newton(rows, lam)[2]
+        _, _, a1, a2, _, uq2 = passes.newton(rows, lam)[2]
         got = a1, a2, inference._curvature(terms[0], lam, uq2)
     return tuple(v[back] for v in got)

@@ -1600,21 +1600,21 @@ def test_fit_and_interval_record_passes(kind, monkeypatch):
     p = {W: BvfParams(W, 1.34, 1.17, 0.86, 0.91), G: PG, L: PL}[kind]
     data = from_bivariate(sample(p, 20000, seed=5), censoring_threshold(p, 0.3))
     calls = []
-    for name in ("_survival_sums", "_slope_sums"):
-        wrapped = getattr(_Stack, name)
+    sums = _Stack._sums
 
-        def counted(stack, x, w, lam, *args, wrapped=wrapped, name=name):
-            calls.append((name, lam.size))
-            return wrapped(stack, x, w, lam, *args)
+    def counted(stack, x, w, lam, out, *args):
+        # a profile pass writes 2 sums per row, a Newton pass 6
+        calls.append((len(out), lam.size))
+        return sums(stack, x, w, lam, out, *args)
 
-        monkeypatch.setattr(_Stack, name, counted)
+    monkeypatch.setattr(_Stack, "_sums", counted)
     fit = fit_mle(data, kind)
     assert fit.status is FitStatus.CONVERGED
     assert abs(math.log(fit.params_hat.lam)) < math.log(2.0)
     assert all(size == 1 for _, size in calls)
     # the start rung and its neighbours, then Newton iterates only
-    names = [name for name, _ in calls]
-    assert names == ["_survival_sums"] * 3 + ["_slope_sums"] * (len(names) - 3)
+    heights = [height for height, _ in calls]
+    assert heights == [2] * 3 + [6] * (len(heights) - 3)
     assert len(calls) == fit.n_evals
     del calls[:]
     asymptotic_ci(fit, data)

@@ -236,7 +236,7 @@ def _evaluations_in_call(passes, r, lams, kind) -> dict:
     alphas = np.array(rates)[:, None]
     c = _hazard(passes.terms[:, at], lam, unc_log1p[at])
     out["loglik"] = _bits(_loglik_from_sums(m, alphas, a[at], c))
-    _, a1, a2, _, _, uq2 = passes.newton(rows, lams)[2][:, at]
+    _, _, a1, a2, _, uq2 = passes.newton(rows, lams)[2][:, at]
     c2 = _curvature(passes.terms[0, at], lam, uq2)
     if np.isnan(_variances_from_moments(m, alphas, a1, a2, c2)).any():
         out["fisher"] = SingularMatrixError
