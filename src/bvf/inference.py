@@ -370,7 +370,7 @@ def _hazard(terms, lam, unc_log1p):
 def _profile(runs, lam, terms, sums) -> np.ndarray:
     """p(lambda) = c - m log a (c from :func:`_hazard`) at each row of a
     pass, from the rows' ``terms`` and the pass's (2, R) survival ``sums``
-    (:meth:`_Stack._sums`); -inf where a vanishes or is undefined. Where a is past
+    (:meth:`_Stack._sums`); -inf wherever it is not finite. Where a is past
     double range the row's stack takes log a as a logsumexp
     (:meth:`_Stack._shifted`, ``runs`` as :meth:`_Passes._runs` gives
     them): keeping the profile finite stops a monotone rise being mistaken
@@ -385,7 +385,8 @@ def _profile(runs, lam, terms, sums) -> np.ndarray:
         for at, stack, own, _ in runs:
             over, hi, se, _, _ = stack._shifted(own, lam[at], a[at])
             p[at][over] = c[at][over] - m[at][over] * (hi + np.log(se))
-        p[~((a > 0.0) & (p > -np.inf))] = -np.inf
+        # a hazard sum past double range leaves p +inf or NaN
+        p[~((a > 0.0) & np.isfinite(p))] = -np.inf
     return p
 
 

@@ -369,7 +369,19 @@ class TestFitOtherKinds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert profile_loglik(1.0, data, G) == -math.inf
-            assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
+            with pytest.raises(EstimationError, match="-inf over the entire bracket"):
+                fit_mle(data, G)
+
+    def test_overflowing_hazard_sum_reads_minus_inf(self):
+        # the hazard sum c is +inf at every lambda; the profile is undefined
+        # there, not +inf, so no rung can pass for an infinite maximum
+        data = CompetingRisksData([0.2, 0.5, 0.7, 1e308, 1e308], [1, 2, 0, 1, 2])
+        for lam in (1e-8, 1e-4, 1.0):
+            assert profile_loglik(lam, data, G) == -math.inf
+        with pytest.raises(
+            EstimationError, match="profile log-likelihood is -inf over the entire bracket"
+        ):
+            fit_mle(data, G)
 
     @pytest.mark.parametrize(
         "child, n, lam_hat",
