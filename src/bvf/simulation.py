@@ -28,7 +28,7 @@ import functools
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -190,7 +190,7 @@ class EstimationStudyReport:
 
     def to_json_dict(self) -> dict:
         cfg = self.config
-        out = {
+        return {
             "study": "estimation",
             "true_params": cfg.true_params.to_json_dict(),
             "n": cfg.n,
@@ -201,24 +201,10 @@ class EstimationStudyReport:
             "ci_level": cfg.ci_level,
             "bootstrap_B": cfg.bootstrap_B,
             "seed": cfg.seed,
-            "parameters": {},
+            "parameters": {
+                name: asdict(summary) for name, summary in self.parameters.items()
+            },
         }
-        for name, summary in self.parameters.items():
-            entry = {
-                "relative_mse": summary.relative_mse,
-                "relative_bias": summary.relative_bias,
-            }
-            for method, ci in (
-                ("asymptotic", summary.asymptotic),
-                ("bootstrap", summary.bootstrap),
-            ):
-                entry[method] = (
-                    None
-                    if ci is None
-                    else {"avg_length": ci.avg_length, "coverage": ci.coverage}
-                )
-            out["parameters"][name] = entry
-        return out
 
     def to_csv_rows(self) -> list[dict]:
         """The ``parameters`` of :meth:`to_json_dict` in the classical
@@ -437,15 +423,7 @@ class SelectionStudyReport:
             "candidates": [k.value for k in cfg.candidates],
             "replications": cfg.replications,
             "seed": cfg.seed,
-            "rows": [
-                {
-                    "n": row.n,
-                    "probabilities": dict(row.probabilities),
-                    "replications_used": row.replications_used,
-                    "dropped": row.dropped,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
     def to_csv_rows(self) -> list[dict]:
