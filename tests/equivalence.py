@@ -16,7 +16,8 @@
   ``sim-select``, ``sim-estimate`` (with and without a bootstrap),
   ``profile-curve``, ``km-compare`` and ``density-grid`` commands of the
   CLI: exit code, stdout and stderr, and the ``--table-out`` CSV of both
-  study commands.
+  study commands; ``fit``, ``ci`` and ``select`` also on complete Lomax
+  records one row longer than a block of the engine.
 
 An output that raises is recorded as its error class and message. Dict keys
 keep their order, so a reordered report reads as a change.
@@ -250,6 +251,19 @@ def _cli(out: dict) -> None:
                 "km-compare", "--data", path, "--kind", kind, "--alpha0", "0.8",
                 "--alpha1", "0.6", "--alpha2", "0.7", "--lambda", "1.2", "--grid-points", "20",
             ])
+
+        # complete Lomax records, one row longer than a block of the engine
+        params = CAPTION[L]
+        path = os.path.join(tmp, "lomax-long.csv")
+        run_cli([
+            "generate", "--kind", "lomax", "--alpha0", str(params.alpha0),
+            "--alpha1", str(params.alpha1), "--alpha2", str(params.alpha2),
+            "--lambda", str(params.lam), "--n", "20000", "--seed", "6", "--out", path,
+        ])
+        common = ["--data", path, "--kind", "lomax"]
+        out["cli/lomax-long/lomax/fit"] = run_cli(["fit", *common])
+        out["cli/lomax-long/lomax/ci"] = run_cli(["ci", *common, "--method", "asymptotic"])
+        out["cli/lomax-long/select"] = run_cli(["select", "--data", path])
 
         def study(name, argv):
             # the table is written only by a study that succeeds
