@@ -39,7 +39,9 @@ memory it touches stays in cache from block to block and from pass to
 pass, and calls from several threads share no buffer. A sum over the
 uncensored records multiplies by the records' 0/1 float weights, where
 selecting them with np.where cost five times as much per record; the
-product and the selection give the same sums (see :class:`_Stack`).
+product and the selection give the same sums (see :class:`_Stack`). A
+stack with no censored record has no weights: its uncensored sums are its
+plain sums.
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -185,7 +187,9 @@ def _tally(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     R, n = delta.shape
     counts = np.empty((3, R), dtype=np.int64)
     for blk in _row_blocks(R, n):
-        counts[:, blk] = (delta[blk, None, :] == _MODES).sum(axis=-1).T
+        # an int32 count of booleans costs a third of an int64 one; a row
+        # holds fewer than 2**31 records
+        counts[:, blk] = (delta[blk, None, :] == _MODES).sum(axis=-1, dtype=np.int32).T
     return counts, counts.sum(axis=0)
 
 
@@ -233,7 +237,12 @@ class _Stack:
     censored record once lam*C overflows: there 0*inf makes the hazard sum
     c NaN, but the survival sum a is inf, and every reader of c (the
     profile, the log-likelihood, the closed-form alphas) returns -inf or
-    raises where a is inf, whatever c is.
+    raises where a is inf, whatever c is. A stack none of whose records is
+    censored (m = n in every row, from the tally) has no weights: its
+    uncensored sums are its plain sums, the bits that all-ones products
+    give, so a Lomax pass copies them and sum_unc x is a plain row sum. A
+    stack with one censored record keeps the weights of every row, so each
+    of its complete rows takes the products, whose bits are the copies'.
     """
 
     __slots__ = ("kind", "x", "w", "counts", "m", "terms")
@@ -253,25 +262,32 @@ class _Stack:
         self.terms[0] = self.m
         self.terms[1] = 1.0 if kind is BaselineKind.WEIBULL else 0.0
         unc_sum = self.terms[2]
-        if kind is BaselineKind.LOMAX:
-            self.w = np.empty((R, n))
+        lomax = kind is BaselineKind.LOMAX
+        # weights only where a record is censored; Lomax keeps them
+        censored = bool((self.m < n).any())
+        self.w = np.empty((R, n)) if lomax and censored else None
+        if lomax:
             unc_sum[:] = -0.0
-        else:
-            self.w = None
+        elif censored:
             # the weights of one block at a time
             tmp = np.empty((min(R, _block_size(n) // n), n))
         for blk in _row_blocks(R, n):
             if kind is BaselineKind.WEIBULL:
                 np.log(t[blk], out=self.x[blk])
-            w = tmp[: blk.stop - blk.start] if self.w is None else self.w[blk]
-            np.not_equal(delta[blk], _CENSORED, out=w)
-            if self.w is None:
-                unc_sum[blk] = np.multiply(self.x[blk], w, out=w).sum(axis=-1)
+            x = self.x[blk]
+            if censored:
+                w = tmp[: blk.stop - blk.start] if self.w is None else self.w[blk]
+                np.not_equal(delta[blk], _CENSORED, out=w)
+                if not lomax:
+                    x = np.multiply(x, w, out=w)
+            if not lomax:
+                unc_sum[blk] = x.sum(axis=-1)
 
     def _block(self, rows, sel):
-        """x and w (None but for Lomax) of ``rows[sel]``. A one-row stack
-        gives its own (1, n) arrays, which broadcast against any number of
-        lambdas, instead of gathering copies of its row."""
+        """x and w (None but for a Lomax stack with a censored record) of
+        ``rows[sel]``. A one-row stack gives its own (1, n) arrays, which
+        broadcast against any number of lambdas, instead of gathering
+        copies of its row."""
         if self.x.shape[0] == 1:
             return self.x, self.w
         idx = sel if rows is _ALL else rows[sel]
@@ -299,21 +315,31 @@ class _Stack:
         share a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x)
         and a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
         a' = sum q and a'' = -sum q**2. A Newton pass's survival sums are
-        thus a survival pass's bits by construction."""
+        thus a survival pass's bits by construction. Without weights ``w``
+        (no record censored) the Lomax uncensored sums are copies of the
+        plain sums of log1p, q and q**2, and the products are skipped."""
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
             s = np.log1p(z, out=u)
             s.sum(axis=-1, out=out[0])
-            np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
+            if w is None:
+                out[1] = out[0]
+            else:
+                np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
             if len(out) == 2:
                 return
             z += 1.0
             q = np.divide(x, z, out=z)
             q.sum(axis=-1, out=out[2])
-            np.multiply(q, w, out=u).sum(axis=-1, out=out[4])
+            if w is not None:
+                np.multiply(q, w, out=u).sum(axis=-1, out=out[4])
             qq = np.multiply(q, q, out=q)
             np.negative(qq.sum(axis=-1, out=out[3]), out=out[3])
-            np.multiply(qq, w, out=u).sum(axis=-1, out=out[5])
+            if w is None:
+                out[4] = out[2]
+                np.negative(out[3], out=out[5])
+            else:
+                np.multiply(qq, w, out=u).sum(axis=-1, out=out[5])
             return
         gompertz = self.kind is BaselineKind.GOMPERTZ
         s = np.expm1(z, out=z) if gompertz else np.exp(z, out=z)
