@@ -1,14 +1,56 @@
-"""One record pass of the fitting engine over a single stack, for tests.
+"""The fitting engine's passes and outcomes, for tests.
 
 :func:`run_pass` runs a survival, profile, Newton or moments pass at some
 rows of a stack in an engine call over that stack alone
 (``inference._Passes([stack])``), the only path by which the engine runs
-a pass.
+a pass. :func:`row_outcome` decodes a row of engine fits as ``fit_mle``
+reports it, and :func:`one_row_fit_mle` gives ``fit_mle``'s outcome on a
+row's records alone, so :func:`same_outcome` can compare the two.
 """
 
 import numpy as np
 
-from bvf import inference
+from bvf import BvfError, CompetingRisksData, FitStatus, ValidationError, fit_mle, inference
+
+
+def row_outcome(fits, r):
+    """Row ``r`` of engine fits as fit_mle reports it: the FitStatus its
+    code decodes to, or the error it raises."""
+    try:
+        return inference._status(int(fits.code[r]), fits, r)
+    except BvfError as exc:
+        return exc
+
+
+def fit_mle_outcome(data, kind):
+    """fit_mle's status on ``data``, or the error it raises."""
+    try:
+        return fit_mle(data, kind).status
+    except BvfError as exc:
+        return exc
+
+
+def one_row_fit_mle(kind, t, delta):
+    """fit_mle's outcome on the records ``t`` and ``delta`` alone. Records
+    that CompetingRisksData rejects (an infinite time) take the rest of
+    fit_mle's path: one engine call on their one-row stack, decoded by
+    _fit_result."""
+    try:
+        data = CompetingRisksData(t, delta)
+    except ValidationError:
+        (fits,) = inference._fit_stacks([inference._Stack(kind, t[None], delta[None])])
+        try:
+            return inference._fit_result(kind, fits, 0, None).status
+        except BvfError as exc:
+            return exc
+    return fit_mle_outcome(data, kind)
+
+
+def same_outcome(got, want) -> bool:
+    """The same FitStatus, or errors of one class with one message."""
+    if isinstance(want, FitStatus):
+        return got is want
+    return type(got) is type(want) and str(got) == str(want)
 
 
 def run_pass(stack, name, rows, lam, passes=None):

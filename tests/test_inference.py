@@ -63,7 +63,7 @@ from bvf.inference import (
     _Stack,
 )
 
-from engine_passes import run_pass
+from engine_passes import fit_mle_outcome, one_row_fit_mle, row_outcome, run_pass, same_outcome
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 # the Gompertz and Lomax caption parameters
@@ -111,46 +111,6 @@ L_LAM_ROOT_REP275 = 0.00043203126602589618
 @pytest.fixture(scope="module")
 def data12():
     return CompetingRisksData(T12, D12)
-
-
-def _outcome(fits, r):
-    """Row ``r`` of engine fits as fit_mle reports it: the FitStatus its
-    code decodes to, or the error it raises."""
-    try:
-        return inference._status(int(fits.code[r]), fits, r)
-    except BvfError as exc:
-        return exc
-
-
-def _fit_mle_outcome(data, kind):
-    """fit_mle's status on ``data``, or the error it raises."""
-    try:
-        return fit_mle(data, kind).status
-    except BvfError as exc:
-        return exc
-
-
-def _one_row_fit_mle(kind, t, delta):
-    """fit_mle's outcome on the records ``t`` and ``delta`` alone. Records
-    that CompetingRisksData rejects (an infinite time) take the rest of
-    fit_mle's path: one engine call on their one-row stack, decoded by
-    _fit_result."""
-    try:
-        data = CompetingRisksData(t, delta)
-    except ValidationError:
-        (fits,) = _fit_stacks([_Stack(kind, t[None], delta[None])])
-        try:
-            return inference._fit_result(kind, fits, 0, None).status
-        except BvfError as exc:
-            return exc
-    return _fit_mle_outcome(data, kind)
-
-
-def _same_outcome(got, want) -> bool:
-    """The same FitStatus, or errors of one class with one message."""
-    if isinstance(want, FitStatus):
-        return got is want
-    return type(got) is type(want) and str(got) == str(want)
 
 
 def test_import_does_not_load_scipy():
@@ -360,7 +320,7 @@ class TestFitOtherKinds:
         stack = _Stack(kind, np.array([t]), np.array([delta], dtype=np.int8))
         (fits,) = _fit_stacks([stack])
         assert fits.code.tolist() == [_DEGENERATE]
-        assert _same_outcome(_outcome(fits, 0), _fit_mle_outcome(data, kind))
+        assert same_outcome(row_outcome(fits, 0), fit_mle_outcome(data, kind))
 
     def test_overflowing_hazard_sum_warns_nothing(self):
         # the uncensored Gompertz times sum past double range while the
@@ -466,8 +426,8 @@ class TestStackedFits:
             (fits,) = _fit_stacks([_Stack(kind, t, delta)])
             for j, (tj, dj) in enumerate(rows):
                 data = CompetingRisksData(tj, dj)
-                want = _fit_mle_outcome(data, kind)
-                assert _same_outcome(_outcome(fits, j), want), (kind, j)
+                want = fit_mle_outcome(data, kind)
+                assert same_outcome(row_outcome(fits, j), want), (kind, j)
                 if isinstance(want, BvfError):
                     continue
                 fit = fit_mle(data, kind)
@@ -491,7 +451,7 @@ class TestStackedFits:
         assert fits.n_evals.tolist() == [8, 8, 8]
         for j, data in enumerate(datasets):
             fit = fit_mle(data, W)
-            assert fit.status is _outcome(fits, j) is FitStatus.CONVERGED
+            assert fit.status is row_outcome(fits, j) is FitStatus.CONVERGED
             assert fit.n_evals == 8
             assert fit.params_hat.lam == fits.lam[j]
 
@@ -506,16 +466,6 @@ class TestStackedFits:
         delta = np.array([d.delta for d in datasets])
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         assert fits.n_evals.tolist() == [fit_mle(d, kind).n_evals for d in datasets]
-
-
-def _flat_near_clamp_records():
-    """Gompertz, seed 9305, replicate 290 of criterion 7's 40%-censored
-    n=200 cell, whose maximum next to the lower clamp only the flatness
-    check rejects (see test_flat_profile_next_to_clamp_has_no_mle)."""
-    child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
-    pairs = sample(PG, 200, np.random.default_rng(child))
-    data = from_bivariate(pairs, censoring_threshold(PG, 0.4))
-    return data.t, data.delta
 
 
 def _unit_flat_records(scale):
@@ -560,8 +510,8 @@ class TestOutcomeCodes:
         t, delta = (np.asarray(v, dtype=dt) for v, dt in zip(records(), (float, np.int8)))
         (fits,) = _fit_stacks([_Stack(kind, t[None], delta[None])])
         assert fits.code.dtype == np.int8 and fits.code.tolist() == [code]
-        got = _one_row_fit_mle(kind, t, delta)
-        assert _same_outcome(_outcome(fits, 0), got)
+        got = one_row_fit_mle(kind, t, delta)
+        assert same_outcome(row_outcome(fits, 0), got)
         if isinstance(want, FitStatus):
             assert got is want
             assert _REASONS[code] == want.value
@@ -610,81 +560,9 @@ class TestOutcomeCodes:
 
 
 class TestLockstepFits:
-    """One engine call over stacks of every kind and of several record
-    counts must fit each stack as a call of its own does, field by field."""
-
-    @staticmethod
-    def assert_same_fits(got, want):
-        for name in inference._Fits._fields:
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and g.shape == w.shape, name
-            assert np.array_equal(g, w, equal_nan=True) and g.tobytes() == w.tobytes(), name
-
-    def test_mixed_stacks_fit_as_each_alone(self):
-        overflow = list(T12)
-        overflow[3] = 300.0  # exp(4 * 300) is past double range at rung 4
-        unbounded = list(T12)
-        unbounded[3] = math.inf  # not a valid record: p = -inf at every rung
-        short = [
-            (T12, D12),  # interior maximum for Weibull and Gompertz
-            ([1.5] * 12, [3] * 12),  # no failures
-            ([1.0] * 12, [0, 1, 2] * 4),  # monotone profile for every kind
-            ([0.3, 0.7, 1.2, 0.9] * 3, [1, 1, 2, 1] * 3),  # boundary alpha0
-            (unbounded, D12),  # profile -inf over the whole bracket
-            (overflow, D12),  # survival sums overflow on the ladder
-        ]
-        flat = _flat_near_clamp_records()
-        rng = np.random.default_rng(12)
-        long = [flat] + [
-            (d.t, d.delta)
-            for p in (PG, PL, BvfParams(W, 1.34, 1.17, 0.86, 0.91))
-            for d in (from_bivariate(sample(p, 200, rng)) for _ in range(3))
-        ]
-        records = {
-            12: (np.array([r[0] for r in short]), np.array([r[1] for r in short], dtype=np.int8)),
-            200: (np.array([r[0] for r in long]), np.array([r[1] for r in long], dtype=np.int8)),
-        }
-        one = from_bivariate(sample(PL, 50, rng))
-        layout = [(G, 200), (W, 12), (L, 200), (G, 12), (W, 200), (L, 12)]
-
-        # a one-row stack, and a stack with no rows, come last
-        kinds = [kind for kind, _ in layout] + [L, G]
-        stacked = [records[n] for _, n in layout]
-        stacked += [(one.t[None], one.delta[None]), (records[200][0][:0], records[200][1][:0])]
-
-        def build():
-            return [_Stack(kind, *rec) for kind, rec in zip(kinds, stacked)]
-
-        stacks = build()
-        got = _fit_stacks(stacks)
-        alone = [_fit_stacks([stack])[0] for stack in build()]
-        # the stacks of one call share its one scratch pair
-        views = inference._Passes(stacks).views
-        assert len(views) == len(stacks)
-        assert len({id(z.base) for z, _ in views}) == len({id(u.base) for _, u in views}) == 1
-        assert len(got) == len(alone) == len(layout) + 2
-        for g, w in zip(got, alone):
-            self.assert_same_fits(g, w)
-        # every row's code is the outcome of fit_mle on its records alone
-        for g, kind, (t, delta) in zip(got, kinds, stacked):
-            for r in range(g.code.size):
-                want = _one_row_fit_mle(kind, t[r], delta[r])
-                assert _same_outcome(_outcome(g, r), want), (kind, r)
-
-        # the rows take every path of the engine
-        fits = dict(zip(layout, alone))
-        for kind in (W, G, L):
-            code = fits[kind, 12].code
-            assert (code[1], code[4], code[2]) == (_NO_FAILURES, _NO_FINITE_PROFILE, _NO_MLE_CLAMP)
-        assert fits[W, 12].code[0] == _CONVERGED
-        assert fits[W, 12].code[3] == _BOUNDARY
-        assert fits[G, 200].code[0] == _NO_MLE_FLAT
-        assert np.isfinite(fits[G, 200].lam[0])  # Newton ran: the flatness check decided
-        with np.errstate(all="ignore"):
-            a, _ = run_pass(_Stack(G, *records[12]), "survival", np.array([5]), np.array([4.0]))
-        assert a[0] == math.inf
-        assert fits[G, 12].n_evals[5] > 0
-        assert got[-2].code.tolist() == [_CONVERGED] and got[-1].code.size == 0
+    """One engine call over stacks of every kind must count a row's
+    evaluations as a call of its own does (the bits of every field are
+    checked in tests/test_invariance.py)."""
 
     def test_fits_ending_at_a_clamp_count_sixteen_evaluations(self):
         # a monotone profile climbs from rung 14 to a clamp: 3 rungs at the
@@ -706,57 +584,6 @@ class TestLockstepFits:
             at_clamp[kind] = len(rows)
         assert at_clamp == {W: 0, G: 166, L: 34}
 
-    def test_overflow_rows_past_the_first_stack(self):
-        # A pass's per-row arithmetic runs once over all its runs; only rows
-        # whose survival sum overflows go back to their stack, at their run's
-        # positions. Lomax comes first, with a censored record at 1e305 whose
-        # log1p(lam*C) overflows (a = inf, c NaN: 0*inf); Weibull (t = 1e30)
-        # and Gompertz (t = 1000) rows overflow at the lambdas given below.
-        base = np.array([T12] * 4)
-        delta = np.array([D12] * 4, dtype=np.int8)
-        lomax_t, weibull_t, gompertz_t = base.copy(), base.copy(), base.copy()
-        lomax_t[1, 10] = 1e305
-        weibull_t[[1, 3], 3] = 1e30
-        gompertz_t[[0, 2], 3] = 1000.0
-
-        def build():
-            return [
-                _Stack(L, lomax_t, delta), _Stack(W, weibull_t, delta), _Stack(G, gompertz_t, delta)
-            ]
-
-        rows = np.array([0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-        # a profile and a Newton pass at these lambdas: the Weibull and
-        # Gompertz rows overflow at a ladder rung (4**2) and at other lambdas,
-        # and every sum but those and the Lomax row's at 1e4 stays finite
-        lam = np.array([0.7, 1e4, 1.3, 0.8, 16.0, 1.1, 30.0, 16.0, 0.9, 1.0, 2.5])
-        stacks = build()
-        passes = inference._Passes(stacks)
-        with np.errstate(all="ignore"):
-            p = passes.profile(rows, lam)
-            g, h, sums = passes.newton(rows, lam)
-            want_p, want_terms, want_sums = [], [], []
-            for stack, at in zip(build(), passes.slices):
-                own = rows[(rows >= at.start) & (rows < at.stop)] - at.start
-                lam_own = lam[(rows >= at.start) & (rows < at.stop)]
-                want_p.append(run_pass(stack, "profile", own, lam_own))
-                *terms, slopes = inference._Passes([stack]).newton(own, lam_own)
-                want_terms.append(terms)
-                want_sums.append(slopes)
-            a, c = run_pass(_Stack(L, lomax_t, delta), "survival", np.array([1]), np.array([1e4]))
-        assert a[0] == math.inf and math.isnan(c[0])
-        # survival sums past double range at pass positions 1 (Lomax), 4
-        # and 6 (Weibull), 7 and 9 (Gompertz)
-        over = [4, 6, 7, 9]
-        assert (sums[0][[1, *over]] == math.inf).all()
-        assert np.isfinite(sums[0][[0, 2, 3, 5, 8, 10]]).all()
-        assert p[1] == -math.inf and np.isfinite(p[over]).all()
-        assert np.isfinite(g[over]).all() and np.isfinite(h[over]).all()
-        assert p.tobytes() == np.concatenate(want_p).tobytes()
-        assert g.tobytes() == np.concatenate([t[0] for t in want_terms]).tobytes()
-        assert h.tobytes() == np.concatenate([t[1] for t in want_terms]).tobytes()
-        assert sums.tobytes() == np.concatenate(want_sums, axis=1).tobytes()
-
-
 class TestRowBlocks:
     """Stacked passes run in row blocks of at most _SCAN_RECORDS records;
     rows past the first block must get the bits their one-row call gets."""
@@ -774,7 +601,7 @@ class TestRowBlocks:
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         for j, data in enumerate(datasets):
             fit = fit_mle(data, kind)
-            assert _outcome(fits, j) is fit.status, j
+            assert row_outcome(fits, j) is fit.status, j
             assert fits.n_evals[j] == fit.n_evals, j
             if fit.params_hat is not None:
                 q = fit.params_hat
@@ -878,7 +705,7 @@ class TestRowBlocks:
         (fits,) = _fit_stacks([_Stack(kind, t, delta)])
         q = fit.params_hat
         for j in range(2):
-            assert _outcome(fits, j) is fit.status
+            assert row_outcome(fits, j) is fit.status
             assert fits.n_evals[j] == fit.n_evals
             assert fits.lam[j] == q.lam
             assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]

@@ -12,6 +12,16 @@ estimate, in no failures or in degenerate rates. For each:
 - a dataset fitted alone, first or last in a lockstep call of several
   kinds and sizes, and as a row of a bootstrap-sized stack, gets the same
   bits in every field of its fit;
+- every stack of a lockstep call over stacks of every kind, of two record
+  counts, of one row and of none, whose rows take every path of the
+  engine, fits as a call of its own does, field by field, and each row
+  ends in what ``fit_mle`` gives its records alone; a profile and a Newton
+  pass whose survival sums overflow in several stacks give each stack's
+  rows the bits of a call over that stack alone;
+- a stack with no censored record keeps no censoring weights (the
+  one-row stack of ``fit_mle`` too), and one censored record in any row
+  gives the stack weights; either way, and in a call that holds a complete
+  and a censored stack side by side, each row gets its one-row bits;
 - the single-dataset evaluations (``profile_loglik``,
   ``alphas_given_lambda``, ``log_likelihood`` and ``observed_fisher`` away
   from a fitted lambda) give the bits their dataset gets as the first,
@@ -23,6 +33,8 @@ here: those wait for the ROADMAP changes that remove the cancellation in
 their profile score near the exponential limit and make their fits
 independent of the time unit (their lambda has units of 1/time).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -45,8 +57,10 @@ from bvf import (
 )
 from bvf.inference import (
     _BOUNDARY,
+    _CONVERGED,
     _DEGENERATE,
     _NO_FAILURES,
+    _NO_FINITE_PROFILE,
     _NO_MLE_CLAMP,
     _NO_MLE_FLAT,
     _curvature,
@@ -60,12 +74,28 @@ from bvf.inference import (
     _workspace,
 )
 
+from engine_passes import one_row_fit_mle, row_outcome, run_pass, same_outcome
+
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 CAPTION = {
     W: BvfParams(W, 1.34, 1.17, 0.86, 0.91),
     G: BvfParams(G, 1.13, 0.96, 0.79, 1.05),
     L: BvfParams(L, 0.85, 0.57, 0.74, 0.69),
 }
+
+# Twelve records, two ties, four first-risk, three second-risk, three
+# censored at 1.5
+T12 = [0.2, 0.5, 0.7, 1.1, 0.3, 0.9, 1.4, 0.6, 1.0, 1.5, 1.5, 1.5]
+D12 = [1, 1, 1, 1, 2, 2, 2, 0, 0, 3, 3, 3]
+
+
+def _flat_near_clamp() -> CompetingRisksData:
+    """Replicate 290 of criterion 7's 40%-censored Gompertz n=200 cell
+    (seed 9305), whose Gompertz maximum next to the lower clamp only the
+    flatness check rejects."""
+    child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
+    pairs = sample(CAPTION[G], 200, np.random.default_rng(child))
+    return from_bivariate(pairs, censoring_threshold(CAPTION[G], 0.4))
 
 
 def _datasets() -> list:
@@ -81,9 +111,7 @@ def _datasets() -> list:
     # replicate 290 of criterion 7's 40%-censored Gompertz n=200 cell
     flat = from_bivariate(sample(CAPTION[W], 20, 103))
     out.append(CompetingRisksData(flat.t * 1e4, flat.delta))
-    child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
-    pairs = sample(CAPTION[G], 200, np.random.default_rng(child))
-    out.append(from_bivariate(pairs, censoring_threshold(CAPTION[G], 0.4)))
+    out.append(_flat_near_clamp())
     out.append(CompetingRisksData([1.5] * 12, [3] * 12))
     out.append(CompetingRisksData([5e-324] * 4 + [1e-320] * 2, [1, 2, 0, 1, 2, 1]))
     return out
@@ -182,6 +210,166 @@ def test_stack_position_keeps_every_bit(kind, base):
         last = _fit_stacks([*others, _stack_of([DATASETS[i]], kind)])[-1]
         for got, r in ((first, 0), (last, 0), (big, j)):
             _assert_same_row(got, r, alone)
+
+
+def _assert_same_fits(got: _Fits, want: _Fits) -> None:
+    for name in _Fits._fields:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w, equal_nan=True) and g.tobytes() == w.tobytes(), name
+
+
+def test_mixed_stacks_fit_as_each_alone():
+    # one engine call over stacks of every kind and of several record
+    # counts fits each stack as a call of its own does, field by field
+    overflow = list(T12)
+    overflow[3] = 300.0  # exp(4 * 300) is past double range at rung 4
+    unbounded = list(T12)
+    unbounded[3] = math.inf  # not a valid record: p = -inf at every rung
+    short = [
+        (T12, D12),  # interior maximum for Weibull and Gompertz
+        ([1.5] * 12, [3] * 12),  # no failures
+        ([1.0] * 12, [0, 1, 2] * 4),  # monotone profile for every kind
+        ([0.3, 0.7, 1.2, 0.9] * 3, [1, 1, 2, 1] * 3),  # boundary alpha0
+        (unbounded, D12),  # profile -inf over the whole bracket
+        (overflow, D12),  # survival sums overflow on the ladder
+    ]
+    flat = _flat_near_clamp()
+    rng = np.random.default_rng(12)
+    long = [(flat.t, flat.delta)] + [
+        (d.t, d.delta)
+        for p in (CAPTION[G], CAPTION[L], CAPTION[W])
+        for d in (from_bivariate(sample(p, 200, rng)) for _ in range(3))
+    ]
+    records = {
+        12: (np.array([r[0] for r in short]), np.array([r[1] for r in short], dtype=np.int8)),
+        200: (np.array([r[0] for r in long]), np.array([r[1] for r in long], dtype=np.int8)),
+    }
+    one = from_bivariate(sample(CAPTION[L], 50, rng))
+    layout = [(G, 200), (W, 12), (L, 200), (G, 12), (W, 200), (L, 12)]
+
+    # a one-row stack, and a stack with no rows, come last
+    kinds = [kind for kind, _ in layout] + [L, G]
+    stacked = [records[n] for _, n in layout]
+    stacked += [(one.t[None], one.delta[None]), (records[200][0][:0], records[200][1][:0])]
+
+    def build():
+        return [_Stack(kind, *rec) for kind, rec in zip(kinds, stacked)]
+
+    stacks = build()
+    got = _fit_stacks(stacks)
+    alone = [_fit_stacks([stack])[0] for stack in build()]
+    # the stacks of one call share its one scratch pair
+    views = _Passes(stacks).views
+    assert len(views) == len(stacks)
+    assert len({id(z.base) for z, _ in views}) == len({id(u.base) for _, u in views}) == 1
+    assert len(got) == len(alone) == len(layout) + 2
+    for g, w in zip(got, alone):
+        _assert_same_fits(g, w)
+    # every row's code is the outcome of fit_mle on its records alone
+    for g, kind, (t, delta) in zip(got, kinds, stacked):
+        for r in range(g.code.size):
+            want = one_row_fit_mle(kind, t[r], delta[r])
+            assert same_outcome(row_outcome(g, r), want), (kind, r)
+
+    # the rows take every path of the engine
+    fits = dict(zip(layout, alone))
+    for kind in (W, G, L):
+        code = fits[kind, 12].code
+        assert (code[1], code[4], code[2]) == (_NO_FAILURES, _NO_FINITE_PROFILE, _NO_MLE_CLAMP)
+    assert fits[W, 12].code[0] == _CONVERGED
+    assert fits[W, 12].code[3] == _BOUNDARY
+    assert fits[G, 200].code[0] == _NO_MLE_FLAT
+    assert np.isfinite(fits[G, 200].lam[0])  # Newton ran: the flatness check decided
+    with np.errstate(all="ignore"):
+        a, _ = run_pass(_Stack(G, *records[12]), "survival", np.array([5]), np.array([4.0]))
+    assert a[0] == math.inf
+    assert fits[G, 12].n_evals[5] > 0
+    assert got[-2].code.tolist() == [_CONVERGED] and got[-1].code.size == 0
+
+
+def test_overflow_rows_past_the_first_stack():
+    # A pass's per-row arithmetic runs once over all its runs; only rows
+    # whose survival sum overflows go back to their stack, at their run's
+    # positions. Lomax comes first, with a censored record at 1e305 whose
+    # log1p(lam*C) overflows (a = inf, c NaN: 0*inf); Weibull (t = 1e30)
+    # and Gompertz (t = 1000) rows overflow at the lambdas given below.
+    base = np.array([T12] * 4)
+    delta = np.array([D12] * 4, dtype=np.int8)
+    lomax_t, weibull_t, gompertz_t = base.copy(), base.copy(), base.copy()
+    lomax_t[1, 10] = 1e305
+    weibull_t[[1, 3], 3] = 1e30
+    gompertz_t[[0, 2], 3] = 1000.0
+
+    def build():
+        return [
+            _Stack(L, lomax_t, delta), _Stack(W, weibull_t, delta), _Stack(G, gompertz_t, delta)
+        ]
+
+    rows = np.array([0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    # a profile and a Newton pass at these lambdas: the Weibull and
+    # Gompertz rows overflow at a ladder rung (4**2) and at other lambdas,
+    # and every sum but those and the Lomax row's at 1e4 stays finite
+    lam = np.array([0.7, 1e4, 1.3, 0.8, 16.0, 1.1, 30.0, 16.0, 0.9, 1.0, 2.5])
+    stacks = build()
+    passes = _Passes(stacks)
+    with np.errstate(all="ignore"):
+        p = passes.profile(rows, lam)
+        g, h, sums = passes.newton(rows, lam)
+        want_p, want_terms, want_sums = [], [], []
+        for stack, at in zip(build(), passes.slices):
+            own = rows[(rows >= at.start) & (rows < at.stop)] - at.start
+            lam_own = lam[(rows >= at.start) & (rows < at.stop)]
+            want_p.append(run_pass(stack, "profile", own, lam_own))
+            *terms, slopes = _Passes([stack]).newton(own, lam_own)
+            want_terms.append(terms)
+            want_sums.append(slopes)
+        a, c = run_pass(_Stack(L, lomax_t, delta), "survival", np.array([1]), np.array([1e4]))
+    assert a[0] == math.inf and math.isnan(c[0])
+    # survival sums past double range at pass positions 1 (Lomax), 4
+    # and 6 (Weibull), 7 and 9 (Gompertz)
+    over = [4, 6, 7, 9]
+    assert (sums[0][[1, *over]] == math.inf).all()
+    assert np.isfinite(sums[0][[0, 2, 3, 5, 8, 10]]).all()
+    assert p[1] == -math.inf and np.isfinite(p[over]).all()
+    assert np.isfinite(g[over]).all() and np.isfinite(h[over]).all()
+    assert p.tobytes() == np.concatenate(want_p).tobytes()
+    assert g.tobytes() == np.concatenate([t[0] for t in want_terms]).tobytes()
+    assert h.tobytes() == np.concatenate([t[1] for t in want_terms]).tobytes()
+    assert sums.tobytes() == np.concatenate(want_sums, axis=1).tobytes()
+
+
+def _censored_last(data) -> CompetingRisksData:
+    """``data`` with its latest record censored at its time."""
+    delta = data.delta.copy()
+    delta[data.t.argmax()] = 3
+    return CompetingRisksData(data.t, delta)
+
+
+@pytest.mark.parametrize("kind", [W, G, L])
+def test_a_censored_record_keeps_the_complete_rows_bits(kind):
+    # A stack none of whose records is censored keeps no weights and takes
+    # its uncensored sums as its plain sums; one censored record, in any
+    # row, gives the whole stack weights (Lomax keeps them). Each row, the
+    # complete ones of a weighted stack included, gets its one-row bits.
+    rng = np.random.default_rng(41)
+    complete = [from_bivariate(sample(CAPTION[kind], 40, rng)) for _ in range(6)]
+    censored = [_censored_last(d) for d in complete]
+    assert all(d.m3 == 0 for d in complete) and all(d.m3 == 1 for d in censored)
+    assert all(_workspace(d, kind).w is None for d in complete)
+    assert _stack_of(complete, kind).w is None
+    for r in range(len(complete)):
+        datasets = complete[:r] + [censored[r]] + complete[r + 1 :]
+        stack = _stack_of(datasets, kind)
+        assert (stack.w is None) == (kind is not L), r
+        (fits,) = _fit_stacks([stack])
+        for j, data in enumerate(datasets):
+            _assert_same_row(fits, j, _fit(data, kind))
+    # a complete and a censored stack side by side in one engine call
+    both = _fit_stacks([_stack_of(complete, kind), _stack_of(censored, kind)])
+    for fits, datasets in zip(both, (complete, censored)):
+        for j, data in enumerate(datasets):
+            _assert_same_row(fits, j, _fit(data, kind))
 
 
 def _bits(value) -> bytes:
