@@ -320,26 +320,27 @@ class _Stack:
         plain sums of log1p, q and q**2, and the products are skipped."""
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
+
+            def uncensored(v, plain, at):
+                # sum_unc v into out[at], given its plain sum in out[plain]
+                if w is None:
+                    out[at] = out[plain]
+                else:
+                    np.multiply(v, w, out=u).sum(axis=-1, out=out[at])
+
             s = np.log1p(z, out=u)
             s.sum(axis=-1, out=out[0])
-            if w is None:
-                out[1] = out[0]
-            else:
-                np.multiply(s, w, out=u).sum(axis=-1, out=out[1])
+            uncensored(s, 0, 1)
             if len(out) == 2:
                 return
             z += 1.0
             q = np.divide(x, z, out=z)
             q.sum(axis=-1, out=out[2])
-            if w is not None:
-                np.multiply(q, w, out=u).sum(axis=-1, out=out[4])
+            uncensored(q, 2, 4)
             qq = np.multiply(q, q, out=q)
-            np.negative(qq.sum(axis=-1, out=out[3]), out=out[3])
-            if w is None:
-                out[4] = out[2]
-                np.negative(out[3], out=out[5])
-            else:
-                np.multiply(qq, w, out=u).sum(axis=-1, out=out[5])
+            qq.sum(axis=-1, out=out[3])
+            uncensored(qq, 3, 5)
+            np.negative(out[3], out=out[3])
             return
         gompertz = self.kind is BaselineKind.GOMPERTZ
         s = np.expm1(z, out=z) if gompertz else np.exp(z, out=z)
