@@ -17,7 +17,8 @@
   ``profile-curve``, ``km-compare`` and ``density-grid`` commands of the
   CLI: exit code, stdout and stderr, and the ``--table-out`` CSV of both
   study commands; ``fit``, ``ci`` and ``select`` also on complete Lomax
-  records one row longer than a block of the engine.
+  records one row longer than a block of the engine, and ``fit`` and
+  ``ci --method asymptotic`` on the same draws 30% censored.
 
 An output that raises is recorded as its error class and message. Dict keys
 keep their order, so a reordered report reads as a change.
@@ -255,15 +256,24 @@ def _cli(out: dict) -> None:
         # complete Lomax records, one row longer than a block of the engine
         params = CAPTION[L]
         path = os.path.join(tmp, "lomax-long.csv")
-        run_cli([
+        generate = [
             "generate", "--kind", "lomax", "--alpha0", str(params.alpha0),
             "--alpha1", str(params.alpha1), "--alpha2", str(params.alpha2),
-            "--lambda", str(params.lam), "--n", "20000", "--seed", "6", "--out", path,
-        ])
+            "--lambda", str(params.lam), "--n", "20000", "--seed", "6",
+        ]
+        run_cli(generate + ["--out", path])
         common = ["--data", path, "--kind", "lomax"]
         out["cli/lomax-long/lomax/fit"] = run_cli(["fit", *common])
         out["cli/lomax-long/lomax/ci"] = run_cli(["ci", *common, "--method", "asymptotic"])
         out["cli/lomax-long/select"] = run_cli(["select", "--data", path])
+        # the same draws 30% censored
+        path = os.path.join(tmp, "lomax-long-censored.csv")
+        run_cli(generate + ["--censor-frac", "0.3", "--out", path])
+        common = ["--data", path, "--kind", "lomax"]
+        out["cli/lomax-long-censored/lomax/fit"] = run_cli(["fit", *common])
+        out["cli/lomax-long-censored/lomax/ci"] = run_cli(
+            ["ci", *common, "--method", "asymptotic"]
+        )
 
         def study(name, argv):
             # the table is written only by a study that succeeds
