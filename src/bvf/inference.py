@@ -36,12 +36,14 @@ holds its records and writes nothing after it is built; the engine call
 owns two scratch buffers of one block, into which each of its passes
 writes its temporaries, so a pass allocates no per-record array, the
 memory it touches stays in cache from block to block and from pass to
-pass, and calls from several threads share no buffer. A sum over the
-uncensored records multiplies by the records' 0/1 float weights, where
-selecting them with np.where cost five times as much per record; the
-product and the selection give the same sums (see :class:`_Stack`). A
-stack with no censored record has no weights: its uncensored sums are its
-plain sums.
+pass, and calls from several threads share no buffer.
+
+The records are Type-I censored: every censored record of a dataset sits
+at its one censoring time C, which is the dataset's largest time, as
+:class:`CompetingRisksData` and the bootstrap's draws guarantee. So a sum
+over the uncensored records is the plain sum less m3 copies of its term
+at C, and a stack keeps no per-record censoring state, only m3 and C per
+row (see :class:`_Stack`).
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -84,7 +86,6 @@ from .bvf_model import (  # noqa: F401
     sample,
 )
 from .data_model import (  # noqa: F401
-    _CENSORED,
     CompetingRisksData,
     FailureMode,
     _first_failure,
@@ -229,69 +230,71 @@ class _Stack:
     stack evaluated at several lambdas broadcasts its row instead of
     gathering copies.
 
-    A sum over uncensored records multiplies by their 0/1 float weights
-    (``w``, kept for Lomax, whose hazard sums need a pass per lambda; the
-    other kinds need one such sum, sum_unc x, taken here). For a finite
-    term v, v*1 is v and v*0 a zero, so the sums are those of selecting the
-    terms. The one term that can be infinite is Lomax's log1p(lam*C) at a
-    censored record once lam*C overflows: there 0*inf makes the hazard sum
-    c NaN, but the survival sum a is inf, and every reader of c (the
-    profile, the log-likelihood, the closed-form alphas) returns -inf or
-    raises where a is inf, whatever c is. A stack none of whose records is
-    censored (m = n in every row, from the tally) has no weights: its
-    uncensored sums are its plain sums, the bits that all-ones products
-    give, so a Lomax pass copies them and sum_unc x is a plain row sum. A
-    stack with one censored record keeps the weights of every row, so each
-    of its complete rows takes the products, whose bits are the copies'.
+    A sum over uncensored records is the plain sum less the censored
+    records' terms. The records must be Type-I censored: the m3 = n - m
+    censored records of a row all sit at one time C, the row's largest
+    (:class:`CompetingRisksData` and :func:`_draw_stack` guarantee it;
+    other records get wrong uncensored sums), so their terms are m3 copies
+    of the term at x_C, the row's largest x. Weibull and Gompertz need one
+    such sum, sum_unc x = sum x - m3 x_C, taken here. Lomax needs three at
+    each lambda, of log1p(lam*x), q and q**2: its kernel writes the plain
+    sums, and its engine call subtracts the m3 terms at C, once per pass
+    over all its rows (:meth:`_Passes._sums`), from the rows' ``terms``. A
+    complete row's C is 0, so the correction subtracts an exact 0.0 and the
+    row keeps its plain sums' bits. The one term that can be infinite is
+    log1p(lam*C) once lam*C overflows: there the survival sum a is inf and
+    the hazard sum c NaN (inf - inf), and every reader of c (the profile,
+    the log-likelihood, the closed-form alphas) returns -inf or raises
+    where a is inf, whatever c is.
     """
 
-    __slots__ = ("kind", "x", "w", "counts", "m", "terms")
+    __slots__ = ("kind", "x", "counts", "m", "terms")
 
     @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None):
-        """The stack of kind ``kind`` over the records ``t`` and ``delta``.
-        ``tally`` is their :func:`_tally`, which stacks of several kinds over
-        one record set share, taken here when not given."""
+        """The stack of kind ``kind`` over the records ``t`` and ``delta``,
+        Type-I censored (see above). ``tally`` is their :func:`_tally`,
+        which stacks of several kinds over one record set share, taken here
+        when not given."""
         self.kind = kind
         R, n = t.shape
-        self.x = np.empty_like(t) if kind is BaselineKind.WEIBULL else t
+        weibull = kind is BaselineKind.WEIBULL
+        self.x = np.empty_like(t) if weibull else t
         self.counts, self.m = _tally(delta) if tally is None else tally
-        # per row m, s (1 for Weibull, else 0) and sum_unc x (-0.0 for
-        # Lomax, whose hazard sum needs a pass per lambda): see _hazard
-        self.terms = np.empty((3, R))
-        self.terms[0] = self.m
-        self.terms[1] = 1.0 if kind is BaselineKind.WEIBULL else 0.0
-        unc_sum = self.terms[2]
-        lomax = kind is BaselineKind.LOMAX
-        # weights only where a record is censored; Lomax keeps them
-        censored = bool((self.m < n).any())
-        self.w = np.empty((R, n)) if lomax and censored else None
-        if lomax:
-            unc_sum[:] = -0.0
-        elif censored:
-            # the weights of one block at a time
-            tmp = np.empty((min(R, _block_size(n) // n), n))
+        # per row m, s (1 for Weibull, else 0), sum_unc x (-0.0 for Lomax,
+        # whose hazard sum needs a pass per lambda; see _hazard), and the
+        # m3 and x_C that a pass takes out of a Lomax row's plain sums
+        # (_Passes._sums; 0 and 0 for the other kinds, which take them out
+        # of sum x here)
+        self.terms = np.zeros((5, R))
+        m, s, unc_sum, m3, at_c = self.terms
+        m[:] = self.m
+        s[:] = weibull
+        m3[:] = n - self.m
+        censored = m3 > 0
         for blk in _row_blocks(R, n):
-            if kind is BaselineKind.WEIBULL:
+            if weibull:
                 np.log(t[blk], out=self.x[blk])
-            x = self.x[blk]
-            if censored:
-                w = tmp[: blk.stop - blk.start] if self.w is None else self.w[blk]
-                np.not_equal(delta[blk], _CENSORED, out=w)
-                if not lomax:
-                    x = np.multiply(x, w, out=w)
-            if not lomax:
-                unc_sum[blk] = x.sum(axis=-1)
+            if kind is not BaselineKind.LOMAX:
+                unc_sum[blk] = self.x[blk].sum(axis=-1)
+            if censored[blk].any():
+                at_c[blk] = self.x[blk].max(axis=-1)
+        # 0 in a complete row, whose correction then subtracts an exact 0.0
+        # (never 0 * inf)
+        at_c[~censored] = 0.0
+        if kind is BaselineKind.LOMAX:
+            unc_sum[:] = -0.0
+        else:
+            unc_sum -= m3 * at_c
+            m3[:] = at_c[:] = 0.0
 
     def _block(self, rows, sel):
-        """x and w (None but for a Lomax stack with a censored record) of
-        ``rows[sel]``. A one-row stack gives its own (1, n) arrays, which
-        broadcast against any number of lambdas, instead of gathering
-        copies of its row."""
+        """x of ``rows[sel]``. A one-row stack gives its own (1, n) array,
+        which broadcasts against any number of lambdas, instead of
+        gathering copies of its row."""
         if self.x.shape[0] == 1:
-            return self.x, self.w
-        idx = sel if rows is _ALL else rows[sel]
-        return self.x[idx], None if self.w is None else self.w[idx]
+            return self.x
+        return self.x[sel if rows is _ALL else rows[sel]]
 
     def _rowwise(self, rows, lam, out, z, u) -> None:
         """Write into ``out``, one column per lambda, the per-row sums that
@@ -299,48 +302,37 @@ class _Stack:
         the blocks of :func:`_row_blocks`; ``z`` and ``u`` are the scratch
         buffers, (block, n) views, that the blocks reuse."""
         if lam.size <= len(z):
-            self._sums(*self._block(rows, _ALL), lam, out, z[: lam.size], u[: lam.size])
+            self._sums(self._block(rows, _ALL), lam, out, z[: lam.size], u[: lam.size])
             return
         for blk in _row_blocks(lam.size, self.x.shape[-1]):
             k = blk.stop - blk.start
-            self._sums(*self._block(rows, blk), lam[blk], out[:, blk], z[:k], u[:k])
+            self._sums(self._block(rows, blk), lam[blk], out[:, blk], z[:k], u[:k])
 
-    def _sums(self, x, w, lam, out, z, u) -> None:
+    def _sums(self, x, lam, out, z, u) -> None:
         """Write into ``out`` a block's record sums in one transcendental
         pass. Its first two rows get the survival sums: a, and for Lomax
-        sum_unc log1p(lam*x). A 6-row ``out`` (a Newton pass) goes on from
+        a again, for sum_unc log1p(lam*x). A 6-row ``out`` (a Newton pass)
+        goes on from
         the terms the survival stage left in ``z`` (exp(lam*x) for Weibull,
         expm1(lam*x) for Gompertz, lam*x for Lomax) to a' and a'', and, for
-        Lomax, to the uncensored sums of q and q**2. Weibull and Gompertz
-        share a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x)
-        and a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
+        Lomax, to the sums of q and q**2. Weibull and Gompertz share
+        a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x) and
+        a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
         a' = sum q and a'' = -sum q**2. A Newton pass's survival sums are
-        thus a survival pass's bits by construction. Without weights ``w``
-        (no record censored) the Lomax uncensored sums are copies of the
-        plain sums of log1p, q and q**2, and the products are skipped."""
+        thus a survival pass's bits by construction. The Lomax rows for the
+        uncensored sums of log1p, q and q**2 get their plain sums, which the
+        engine call corrects for the censored records
+        (:meth:`_Passes._sums`)."""
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
-
-            def uncensored(v, plain, at):
-                # sum_unc v into out[at], given its plain sum in out[plain]
-                if w is None:
-                    out[at] = out[plain]
-                else:
-                    np.multiply(v, w, out=u).sum(axis=-1, out=out[at])
-
-            s = np.log1p(z, out=u)
-            s.sum(axis=-1, out=out[0])
-            uncensored(s, 0, 1)
+            out[1] = np.log1p(z, out=u).sum(axis=-1, out=out[0])
             if len(out) == 2:
                 return
             z += 1.0
             q = np.divide(x, z, out=z)
-            q.sum(axis=-1, out=out[2])
-            uncensored(q, 2, 4)
-            qq = np.multiply(q, q, out=q)
-            qq.sum(axis=-1, out=out[3])
-            uncensored(qq, 3, 5)
-            np.negative(out[3], out=out[3])
+            out[4] = q.sum(axis=-1, out=out[2])
+            np.multiply(q, q, out=q).sum(axis=-1, out=out[5])
+            np.negative(out[5], out=out[3])
             return
         gompertz = self.kind is BaselineKind.GOMPERTZ
         s = np.expm1(z, out=z) if gompertz else np.exp(z, out=z)
@@ -363,7 +355,7 @@ class _Stack:
         grow logarithmically, so its a is inf only where a term is."""
         over = _NONE if self.kind is BaselineKind.LOMAX else np.flatnonzero(a == np.inf)
         # a one-row stack gives its row whatever ``over`` holds
-        x = self._block(rows, over)[0][: over.size]
+        x = self._block(rows, over)[: over.size]
         z = lam[over, None] * x
         hi = z.max(axis=-1)
         e = np.exp(z - hi[:, None])
@@ -390,7 +382,7 @@ def _hazard(terms, lam, unc_log1p):
     Lomax) the rows' ``terms`` (:class:`_Stack`) and unc_log1p =
     sum_unc log1p(lam*x) (Lomax; 0.0 otherwise): lam - 0.0 is lam and
     lam * -0.0 is -0.0, so each kind gets the bits of its own formula."""
-    m, s, unc_sum = terms
+    m, s, unc_sum = terms[:3]
     return m * np.log(lam) + (lam - s) * unc_sum - unc_log1p
 
 
@@ -432,7 +424,7 @@ def _score(runs, lam, terms, sums) -> tuple:
     shifted exponentials (:meth:`_Stack._shifted`, ``runs`` as in
     :func:`_profile`)."""
     a, _, a1, a2, uq, uq2 = sums
-    m, _, unc_sum = terms
+    m, _, unc_sum = terms[:3]
     r1 = a1 / a
     r2 = a2 / a
     if not math.isfinite(r2.sum()):
@@ -681,8 +673,9 @@ class _Passes:
     (:meth:`_sums`), and differ only in how many sums per row they ask of
     each stack's one kernel (:meth:`_Stack._sums`): 2, or 6. Each stack
     writes the record sums of its run into the pass's one array of per-row
-    sums; the formulas then run once over all the pass's rows, and only
-    rows whose survival sum is past double range go back to their stack
+    sums; the censored terms leave the Lomax rows' uncensored sums, and the
+    formulas then run, once over all the pass's rows, and only rows whose
+    survival sum is past double range go back to their stack
     (:meth:`_Stack._shifted`).
     """
 
@@ -698,6 +691,9 @@ class _Passes:
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
+        # whether a censored Lomax row is among the call's rows (the other
+        # rows' m3 are 0)
+        self.censored = bool(self.terms[3].any())
 
     def scan_chunk(self, rows: np.ndarray) -> int:
         """The rungs ahead that a ladder scan of ``rows`` (distinct rows)
@@ -728,11 +724,28 @@ class _Passes:
     def _sums(self, rows: np.ndarray, lam: np.ndarray, preset, distinct=False) -> tuple:
         """The runs of ``rows`` (:meth:`_runs`) and the per-row sums that
         :meth:`_Stack._sums` writes at them, one column per row, from the
-        columns ``preset``: ``_SURVIVAL_SUMS`` or ``_SLOPE_SUMS``."""
+        columns ``preset``: ``_SURVIVAL_SUMS`` or ``_SLOPE_SUMS``. In a call
+        with a censored Lomax row, each Lomax row's uncensored sums then
+        lose its m3 terms at C (see :class:`_Stack`):
+
+            sum_unc log1p(lam*x) = sum log1p(lam*x) - m3 log1p(lam*C)
+            sum_unc q = sum q - m3 q_C,  sum_unc q**2 = sum q**2 - m3 q_C**2
+
+        with q_C = C / (1 + lam*C), the bits of the kernel's terms at C."""
         runs = self._runs(rows, distinct)
         sums = preset.repeat(rows.size, axis=1)
         for at, stack, own, views in runs:
             stack._rowwise(own, lam[at], sums[:, at], *views)
+        if self.censored:
+            # a complete row, and every row of another kind, has m3 = C = 0
+            # and keeps its bits
+            m3, at_c = self.terms[3:, rows]
+            z = lam * at_c
+            sums[1] -= m3 * np.log1p(z)
+            if len(sums) > 2:
+                q = at_c / (z + 1.0)
+                sums[4] -= m3 * q
+                sums[5] -= m3 * (q * q)
         return runs, sums
 
     def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:

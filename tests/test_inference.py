@@ -761,8 +761,9 @@ class TestStackSums:
 
     def test_overflowing_lomax_row(self):
         # the censored record's lam*t is past double range, so its log1p is
-        # inf: a is inf, and the hazard sum c, which weights that inf by 0,
-        # is NaN; every consumer reads a first and returns -inf or raises
+        # inf: a is inf, and the hazard sum c, which takes that inf from a
+        # (inf - inf), is NaN; every consumer reads a first and returns -inf
+        # or raises
         t = np.array([0.5, 1.0, 2.0, 1e300])
         delta = np.array([0, 1, 2, 3])
         lam = 1e10
@@ -780,32 +781,36 @@ class TestStackSums:
 def _reference_sums(kind, t, delta, lam):
     """The record sums of a stack of ``t``/``delta`` rows at ``lam`` (one
     per row, or several against one row), computed over whole rows with
-    fresh temporaries and np.where masks: the stack's formulas before its
-    passes wrote into scratch and weighted by floats. Returns the survival
-    sums (a, and for Lomax the uncensored log1p sum), the slope sums (a,
-    a', a'', and for Lomax sum_unc q and q**2) and, but for Lomax, the
-    uncensored sum of x."""
+    fresh temporaries: the stack's formulas before its passes wrote into
+    scratch. The rows are Type-I censored, so each uncensored sum is the
+    plain sum less m3 copies of its term at C, the row's largest x (0 in a
+    complete row). Returns the survival sums (a, and for Lomax the
+    uncensored log1p sum), the slope sums (a, a', a'', and for Lomax
+    sum_unc q and q**2) and, but for Lomax, the uncensored sum of x."""
     x = np.log(t) if kind is W else t
-    unc = delta != 3
+    m3 = (delta == 3).sum(axis=-1)
+    at_c = np.where(m3 > 0, x.max(axis=-1), 0.0)
     z = lam[:, None] * x
     if kind is L:
         s = np.log1p(z)
         q = x / (1.0 + z)
         qq = q * q
-        survival = (s.sum(axis=-1), np.where(unc, s, 0.0).sum(axis=-1))
+        z_c = lam * at_c
+        q_c = at_c / (1.0 + z_c)
+        survival = (s.sum(axis=-1), s.sum(axis=-1) - m3 * np.log1p(z_c))
         slopes = (
             np.log1p(z).sum(axis=-1),
             q.sum(axis=-1),
             -qq.sum(axis=-1),
-            np.where(unc, q, 0.0).sum(axis=-1),
-            np.where(unc, qq, 0.0).sum(axis=-1),
+            q.sum(axis=-1) - m3 * q_c,
+            qq.sum(axis=-1) - m3 * (q_c * q_c),
         )
         return survival, slopes, None
     s = np.exp(z) if kind is W else np.expm1(z)
     xe = x * s if kind is W else x * (s + 1.0)
     survival = (s.sum(axis=-1),)
     slopes = (s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1))
-    return survival, slopes, np.where(unc, x, 0.0).sum(axis=-1)
+    return survival, slopes, x.sum(axis=-1) - m3 * at_c
 
 
 def _reference_passes(kind, t, delta, lam):
@@ -837,9 +842,9 @@ def _reference_passes(kind, t, delta, lam):
 
 class TestStackPasses:
     """A pass writes its temporaries into its engine call's scratch and
-    weights its masked sums by floats; its outputs must be the bits of the
-    plain formulas (:func:`_reference_passes`), whatever ran in the call
-    before, and it must allocate no per-record array."""
+    takes its uncensored sums from its plain sums; its outputs must be the
+    bits of the plain formulas (:func:`_reference_passes`), whatever ran in
+    the call before, and it must allocate no per-record array."""
 
     @staticmethod
     def records(kind, censored, R, n, seed=0):
@@ -884,6 +889,24 @@ class TestStackPasses:
         rows, first = np.unique(rows, return_index=True)
         want = {name: tuple(v[first] for v in values) for name, values in distinct.items()}
         self.assert_passes(stack, rows, lam[rows], want)
+
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_uncensored_sums_are_the_masked_sums(self, kind):
+        # the plain sums less m3 terms at C (_reference_sums) against the
+        # sums of the uncensored terms selected by np.where
+        t, delta = self.records(kind, True, 60, 400)
+        lam = np.linspace(0.2, 3.0, 60)
+        x = np.log(t) if kind is W else t
+        z = lam[:, None] * x
+        if kind is L:
+            (_, unc_log1p), (_, _, _, uq, uq2), _ = _reference_sums(kind, t, delta, lam)
+            q = x / (1.0 + z)
+            cases = [(unc_log1p, np.log1p(z)), (uq, q), (uq2, q * q)]
+        else:
+            cases = [(_reference_sums(kind, t, delta, lam)[2], x)]
+        for closed, terms in cases:
+            masked = np.where(delta != 3, terms, 0.0).sum(axis=-1)
+            assert (np.abs(closed - masked) <= 1e-13 * np.abs(terms.sum(axis=-1))).all()
 
     @pytest.mark.parametrize("censored", [False, True], ids=["complete", "censored"])
     @pytest.mark.parametrize("kind", [W, G, L])
@@ -941,7 +964,7 @@ class TestStackPasses:
         # runs on the cached stacks in the scratch of its own engine call (a
         # selection's three candidate stacks share one pair), and the
         # cached stacks hold only their records, which no call writes
-        assert _Stack.__slots__ == ("kind", "x", "w", "counts", "m", "terms")
+        assert _Stack.__slots__ == ("kind", "x", "counts", "m", "terms")
         p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
         data = from_bivariate(sample(p, 20000, seed=3), censoring_threshold(p, 0.3))
 
@@ -954,9 +977,7 @@ class TestStackPasses:
             return profile_loglik(lam, data, kind), log_likelihood(params, data), fit, chosen
 
         def records(ws):
-            return [None if ws.w is None else ws.w.tobytes()] + [
-                getattr(ws, name).tobytes() for name in ("x", "counts", "m", "terms")
-            ]
+            return [getattr(ws, name).tobytes() for name in ("x", "counts", "m", "terms")]
 
         serial = [task(j) for j in range(12)]
         cached = {kind: inference._workspace(data, kind) for kind in (W, G, L)}
@@ -1441,10 +1462,10 @@ def test_fit_and_interval_record_passes(kind, monkeypatch):
     calls = []
     sums = _Stack._sums
 
-    def counted(stack, x, w, lam, out, *args):
+    def counted(stack, x, lam, out, *args):
         # a profile pass writes 2 sums per row, a Newton pass 6
         calls.append((len(out), lam.size))
-        return sums(stack, x, w, lam, out, *args)
+        return sums(stack, x, lam, out, *args)
 
     monkeypatch.setattr(_Stack, "_sums", counted)
     fit = fit_mle(data, kind)

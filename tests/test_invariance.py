@@ -18,10 +18,9 @@ estimate, in no failures or in degenerate rates. For each:
   ends in what ``fit_mle`` gives its records alone; a profile and a Newton
   pass whose survival sums overflow in several stacks give each stack's
   rows the bits of a call over that stack alone;
-- a stack with no censored record keeps no censoring weights (the
-  one-row stack of ``fit_mle`` too), and one censored record in any row
-  gives the stack weights; either way, and in a call that holds a complete
-  and a censored stack side by side, each row gets its one-row bits;
+- one censored record in any row of a stack, and a call that holds a
+  complete and a censored stack side by side, leave each row its one-row
+  bits;
 - the single-dataset evaluations (``profile_loglik``,
   ``alphas_given_lambda``, ``log_likelihood`` and ``observed_fisher`` away
   from a fitted lambda) give the bits their dataset gets as the first,
@@ -292,7 +291,7 @@ def test_overflow_rows_past_the_first_stack():
     # A pass's per-row arithmetic runs once over all its runs; only rows
     # whose survival sum overflows go back to their stack, at their run's
     # positions. Lomax comes first, with a censored record at 1e305 whose
-    # log1p(lam*C) overflows (a = inf, c NaN: 0*inf); Weibull (t = 1e30)
+    # log1p(lam*C) overflows (a = inf, c NaN: inf - inf); Weibull (t = 1e30)
     # and Gompertz (t = 1000) rows overflow at the lambdas given below.
     base = np.array([T12] * 4)
     delta = np.array([D12] * 4, dtype=np.int8)
@@ -348,21 +347,16 @@ def _censored_last(data) -> CompetingRisksData:
 
 @pytest.mark.parametrize("kind", [W, G, L])
 def test_a_censored_record_keeps_the_complete_rows_bits(kind):
-    # A stack none of whose records is censored keeps no weights and takes
-    # its uncensored sums as its plain sums; one censored record, in any
-    # row, gives the whole stack weights (Lomax keeps them). Each row, the
-    # complete ones of a weighted stack included, gets its one-row bits.
+    # One censored record, in any row, puts the engine call on its path
+    # that leaves the censored terms out of the uncensored sums (Lomax);
+    # each row, the complete ones beside it included, gets its one-row bits.
     rng = np.random.default_rng(41)
     complete = [from_bivariate(sample(CAPTION[kind], 40, rng)) for _ in range(6)]
     censored = [_censored_last(d) for d in complete]
     assert all(d.m3 == 0 for d in complete) and all(d.m3 == 1 for d in censored)
-    assert all(_workspace(d, kind).w is None for d in complete)
-    assert _stack_of(complete, kind).w is None
     for r in range(len(complete)):
         datasets = complete[:r] + [censored[r]] + complete[r + 1 :]
-        stack = _stack_of(datasets, kind)
-        assert (stack.w is None) == (kind is not L), r
-        (fits,) = _fit_stacks([stack])
+        (fits,) = _fit_stacks([_stack_of(datasets, kind)])
         for j, data in enumerate(datasets):
             _assert_same_row(fits, j, _fit(data, kind))
     # a complete and a censored stack side by side in one engine call
