@@ -270,21 +270,19 @@ class _Stack:
         m, s, unc_sum, m3, at_c = self.terms
         m[:] = self.m
         s[:] = weibull
-        m3[:] = n - self.m
-        censored = m3 > 0
+        np.subtract(n, self.m, out=m3)
         for blk in _row_blocks(R, n):
             if weibull:
                 np.log(t[blk], out=self.x[blk])
             if kind is not BaselineKind.LOMAX:
                 unc_sum[blk] = self.x[blk].sum(axis=-1)
-            if censored[blk].any():
-                at_c[blk] = self.x[blk].max(axis=-1)
-        # 0 in a complete row, whose correction then subtracts an exact 0.0
-        # (never 0 * inf)
-        at_c[~censored] = 0.0
+            if m3[blk].any():
+                # a complete row keeps C = 0, so that its correction
+                # subtracts an exact 0.0 (never 0 * inf)
+                at_c[blk] = np.where(m3[blk] > 0, self.x[blk].max(axis=-1), 0.0)
         if kind is BaselineKind.LOMAX:
             unc_sum[:] = -0.0
-        else:
+        elif m3.any():
             unc_sum -= m3 * at_c
             m3[:] = at_c[:] = 0.0
 
@@ -312,17 +310,15 @@ class _Stack:
         """Write into ``out`` a block's record sums in one transcendental
         pass. Its first two rows get the survival sums: a, and for Lomax
         a again, for sum_unc log1p(lam*x). A 6-row ``out`` (a Newton pass)
-        goes on from
-        the terms the survival stage left in ``z`` (exp(lam*x) for Weibull,
-        expm1(lam*x) for Gompertz, lam*x for Lomax) to a' and a'', and, for
-        Lomax, to the sums of q and q**2. Weibull and Gompertz share
-        a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x) and
-        a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
+        goes on from the terms the survival stage left in ``z`` (exp(lam*x)
+        for Weibull, expm1(lam*x) for Gompertz, lam*x for Lomax) to a' and
+        a'', and, for Lomax, to the sums of q and q**2. Weibull and Gompertz
+        share a = sum exp(lam*x) up to a constant, so a' = sum x exp(lam*x)
+        and a'' = sum x**2 exp(lam*x); for Lomax, with q = t / (1 + lam*t),
         a' = sum q and a'' = -sum q**2. A Newton pass's survival sums are
         thus a survival pass's bits by construction. The Lomax rows for the
-        uncensored sums of log1p, q and q**2 get their plain sums, which the
-        engine call corrects for the censored records
-        (:meth:`_Passes._sums`)."""
+        uncensored sums of log1p, q and q**2 get the plain sums, from which
+        the engine call takes the censored terms (:meth:`_Passes._sums`)."""
         np.multiply(lam[:, None], x, out=z)
         if self.kind is BaselineKind.LOMAX:
             out[1] = np.log1p(z, out=u).sum(axis=-1, out=out[0])

@@ -347,9 +347,10 @@ def _censored_last(data) -> CompetingRisksData:
 
 @pytest.mark.parametrize("kind", [W, G, L])
 def test_a_censored_record_keeps_the_complete_rows_bits(kind):
-    # One censored record, in any row, puts the engine call on its path
-    # that leaves the censored terms out of the uncensored sums (Lomax);
-    # each row, the complete ones beside it included, gets its one-row bits.
+    # One censored record, in any row, makes a Lomax engine call take the
+    # censored terms out of its rows' plain sums (Weibull and Gompertz take
+    # them out at build); each row, the complete ones beside it included,
+    # gets its one-row bits.
     rng = np.random.default_rng(41)
     complete = [from_bivariate(sample(CAPTION[kind], 40, rng)) for _ in range(6)]
     censored = [_censored_last(d) for d in complete]
