@@ -40,10 +40,11 @@ pass, and calls from several threads share no buffer.
 
 The records are Type-I censored: every censored record of a dataset sits
 at its one censoring time C, which is the dataset's largest time, as
-:class:`CompetingRisksData` and the bootstrap's draws guarantee. So a sum
-over the uncensored records is the plain sum less m3 copies of its term
-at C, and a stack keeps no per-record censoring state, only m3 and C per
-row (see :class:`_Stack`).
+:class:`CompetingRisksData` and the bootstrap's draws guarantee. So a
+Lomax sum over the uncensored records, which a pass takes at each lambda,
+is the plain sum less m3 copies of its term at C, and a stack keeps no
+per-record censoring state, only m3 and C per row; Weibull and Gompertz
+need one uncensored sum, taken once at build (see :class:`_Stack`).
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -86,6 +87,7 @@ from .bvf_model import (  # noqa: F401
     sample,
 )
 from .data_model import (  # noqa: F401
+    _CENSORED,
     CompetingRisksData,
     FailureMode,
     _first_failure,
@@ -230,61 +232,65 @@ class _Stack:
     stack evaluated at several lambdas broadcasts its row instead of
     gathering copies.
 
-    A sum over uncensored records is the plain sum less the censored
-    records' terms. The records must be Type-I censored: the m3 = n - m
-    censored records of a row all sit at one time C, the row's largest
-    (:class:`CompetingRisksData` and :func:`_draw_stack` guarantee it;
-    other records get wrong uncensored sums), so their terms are m3 copies
-    of the term at x_C, the row's largest x. Weibull and Gompertz need one
-    such sum, sum_unc x = sum x - m3 x_C, taken here. Lomax needs three at
-    each lambda, of log1p(lam*x), q and q**2: its kernel writes the plain
-    sums, and its engine call subtracts the m3 terms at C, once per pass
-    over all its rows (:meth:`_Passes._sums`), from the rows' ``terms``. A
-    complete row's C is 0, so the correction subtracts an exact 0.0 and the
-    row keeps its plain sums' bits. The one term that can be infinite is
-    log1p(lam*C) once lam*C overflows: there the survival sum a is inf and
-    the hazard sum c NaN (inf - inf), and every reader of c (the profile,
-    the log-likelihood, the closed-form alphas) returns -inf or raises
-    where a is inf, whatever c is.
+    Weibull and Gompertz need one sum over uncensored records, sum_unc x,
+    which the build takes over the records with the censored ones set to
+    0.0. Lomax needs three at each lambda, of log1p(lam*x), q and q**2,
+    and keeps no per-record censoring state for them: its records must be
+    Type-I censored, the m3 = n - m censored records of a row all at one
+    time C, the row's largest (:class:`CompetingRisksData` and
+    :func:`_draw_stack` guarantee it; other records get wrong uncensored
+    sums), so their terms are m3 copies of the term at C. Its kernel
+    writes the plain sums, and its engine call subtracts the m3 terms at C,
+    once per pass over all its rows (:meth:`_Passes._sums`), from the rows'
+    ``terms``. A complete row, and a row of another kind, has m3 = C = 0,
+    so the correction subtracts an exact 0.0 and the row keeps its plain
+    sums' bits. The closed form rounds each uncensored sum on the scale of
+    its plain sum, the censored share included, so a censored Lomax fit
+    loses a little accuracy, more the more records are censored. The one
+    term that can be infinite is log1p(lam*C) once lam*C overflows: there
+    the survival sum a is inf and the hazard sum c NaN (inf - inf), and
+    every reader of c (the profile, the log-likelihood, the closed-form
+    alphas) returns -inf or raises where a is inf, whatever c is.
     """
 
     __slots__ = ("kind", "x", "counts", "m", "terms")
 
     @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None):
-        """The stack of kind ``kind`` over the records ``t`` and ``delta``,
-        Type-I censored (see above). ``tally`` is their :func:`_tally`,
-        which stacks of several kinds over one record set share, taken here
-        when not given."""
+        """The stack of kind ``kind`` over the records ``t`` and ``delta``
+        (Type-I censored for Lomax; see above). ``tally`` is their
+        :func:`_tally`, which stacks of several kinds over one record set
+        share, taken here when not given."""
         self.kind = kind
         R, n = t.shape
         weibull = kind is BaselineKind.WEIBULL
+        lomax = kind is BaselineKind.LOMAX
         self.x = np.empty_like(t) if weibull else t
         self.counts, self.m = _tally(delta) if tally is None else tally
         # per row m, s (1 for Weibull, else 0), sum_unc x (-0.0 for Lomax,
         # whose hazard sum needs a pass per lambda; see _hazard), and the
-        # m3 and x_C that a pass takes out of a Lomax row's plain sums
-        # (_Passes._sums; 0 and 0 for the other kinds, which take them out
-        # of sum x here)
+        # m3 and C that a pass takes out of a Lomax row's plain sums
+        # (_Passes._sums; 0 and 0 in every other row)
         self.terms = np.zeros((5, R))
         m, s, unc_sum, m3, at_c = self.terms
         m[:] = self.m
         s[:] = weibull
-        np.subtract(n, self.m, out=m3)
+        censored = bool((self.m < n).any())
+        if lomax:
+            unc_sum[:] = -0.0
+            np.subtract(n, self.m, out=m3)
         for blk in _row_blocks(R, n):
             if weibull:
                 np.log(t[blk], out=self.x[blk])
-            if kind is not BaselineKind.LOMAX:
-                unc_sum[blk] = self.x[blk].sum(axis=-1)
-            if m3[blk].any():
+            x = self.x[blk]
+            if lomax and censored:
                 # a complete row keeps C = 0, so that its correction
                 # subtracts an exact 0.0 (never 0 * inf)
-                at_c[blk] = np.where(m3[blk] > 0, self.x[blk].max(axis=-1), 0.0)
-        if kind is BaselineKind.LOMAX:
-            unc_sum[:] = -0.0
-        elif m3.any():
-            unc_sum -= m3 * at_c
-            m3[:] = at_c[:] = 0.0
+                at_c[blk] = np.where(m3[blk] > 0, x.max(axis=-1), 0.0)
+            elif not lomax:
+                if censored:
+                    x = np.where(delta[blk] == _CENSORED, 0.0, x)
+                unc_sum[blk] = x.sum(axis=-1)
 
     def _block(self, rows, sel):
         """x of ``rows[sel]``. A one-row stack gives its own (1, n) array,
@@ -687,9 +693,6 @@ class _Passes:
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
-        # whether a censored Lomax row is among the call's rows (the other
-        # rows' m3 are 0)
-        self.censored = bool(self.terms[3].any())
 
     def scan_chunk(self, rows: np.ndarray) -> int:
         """The rungs ahead that a ladder scan of ``rows`` (distinct rows)
@@ -717,42 +720,42 @@ class _Passes:
                 runs.append((slice(lo, hi), stack, own, views))
         return runs
 
-    def _sums(self, rows: np.ndarray, lam: np.ndarray, preset, distinct=False) -> tuple:
+    def _sums(self, rows: np.ndarray, lam: np.ndarray, terms, preset, distinct=False) -> tuple:
         """The runs of ``rows`` (:meth:`_runs`) and the per-row sums that
         :meth:`_Stack._sums` writes at them, one column per row, from the
-        columns ``preset``: ``_SURVIVAL_SUMS`` or ``_SLOPE_SUMS``. In a call
-        with a censored Lomax row, each Lomax row's uncensored sums then
-        lose its m3 terms at C (see :class:`_Stack`):
+        columns ``preset``: ``_SURVIVAL_SUMS`` or ``_SLOPE_SUMS``; ``terms``
+        are the rows' own. Each row's uncensored Lomax sums then lose its m3
+        terms at C (see :class:`_Stack`):
 
             sum_unc log1p(lam*x) = sum log1p(lam*x) - m3 log1p(lam*C)
             sum_unc q = sum q - m3 q_C,  sum_unc q**2 = sum q**2 - m3 q_C**2
 
-        with q_C = C / (1 + lam*C), the bits of the kernel's terms at C."""
+        with q_C = C / (1 + lam*C), the bits of the kernel's terms at C.
+        Every other row has m3 = C = 0 at a finite lambda, so it loses an
+        exact 0.0 and keeps its bits (x - 0.0 is x, -0.0 included)."""
         runs = self._runs(rows, distinct)
         sums = preset.repeat(rows.size, axis=1)
         for at, stack, own, views in runs:
             stack._rowwise(own, lam[at], sums[:, at], *views)
-        if self.censored:
-            # a complete row, and every row of another kind, has m3 = C = 0
-            # and keeps its bits
-            m3, at_c = self.terms[3:, rows]
-            z = lam * at_c
-            sums[1] -= m3 * np.log1p(z)
-            if len(sums) > 2:
-                q = at_c / (z + 1.0)
-                sums[4] -= m3 * q
-                sums[5] -= m3 * (q * q)
+        m3, at_c = terms[3:]
+        z = lam * at_c
+        sums[1] -= m3 * np.log1p(z)
+        if len(sums) > 2:
+            q = at_c / (z + 1.0)
+            sums[4] -= m3 * q
+            sums[5] -= m3 * (q * q)
         return runs, sums
 
     def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """The runs of ``rows`` and the (2, R) survival sums at them: a,
         and sum_unc log1p(lam*x) for Lomax rows."""
-        return self._sums(rows, lam, _SURVIVAL_SUMS)
+        return self._sums(rows, lam, self.terms[:, rows], _SURVIVAL_SUMS)
 
     def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """p(lambda) (:func:`_profile`) at each of ``rows``."""
-        runs, sums = self.survival(rows, lam)
-        return _profile(runs, lam, self.terms[:, rows], sums)
+        terms = self.terms[:, rows]
+        runs, sums = self._sums(rows, lam, terms, _SURVIVAL_SUMS)
+        return _profile(runs, lam, terms, sums)
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
@@ -760,7 +763,7 @@ class _Passes:
         a'' and the Lomax sums of q and q**2."""
         # as many distinct rows as the call has are all of them, in order
         terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
-        runs, sums = self._sums(rows, lam, _SLOPE_SUMS, distinct=True)
+        runs, sums = self._sums(rows, lam, terms, _SLOPE_SUMS, distinct=True)
         return (*_score(runs, lam, terms, sums), sums)
 
 

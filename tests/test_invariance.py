@@ -221,10 +221,14 @@ def _assert_same_fits(got: _Fits, want: _Fits) -> None:
 def test_mixed_stacks_fit_as_each_alone():
     # one engine call over stacks of every kind and of several record
     # counts fits each stack as a call of its own does, field by field
+    # every row is Type-I censored: its censored records sit at its
+    # largest time
     overflow = list(T12)
     overflow[3] = 300.0  # exp(4 * 300) is past double range at rung 4
+    overflow[9:] = [300.0] * 3
     unbounded = list(T12)
     unbounded[3] = math.inf  # not a valid record: p = -inf at every rung
+    unbounded[9:] = [math.inf] * 3
     short = [
         (T12, D12),  # interior maximum for Weibull and Gompertz
         ([1.5] * 12, [3] * 12),  # no failures
@@ -290,13 +294,14 @@ def test_mixed_stacks_fit_as_each_alone():
 def test_overflow_rows_past_the_first_stack():
     # A pass's per-row arithmetic runs once over all its runs; only rows
     # whose survival sum overflows go back to their stack, at their run's
-    # positions. Lomax comes first, with a censored record at 1e305 whose
-    # log1p(lam*C) overflows (a = inf, c NaN: inf - inf); Weibull (t = 1e30)
-    # and Gompertz (t = 1000) rows overflow at the lambdas given below.
+    # positions. Lomax comes first, with its three censored records at
+    # C = 1e305, whose log1p(lam*C) overflows (a = inf, c NaN: inf - inf);
+    # Weibull (t = 1e30) and Gompertz (t = 1000) rows overflow at the
+    # lambdas given below.
     base = np.array([T12] * 4)
     delta = np.array([D12] * 4, dtype=np.int8)
     lomax_t, weibull_t, gompertz_t = base.copy(), base.copy(), base.copy()
-    lomax_t[1, 10] = 1e305
+    lomax_t[1, 9:] = 1e305
     weibull_t[[1, 3], 3] = 1e30
     gompertz_t[[0, 2], 3] = 1000.0
 
@@ -348,9 +353,9 @@ def _censored_last(data) -> CompetingRisksData:
 @pytest.mark.parametrize("kind", [W, G, L])
 def test_a_censored_record_keeps_the_complete_rows_bits(kind):
     # One censored record, in any row, makes a Lomax engine call take the
-    # censored terms out of its rows' plain sums (Weibull and Gompertz take
-    # them out at build); each row, the complete ones beside it included,
-    # gets its one-row bits.
+    # censored terms out of its rows' plain sums (Weibull and Gompertz
+    # select the uncensored x at build); each row, the complete ones beside
+    # it included, gets its one-row bits.
     rng = np.random.default_rng(41)
     complete = [from_bivariate(sample(CAPTION[kind], 40, rng)) for _ in range(6)]
     censored = [_censored_last(d) for d in complete]
