@@ -237,20 +237,20 @@ class _Stack:
     0.0. Lomax needs three at each lambda, of log1p(lam*x), q and q**2,
     and keeps no per-record censoring state for them: its records must be
     Type-I censored, the m3 = n - m censored records of a row all at one
-    time C, the row's largest (:class:`CompetingRisksData` and
-    :func:`_draw_stack` guarantee it; other records get wrong uncensored
-    sums), so their terms are m3 copies of the term at C. Its kernel
-    writes the plain sums, and its engine call subtracts the m3 terms at C,
-    once per pass over all its rows (:meth:`_Passes._sums`), from the rows'
-    ``terms``. A complete row, and a row of another kind, has m3 = C = 0,
-    so the correction subtracts an exact 0.0 and the row keeps its plain
-    sums' bits. The closed form rounds each uncensored sum on the scale of
-    its plain sum, the censored share included, so a censored Lomax fit
-    loses a little accuracy, more the more records are censored. The one
-    term that can be infinite is log1p(lam*C) once lam*C overflows: there
-    the survival sum a is inf and the hazard sum c NaN (inf - inf), and
-    every reader of c (the profile, the log-likelihood, the closed-form
-    alphas) returns -inf or raises where a is inf, whatever c is.
+    time C (:class:`CompetingRisksData` and :func:`_draw_stack` guarantee
+    it; other records get wrong uncensored sums), so their terms are m3
+    copies of the term at C. Its kernel writes the plain sums, and its
+    engine call subtracts the m3 terms at C, once per pass over all its
+    rows (:meth:`_Passes._sums`), from the rows' ``terms``. A complete row,
+    and a row of another kind, has m3 = C = 0, so the correction subtracts
+    an exact 0.0 and the row keeps its plain sums' bits. The closed form
+    rounds each uncensored sum on the scale of its plain sum, the censored
+    share included, so a censored Lomax fit loses a little accuracy, more
+    the more records are censored. The one term that can be infinite is
+    log1p(lam*C) once lam*C overflows: there the survival sum a is inf and
+    the hazard sum c NaN (inf - inf), and every reader of c (the profile,
+    the log-likelihood, the closed-form alphas) returns -inf or raises
+    where a is inf, whatever c is.
     """
 
     __slots__ = ("kind", "x", "counts", "m", "terms")
@@ -283,14 +283,13 @@ class _Stack:
             if weibull:
                 np.log(t[blk], out=self.x[blk])
             x = self.x[blk]
-            if lomax and censored:
-                # a complete row keeps C = 0, so that its correction
+            off = censored and delta[blk] == _CENSORED
+            if not lomax:
+                unc_sum[blk] = (np.where(off, 0.0, x) if censored else x).sum(axis=-1)
+            elif censored:
+                # C, and 0.0 in a complete row, whose correction then
                 # subtracts an exact 0.0 (never 0 * inf)
-                at_c[blk] = np.where(m3[blk] > 0, x.max(axis=-1), 0.0)
-            elif not lomax:
-                if censored:
-                    x = np.where(delta[blk] == _CENSORED, 0.0, x)
-                unc_sum[blk] = x.sum(axis=-1)
+                at_c[blk] = np.where(off, x, 0.0).max(axis=-1)
 
     def _block(self, rows, sel):
         """x of ``rows[sel]``. A one-row stack gives its own (1, n) array,

@@ -749,6 +749,22 @@ class TestStackSums:
             self.check(a[r], [-log_s0(p.kind, x, lam[r]) for x in t[r].tolist()])
             self.check(c[r], [math.log(h0(p.kind, x, lam[r])) for x in unc])
 
+    @pytest.mark.parametrize("kind", [W, G, L])
+    def test_a_failure_past_the_censoring_time(self, kind):
+        # the censored records share one time, which need not be the row's
+        # largest: the uncensored sums leave out the censored records only
+        t = np.array([[0.5, 3.0, 1.2, 1.2, 0.8]])
+        delta = np.array([[0, 1, 3, 3, 2]])
+        lam = 1.3
+        unc = [0.5, 3.0, 0.8]
+        stack = _Stack(kind, t, delta)
+        a, c = run_pass(stack, "survival", _ALL, np.array([lam]))
+        self.check(a[0], [-log_s0(kind, x, lam) for x in t[0].tolist()])
+        self.check(c[0], [math.log(h0(kind, x, lam)) for x in unc])
+        if kind is L:
+            c2 = run_pass(stack, "moments", _ALL, np.array([lam]))[2]
+            self.check(c2[0], [-1.0 / lam**2 + (x / (1.0 + lam * x)) ** 2 for x in unc])
+
     def test_overflowing_gompertz_row(self):
         # the censored record's exp(lam*t) is past double range
         t = np.array([[0.5, 1.0, 2.0, 800.0]])
@@ -784,10 +800,10 @@ def _reference_sums(kind, t, delta, lam):
     fresh temporaries: the stack's formulas before its passes wrote into
     scratch. The uncensored sum of x selects its terms with np.where. The
     rows are Type-I censored, so each uncensored Lomax sum is the plain sum
-    less m3 copies of its term at C, the row's largest x (0 in a complete
-    row). Returns the survival sums (a, and for Lomax the uncensored log1p
-    sum), the slope sums (a, a', a'', and for Lomax sum_unc q and q**2)
-    and, but for Lomax, the uncensored sum of x."""
+    less m3 copies of its term at C, the censored records' x (0 in a
+    complete row). Returns the survival sums (a, and for Lomax the
+    uncensored log1p sum), the slope sums (a, a', a'', and for Lomax
+    sum_unc q and q**2) and, but for Lomax, the uncensored sum of x."""
     x = np.log(t) if kind is W else t
     z = lam[:, None] * x
     if kind is L:
@@ -795,7 +811,7 @@ def _reference_sums(kind, t, delta, lam):
         q = x / (1.0 + z)
         qq = q * q
         m3 = (delta == 3).sum(axis=-1)
-        at_c = np.where(m3 > 0, x.max(axis=-1), 0.0)
+        at_c = np.where(delta == 3, x, 0.0).max(axis=-1)
         z_c = lam * at_c
         q_c = at_c / (1.0 + z_c)
         survival = (s.sum(axis=-1), s.sum(axis=-1) - m3 * np.log1p(z_c))
