@@ -233,17 +233,19 @@ class _Stack:
     gathering copies.
 
     Weibull and Gompertz need one sum over uncensored records, sum_unc x,
-    which the build takes over the records with the censored ones set to
-    0.0. Lomax needs three at each lambda, of log1p(lam*x), q and q**2,
-    and keeps no per-record censoring state for them: its records must be
+    which the build takes over x times the records' 0/1 uncensored weights
+    (v*1 is v and v*0 a zero, so it is the sum of the selected terms).
+    Lomax needs three at each lambda, of log1p(lam*x), q and q**2, and
+    keeps no per-record censoring state for them: its records must be
     Type-I censored, the m3 = n - m censored records of a row all at one
-    time C (:class:`CompetingRisksData` and :func:`_draw_stack` guarantee
-    it; other records get wrong uncensored sums), so their terms are m3
-    copies of the term at C. Its kernel writes the plain sums, and its
-    engine call subtracts the m3 terms at C, once per pass over all its
-    rows (:meth:`_Passes._sums`), from the rows' ``terms``. A complete row,
-    and a row of another kind, has m3 = C = 0, so the correction subtracts
-    an exact 0.0 and the row keeps its plain sums' bits. The closed form
+    time C, the row's largest (:class:`CompetingRisksData` and
+    :func:`_draw_stack` guarantee it; other records get wrong uncensored
+    sums), so their terms are m3 copies of the term at x_C, the row's
+    largest x. Its kernel writes the plain sums, and its engine call
+    subtracts the m3 terms at C, once per pass over all its rows
+    (:meth:`_Passes._sums`), from the rows' ``terms``. A complete row, and
+    a row of another kind, has m3 = C = 0, so the correction subtracts an
+    exact 0.0 and the row keeps its plain sums' bits. The closed form
     rounds each uncensored sum on the scale of its plain sum, the censored
     share included, so a censored Lomax fit loses a little accuracy, more
     the more records are censored. The one term that can be infinite is
@@ -283,13 +285,15 @@ class _Stack:
             if weibull:
                 np.log(t[blk], out=self.x[blk])
             x = self.x[blk]
-            off = censored and delta[blk] == _CENSORED
-            if not lomax:
-                unc_sum[blk] = (np.where(off, 0.0, x) if censored else x).sum(axis=-1)
-            elif censored:
-                # C, and 0.0 in a complete row, whose correction then
+            if lomax and censored:
+                # a complete row keeps C = 0, so that its correction
                 # subtracts an exact 0.0 (never 0 * inf)
-                at_c[blk] = np.where(off, x, 0.0).max(axis=-1)
+                at_c[blk] = np.where(m3[blk] > 0, x.max(axis=-1), 0.0)
+            elif not lomax:
+                if censored:
+                    w = np.not_equal(delta[blk], _CENSORED, out=np.empty(x.shape))
+                    x = np.multiply(x, w, out=w)
+                unc_sum[blk] = x.sum(axis=-1)
 
     def _block(self, rows, sel):
         """x of ``rows[sel]``. A one-row stack gives its own (1, n) array,

@@ -749,22 +749,6 @@ class TestStackSums:
             self.check(a[r], [-log_s0(p.kind, x, lam[r]) for x in t[r].tolist()])
             self.check(c[r], [math.log(h0(p.kind, x, lam[r])) for x in unc])
 
-    @pytest.mark.parametrize("kind", [W, G, L])
-    def test_a_failure_past_the_censoring_time(self, kind):
-        # the censored records share one time, which need not be the row's
-        # largest: the uncensored sums leave out the censored records only
-        t = np.array([[0.5, 3.0, 1.2, 1.2, 0.8]])
-        delta = np.array([[0, 1, 3, 3, 2]])
-        lam = 1.3
-        unc = [0.5, 3.0, 0.8]
-        stack = _Stack(kind, t, delta)
-        a, c = run_pass(stack, "survival", _ALL, np.array([lam]))
-        self.check(a[0], [-log_s0(kind, x, lam) for x in t[0].tolist()])
-        self.check(c[0], [math.log(h0(kind, x, lam)) for x in unc])
-        if kind is L:
-            c2 = run_pass(stack, "moments", _ALL, np.array([lam]))[2]
-            self.check(c2[0], [-1.0 / lam**2 + (x / (1.0 + lam * x)) ** 2 for x in unc])
-
     def test_overflowing_gompertz_row(self):
         # the censored record's exp(lam*t) is past double range
         t = np.array([[0.5, 1.0, 2.0, 800.0]])
@@ -800,18 +784,19 @@ def _reference_sums(kind, t, delta, lam):
     fresh temporaries: the stack's formulas before its passes wrote into
     scratch. The uncensored sum of x selects its terms with np.where. The
     rows are Type-I censored, so each uncensored Lomax sum is the plain sum
-    less m3 copies of its term at C, the censored records' x (0 in a
-    complete row). Returns the survival sums (a, and for Lomax the
+    less m3 copies of its term at C, the row's largest x (0 in a complete
+    row). Returns the survival sums (a, and for Lomax the
     uncensored log1p sum), the slope sums (a, a', a'', and for Lomax
     sum_unc q and q**2) and, but for Lomax, the uncensored sum of x."""
     x = np.log(t) if kind is W else t
+    unc = delta != 3
     z = lam[:, None] * x
     if kind is L:
         s = np.log1p(z)
         q = x / (1.0 + z)
         qq = q * q
-        m3 = (delta == 3).sum(axis=-1)
-        at_c = np.where(delta == 3, x, 0.0).max(axis=-1)
+        m3 = (~unc).sum(axis=-1)
+        at_c = np.where(m3 > 0, x.max(axis=-1), 0.0)
         z_c = lam * at_c
         q_c = at_c / (1.0 + z_c)
         survival = (s.sum(axis=-1), s.sum(axis=-1) - m3 * np.log1p(z_c))
@@ -827,7 +812,7 @@ def _reference_sums(kind, t, delta, lam):
     xe = x * s if kind is W else x * (s + 1.0)
     survival = (s.sum(axis=-1),)
     slopes = (s.sum(axis=-1), xe.sum(axis=-1), (x * xe).sum(axis=-1))
-    return survival, slopes, np.where(delta != 3, x, 0.0).sum(axis=-1)
+    return survival, slopes, np.where(unc, x, 0.0).sum(axis=-1)
 
 
 def _reference_passes(kind, t, delta, lam):
@@ -859,9 +844,9 @@ def _reference_passes(kind, t, delta, lam):
 
 class TestStackPasses:
     """A pass writes its temporaries into its engine call's scratch and
-    takes its uncensored Lomax sums from its plain sums; its outputs must be the
-    bits of the plain formulas (:func:`_reference_passes`), whatever ran in
-    the call before, and it must allocate no per-record array."""
+    takes its uncensored Lomax sums from its plain sums; its outputs must be
+    the bits of the plain formulas (:func:`_reference_passes`), whatever ran
+    in the call before, and it must allocate no per-record array."""
 
     @staticmethod
     def records(kind, censored, R, n, seed=0):
