@@ -391,14 +391,14 @@ def _hazard(terms, lam, unc_log1p):
     return m * np.log(lam) + (lam - s) * unc_sum - unc_log1p
 
 
-def _profile(runs, lam, terms, sums) -> np.ndarray:
+def _profile(runs, terms, sums, lam) -> np.ndarray:
     """p(lambda) = c - m log a (c from :func:`_hazard`) at each row of a
-    pass, from the rows' ``terms`` and the pass's (2, R) survival ``sums``
-    (:meth:`_Stack._sums`); -inf wherever it is not finite. Where a is past
-    double range the row's stack takes log a as a logsumexp
-    (:meth:`_Stack._shifted`, ``runs`` as :meth:`_Passes._runs` gives
-    them): keeping the profile finite stops a monotone rise being mistaken
-    for an interior maximum."""
+    pass at ``lam``, from the rows' ``terms`` and the pass's (2, R)
+    survival ``sums`` (:meth:`_Stack._sums`); -inf wherever it is not
+    finite. Where a is past double range the row's stack takes log a as a
+    logsumexp (:meth:`_Stack._shifted`, ``runs`` as :meth:`_Passes._runs`
+    gives them): keeping the profile finite stops a monotone rise being
+    mistaken for an interior maximum."""
     a, unc_log1p = sums
     m = terms[0]
     c = _hazard(terms, lam, unc_log1p)
@@ -414,7 +414,7 @@ def _profile(runs, lam, terms, sums) -> np.ndarray:
     return p
 
 
-def _score(runs, lam, terms, sums) -> tuple:
+def _score(runs, terms, sums, lam) -> tuple:
     """g = lam p' and h = lam p' + lam**2 p'' at each row of a pass, from
     the rows' ``terms`` and the pass's (6, R) Newton ``sums``
     (:meth:`_Stack._sums`), with p' = c' - m r1 and
@@ -479,8 +479,8 @@ def log_likelihood(p: BvfParams, data: CompetingRisksData) -> float:
     lam = np.array([p.lam])
     alphas = np.array([[p.alpha0], [p.alpha1], [p.alpha2]])
     with np.errstate(all="ignore"):
-        _, (a, unc_log1p) = _Passes([ws]).survival(_ONE, lam)
-        c = _hazard(ws.terms, lam, unc_log1p)
+        _, terms, (a, unc_log1p) = _Passes([ws]).survival(_ONE, lam)
+        c = _hazard(terms, lam, unc_log1p)
     return _loglik_from_sums(ws.counts, alphas, a, c)[0]
 
 
@@ -520,7 +520,7 @@ def alphas_given_lambda(
     lam = _check_lambda(lam)
     ws = _workspace(data, kind)
     with np.errstate(all="ignore"):
-        a = float(_Passes([ws]).survival(_ONE, np.array([lam]))[1][0, 0])
+        a = float(_Passes([ws]).survival(_ONE, np.array([lam]))[2][0, 0])
     if not math.isfinite(a) or a <= 0.0:
         raise DegenerateDataError(f"sum of log S0 vanished or overflowed at lambda={lam!r}")
     m0, m1, m2 = ws.counts[:, 0].tolist()
@@ -660,6 +660,13 @@ class _Fits(NamedTuple):
     c2: np.ndarray
 
 
+# The engine's one observation point, for tests: None, or a list to which
+# each engine call (:class:`_Passes`) appends itself as it is made; an
+# observed call logs each of its passes in its ``log``. An unobserved pass
+# pays one ``is None`` test for it, and allocates nothing.
+_observed = None
+
+
 class _Passes:
     """One engine call: the record passes over the rows of its stacks laid
     end to end, where row r of the call is a row of the stack whose offset
@@ -674,14 +681,20 @@ class _Passes:
 
     Every pass's rows are in ascending order, so each stack's rows are one
     contiguous run of them, which np.searchsorted on the stack offsets
-    finds. A survival pass and a Newton pass take one dispatch
-    (:meth:`_sums`), and differ only in how many sums per row they ask of
-    each stack's one kernel (:meth:`_Stack._sums`): 2, or 6. Each stack
-    writes the record sums of its run into the pass's one array of per-row
-    sums; the censored terms leave the Lomax rows' uncensored sums, and the
-    formulas then run, once over all the pass's rows, and only rows whose
-    survival sum is past double range go back to their stack
-    (:meth:`_Stack._shifted`).
+    finds (:meth:`_runs`, the one place that splits rows among stacks). A
+    survival pass and a Newton pass take one dispatch (:meth:`_sums`), and
+    differ only in how many sums per row they ask of each stack's one
+    kernel (:meth:`_Stack._sums`): 2, or 6. Each stack writes the record
+    sums of its run into the pass's one array of per-row sums; the censored
+    terms leave the Lomax rows' uncensored sums, and the formulas then run,
+    once over all the pass's rows, and only rows whose survival sum is past
+    double range go back to their stack (:meth:`_Stack._shifted`).
+
+    ``log`` is None, or, in a call made while ``_observed`` is a list, one
+    entry per pass in the order they ran: its height (2 for a survival or
+    profile pass, 6 for a Newton pass), a copy of its lambdas, one per row
+    of the pass (Newton's are views of state it overwrites), and the stacks
+    whose runs it summed, each noted as its run is summed.
     """
 
     def __init__(self, stacks: list):
@@ -696,16 +709,18 @@ class _Passes:
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
+        self.log = None if _observed is None else []
+        if self.log is not None:
+            _observed.append(self)
 
     def scan_chunk(self, rows: np.ndarray) -> int:
         """The rungs ahead that a ladder scan of ``rows`` (distinct rows)
         evaluates in its first pass: at least one, and as many as two
         blocks of records (2 x ``_SCAN_RECORDS``) per stack with rows among
-        them allow."""
-        cuts = np.searchsorted(rows, self.offsets).tolist()
-        records = [(hi - lo) * st.x.shape[-1] for st, lo, hi in zip(self.stacks, cuts, cuts[1:])]
-        busy = len(records) - records.count(0)
-        return max(1, 2 * _SCAN_RECORDS * busy // max(1, sum(records)))
+        them (:meth:`_runs`) allow."""
+        runs = self._runs(rows)
+        records = sum(own.size * stack.x.shape[-1] for _, stack, own, _ in runs)
+        return max(1, 2 * _SCAN_RECORDS * len(runs) // max(1, records))
 
     def _runs(self, rows: np.ndarray, distinct=False) -> list:
         """Per stack with rows in the pass, in order: the pass positions of
@@ -723,11 +738,11 @@ class _Passes:
                 runs.append((slice(lo, hi), stack, own, views))
         return runs
 
-    def _sums(self, rows: np.ndarray, lam: np.ndarray, terms, preset, distinct=False) -> tuple:
-        """The runs of ``rows`` (:meth:`_runs`) and the per-row sums that
-        :meth:`_Stack._sums` writes at them, one column per row, from the
-        columns ``preset``: ``_SURVIVAL_SUMS`` or ``_SLOPE_SUMS``; ``terms``
-        are the rows' own. Each row's uncensored Lomax sums then lose its m3
+    def _sums(self, rows: np.ndarray, lam: np.ndarray, preset, distinct=False) -> tuple:
+        """The runs of ``rows`` (:meth:`_runs`), the rows' ``terms`` and the
+        per-row sums that :meth:`_Stack._sums` writes at them, one column
+        per row, from the columns ``preset``: ``_SURVIVAL_SUMS`` or
+        ``_SLOPE_SUMS``. Each row's uncensored Lomax sums then lose its m3
         terms at C (see :class:`_Stack`):
 
             sum_unc log1p(lam*x) = sum log1p(lam*x) - m3 log1p(lam*C)
@@ -735,10 +750,13 @@ class _Passes:
 
         with q_C = C / (1 + lam*C), the bits of the kernel's terms at C.
         Every other row has m3 = C = 0 at a finite lambda, so it loses an
-        exact 0.0 and keeps its bits (x - 0.0 is x, -0.0 included)."""
+        exact 0.0 and keeps its bits (x - 0.0 is x, -0.0 included). An
+        observed call logs the pass (:meth:`_logged`)."""
+        # as many distinct rows as the call has are all of them, in order
+        terms = self.terms if distinct and rows.size == self.terms.shape[1] else self.terms[:, rows]
         runs = self._runs(rows, distinct)
         sums = preset.repeat(rows.size, axis=1)
-        for at, stack, own, views in runs:
+        for at, stack, own, views in runs if self.log is None else self._logged(runs, sums, lam):
             stack._rowwise(own, lam[at], sums[:, at], *views)
         m3, at_c = terms[3:]
         z = lam * at_c
@@ -747,27 +765,32 @@ class _Passes:
             q = at_c / (z + 1.0)
             sums[4] -= m3 * q
             sums[5] -= m3 * (q * q)
-        return runs, sums
+        return runs, terms, sums
+
+    def _logged(self, runs, sums, lam):
+        """``runs``, in order, for :meth:`_sums` to sum, after a new entry
+        of ``log`` for the pass (see :class:`_Passes`), to which each run's
+        stack is added as the run is taken."""
+        self.log.append((len(sums), lam.copy(), []))
+        for run in runs:
+            self.log[-1][2].append(run[1])
+            yield run
 
     def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
-        """The runs of ``rows`` and the (2, R) survival sums at them: a,
-        and sum_unc log1p(lam*x) for Lomax rows."""
-        return self._sums(rows, lam, self.terms[:, rows], _SURVIVAL_SUMS)
+        """The runs of ``rows``, their terms and the (2, R) survival sums at
+        them (:meth:`_sums`): a, and sum_unc log1p(lam*x) for Lomax rows."""
+        return self._sums(rows, lam, _SURVIVAL_SUMS)
 
     def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """p(lambda) (:func:`_profile`) at each of ``rows``."""
-        terms = self.terms[:, rows]
-        runs, sums = self._sums(rows, lam, terms, _SURVIVAL_SUMS)
-        return _profile(runs, lam, terms, sums)
+        return _profile(*self._sums(rows, lam, _SURVIVAL_SUMS), lam)
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
         and the (6, R) sums they come from: the survival sums, then a',
         a'' and the Lomax sums of q and q**2."""
-        # as many distinct rows as the call has are all of them, in order
-        terms = self.terms if rows.size == self.terms.shape[1] else self.terms[:, rows]
-        runs, sums = self._sums(rows, lam, terms, _SLOPE_SUMS, distinct=True)
-        return (*_score(runs, lam, terms, sums), sums)
+        runs, terms, sums = self._sums(rows, lam, _SLOPE_SUMS, distinct=True)
+        return (*_score(runs, terms, sums, lam), sums)
 
 
 @np.errstate(all="ignore")
@@ -968,9 +991,11 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     ``loglik_max`` without another pass over the records. The fit also
     leaves that pass's a', a'' and c'' in the dataset's cache, under its
     kind, for :func:`asymptotic_ci` and :func:`observed_fisher` at the same
-    lambda: a fit then an interval on one dataset object makes exactly
-    ``n_evals`` passes, unless its ladder scan evaluated rungs past the
-    profile's fall.
+    lambda: a fit then an interval on one dataset object makes ``n_evals``
+    profile evaluations, plus the rungs its ladder scan evaluated past the
+    profile's fall, and the interval adds none. A scan pass evaluates
+    several rungs at once, so the fit takes fewer passes over the records
+    than evaluations whenever its ladder scans.
 
     Raises
     ------

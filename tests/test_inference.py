@@ -15,7 +15,6 @@ import pytest
 
 from bvf import (
     BaselineKind,
-    BvfError,
     BvfParams,
     CompetingRisksData,
     DegenerateDataError,
@@ -63,7 +62,15 @@ from bvf.inference import (
     _Stack,
 )
 
-from engine_passes import fit_mle_outcome, one_row_fit_mle, row_outcome, run_pass, same_outcome
+from engine_passes import (
+    fit_mle_outcome,
+    logged_passes,
+    observe,
+    one_row_fit_mle,
+    row_outcome,
+    run_pass,
+    same_outcome,
+)
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 # the Gompertz and Lomax caption parameters
@@ -413,31 +420,6 @@ class TestFitOptions:
 
 
 class TestStackedFits:
-    def test_each_row_fits_as_its_own_dataset(self):
-        rows = [
-            (T12, D12),  # interior maximum for Weibull and Gompertz
-            ([1.5] * 12, [3] * 12),  # no failures
-            ([1.0] * 12, [0, 1, 2] * 4),  # monotone profile for every kind
-            ([0.3, 0.7, 1.2, 0.9] * 3, [1, 1, 2, 1] * 3),  # boundary alpha0
-        ]
-        t = np.array([r[0] for r in rows])
-        delta = np.array([r[1] for r in rows], dtype=np.int8)
-        for kind in (W, G, L):
-            (fits,) = _fit_stacks([_Stack(kind, t, delta)])
-            for j, (tj, dj) in enumerate(rows):
-                data = CompetingRisksData(tj, dj)
-                want = fit_mle_outcome(data, kind)
-                assert same_outcome(row_outcome(fits, j), want), (kind, j)
-                if isinstance(want, BvfError):
-                    continue
-                fit = fit_mle(data, kind)
-                assert fits.n_evals[j] == fit.n_evals, (kind, j)
-                if fit.params_hat is not None:
-                    q = fit.params_hat
-                    assert fits.lam[j] == q.lam, (kind, j)
-                    assert fits.alphas[:, j].tolist() == [q.alpha0, q.alpha1, q.alpha2]
-
-
     def test_each_row_stops_at_the_evaluation_cap(self, monkeypatch):
         # ladders of 3, 7 and 6 rungs and 9, 12 and 13 evaluations uncapped;
         # with the cap at 8 each row stops at its eighth evaluation, alone
@@ -557,6 +539,52 @@ class TestOutcomeCodes:
             assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
         unit = fit_mle(CompetingRisksData(*_unit_flat_records(1.0)), G)
         assert unit.status is FitStatus.CONVERGED and unit.n_evals == 14
+
+    @pytest.mark.parametrize(
+        "records, vain",
+        [
+            # FLAT above, whose scan evaluates two rungs past the fall
+            (lambda: CompetingRisksData(*_unit_flat_records(1e4)), 2),
+            # replicate 290 of criterion 7's 40%-censored Gompertz n=200
+            # cell, whose maximum next to the lower clamp only the flatness
+            # check rejects
+            (lambda: _study_replicate(PG, 9305, 290), 0),
+        ],
+        ids=["unit-flat", "near-clamp"],
+    )
+    def test_flatness_check_evaluates_the_profile_at_lambda_hat(self, records, vain, monkeypatch):
+        # The flatness check ends the fit with one profile pass at
+        # lambda-hat, Newton's last iterate. Every evaluation of the fit's
+        # passes counts in n_evals but the rungs the ladder scan evaluated
+        # past the profile's first fall.
+        data = records()
+        calls = observe(monkeypatch)
+        fit = fit_mle(data, G)
+        assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
+        (call,) = calls
+        height, lam_hat, _ = call.log[-1]
+        newton = [lam for h, lam, _ in call.log if h == 6]
+        assert height == 2 and lam_hat.size == 1 and lam_hat.tobytes() == newton[-1].tobytes()
+        evaluations = sum(lam.size for _, lam, _ in call.log)
+        assert evaluations - fit.n_evals == _rungs_past_the_fall(call.log, data, G) == vain
+
+
+def _rungs_past_the_fall(log, data, kind) -> int:
+    """The rungs that the ladder scan of a one-row fit's pass ``log``
+    evaluated past the profile's first fall. The passes between the first
+    (the start rung and its neighbours) and Newton's first are the scan's;
+    it climbs from the neighbour on its side along consecutive rungs, and
+    its first fall is the first rung whose profile is no higher than the
+    rung before it."""
+    (_, around, _), *rest = log
+    ends = [height for height, _, _ in rest].index(6)
+    scanned = [float(lam) for _, lams, _ in rest[:ends] for lam in lams]
+    if not scanned:
+        return 0
+    path = [around.min() if scanned[0] < around.min() else around.max(), *scanned]
+    p = [profile_loglik(lam, data, kind) for lam in path]
+    falls = [i for i in range(1, len(p)) if p[i] <= p[i - 1]]
+    return len(path) - 1 - falls[0] if falls else 0
 
 
 class TestLockstepFits:
@@ -864,7 +892,7 @@ class TestStackPasses:
         scratch = [view.base for view in passes.views[0]]
         for name, values in want.items():
             with np.errstate(all="ignore"):
-                got = run_pass(stack, name, rows, lam, passes)
+                got = run_pass(passes, name, rows, lam)
             assert len(got) == len(values), name
             for g, v in zip(got, values):
                 assert g.shape == v.shape and np.array_equal(g, v, equal_nan=True), name
@@ -949,7 +977,7 @@ class TestStackPasses:
         ]
         with np.errstate(all="ignore"):
             for name, rows, lam in calls:
-                got = run_pass(shared, name, rows, lam, passes)
+                got = run_pass(passes, name, rows, lam)
                 want = run_pass(_Stack(kind, t, delta), name, rows, lam)
                 for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
                     assert g.tobytes() == w.tobytes(), (name, lam)
@@ -1001,13 +1029,13 @@ class TestStackPasses:
         lam = np.array([0.9])
         passes = inference._Passes([stack])
         with np.errstate(all="ignore"):
-            run_pass(stack, "survival", _ALL, lam, passes)
+            run_pass(passes, "survival", _ALL, lam)
         tracemalloc.start()
         try:
             for name in ("survival", "profile", "newton_terms", "moments"):
                 tracemalloc.reset_peak()
                 with np.errstate(all="ignore"):
-                    run_pass(stack, name, _ALL, lam, passes)
+                    run_pass(passes, name, _ALL, lam)
                 assert tracemalloc.get_traced_memory()[1] < 50000, name
         finally:
             tracemalloc.stop()
@@ -1084,22 +1112,6 @@ class TestConsistency:
         assert fit.params_hat.alpha2 == pytest.approx(p.alpha2, rel=0.05)
 
 
-def _recorded_passes(monkeypatch) -> list:
-    """A list to which every record pass of an engine call, from here on,
-    appends its kind ("survival", of which a profile pass is one, or
-    "newton") and its lambdas."""
-    passes = []
-    for name in ("survival", "newton"):
-        wrapped = getattr(inference._Passes, name)
-
-        def recorded(self, rows, lam, wrapped=wrapped, name=name):
-            passes.append((name, lam.tolist()))
-            return wrapped(self, rows, lam)
-
-        monkeypatch.setattr(inference._Passes, name, recorded)
-    return passes
-
-
 class TestObservedFisher:
     def test_rate_block_closed_form(self):
         p = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -1143,15 +1155,15 @@ class TestObservedFisher:
         data = from_bivariate(sample(p, 300, seed=21), censoring_threshold(p, 0.3))
         fit = fit_mle(data, kind)
         want = observed_fisher(fit.params_hat, data)
-        passes = _recorded_passes(monkeypatch)
+        calls = observe(monkeypatch)
         assert observed_fisher(fit.params_hat, data).tobytes() == want.tobytes()
-        assert passes == []
+        assert logged_passes(calls) == []
         fresh = CompetingRisksData(data.t, data.delta, data.censoring_time)
         assert observed_fisher(fit.params_hat, fresh).tobytes() == want.tobytes()
-        assert passes == [("newton", [fit.params_hat.lam])]
+        assert logged_passes(calls) == [("newton", [fit.params_hat.lam])]
         with pytest.raises(SingularMatrixError):
             observed_fisher(BvfParams(kind, 1.0, 1e-9, 1e-9, 1.0), CompetingRisksData([1.0], [0]))
-        assert len(passes) == 2
+        assert len(logged_passes(calls)) == 2
 
     def test_requires_positive_rates(self):
         data = CompetingRisksData([0.3, 0.7, 1.2, 0.9], [1, 1, 2, 1])
@@ -1429,14 +1441,14 @@ class TestFittedSums:
         other = CompetingRisksData(data.t, data.delta, data.censoring_time)
         fit, other_fit = fit_mle(data, kind), fit_mle(other, kind)
         assert fit == other_fit
-        passes = _recorded_passes(monkeypatch)
+        calls = observe(monkeypatch)
         hit = asymptotic_ci(fit, data), observed_fisher(fit.params_hat, data)
-        assert passes == []
+        assert logged_passes(calls) == []
         for f in (fit, other_fit):
             d = CompetingRisksData(data.t, data.delta, data.censoring_time)
             ci, info = asymptotic_ci(f, d), observed_fisher(f.params_hat, d)
             assert repr(ci) == repr(hit[0]) and info.tobytes() == hit[1].tobytes()
-        assert passes == [("newton", [fit.params_hat.lam])] * 4
+        assert logged_passes(calls) == [("newton", [fit.params_hat.lam])] * 4
 
         def task(j):
             d = data if j % 2 else CompetingRisksData(data.t, data.delta, data.censoring_time)
@@ -1450,31 +1462,23 @@ class TestFittedSums:
 @pytest.mark.parametrize("kind", [W, G, L])
 def test_fit_and_interval_record_passes(kind, monkeypatch):
     # a caption dataset whose profile peaks at the start rung, far from the
-    # clamps: no scan and no flatness check, so each evaluation the fit
-    # counts is one pass over the records (n exceeds one block, so a call
-    # is one pass) and nothing else takes one
+    # clamps: no scan and no flatness check, so the fit's one engine call
+    # takes one profile pass at the start rung and its neighbours, then
+    # Newton passes of one iterate each, and evaluates exactly what it
+    # counts; nothing else takes a pass
     p = {W: BvfParams(W, 1.34, 1.17, 0.86, 0.91), G: PG, L: PL}[kind]
     data = from_bivariate(sample(p, 20000, seed=5), censoring_threshold(p, 0.3))
-    calls = []
-    sums = _Stack._sums
-
-    def counted(stack, x, lam, out, *args):
-        # a profile pass writes 2 sums per row, a Newton pass 6
-        calls.append((len(out), lam.size))
-        return sums(stack, x, lam, out, *args)
-
-    monkeypatch.setattr(_Stack, "_sums", counted)
+    calls = observe(monkeypatch)
     fit = fit_mle(data, kind)
     assert fit.status is FitStatus.CONVERGED
     assert abs(math.log(fit.params_hat.lam)) < math.log(2.0)
-    assert all(size == 1 for _, size in calls)
-    # the start rung and its neighbours, then Newton iterates only
-    heights = [height for height, _ in calls]
-    assert heights == [2] * 3 + [6] * (len(heights) - 3)
-    assert len(calls) == fit.n_evals
-    del calls[:]
+    (call,) = calls
+    # a profile pass writes 2 sums per row, a Newton pass 6
+    passes = [(height, lam.size) for height, lam, _ in call.log]
+    assert passes == [(2, 3)] + [(6, 1)] * (len(passes) - 1)
+    assert sum(size for _, size in passes) == fit.n_evals
     asymptotic_ci(fit, data)
-    assert calls == []
+    assert calls == [call]
 
 
 def _theta(p):

@@ -62,10 +62,8 @@ from bvf.inference import (
     _NO_FINITE_PROFILE,
     _NO_MLE_CLAMP,
     _NO_MLE_FLAT,
-    _curvature,
     _Fits,
     _fit_stacks,
-    _hazard,
     _loglik_from_sums,
     _Passes,
     _Stack,
@@ -311,36 +309,34 @@ def test_overflow_rows_past_the_first_stack():
         ]
 
     rows = np.array([0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-    # a profile and a Newton pass at these lambdas: the Weibull and
+    # survival, profile and Newton passes at these lambdas: the Weibull and
     # Gompertz rows overflow at a ladder rung (4**2) and at other lambdas,
     # and every sum but those and the Lomax row's at 1e4 stays finite
     lam = np.array([0.7, 1e4, 1.3, 0.8, 16.0, 1.1, 30.0, 16.0, 0.9, 1.0, 2.5])
-    stacks = build()
-    passes = _Passes(stacks)
+    names = ("survival", "profile", "newton_terms", "moments")
+    passes = _Passes(build())
     with np.errstate(all="ignore"):
-        p = passes.profile(rows, lam)
-        g, h, sums = passes.newton(rows, lam)
-        want_p, want_terms, want_sums = [], [], []
+        got = {name: run_pass(passes, name, rows, lam) for name in names}
+        want = {name: [] for name in names}
         for stack, at in zip(build(), passes.slices):
-            own = rows[(rows >= at.start) & (rows < at.stop)] - at.start
-            lam_own = lam[(rows >= at.start) & (rows < at.stop)]
-            want_p.append(run_pass(stack, "profile", own, lam_own))
-            *terms, slopes = _Passes([stack]).newton(own, lam_own)
-            want_terms.append(terms)
-            want_sums.append(slopes)
+            own = (rows >= at.start) & (rows < at.stop)
+            for name in names:
+                want[name].append(run_pass(stack, name, rows[own] - at.start, lam[own]))
         a, c = run_pass(_Stack(L, lomax_t, delta), "survival", np.array([1]), np.array([1e4]))
     assert a[0] == math.inf and math.isnan(c[0])
     # survival sums past double range at pass positions 1 (Lomax), 4
     # and 6 (Weibull), 7 and 9 (Gompertz)
     over = [4, 6, 7, 9]
-    assert (sums[0][[1, *over]] == math.inf).all()
-    assert np.isfinite(sums[0][[0, 2, 3, 5, 8, 10]]).all()
+    a, g, h = got["newton_terms"]
+    p = got["profile"]
+    assert (a[[1, *over]] == math.inf).all()
+    assert np.isfinite(a[[0, 2, 3, 5, 8, 10]]).all()
     assert p[1] == -math.inf and np.isfinite(p[over]).all()
     assert np.isfinite(g[over]).all() and np.isfinite(h[over]).all()
-    assert p.tobytes() == np.concatenate(want_p).tobytes()
-    assert g.tobytes() == np.concatenate([t[0] for t in want_terms]).tobytes()
-    assert h.tobytes() == np.concatenate([t[1] for t in want_terms]).tobytes()
-    assert sums.tobytes() == np.concatenate(want_sums, axis=1).tobytes()
+    assert p.tobytes() == np.concatenate(want["profile"]).tobytes()
+    for name in ("survival", "newton_terms", "moments"):
+        for j, values in enumerate(got[name]):
+            assert values.tobytes() == np.concatenate([w[j] for w in want[name]]).tobytes(), name
 
 
 def _censored_last(data) -> CompetingRisksData:
@@ -413,19 +409,17 @@ def _evaluations_in_call(passes, r, lams, kind) -> dict:
     ``passes`` with each row of the call at its lambda of ``lams``."""
     rows = np.arange(lams.size)
     at = slice(r, r + 1)
-    lam, m = lams[at], passes.counts[:, at]
-    out = {"profile": _bits(passes.profile(rows, lams)[r])}
-    _, (a, unc_log1p) = passes.survival(rows, lams)
+    m = passes.counts[:, at]
+    out = {"profile": _bits(run_pass(passes, "profile", rows, lams)[r])}
+    a, c = run_pass(passes, "survival", rows, lams)
     if np.isfinite(a[r]) and a[r] > 0.0:
         rates = [m_k / float(a[r]) for m_k in m[:, 0].tolist()]
         out["alphas"] = _bits(rates)
     else:
         out["alphas"], rates = DegenerateDataError, _rates(kind)
     alphas = np.array(rates)[:, None]
-    c = _hazard(passes.terms[:, at], lam, unc_log1p[at])
-    out["loglik"] = _bits(_loglik_from_sums(m, alphas, a[at], c))
-    _, _, a1, a2, _, uq2 = passes.newton(rows, lams)[2][:, at]
-    c2 = _curvature(passes.terms[0, at], lam, uq2)
+    out["loglik"] = _bits(_loglik_from_sums(m, alphas, a[at], c[at]))
+    a1, a2, c2 = (v[at] for v in run_pass(passes, "moments", rows, lams))
     if np.isnan(_variances_from_moments(m, alphas, a1, a2, c2)).any():
         out["fisher"] = SingularMatrixError
     else:

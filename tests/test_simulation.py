@@ -33,12 +33,12 @@ from bvf import (
     sample,
     select_model,
 )
-from bvf import inference, selection, simulation
+from bvf import inference, simulation
 from bvf.bvf_model import censoring_threshold
 from bvf.inference import _loglik_from_sums, _Stack
 from bvf.simulation import _estimation_chunk, _selection_chunk
 
-from engine_passes import run_pass
+from engine_passes import logged_passes, observe, run_pass
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 PW = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -571,37 +571,25 @@ class TestStackedSelection:
 
 class TestEngineCalls:
     """The fitting engine runs once per study chunk, selection or bootstrap,
-    however many kinds and sample sizes it covers."""
+    however many kinds and sample sizes it covers: each records one engine
+    call, with its stacks, in the engine's observation point."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        engine = inference._fit_stacks
+    SELECTION = SelectionStudyConfig(
+        parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=6, seed=3
+    )
 
-        def counted(stacks):
-            calls.append(len(stacks))
-            return engine(stacks)
+    def test_selection_study_is_one_call(self, monkeypatch):
+        calls = observe(monkeypatch)
+        run_selection_study(self.SELECTION)
+        assert [len(call.stacks) for call in calls] == [9]
 
-        for module in (inference, selection, simulation):
-            monkeypatch.setattr(module, "_fit_stacks", counted)
-        return calls
-
-    def test_selection_study_is_one_call(self, calls):
-        cfg = SelectionStudyConfig(
-            parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=6,
-            seed=3,
-        )
-        run_selection_study(cfg)
-        assert calls == [9]
-
-    def test_per_row_formulas_run_once_per_pass(self, calls, monkeypatch):
+    def test_per_row_formulas_run_once_per_pass(self, monkeypatch):
         # the 9 stacks' record sums run once per stack with rows in a pass,
         # but the formulas that turn them into the profile, g and h, c and
         # c'' run once per pass (and c and c'' once more per call, at
         # lambda-hat) over the rows of them all
         counts = collections.Counter()
-        summed = []  # the stacks whose record sums ran since the last pass
-        runs = []  # per pass, the stacks of its runs and of its record sums
+        runs = []  # per pass, the stacks of its runs
 
         def counted(name, wrapped):
             def call(*args):
@@ -612,8 +600,7 @@ class TestEngineCalls:
 
         def formulas(name, wrapped):
             def call(pass_runs, *args):
-                runs.append(([stack for _, stack, _, _ in pass_runs], summed[:]))
-                summed.clear()
+                runs.append([stack for _, stack, _, _ in pass_runs])
                 return counted(name, wrapped)(pass_runs, *args)
 
             return call
@@ -622,88 +609,69 @@ class TestEngineCalls:
             monkeypatch.setattr(inference, name, formulas(name, getattr(inference, name)))
         for name in ("_hazard", "_curvature"):
             monkeypatch.setattr(inference, name, counted(name, getattr(inference, name)))
-        for name in ("profile", "newton"):
-            monkeypatch.setattr(
-                inference._Passes, name, counted(name, getattr(inference._Passes, name))
-            )
-        rowwise = inference._Stack._rowwise
-
-        def recorded_rowwise(self, *args):
-            summed.append(self)
-            return rowwise(self, *args)
-
-        monkeypatch.setattr(inference._Stack, "_rowwise", recorded_rowwise)
-        cfg = SelectionStudyConfig(
-            parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=6,
-            seed=3,
-        )
-        run_selection_study(cfg)
-        assert calls == [9]
+        calls = observe(monkeypatch)
+        run_selection_study(self.SELECTION)
+        (call,) = calls
+        assert len(call.stacks) == 9
         # one run per stack with rows in a pass, whose record sums run once:
         # the first pass has all 9
-        assert len(runs) == counts["profile"] + counts["newton"]
-        for stacks, sums in runs:
-            assert [id(s) for s in sums] == [id(s) for s in stacks]
+        heights = [height for height, _, _ in call.log]
+        assert len(runs) == len(heights)
+        for stacks, (_, _, summed) in zip(runs, call.log):
+            assert [id(s) for s in summed] == [id(s) for s in stacks]
             assert len(set(map(id, stacks))) == len(stacks)
-        sizes = [len(stacks) for stacks, _ in runs]
+        sizes = [len(stacks) for stacks in runs]
         assert sizes[0] == 9 and sum(sizes) > 3 * len(sizes)
-        assert counts["_profile"] == counts["profile"]
-        assert counts["_score"] == counts["newton"]
-        assert counts["_hazard"] == counts["profile"] + 1
+        assert counts["_profile"] == heights.count(2)
+        assert counts["_score"] == heights.count(6)
+        assert counts["_hazard"] == heights.count(2) + 1
         assert counts["_curvature"] == 1
 
     @pytest.mark.parametrize("parent", list(CAPTION.values()), ids=lambda p: p.kind.value)
-    def test_selection_call_scans_in_one_pass(self, calls, monkeypatch, parent):
+    def test_selection_call_scans_in_one_pass(self, monkeypatch, parent):
         # a call of the benchmark's select-study shape (10 replications at
         # n 50/150/300): after the pass at the start rung and its
         # neighbours, the ladder scan takes one profile pass before
         # Newton's first (3 or 4 with one block of _SCAN_RECORDS records
         # for the whole call's first chunk)
-        order = []
-
-        def recorded(name, wrapped):
-            def call(*args):
-                order.append(name)
-                return wrapped(*args)
-
-            return call
-
-        for name in ("profile", "newton"):
-            monkeypatch.setattr(
-                inference._Passes, name, recorded(name, getattr(inference._Passes, name))
-            )
         cfg = SelectionStudyConfig(
             parent_params=parent, candidates=(W, G, L), n_grid=(50, 150, 300),
             replications=10, seed=5,
         )
+        calls = observe(monkeypatch)
         run_selection_study(cfg)
-        assert calls == [9]
-        assert order[:3] == ["profile", "profile", "newton"]
+        (call,) = calls
+        assert len(call.stacks) == 9
+        assert [name for name, _ in logged_passes(calls)[:3]] == ["survival", "survival", "newton"]
 
-    def test_selection_study_splits_past_the_record_cap(self, calls, monkeypatch):
+    def test_selection_study_splits_past_the_record_cap(self, monkeypatch):
         # 7 replications of 280 records over the grid, at most 3 per call
         cfg = SelectionStudyConfig(
             parent_params=PW, candidates=(W, G, L), n_grid=(40, 90, 150), replications=7,
             seed=3,
         )
+        calls = observe(monkeypatch)
         want = run_selection_study(cfg)
         monkeypatch.setattr(simulation, "_CALL_RECORDS", 3 * 280)
         assert run_selection_study(cfg) == want
-        assert calls == [9, 9, 9, 9]
+        assert [len(call.stacks) for call in calls] == [9, 9, 9, 9]
 
-    def test_select_model_is_one_call(self, calls):
+    def test_select_model_is_one_call(self, monkeypatch):
         data = from_bivariate(sample(PW, 80, seed=5))
+        calls = observe(monkeypatch)
         select_model(data, (W, L))
-        assert calls == [2]
+        assert [len(call.stacks) for call in calls] == [2]
 
-    def test_fit_mle_and_bootstrap_ci_are_one_call_each(self, calls):
+    def test_fit_mle_and_bootstrap_ci_are_one_call_each(self, monkeypatch):
         data = from_bivariate(sample(PW, 80, seed=5))
+        calls = observe(monkeypatch)
         fit = fit_mle(data, W)
-        assert calls == [1]
+        assert [len(call.stacks) for call in calls] == [1]
         bootstrap_ci(fit, data, B=20, seed=1)
-        assert calls == [1, 1]
+        assert [len(call.stacks) for call in calls] == [1, 1]
 
-    def test_estimation_chunk_is_one_call(self, calls):
+    def test_estimation_chunk_is_one_call(self, monkeypatch):
         cfg = EstimationStudyConfig(true_params=PW, n=60, replications=4, bootstrap_B=0, seed=2)
+        calls = observe(monkeypatch)
         run_estimation_study(cfg)
-        assert calls == [1]
+        assert [len(call.stacks) for call in calls] == [1]
