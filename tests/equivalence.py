@@ -3,7 +3,9 @@
 ``outputs()`` computes a fixed set of bvf outputs as plain JSON values:
 
 - estimation and selection studies shaped like acceptance criteria 5-8, at
-  reduced replication counts, each at ``workers`` 1 and 2;
+  reduced replication counts, and a selection and an estimation study of
+  between one and two times ``simulation._CALL_RECORDS`` records, each at
+  ``workers`` 1 and 2;
 - ``fit_mle``, ``asymptotic_ci`` and ``bootstrap_ci`` (B = 0, 10 and 50)
   on censored and uncensored datasets, and a bootstrap whose resamples fail
   for two reasons; ``asymptotic_ci`` and ``observed_fisher`` at each
@@ -118,6 +120,11 @@ def _studies(out: dict) -> None:
         both(f"crit8/{kind.value}", SelectionStudyConfig, parent_params=CAPTION[kind],
              candidates=(W, G, L), n_grid=(50, 150, 300), replications=20,
              seed=8800 + kind.order)
+    # more records than simulation._CALL_RECORDS, and fewer than twice as many
+    both("parts/selection", SelectionStudyConfig, parent_params=CAPTION[L],
+         candidates=(W, G, L), n_grid=(50, 150, 300), replications=140, seed=8810)
+    both("parts/estimation", EstimationStudyConfig, true_params=CAPTION[W], n=1000,
+         replications=70, censored_fraction=0.2, bootstrap_B=0, seed=4102, **estimation)
 
 
 def _datasets() -> dict:

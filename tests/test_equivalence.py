@@ -61,7 +61,7 @@ def _relative(got: float, want: float) -> bool:
 
 def test_studies_do_not_depend_on_the_worker_count(got):
     pairs = [(key, key[: -1] + "2") for key in got if key.endswith("/workers1")]
-    assert len(pairs) == 15
+    assert len(pairs) == 17
     for one, two in pairs:
         assert got[one] == got[two], one
 
