@@ -17,11 +17,13 @@ import numpy as np
 
 from ._km import kaplan_meier, km_survival_at
 from .baselines import BaselineKind, log_s0, s0_inv
-from .bvf_model import BvfParams, censoring_threshold, jpdf_ac, sample
+from .bvf_model import BvfParams, _seed_sequence, censoring_threshold, jpdf_ac, sample
 from .data_model import FailureMode, _csv_text, from_bivariate, load_csv
 from .errors import BvfError, DomainError, EstimationError, ValidationError
 from .inference import (
     FitStatus,
+    _check_bootstrap,
+    _check_level,
     asymptotic_ci,
     bootstrap_ci,
     fit_mle,
@@ -76,13 +78,8 @@ def _emit_table(report, out_path: Optional[str]) -> None:
 
 
 def _params_from_args(args) -> BvfParams:
-    return BvfParams(
-        kind=BaselineKind.parse(args.kind),
-        alpha0=args.alpha0,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        lam=args.lam,
-    )
+    kind = BaselineKind.parse(args.kind)
+    return BvfParams(kind, args.alpha0, args.alpha1, args.alpha2, args.lam)
 
 
 def _add_param_flags(parser, required: bool = True):
@@ -100,9 +97,7 @@ def cmd_generate(args) -> int:
     if not (0.0 <= args.censor_frac < 1.0):
         raise ValidationError(f"--censor-frac must lie in [0, 1), got {args.censor_frac}")
     pairs = sample(params, args.n, args.seed)
-    censoring = None
-    if args.censor_frac > 0.0:
-        censoring = censoring_threshold(params, args.censor_frac)
+    censoring = censoring_threshold(params, args.censor_frac) if args.censor_frac > 0.0 else None
     data = from_bivariate(pairs, censoring)
     counts_line = (
         f"n={data.n} m0={data.m0} m1={data.m1} m2={data.m2} m3={data.m3}\n"
@@ -124,6 +119,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ci(args) -> int:
+    # the interval options are checked before the data are read and fitted,
+    # in the order the interval functions check them
+    if args.method == "asymptotic":
+        _check_level(args.level)
+    elif args.seed is None:
+        raise ValidationError("--seed is required for bootstrap intervals")
+    else:
+        _check_bootstrap(args.boot_B, args.level)
+        _seed_sequence(args.seed)
     data = load_csv(args.data)
     kind = BaselineKind.parse(args.kind)
     fit = fit_mle(data, kind)
@@ -136,8 +140,6 @@ def cmd_ci(args) -> int:
     if args.method == "asymptotic":
         ci = asymptotic_ci(fit, data, args.level)
     else:
-        if args.seed is None:
-            raise ValidationError("--seed is required for bootstrap intervals")
         ci = bootstrap_ci(fit, data, B=args.boot_B, level=args.level, seed=args.seed)
     out = ci.to_json_dict()
     out["fit"] = fit.to_json_dict()

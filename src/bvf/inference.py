@@ -1008,21 +1008,19 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     stack = _workspace(data, kind)
     (fits,) = _fit_stacks([stack])
     data._cache[("moments", kind)] = (float(fits.lam[0]), fits.a1, fits.a2, fits.c2)
-    return _fit_result(kind, fits, 0, _fitted_logliks(stack, fits)[0])
+    return _fit_result(kind, fits, 0, float(_fitted_logliks(stack, fits)[0]))
 
 
-def _fitted_logliks(stack: _Stack, fits: _Fits) -> list:
+def _fitted_logliks(stack: _Stack, fits: _Fits) -> np.ndarray:
     """Each row's maximized log-likelihood, :func:`log_likelihood` at its
-    estimates, or None for a row without estimates. It takes no pass over
-    the records: the survival and hazard sums at lambda-hat are those of
-    the row's last Newton pass (:class:`_Fits`)."""
-    out: list = [None] * fits.code.size
+    estimates, or -inf for a row without estimates, as a float64 array. It
+    takes no pass over the records: the survival and hazard sums at
+    lambda-hat are those of the row's last Newton pass (:class:`_Fits`)."""
+    out = np.full(fits.code.size, -np.inf)
     rows = np.flatnonzero(fits.code <= _BOUNDARY)
-    logliks = _loglik_from_sums(
+    out[rows] = _loglik_from_sums(
         stack.counts[:, rows], fits.alphas[:, rows], fits.a[rows], fits.c[rows]
     )
-    for r, loglik in zip(rows.tolist(), logliks):
-        out[r] = loglik
     return out
 
 
@@ -1193,6 +1191,15 @@ def _check_level(level) -> float:
     return level
 
 
+def _check_bootstrap(B, level) -> tuple[int, float]:
+    """A bootstrap's resample count B, an integer >= 1, and its confidence
+    level, checked in that order."""
+    B = _check_count("B", B)
+    if B < 1:
+        raise DomainError(f"B must be >= 1, got {B}")
+    return B, _check_level(level)
+
+
 def asymptotic_ci(
     fit: FitResult, data: CompetingRisksData, level: float = 0.95
 ) -> ConfidenceIntervalSet:
@@ -1287,10 +1294,7 @@ def bootstrap_ci(
     B >= 100 is recommended for real use; smaller values are accepted (the
     rank arithmetic stays well-defined down to B = 1).
     """
-    B = _check_count("B", B)
-    if B < 1:
-        raise DomainError(f"B must be >= 1, got {B}")
-    level = _check_level(level)
+    B, level = _check_bootstrap(B, level)
     p_hat = _require_converged(fit, "bootstrap_ci")
     parent = _seed_sequence(seed)
     first = parent.n_children_spawned

@@ -5,29 +5,33 @@ the one with the largest maximized log-likelihood; each candidate's AIC is
 reported alongside. Candidates whose profile has no maximum are excluded
 from the ranking rather than failing the whole selection.
 
-There is one selection path. Every candidate kind is fitted on its stacks
-of datasets in one engine call (:func:`_fit_candidates`), and each row is
-decided by one rule (:func:`_rank_row`). :func:`select_model` is the
-one-row case, one call on the dataset's own one-row stacks; a selection
-study runs the same two functions on stacks of its datasets, one per
-sample size, all candidates at every size in one call
-(:func:`_select_stacks`).
+There is one selection path and one ranking rule (:func:`_rank`). Every
+candidate kind is fitted on its stacks of datasets in one engine call, and
+the candidates of every row are ranked at once, in kind order, by a stable
+argsort of their negated log-likelihoods, with per row a count of those
+that rank (0 where the row has no choice). :func:`select_model` is row 0
+of the dataset's own one-row stacks; a selection study runs the same rule
+on stacks of its datasets, one per sample size, all candidates at every
+size in one call (:func:`_select_stacks`).
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
+
+import numpy as np
 
 from .baselines import BaselineKind
 from .data_model import CompetingRisksData
-from .errors import BvfError, SelectionError, ValidationError
+from .errors import SelectionError, ValidationError
 from .inference import (
+    _BOUNDARY,
+    _NO_MLE_FLAT,
     FitResult,
     FitStatus,
     _fit_result,
     _fit_stacks,
     _fitted_logliks,
     _Stack,
-    _status,
     _tally,
     _workspace,
 )
@@ -104,8 +108,9 @@ def select_model(
     ties (a probability-zero event) break by the fixed kind order Weibull <
     Gompertz < Lomax, for reproducibility. This is the one-row case of the
     stacked selection a study runs on many datasets at once: the candidates
-    are fitted on the dataset's one-row stacks in one engine call, and each
-    fit is the one :func:`fit_mle` returns.
+    are fitted on the dataset's one-row stacks in one engine call, each fit
+    is the one :func:`fit_mle` returns, and the candidates are ranked by
+    the rule a study applies to every row (:func:`_rank`).
 
     Raises
     ------
@@ -119,13 +124,21 @@ def select_model(
         BaselineKind members.
     """
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
-    fits, codes, logliks = _fit_candidates([_workspace(data, kind) for kind in kinds])
-    ranked, excluded = _rank_row(kinds, fits, codes, logliks, 0)
-    results = {
-        kind: _fit_result(kind, f, 0, ll[0]) for kind, f, ll in zip(kinds, fits, logliks)
-    }
+    stacks = [_workspace(data, kind) for kind in kinds]
+    fits = _fit_stacks(stacks)
+    logliks, order, count = _rank(stacks, fits)
+    # in kind order, so the first candidate whose fit ends in an error raises
+    results = [
+        _fit_result(kind, f, 0, ll) for kind, f, ll in zip(kinds, fits, logliks[:, 0].tolist())
+    ]
+    excluded = [r.kind for r in results if r.status is FitStatus.NO_MLE_MONOTONE_PROFILE]
+    if not count[0]:
+        raise SelectionError(
+            "all candidate fits failed: "
+            + "; ".join(f"{kind.value}: {_MONOTONE}" for kind in excluded)
+        )
     return SelectionResult(
-        ranked=tuple((kind, results[kind]) for kind in ranked),
+        ranked=tuple((kinds[k], results[k]) for k in order[: count[0], 0].tolist()),
         excluded=tuple((kind, _MONOTONE) for kind in excluded),
     )
 
@@ -144,65 +157,40 @@ def _check_candidates(candidates: Iterable[BaselineKind]) -> tuple:
     return kinds
 
 
-def _fit_candidates(stacks: list) -> tuple[list, list, list]:
-    """Each stack's fits, all in one engine call, and per row its outcome
-    code and its maximized log-likelihood (None for a row without
-    estimates), as lists."""
-    fits = _fit_stacks(stacks)
-    codes = [f.code.tolist() for f in fits]
-    return fits, codes, [_fitted_logliks(stack, f) for stack, f in zip(stacks, fits)]
+def _rank(stacks: list, fits: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one ranking rule, on the fits of one record stack's candidates in
+    kind order: per candidate and row, its maximized log-likelihood (-inf
+    for a candidate without estimates); the candidates of each row ranked
+    best-first (a stable argsort of -log-likelihood, so an exact tie, a
+    probability-zero event, goes to the earlier kind in the fixed order
+    Weibull < Gompertz < Lomax, and candidates without estimates come
+    last); and per row how many of them rank: 0 where a candidate's fit
+    ends in an error or every candidate is excluded (no MLE)."""
+    logliks = np.stack([_fitted_logliks(stack, f) for stack, f in zip(stacks, fits)])
+    codes = np.stack([f.code for f in fits])
+    count = np.count_nonzero(codes <= _BOUNDARY, axis=0)
+    count[(codes > _NO_MLE_FLAT).any(axis=0)] = 0
+    return logliks, np.argsort(-logliks, axis=0, kind="stable"), count
 
 
-def _rank_row(kinds: list, fits: list, codes: list, logliks: list, r: int) -> tuple[list, list]:
-    """The ranked and the excluded kinds of row ``r``, given the candidate
-    kinds in kind order with their fits, codes and log-likelihoods.
-
-    A kind whose profile is monotone is excluded. The rest rank best-first
-    by maximized log-likelihood; an exact tie (a probability-zero event)
-    goes to the earlier kind in the fixed order Weibull < Gompertz < Lomax,
-    for reproducibility. Raises the error of the first kind whose fit ended
-    in one, or a SelectionError if every kind is excluded.
-    """
-    scored, excluded = [], []
-    for kind, f, code, ll in zip(kinds, fits, codes, logliks):
-        if _status(code[r], f, r) is FitStatus.NO_MLE_MONOTONE_PROFILE:
-            excluded.append(kind)
-        else:
-            scored.append((kind, ll[r]))
-    if not scored:
-        raise SelectionError(
-            "all candidate fits failed: "
-            + "; ".join(f"{kind.value}: {_MONOTONE}" for kind in excluded)
-        )
-    scored.sort(key=lambda kl: (-kl[1], kl[0].order))
-    return [kind for kind, _ in scored], excluded
-
-
-def _select_stacks(
-    records: list, candidates: Iterable[BaselineKind]
-) -> list[list[Optional[BaselineKind]]]:
+def _select_stacks(records: list, candidates: Iterable[BaselineKind]) -> list[np.ndarray]:
     """For each (t, delta) pair of ``records``, a (R, n) record stack (n
-    may differ from pair to pair), the kind :func:`select_model` chooses
-    for each row, or None for a row where it raises: a candidate's fit ends
-    in an error, or every candidate is excluded. It runs select_model's own
-    path, :func:`_fit_candidates` and :func:`_rank_row`, on every row at
-    once: every candidate kind over every record stack is fitted in one
-    engine call, each row bit for bit as it is fitted alone. The candidates
-    over one record stack share its failure counts (:func:`_tally`)."""
+    may differ from pair to pair), per row the index among the candidates
+    in kind order of the one :func:`select_model` chooses, or -1 where it
+    raises: a candidate's fit ends in an error, or every candidate is
+    excluded. Every candidate kind over every record stack is fitted in
+    one engine call, each row bit for bit as it is fitted alone, and each
+    record stack's rows are ranked at once by select_model's rule
+    (:func:`_rank`). The candidates over one record stack share its
+    failure counts (:func:`_tally`)."""
     kinds = sorted(_check_candidates(candidates), key=lambda k: k.order)
     stacks = []
     for t, delta in records:
         tally = _tally(delta)
         stacks += [_Stack(kind, t, delta, tally) for kind in kinds]
-    fits, codes, logliks = _fit_candidates(stacks)
-    chosen: list = []
-    for i, (t, _) in enumerate(records):
-        cut = slice(i * len(kinds), (i + 1) * len(kinds))
-        row_chosen = []
-        for r in range(t.shape[0]):
-            try:
-                row_chosen.append(_rank_row(kinds, fits[cut], codes[cut], logliks[cut], r)[0][0])
-            except BvfError:
-                row_chosen.append(None)
-        chosen.append(row_chosen)
+    fits = _fit_stacks(stacks)
+    chosen = []
+    for i in range(0, len(stacks), len(kinds)):
+        _, order, count = _rank(stacks[i : i + len(kinds)], fits[i : i + len(kinds)])
+        chosen.append(np.where(count > 0, order[0], -1))
     return chosen

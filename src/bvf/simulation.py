@@ -7,21 +7,23 @@ estimation study; replication r at the c-th sample size of a selection
 study has key (c * replications + r,). These are the children that
 spawning the root (and spawning each child twice, for estimation) would
 make, so a study is reproducible bit-for-bit under any worker count or
-scheduling order. No child object is built: a chunk hashes all its rows'
+scheduling order. No child object is built: a part hashes all its rows'
 seeds in one NumPy pass (:func:`_child_states`).
 
-A work item is a contiguous chunk of replication indices: a module-level
-chunk function bound to the study's config and root by
-``functools.partial``, applied to the indices. An estimation chunk draws
-its datasets as one stack and fits it in one engine call. A selection chunk
-draws its datasets at every sample size of the grid, one stack per size,
-and runs :func:`select_model`'s own path on them, which fits every
-candidate kind at every size in one engine call, for up to 65536 records
-over the grid at a time (``_CALL_RECORDS``); there is no second selection
-rule for studies. With ``workers = 1`` the study's replications are one
-chunk, run in this process; with ``workers > 1`` they are split into that
-many chunks (no more than there are replications), and more than one chunk
-runs in a process pool.
+Both kinds of study split their replications into parts by one rule
+(:func:`_run_chunks`): consecutive replication indices, at most as many
+per part as fit in ``_CALL_RECORDS`` (65536) records, and at least as many
+parts as workers. A part is a module-level chunk function bound to the
+study's config and root by ``functools.partial``, applied to its indices.
+An estimation part draws its datasets as one stack and fits it in one
+engine call. A selection part draws its datasets at every sample size of
+the grid, one stack per size, and runs :func:`select_model`'s own path and
+ranking rule on them, which fits every candidate kind at every size in one
+engine call; there is no second selection rule for studies. So the
+records alive in one engine call, and a study's memory, stay bounded
+whatever the replications. With ``workers = 1``, or a single part, the
+parts run in this process one after another; otherwise they share one
+process pool.
 """
 
 import functools
@@ -285,26 +287,39 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     return results
 
 
-def _run_chunks(worker, replicates: range, workers: int) -> list:
-    """``worker`` applied to ``workers`` contiguous chunks of the replicate
-    indices ``replicates``; returns its per-replication results,
-    concatenated in order. A single non-empty chunk (one worker, or fewer
-    replicates than workers) runs in this process; more share one process
-    pool."""
-    bounds = [len(replicates) * j // workers for j in range(workers + 1)]
-    chunks = [replicates[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(chunks) == 1:
-        return worker(chunks[0])
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return [result for part in pool.map(worker, chunks) for result in part]
+# The most records a study part draws and fits in one engine call (over
+# the whole grid of a selection study), unless one replicate alone holds
+# more. Every stack over them is alive in that call, so a study of more
+# replications than this allows is split into such parts: its memory then
+# stays bounded whatever the replications.
+_CALL_RECORDS = 1 << 16
+
+
+def _run_chunks(worker, replicates: range, workers: int, per: int) -> list:
+    """The one rule that splits a study into parts: ``worker`` applied to
+    consecutive parts of the replicate indices ``replicates``, of about
+    equal size and at most ``per`` replicates each, and no fewer parts than
+    ``workers`` where there are that many replicates; returns the parts'
+    results in order. The parts run here, one after another, with one
+    worker or one part; otherwise one pool of as many processes as there
+    are workers, or parts if fewer, maps them."""
+    count = max(-(-len(replicates) // per), min(workers, len(replicates)))
+    bounds = [len(replicates) * j // count for j in range(count + 1)]
+    parts = [replicates[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1 or count == 1:
+        return [worker(part) for part in parts]
+    with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+        return list(pool.map(worker, parts))
 
 
 def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport:
     """Sample -> censor -> fit -> intervals, replicated; aggregate relative
     MSE/bias per parameter and average length/coverage per interval method.
 
-    A chunk of replications is fitted in one engine call, which also gives
-    the Wald variances of its converged fits at no further pass; each
+    The replications run in parts of at most ``_CALL_RECORDS`` records, by
+    the rule selection studies share (:func:`_run_chunks`). A part's
+    datasets are fitted in one engine call, which also gives the Wald
+    variances of its converged fits at no further pass; each
     converged fit's bootstrap refits resamples drawn at its own estimate.
     A replication that fails anywhere is excluded from every average and
     counted in ``failed_replications``. Hard failures (degenerate data,
@@ -316,7 +331,8 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     reps = config.replications
     root = np.random.SeedSequence(config.seed)
     worker = functools.partial(_estimation_chunk, config, root)
-    results = _run_chunks(worker, range(reps), config.workers)
+    per = max(1, _CALL_RECORDS // config.n)
+    results = [r for part in _run_chunks(worker, range(reps), config.workers, per) for r in part]
     kept = [r for r in results if not isinstance(r, str)]
     failed = reps - len(kept)
     hard = failed - results.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
@@ -437,35 +453,16 @@ class SelectionStudyReport:
         return out
 
 
-# Records a selection chunk draws, at every n of the grid together, and
-# fits in one engine call. Every candidate kind's stack over them is alive
-# in that call, so a chunk of more replications than this allows is split
-# into such calls: its memory then stays bounded whatever the replications.
-_CALL_RECORDS = 1 << 16
-
-
-def _selection_chunk(config: SelectionStudyConfig, root, replicates) -> list:
-    """Per replication j of ``replicates``, the kind it selects at each n of
-    the grid, in grid order, or None where it is dropped: at the c-th n,
-    what :func:`select_model` returns on
+def _selection_chunk(config: SelectionStudyConfig, root, replicates) -> np.ndarray:
+    """Per replication j of ``replicates`` (a row) and n of the grid (a
+    column, in grid order), the index among the candidates in kind order of
+    the one it selects: at the c-th n, what :func:`select_model` chooses on
     ``from_bivariate(sample(parent, n, seed))``, seeded with child
-    (c * replications + j,) of ``root``, or None where that raises. The
-    replications run in consecutive parts of at most ``_CALL_RECORDS``
-    records over the grid (at least one replication each); module-level so
-    process pools can pickle it."""
-    per = max(1, _CALL_RECORDS // sum(config.n_grid))
-    return [
-        chosen
-        for lo in range(0, len(replicates), per)
-        for chosen in _selection_part(config, root, replicates[lo : lo + per])
-    ]
-
-
-def _selection_part(config: SelectionStudyConfig, root, replicates) -> list:
-    """:func:`_selection_chunk` on one part of its replicates: all their
+    (c * replications + j,) of ``root``, or -1 where that raises. All their
     seeds at every n are hashed in one pass, their datasets at each n drawn
     as one stack, and select_model's own path fits every candidate on the
-    stacks of every n in one engine call (:func:`_select_stacks`)."""
+    stacks of every n in one engine call (:func:`_select_stacks`);
+    module-level so process pools can pickle it."""
     index = np.asarray(replicates, dtype=np.uint64)
     grid = np.arange(len(config.n_grid), dtype=np.uint64)[:, None]
     keys = grid * config.replications + index
@@ -475,10 +472,9 @@ def _selection_part(config: SelectionStudyConfig, root, replicates) -> list:
         for c, n in enumerate(config.n_grid)
     ]
     picks = _select_stacks([(t, delta) for _, t, delta, _ in draws], config.candidates)
-    chosen = [[None] * len(draws) for _ in replicates]
-    for c, ((rows, *_), kinds) in enumerate(zip(draws, picks)):
-        for r, kind in zip(rows.tolist(), kinds):
-            chosen[r][c] = kind
+    chosen = np.full((len(replicates), len(draws)), -1)
+    for c, ((rows, *_), pick) in enumerate(zip(draws, picks)):
+        chosen[rows, c] = pick
     return chosen
 
 
@@ -486,38 +482,42 @@ def run_selection_study(config: SelectionStudyConfig) -> SelectionStudyReport:
     """Empirical probability that each candidate is selected, per sample
     size; within a row the probabilities sum to 1 over the candidates.
 
-    Each replication chooses by :func:`select_model`'s own path, run on
-    stacks of the study's datasets: a chunk of replications draws its
-    datasets at every n, and fits every candidate kind at every n in one
-    engine call per at most ``_CALL_RECORDS`` records, not one
-    ``select_model`` call per dataset. A replication is dropped at an n,
-    and counted, where ``select_model`` would raise: its data are invalid,
-    a candidate's fit ends in an error, or every candidate is excluded.
-    More than 10% dropped at any n aborts the study as a misconfiguration
-    signal."""
+    Each replication chooses by :func:`select_model`'s own path and ranking
+    rule, run on stacks of the study's datasets: the replications run in
+    parts of at most ``_CALL_RECORDS`` records over the grid, by the rule
+    estimation studies share (:func:`_run_chunks`), and a part draws its
+    datasets at every n and fits every candidate kind at every n in one
+    engine call, not one ``select_model`` call per dataset. A replication
+    is dropped at an n, and counted, where ``select_model`` would raise:
+    its data are invalid, a candidate's fit ends in an error, or every
+    candidate is excluded. One ``np.bincount`` per n counts the dropped
+    replications and each kind's choices. More than 10% dropped at any n
+    aborts the study as a misconfiguration signal."""
     reps = config.replications
     root = np.random.SeedSequence(config.seed)
     worker = functools.partial(_selection_chunk, config, root)
-    results = _run_chunks(worker, range(reps), config.workers)
+    per = max(1, _CALL_RECORDS // sum(config.n_grid))
+    chosen = np.concatenate(_run_chunks(worker, range(reps), config.workers, per))
+    kinds = sorted(config.candidates, key=lambda k: k.order)
     rows = []
     for i, n in enumerate(config.n_grid):
-        kept = [chosen[i] for chosen in results if chosen[i] is not None]
-        dropped = reps - len(kept)
+        # count 0 is of the dropped replications, count k + 1 of kind k's
+        dropped, *counts = np.bincount(chosen[:, i] + 1, minlength=len(kinds) + 1).tolist()
         if dropped > 0.10 * reps:
             raise EstimationError(
                 f"{dropped} of {reps} replications dropped at n={n}; study "
                 "configuration looks unsound"
             )
-        total = len(kept) if kept else 1
+        kept = reps - dropped
+        selected = dict(zip(kinds, counts))
         probabilities = {
-            kind.value: sum(1 for c in kept if c is kind) / total
-            for kind in config.candidates
+            kind.value: selected[kind] / (kept or 1) for kind in config.candidates
         }
         rows.append(
             SelectionStudyRow(
                 n=n,
                 probabilities=probabilities,
-                replications_used=len(kept),
+                replications_used=kept,
                 dropped=dropped,
             )
         )

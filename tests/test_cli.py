@@ -196,6 +196,24 @@ class TestCi:
         assert d["method"] == "Bootstrap"
         assert d["B"] == 15
 
+    @pytest.mark.parametrize("kind", ["weibull", "lomax"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--method", "bootstrap"], "--seed is required for bootstrap intervals"),
+            (["--level", "1.5"], "level must lie in (0, 1), got 1.5"),
+            (["--method", "bootstrap", "--seed", "1", "--boot-B", "0"], "B must be >= 1, got 0"),
+        ],
+        ids=["no-seed", "level", "boot-B"],
+    )
+    def test_options_are_checked_before_the_fit(self, tmp_path, capsys, kind, options, message):
+        # Weibull fits these records; Lomax's profile is monotone on them,
+        # and the options are rejected all the same
+        path = tmp_path / "five.csv"
+        path.write_text("t,delta\n0.3,1\n0.8,1\n1.1,2\n2.0,0\n1.7,2\n")
+        code, out, err = run(["ci", "--data", str(path), "--kind", kind] + options, capsys)
+        assert (code, out, err) == (1, "", f"bvf: error: {message}\n")
+
     def test_no_mle_exits_two(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("t,delta\n1.0,0\n1.0,1\n1.0,2\n")

@@ -9,6 +9,7 @@ from bvf import (
     BvfError,
     BvfParams,
     CompetingRisksData,
+    DegenerateDataError,
     EstimationError,
     FitStatus,
     SelectionError,
@@ -20,6 +21,7 @@ from bvf import (
     sample,
     select_model,
 )
+from bvf import selection
 from bvf.selection import _select_stacks
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
@@ -164,15 +166,64 @@ def test_stacked_selection_drops_where_select_model_raises(data12, candidates):
     rows = [(T12, D12), ([1.5] * 12, [3] * 12), (lomax.t, lomax.delta)]
     t = np.array([r[0] for r in rows])
     delta = np.array([r[1] for r in rows], dtype=np.int8)
+    # per row, the chosen kind's index among the candidates in kind order,
+    # or -1 where select_model raises
+    kinds = sorted(candidates, key=lambda k: k.order)
     want = []
     for times, deltas in rows:
         try:
-            want.append(select_model(CompetingRisksData(times, deltas), candidates).chosen)
+            chosen = select_model(CompetingRisksData(times, deltas), candidates).chosen
+            want.append(kinds.index(chosen))
         except BvfError:
-            want.append(None)
-    assert _select_stacks([(t, delta)], candidates) == [want]
-    assert want[1] is None
-    assert want[2] is L
+            want.append(-1)
+    (got,) = _select_stacks([(t, delta)], candidates)
+    assert got.tolist() == want
+    assert want[1] == -1
+    assert kinds[want[2]] is L
+
+
+def test_one_failing_candidate_leaves_the_row_without_a_choice():
+    # subnormal times: Weibull converges, but the Gompertz and Lomax fits
+    # end in a DegenerateDataError, which select_model raises, so the
+    # stacked selection gives the row no choice either
+    t = np.array([[5e-324] * 4 + [1e-320] * 2])
+    delta = np.array([[1, 2, 0, 1, 2, 1]], dtype=np.int8)
+    data = CompetingRisksData(t[0], delta[0])
+    assert select_model(data, (W,)).chosen is W
+    assert _select_stacks([(t, delta)], (W,))[0].tolist() == [0]
+    for candidates in [(W, G, L), (L, W), (W, G)]:
+        with pytest.raises(DegenerateDataError):
+            select_model(data, candidates)
+        assert _select_stacks([(t, delta)], candidates)[0].tolist() == [-1]
+
+
+@pytest.mark.parametrize("candidates", [(W, G, L), (L, G, W), (L, W)])
+def test_exact_loglik_tie_goes_to_the_earlier_kind(monkeypatch, candidates):
+    # every fit with estimates gets one log-likelihood: each row ranks its
+    # candidates in kind order, whatever order they are given in. Unforced,
+    # the Lomax draws rank Lomax over Weibull.
+    lomax = from_bivariate(sample(BvfParams(L, 0.85, 0.57, 0.74, 0.69), 12, seed=2))
+    assert [kind for kind, _ in select_model(lomax, (W, L)).ranked] == [L, W]
+    fitted = selection._fitted_logliks
+
+    def tied(stack, fits):
+        logliks = fitted(stack, fits)
+        return np.where(logliks > -np.inf, -50.0, logliks)
+
+    monkeypatch.setattr(selection, "_fitted_logliks", tied)
+    kinds = sorted(candidates, key=lambda k: k.order)
+    datasets = [CompetingRisksData(T12, D12), lomax]
+    want = []
+    for data in datasets:
+        result = select_model(data, candidates)
+        excluded = [kind for kind, _ in result.excluded]
+        assert [kind for kind, _ in result.ranked] == [k for k in kinds if k not in excluded]
+        assert {fit.loglik_max for _, fit in result.ranked} == {-50.0}
+        want.append(kinds.index(result.chosen))
+    assert [kinds[w] for w in want] == [W, W]
+    records = (np.stack([d.t for d in datasets]), np.stack([d.delta for d in datasets]))
+    (got,) = _select_stacks([records], candidates)
+    assert got.tolist() == want
 
 
 def test_boundary_fits_still_rank():

@@ -3,6 +3,7 @@ stacked studies' equivalence with the one-dataset path: fit_mle and its
 intervals, or select_model, per dataset."""
 
 import collections
+import dataclasses
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -494,6 +495,8 @@ class TestStackedSelection:
             replications=25, seed=8800 + parent.order,
         )
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+        # the chunk gives the chosen kind's index among the candidates in kind
+        # order, here its ``order``, or -1 where select_model raises
         want = []
         gompertz_excluded = 0
         for child in children:
@@ -501,12 +504,13 @@ class TestStackedSelection:
             try:
                 result = select_model(data, cfg.candidates)
             except BvfError:
-                want.append(None)
+                want.append(-1)
                 continue
-            want.append(result.chosen)
+            want.append(result.chosen.order)
             gompertz_excluded += any(kind is G for kind, _ in result.excluded)
         root = np.random.SeedSequence(cfg.seed)
-        assert _selection_chunk(cfg, root, range(cfg.replications)) == [[w] for w in want]
+        got = _selection_chunk(cfg, root, range(cfg.replications))
+        assert got.tolist() == [[w] for w in want]
         # excluded candidates are part of what the stack must reproduce; the
         # Weibull and Lomax parents' seeds exclude Gompertz on most datasets
         assert parent is G or gompertz_excluded > 0
@@ -519,6 +523,8 @@ class TestStackedSelection:
             replications=9, seed=41,
         )
         children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.n_grid) * cfg.replications)
+        # per replicate and n, the chosen kind's ``order`` (its index among
+        # all three candidates), or -1
         want = []
         for j in range(2, 9):
             row = []
@@ -526,13 +532,13 @@ class TestStackedSelection:
                 child = children[c * cfg.replications + j]
                 data = from_bivariate(sample(cfg.parent_params, n, np.random.default_rng(child)))
                 try:
-                    row.append(select_model(data, cfg.candidates).chosen)
+                    row.append(select_model(data, cfg.candidates).chosen.order)
                 except BvfError:
-                    row.append(None)
+                    row.append(-1)
             want.append(row)
         root = np.random.SeedSequence(cfg.seed)
-        assert _selection_chunk(cfg, root, range(2, 9)) == want
-        assert {kind for row in want for kind in row} >= {W, L}
+        assert _selection_chunk(cfg, root, range(2, 9)).tolist() == want
+        assert {k for row in want for k in row} >= {W.order, L.order}
 
     @pytest.mark.parametrize("kind", [W, G, L])
     def test_log_likelihood_is_the_one_row_case(self, kind):
@@ -655,6 +661,29 @@ class TestEngineCalls:
         monkeypatch.setattr(simulation, "_CALL_RECORDS", 3 * 280)
         assert run_selection_study(cfg) == want
         assert [len(call.stacks) for call in calls] == [9, 9, 9, 9]
+
+    def test_estimation_study_splits_past_the_record_cap(self, monkeypatch):
+        # 7 replications of 60 records, at most 2 per call: 4 replicate-fit
+        # calls of one stack each, with every replication's row in one
+        cfg = EstimationStudyConfig(true_params=PW, n=60, replications=7, bootstrap_B=0, seed=2)
+        want = run_estimation_study(cfg)
+        monkeypatch.setattr(simulation, "_CALL_RECORDS", 2 * cfg.n)
+        calls = observe(monkeypatch)
+        assert run_estimation_study(cfg) == want
+        assert [len(call.stacks) for call in calls] == [1, 1, 1, 1]
+        rows = [call.stacks[0].counts.shape[1] for call in calls]
+        assert sum(rows) == 7 and max(rows) <= 2
+        # with two workers the 4 parts share one pool of 2 processes
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", counted_pool)
+        pooled = run_estimation_study(dataclasses.replace(cfg, workers=2))
+        assert pooled.to_json_dict() == want.to_json_dict()
+        assert pools == [{"max_workers": 2}]
 
     def test_select_model_is_one_call(self, monkeypatch):
         data = from_bivariate(sample(PW, 80, seed=5))
