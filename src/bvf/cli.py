@@ -78,8 +78,13 @@ def _emit_table(report, out_path: Optional[str]) -> None:
 
 
 def _params_from_args(args) -> BvfParams:
-    kind = BaselineKind.parse(args.kind)
-    return BvfParams(kind, args.alpha0, args.alpha1, args.alpha2, args.lam)
+    return BvfParams(
+        kind=BaselineKind.parse(args.kind),
+        alpha0=args.alpha0,
+        alpha1=args.alpha1,
+        alpha2=args.alpha2,
+        lam=args.lam,
+    )
 
 
 def _add_param_flags(parser, required: bool = True):
@@ -97,7 +102,9 @@ def cmd_generate(args) -> int:
     if not (0.0 <= args.censor_frac < 1.0):
         raise ValidationError(f"--censor-frac must lie in [0, 1), got {args.censor_frac}")
     pairs = sample(params, args.n, args.seed)
-    censoring = censoring_threshold(params, args.censor_frac) if args.censor_frac > 0.0 else None
+    censoring = None
+    if args.censor_frac > 0.0:
+        censoring = censoring_threshold(params, args.censor_frac)
     data = from_bivariate(pairs, censoring)
     counts_line = (
         f"n={data.n} m0={data.m0} m1={data.m1} m2={data.m2} m3={data.m3}\n"
