@@ -87,12 +87,12 @@ def _params_from_args(args) -> BvfParams:
     )
 
 
-def _add_param_flags(parser, required: bool = True):
-    parser.add_argument("--kind", choices=_KIND_CHOICES, required=required)
-    parser.add_argument("--alpha0", type=float, required=required)
-    parser.add_argument("--alpha1", type=float, required=required)
-    parser.add_argument("--alpha2", type=float, required=required)
-    parser.add_argument("--lambda", dest="lam", type=float, required=required)
+def _add_param_flags(parser):
+    parser.add_argument("--kind", choices=_KIND_CHOICES, required=True)
+    parser.add_argument("--alpha0", type=float, required=True)
+    parser.add_argument("--alpha1", type=float, required=True)
+    parser.add_argument("--alpha2", type=float, required=True)
+    parser.add_argument("--lambda", dest="lam", type=float, required=True)
 
 
 def cmd_generate(args) -> int:

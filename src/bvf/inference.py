@@ -1226,25 +1226,30 @@ def asymptotic_ci(
     variances = _variances_from_moments(ws.counts, np.array(theta[:3])[:, None], *moments)[0]
     if np.isnan(variances).any():
         raise SingularMatrixError("observed information matrix is not positive definite")
+    ends = _wald_intervals(np.array(theta), variances, level)
     return ConfidenceIntervalSet(
         level=level,
         method=CiMethod.ASYMPTOTIC,
-        intervals=_wald_intervals(theta, variances, level),
+        intervals=dict(zip(PARAM_NAMES, map(tuple, ends.tolist()))),
         variances=dict(zip(PARAM_NAMES, variances.tolist())),
     )
 
 
-def _wald_intervals(theta: list, variances: np.ndarray, level: float) -> dict:
-    """theta_j +/- z * sqrt(variance_j) per parameter name, z being the
-    standard normal quantile of (1 + level) / 2."""
+def _wald_intervals(theta: np.ndarray, variances: np.ndarray, level: float) -> np.ndarray:
+    """theta +/- z * sqrt(variances), elementwise over arrays of one shape
+    (a fit's 4 parameters in ``PARAM_NAMES`` order, or (k, 4) for k fits),
+    z being the standard normal quantile of (1 + level) / 2: the lower and
+    upper ends along a new last axis of length 2."""
     z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + level))
-    half = (z * np.sqrt(variances)).tolist()
-    return {name: (theta[j] - half[j], theta[j] + half[j]) for j, name in enumerate(PARAM_NAMES)}
+    half = z * np.sqrt(variances)
+    return np.stack((theta - half, theta + half), axis=-1)
 
 
 def percentile_ranks(b_effective: int, level: float) -> tuple[int, int]:
     """1-based order-statistic ranks (ceil(B*a/2), ceil(B*(1-a/2))) with
-    a = 1 - level, clamped to [1, B]."""
+    a = 1 - level, clamped to [1, B]. The count must be an integer (bool
+    excluded): anything else is a ValidationError."""
+    b_effective = _check_count("b_effective", b_effective)
     if b_effective < 1:
         raise DomainError("need at least one bootstrap estimate")
     level = _check_level(level)
@@ -1288,14 +1293,17 @@ def bootstrap_ci(
     More than 5% of them is an error that lists the reasons.
 
     ``seed`` must be None, an integer >= 0 or a SeedSequence, and ``B`` an
-    integer; anything else is a ValidationError. Only an integer seed is
-    echoed in the result: a SeedSequence, spawned or not, is reported as
-    None, since its root entropy alone need not reproduce the intervals.
+    integer; anything else is a ValidationError. The arguments are checked
+    in this order: B, level, seed, the seed's room for B more children, and
+    last that ``fit`` converged, so a bad seed is a ValidationError whatever
+    the fit; a refused call never advances a SeedSequence seed. Only an
+    integer seed is echoed in the result: a SeedSequence, spawned or not, is
+    reported as None, since its root entropy alone need not reproduce the
+    intervals.
     B >= 100 is recommended for real use; smaller values are accepted (the
     rank arithmetic stays well-defined down to B = 1).
     """
     B, level = _check_bootstrap(B, level)
-    p_hat = _require_converged(fit, "bootstrap_ci")
     parent = _seed_sequence(seed)
     first = parent.n_children_spawned
     if first + B > _MAX_CHILDREN:
@@ -1304,17 +1312,18 @@ def bootstrap_ci(
             f"seed has n_children_spawned = {first}; B = {B} more children would "
             f"pass NumPy's limit of 2**32 - 1"
         )
+    p_hat = _require_converged(fit, "bootstrap_ci")
     if parent is seed:
         # the caller's sequence moves past the B children drawn from
         seed.spawn(B)
     keys = (first + np.arange(B, dtype=np.uint64))[:, None]
-    intervals, reasons = _bootstrap_intervals(
+    ends, reasons = _bootstrap_intervals(
         p_hat, data.n, data.censoring_time, level, _child_states(parent, keys)
     )
     return ConfidenceIntervalSet(
         level=level,
         method=CiMethod.BOOTSTRAP,
-        intervals=intervals,
+        intervals=dict(zip(PARAM_NAMES, map(tuple, ends.tolist()))),
         B=B,
         seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
         n_failed=sum(reasons.values()),
@@ -1324,11 +1333,12 @@ def bootstrap_ci(
 
 def _bootstrap_intervals(
     p_hat: BvfParams, n: int, censoring_time, level: float, states: np.ndarray
-) -> tuple[dict, dict]:
-    """:func:`bootstrap_ci`'s percentile intervals and failure counts by
-    reason, from one resample of ``n`` records, censored at
-    ``censoring_time`` (None for none), per row of ``states`` (seed words
-    from :func:`_child_states`); more than 5% failed resamples is a
+) -> tuple[np.ndarray, dict]:
+    """:func:`bootstrap_ci`'s percentile intervals, a (4, 2) array of lower
+    and upper ends in ``PARAM_NAMES`` order, and failure counts by reason,
+    from one resample of ``n`` records, censored at ``censoring_time``
+    (None for none), per row of ``states`` (seed words from
+    :func:`_child_states`); more than 5% failed resamples is a
     ResampleFailureError."""
     B = len(states)
     estimates, code = _bootstrap_refits(p_hat, n, censoring_time, states)
@@ -1344,11 +1354,7 @@ def _bootstrap_intervals(
         )
     usable = np.sort(estimates[code <= _BOUNDARY], axis=0)
     lo_rank, hi_rank = percentile_ranks(B - n_failed, level)
-    intervals = {
-        name: (float(usable[lo_rank - 1, j]), float(usable[hi_rank - 1, j]))
-        for j, name in enumerate(PARAM_NAMES)
-    }
-    return intervals, reasons
+    return usable[[lo_rank - 1, hi_rank - 1]].T, reasons
 
 
 def _draw_stack(p: BvfParams, n: int, states: np.ndarray, censoring_time):

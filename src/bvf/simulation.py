@@ -16,7 +16,10 @@ per part as fit in ``_CALL_RECORDS`` (65536) records, and at least as many
 parts as workers. A part is a module-level chunk function bound to the
 study's config and root by ``functools.partial``, applied to its indices.
 An estimation part draws its datasets as one stack and fits it in one
-engine call. A selection part draws its datasets at every sample size of
+engine call; it returns each replication's reason for having no result
+(None where it has one) and one array of every replication's estimates
+and Wald and bootstrap interval ends, which the study reduces by slices.
+A selection part draws its datasets at every sample size of
 the grid, one stack per size, and runs :func:`select_model`'s own path and
 ranking rule on them, which fits every candidate kind at every size in one
 engine call; there is no second selection rule for studies. So the
@@ -227,10 +230,11 @@ class EstimationStudyReport:
         return rows
 
 
-def _interval_stats(rows, truth) -> list[IntervalSummary]:
-    arr = np.asarray(rows, dtype=np.float64)  # (reps, 4, 2)
-    lengths = arr[:, :, 1] - arr[:, :, 0]
-    covered = (arr[:, :, 0] <= truth) & (truth <= arr[:, :, 1])
+def _interval_stats(ends: np.ndarray, truth: np.ndarray) -> list[IntervalSummary]:
+    """Per parameter, the average length and coverage of the intervals
+    whose lower and upper ends ``ends`` holds, shape (reps, 4, 2)."""
+    lengths = ends[:, :, 1] - ends[:, :, 0]
+    covered = (ends[:, :, 0] <= truth) & (truth <= ends[:, :, 1])
     return [
         IntervalSummary(
             avg_length=float(np.mean(lengths[:, j])),
@@ -240,17 +244,20 @@ def _interval_stats(rows, truth) -> list[IntervalSummary]:
     ]
 
 
-def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
-    """Per replication i of ``replicates``, its estimate and interval dicts
-    (None without bootstrap), or the reason it has none (a FitStatus value
-    or an error class name), as fit_mle, asymptotic_ci and bootstrap_ci
-    give them on its dataset alone, with its data drawn from child (i, 0)
-    of ``root`` and its bootstrap resample b from child (i, 1, b). The
-    datasets are drawn as one stack and fitted in one engine call, into one
-    array of draw and fit codes. The Wald variances of all converged rows
-    come from the sums their last Newton pass kept at lambda-hat (no
-    further pass over the stack), and each bootstrap's B seeds are hashed
-    in one pass."""
+def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> tuple:
+    """Per replication i of ``replicates``, with its data drawn from child
+    (i, 0) of ``root`` and its bootstrap resample b from child (i, 1, b),
+    what fit_mle, asymptotic_ci and bootstrap_ci give on its dataset alone.
+    Returns ``(reasons, values)``: ``reasons`` holds per replication None
+    when it has an estimate and every interval, else the reason it has
+    none (a FitStatus value or an error class name); ``values`` is one
+    (R, 4, 5) array holding per parameter, in ``PARAM_NAMES`` order, the
+    estimate, the Wald lower and upper ends and the bootstrap lower and
+    upper ends, NaN where there is none. The datasets are drawn as one
+    stack and fitted in one engine call, into one array of draw and fit
+    codes. The Wald variances of all converged rows come from the sums
+    their last Newton pass kept at lambda-hat (no further pass over the
+    stack), and each bootstrap's B seeds are hashed in one pass."""
     p, B, level = config.true_params, config.bootstrap_B, float(config.ci_level)
     c = censoring_threshold(p, config.censored_fraction) if config.censored_fraction else None
     index = np.asarray(replicates, dtype=np.uint64)
@@ -260,31 +267,33 @@ def _estimation_chunk(config: EstimationStudyConfig, root, replicates) -> list:
     (fits,) = _fit_stacks([stack])
     code[rows] = fits.code
     # the converged rows' reasons are replaced below
-    results = [_REASONS[k] for k in code.tolist()]
+    reasons = [_REASONS[k] for k in code.tolist()]
+    values = np.full((len(index), 4, 5), np.nan)
     conv = np.flatnonzero(fits.code == _CONVERGED)
-    lam, alphas = fits.lam[conv], fits.alphas[:, conv]
+    at, alphas = rows[conv], fits.alphas[:, conv]
     variances = _variances_from_moments(
         stack.counts[:, conv], alphas, fits.a1[conv], fits.a2[conv], fits.c2[conv]
     )
+    values[at, :3, 0] = alphas.T
+    values[at, 3, 0] = fits.lam[conv]
+    values[at, :, 1:3] = _wald_intervals(values[at, :, 0], variances, level)
     resample = np.arange(B, dtype=np.uint64)
-    estimates = zip(alphas.T.tolist(), lam.tolist())
-    for r, (alpha, lam_r), var in zip(rows[conv].tolist(), estimates, variances):
+    for r, var in zip(at.tolist(), variances):
         if np.isnan(var).any():
-            results[r] = SingularMatrixError.__name__
+            reasons[r] = SingularMatrixError.__name__
             continue
-        theta = (*alpha, lam_r)
-        boot = None
         if B:
             keys = np.column_stack((np.full(B, index[r]), np.ones_like(resample), resample))
+            p_hat = BvfParams(p.kind, *values[r, :, 0].tolist())
             try:
-                boot = _bootstrap_intervals(
-                    BvfParams(p.kind, *theta), config.n, c, level, _child_states(root, keys)
+                values[r, :, 3:] = _bootstrap_intervals(
+                    p_hat, config.n, c, level, _child_states(root, keys)
                 )[0]
             except BvfError as exc:
-                results[r] = type(exc).__name__
+                reasons[r] = type(exc).__name__
                 continue
-        results[r] = theta, _wald_intervals(theta, var, level), boot
-    return results
+        reasons[r] = None
+    return reasons, values
 
 
 # The most records a study part draws and fits in one engine call (over
@@ -332,47 +341,31 @@ def run_estimation_study(config: EstimationStudyConfig) -> EstimationStudyReport
     root = np.random.SeedSequence(config.seed)
     worker = functools.partial(_estimation_chunk, config, root)
     per = max(1, _CALL_RECORDS // config.n)
-    results = [r for part in _run_chunks(worker, range(reps), config.workers, per) for r in part]
-    kept = [r for r in results if not isinstance(r, str)]
+    reasons, values = zip(*_run_chunks(worker, range(reps), config.workers, per))
+    reasons = [r for part in reasons for r in part]
+    kept = np.concatenate(values)[[r is None for r in reasons]]
     failed = reps - len(kept)
-    hard = failed - results.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
+    hard = failed - reasons.count(FitStatus.NO_MLE_MONOTONE_PROFILE.value)
     if hard > 0.10 * reps:
         raise EstimationError(
             f"{hard} of {reps} replications failed; study configuration "
             "looks unsound"
         )
-    if not kept:
+    if not len(kept):
         raise EstimationError(
             f"all {reps} replications failed to produce an estimate"
         )
 
-    estimates = np.asarray([r[0] for r in kept], dtype=np.float64)
-    truth = (
-        config.true_params.alpha0,
-        config.true_params.alpha1,
-        config.true_params.alpha2,
-        config.true_params.lam,
-    )
-    truth_arr = np.asarray(truth)
-    asym_stats = _interval_stats(
-        [[r[1][name] for name in PARAM_NAMES] for r in kept], truth_arr
-    )
-    if config.bootstrap_B > 0:
-        boot_stats = _interval_stats(
-            [[r[2][name] for name in PARAM_NAMES] for r in kept], truth_arr
+    p = config.true_params
+    truth = np.array([p.alpha0, p.alpha1, p.alpha2, p.lam])
+    asym_stats = _interval_stats(kept[:, :, 1:3], truth)
+    boot_stats = _interval_stats(kept[:, :, 3:], truth) if config.bootstrap_B else [None] * 4
+    parameters = {
+        name: ParameterSummary(
+            *relative_metrics(kept[:, j, 0], truth[j]), asym_stats[j], boot_stats[j]
         )
-    else:
-        boot_stats = [None] * 4
-
-    parameters = {}
-    for j, name in enumerate(PARAM_NAMES):
-        rel_mse, rel_bias = relative_metrics(estimates[:, j], truth[j])
-        parameters[name] = ParameterSummary(
-            relative_mse=rel_mse,
-            relative_bias=rel_bias,
-            asymptotic=asym_stats[j],
-            bootstrap=boot_stats[j],
-        )
+        for j, name in enumerate(PARAM_NAMES)
+    }
     return EstimationStudyReport(
         config=config,
         parameters=parameters,

@@ -1496,6 +1496,12 @@ class TestPercentileRanks:
                 lo, hi = percentile_ranks(b, level)
                 assert 1 <= lo <= hi <= b
 
+    @pytest.mark.parametrize("count", [10.5, 10.0, True, "10", None])
+    def test_non_integer_count_rejected(self, count):
+        # the count is checked as sample's n and bootstrap_ci's B are
+        with pytest.raises(ValidationError, match="must be an integer"):
+            percentile_ranks(count, 0.9)
+
 
 class TestBootstrapCi:
     @pytest.fixture(scope="class")
@@ -1561,6 +1567,25 @@ class TestBootstrapCi:
         data, fit = fitted
         with pytest.raises(ValidationError, match="seed"):
             bootstrap_ci(fit, data, B=5, seed=-1)
+
+    def test_seed_is_checked_before_the_fit(self, fitted):
+        # a bad seed is a ValidationError whether the fit converged or not,
+        # and a refused call leaves a SeedSequence seed where it was
+        data = CompetingRisksData([0.3, 0.8, 1.1, 2.0, 1.7], [1, 1, 2, 0, 2])
+        converged, monotone = fit_mle(data, W), fit_mle(data, L)
+        assert converged.status is FitStatus.CONVERGED
+        assert monotone.status is FitStatus.NO_MLE_MONOTONE_PROFILE
+        for fit in (converged, monotone):
+            with pytest.raises(ValidationError, match="seed"):
+                bootstrap_ci(fit, data, B=5, seed=-1)
+        seq = np.random.SeedSequence(7)
+        with pytest.raises(EstimationError, match="converged fit"):
+            bootstrap_ci(monotone, data, B=5, seed=seq)
+        assert seq.n_children_spawned == 0
+        full = np.random.SeedSequence(7, n_children_spawned=2**32 - 2)
+        with pytest.raises(ValidationError, match="n_children_spawned"):
+            bootstrap_ci(monotone, data, B=2, seed=full)
+        assert full.n_children_spawned == 2**32 - 2
 
     def test_zero_b_rejected(self, fitted):
         data, fit = fitted
