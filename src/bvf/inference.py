@@ -12,6 +12,17 @@ whether the profile has an interior maximum and brackets it; a safeguarded
 Newton iteration on the profile score p'(lambda), in log lambda and with
 closed-form first and second derivatives, then locates it.
 
+A fit has no MLE in two ways. The ladder's highest point is a clamp of the
+search range; or it lies next to the lower clamp on a Gompertz or Lomax
+profile that leaves its exponential limit with a slope that is not
+positive. As lambda -> 0 both kinds tend to p0 = -m log sum t, with slope
+s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax,
+three lambda-free sums. A Weibull profile falls to -inf there, through its
+m log lambda term. Nothing is decided next to the upper clamp: no kind's
+profile has a finite limit as lambda -> inf, where Weibull and Gompertz
+profiles fall linearly in lambda or rise like m log lambda, and a Lomax
+profile falls like -m log log lambda.
+
 One engine fits a list of stacks at once, each holding R equal-length
 datasets of one kind as (R, n) arrays, where the stacks may differ in kind
 and in n: :func:`fit_mle` is its one-row case; :func:`bootstrap_ci` refits
@@ -564,11 +575,6 @@ _START = 14
 _TOL = 1e-10
 _MAX_EVALS = 500
 
-# Relative flatness below which a maximum adjacent to a bracket clamp is not
-# distinguishable from a monotone profile's finite limit (float noise there
-# would otherwise fabricate an interior MLE).
-_FLATNESS_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -576,10 +582,9 @@ class FitResult:
 
     ``params_hat``/``loglik_max`` are None exactly when no MLE exists
     (status NoMleMonotoneProfile). ``n_evals`` counts the profile
-    evaluations the fit needed: ladder rungs, Newton iterates, and the
-    flatness check's clamp rung and lambda-hat. Rungs a batched ladder scan
-    evaluated past the profile's fall are not counted, so a fit reports the
-    same count alone as in any stack.
+    evaluations the fit needed: ladder rungs and Newton iterates. Rungs a
+    batched ladder scan evaluated past the profile's fall are not counted,
+    so a fit reports the same count alone as in any stack.
     """
 
     kind: BaselineKind
@@ -604,9 +609,10 @@ class FitResult:
 
 # A row's outcome is one int8 code; the codes up to _BOUNDARY have
 # estimates. _NO_MLE_CLAMP: the ladder's maximum is at a clamp;
-# _NO_MLE_FLAT: the flatness check rejects one next to a clamp. The last
-# two are draw codes (:func:`_draw_stack`).
-(_CONVERGED, _BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_FLAT, _NO_FAILURES, _NO_FINITE_PROFILE,
+# _NO_MLE_LIMIT: it is next to the lower clamp, where the profile's limit
+# slope is not positive (:meth:`_Passes.limit_slope`). The last two are
+# draw codes (:func:`_draw_stack`).
+(_CONVERGED, _BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_LIMIT, _NO_FAILURES, _NO_FINITE_PROFILE,
  _DEGENERATE, _DRAW_DOMAIN, _DRAW_INVALID) = range(9)
 
 # Per code, its FitStatus, or its error's class and message; _REASONS
@@ -659,6 +665,10 @@ class _Fits(NamedTuple):
     a2: np.ndarray
     c2: np.ndarray
 
+
+# The sign of the profile's slope at its exponential limit relative to s1
+# (:meth:`_Passes.limit_slope`), for the kinds whose profile has one
+_LIMIT_SIGNS = {BaselineKind.GOMPERTZ: 1.0, BaselineKind.LOMAX: -1.0}
 
 # The engine's one observation point, for tests: None, or a list to which
 # each engine call (:class:`_Passes`) appends itself as it is made; an
@@ -785,6 +795,26 @@ class _Passes:
         """p(lambda) (:func:`_profile`) at each of ``rows``."""
         return _profile(*self._sums(rows, lam, _SURVIVAL_SUMS), lam)
 
+    def limit_slope(self, rows: np.ndarray) -> np.ndarray:
+        """The profile's slope p'(0+) at its exponential limit at each of
+        ``rows``. As lambda -> 0 a Gompertz or Lomax profile tends to
+        p0 = -m log sum t, with slope s1 = sum_unc t - m sum t**2 / (2 sum t)
+        for Gompertz and -s1 for Lomax (a(lambda) to second order); a
+        Weibull profile falls to -inf there, through its m log lambda term,
+        so its slope is +inf. The sums are lambda-free, over the rows'
+        records only: sum_unc t is a Gompertz row's unc_sum and a Lomax
+        row's sum t - m3 C (see :class:`_Stack`)."""
+        m, _, unc_sum, m3, at_c = self.terms[:, rows]
+        slope = np.full(rows.size, np.inf)
+        for at, stack, own, _ in self._runs(rows):
+            sign = _LIMIT_SIGNS.get(stack.kind)
+            if sign:
+                t = stack.x[own]
+                total = t.sum(axis=-1)
+                unc = unc_sum[at] if sign > 0.0 else total - m3[at] * at_c[at]
+                slope[at] = sign * (unc - m[at] * (t * t).sum(axis=-1) / (2.0 * total))
+        return slope
+
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
         and the (6, R) sums they come from: the survival sums, then a',
@@ -802,28 +832,31 @@ def _fit_stacks(stacks: list) -> list:
     Newton control, as rows of one call (:class:`_Passes`); only the record
     sums run per stack. Each row climbs the ladder (``_RUNGS``) from
     lambda = 1 to a local maximum of the profile (every rung is evaluated
-    when the start is -inf). A maximum at a clamped end means no MLE. An
+    when the start is -inf). A maximum at a clamped end means no MLE. So
+    does a Gompertz or Lomax maximum within 64x of the lower clamp whose
+    profile leaves its exponential limit with a slope that is not positive
+    (:meth:`_Passes.limit_slope`); such a row takes no Newton pass. A
+    Weibull profile falls to -inf at that end, and no kind's has a finite
+    limit at the upper end, so no other maximum is decided so. Any other
     interior maximum at rung k is refined by Newton steps on the score in
     log lambda inside [rung k-1, rung k+1]: each iterate narrows the
     bracket by the sign of its score, and a step that would leave the
     bracket, or that comes from a non-concave point, bisects it in log
     lambda instead. Newton stops when its step or the bracket is at most
     _TOL * lambda, when its next iterate is its previous one, or once its
-    row has made _MAX_EVALS evaluations; lambda-hat is its last iterate. A
-    maximum next to a clamp then faces the flatness check
-    (``_FLATNESS_RTOL``). After its first step a row's climb scans ahead
-    in chunks of rungs, one profile pass each: the first chunk holds about
-    2 x ``_SCAN_RECORDS`` records per stack with scanning rows
-    (:meth:`_Passes.scan_chunk`), and each later one twice the rungs, so a
-    selection call scans in one pass. Rungs cost one transcendental pass
-    per record; only Newton iterates take the derivative sums, and the
-    sums of a row's last iterate, at lambda-hat, are kept, read from the
-    pass's sums when the row stops (see :class:`_Fits`), for the
-    log-likelihood and the Wald variances there. A row's ``n_evals``
-    counts the rungs a one-rung scan would evaluate, whatever the chunk
-    size, and no stopping rule looks at another row, so each row gets the
-    bits and the count of its one-row fit, whatever stacks it is fitted
-    with.
+    row has made _MAX_EVALS evaluations; lambda-hat is its last iterate.
+    After its first step a row's climb scans ahead in chunks of rungs, one
+    profile pass each: the first chunk holds about 2 x ``_SCAN_RECORDS``
+    records per stack with scanning rows (:meth:`_Passes.scan_chunk`), and
+    each later one twice the rungs, so a selection call scans in one pass.
+    Rungs cost one transcendental pass per record; only Newton iterates
+    take the derivative sums, and the sums of a row's last iterate, at
+    lambda-hat, are kept, read from the pass's sums when the row stops
+    (see :class:`_Fits`), for the log-likelihood and the Wald variances
+    there. A row's ``n_evals`` counts the rungs a one-rung scan would
+    evaluate, whatever the chunk size, and no stopping rule looks at
+    another row, so each row gets the bits and the count of its one-row
+    fit, whatever stacks it is fitted with.
     """
     passes = _Passes(stacks)
     m = passes.terms[0]
@@ -865,9 +898,9 @@ def _fit_stacks(stacks: list) -> list:
     # profile rises, so the rest of the climb is a scan. It evaluates k rungs
     # ahead per pass, k doubling from a size at which the chunk's records
     # cost about what the pass and its bookkeeping do (_Passes.scan_chunk).
-    # Rungs of the last chunk past the first fall are forgotten and not
-    # counted; they are all new to the chunk, since the scan moves away from
-    # every evaluated rung.
+    # Rungs of the last chunk past the first fall are not counted; they are
+    # all new to the chunk, since the scan moves away from every evaluated
+    # rung.
     c = cur[act]
     p_left, p_cur, p_right = vals[act, c], vals[act, c + 1], vals[act, c + 2]
     go_left = p_left > p_cur
@@ -888,16 +921,19 @@ def _fit_stacks(stacks: list) -> list:
         stops = falls.any(axis=1)
         fall = np.where(stops, falls.argmax(axis=1), k)
         vain = inside & (np.arange(k) > fall[:, None])
-        vals[row_of[vain], ahead[vain] + 1] = np.nan
         np.subtract.at(n_evals, row_of[vain], 1)
         cur[scan] = c + step * fall
         scan, step = scan[~stops], step[~stops]
         k *= 2
 
     c = cur[act]
-    edge = (c == 0) | (c == last)
-    code[act[edge]] = _NO_MLE_CLAMP
-    inner = act[~edge]
+    code[act[(c == 0) | (c == last)]] = _NO_MLE_CLAMP
+    # a maximum within 64x of the lower clamp is the profile's limit there
+    # unless the profile leaves that limit rising (_Passes.limit_slope)
+    near = act[(c > 0) & (rungs[c] / rungs[0] <= 64.0)]
+    if near.size:
+        code[near[passes.limit_slope(near) <= 0.0]] = _NO_MLE_LIMIT
+    inner = act[code[act] == _CONVERGED]
 
     # Newton: each active row has its iterate lambda and its bracket [lo, hi].
     # Both lambda and the next iterate lie in the bracket, so a bracket
@@ -905,8 +941,7 @@ def _fit_stacks(stacks: list) -> list:
     lam_hat = np.full(R, np.nan)
     # the sums of each row's last Newton pass (see _Passes.newton)
     kept = np.full((6, R), np.nan)
-    act = inner
-    c = cur[act]
+    act, c = inner, cur[inner]
     # per active row: lambda, lo, hi and the previous iterate, compacted by
     # one index when rows stop (np.count_nonzero and compress cost a third
     # to a half of .all() and of boolean indexing at this size)
@@ -943,19 +978,6 @@ def _fit_stacks(stacks: list) -> list:
     code[inner[~counts[:, inner].all(axis=0)]] = _BOUNDARY
     code[inner[~(np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]]] = _DEGENERATE
 
-    # flatness guard: a "maximum" close to a clamp that barely beats the
-    # clamp value is a monotone profile seen through float noise
-    c = cur[inner]
-    near_lo = rungs[c] / rungs[0] <= 64.0
-    near = near_lo | (rungs[last] / rungs[c] <= 64.0)
-    if near.any():
-        rows = inner[near]
-        clamp = np.where(near_lo[near], 0, last)
-        evaluate(rows, clamp)
-        p_hat = passes.profile(rows, lam_hat[rows])
-        np.add.at(n_evals, rows, 1)
-        gap = p_hat - vals[rows, clamp + 1]
-        code[rows[gap < _FLATNESS_RTOL * (1.0 + np.abs(p_hat))]] = _NO_MLE_FLAT
     c = _hazard(passes.terms, lam_hat, unc_log1p)
     c2 = _curvature(m, lam_hat, uq2)
     return [
@@ -974,14 +996,22 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     values, 1 times powers of 4 clamped to the search range [1e-8, 1e8]
     (29 rungs), and climb from lambda = 1 to a local maximum. A maximum at
     a clamped end of the range means the profile is monotone there and no
-    MLE exists (status NoMleMonotoneProfile); so does a maximum next to a
-    clamp that beats the clamp value by float noise only. An interior
-    maximum brackets the root of the profile score p'(lambda), which a
-    safeguarded Newton iteration in log lambda, with closed-form
-    derivatives, locates; Newton stops when its step is at most 1e-10
-    relative, or once the fit has made 500 profile evaluations. The alphas
-    then follow in closed form. Any failure mode absent from the data pins
-    its alpha to 0 (status BoundaryAlphaZero).
+    MLE exists (status NoMleMonotoneProfile). So does a Gompertz or Lomax
+    maximum within 64x of the lower clamp where the profile leaves its
+    exponential limit with a slope that is not positive: as lambda -> 0
+    both kinds tend to p0 = -m log sum t, with slope
+    s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax.
+    A Weibull profile falls to -inf at that end, through its m log lambda
+    term. Nothing is decided next to the upper clamp: as lambda -> inf no
+    kind's profile has a finite limit (Weibull and Gompertz profiles fall
+    linearly in lambda or rise like m log lambda, a Lomax profile falls
+    like -m log log lambda). Any other interior maximum brackets the root
+    of the profile score p'(lambda), which a safeguarded Newton iteration
+    in log lambda, with closed-form derivatives, locates; Newton stops when
+    its step is at most 1e-10 relative, or once the fit has made 500
+    profile evaluations. The alphas then follow in closed form. Any failure
+    mode absent from the data pins its alpha to 0 (status
+    BoundaryAlphaZero).
 
     This is the one-row case of the engine that :func:`bootstrap_ci` and
     the selection study run on whole stacks of datasets, so a stacked

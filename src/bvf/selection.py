@@ -25,7 +25,7 @@ from .data_model import CompetingRisksData
 from .errors import SelectionError, ValidationError
 from .inference import (
     _BOUNDARY,
-    _NO_MLE_FLAT,
+    _NO_MLE_LIMIT,
     FitResult,
     FitStatus,
     _fit_result,
@@ -169,7 +169,7 @@ def _rank(stacks: list, fits: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     logliks = np.stack([_fitted_logliks(stack, f) for stack, f in zip(stacks, fits)])
     codes = np.stack([f.code for f in fits])
     count = np.count_nonzero(codes <= _BOUNDARY, axis=0)
-    count[(codes > _NO_MLE_FLAT).any(axis=0)] = 0
+    count[(codes > _NO_MLE_LIMIT).any(axis=0)] = 0
     return logliks, np.argsort(-logliks, axis=0, kind="stable"), count
 
 

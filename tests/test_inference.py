@@ -20,6 +20,7 @@ from bvf import (
     DegenerateDataError,
     DomainError,
     EstimationError,
+    FailureMode,
     FitStatus,
     ResampleFailureError,
     SingularMatrixError,
@@ -51,7 +52,7 @@ from bvf.inference import (
     _NO_FAILURES,
     _NO_FINITE_PROFILE,
     _NO_MLE_CLAMP,
-    _NO_MLE_FLAT,
+    _NO_MLE_LIMIT,
     _REASONS,
     _SCAN_RECORDS,
     PARAM_NAMES,
@@ -307,7 +308,8 @@ class TestFitOtherKinds:
         # Gompertz, seed 9305, replicate 290 of criterion 7's 40%-censored
         # n=200 cell, rebuilt as the estimation study builds it. The ladder
         # rung next to the lower clamp beats the clamp by float noise only, so
-        # the climb sees an interior maximum and the flatness guard decides
+        # the climb sees a maximum there, and the profile's negative slope at
+        # its exponential limit decides
         params = BvfParams(G, 1.13, 0.96, 0.79, 1.05)
         child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
         pairs = sample(params, 200, np.random.default_rng(child))
@@ -450,11 +452,12 @@ class TestStackedFits:
         assert fits.n_evals.tolist() == [fit_mle(d, kind).n_evals for d in datasets]
 
 
-def _unit_flat_records(scale):
-    """Data whose Gompertz fit depends on the time unit: the Weibull
-    caption parent, n=20, seed 103, its times multiplied by ``scale``."""
-    data = from_bivariate(sample(PW, 20, 103))
-    return data.t * scale, data.delta
+def _caption_data(params, n, seed, censored=0.0, scale=1.0):
+    """The data of ``sample(params, n, seed)``, censored at the threshold
+    of a fraction ``censored``, with their times multiplied by ``scale``."""
+    c = censoring_threshold(params, censored) if censored else None
+    data = from_bivariate(sample(params, n, seed), c)
+    return CompetingRisksData(data.t * scale, data.delta)
 
 
 # Per outcome code of a fit: the kind and records that end in it, and the
@@ -467,7 +470,11 @@ _CODE_CASES = {
         lambda: (lambda d: (d.t, d.delta))(from_bivariate(sample(PW, 20, 0))),
         FitStatus.NO_MLE_MONOTONE_PROFILE,
     ),
-    _NO_MLE_FLAT: (G, lambda: _unit_flat_records(1e4), FitStatus.NO_MLE_MONOTONE_PROFILE),
+    _NO_MLE_LIMIT: (
+        G,
+        lambda: (lambda d: (d.t, d.delta))(_study_replicate(PG, 9305, 290)),
+        FitStatus.NO_MLE_MONOTONE_PROFILE,
+    ),
     _NO_FAILURES: (W, lambda: ([1.5] * 12, [3] * 12), (EstimationError, "no failures observed")),
     _NO_FINITE_PROFILE: (
         W,
@@ -517,54 +524,48 @@ class TestOutcomeCodes:
             with pytest.raises(error):
                 inference._status(draw_code, fits, 0)
 
-    def test_clamp_and_flatness_no_mle_are_told_apart(self):
-        # Both report NoMleMonotoneProfile. CLAMP: the ladder's maximum is at
-        # a clamp and no Newton runs. FLAT: _unit_flat_records at t * 1e4,
-        # where the flatness check rejects a maximum 16x above the lower
-        # clamp. The same data at unit scale converge, so FLAT here is an
-        # artefact of the time unit: the change that makes Gompertz and Lomax
-        # fits unit-free (ROADMAP) removes it, and moves this case into its
-        # own audit. At unit scale none of 21,600 caption fits (caption
+    def test_clamp_and_limit_no_mle_are_told_apart(self):
+        # Both report NoMleMonotoneProfile, and neither runs Newton. CLAMP:
+        # the ladder's maximum is at a clamp. LIMIT: replicate 290 of
+        # criterion 7's 40%-censored Gompertz n=200 cell, whose maximum is
+        # next to the lower clamp, where the profile's limit slope is
+        # negative. At unit scale none of 21,600 caption fits (caption
         # parents x censoring 0/20/40% x n 10/30/100/300 x seeds 0-199 x 3
-        # kinds) was decided by the flatness check; 7200 ended at a clamp.
+        # kinds) was decided next to a clamp; 7200 ended at one.
         clamp = from_bivariate(sample(PW, 20, 0))
-        t, delta = _unit_flat_records(1e4)
-        (fits,) = _fit_stacks(
-            [_Stack(G, np.array([clamp.t, t]), np.array([clamp.delta, delta]))]
-        )
-        assert fits.code.tolist() == [_NO_MLE_CLAMP, _NO_MLE_FLAT]
-        assert math.isnan(fits.lam[0]) and np.isfinite(fits.lam[1])
-        assert fits.n_evals.tolist() == [16, 22]
-        for data in (clamp, CompetingRisksData(t, delta)):
+        limit = _study_replicate(PG, 9305, 290)
+        fits = _fit_stacks([_Stack(G, d.t[None], d.delta[None]) for d in (clamp, limit)])
+        assert [f.code.tolist() for f in fits] == [[_NO_MLE_CLAMP], [_NO_MLE_LIMIT]]
+        assert all(math.isnan(f.lam[0]) for f in fits)
+        assert [f.n_evals.tolist() for f in fits] == [[16], [16]]
+        for data in (clamp, limit):
             assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
-        unit = fit_mle(CompetingRisksData(*_unit_flat_records(1.0)), G)
+        unit = fit_mle(_caption_data(PW, 20, 103), G)
         assert unit.status is FitStatus.CONVERGED and unit.n_evals == 14
 
     @pytest.mark.parametrize(
         "records, vain",
         [
-            # FLAT above, whose scan evaluates two rungs past the fall
-            (lambda: CompetingRisksData(*_unit_flat_records(1e4)), 2),
+            # the Weibull caption parent, n=20, seed 41, 40% censored, at
+            # t * 1e-4: its scan evaluates two rungs past the fall
+            (lambda: _caption_data(PW, 20, 41, 0.4, 1e-4), 2),
             # replicate 290 of criterion 7's 40%-censored Gompertz n=200
-            # cell, whose maximum next to the lower clamp only the flatness
-            # check rejects
+            # cell, whose maximum is next to the lower clamp
             (lambda: _study_replicate(PG, 9305, 290), 0),
         ],
-        ids=["unit-flat", "near-clamp"],
+        ids=["past-the-fall", "near-clamp"],
     )
-    def test_flatness_check_evaluates_the_profile_at_lambda_hat(self, records, vain, monkeypatch):
-        # The flatness check ends the fit with one profile pass at
-        # lambda-hat, Newton's last iterate. Every evaluation of the fit's
-        # passes counts in n_evals but the rungs the ladder scan evaluated
-        # past the profile's first fall.
+    def test_limit_decided_fit_takes_no_newton_pass(self, records, vain, monkeypatch):
+        # The limit slope decides right after the ladder, so the fit's only
+        # passes are the ladder's. Every evaluation of the fit's passes
+        # counts in n_evals but the rungs the ladder scan evaluated past the
+        # profile's first fall.
         data = records()
         calls = observe(monkeypatch)
         fit = fit_mle(data, G)
         assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
         (call,) = calls
-        height, lam_hat, _ = call.log[-1]
-        newton = [lam for h, lam, _ in call.log if h == 6]
-        assert height == 2 and lam_hat.size == 1 and lam_hat.tobytes() == newton[-1].tobytes()
+        assert [height for height, _, _ in call.log] == [2] * len(call.log)
         evaluations = sum(lam.size for _, lam, _ in call.log)
         assert evaluations - fit.n_evals == _rungs_past_the_fall(call.log, data, G) == vain
 
@@ -572,12 +573,13 @@ class TestOutcomeCodes:
 def _rungs_past_the_fall(log, data, kind) -> int:
     """The rungs that the ladder scan of a one-row fit's pass ``log``
     evaluated past the profile's first fall. The passes between the first
-    (the start rung and its neighbours) and Newton's first are the scan's;
-    it climbs from the neighbour on its side along consecutive rungs, and
-    its first fall is the first rung whose profile is no higher than the
-    rung before it."""
+    (the start rung and its neighbours) and Newton's first, or the end of
+    the log where no Newton pass ran, are the scan's; it climbs from the
+    neighbour on its side along consecutive rungs, and its first fall is
+    the first rung whose profile is no higher than the rung before it."""
     (_, around, _), *rest = log
-    ends = [height for height, _, _ in rest].index(6)
+    heights = [height for height, _, _ in rest]
+    ends = heights.index(6) if 6 in heights else len(rest)
     scanned = [float(lam) for _, lams, _ in rest[:ends] for lam in lams]
     if not scanned:
         return 0
@@ -585,6 +587,85 @@ def _rungs_past_the_fall(log, data, kind) -> int:
     p = [profile_loglik(lam, data, kind) for lam in path]
     falls = [i for i in range(1, len(p)) if p[i] <= p[i - 1]]
     return len(path) - 1 - falls[0] if falls else 0
+
+
+# The datasets whose Gompertz or Lomax fit is checked against the closed
+# form of its exponential limit: T12 and the flat replicates above
+_LIMIT_DATA = {
+    "T12": lambda: CompetingRisksData(T12, D12),
+    "gompertz-rep115": lambda: _study_replicate(PG, 9305, 115),
+    "lomax-rep275": lambda: _study_replicate(PL, 9308, 275),
+    "gompertz-rep290": lambda: _study_replicate(PG, 9305, 290),
+}
+
+# Caption data whose fit once depended on the time unit, with the kind
+# fitted: the Weibull parent fitted as Gompertz, and the Lomax parent
+# complete and 40% censored
+_UNIT_DATA = {
+    "weibull-103": (lambda scale: _caption_data(PW, 20, 103, scale=scale), G),
+    "lomax-105": (lambda scale: _caption_data(PL, 20, 105, scale=scale), L),
+    "lomax-95-censored": (lambda scale: _caption_data(PL, 20, 95, 0.4, scale), L),
+}
+
+
+def _limit_slope(data, kind) -> float:
+    """The slope of the Gompertz or Lomax profile of ``data`` at its
+    exponential limit, lambda -> 0+: s1 = sum_unc t - m sum t**2 / (2 sum t)
+    for Gompertz and -s1 for Lomax, in compensated sums."""
+    unc = data.t[data.delta != FailureMode.CENSORED]
+    total = math.fsum(data.t)
+    s1 = math.fsum(unc) - unc.size * math.fsum(data.t**2) / (2.0 * total)
+    return s1 if kind is G else -s1
+
+
+class TestExponentialLimit:
+    """As lambda -> 0 the Gompertz and Lomax profiles tend to
+    p0 = -m log sum t, with slope s1 for Gompertz and -s1 for Lomax; a
+    maximum next to the lower clamp is an MLE only where that slope is
+    positive."""
+
+    @pytest.mark.parametrize("kind", [G, L])
+    @pytest.mark.parametrize("name", sorted(_LIMIT_DATA))
+    def test_profile_leaves_its_limit_along_the_slope(self, name, kind):
+        data = _LIMIT_DATA[name]()
+        slope = _limit_slope(data, kind)
+        p0 = -(data.m0 + data.m1 + data.m2) * math.log(math.fsum(data.t))
+        # (p(lambda) - p0) / lambda - slope is O(lambda). At these lambdas
+        # p's rounding is far below slope * lambda, so the error falls with
+        # lambda, about tenfold
+        err = [(profile_loglik(lam, data, kind) - p0) / lam - slope for lam in (1e-3, 1e-4)]
+        assert 9.5 < err[0] / err[1] < 10.5
+
+    def test_slope_signs(self):
+        # the profile next to the clamp leaves its limit falling, by
+        # s1 = -1.33e-5, about 1e-6 of sum_unc t
+        flat = _study_replicate(PG, 9305, 290)
+        unc_sum = flat.t[flat.delta != FailureMode.CENSORED].sum()
+        assert _limit_slope(flat, G) == pytest.approx(-1.33e-5, rel=1e-2)
+        assert -_limit_slope(flat, G) / unc_sum == pytest.approx(9.8e-7, rel=1e-2)
+        for data, kind in _UNIT_DATA.values():
+            assert _limit_slope(data(1.0), kind) > 0.0 and _limit_slope(data(1e4), kind) > 0.0
+
+    @pytest.mark.parametrize("name", sorted(_UNIT_DATA))
+    def test_fits_converge_in_either_time_unit(self, name):
+        # Each maximum next to the lower clamp at t * 1e4 is an MLE, as the
+        # positive limit slope there says: the slope scales with the time
+        # unit and keeps its sign.
+        data, kind = _UNIT_DATA[name]
+        for scale in (1.0, 1e4):
+            assert fit_mle(data(scale), kind).status is FitStatus.CONVERGED, scale
+
+    def test_slope_decides_only_next_to_the_clamp(self):
+        # A Lomax maximum far from the clamp, 9.28 above the limit p0 on a
+        # profile that leaves its limit falling, is an MLE.
+        t = [0.0067, 84.812, 54.0933, 0.0457, 91.2961, 92.8694, 0.0019]
+        data = CompetingRisksData(t, [2, 1, 0, 2, 0, 1, 0])
+        assert _limit_slope(data, L) < 0.0
+        fit = fit_mle(data, L)
+        assert fit.status is FitStatus.CONVERGED
+        assert fit.params_hat.lam == pytest.approx(372.36, rel=1e-5)
+        p0 = -7 * math.log(math.fsum(t))
+        assert profile_loglik(fit.params_hat.lam, data, L) - p0 == pytest.approx(9.28, abs=5e-3)
 
 
 class TestLockstepFits:
@@ -1462,7 +1543,7 @@ class TestFittedSums:
 @pytest.mark.parametrize("kind", [W, G, L])
 def test_fit_and_interval_record_passes(kind, monkeypatch):
     # a caption dataset whose profile peaks at the start rung, far from the
-    # clamps: no scan and no flatness check, so the fit's one engine call
+    # clamps: no scan and no limit slope, so the fit's one engine call
     # takes one profile pass at the start rung and its neighbours, then
     # Newton passes of one iterate each, and evaluates exactly what it
     # counts; nothing else takes a pass

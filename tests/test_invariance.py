@@ -1,8 +1,9 @@
 """Fits and selections that must not depend on how the data are presented.
 
-Small generated datasets of every kind, complete and censored, plus the
-two flatness-decided no-MLE examples and datasets that end in a boundary
-estimate, in no failures or in degenerate rates. For each:
+Small generated datasets of every kind, complete and censored, plus a
+no-MLE example decided next to the lower clamp, a fit that once depended
+on the time unit, and datasets that end in a boundary estimate, in no
+failures or in degenerate rates. For each:
 
 - a permutation of the records, and every record twice, give the same
   outcome code (the two kinds of no MLE included) and the same selection;
@@ -61,7 +62,7 @@ from bvf.inference import (
     _NO_FAILURES,
     _NO_FINITE_PROFILE,
     _NO_MLE_CLAMP,
-    _NO_MLE_FLAT,
+    _NO_MLE_LIMIT,
     _Fits,
     _fit_stacks,
     _loglik_from_sums,
@@ -88,8 +89,8 @@ D12 = [1, 1, 1, 1, 2, 2, 2, 0, 0, 3, 3, 3]
 
 def _flat_near_clamp() -> CompetingRisksData:
     """Replicate 290 of criterion 7's 40%-censored Gompertz n=200 cell
-    (seed 9305), whose Gompertz maximum next to the lower clamp only the
-    flatness check rejects."""
+    (seed 9305), whose Gompertz maximum is next to the lower clamp, where
+    the profile's limit slope is negative: no MLE."""
     child = np.random.SeedSequence(9305).spawn(500)[290].spawn(2)[0]
     pairs = sample(CAPTION[G], 200, np.random.default_rng(child))
     return from_bivariate(pairs, censoring_threshold(CAPTION[G], 0.4))
@@ -103,11 +104,12 @@ def _datasets() -> list:
             out += [from_bivariate(sample(params, (12, 40)[s % 2], s), c) for s in range(8)]
     # no ties (m0 = 0): a boundary estimate for every kind
     out.append(from_bivariate(sample(BvfParams(W, 0.0, 1.17, 0.86, 0.91), 30, 1)))
-    # the two flatness-decided no-MLE examples: Gompertz on the Weibull
-    # caption parent's n=20 seed 103 data in a time unit 1e4 too small, and
-    # replicate 290 of criterion 7's 40%-censored Gompertz n=200 cell
-    flat = from_bivariate(sample(CAPTION[W], 20, 103))
-    out.append(CompetingRisksData(flat.t * 1e4, flat.delta))
+    # Gompertz on the Weibull caption parent's n=20 seed 103 data in a time
+    # unit 1e4 too small, whose maximum next to the lower clamp is an MLE,
+    # and replicate 290 of criterion 7's 40%-censored Gompertz n=200 cell,
+    # whose maximum there is not
+    unit = from_bivariate(sample(CAPTION[W], 20, 103))
+    out.append(CompetingRisksData(unit.t * 1e4, unit.delta))
     out.append(_flat_near_clamp())
     out.append(CompetingRisksData([1.5] * 12, [3] * 12))
     out.append(CompetingRisksData([5e-324] * 4 + [1e-320] * 2, [1, 2, 0, 1, 2, 1]))
@@ -149,7 +151,7 @@ def _variants(data) -> dict:
 
 def test_the_datasets_take_every_outcome(base):
     codes = {int(fits.code[0]) for by_kind, _ in base.values() for fits in by_kind.values()}
-    assert {_BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_FLAT, _NO_FAILURES, _DEGENERATE} <= codes
+    assert {_BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_LIMIT, _NO_FAILURES, _DEGENERATE} <= codes
 
 
 @pytest.mark.parametrize("variant", ["permuted", "doubled"])
@@ -280,8 +282,8 @@ def test_mixed_stacks_fit_as_each_alone():
         assert (code[1], code[4], code[2]) == (_NO_FAILURES, _NO_FINITE_PROFILE, _NO_MLE_CLAMP)
     assert fits[W, 12].code[0] == _CONVERGED
     assert fits[W, 12].code[3] == _BOUNDARY
-    assert fits[G, 200].code[0] == _NO_MLE_FLAT
-    assert np.isfinite(fits[G, 200].lam[0])  # Newton ran: the flatness check decided
+    assert fits[G, 200].code[0] == _NO_MLE_LIMIT
+    assert np.isnan(fits[G, 200].lam[0])  # no Newton: the limit slope decided
     with np.errstate(all="ignore"):
         a, _ = run_pass(_Stack(G, *records[12]), "survival", np.array([5]), np.array([4.0]))
     assert a[0] == math.inf
