@@ -14,14 +14,18 @@ closed-form first and second derivatives, then locates it.
 
 A fit has no MLE in two ways. The ladder's highest point is a clamp of the
 search range; or it lies next to the lower clamp on a Gompertz or Lomax
-profile that leaves its exponential limit with a slope that is not
-positive. As lambda -> 0 both kinds tend to p0 = -m log sum t, with slope
+profile that stays at or below its exponential limit up to the next rung.
+As lambda -> 0 both kinds tend to p0 = -m log sum t, with slope
 s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax,
-three lambda-free sums. A Weibull profile falls to -inf there, through its
-m log lambda term. Nothing is decided next to the upper clamp: no kind's
-profile has a finite limit as lambda -> inf, where Weibull and Gompertz
-profiles fall linearly in lambda or rise like m log lambda, and a Lomax
-profile falls like -m log log lambda.
+three lambda-free sums. Up to lambda the chord slope (p - p0) / lambda is
+at most that slope, since a Gompertz profile is concave, plus
+lambda sum_unc t**2 / 2 for Lomax, the most its one convex term bends it
+up; where that bound is not positive, no point up to lambda lies above
+p0. A Weibull profile falls to -inf there, through its m log lambda term.
+Nothing is decided next to the upper clamp: no kind's profile has a
+finite limit as lambda -> inf, where Weibull and Gompertz profiles fall
+linearly in lambda or rise like m log lambda, and a Lomax profile falls
+like -m log log lambda.
 
 One engine fits a list of stacks at once, each holding R equal-length
 datasets of one kind as (R, n) arrays, where the stacks may differ in kind
@@ -609,9 +613,9 @@ class FitResult:
 
 # A row's outcome is one int8 code; the codes up to _BOUNDARY have
 # estimates. _NO_MLE_CLAMP: the ladder's maximum is at a clamp;
-# _NO_MLE_LIMIT: it is next to the lower clamp, where the profile's limit
-# slope is not positive (:meth:`_Passes.limit_slope`). The last two are
-# draw codes (:func:`_draw_stack`).
+# _NO_MLE_LIMIT: it is next to the lower clamp, on a stretch where the
+# profile stays at or below its limit (:meth:`_Passes.limit_slope`). The
+# last two are draw codes (:func:`_draw_stack`).
 (_CONVERGED, _BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_LIMIT, _NO_FAILURES, _NO_FINITE_PROFILE,
  _DEGENERATE, _DRAW_DOMAIN, _DRAW_INVALID) = range(9)
 
@@ -795,24 +799,33 @@ class _Passes:
         """p(lambda) (:func:`_profile`) at each of ``rows``."""
         return _profile(*self._sums(rows, lam, _SURVIVAL_SUMS), lam)
 
-    def limit_slope(self, rows: np.ndarray) -> np.ndarray:
-        """The profile's slope p'(0+) at its exponential limit at each of
-        ``rows``. As lambda -> 0 a Gompertz or Lomax profile tends to
+    def limit_slope(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """An upper bound, at each of ``rows``, on the slope (p(mu) - p0) / mu
+        of the chord from the profile's exponential limit p0 to any
+        0 < mu <= lam. As lambda -> 0 a Gompertz or Lomax profile tends to
         p0 = -m log sum t, with slope s1 = sum_unc t - m sum t**2 / (2 sum t)
-        for Gompertz and -s1 for Lomax (a(lambda) to second order); a
-        Weibull profile falls to -inf there, through its m log lambda term,
-        so its slope is +inf. The sums are lambda-free, over the rows'
-        records only: sum_unc t is a Gompertz row's unc_sum and a Lomax
-        row's sum t - m3 C (see :class:`_Stack`)."""
+        for Gompertz and -s1 for Lomax (a(lambda) to second order). A
+        Gompertz profile is lambda sum_unc t - m log(a(lambda) / lambda),
+        where a / lambda sums the integrals of e**(lambda s) over [0, t],
+        so its log is convex in lambda: the profile is concave and its
+        bound is its slope. A Lomax profile is -sum_unc log1p(lambda t),
+        whose second derivative is at most sum_unc t**2, less
+        m log(a(lambda) / lambda), a sum of integrals of 1 / (1 + lambda s),
+        so concave in the same way: its bound is -s1 + lam sum_unc t**2 / 2.
+        A Weibull profile falls to -inf at 0,
+        through its m log lambda term, so its bound is +inf. The sums are
+        lambda-free, over the rows' records only: sum_unc t**k is a
+        Gompertz row's unc_sum (k = 1) and a Lomax row's sum t**k - m3 C**k
+        (see :class:`_Stack`)."""
         m, _, unc_sum, m3, at_c = self.terms[:, rows]
         slope = np.full(rows.size, np.inf)
         for at, stack, own, _ in self._runs(rows):
-            sign = _LIMIT_SIGNS.get(stack.kind)
-            if sign:
-                t = stack.x[own]
-                total = t.sum(axis=-1)
-                unc = unc_sum[at] if sign > 0.0 else total - m3[at] * at_c[at]
-                slope[at] = sign * (unc - m[at] * (t * t).sum(axis=-1) / (2.0 * total))
+            if sign := _LIMIT_SIGNS.get(stack.kind):
+                t, c = stack.x[own], at_c[at]
+                total, squares = t.sum(axis=-1), (t * t).sum(axis=-1)
+                unc = unc_sum[at] if sign > 0.0 else total - m3[at] * c
+                bend = 0.0 if sign > 0.0 else lam[at] * (squares - m3[at] * c * c) / 2.0
+                slope[at] = sign * (unc - m[at] * squares / (2.0 * total)) + bend
         return slope
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
@@ -833,18 +846,20 @@ def _fit_stacks(stacks: list) -> list:
     sums run per stack. Each row climbs the ladder (``_RUNGS``) from
     lambda = 1 to a local maximum of the profile (every rung is evaluated
     when the start is -inf). A maximum at a clamped end means no MLE. So
-    does a Gompertz or Lomax maximum within 64x of the lower clamp whose
-    profile leaves its exponential limit with a slope that is not positive
-    (:meth:`_Passes.limit_slope`); such a row takes no Newton pass. A
-    Weibull profile falls to -inf at that end, and no kind's has a finite
-    limit at the upper end, so no other maximum is decided so. Any other
-    interior maximum at rung k is refined by Newton steps on the score in
-    log lambda inside [rung k-1, rung k+1]: each iterate narrows the
-    bracket by the sign of its score, and a step that would leave the
-    bracket, or that comes from a non-concave point, bisects it in log
-    lambda instead. Newton stops when its step or the bracket is at most
-    _TOL * lambda, when its next iterate is its previous one, or once its
-    row has made _MAX_EVALS evaluations; lambda-hat is its last iterate.
+    does a Gompertz or Lomax maximum at rung k within 64x of the lower
+    clamp where the profile stays at or below its exponential limit up to
+    rung k+1, the end of Newton's bracket: where the bound on its chord
+    slope there (:meth:`_Passes.limit_slope`) is not positive. Such a row
+    takes no Newton pass. A Weibull profile falls to -inf at that end, and
+    no kind's has a finite limit at the upper end, so no other maximum is
+    decided so. Any other interior maximum at rung k is refined by Newton
+    steps on the score in log lambda inside [rung k-1, rung k+1]: each
+    iterate narrows the bracket by the sign of its score, and a step that
+    would leave the bracket, or that comes from a non-concave point,
+    bisects it in log lambda instead. Newton stops when its step or the
+    bracket is at most _TOL * lambda, when its next iterate is its previous
+    one, or once its row has made _MAX_EVALS evaluations; lambda-hat is its
+    last iterate.
     After its first step a row's climb scans ahead in chunks of rungs, one
     profile pass each: the first chunk holds about 2 x ``_SCAN_RECORDS``
     records per stack with scanning rows (:meth:`_Passes.scan_chunk`), and
@@ -929,10 +944,11 @@ def _fit_stacks(stacks: list) -> list:
     c = cur[act]
     code[act[(c == 0) | (c == last)]] = _NO_MLE_CLAMP
     # a maximum within 64x of the lower clamp is the profile's limit there
-    # unless the profile leaves that limit rising (_Passes.limit_slope)
+    # where the profile stays at or below that limit up to the next rung
+    # (_Passes.limit_slope)
     near = act[(c > 0) & (rungs[c] / rungs[0] <= 64.0)]
     if near.size:
-        code[near[passes.limit_slope(near) <= 0.0]] = _NO_MLE_LIMIT
+        code[near[passes.limit_slope(near, rungs[cur[near] + 1]) <= 0.0]] = _NO_MLE_LIMIT
     inner = act[code[act] == _CONVERGED]
 
     # Newton: each active row has its iterate lambda and its bracket [lo, hi].
@@ -997,12 +1013,15 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     (29 rungs), and climb from lambda = 1 to a local maximum. A maximum at
     a clamped end of the range means the profile is monotone there and no
     MLE exists (status NoMleMonotoneProfile). So does a Gompertz or Lomax
-    maximum within 64x of the lower clamp where the profile leaves its
-    exponential limit with a slope that is not positive: as lambda -> 0
-    both kinds tend to p0 = -m log sum t, with slope
-    s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax.
-    A Weibull profile falls to -inf at that end, through its m log lambda
-    term. Nothing is decided next to the upper clamp: as lambda -> inf no
+    maximum within 64x of the lower clamp where the profile stays at or
+    below its exponential limit up to the next rung: as lambda -> 0 both
+    kinds tend to p0 = -m log sum t, with slope
+    s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax,
+    and up to lambda the profile's chord slope (p - p0) / lambda is at most
+    that slope (the Gompertz profile is concave), plus
+    lambda sum_unc t**2 / 2 for Lomax; the maximum is decided where that
+    bound is not positive. A Weibull profile falls to -inf at that end,
+    through its m log lambda term. Nothing is decided next to the upper clamp: as lambda -> inf no
     kind's profile has a finite limit (Weibull and Gompertz profiles fall
     linearly in lambda or rise like m log lambda, a Lomax profile falls
     like -m log log lambda). Any other interior maximum brackets the root

@@ -620,9 +620,10 @@ def _limit_slope(data, kind) -> float:
 
 class TestExponentialLimit:
     """As lambda -> 0 the Gompertz and Lomax profiles tend to
-    p0 = -m log sum t, with slope s1 for Gompertz and -s1 for Lomax; a
-    maximum next to the lower clamp is an MLE only where that slope is
-    positive."""
+    p0 = -m log sum t, with slope s1 for Gompertz and -s1 for Lomax. Up to
+    lambda, the chord slope (p - p0) / lambda is at most that slope, plus
+    lambda sum_unc t**2 / 2 for Lomax; a maximum next to the lower clamp is
+    no MLE where that bound at the next rung is not positive."""
 
     @pytest.mark.parametrize("kind", [G, L])
     @pytest.mark.parametrize("name", sorted(_LIMIT_DATA))
@@ -635,6 +636,25 @@ class TestExponentialLimit:
         # lambda, about tenfold
         err = [(profile_loglik(lam, data, kind) - p0) / lam - slope for lam in (1e-3, 1e-4)]
         assert 9.5 < err[0] / err[1] < 10.5
+
+    @pytest.mark.parametrize("kind", [G, L])
+    @pytest.mark.parametrize("name", sorted(_LIMIT_DATA) + sorted(_UNIT_DATA))
+    def test_engine_bounds_the_chord_slope(self, name, kind, monkeypatch):
+        # the engine's bound, in the call of the data's fit, is the closed
+        # form from its lambda-free sums; every chord of the profile from
+        # its limit lies below it
+        data = _LIMIT_DATA[name]() if name in _LIMIT_DATA else _UNIT_DATA[name][0](1.0)
+        calls = observe(monkeypatch)
+        fit_mle(data, kind)
+        (passes,) = calls
+        unc = data.t[data.delta != FailureMode.CENSORED]
+        bend = 0.0 if kind is G else math.fsum(unc**2) / 2.0
+        p0 = -unc.size * math.log(math.fsum(data.t))
+        for lam in (0.0, 1e-2, 1e-1, 1.0, 10.0):
+            bound = passes.limit_slope(np.array([0]), np.array([lam]))[0]
+            assert bound == pytest.approx(_limit_slope(data, kind) + lam * bend, rel=1e-9, abs=1e-12)
+            if lam:
+                assert (profile_loglik(lam, data, kind) - p0) / lam <= bound
 
     def test_slope_signs(self):
         # the profile next to the clamp leaves its limit falling, by
@@ -655,15 +675,19 @@ class TestExponentialLimit:
         for scale in (1.0, 1e4):
             assert fit_mle(data(scale), kind).status is FitStatus.CONVERGED, scale
 
-    def test_slope_decides_only_next_to_the_clamp(self):
-        # A Lomax maximum far from the clamp, 9.28 above the limit p0 on a
-        # profile that leaves its limit falling, is an MLE.
-        t = [0.0067, 84.812, 54.0933, 0.0457, 91.2961, 92.8694, 0.0019]
+    @pytest.mark.parametrize("scale", [1.0, 4e9])
+    def test_slope_decides_only_next_to_the_clamp(self, scale):
+        # A Lomax maximum 9.28 above the limit p0, on a profile that leaves
+        # its limit falling, is an MLE: far from the clamp in unit time,
+        # and next to it at t * 4e9, where the profile's bend up, past
+        # lambda * t ~ 1, outweighs its slope by the next rung.
+        t = np.array([0.0067, 84.812, 54.0933, 0.0457, 91.2961, 92.8694, 0.0019]) * scale
         data = CompetingRisksData(t, [2, 1, 0, 2, 0, 1, 0])
         assert _limit_slope(data, L) < 0.0
         fit = fit_mle(data, L)
         assert fit.status is FitStatus.CONVERGED
-        assert fit.params_hat.lam == pytest.approx(372.36, rel=1e-5)
+        assert fit.params_hat.lam * scale == pytest.approx(372.36, rel=1e-5)
+        assert (fit.params_hat.lam < 64e-8) is (scale > 1.0)
         p0 = -7 * math.log(math.fsum(t))
         assert profile_loglik(fit.params_hat.lam, data, L) - p0 == pytest.approx(9.28, abs=5e-3)
 
