@@ -7,25 +7,30 @@ The log-likelihood of competing-risks data (ignoring an additive constant) is
 
 which is maximized in two stages: for fixed lambda the alphas have the closed
 form alpha_k = -m_k / sum_i log S0(t_i), and substituting them back leaves a
-one-dimensional profile p(lambda). A geometric ladder of lambda values decides
-whether the profile has an interior maximum and brackets it; a safeguarded
-Newton iteration on the profile score p'(lambda), in log lambda and with
-closed-form first and second derivatives, then locates it.
+one-dimensional profile p(lambda). A safeguarded Newton iteration on the
+profile score p'(lambda), with closed-form first and second derivatives,
+locates its maximum. Where it starts, and whether a maximum exists, follows
+from the profile's shape, which differs by kind.
 
-A fit has no MLE in two ways. The ladder's highest point is a clamp of the
-search range; or it lies next to the lower clamp on a Gompertz or Lomax
-profile that stays at or below its exponential limit up to the next rung.
-As lambda -> 0 both kinds tend to p0 = -m log sum t, with slope
-s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax,
-three lambda-free sums. Up to lambda the chord slope (p - p0) / lambda is
-at most that slope, since a Gompertz profile is concave, plus
-lambda sum_unc t**2 / 2 for Lomax, the most its one convex term bends it
-up; where that bound is not positive, no point up to lambda lies above
-p0. A Weibull profile falls to -inf there, through its m log lambda term.
-Nothing is decided next to the upper clamp: no kind's profile has a
-finite limit as lambda -> inf, where Weibull and Gompertz profiles fall
-linearly in lambda or rise like m log lambda, and a Lomax profile falls
-like -m log log lambda.
+- A Weibull profile is strictly concave in lambda, rising from -inf at 0:
+  Newton runs in lambda from lambda = 1 over the whole search range. It
+  has no MLE where it still rises at the upper end.
+- A Gompertz profile is concave too, and tends as lambda -> 0 to a finite
+  limit p0 = -m log sum t with slope s1 = sum_unc t - m sum t**2 / (2 sum t),
+  from three lambda-free sums. Where s1 <= 0 it never rises above p0, so
+  no MLE exists, decided before any evaluation.
+- Every other Gompertz fit and every Lomax fit climbs a geometric ladder of
+  lambda values from 1 to a local maximum, which brackets Newton in log
+  lambda. There is no MLE where the ladder's highest point is a clamp of
+  the search range; or where, for Lomax, whose profile tends to p0 with
+  slope -s1, the maximum lies next to the lower clamp on a stretch where
+  the profile stays at or below p0 up to the next rung: up to lambda its
+  chord slope (p - p0) / lambda is at most -s1 + lambda sum_unc t**2 / 2,
+  the most its one convex term bends it up; or where the Lomax maximum
+  Newton finds is no higher than p0. Nothing is decided next to the upper clamp: no
+  kind's profile has a finite limit as lambda -> inf, where Weibull and
+  Gompertz profiles fall linearly in lambda or rise like m log lambda, and
+  a Lomax profile falls like -m log log lambda.
 
 One engine fits a list of stacks at once, each holding R equal-length
 datasets of one kind as (R, n) arrays, where the stacks may differ in kind
@@ -39,8 +44,9 @@ run once per pass. Each kind has one record kernel: a profile pass takes
 its survival sums, and a Newton pass the same sums continued to their
 lambda derivatives, so the two passes agree on the survival sums by
 construction. Every sum runs along a row in NumPy, so a row's fit does not
-depend on the other rows. The ladder's climb, after its first step, scans
-ahead in chunks of rungs, the first of about two blocks of 16384 records
+depend on the other rows. The ladder's climb (Gompertz and Lomax rows;
+a Weibull stack never scans), after its first step, scans ahead in
+chunks of rungs, the first of about two blocks of 16384 records
 (``_SCAN_RECORDS``) per stack with scanning rows, about what a pass's
 fixed cost is worth, so a selection call scans its ladder in one pass.
 
@@ -59,7 +65,8 @@ at its one censoring time C, which is the dataset's largest time, as
 Lomax sum over the uncensored records, which a pass takes at each lambda,
 is the plain sum less m3 copies of its term at C, and a stack keeps no
 per-record censoring state, only m3 and C per row; Weibull and Gompertz
-need one uncensored sum, taken once at build (see :class:`_Stack`).
+need one uncensored sum, taken once at build, as are the lambda-free
+constants of the limit p0 (see :class:`_Stack`).
 
 Confidence intervals come either from the observed information matrix
 (negative Hessian, in closed form) or from a parametric percentile bootstrap
@@ -160,9 +167,12 @@ _ONE = np.zeros(1, np.intp)
 _ONE.flags.writeable = False
 # no rows at all
 _NONE = _ONE[:0]
+# the smallest normal double: a Weibull a below it has lost precision
+_TINY = np.finfo(float).tiny
 
 # Records per block of a stacked pass; a ladder scan's first chunk holds
-# about two blocks per stack with scanning rows (:meth:`_Passes.scan_chunk`).
+# about two blocks per stack with scanning rows (:meth:`_Passes.scan_chunk`),
+# which are Gompertz and Lomax rows: a Weibull row takes no ladder.
 #
 # A pass's temporaries live in its engine call's two scratch buffers of one
 # block each (128 KB apiece, or one row when a row is longer), which stay in
@@ -182,7 +192,8 @@ _NONE = _ONE[:0]
 # whole call took 3.3 passes on average and one block per stack 1.44. A
 # one-stack call, whose pass costs less, scans 2 blocks first: in 100-row
 # bootstrap stacks of 400 records (Weibull and Lomax) that made its
-# profile passes take about 11% longer than one block, and 8 blocks 20%.
+# profile passes take about 11% longer than one block, and 8 blocks 20%
+# (measured while Weibull rows still scanned).
 _SCAN_RECORDS = 1 << 14
 
 
@@ -268,9 +279,18 @@ class _Stack:
     the hazard sum c NaN (inf - inf), and every reader of c (the profile,
     the log-likelihood, the closed-form alphas) returns -inf or raises
     where a is inf, whatever c is.
+
+    ``limit`` holds three lambda-free constants per row, taken at build
+    with sum_unc x from sum t and sum t**2. The first is the floor that a
+    fit's maximum must beat: a Lomax profile's limit p0 = -m log sum t as
+    lambda -> 0, and -inf for the other kinds, whose maximum always lies
+    above their limit (see :func:`_fit_stacks`). Then slope0 and bend, the
+    bound slope0 + lam bend on the chord slope of a Gompertz or Lomax
+    profile from p0 (:meth:`_Passes.limit_slope`). A Weibull profile falls
+    to -inf at the limit: its slope0 is +inf.
     """
 
-    __slots__ = ("kind", "x", "counts", "m", "terms")
+    __slots__ = ("kind", "x", "counts", "m", "terms", "limit")
 
     @np.errstate(all="ignore")
     def __init__(self, kind: BaselineKind, t: np.ndarray, delta: np.ndarray, tally=None):
@@ -296,6 +316,9 @@ class _Stack:
         if lomax:
             unc_sum[:] = -0.0
             np.subtract(n, self.m, out=m3)
+        # per row the floor, slope0 and bend (see above)
+        self.limit = np.array([[-np.inf], [np.inf], [0.0]]).repeat(R, axis=1)
+        total, squares = np.zeros((2, R))
         for blk in _row_blocks(R, n):
             if weibull:
                 np.log(t[blk], out=self.x[blk])
@@ -304,11 +327,22 @@ class _Stack:
                 # a complete row keeps C = 0, so that its correction
                 # subtracts an exact 0.0 (never 0 * inf)
                 at_c[blk] = np.where(m3[blk] > 0, x.max(axis=-1), 0.0)
-            elif not lomax:
+            if not weibull:
+                total[blk], squares[blk] = x.sum(axis=-1), np.multiply(x, x).sum(axis=-1)
+            if not lomax:
                 if censored:
                     w = np.not_equal(delta[blk], _CENSORED, out=np.empty(x.shape))
                     x = np.multiply(x, w, out=w)
-                unc_sum[blk] = x.sum(axis=-1)
+                # a complete Gompertz row's sum is its sum t
+                unc_sum[blk] = x.sum(axis=-1) if weibull or censored else total[blk]
+        if not weibull:
+            # s1 = sum_unc t - m sum t**2 / (2 sum t), where a Lomax row's
+            # sum_unc t**k is sum t**k - m3 C**k
+            s1 = (total - m3 * at_c if lomax else unc_sum) - m * squares / (2.0 * total)
+            self.limit[1] = -s1 if lomax else s1
+        if lomax:
+            self.limit[0] = -m * np.log(total)
+            self.limit[2] = (squares - m3 * at_c * at_c) / 2.0
 
     def _block(self, rows, sel):
         """x of ``rows[sel]``. A one-row stack gives its own (1, n) array,
@@ -365,15 +399,20 @@ class _Stack:
         xe.sum(axis=-1, out=out[2])
         np.multiply(x, xe, out=xe).sum(axis=-1, out=out[3])
 
-    def _shifted(self, rows, lam, a) -> tuple:
-        """The sums of the rows whose a is past double range, from
-        e = exp(z - max z), z = lam*x: their positions among ``rows``, the
-        row maxima, sum e, sum x e and sum x**2 e (log a is then
-        max + log sum e, a'/a and a''/a the ratios to sum e; the -1 terms
-        of Gompertz's expm1 are negligible there). ``lam`` and ``a`` hold a
-        value for each of ``rows``. No Lomax row is among them: its sums
-        grow logarithmically, so its a is inf only where a term is."""
-        over = _NONE if self.kind is BaselineKind.LOMAX else np.flatnonzero(a == np.inf)
+    def _shifted(self, rows, lam, sums) -> tuple:
+        """The sums of the rows whose ``sums`` (a, or a, a' and a'', one
+        column per row of ``rows``, as ``lam``) are not all finite, or,
+        for Weibull, whose a is below the smallest normal double (0 or
+        subnormal, with its digits lost), from e = exp(z - max z),
+        z = lam*x: their positions among ``rows``, the row maxima, sum e,
+        sum x e and sum x**2 e (log a is then max + log sum e, a'/a and
+        a''/a the ratios to sum e; the -1 terms of Gompertz's expm1 are
+        negligible where its sums overflow, but not where a is 0, with
+        every z near 0). No Lomax row is among them: its sums grow
+        logarithmically, so its a is inf only where a term is."""
+        weibull = self.kind is BaselineKind.WEIBULL
+        bad = ~np.isfinite(sums).all(axis=0) | weibull & (sums[0] < _TINY)
+        over = _NONE if self.kind is BaselineKind.LOMAX else np.flatnonzero(bad)
         # a one-row stack gives its row whatever ``over`` holds
         x = self._block(rows, over)[: over.size]
         z = lam[over, None] * x
@@ -410,10 +449,10 @@ def _profile(runs, terms, sums, lam) -> np.ndarray:
     """p(lambda) = c - m log a (c from :func:`_hazard`) at each row of a
     pass at ``lam``, from the rows' ``terms`` and the pass's (2, R)
     survival ``sums`` (:meth:`_Stack._sums`); -inf wherever it is not
-    finite. Where a is past double range the row's stack takes log a as a
-    logsumexp (:meth:`_Stack._shifted`, ``runs`` as :meth:`_Passes._runs`
-    gives them): keeping the profile finite stops a monotone rise being
-    mistaken for an interior maximum."""
+    finite. Where a is past double range, or a Weibull a underflowed to 0,
+    the row's stack takes log a as a logsumexp (:meth:`_Stack._shifted`,
+    ``runs`` as :meth:`_Passes._runs` gives them): keeping the profile
+    finite stops a monotone rise being mistaken for an interior maximum."""
     a, unc_log1p = sums
     m = terms[0]
     c = _hazard(terms, lam, unc_log1p)
@@ -422,10 +461,11 @@ def _profile(runs, terms, sums, lam) -> np.ndarray:
     # a sum is finite only if every term is (an overflow merely costs time)
     if not math.isfinite(log_a.sum()):
         for at, stack, own, _ in runs:
-            over, hi, se, _, _ = stack._shifted(own, lam[at], a[at])
+            over, hi, se, _, _ = stack._shifted(own, lam[at], a[None, at])
             p[at][over] = c[at][over] - m[at][over] * (hi + np.log(se))
-        # a hazard sum past double range leaves p +inf or NaN
-        p[~((a > 0.0) & np.isfinite(p))] = -np.inf
+        # an a of 0 left, or a hazard sum past double range, leaves p +inf
+        # or NaN
+        p[~np.isfinite(p)] = -np.inf
     return p
 
 
@@ -440,16 +480,17 @@ def _score(runs, terms, sums, lam) -> tuple:
         g = m + lam (unc_sum - uq) - m (lam r1)
         h = g + lam**2 uq2 - m - m (lam**2 (r2 - r1**2))
 
-    Where a is past double range the row's stack takes r1 and r2 from
-    shifted exponentials (:meth:`_Stack._shifted`, ``runs`` as in
-    :func:`_profile`)."""
+    Where a, a' or a'' is past double range, or a Weibull a is subnormal
+    or 0, the row's stack takes r1 and r2 from shifted exponentials
+    (:meth:`_Stack._shifted`, ``runs`` as in :func:`_profile`)."""
     a, _, a1, a2, uq, uq2 = sums
     m, _, unc_sum = terms[:3]
     r1 = a1 / a
     r2 = a2 / a
-    if not math.isfinite(r2.sum()):
+    # finite and accurate unless a sum left double range or a is subnormal
+    if not (math.isfinite(r2.sum()) and a.min() >= _TINY):
         for at, stack, own, _ in runs:
-            over, _, se, sxe, sxxe = stack._shifted(own, lam[at], a[at])
+            over, _, se, sxe, sxxe = stack._shifted(own, lam[at], sums[[0, 2, 3]][:, at])
             r1[at][over] = sxe / se
             r2[at][over] = sxxe / se
     lam2 = lam * lam
@@ -586,7 +627,9 @@ class FitResult:
 
     ``params_hat``/``loglik_max`` are None exactly when no MLE exists
     (status NoMleMonotoneProfile). ``n_evals`` counts the profile
-    evaluations the fit needed: ladder rungs and Newton iterates. Rungs a
+    evaluations the fit needed: ladder rungs and Newton iterates. A Weibull
+    fit evaluates one rung, the start (every rung where the profile is -inf
+    there), and a Gompertz fit decided by its limit slope none. Rungs a
     batched ladder scan evaluated past the profile's fall are not counted,
     so a fit reports the same count alone as in any stack.
     """
@@ -612,10 +655,13 @@ class FitResult:
 
 
 # A row's outcome is one int8 code; the codes up to _BOUNDARY have
-# estimates. _NO_MLE_CLAMP: the ladder's maximum is at a clamp;
-# _NO_MLE_LIMIT: it is next to the lower clamp, on a stretch where the
-# profile stays at or below its limit (:meth:`_Passes.limit_slope`). The
-# last two are draw codes (:func:`_draw_stack`).
+# estimates. _NO_MLE_CLAMP: the ladder's maximum is at a clamp, or a
+# Weibull profile still rises at the upper end; _NO_MLE_LIMIT: the profile
+# never rises above its limit p0 at lambda -> 0 (a Gompertz slope there
+# that is not positive, or a Lomax maximum next to the lower clamp on a
+# stretch that stays at or below p0; :meth:`_Passes.limit_slope`), or a
+# Lomax maximum is no higher than p0. The last two are draw codes
+# (:func:`_draw_stack`).
 (_CONVERGED, _BOUNDARY, _NO_MLE_CLAMP, _NO_MLE_LIMIT, _NO_FAILURES, _NO_FINITE_PROFILE,
  _DEGENERATE, _DRAW_DOMAIN, _DRAW_INVALID) = range(9)
 
@@ -650,11 +696,12 @@ class _Fits(NamedTuple):
 
     ``code`` holds each row's outcome code (``_OUTCOMES``); ``lam`` and
     ``alphas`` (shape (3, R)) hold the estimates of rows with
-    ``code <= _BOUNDARY``. ``a``, ``c``, ``a1``, ``a2`` and ``c2`` hold,
-    per row that reached Newton (NaN otherwise), the survival and hazard
-    sums a and c and the derivatives a', a'' and c'' at its lambda-hat,
-    from the sums of its last Newton pass, which was evaluated there (c
-    and c'' once per engine call). A Newton pass is the survival pass
+    ``code <= _BOUNDARY`` (and ``lam`` the last iterate of any other row
+    that reached Newton, NaN otherwise). ``a``, ``c``, ``a1``, ``a2`` and
+    ``c2`` hold, per row that reached Newton (NaN otherwise), the survival
+    and hazard sums a and c and the derivatives a', a'' and c'' at its
+    lambda-hat, from the sums of its last Newton pass, which was evaluated
+    there (c and c'' once per engine call). A Newton pass is the survival pass
     continued (:meth:`_Stack._sums`), so these are the bits that a survival
     or Newton pass of a new engine call gives at ``lam``.
     """
@@ -669,10 +716,6 @@ class _Fits(NamedTuple):
     a2: np.ndarray
     c2: np.ndarray
 
-
-# The sign of the profile's slope at its exponential limit relative to s1
-# (:meth:`_Passes.limit_slope`), for the kinds whose profile has one
-_LIMIT_SIGNS = {BaselineKind.GOMPERTZ: 1.0, BaselineKind.LOMAX: -1.0}
 
 # The engine's one observation point, for tests: None, or a list to which
 # each engine call (:class:`_Passes`) appends itself as it is made; an
@@ -723,6 +766,7 @@ class _Passes:
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
         self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
         self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
+        self.limit = np.concatenate([stack.limit for stack in stacks], axis=1)
         self.log = None if _observed is None else []
         if self.log is not None:
             _observed.append(self)
@@ -802,31 +846,22 @@ class _Passes:
     def limit_slope(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """An upper bound, at each of ``rows``, on the slope (p(mu) - p0) / mu
         of the chord from the profile's exponential limit p0 to any
-        0 < mu <= lam. As lambda -> 0 a Gompertz or Lomax profile tends to
-        p0 = -m log sum t, with slope s1 = sum_unc t - m sum t**2 / (2 sum t)
-        for Gompertz and -s1 for Lomax (a(lambda) to second order). A
-        Gompertz profile is lambda sum_unc t - m log(a(lambda) / lambda),
-        where a / lambda sums the integrals of e**(lambda s) over [0, t],
-        so its log is convex in lambda: the profile is concave and its
-        bound is its slope. A Lomax profile is -sum_unc log1p(lambda t),
-        whose second derivative is at most sum_unc t**2, less
-        m log(a(lambda) / lambda), a sum of integrals of 1 / (1 + lambda s),
-        so concave in the same way: its bound is -s1 + lam sum_unc t**2 / 2.
-        A Weibull profile falls to -inf at 0,
-        through its m log lambda term, so its bound is +inf. The sums are
-        lambda-free, over the rows' records only: sum_unc t**k is a
-        Gompertz row's unc_sum (k = 1) and a Lomax row's sum t**k - m3 C**k
-        (see :class:`_Stack`)."""
-        m, _, unc_sum, m3, at_c = self.terms[:, rows]
-        slope = np.full(rows.size, np.inf)
-        for at, stack, own, _ in self._runs(rows):
-            if sign := _LIMIT_SIGNS.get(stack.kind):
-                t, c = stack.x[own], at_c[at]
-                total, squares = t.sum(axis=-1), (t * t).sum(axis=-1)
-                unc = unc_sum[at] if sign > 0.0 else total - m3[at] * c
-                bend = 0.0 if sign > 0.0 else lam[at] * (squares - m3[at] * c * c) / 2.0
-                slope[at] = sign * (unc - m[at] * squares / (2.0 * total)) + bend
-        return slope
+        0 < mu <= lam: slope0 + lam bend, from the rows' lambda-free
+        constants (:class:`_Stack`). As lambda -> 0 a Gompertz or Lomax
+        profile tends to p0 = -m log sum t, with slope
+        s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for
+        Lomax (a(lambda) to second order). A Gompertz profile is
+        lambda sum_unc t - m log(a(lambda) / lambda), where a / lambda sums
+        the integrals of e**(lambda s) over [0, t], so its log is convex in
+        lambda: the profile is concave, and its bound is its slope s1
+        (bend 0). A Lomax profile is -sum_unc log1p(lambda t), whose second
+        derivative is at most sum_unc t**2, less m log(a(lambda) / lambda),
+        a sum of integrals of 1 / (1 + lambda s), so concave in the same
+        way: its bound is -s1 + lam sum_unc t**2 / 2. A Weibull profile
+        falls to -inf at 0, through its m log lambda term, so its slope0
+        is +inf."""
+        _, slope0, bend = self.limit
+        return slope0[rows] + lam * bend[rows]
 
     def newton(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
@@ -843,23 +878,57 @@ def _fit_stacks(stacks: list) -> list:
 
     The rows of all the stacks run in lockstep under one ladder and one
     Newton control, as rows of one call (:class:`_Passes`); only the record
-    sums run per stack. Each row climbs the ladder (``_RUNGS``) from
-    lambda = 1 to a local maximum of the profile (every rung is evaluated
-    when the start is -inf). A maximum at a clamped end means no MLE. So
-    does a Gompertz or Lomax maximum at rung k within 64x of the lower
-    clamp where the profile stays at or below its exponential limit up to
-    rung k+1, the end of Newton's bracket: where the bound on its chord
-    slope there (:meth:`_Passes.limit_slope`) is not positive. Such a row
-    takes no Newton pass. A Weibull profile falls to -inf at that end, and
-    no kind's has a finite limit at the upper end, so no other maximum is
-    decided so. Any other interior maximum at rung k is refined by Newton
-    steps on the score in log lambda inside [rung k-1, rung k+1]: each
-    iterate narrows the bracket by the sign of its score, and a step that
-    would leave the bracket, or that comes from a non-concave point,
-    bisects it in log lambda instead. Newton stops when its step or the
-    bracket is at most _TOL * lambda, when its next iterate is its previous
-    one, or once its row has made _MAX_EVALS evaluations; lambda-hat is its
-    last iterate.
+    sums run per stack. What each row needs follows from the shape of its
+    kind's profile.
+
+    A Weibull profile is strictly concave. With x = log t it is
+    p(lambda) = m log lambda + (lambda - 1) sum_unc x - m log sum e**(lambda x),
+    so p'' = -m / lambda**2 - m Var_w(x) < 0, where Var_w is the variance
+    of x under weights proportional to e**(lambda x). As lambda -> 0, p' ->
+    +inf, and as lambda -> inf, p' -> sum_unc x - m max x <= 0, with
+    equality only where every uncensored x equals the largest. So the
+    profile has one maximum, or rises for ever, and needs no ladder: a
+    Weibull row takes the start rung, lambda = 1, in the first pass (every
+    rung when the start is -inf, as below), then Newton from there with the
+    whole search range as its bracket. A lambda-hat within 2 _TOL of the
+    upper end, where a bisection onto that end stops, means no MLE.
+
+    A Gompertz profile is concave too: it is
+    lambda sum_unc t - m log(a(lambda) / lambda), where a / lambda sums the
+    integrals of e**(lambda s) over [0, t], whose log is convex in lambda.
+    As lambda -> 0 it tends to p0 = -m log sum t with slope
+    s1 = sum_unc t - m sum t**2 / (2 sum t) (:meth:`_Passes.limit_slope`),
+    and a concave profile lies below that tangent, p <= p0 + s1 lambda. So a
+    Gompertz row with s1 <= 0 never rises above its limit and has no MLE,
+    decided before any pass. Every other row climbs the ladder
+    (``_RUNGS``) from lambda = 1 to a local maximum of the profile (every
+    rung is evaluated when the start is -inf). A maximum at a clamped end
+    means no MLE. So does a Lomax maximum at rung k within 64x of the
+    lower clamp where the profile stays at or below p0 up to rung k+1, the
+    end of Newton's bracket: where the bound on its chord slope there
+    (:meth:`_Passes.limit_slope`) is not positive. Such a row takes no
+    Newton pass. (A climbing Gompertz row has s1 > 0, which is its bound,
+    so it is never decided so; no kind's profile has a finite limit at the
+    upper end.) Any other interior maximum at rung k is refined by Newton
+    inside [rung k-1, rung k+1]. A Lomax profile is not concave, so a
+    Lomax maximum that Newton finds no higher than p0 is not the supremum
+    either, and means no MLE; its profile there comes from the kept sums,
+    with no pass. A concave Gompertz profile with s1 > 0 rises above p0
+    before it falls, so its maximum is above p0 and needs no such test.
+
+    Newton steps on the score g = lambda p': each iterate narrows the
+    bracket by the sign of its score, and a step that would leave the
+    bracket, or that comes from a non-concave point or a curvature that is
+    not finite, bisects it in log lambda instead. A Gompertz or Lomax row
+    steps in log lambda, a Weibull row in lambda: its
+    g = m + lambda (sum_unc x - m xbar_w), where xbar_w, the mean of x
+    under the weights above, moves only from the mean of x to its maximum.
+    So away from the root g is nearly linear in lambda, where a step in
+    lambda lands next to the root, and one in log lambda overshoots it from
+    below and walks back about one e-fold per pass from above. Newton stops
+    when its step or the bracket is at most _TOL * lambda, when its next
+    iterate is its previous one, or once its row has made _MAX_EVALS
+    evaluations; lambda-hat is its last iterate.
     After its first step a row's climb scans ahead in chunks of rungs, one
     profile pass each: the first chunk holds about 2 x ``_SCAN_RECORDS``
     records per stack with scanning rows (:meth:`_Passes.scan_chunk`), and
@@ -894,12 +963,22 @@ def _fit_stacks(stacks: list) -> list:
             vals[rows, idx + 1] = passes.profile(rows, rungs[idx])
             np.add.at(n_evals, rows, 1)
 
+    for stack, at in zip(stacks, passes.slices):
+        # a Gompertz profile is concave, so one whose limit slope s1 is not
+        # positive never rises above its limit
+        if stack.kind is BaselineKind.GOMPERTZ:
+            code[at][stack.limit[1] <= 0.0] = _NO_MLE_LIMIT
     code[m == 0] = _NO_FAILURES
-    act = np.flatnonzero(m > 0)
+    # s is 1 in Weibull rows only (see _Stack)
+    weibull = passes.terms[1] == 1.0
+    act = np.flatnonzero(code == _CONVERGED)
     cur = np.full(R, start)
-    # the climb always looks at the start and both its neighbours
+    # the climb looks at the start and both its neighbours; a Weibull row
+    # only at the start
     around = np.arange(max(start - 1, 0), min(start + 1, last) + 1)
-    evaluate(np.repeat(act, around.size), np.tile(around, act.size))
+    rows, idx = np.repeat(act, around.size), np.tile(around, act.size)
+    keep = (idx == start) | ~weibull[rows]
+    evaluate(rows[keep], idx[keep])
     dead = act[vals[act, start + 1] == -np.inf]
     if dead.size:
         evaluate(np.repeat(dead, rungs.size), np.tile(np.arange(rungs.size), dead.size))
@@ -907,6 +986,7 @@ def _fit_stacks(stacks: list) -> list:
         hopeless = dead[vals[dead, cur[dead] + 1] == -np.inf]
         code[hopeless] = _NO_FINITE_PROFILE
         act = np.setdiff1d(act, hopeless)
+    climb = act[~weibull[act]]
 
     # First step: to the better neighbour (left, unless right beats it too).
     # Every later step of the climbing rule keeps that direction while the
@@ -916,13 +996,13 @@ def _fit_stacks(stacks: list) -> list:
     # Rungs of the last chunk past the first fall are not counted; they are
     # all new to the chunk, since the scan moves away from every evaluated
     # rung.
-    c = cur[act]
-    p_left, p_cur, p_right = vals[act, c], vals[act, c + 1], vals[act, c + 2]
+    c = cur[climb]
+    p_left, p_cur, p_right = vals[climb, c], vals[climb, c + 1], vals[climb, c + 2]
     go_left = p_left > p_cur
     go_right = p_right > np.where(go_left, p_left, p_cur)
     step = np.where(go_right, 1, np.where(go_left, -1, 0))
-    cur[act] = c + step
-    scan, step = act[step != 0], step[step != 0]
+    cur[climb] = c + step
+    scan, step = climb[step != 0], step[step != 0]
     k = min(rungs.size, passes.scan_chunk(scan))
     while scan.size:
         c = cur[scan]
@@ -941,27 +1021,29 @@ def _fit_stacks(stacks: list) -> list:
         scan, step = scan[~stops], step[~stops]
         k *= 2
 
-    c = cur[act]
-    code[act[(c == 0) | (c == last)]] = _NO_MLE_CLAMP
+    c = cur[climb]
+    code[climb[(c == 0) | (c == last)]] = _NO_MLE_CLAMP
     # a maximum within 64x of the lower clamp is the profile's limit there
     # where the profile stays at or below that limit up to the next rung
     # (_Passes.limit_slope)
-    near = act[(c > 0) & (rungs[c] / rungs[0] <= 64.0)]
+    near = climb[(c > 0) & (rungs[c] / rungs[0] <= 64.0)]
     if near.size:
         code[near[passes.limit_slope(near, rungs[cur[near] + 1]) <= 0.0]] = _NO_MLE_LIMIT
     inner = act[code[act] == _CONVERGED]
 
-    # Newton: each active row has its iterate lambda and its bracket [lo, hi].
-    # Both lambda and the next iterate lie in the bracket, so a bracket
-    # narrower than _TOL * lambda stops Newton too.
+    # Newton: each active row has its iterate lambda and its bracket [lo, hi],
+    # the rungs either side of its ladder maximum, or for a Weibull row the
+    # whole range. Both lambda and the next iterate lie in the bracket, so a
+    # bracket narrower than _TOL * lambda stops Newton too.
     lam_hat = np.full(R, np.nan)
     # the sums of each row's last Newton pass (see _Passes.newton)
     kept = np.full((6, R), np.nan)
-    act, c = inner, cur[inner]
+    act, c, whole = inner, cur[inner], weibull[inner]
     # per active row: lambda, lo, hi and the previous iterate, compacted by
     # one index when rows stop (np.count_nonzero and compress cost a third
     # to a half of .all() and of boolean indexing at this size)
-    state = np.stack([rungs[c], rungs[c - 1], rungs[c + 1], np.full(act.size, np.nan)])
+    ends = rungs[np.where(whole, 0, c - 1)], rungs[np.where(whole, last, c + 1)]
+    state = np.stack([rungs[c], *ends, np.full(act.size, np.nan)])
     lam, lo, hi, prev = state
     while act.size:
         g, h, sums = passes.newton(act, lam)
@@ -969,10 +1051,14 @@ def _fit_stacks(stacks: list) -> list:
         n_evals[act] = evals
         np.copyto(lo, lam, where=g > 0.0)
         np.copyto(hi, lam, where=g < 0.0)
-        # from a non-concave point (h >= 0) the step points away from the
-        # root, past the bracket end lambda has just become, so it bisects
-        nxt = lam * np.exp(g / -h)
-        inside = (lo <= nxt) & (nxt <= hi)
+        # a Weibull row steps in lambda, the others in log lambda. From a
+        # non-concave point (h >= 0) the step points away from the root, past
+        # the bracket end lambda has just become, so it bisects, as from a
+        # curvature past double range, whose step would be 0, or from a
+        # Weibull step of -1 or less
+        step = g / -h
+        nxt = lam * np.where(weibull[act], 1.0 + step, np.exp(step))
+        inside = (lo <= nxt) & (nxt <= hi) & np.isfinite(h)
         if np.count_nonzero(inside) < act.size:
             out = ~inside
             nxt[out] = np.sqrt(lo[out] * hi[out])
@@ -993,8 +1079,15 @@ def _fit_stacks(stacks: list) -> list:
     alphas = counts / a_hat
     code[inner[~counts[:, inner].all(axis=0)]] = _BOUNDARY
     code[inner[~(np.isfinite(a_hat) & np.isfinite(alphas).all(axis=0))[inner]]] = _DEGENERATE
-
     c = _hazard(passes.terms, lam_hat, unc_log1p)
+    # a Weibull profile still rising at the upper end has no maximum: a
+    # bisection onto the end stops once its step, half the bracket, is at
+    # most _TOL * lambda, so up to 2 _TOL * lambda-hat below it
+    code[weibull & (lam_hat * (1.0 + 2.0 * _TOL) >= rungs[last])] = _NO_MLE_CLAMP
+    # a maximum no higher than its row's floor, a Lomax row's limit p0, is
+    # not the supremum (see _Stack)
+    code[(code <= _BOUNDARY) & (c - m * np.log(a_hat) <= passes.limit[0])] = _NO_MLE_LIMIT
+
     c2 = _curvature(m, lam_hat, uq2)
     return [
         _Fits(
@@ -1008,28 +1101,34 @@ def _fit_stacks(stacks: list) -> list:
 def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     """Maximum-likelihood fit of the four parameters for one baseline kind.
 
-    Strategy: evaluate the profile on a fixed geometric ladder of lambda
-    values, 1 times powers of 4 clamped to the search range [1e-8, 1e8]
-    (29 rungs), and climb from lambda = 1 to a local maximum. A maximum at
-    a clamped end of the range means the profile is monotone there and no
-    MLE exists (status NoMleMonotoneProfile). So does a Gompertz or Lomax
-    maximum within 64x of the lower clamp where the profile stays at or
-    below its exponential limit up to the next rung: as lambda -> 0 both
-    kinds tend to p0 = -m log sum t, with slope
-    s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax,
-    and up to lambda the profile's chord slope (p - p0) / lambda is at most
-    that slope (the Gompertz profile is concave), plus
-    lambda sum_unc t**2 / 2 for Lomax; the maximum is decided where that
-    bound is not positive. A Weibull profile falls to -inf at that end,
-    through its m log lambda term. Nothing is decided next to the upper clamp: as lambda -> inf no
-    kind's profile has a finite limit (Weibull and Gompertz profiles fall
-    linearly in lambda or rise like m log lambda, a Lomax profile falls
-    like -m log log lambda). Any other interior maximum brackets the root
-    of the profile score p'(lambda), which a safeguarded Newton iteration
-    in log lambda, with closed-form derivatives, locates; Newton stops when
-    its step is at most 1e-10 relative, or once the fit has made 500
-    profile evaluations. The alphas then follow in closed form. Any failure
-    mode absent from the data pins its alpha to 0 (status
+    Strategy: the profile's shape decides where Newton starts, and whether
+    a maximum exists. A Weibull profile is strictly concave in lambda and
+    rises from -inf at 0, so it has one maximum, or rises for ever: after
+    one evaluation at lambda = 1, Newton runs in lambda from there over
+    the whole search range [1e-8, 1e8], and a lambda-hat at its upper end
+    means no MLE (status NoMleMonotoneProfile). As lambda -> 0 a Gompertz or Lomax
+    profile tends to p0 = -m log sum t, with slope
+    s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax.
+    A Gompertz profile is concave, so where s1 <= 0 it never rises above
+    p0 and no MLE exists, decided without an evaluation. Every other fit
+    evaluates the profile on a fixed geometric ladder of lambda values, 1
+    times powers of 4 clamped to the search range (29 rungs), and climbs
+    from lambda = 1 to a local maximum. A maximum at a clamped end of the
+    range means the profile is monotone there and no MLE exists. So does a
+    Lomax maximum within 64x of the lower clamp where the profile stays at
+    or below p0 up to the next rung: up to lambda its chord slope
+    (p - p0) / lambda is at most -s1 + lambda sum_unc t**2 / 2, and the
+    maximum is decided where that bound is not positive. So does a Lomax
+    maximum that Newton finds no higher than p0. Nothing is decided next
+    to the upper clamp by a limit: as lambda -> inf no kind's profile has
+    a finite one (Weibull and Gompertz profiles fall linearly in lambda or
+    rise like m log lambda, a Lomax profile falls like -m log log lambda).
+    Any other interior maximum brackets the root of the profile score
+    p'(lambda), which a safeguarded Newton iteration in log lambda (in
+    lambda for Weibull), with closed-form derivatives, locates; Newton
+    stops when its step is at most 1e-10 relative, or once the fit has
+    made 500 profile evaluations. The alphas then follow in closed form.
+    Any failure mode absent from the data pins its alpha to 0 (status
     BoundaryAlphaZero).
 
     This is the one-row case of the engine that :func:`bootstrap_ci` and
@@ -1043,8 +1142,8 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     lambda: a fit then an interval on one dataset object makes ``n_evals``
     profile evaluations, plus the rungs its ladder scan evaluated past the
     profile's fall, and the interval adds none. A scan pass evaluates
-    several rungs at once, so the fit takes fewer passes over the records
-    than evaluations whenever its ladder scans.
+    several rungs at once, so a Gompertz or Lomax fit takes fewer passes
+    over the records than evaluations whenever its ladder scans.
 
     Raises
     ------

@@ -29,12 +29,17 @@ keep their order, so a reordered report reads as a change.
 Run ``python tests/equivalence.py`` from the repository root to rewrite
 the reference ``tests/data/equivalence.json`` from the current source. Only
 a change that moves values on purpose regenerates it, and it lists every
-moved key in CHANGES.md.
+moved key in CHANGES.md. ``python tests/equivalence.py --diff`` writes
+nothing: it prints, output by output, each key whose values moved from the
+reference (a path into the output, list positions left out), how many
+moved and the largest relative move among them, and, for a key that is
+not a float or whose move is infinite, its first old and new value.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -331,7 +336,53 @@ def outputs() -> dict:
     return out
 
 
+def _moves(got, want, path, out) -> None:
+    """Add to ``out``, per key of ``want`` at ``path`` whose value in ``got``
+    differs (its path, list positions as []), the values moved, the largest
+    relative move (inf where a value changed type, length or keys, or is
+    not a number) and the first old and new value."""
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
+        for key in want:
+            _moves(got[key], want[key], f"{path}/{key}", out)
+        return
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for g, w in zip(got, want):
+            _moves(g, w, f"{path}[]", out)
+        return
+    if got == want or got != got and want != want:
+        return
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, want))
+    if numbers and math.isfinite(got) and math.isfinite(want):
+        rel = abs(got - want) / max(abs(got), abs(want))
+    else:
+        rel = math.inf
+    count, worst, first = out.get(path, (0, 0.0, (want, got)))
+    out[path] = (count + 1, max(worst, rel), first)
+
+
+def print_moves(got: dict, want: dict) -> None:
+    """Every key of ``got`` moved from ``want``, output by output (see the
+    module docstring); outputs only one of them has are named as such."""
+    for name in sorted(set(got) | set(want), key=lambda k: (k not in want, k)):
+        if name not in got or name not in want:
+            sys.stdout.write(f"{name}: only in the {'reference' if name in want else 'source'}\n")
+            continue
+        moved = {}
+        _moves(got[name], want[name], "", moved)
+        if moved:
+            sys.stdout.write(f"{name}\n")
+        for path, (count, worst, (old, new)) in moved.items():
+            line = f"  {path or '/'}: {count} moved, largest relative move {worst:.3g}"
+            if math.isinf(worst) or not isinstance(old, float) or not isinstance(new, float):
+                line += f" (first {old!r} -> {new!r})"
+            sys.stdout.write(line + "\n")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        with open(REFERENCE, encoding="utf-8") as fh:
+            print_moves(json.loads(json.dumps(outputs())), json.load(fh))
+        sys.exit(0)
     os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
     with open(REFERENCE, "w", encoding="utf-8") as fh:
         json.dump(outputs(), fh, indent=1)

@@ -389,6 +389,61 @@ class TestFitBoundary:
         assert fit.params_hat.alpha1 == pytest.approx(1.17, rel=0.1)
 
 
+class TestWeibullNewton:
+    """A Weibull profile is strictly concave in lambda, so a Weibull row
+    takes no ladder: after the start rung, Newton runs in lambda from
+    lambda = 1 over the whole search range."""
+
+    def test_derivative_sums_past_double_range_are_shifted(self):
+        # At t * 335.548..., Newton iterates near lambda = 121 leave a''
+        # past double range while a is finite. Their ratios a'/a and a''/a
+        # come from shifted exponentials, as where a itself overflows, so
+        # the fit matches the fit in unit time.
+        rng = np.random.default_rng(11)
+        t0 = rng.weibull(100.0, 30)
+        delta = rng.integers(0, 3, 30)
+        fits = [fit_mle(CompetingRisksData(t0 * c, delta), W) for c in (1.0, 335.5482845394296)]
+        assert all(fit.status is FitStatus.CONVERGED for fit in fits)
+        lams = [fit.params_hat.lam for fit in fits]
+        assert lams[0] == pytest.approx(99.697, abs=1e-3)
+        assert lams[1] == pytest.approx(lams[0], rel=1e-10, abs=0)
+
+    def test_curvature_that_is_not_finite_bisects(self, monkeypatch):
+        # h made -inf at Newton's first iterate, lambda = 1: a zero step
+        # there would stop the fit at 1. It bisects the whole range
+        # instead, to 1e4, and Newton goes on from there to T12's root.
+        score = inference._score
+        calls = []
+
+        def first_curvature_inf(runs, terms, sums, lam):
+            g, h = score(runs, terms, sums, lam)
+            calls.append(lam.copy())
+            return g, (np.full_like(h, -np.inf) if len(calls) == 1 else h)
+
+        monkeypatch.setattr(inference, "_score", first_curvature_inf)
+        fit = fit_mle(CompetingRisksData(T12, D12), W)
+        assert [lam.tolist() for lam in calls[:2]] == [[1.0], [1e4]]
+        assert fit.status is FitStatus.CONVERGED
+        assert fit.params_hat.lam == pytest.approx(W_LAM_HAT, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "t, delta", [([0.5] * 3, [0, 1, 2]), ([2.0] * 4, [1, 2, 0, 1])], ids=["half", "two"]
+    )
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 1e3])
+    def test_equal_failure_times_have_no_mle_in_any_unit(self, t, delta, c):
+        # every uncensored time equals the largest, so the profile
+        # m log lambda - m x - m log n rises for ever: Newton climbs to the
+        # upper end of the range, where t**lambda leaves double range. Its
+        # curvature there is rounding noise, which sets its step, so the
+        # climb takes 39 evaluations in unit time and more in others.
+        data = CompetingRisksData([x * c for x in t], delta)
+        (fits,) = _fit_stacks([_Stack(W, data.t[None], data.delta[None])])
+        assert fits.code.tolist() == [_NO_MLE_CLAMP]
+        fit = fit_mle(data, W)
+        assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
+        assert fit.n_evals == 39 if c == 1.0 else fit.n_evals >= 39
+
+
 class TestFitOptions:
     """Every fit searches the same fixed range from the same start."""
 
@@ -423,20 +478,20 @@ class TestFitOptions:
 
 class TestStackedFits:
     def test_each_row_stops_at_the_evaluation_cap(self, monkeypatch):
-        # ladders of 3, 7 and 6 rungs and 9, 12 and 13 evaluations uncapped;
-        # with the cap at 8 each row stops at its eighth evaluation, alone
-        # and in a stack alike
+        # the start rung and 5, 6 and 5 Newton iterates, 6, 7 and 6
+        # evaluations uncapped; with the cap at 5 each row stops at its
+        # fifth evaluation, alone and in a stack alike
         rows = [[x**p for x in T12] for p in (1.0, 0.005, 50.0)]
         datasets = [CompetingRisksData(t, D12) for t in rows]
-        assert [fit_mle(d, W).n_evals for d in datasets] == [9, 12, 13]
-        monkeypatch.setattr(inference, "_MAX_EVALS", 8)
+        assert [fit_mle(d, W).n_evals for d in datasets] == [6, 7, 6]
+        monkeypatch.setattr(inference, "_MAX_EVALS", 5)
         stack = _Stack(W, np.array(rows), np.array([D12] * 3, dtype=np.int8))
         (fits,) = _fit_stacks([stack])
-        assert fits.n_evals.tolist() == [8, 8, 8]
+        assert fits.n_evals.tolist() == [5, 5, 5]
         for j, data in enumerate(datasets):
             fit = fit_mle(data, W)
             assert fit.status is row_outcome(fits, j) is FitStatus.CONVERGED
-            assert fit.n_evals == 8
+            assert fit.n_evals == 5
             assert fit.params_hat.lam == fits.lam[j]
 
     @pytest.mark.parametrize("kind", [W, G, L])
@@ -465,11 +520,7 @@ def _caption_data(params, n, seed, censored=0.0, scale=1.0):
 _CODE_CASES = {
     _CONVERGED: (W, lambda: (T12, D12), FitStatus.CONVERGED),
     _BOUNDARY: (W, lambda: ([0.3, 0.7, 1.2, 0.9], [1, 1, 2, 1]), FitStatus.BOUNDARY_ALPHA_ZERO),
-    _NO_MLE_CLAMP: (
-        G,
-        lambda: (lambda d: (d.t, d.delta))(from_bivariate(sample(PW, 20, 0))),
-        FitStatus.NO_MLE_MONOTONE_PROFILE,
-    ),
+    _NO_MLE_CLAMP: (W, lambda: ([0.5] * 3, [0, 1, 2]), FitStatus.NO_MLE_MONOTONE_PROFILE),
     _NO_MLE_LIMIT: (
         G,
         lambda: (lambda d: (d.t, d.delta))(_study_replicate(PG, 9305, 290)),
@@ -526,48 +577,71 @@ class TestOutcomeCodes:
 
     def test_clamp_and_limit_no_mle_are_told_apart(self):
         # Both report NoMleMonotoneProfile, and neither runs Newton. CLAMP:
-        # the ladder's maximum is at a clamp. LIMIT: replicate 290 of
-        # criterion 7's 40%-censored Gompertz n=200 cell, whose maximum is
-        # next to the lower clamp, where the profile's limit slope is
-        # negative. At unit scale none of 21,600 caption fits (caption
-        # parents x censoring 0/20/40% x n 10/30/100/300 x seeds 0-199 x 3
-        # kinds) was decided next to a clamp; 7200 ended at one.
-        clamp = from_bivariate(sample(PW, 20, 0))
+        # the ladder's maximum is at a clamp, here the upper one of T12's
+        # Gompertz profile in a time unit 1e9 too large. LIMIT: replicate
+        # 290 of criterion 7's 40%-censored Gompertz n=200 cell, whose
+        # profile leaves its limit falling, decided with no evaluation. At
+        # unit scale none of 21,600 caption fits (caption parents x
+        # censoring 0/20/40% x n 10/30/100/300 x seeds 0-199 x 3 kinds)
+        # was decided next to a clamp; 7200 ended at one.
+        clamp = CompetingRisksData([x * 1e-9 for x in T12], D12)
         limit = _study_replicate(PG, 9305, 290)
         fits = _fit_stacks([_Stack(G, d.t[None], d.delta[None]) for d in (clamp, limit)])
         assert [f.code.tolist() for f in fits] == [[_NO_MLE_CLAMP], [_NO_MLE_LIMIT]]
         assert all(math.isnan(f.lam[0]) for f in fits)
-        assert [f.n_evals.tolist() for f in fits] == [[16], [16]]
+        assert [f.n_evals.tolist() for f in fits] == [[16], [0]]
         for data in (clamp, limit):
             assert fit_mle(data, G).status is FitStatus.NO_MLE_MONOTONE_PROFILE
         unit = fit_mle(_caption_data(PW, 20, 103), G)
         assert unit.status is FitStatus.CONVERGED and unit.n_evals == 14
 
     @pytest.mark.parametrize(
+        "records",
+        [
+            # the Weibull caption parent, n=20, seed 0
+            lambda: from_bivariate(sample(PW, 20, 0)),
+            # replicate 290 of criterion 7's 40%-censored Gompertz n=200
+            # cell, whose limit slope is -1.33e-5
+            lambda: _study_replicate(PG, 9305, 290),
+        ],
+        ids=["weibull-parent", "rep290"],
+    )
+    def test_gompertz_limit_decides_before_any_pass(self, records, monkeypatch):
+        # A Gompertz profile is concave, so one that leaves its limit
+        # without rising never rises above it: the fit takes no pass
+        data = records()
+        assert _limit_slope(data, G) <= 0.0
+        calls = observe(monkeypatch)
+        fit = fit_mle(data, G)
+        assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE and fit.n_evals == 0
+        (call,) = calls
+        assert call.log == []
+
+    @pytest.mark.parametrize(
         "records, vain",
         [
-            # the Weibull caption parent, n=20, seed 41, 40% censored, at
-            # t * 1e-4: its scan evaluates two rungs past the fall
-            (lambda: _caption_data(PW, 20, 41, 0.4, 1e-4), 2),
-            # replicate 290 of criterion 7's 40%-censored Gompertz n=200
-            # cell, whose maximum is next to the lower clamp
-            (lambda: _study_replicate(PG, 9305, 290), 0),
+            # the Weibull caption parent, n=20, seed 1, 40% censored, at
+            # t * 1e-4: its scan evaluates one rung past the fall
+            (lambda: _caption_data(PW, 20, 1, 0.4, 1e-4), 1),
+            # the Lomax caption parent, n=20, seed 47, at t * 1e-4
+            (lambda: _caption_data(PL, 20, 47, 0.0, 1e-4), 0),
         ],
         ids=["past-the-fall", "near-clamp"],
     )
     def test_limit_decided_fit_takes_no_newton_pass(self, records, vain, monkeypatch):
-        # The limit slope decides right after the ladder, so the fit's only
+        # A Lomax maximum next to the lower clamp is decided by the bound
+        # on its chord slope right after the ladder, so the fit's only
         # passes are the ladder's. Every evaluation of the fit's passes
         # counts in n_evals but the rungs the ladder scan evaluated past the
         # profile's first fall.
         data = records()
         calls = observe(monkeypatch)
-        fit = fit_mle(data, G)
+        fit = fit_mle(data, L)
         assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
         (call,) = calls
         assert [height for height, _, _ in call.log] == [2] * len(call.log)
         evaluations = sum(lam.size for _, lam, _ in call.log)
-        assert evaluations - fit.n_evals == _rungs_past_the_fall(call.log, data, G) == vain
+        assert evaluations - fit.n_evals == _rungs_past_the_fall(call.log, data, L) == vain
 
 
 def _rungs_past_the_fall(log, data, kind) -> int:
@@ -691,6 +765,24 @@ class TestExponentialLimit:
         p0 = -7 * math.log(math.fsum(t))
         assert profile_loglik(fit.params_hat.lam, data, L) - p0 == pytest.approx(9.28, abs=5e-3)
 
+    def test_lomax_maximum_below_its_limit_is_no_mle(self, monkeypatch):
+        # Newton finds a local maximum at lambda = 0.2462, whose profile,
+        # -36.618, lies below the limit p0 = -36.040: the supremum is the
+        # limit, so there is no MLE. The profile there comes from the sums
+        # of Newton's last pass, so the rule takes no pass of its own.
+        t = [2942.57, 1806.29, 728.81, 2704.40, 1.86]
+        data = CompetingRisksData(t, [3, 2, 0, 1, 0])
+        calls = observe(monkeypatch)
+        (fits,) = _fit_stacks([_Stack(L, data.t[None], data.delta[None])])
+        assert fits.code.tolist() == [_NO_MLE_LIMIT]
+        lam = fits.lam[0]
+        assert lam == pytest.approx(0.2462, abs=1e-4)
+        (call,) = calls
+        assert (call.log[-1][0], call.log[-1][1].tolist()) == (6, [lam])
+        assert profile_loglik(lam, data, L) < -4 * math.log(math.fsum(t))
+        fit = fit_mle(data, L)
+        assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE and fit.n_evals == 8
+
 
 class TestLockstepFits:
     """One engine call over stacks of every kind must count a row's
@@ -701,7 +793,9 @@ class TestLockstepFits:
         # a monotone profile climbs from rung 14 to a clamp: 3 rungs at the
         # start and 13 in the scan. Rungs a scan chunk evaluated past the
         # clamp's -inf neighbour are not counted, so a fit reads 16 alone
-        # (one scan chunk) and as a row of a mixed call (chunks from 1 rung)
+        # (one scan chunk) and as a row of a mixed call (chunks from 1 rung).
+        # A Gompertz profile that leaves its limit falling takes no
+        # evaluation.
         pw = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
         datasets = [from_bivariate(sample(pw, 150, seed=s)) for s in range(200)]
         t = np.array([d.t for d in datasets])
@@ -715,7 +809,9 @@ class TestLockstepFits:
             assert fits.n_evals[rows].tolist() == [16] * len(rows), kind
             assert [fit_mle(datasets[r], kind).n_evals for r in rows] == [16] * len(rows)
             at_clamp[kind] = len(rows)
-        assert at_clamp == {W: 0, G: 166, L: 34}
+        assert at_clamp == {W: 0, G: 0, L: 34}
+        limit = np.flatnonzero(mixed[1].code == _NO_MLE_LIMIT)
+        assert limit.size == 166 and (mixed[1].n_evals[limit] == 0).all()
 
 class TestRowBlocks:
     """Stacked passes run in row blocks of at most _SCAN_RECORDS records;
@@ -1092,8 +1188,9 @@ class TestStackPasses:
         # more threads than cores, with a short switch interval: each call
         # runs on the cached stacks in the scratch of its own engine call (a
         # selection's three candidate stacks share one pair), and the
-        # cached stacks hold only their records, which no call writes
-        assert _Stack.__slots__ == ("kind", "x", "counts", "m", "terms")
+        # cached stacks hold only their records and per-row constants,
+        # which no call writes
+        assert _Stack.__slots__ == ("kind", "x", "counts", "m", "terms", "limit")
         p = BvfParams(L, 0.85, 0.57, 0.74, 0.69)
         data = from_bivariate(sample(p, 20000, seed=3), censoring_threshold(p, 0.3))
 
@@ -1568,9 +1665,9 @@ class TestFittedSums:
 def test_fit_and_interval_record_passes(kind, monkeypatch):
     # a caption dataset whose profile peaks at the start rung, far from the
     # clamps: no scan and no limit slope, so the fit's one engine call
-    # takes one profile pass at the start rung and its neighbours, then
-    # Newton passes of one iterate each, and evaluates exactly what it
-    # counts; nothing else takes a pass
+    # takes one profile pass at the start rung and its neighbours (at the
+    # start rung only, for Weibull), then Newton passes of one iterate
+    # each, and evaluates exactly what it counts; nothing else takes a pass
     p = {W: BvfParams(W, 1.34, 1.17, 0.86, 0.91), G: PG, L: PL}[kind]
     data = from_bivariate(sample(p, 20000, seed=5), censoring_threshold(p, 0.3))
     calls = observe(monkeypatch)
@@ -1580,7 +1677,7 @@ def test_fit_and_interval_record_passes(kind, monkeypatch):
     (call,) = calls
     # a profile pass writes 2 sums per row, a Newton pass 6
     passes = [(height, lam.size) for height, lam, _ in call.log]
-    assert passes == [(2, 3)] + [(6, 1)] * (len(passes) - 1)
+    assert passes == [(2, 1 if kind is W else 3)] + [(6, 1)] * (len(passes) - 1)
     assert sum(size for _, size in passes) == fit.n_evals
     asymptotic_ci(fit, data)
     assert calls == [call]
@@ -1868,19 +1965,19 @@ CI_FAILURE_REASONS_JSON = """{
   "intervals": {
     "alpha0": [
       0.0,
-      0.09494085860859006
+      0.09494085860056843
     ],
     "alpha1": [
       0.0,
-      0.1969931918296496
+      0.1969931918086129
     ],
     "alpha2": [
-      0.0014503274842708428,
-      0.2775649958543033
+      0.0014503274837838257,
+      0.2775649958366045
     ],
     "lambda": [
-      0.003766741742606513,
-      0.013612071400272504
+      0.0037667417427934466,
+      0.013612071400951305
     ]
   },
   "B": 200,
@@ -1893,12 +1990,12 @@ CI_FAILURE_REASONS_JSON = """{
   "fit": {
     "kind": "Weibull",
     "status": "Converged",
-    "alpha0": 0.01728629791253977,
-    "alpha1": 0.05185889373761931,
-    "alpha2": 0.06914519165015907,
-    "lambda": 0.005707479806247257,
+    "alpha0": 0.017286297910495678,
+    "alpha1": 0.05185889373148703,
+    "alpha2": 0.06914519164198271,
+    "lambda": 0.005707479806531853,
     "loglik": -1984.2903067446111,
-    "n_evals": 13
+    "n_evals": 5
   }
 }
 """

@@ -223,9 +223,9 @@ def test_mixed_stacks_fit_as_each_alone():
     # counts fits each stack as a call of its own does, field by field
     # every row is Type-I censored: its censored records sit at its
     # largest time
-    overflow = list(T12)
-    overflow[3] = 300.0  # exp(4 * 300) is past double range at rung 4
-    overflow[9:] = [300.0] * 3
+    # exp(4 * 300) is past double range at rung 4; a Gompertz profile of
+    # these records leaves its limit rising, so its fit climbs the ladder
+    overflow = [x * 200.0 for x in T12]
     unbounded = list(T12)
     unbounded[3] = math.inf  # not a valid record: p = -inf at every rung
     unbounded[9:] = [math.inf] * 3
