@@ -43,8 +43,14 @@ them into the profile and its derivatives, one set for all three kinds,
 run once per pass. Each kind has one record kernel: a profile pass takes
 its survival sums, and a Newton pass the same sums continued to their
 lambda derivatives, so the two passes agree on the survival sums by
-construction. Every sum runs along a row in NumPy, so a row's fit does not
-depend on the other rows. The ladder's climb (Gompertz and Lomax rows;
+construction. A fit's first pass takes the derivative sums too at the
+start rung, lambda = 1, where that costs no other row's work: in a Weibull
+row, whose Newton starts there, and in a Gompertz or Lomax row of at least
+``_SCAN_RECORDS`` records, each of whose rungs is a block of its own. A
+row whose Newton starts at lambda = 1 then steps from those sums: the
+start rung is Newton's first iterate, and the fit sums lambda = 1 once.
+Every sum runs along a row in NumPy, so a row's fit does not depend on the
+other rows. The ladder's climb (Gompertz and Lomax rows;
 a Weibull stack never scans), after its first step, scans ahead in
 chunks of rungs, the first of about two blocks of 16384 records
 (``_SCAN_RECORDS``) per stack with scanning rows, about what a pass's
@@ -64,7 +70,8 @@ at its one censoring time C, which is the dataset's largest time, as
 :class:`CompetingRisksData` and the bootstrap's draws guarantee. So a
 Lomax sum over the uncensored records, which a pass takes at each lambda,
 is the plain sum less m3 copies of its term at C, and a stack keeps no
-per-record censoring state, only m3 and C per row; Weibull and Gompertz
+per-record censoring state, only m3 and C per row (a call without a
+censored Lomax row skips the correction); Weibull and Gompertz
 need one uncensored sum, taken once at build, as are the lambda-free
 constants of the limit p0 (see :class:`_Stack`).
 
@@ -271,7 +278,8 @@ class _Stack:
     subtracts the m3 terms at C, once per pass over all its rows
     (:meth:`_Passes._sums`), from the rows' ``terms``. A complete row, and
     a row of another kind, has m3 = C = 0, so the correction subtracts an
-    exact 0.0 and the row keeps its plain sums' bits. The closed form
+    exact 0.0 and the row keeps its plain sums' bits; a call with no
+    censored Lomax row skips it. The closed form
     rounds each uncensored sum on the scale of its plain sum, the censored
     share included, so a censored Lomax fit loses a little accuracy, more
     the more records are censored. The one term that can be infinite is
@@ -427,8 +435,9 @@ class _Stack:
 # records), of which a survival pass writes the first 2. The Lomax-only
 # sums hold what the other kinds leave there, 0.0, 0.0 and -0.0, with which
 # the common formulas give each kind its own bits (x - 0.0 and x + -0.0
-# are x).
-_SLOPE_SUMS = np.array([[np.nan], [0.0], [np.nan], [np.nan], [0.0], [-0.0]])
+# are x). A row of a fit's first pass that takes no derivative sums keeps
+# a' = a'' = 0.0, on which the score, unread there, stays finite.
+_SLOPE_SUMS = np.array([[np.nan], [0.0], [0.0], [0.0], [0.0], [-0.0]])
 _SURVIVAL_SUMS = _SLOPE_SUMS[:2]
 
 
@@ -626,12 +635,16 @@ class FitResult:
     """Outcome of :func:`fit_mle`.
 
     ``params_hat``/``loglik_max`` are None exactly when no MLE exists
-    (status NoMleMonotoneProfile). ``n_evals`` counts the profile
-    evaluations the fit needed: ladder rungs and Newton iterates. A Weibull
-    fit evaluates one rung, the start (every rung where the profile is -inf
-    there), and a Gompertz fit decided by its limit slope none. Rungs a
-    batched ladder scan evaluated past the profile's fall are not counted,
-    so a fit reports the same count alone as in any stack.
+    (status NoMleMonotoneProfile). ``n_evals`` counts the fit's passes over
+    its records, each one profile evaluation: ladder rungs and Newton
+    iterates. The start rung, lambda = 1, is Newton's first iterate,
+    counted once, where Newton starts there and the first pass took its
+    derivative sums: in every Weibull fit, whose evaluations are its Newton
+    iterates (and every rung where the profile is -inf at the start), and
+    in a Gompertz or Lomax fit of at least 16384 records (see
+    :func:`fit_mle`). A Gompertz fit decided by its limit slope makes none.
+    Rungs a batched ladder scan evaluated past the profile's fall are not
+    counted, so a fit reports the same count alone as in any stack.
     """
 
     kind: BaselineKind
@@ -728,7 +741,8 @@ class _Passes:
     """One engine call: the record passes over the rows of its stacks laid
     end to end, where row r of the call is a row of the stack whose offset
     range holds it. ``terms`` (see :class:`_Stack`), ``counts`` and
-    ``slices`` (each stack's rows of the call) are per call row.
+    ``slices`` (each stack's rows of the call) are per call row; a call of
+    one stack reads that stack's own arrays.
 
     The call owns the only scratch its passes write: two flat buffers as
     large as the largest block among its stacks, of which each stack gets
@@ -738,20 +752,23 @@ class _Passes:
 
     Every pass's rows are in ascending order, so each stack's rows are one
     contiguous run of them, which np.searchsorted on the stack offsets
-    finds (:meth:`_runs`, the one place that splits rows among stacks). A
-    survival pass and a Newton pass take one dispatch (:meth:`_sums`), and
-    differ only in how many sums per row they ask of each stack's one
-    kernel (:meth:`_Stack._sums`): 2, or 6. Each stack writes the record
-    sums of its run into the pass's one array of per-row sums; the censored
-    terms leave the Lomax rows' uncensored sums, and the formulas then run,
-    once over all the pass's rows, and only rows whose survival sum is past
-    double range go back to their stack (:meth:`_Stack._shifted`).
+    finds, and which a call of one stack takes whole (:meth:`_runs`, the
+    one place that splits rows among stacks). Every pass takes one dispatch
+    (:meth:`_sums`): it asks each stack's one kernel (:meth:`_Stack._sums`)
+    for the survival sums of its rows, 2 per row, and for the derivative
+    sums too, 6 per row, at every row (a Newton pass), at none (a survival
+    or profile pass) or, in a fit's first pass, at some (:meth:`start`).
+    Each stack writes the record sums of its run into the pass's one array
+    of per-row sums; the censored terms leave the Lomax rows' uncensored
+    sums, and the formulas then run, once over all the pass's rows, and
+    only rows whose survival sum is past double range go back to their
+    stack (:meth:`_Stack._shifted`).
 
     ``log`` is None, or, in a call made while ``_observed`` is a list, one
-    entry per pass in the order they ran: its height (2 for a survival or
-    profile pass, 6 for a Newton pass), a copy of its lambdas, one per row
-    of the pass (Newton's are views of state it overwrites), and the stacks
-    whose runs it summed, each noted as its run is summed.
+    entry per pass in the order they ran: a copy of its lambdas, one per
+    row of the pass (Newton's are views of state it overwrites), and per
+    stack whose run it summed, noted as the run is summed, the stack, the
+    rows of the run and how many of them took the derivative sums.
     """
 
     def __init__(self, stacks: list):
@@ -764,9 +781,14 @@ class _Passes:
         self.bounds = list(itertools.accumulate((stack.m.size for stack in stacks), initial=0))
         self.offsets = np.array(self.bounds)
         self.slices = [slice(lo, hi) for lo, hi in zip(self.bounds, self.bounds[1:])]
-        self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
-        self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
-        self.limit = np.concatenate([stack.limit for stack in stacks], axis=1)
+        if len(stacks) == 1:
+            self.terms, self.counts, self.limit = stacks[0].terms, stacks[0].counts, stacks[0].limit
+        else:
+            self.terms = np.concatenate([stack.terms for stack in stacks], axis=1)
+            self.counts = np.concatenate([stack.counts for stack in stacks], axis=1)
+            self.limit = np.concatenate([stack.limit for stack in stacks], axis=1)
+        # only a censored Lomax row has m3 > 0 (see _Stack)
+        self.censored = np.count_nonzero(self.terms[3]) > 0
         self.log = None if _observed is None else []
         if self.log is not None:
             _observed.append(self)
@@ -785,6 +807,9 @@ class _Passes:
         its run, the stack, its own indices of the run's rows (``_ALL``
         when ``rows`` are ``distinct`` and the run holds every row of the
         stack), and its scratch views."""
+        if len(self.stacks) == 1:
+            whole = distinct and rows.size == self.terms.shape[1]
+            return [(_ALL, self.stacks[0], _ALL if whole else rows, self.views[0])]
         cuts = np.searchsorted(rows, self.offsets).tolist()
         runs = []
         for stack, views, off, lo, hi in zip(self.stacks, self.views, self.bounds, cuts, cuts[1:]):
@@ -796,52 +821,90 @@ class _Passes:
                 runs.append((slice(lo, hi), stack, own, views))
         return runs
 
-    def _sums(self, rows: np.ndarray, lam: np.ndarray, preset, distinct=False) -> tuple:
+    def _sums(self, rows: np.ndarray, lam: np.ndarray, deriv, distinct=False) -> tuple:
         """The runs of ``rows`` (:meth:`_runs`), the rows' ``terms`` and the
         per-row sums that :meth:`_Stack._sums` writes at them, one column
-        per row, from the columns ``preset``: ``_SURVIVAL_SUMS`` or
-        ``_SLOPE_SUMS``. Each row's uncensored Lomax sums then lose its m3
-        terms at C (see :class:`_Stack`):
+        per row: the survival sums, a (2, R) array, where ``deriv`` is
+        False, and a (6, R) array from ``_SLOPE_SUMS`` otherwise, with the
+        derivative sums at every row where it is True, or at the rows where
+        an array of one bool per row holds (the others keep the preset's).
+        Each row's uncensored Lomax sums then lose its m3 terms at C (see
+        :class:`_Stack`):
 
             sum_unc log1p(lam*x) = sum log1p(lam*x) - m3 log1p(lam*C)
             sum_unc q = sum q - m3 q_C,  sum_unc q**2 = sum q**2 - m3 q_C**2
 
         with q_C = C / (1 + lam*C), the bits of the kernel's terms at C.
-        Every other row has m3 = C = 0 at a finite lambda, so it loses an
-        exact 0.0 and keeps its bits (x - 0.0 is x, -0.0 included). An
-        observed call logs the pass (:meth:`_logged`)."""
+        Every other row has m3 = C = 0 at a finite lambda, so it would lose
+        an exact 0.0 and keep its bits (x - 0.0 is x, -0.0 included): a call
+        without a censored Lomax row skips the correction. An observed call
+        logs the pass (:meth:`_logged`)."""
         # as many distinct rows as the call has are all of them, in order
         terms = self.terms if distinct and rows.size == self.terms.shape[1] else self.terms[:, rows]
         runs = self._runs(rows, distinct)
-        sums = preset.repeat(rows.size, axis=1)
-        for at, stack, own, views in runs if self.log is None else self._logged(runs, sums, lam):
-            stack._rowwise(own, lam[at], sums[:, at], *views)
-        m3, at_c = terms[3:]
-        z = lam * at_c
-        sums[1] -= m3 * np.log1p(z)
-        if len(sums) > 2:
-            q = at_c / (z + 1.0)
-            sums[4] -= m3 * q
-            sums[5] -= m3 * (q * q)
+        sums = (_SURVIVAL_SUMS if deriv is False else _SLOPE_SUMS).repeat(rows.size, axis=1)
+        for at, stack, own, views in runs if self.log is None else self._logged(runs, lam, deriv):
+            if isinstance(deriv, bool):
+                stack._rowwise(own, lam[at], sums[:, at], *views)
+                continue
+            # the run in stretches of rows that all take, or all skip, the
+            # derivative sums: one, unless its rows are blocks alone
+            d = deriv[at]
+            took = np.count_nonzero(d)
+            if took == 0 or took == d.size:
+                stack._rowwise(own, lam[at], sums[: 6 if took else 2, at], *views)
+                continue
+            cuts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
+            for lo, hi in itertools.pairwise([0, *cuts, d.size]):
+                out = sums[: 6 if d[lo] else 2, at][:, lo:hi]
+                stack._rowwise(own[lo:hi], lam[at][lo:hi], out, *views)
+        if self.censored:
+            m3, at_c = terms[3:]
+            z = lam * at_c
+            sums[1] -= m3 * np.log1p(z)
+            if deriv is not False:
+                q = at_c / (z + 1.0)
+                sums[4] -= m3 * q
+                sums[5] -= m3 * (q * q)
         return runs, terms, sums
 
-    def _logged(self, runs, sums, lam):
+    def _logged(self, runs, lam, deriv):
         """``runs``, in order, for :meth:`_sums` to sum, after a new entry
         of ``log`` for the pass (see :class:`_Passes`), to which each run's
-        stack is added as the run is taken."""
-        self.log.append((len(sums), lam.copy(), []))
+        stack, its rows and those of them taking the derivative sums
+        (``deriv`` as in :meth:`_sums`) are added as the run is taken."""
+        summed = []
+        self.log.append((lam.copy(), summed))
         for run in runs:
-            self.log[-1][2].append(run[1])
+            at, stack = run[:2]
+            size = lam[at].size
+            took = np.count_nonzero(deriv[at]) if isinstance(deriv, np.ndarray) else deriv * size
+            summed.append((stack, size, int(took)))
             yield run
 
     def survival(self, rows: np.ndarray, lam: np.ndarray) -> tuple:
         """The runs of ``rows``, their terms and the (2, R) survival sums at
         them (:meth:`_sums`): a, and sum_unc log1p(lam*x) for Lomax rows."""
-        return self._sums(rows, lam, _SURVIVAL_SUMS)
+        return self._sums(rows, lam, False)
 
     def profile(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """p(lambda) (:func:`_profile`) at each of ``rows``."""
-        return _profile(*self._sums(rows, lam, _SURVIVAL_SUMS), lam)
+        return _profile(*self._sums(rows, lam, False), lam)
+
+    def start(self, rows: np.ndarray, lam: np.ndarray, deriv: np.ndarray) -> tuple:
+        """A fit's first pass: p(lambda) (:func:`_profile`) at each of
+        ``rows``, and g, h and the (6, R) sums of :meth:`newton` there, of
+        which those at the rows where ``deriv`` holds, which are distinct,
+        are a Newton pass's bits (None where it holds at no row). Where it
+        holds at every row, the rows are distinct, and the pass is a Newton
+        pass."""
+        took = int(np.count_nonzero(deriv))
+        every = took == rows.size
+        # one bool where every row, or none, takes the derivative sums
+        mode = True if every else deriv if took else False
+        runs, terms, sums = self._sums(rows, lam, mode, distinct=every)
+        p = _profile(runs, terms, sums[:2], lam)
+        return p, (*_score(runs, terms, sums, lam), sums) if took else None
 
     def limit_slope(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """An upper bound, at each of ``rows``, on the slope (p(mu) - p0) / mu
@@ -867,7 +930,7 @@ class _Passes:
         """g and h (:func:`_score`) at each of ``rows``, which are distinct,
         and the (6, R) sums they come from: the survival sums, then a',
         a'' and the Lomax sums of q and q**2."""
-        runs, terms, sums = self._sums(rows, lam, _SLOPE_SUMS, distinct=True)
+        runs, terms, sums = self._sums(rows, lam, True, distinct=True)
         return (*_score(runs, terms, sums, lam), sums)
 
 
@@ -888,9 +951,10 @@ def _fit_stacks(stacks: list) -> list:
     +inf, and as lambda -> inf, p' -> sum_unc x - m max x <= 0, with
     equality only where every uncensored x equals the largest. So the
     profile has one maximum, or rises for ever, and needs no ladder: a
-    Weibull row takes the start rung, lambda = 1, in the first pass (every
-    rung when the start is -inf, as below), then Newton from there with the
-    whole search range as its bracket. A lambda-hat within 2 _TOL of the
+    Weibull row takes the start rung, lambda = 1, in the first pass, with
+    the derivative sums, as Newton's first iterate (and every rung when the
+    start is -inf, as below), then Newton from there with the whole search
+    range as its bracket. A lambda-hat within 2 _TOL of the
     upper end, where a bisection onto that end stops, means no MLE.
 
     A Gompertz profile is concave too: it is
@@ -937,8 +1001,16 @@ def _fit_stacks(stacks: list) -> list:
     take the derivative sums, and the sums of a row's last iterate, at
     lambda-hat, are kept, read from the pass's sums when the row stops
     (see :class:`_Fits`), for the log-likelihood and the Wald variances
-    there. A row's ``n_evals`` counts the rungs a one-rung scan would
-    evaluate, whatever the chunk size, and no stopping rule looks at
+    there. The start rung is an iterate too where the first pass takes its
+    derivative sums (:meth:`_Passes.start`) and Newton starts there: in
+    every Weibull row, and in a Gompertz or Lomax row of at least
+    ``_SCAN_RECORDS`` records, a block of its own at each rung, so the
+    sums cost no other row's work and are thrown away only where its
+    ladder leaves the start. Such a row steps from them without a pass of
+    its own, so a call in which every row that reaches Newton does (every
+    all-Weibull call) takes one pass fewer. A row's ``n_evals`` counts its passes
+    over its records, the start rung once, and the rungs a one-rung scan
+    would evaluate, whatever the chunk size, and no stopping rule looks at
     another row, so each row gets the bits and the count of its one-row
     fit, whatever stacks it is fitted with.
     """
@@ -963,11 +1035,17 @@ def _fit_stacks(stacks: list) -> list:
             vals[rows, idx + 1] = passes.profile(rows, rungs[idx])
             np.add.at(n_evals, rows, 1)
 
+    # a row takes the derivative sums at the start rung in its first pass,
+    # as Newton's first iterate, where that costs no other row's work: a
+    # Weibull row, whose Newton starts there, and a Gompertz or Lomax row of
+    # at least _SCAN_RECORDS records, each of whose rungs is a block alone
+    early = np.empty(R, dtype=bool)
     for stack, at in zip(stacks, passes.slices):
         # a Gompertz profile is concave, so one whose limit slope s1 is not
         # positive never rises above its limit
         if stack.kind is BaselineKind.GOMPERTZ:
             code[at][stack.limit[1] <= 0.0] = _NO_MLE_LIMIT
+        early[at] = stack.kind is BaselineKind.WEIBULL or stack.x.shape[-1] >= _SCAN_RECORDS
     code[m == 0] = _NO_FAILURES
     # s is 1 in Weibull rows only (see _Stack)
     weibull = passes.terms[1] == 1.0
@@ -978,7 +1056,17 @@ def _fit_stacks(stacks: list) -> list:
     around = np.arange(max(start - 1, 0), min(start + 1, last) + 1)
     rows, idx = np.repeat(act, around.size), np.tile(around, act.size)
     keep = (idx == start) | ~weibull[rows]
-    evaluate(rows[keep], idx[keep])
+    rows, idx = rows[keep], idx[keep]
+    first = None
+    if rows.size:
+        deriv = (idx == start) & early[rows]
+        vals[rows, idx + 1], first = passes.start(rows, rungs[idx], deriv)
+        np.add.at(n_evals, rows, 1)
+    if first is not None:
+        # per call row, its column of the first pass where it took the
+        # derivative sums, or -1
+        column = np.full(R, -1)
+        column[rows[deriv]] = np.flatnonzero(deriv)
     dead = act[vals[act, start + 1] == -np.inf]
     if dead.size:
         evaluate(np.repeat(dead, rungs.size), np.tile(np.arange(rungs.size), dead.size))
@@ -996,40 +1084,43 @@ def _fit_stacks(stacks: list) -> list:
     # Rungs of the last chunk past the first fall are not counted; they are
     # all new to the chunk, since the scan moves away from every evaluated
     # rung.
-    c = cur[climb]
-    p_left, p_cur, p_right = vals[climb, c], vals[climb, c + 1], vals[climb, c + 2]
-    go_left = p_left > p_cur
-    go_right = p_right > np.where(go_left, p_left, p_cur)
-    step = np.where(go_right, 1, np.where(go_left, -1, 0))
-    cur[climb] = c + step
-    scan, step = climb[step != 0], step[step != 0]
-    k = min(rungs.size, passes.scan_chunk(scan))
-    while scan.size:
-        c = cur[scan]
-        path = c[:, None] + step[:, None] * np.arange(k + 1)
-        ahead = path[:, 1:]
-        inside = (ahead >= 0) & (ahead <= last)
-        row_of = np.broadcast_to(scan[:, None], ahead.shape)
-        evaluate(row_of[inside], ahead[inside])
-        p = vals[scan[:, None], np.clip(path + 1, 0, last + 2)]
-        falls = p[:, 1:] <= p[:, :-1]
-        stops = falls.any(axis=1)
-        fall = np.where(stops, falls.argmax(axis=1), k)
-        vain = inside & (np.arange(k) > fall[:, None])
-        np.subtract.at(n_evals, row_of[vain], 1)
-        cur[scan] = c + step * fall
-        scan, step = scan[~stops], step[~stops]
-        k *= 2
+    if climb.size:
+        c = cur[climb]
+        p_left, p_cur, p_right = vals[climb, c], vals[climb, c + 1], vals[climb, c + 2]
+        go_left = p_left > p_cur
+        go_right = p_right > np.where(go_left, p_left, p_cur)
+        step = np.where(go_right, 1, np.where(go_left, -1, 0))
+        cur[climb] = c + step
+        scan, step = climb[step != 0], step[step != 0]
+        k = min(rungs.size, passes.scan_chunk(scan))
+        while scan.size:
+            c = cur[scan]
+            path = c[:, None] + step[:, None] * np.arange(k + 1)
+            ahead = path[:, 1:]
+            inside = (ahead >= 0) & (ahead <= last)
+            row_of = np.broadcast_to(scan[:, None], ahead.shape)
+            evaluate(row_of[inside], ahead[inside])
+            p = vals[scan[:, None], np.clip(path + 1, 0, last + 2)]
+            falls = p[:, 1:] <= p[:, :-1]
+            stops = falls.any(axis=1)
+            fall = np.where(stops, falls.argmax(axis=1), k)
+            vain = inside & (np.arange(k) > fall[:, None])
+            np.subtract.at(n_evals, row_of[vain], 1)
+            cur[scan] = c + step * fall
+            scan, step = scan[~stops], step[~stops]
+            k *= 2
 
-    c = cur[climb]
-    code[climb[(c == 0) | (c == last)]] = _NO_MLE_CLAMP
-    # a maximum within 64x of the lower clamp is the profile's limit there
-    # where the profile stays at or below that limit up to the next rung
-    # (_Passes.limit_slope)
-    near = climb[(c > 0) & (rungs[c] / rungs[0] <= 64.0)]
-    if near.size:
-        code[near[passes.limit_slope(near, rungs[cur[near] + 1]) <= 0.0]] = _NO_MLE_LIMIT
-    inner = act[code[act] == _CONVERGED]
+        c = cur[climb]
+        code[climb[(c == 0) | (c == last)]] = _NO_MLE_CLAMP
+        # a maximum within 64x of the lower clamp is the profile's limit
+        # there where the profile stays at or below that limit up to the
+        # next rung (_Passes.limit_slope)
+        near = climb[(c > 0) & (rungs[c] / rungs[0] <= 64.0)]
+        if near.size:
+            code[near[passes.limit_slope(near, rungs[cur[near] + 1]) <= 0.0]] = _NO_MLE_LIMIT
+        inner = act[code[act] == _CONVERGED]
+    else:
+        inner = act
 
     # Newton: each active row has its iterate lambda and its bracket [lo, hi],
     # the rungs either side of its ladder maximum, or for a Weibull row the
@@ -1045,10 +1136,30 @@ def _fit_stacks(stacks: list) -> list:
     ends = rungs[np.where(whole, 0, c - 1)], rungs[np.where(whole, last, c + 1)]
     state = np.stack([rungs[c], *ends, np.full(act.size, np.nan)])
     lam, lo, hi, prev = state
+    # g, h and the sums of Newton's first iterate: a row that took the
+    # derivative sums at the start rung and starts there steps from them,
+    # and the other rows take a pass
+    iterate = None
+    if first is not None:
+        at = column[act]
+        ready = (at >= 0) & (c == start)
+        if ready.any():
+            g, h, sums = first
+            g, h, sums = iterate = g.take(at), h.take(at), sums.take(at, axis=1)
+            need = np.flatnonzero(~ready)
+            if need.size:
+                rows = act[need]
+                g[need], h[need], sums[:, need] = passes.newton(rows, lam[need])
+                n_evals[rows] += 1
     while act.size:
-        g, h, sums = passes.newton(act, lam)
-        evals = n_evals[act] + 1
-        n_evals[act] = evals
+        if iterate is None:
+            iterate = passes.newton(act, lam)
+            evals = n_evals[act] + 1
+            n_evals[act] = evals
+        else:
+            evals = n_evals[act]
+        g, h, sums = iterate
+        iterate = None
         np.copyto(lo, lam, where=g > 0.0)
         np.copyto(hi, lam, where=g < 0.0)
         # a Weibull row steps in lambda, the others in log lambda. From a
@@ -1103,10 +1214,10 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
 
     Strategy: the profile's shape decides where Newton starts, and whether
     a maximum exists. A Weibull profile is strictly concave in lambda and
-    rises from -inf at 0, so it has one maximum, or rises for ever: after
-    one evaluation at lambda = 1, Newton runs in lambda from there over
-    the whole search range [1e-8, 1e8], and a lambda-hat at its upper end
-    means no MLE (status NoMleMonotoneProfile). As lambda -> 0 a Gompertz or Lomax
+    rises from -inf at 0, so it has one maximum, or rises for ever: Newton
+    runs in lambda from lambda = 1, whose evaluation is its first iterate,
+    over the whole search range [1e-8, 1e8], and a lambda-hat at its upper
+    end means no MLE (status NoMleMonotoneProfile). As lambda -> 0 a Gompertz or Lomax
     profile tends to p0 = -m log sum t, with slope
     s1 = sum_unc t - m sum t**2 / (2 sum t) for Gompertz and -s1 for Lomax.
     A Gompertz profile is concave, so where s1 <= 0 it never rises above
@@ -1127,7 +1238,10 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     p'(lambda), which a safeguarded Newton iteration in log lambda (in
     lambda for Weibull), with closed-form derivatives, locates; Newton
     stops when its step is at most 1e-10 relative, or once the fit has
-    made 500 profile evaluations. The alphas then follow in closed form.
+    made 500 profile evaluations. A fit of at least 16384 records whose
+    ladder peaks at lambda = 1 takes Newton's first iterate in the ladder's
+    first pass, as a Weibull fit always does, so it evaluates lambda = 1
+    once. The alphas then follow in closed form.
     Any failure mode absent from the data pins its alpha to 0 (status
     BoundaryAlphaZero).
 
@@ -1140,8 +1254,8 @@ def fit_mle(data: CompetingRisksData, kind: BaselineKind) -> FitResult:
     leaves that pass's a', a'' and c'' in the dataset's cache, under its
     kind, for :func:`asymptotic_ci` and :func:`observed_fisher` at the same
     lambda: a fit then an interval on one dataset object makes ``n_evals``
-    profile evaluations, plus the rungs its ladder scan evaluated past the
-    profile's fall, and the interval adds none. A scan pass evaluates
+    passes over the records, plus the rungs its ladder scan evaluated past
+    the profile's fall, and the interval adds none. A scan pass evaluates
     several rungs at once, so a Gompertz or Lomax fit takes fewer passes
     over the records than evaluations whenever its ladder scans.
 

@@ -5,11 +5,11 @@ rows of an engine call (``inference._Passes``), the only path by which the
 engine runs a pass, and is the one place in the tests that unpacks a
 pass's per-row sums. :func:`observe` sets the engine's one observation
 point, ``inference._observed``, so that every engine call made from then on
-is recorded with its pass log, and :func:`logged_passes` reads the passes
-of recorded calls. :func:`row_outcome` decodes a row of engine fits as
-``fit_mle`` reports it, and :func:`one_row_fit_mle` gives ``fit_mle``'s
-outcome on a row's records alone, so :func:`same_outcome` can compare the
-two.
+is recorded with its pass log, and :func:`logged_passes` and
+:func:`record_evals` read the passes of recorded calls. :func:`row_outcome`
+decodes a row of engine fits as ``fit_mle`` reports it, and
+:func:`one_row_fit_mle` gives ``fit_mle``'s outcome on a row's records
+alone, so :func:`same_outcome` can compare the two.
 """
 
 import numpy as np
@@ -60,18 +60,40 @@ def same_outcome(got, want) -> bool:
 def observe(monkeypatch) -> list:
     """The list to which every engine call made from here on, until
     ``monkeypatch`` undoes it, appends itself: each has its ``stacks`` and
-    its ``log`` of passes, one (height, lambdas, stacks summed) entry per
-    pass (see ``inference._Passes``)."""
+    its ``log`` of passes, one (lambdas, summed) entry per pass, where
+    ``summed`` holds a (stack, rows, derivative rows) triple per stack whose
+    run the pass summed (see ``inference._Passes``)."""
     calls = []
     monkeypatch.setattr(inference, "_observed", calls)
     return calls
 
 
+def pass_name(entry) -> str:
+    """The kind of a logged pass: "survival" (of which a profile pass is
+    one) where no row took the derivative sums, "newton" where every row
+    did, and "start" for a fit's first pass, where some rows took them (as
+    Newton's first iterate) and others did not."""
+    lam, summed = entry
+    took = sum(deriv for _, _, deriv in summed)
+    return "survival" if took == 0 else "newton" if took == lam.size else "start"
+
+
 def logged_passes(calls) -> list:
-    """Every pass of the engine calls ``calls``, in order: "survival" (of
-    which a profile pass is one) or "newton", and its lambdas."""
-    names = {2: "survival", 6: "newton"}
-    return [(names[height], lam.tolist()) for call in calls for height, lam, _ in call.log]
+    """Every pass of the engine calls ``calls``, in order: its
+    :func:`pass_name` and its lambdas."""
+    return [(pass_name(entry), entry[0].tolist()) for call in calls for entry in call.log]
+
+
+def record_evals(calls) -> int:
+    """The records that the passes of the engine calls ``calls`` summed:
+    per pass and per stack whose run it summed, the run's rows times the
+    stack's record count."""
+    return sum(
+        rows * stack.x.shape[-1]
+        for call in calls
+        for _, summed in call.log
+        for stack, rows, _ in summed
+    )
 
 
 def run_pass(engine, name, rows, lam):

@@ -68,6 +68,7 @@ from engine_passes import (
     logged_passes,
     observe,
     one_row_fit_mle,
+    record_evals,
     row_outcome,
     run_pass,
     same_outcome,
@@ -435,13 +436,13 @@ class TestWeibullNewton:
         # m log lambda - m x - m log n rises for ever: Newton climbs to the
         # upper end of the range, where t**lambda leaves double range. Its
         # curvature there is rounding noise, which sets its step, so the
-        # climb takes 39 evaluations in unit time and more in others.
+        # climb takes 38 evaluations in unit time and more in others.
         data = CompetingRisksData([x * c for x in t], delta)
         (fits,) = _fit_stacks([_Stack(W, data.t[None], data.delta[None])])
         assert fits.code.tolist() == [_NO_MLE_CLAMP]
         fit = fit_mle(data, W)
         assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
-        assert fit.n_evals == 39 if c == 1.0 else fit.n_evals >= 39
+        assert fit.n_evals == 38 if c == 1.0 else fit.n_evals >= 38
 
 
 class TestFitOptions:
@@ -478,20 +479,20 @@ class TestFitOptions:
 
 class TestStackedFits:
     def test_each_row_stops_at_the_evaluation_cap(self, monkeypatch):
-        # the start rung and 5, 6 and 5 Newton iterates, 6, 7 and 6
-        # evaluations uncapped; with the cap at 5 each row stops at its
-        # fifth evaluation, alone and in a stack alike
+        # 5, 6 and 5 Newton iterates, the first of them the start rung, are
+        # 5, 6 and 5 evaluations uncapped; with the cap at 4 each row stops
+        # at its fourth evaluation, alone and in a stack alike
         rows = [[x**p for x in T12] for p in (1.0, 0.005, 50.0)]
         datasets = [CompetingRisksData(t, D12) for t in rows]
-        assert [fit_mle(d, W).n_evals for d in datasets] == [6, 7, 6]
-        monkeypatch.setattr(inference, "_MAX_EVALS", 5)
+        assert [fit_mle(d, W).n_evals for d in datasets] == [5, 6, 5]
+        monkeypatch.setattr(inference, "_MAX_EVALS", 4)
         stack = _Stack(W, np.array(rows), np.array([D12] * 3, dtype=np.int8))
         (fits,) = _fit_stacks([stack])
-        assert fits.n_evals.tolist() == [5, 5, 5]
+        assert fits.n_evals.tolist() == [4, 4, 4]
         for j, data in enumerate(datasets):
             fit = fit_mle(data, W)
             assert fit.status is row_outcome(fits, j) is FitStatus.CONVERGED
-            assert fit.n_evals == 5
+            assert fit.n_evals == 4
             assert fit.params_hat.lam == fits.lam[j]
 
     @pytest.mark.parametrize("kind", [W, G, L])
@@ -639,25 +640,25 @@ class TestOutcomeCodes:
         fit = fit_mle(data, L)
         assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE
         (call,) = calls
-        assert [height for height, _, _ in call.log] == [2] * len(call.log)
-        evaluations = sum(lam.size for _, lam, _ in call.log)
-        assert evaluations - fit.n_evals == _rungs_past_the_fall(call.log, data, L) == vain
+        assert [name for name, _ in logged_passes(calls)] == ["survival"] * len(call.log)
+        evaluations = sum(lam.size for lam, _ in call.log)
+        assert evaluations - fit.n_evals == _rungs_past_the_fall(calls, data, L) == vain
 
 
-def _rungs_past_the_fall(log, data, kind) -> int:
-    """The rungs that the ladder scan of a one-row fit's pass ``log``
+def _rungs_past_the_fall(calls, data, kind) -> int:
+    """The rungs that the ladder scan of a one-row fit's engine ``calls``
     evaluated past the profile's first fall. The passes between the first
     (the start rung and its neighbours) and Newton's first, or the end of
     the log where no Newton pass ran, are the scan's; it climbs from the
     neighbour on its side along consecutive rungs, and its first fall is
     the first rung whose profile is no higher than the rung before it."""
-    (_, around, _), *rest = log
-    heights = [height for height, _, _ in rest]
-    ends = heights.index(6) if 6 in heights else len(rest)
-    scanned = [float(lam) for _, lams, _ in rest[:ends] for lam in lams]
+    (_, around), *rest = logged_passes(calls)
+    names = [name for name, _ in rest]
+    ends = names.index("newton") if "newton" in names else len(rest)
+    scanned = [lam for _, lams in rest[:ends] for lam in lams]
     if not scanned:
         return 0
-    path = [around.min() if scanned[0] < around.min() else around.max(), *scanned]
+    path = [min(around) if scanned[0] < min(around) else max(around), *scanned]
     p = [profile_loglik(lam, data, kind) for lam in path]
     falls = [i for i in range(1, len(p)) if p[i] <= p[i - 1]]
     return len(path) - 1 - falls[0] if falls else 0
@@ -778,7 +779,7 @@ class TestExponentialLimit:
         lam = fits.lam[0]
         assert lam == pytest.approx(0.2462, abs=1e-4)
         (call,) = calls
-        assert (call.log[-1][0], call.log[-1][1].tolist()) == (6, [lam])
+        assert logged_passes([call])[-1] == ("newton", [lam])
         assert profile_loglik(lam, data, L) < -4 * math.log(math.fsum(t))
         fit = fit_mle(data, L)
         assert fit.status is FitStatus.NO_MLE_MONOTONE_PROFILE and fit.n_evals == 8
@@ -1661,26 +1662,53 @@ class TestFittedSums:
         assert threaded == [(repr(hit[0]), hit[1].tobytes())] * 8
 
 
-@pytest.mark.parametrize("kind", [W, G, L])
-def test_fit_and_interval_record_passes(kind, monkeypatch):
-    # a caption dataset whose profile peaks at the start rung, far from the
-    # clamps: no scan and no limit slope, so the fit's one engine call
-    # takes one profile pass at the start rung and its neighbours (at the
-    # start rung only, for Weibull), then Newton passes of one iterate
-    # each, and evaluates exactly what it counts; nothing else takes a pass
+@pytest.mark.parametrize(
+    "kind, censored",
+    [
+        pytest.param(k, c, id=f"{k}{'' if c else '-complete'}")
+        for k in (W, G, L)
+        for c in (0.3, 0.0)
+    ],
+)
+def test_fit_and_interval_record_passes(kind, censored, monkeypatch):
+    # a caption dataset of 20,000 records whose profile peaks at the start
+    # rung, far from the clamps: no scan and no limit slope. The fit's one
+    # engine call takes the start rung (with its neighbours, for Gompertz
+    # and Lomax) in its first pass, and, a row of 20,000 records being a
+    # block alone, the derivative sums there, which are Newton's first
+    # iterate; then Newton passes of one iterate each. So it sums lambda = 1
+    # once, and its records exactly n_evals times; nothing else takes a pass
     p = {W: BvfParams(W, 1.34, 1.17, 0.86, 0.91), G: PG, L: PL}[kind]
-    data = from_bivariate(sample(p, 20000, seed=5), censoring_threshold(p, 0.3))
+    c = censoring_threshold(p, censored) if censored else None
+    data = from_bivariate(sample(p, 20000, seed=5), c)
     calls = observe(monkeypatch)
     fit = fit_mle(data, kind)
     assert fit.status is FitStatus.CONVERGED
     assert abs(math.log(fit.params_hat.lam)) < math.log(2.0)
     (call,) = calls
-    # a profile pass writes 2 sums per row, a Newton pass 6
-    passes = [(height, lam.size) for height, lam, _ in call.log]
-    assert passes == [(2, 1 if kind is W else 3)] + [(6, 1)] * (len(passes) - 1)
-    assert sum(size for _, size in passes) == fit.n_evals
+    (first, around), *rest = logged_passes(calls)
+    assert (first, around) == (("newton", [1.0]) if kind is W else ("start", [0.25, 1.0, 4.0]))
+    assert [(name, len(lams)) for name, lams in rest] == [("newton", 1)] * len(rest)
+    assert [lam for _, lams in rest for lam in lams].count(1.0) == 0
+    assert record_evals(calls) == fit.n_evals * data.n
     asymptotic_ci(fit, data)
     assert calls == [call]
+
+
+def test_weibull_bootstrap_stack_takes_newton_at_the_start(monkeypatch):
+    # 100 resamples of 400 records: the call's first pass is Newton's first
+    # iterate at lambda = 1 for every row, so it takes 4 passes, one fewer
+    # than a profile pass at the start before Newton, and sums each row's
+    # records n_evals times
+    states = _child_states(np.random.SeedSequence(5), np.arange(100)[:, None])
+    _, t, delta, code = _draw_stack(BvfParams(W, 1.34, 1.17, 0.86, 0.91), 400, states, None)
+    assert not code.any()
+    calls = observe(monkeypatch)
+    (fits,) = _fit_stacks([_Stack(W, t, delta)])
+    (call,) = calls
+    assert [name for name, _ in logged_passes(calls)] == ["newton"] * 4
+    assert logged_passes(calls)[0][1] == [1.0] * 100
+    assert record_evals(calls) == fits.n_evals.sum() * 400
 
 
 def _theta(p):
@@ -1995,7 +2023,7 @@ CI_FAILURE_REASONS_JSON = """{
     "alpha2": 0.06914519164198271,
     "lambda": 0.005707479806531853,
     "loglik": -1984.2903067446111,
-    "n_evals": 5
+    "n_evals": 4
   }
 }
 """

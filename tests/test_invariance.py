@@ -19,9 +19,10 @@ failures or in degenerate rates. For each:
   ends in what ``fit_mle`` gives its records alone; a profile and a Newton
   pass whose survival sums overflow in several stacks give each stack's
   rows the bits of a call over that stack alone;
-- one censored record in any row of a stack, and a call that holds a
-  complete and a censored stack side by side, leave each row its one-row
-  bits;
+- one censored record in any row of a stack, a call that holds a
+  complete and a censored stack side by side, and a censored Lomax stack
+  after complete stacks of every kind leave each row its one-row bits, and
+  the censored Lomax rows their uncensored hazard sums;
 - the single-dataset evaluations (``profile_loglik``,
   ``alphas_given_lambda``, ``log_likelihood`` and ``observed_fisher`` away
   from a fitted lambda) give the bits their dataset gets as the first,
@@ -368,6 +369,34 @@ def test_a_censored_record_keeps_the_complete_rows_bits(kind):
     for fits, datasets in zip(both, (complete, censored)):
         for j, data in enumerate(datasets):
             _assert_same_row(fits, j, _fit(data, kind))
+
+
+def test_a_censored_lomax_stack_beside_complete_stacks_of_every_kind():
+    # A call with a censored Lomax row takes the censored terms out of its
+    # rows' plain sums, whatever stacks come before it: each censored row's
+    # hazard sum at lambda-hat is the sum over its uncensored records, and
+    # every row, complete or censored, gets its one-row bits.
+    rng = np.random.default_rng(43)
+    stacks = [
+        (kind, [from_bivariate(sample(p, 40, rng)) for _ in range(4)]) for kind, p in CAPTION.items()
+    ]
+    c = censoring_threshold(CAPTION[L], 0.3)
+    censored = [from_bivariate(sample(CAPTION[L], 40, rng), c) for _ in range(4)]
+    assert all(d.m3 > 0 for d in censored)
+    stacks.append((L, censored))
+    fits = _fit_stacks([_stack_of(datasets, kind) for kind, datasets in stacks])
+    for got, (kind, datasets) in zip(fits, stacks):
+        for j, data in enumerate(datasets):
+            _assert_same_row(got, j, _fit(data, kind))
+    lomax = fits[-1]
+    rows = np.flatnonzero(lomax.code <= _BOUNDARY).tolist()
+    assert len(rows) >= 3
+    for j in rows:
+        data = censored[j]
+        lam = float(lomax.lam[j])
+        unc = data.t[data.delta != 3]
+        want = unc.size * math.log(lam) - math.fsum(np.log1p(lam * unc).tolist())
+        assert lomax.c[j] == pytest.approx(want, rel=1e-12, abs=0), j
 
 
 def _bits(value) -> bytes:

@@ -39,7 +39,7 @@ from bvf.bvf_model import censoring_threshold
 from bvf.inference import PARAM_NAMES, _loglik_from_sums, _Stack
 from bvf.simulation import _estimation_chunk, _selection_chunk
 
-from engine_passes import logged_passes, observe, run_pass
+from engine_passes import logged_passes, observe, pass_name, record_evals, run_pass
 
 W, G, L = BaselineKind.WEIBULL, BaselineKind.GOMPERTZ, BaselineKind.LOMAX
 PW = BvfParams(W, 1.34, 1.17, 0.86, 0.91)
@@ -615,7 +615,9 @@ class TestEngineCalls:
         # the 9 stacks' record sums run once per stack with rows in a pass,
         # but the formulas that turn them into the profile, g and h, c and
         # c'' run once per pass (and c and c'' once more per call, at
-        # lambda-hat) over the rows of them all
+        # lambda-hat) over the rows of them all. The first pass, in which
+        # the Weibull rows take Newton's first iterate, runs both the
+        # profile's and the score's
         counts = collections.Counter()
         runs = []  # per pass, the stacks of its runs
 
@@ -642,35 +644,54 @@ class TestEngineCalls:
         (call,) = calls
         assert len(call.stacks) == 9
         # one run per stack with rows in a pass, whose record sums run once:
-        # the first pass has all 9
-        heights = [height for height, _, _ in call.log]
-        assert len(runs) == len(heights)
-        for stacks, (_, _, summed) in zip(runs, call.log):
-            assert [id(s) for s in summed] == [id(s) for s in stacks]
+        # the first pass has all 9, and only the Weibull rows among them
+        # take the derivative sums
+        names = [pass_name(entry) for entry in call.log]
+        assert names[0] == "start" and "start" not in names[1:]
+        first_profile, first_score, *rest = runs
+        assert len(rest) == len(names) - 1
+        for stacks, (_, summed) in zip([first_profile, *rest], call.log):
+            assert [id(s) for s, _, _ in summed] == [id(s) for s in stacks]
             assert len(set(map(id, stacks))) == len(stacks)
+        _, summed = call.log[0]
+        assert [took for _, _, took in summed] == [
+            rows if s.kind is W else 0 for s, rows, _ in summed
+        ]
+        assert [id(s) for s in first_score] == [id(s) for s in first_profile]
         sizes = [len(stacks) for stacks in runs]
         assert sizes[0] == 9 and sum(sizes) > 3 * len(sizes)
-        assert counts["_profile"] == heights.count(2)
-        assert counts["_score"] == heights.count(6)
-        assert counts["_hazard"] == heights.count(2) + 1
+        assert counts["_profile"] == names.count("survival") + 1
+        assert counts["_score"] == names.count("newton") + 1
+        assert counts["_hazard"] == names.count("survival") + 2
         assert counts["_curvature"] == 1
 
-    @pytest.mark.parametrize("parent", list(CAPTION.values()), ids=lambda p: p.kind.value)
-    def test_selection_call_scans_in_one_pass(self, monkeypatch, parent):
+    @pytest.mark.parametrize(
+        "kind, passes, records",
+        [
+            pytest.param(kind, passes, records, id=kind.value)
+            for kind, passes, records in ((W, 9, 110950), (G, 10, 148100), (L, 8, 72150))
+        ],
+    )
+    def test_selection_call_scans_in_one_pass(self, monkeypatch, kind, passes, records):
         # a call of the benchmark's select-study shape (10 replications at
         # n 50/150/300): after the pass at the start rung and its
         # neighbours, the ladder scan takes one profile pass before
         # Newton's first (3 or 4 with one block of _SCAN_RECORDS records
-        # for the whole call's first chunk)
+        # for the whole call's first chunk). The Weibull rows take Newton's
+        # first iterate in the first pass, which saves their records at
+        # lambda = 1, 10 x (50 + 150 + 300), but no pass: Newton's first
+        # pass still runs for the Gompertz and Lomax rows
         cfg = SelectionStudyConfig(
-            parent_params=parent, candidates=(W, G, L), n_grid=(50, 150, 300),
+            parent_params=CAPTION[kind], candidates=(W, G, L), n_grid=(50, 150, 300),
             replications=10, seed=5,
         )
         calls = observe(monkeypatch)
         run_selection_study(cfg)
         (call,) = calls
         assert len(call.stacks) == 9
-        assert [name for name, _ in logged_passes(calls)[:3]] == ["survival", "survival", "newton"]
+        assert [name for name, _ in logged_passes(calls)[:3]] == ["start", "survival", "newton"]
+        assert len(call.log) == passes
+        assert record_evals(calls) == records
 
     def test_selection_study_splits_past_the_record_cap(self, monkeypatch):
         # 7 replications of 280 records over the grid, at most 3 per call
